@@ -65,11 +65,10 @@ def _read_targets(path: str) -> list[tuple[str, int]]:
 
 
 def _targets_from_scan(path: str, labels: set[str]) -> list[tuple[str, int]]:
-    seen: list[tuple[str, int]] = []
-    for record in _read_records(path):
-        if record.label in labels and (record.address, record.port) not in seen:
-            seen.append((record.address, record.port))
-    return seen
+    """Distinct (address, port) of rows with a wanted label, first-seen order."""
+    return list(
+        dict.fromkeys((r.address, r.port) for r in _read_records(path) if r.label in labels)
+    )
 
 
 def _read_records(path: str) -> list[CampaignRecord]:

@@ -4,6 +4,11 @@ Flows are bidirectional by default (a flow and its reverse share one key);
 byte accounting uses the IP total length so captures with different link
 layers compare cleanly. A flow counts as MPTCP as soon as any of its packets
 carries a decodable MP_CAPABLE, whether or not the handshake completed.
+
+Ingest keys flows by packed addresses, (src, dst, src_port, dst_port) with
+4- or 16-byte address bytes, and builds the text `FlowKey` once per flow
+when the capture has been read. MP_CAPABLE is decoded only for packets
+whose options contain the kind byte 30 and whose flow has no version yet.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ from typing import IO, Iterable, Mapping
 
 from .errors import EmptyInput, MalformedCapture, MissingTables
 from .options import decode_mp_capable_any, parse_options_prefix
-from .packet import ParsedSegment, decode_packet
+from .packet import address_text, decode_tcp
 from .pcapio import LINKTYPE_ETHERNET, LINKTYPE_NULL, LINKTYPE_RAW, read_pcap
+
+_U16 = struct.Struct("!H")
 
 EPHEMERAL_START = 49152
 
@@ -107,35 +114,6 @@ class FlowTable:
     parse_failures: int = 0
     non_tcp: int = 0
 
-    def merge(self, other: "FlowTable") -> "FlowTable":
-        """Associative union, so per-file tables can be built in parallel."""
-        out = FlowTable(
-            flows={k: FlowStats(**vars(v)) for k, v in self.flows.items()},
-            frames_seen=self.frames_seen + other.frames_seen,
-            tcp_packets=self.tcp_packets + other.tcp_packets,
-            tcp_bytes=self.tcp_bytes + other.tcp_bytes,
-            parse_failures=self.parse_failures + other.parse_failures,
-            non_tcp=self.non_tcp + other.non_tcp,
-        )
-        for key, stats in other.flows.items():
-            mine = out.flows.get(key)
-            if mine is None:
-                out.flows[key] = FlowStats(**vars(stats))
-                continue
-            first, second = (mine, stats) if mine.first_ts <= stats.first_ts else (stats, mine)
-            merged = FlowStats(
-                packets=mine.packets + stats.packets,
-                bytes=mine.bytes + stats.bytes,
-                first_ts=min(mine.first_ts, stats.first_ts),
-                last_ts=max(mine.last_ts, stats.last_ts),
-                mp_capable_seen=mine.mp_capable_seen or stats.mp_capable_seen,
-                mptcp_version=first.mptcp_version
-                if first.mptcp_version is not None
-                else second.mptcp_version,
-            )
-            out.flows[key] = merged
-        return out
-
 
 def _strip_link_layer(linktype: int, frame: bytes) -> bytes | None:
     if linktype == LINKTYPE_RAW:
@@ -143,12 +121,12 @@ def _strip_link_layer(linktype: int, frame: bytes) -> bytes | None:
     if linktype == LINKTYPE_ETHERNET:
         if len(frame) < 14:
             return None
-        ethertype = struct.unpack("!H", frame[12:14])[0]
+        ethertype = _U16.unpack_from(frame, 12)[0]
         offset = 14
         if ethertype == 0x8100:  # one VLAN tag
             if len(frame) < 18:
                 return None
-            ethertype = struct.unpack("!H", frame[16:18])[0]
+            ethertype = _U16.unpack_from(frame, 16)[0]
             offset = 18
         if ethertype not in (0x0800, 0x86DD):
             return None
@@ -158,8 +136,16 @@ def _strip_link_layer(linktype: int, frame: bytes) -> bytes | None:
     return None
 
 
-def _mp_version(segment: ParsedSegment) -> int | None:
-    opts, _err = parse_options_prefix(segment.options)
+def _is_non_tcp(ip_data: bytes) -> bool:
+    """An IPv4/IPv6 header naming a protocol other than TCP."""
+    if len(ip_data) < 10:
+        return False
+    version = ip_data[0] >> 4
+    return (version == 4 and ip_data[9] != 6) or (version == 6 and ip_data[6] != 6)
+
+
+def _mp_version(options: bytes) -> int | None:
+    opts, _err = parse_options_prefix(options)
     for opt in opts:
         if opt.kind != 30:
             continue
@@ -177,30 +163,43 @@ def ingest_capture(
     if linktype not in (LINKTYPE_RAW, LINKTYPE_ETHERNET, LINKTYPE_NULL):
         raise MalformedCapture(f"unsupported link type {linktype}")
     table = FlowTable()
+    flows: dict[tuple[bytes, bytes, int, int], FlowStats] = {}
     for ts, frame in frames:
         table.frames_seen += 1
         ip_data = _strip_link_layer(linktype, frame)
         if ip_data is None:
             table.parse_failures += 1
             continue
-        version_nibble = ip_data[0] >> 4 if ip_data else 0
-        segment = decode_packet(ip_data)
+        segment = decode_tcp(ip_data)
         if segment is None:
-            if version_nibble in (4, 6) and len(ip_data) >= 10 and (
-                (version_nibble == 4 and ip_data[9] != 6)
-                or (version_nibble == 6 and ip_data[6] != 6)
-            ):
+            if _is_non_tcp(ip_data):
                 table.non_tcp += 1
             else:
                 table.parse_failures += 1
             continue
-        key = FlowKey(segment.src, segment.dst, segment.src_port, segment.dst_port)
-        if bidirectional:
-            key = key.canonical()
-        stats = table.flows.setdefault(key, FlowStats())
-        stats.update(ts, segment.ip_bytes, _mp_version(segment))
+        src, dst, sport, dport, _seq, _ack, _flags, _ttl, _win, options, ip_bytes, _len = (
+            segment
+        )
+        # Same endpoint order as FlowKey.canonical: (packed address, port).
+        if bidirectional and (dst, dport) < (src, sport):
+            key = (dst, src, dport, sport)
+        else:
+            key = (src, dst, sport, dport)
+        stats = flows.get(key)
+        if stats is None:
+            stats = flows[key] = FlowStats()
+        # The version is set once and never changes, and a kind-30 option
+        # needs the byte 30, so other packets cannot change the flow.
+        mp_version = None
+        if options and stats.mptcp_version is None and 30 in options:
+            mp_version = _mp_version(options)
+        stats.update(ts, ip_bytes, mp_version)
         table.tcp_packets += 1
-        table.tcp_bytes += segment.ip_bytes
+        table.tcp_bytes += ip_bytes
+    table.flows = {
+        FlowKey(address_text(src), address_text(dst), sport, dport): stats
+        for (src, dst, sport, dport), stats in flows.items()
+    }
     return table
 
 

@@ -13,7 +13,7 @@ import struct
 import time
 
 from .errors import TransportUnavailable
-from .packet import TcpFlags, TcpPacket, decode_packet, encode_packet
+from .packet import IPV4_HEADER_LEN, TcpFlags, TcpPacket, decode_packet, encode_packet
 from .probe import HopReply, ProbeResponse, make_response
 
 ICMP_TIME_EXCEEDED = 11
@@ -70,6 +70,8 @@ class LiveTransport:
         return None
 
     def _icmp_quote(self, pkt: TcpPacket, data: bytes) -> HopReply | None:
+        if len(data) < IPV4_HEADER_LEN + 8:  # IPv4 header plus the ICMP header
+            return None
         seg_start = (data[0] & 0x0F) * 4
         icmp = data[seg_start:]
         if len(icmp) < 8 or icmp[0] not in (ICMP_TIME_EXCEEDED, ICMP_DEST_UNREACHABLE):

@@ -8,6 +8,7 @@ no IPv6 extension headers, no payload reassembly.
 from __future__ import annotations
 
 import ipaddress
+import socket
 import struct
 from dataclasses import dataclass
 from enum import IntFlag
@@ -79,11 +80,27 @@ def internet_checksum(data: bytes) -> int:
     return ~total & 0xFFFF
 
 
+# Wire layouts, shared by the builder and the parser.
+_IPV4 = struct.Struct("!BBHHHBBH4s4s")  # ver/ihl tos len id frag ttl proto csum src dst
+_IPV6 = struct.Struct("!IHBB16s16s")  # ver/class/label payload-len next-header hops src dst
+_TCP = struct.Struct("!HHIIBBHHH")  # ports seq ack offset flags window csum urg
+_PSEUDO_V4 = struct.Struct("!4s4sBBH")
+_PSEUDO_V6 = struct.Struct("!16s16sIBBBB")
+_U16 = struct.Struct("!H")
+
+
+def address_text(packed: bytes) -> str:
+    """Text form of a packed IPv4 (4-byte) or IPv6 (16-byte) address, as
+    `str(ipaddress.ip_address(packed))` writes it."""
+    if len(packed) == 4:
+        return socket.inet_ntoa(packed)
+    return str(ipaddress.IPv6Address(packed))
+
+
 def _tcp_bytes(pkt: TcpPacket, src_packed: bytes, dst_packed: bytes) -> bytes:
     options = pkt.options + b"\x00" * (-len(pkt.options) % 4)
     offset = (TCP_HEADER_LEN + len(options)) // 4
-    header = struct.pack(
-        "!HHIIBBHHH",
+    header = _TCP.pack(
         pkt.src_port,
         pkt.dst_port,
         pkt.seq & 0xFFFFFFFF,
@@ -96,11 +113,11 @@ def _tcp_bytes(pkt: TcpPacket, src_packed: bytes, dst_packed: bytes) -> bytes:
     )
     segment = header + options + pkt.payload
     if len(src_packed) == 4:
-        pseudo = src_packed + dst_packed + struct.pack("!BBH", 0, 6, len(segment))
+        pseudo = _PSEUDO_V4.pack(src_packed, dst_packed, 0, 6, len(segment))
     else:
-        pseudo = src_packed + dst_packed + struct.pack("!IBBBB", len(segment), 0, 0, 0, 6)
+        pseudo = _PSEUDO_V6.pack(src_packed, dst_packed, len(segment), 0, 0, 0, 6)
     csum = internet_checksum(pseudo + segment)
-    return segment[:16] + struct.pack("!H", csum) + segment[18:]
+    return segment[:16] + _U16.pack(csum) + segment[18:]
 
 
 def encode_packet(pkt: TcpPacket) -> bytes:
@@ -112,85 +129,74 @@ def encode_packet(pkt: TcpPacket) -> bytes:
     segment = _tcp_bytes(pkt, src.packed, dst.packed)
     if src.version == 4:
         total = IPV4_HEADER_LEN + len(segment)
-        header = struct.pack(
-            "!BBHHHBBH4s4s",
-            0x45,
-            0,
-            total,
-            0,
-            0,
-            pkt.ttl,
-            6,
-            0,
-            src.packed,
-            dst.packed,
-        )
+        header = _IPV4.pack(0x45, 0, total, 0, 0, pkt.ttl, 6, 0, src.packed, dst.packed)
         csum = internet_checksum(header)
-        header = header[:10] + struct.pack("!H", csum) + header[12:]
-        return header + segment
-    header = struct.pack(
-        "!IHBB16s16s", 0x60000000, len(segment), 6, pkt.ttl, src.packed, dst.packed
-    )
+        return header[:10] + _U16.pack(csum) + header[12:] + segment
+    header = _IPV6.pack(0x60000000, len(segment), 6, pkt.ttl, src.packed, dst.packed)
     return header + segment
 
 
-def _ip_header(data: bytes) -> tuple[int, str, str, int, int, int] | None:
-    """Return (ip_header_len, src, dst, ttl, ip_total_bytes, proto) or None."""
+def _ip_header(data: bytes) -> tuple[int, bytes, bytes, int, int, int] | None:
+    """Return (ip_header_len, src, dst, ttl, ip_total_bytes, proto) or None.
+
+    Addresses stay packed (4 or 16 bytes).
+    """
     if not data:
         return None
     version = data[0] >> 4
     if version == 4:
         if len(data) < IPV4_HEADER_LEN:
             return None
-        ihl = (data[0] & 0x0F) * 4
+        ver_ihl, _tos, total_len, _id, _frag, ttl, proto, _csum, src, dst = (
+            _IPV4.unpack_from(data)
+        )
+        ihl = (ver_ihl & 0x0F) * 4
         if ihl < IPV4_HEADER_LEN or len(data) < ihl:
             return None
-        total_len = struct.unpack("!H", data[2:4])[0]
-        ttl = data[8]
-        proto = data[9]
-        src = str(ipaddress.IPv4Address(data[12:16]))
-        dst = str(ipaddress.IPv4Address(data[16:20]))
         return ihl, src, dst, ttl, total_len, proto
     if version == 6:
         if len(data) < IPV6_HEADER_LEN:
             return None
-        payload_len = struct.unpack("!H", data[4:6])[0]
-        proto = data[6]
-        ttl = data[7]
-        src = str(ipaddress.IPv6Address(data[8:24]))
-        dst = str(ipaddress.IPv6Address(data[24:40]))
+        _first, payload_len, proto, ttl, src, dst = _IPV6.unpack_from(data)
         return IPV6_HEADER_LEN, src, dst, ttl, IPV6_HEADER_LEN + payload_len, proto
     return None
 
 
-def decode_packet(data: bytes) -> ParsedSegment | None:
-    """Parse an IP+TCP packet; None for anything not complete TCP."""
+def decode_tcp(
+    data: bytes,
+) -> tuple[bytes, bytes, int, int, int, int, int, int, int, bytes, int, int] | None:
+    """Parse an IP+TCP packet with packed addresses; None for anything not
+    complete TCP.
+
+    The tuple holds the fields of `ParsedSegment` in its order, except that
+    src and dst are the packed 4- or 16-byte addresses.
+    """
     ip = _ip_header(data)
     if ip is None:
         return None
     ihl, src, dst, ttl, ip_total, proto = ip
     if proto != 6 or len(data) < ihl + TCP_HEADER_LEN:
         return None
-    (
-        src_port,
-        dst_port,
-        seq,
-        ack,
-        offset_byte,
-        flags,
-        window,
-        _csum,
-        _urg,
-    ) = struct.unpack("!HHIIBBHHH", data[ihl : ihl + TCP_HEADER_LEN])
+    src_port, dst_port, seq, ack, offset_byte, flags, window, _csum, _urg = (
+        _TCP.unpack_from(data, ihl)
+    )
     tcp_len = (offset_byte >> 4) * 4
     if tcp_len < TCP_HEADER_LEN or len(data) < ihl + tcp_len:
         return None
     options = bytes(data[ihl + TCP_HEADER_LEN : ihl + tcp_len])
     payload_len = max(0, ip_total - ihl - tcp_len)
-    return ParsedSegment(
+    return (
         src, dst, src_port, dst_port, seq, ack, flags, ttl, window, options,
         ip_total, payload_len,
     )
+
+
+def decode_packet(data: bytes) -> ParsedSegment | None:
+    """Text view of `decode_tcp`: the same parse, addresses as strings."""
+    seg = decode_tcp(data)
+    if seg is None:
+        return None
+    return ParsedSegment(address_text(seg[0]), address_text(seg[1]), *seg[2:])
 
 
 def extract_quoted_options(quote: bytes) -> list[TcpOption] | None:

@@ -21,6 +21,9 @@ LINKTYPE_NULL = 0
 LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW = 101
 
+# Per-record header (ts_sec, ts_frac, incl_len, orig_len), by byte order.
+_RECORD = {"<": struct.Struct("<IIII"), ">": struct.Struct(">IIII")}
+
 
 def read_pcap(source: str | Path | IO[bytes]) -> tuple[int, Iterator[tuple[float, bytes]]]:
     """Open a pcap file; returns (linktype, iterator of (timestamp, frame))."""
@@ -40,14 +43,17 @@ def read_pcap(source: str | Path | IO[bytes]) -> tuple[int, Iterator[tuple[float
     ts_divisor = 1e9 if magic == MAGIC_NS else 1e6
     linktype = struct.unpack(f"{endian}I", header[20:24])[0]
 
+    record = _RECORD[endian].unpack
+    read = f.read
+
     def frames() -> Iterator[tuple[float, bytes]]:
         try:
             while True:
-                rec = f.read(16)
+                rec = read(16)
                 if len(rec) < 16:
                     return
-                ts_sec, ts_frac, incl_len, _orig_len = struct.unpack(f"{endian}IIII", rec)
-                data = f.read(incl_len)
+                ts_sec, ts_frac, incl_len, _orig_len = record(rec)
+                data = read(incl_len)
                 if len(data) < incl_len:
                     return
                 yield ts_sec + ts_frac / ts_divisor, data
@@ -70,7 +76,7 @@ def write_pcap(
         for ts, data in frames:
             sec = int(ts)
             usec = int(round((ts - sec) * 1e6))
-            f.write(struct.pack("<IIII", sec, usec, len(data), len(data)))
+            f.write(_RECORD["<"].pack(sec, usec, len(data), len(data)))
             f.write(data)
     finally:
         if isinstance(dest, (str, Path)):

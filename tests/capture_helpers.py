@@ -67,8 +67,8 @@ def handshake_frames(
     return frames
 
 
-def capture_bytes(frames) -> io.BytesIO:
+def capture_bytes(frames, linktype: int = LINKTYPE_RAW) -> io.BytesIO:
     buf = io.BytesIO()
-    write_pcap(buf, frames, linktype=LINKTYPE_RAW)
+    write_pcap(buf, frames, linktype=linktype)
     buf.seek(0)
     return buf

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from capture_helpers import handshake_frames
-from mptcpkit.cli import main
+from mptcpkit.cli import POSITIVE_SCAN_LABELS, _targets_from_scan, main
 from mptcpkit.pcapio import write_pcap
+from mptcpkit.probe import CampaignRecord
 
 TOPOLOGY = """\
 path 10.0.0.1 80 true_host(v0,v1)
@@ -139,6 +140,27 @@ class TestTrace:
         assert set(verdicts) == {"10.0.0.1", "10.0.0.5"}
         assert verdicts["10.0.0.1"] == "truly_capable"
         assert verdicts["10.0.0.5"] == "middlebox_affected"
+
+    def test_targets_from_scan_first_seen_order(self, tmp_path):
+        rows = [
+            ("10.0.0.2", 80, "potential_capable"),
+            ("10.0.0.1", 80, "no_mp_capable"),
+            ("2001:db8::1", 80, "potential_capable"),
+            ("10.0.0.1", 80, "potential_capable"),
+            ("10.0.0.2", 80, "potential_capable"),
+            ("10.0.0.2", 443, "potential_capable"),
+            ("2001:db8::1", 80, "potential_capable"),
+            ("10.0.0.3", 80, "no_response"),
+            ("10.0.0.1", 80, "potential_capable"),
+        ]
+        scan = tmp_path / "scan.txt"
+        scan.write_text("".join(
+            CampaignRecord(float(i), address, port, 0, label).to_csv() + "\n"
+            for i, (address, port, label) in enumerate(rows)
+        ))
+        assert _targets_from_scan(str(scan), POSITIVE_SCAN_LABELS) == [
+            ("10.0.0.2", 80), ("2001:db8::1", 80), ("10.0.0.1", 80), ("10.0.0.2", 443),
+        ]
 
     def test_live_trace_refused_without_guardrails(self, workdir):
         assert main(["trace", "--targets", str(workdir / "targets.csv")]) == 1

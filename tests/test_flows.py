@@ -1,4 +1,5 @@
 import io
+import random
 import struct
 
 import pytest
@@ -19,9 +20,22 @@ from mptcpkit.flows import (
     map_service,
     mptcp_share,
 )
-from mptcpkit.options import Key
+from mptcpkit.options import (
+    HandshakePhase,
+    Key,
+    MpCapable,
+    decode_mp_capable_any,
+    encode_mp_capable,
+    parse_options_prefix,
+)
 from mptcpkit.packet import TcpFlags, decode_packet
-from mptcpkit.pcapio import LINKTYPE_ETHERNET, read_pcap, write_pcap
+from mptcpkit.pcapio import (
+    LINKTYPE_ETHERNET,
+    LINKTYPE_NULL,
+    LINKTYPE_RAW,
+    read_pcap,
+    write_pcap,
+)
 
 K = Key(0xABCDABCDABCDABCD)
 
@@ -113,18 +127,178 @@ class TestIngest:
         table = ingest_capture(buf)
         assert table.tcp_packets == 1
 
-    def test_merge_associative(self):
-        f1 = handshake_frames("10.0.0.1", "10.0.0.2", 1111, 80, extra_data_packets=2)
-        f2 = handshake_frames("10.0.0.1", "10.0.0.2", 1111, 80, mptcp_version=0, key=K, t0=10.0)
-        f3 = handshake_frames("10.0.0.5", "10.0.0.6", 2222, 443, t0=20.0)
-        t1, t2, t3 = (ingest_capture(capture_bytes(f)) for f in (f1, f2, f3))
-        left = t1.merge(t2).merge(t3)
-        right = t1.merge(t2.merge(t3))
-        assert left.flows.keys() == right.flows.keys()
-        for key in left.flows:
-            assert vars(left.flows[key]) == vars(right.flows[key])
-        whole = ingest_capture(capture_bytes(f1 + f2 + f3))
-        assert whole.tcp_packets == left.tcp_packets
+
+def _reference_mp_version(options: bytes) -> int | None:
+    opts, _err = parse_options_prefix(options)
+    for opt in opts:
+        if opt.kind == 30:
+            mc = decode_mp_capable_any(opt)
+            if mc is not None:
+                return mc.version
+    return None
+
+
+def _reference_strip(linktype: int, frame: bytes) -> bytes | None:
+    if linktype == LINKTYPE_RAW:
+        return frame
+    if linktype == LINKTYPE_NULL:
+        return frame[4:] if len(frame) > 4 else None
+    offset = 18 if frame[12:14] == b"\x81\x00" else 14  # one VLAN tag at most
+    if len(frame) < offset or frame[offset - 2 : offset] not in (b"\x08\x00", b"\x86\xdd"):
+        return None
+    return frame[offset:]
+
+
+def reference_ingest(source, bidirectional: bool) -> FlowTable:
+    """Per-packet text segments, FlowKey.canonical and a full option parse."""
+    linktype, frames = read_pcap(source)
+    table = FlowTable()
+    for ts, frame in frames:
+        table.frames_seen += 1
+        ip_data = _reference_strip(linktype, frame)
+        if ip_data is None:
+            table.parse_failures += 1
+            continue
+        seg = decode_packet(ip_data)
+        if seg is None:
+            version = ip_data[0] >> 4 if ip_data else 0
+            if len(ip_data) >= 10 and (
+                (version == 4 and ip_data[9] != 6) or (version == 6 and ip_data[6] != 6)
+            ):
+                table.non_tcp += 1
+            else:
+                table.parse_failures += 1
+            continue
+        key = FlowKey(seg.src, seg.dst, seg.src_port, seg.dst_port)
+        if bidirectional:
+            key = key.canonical()
+        stats = table.flows.setdefault(key, FlowStats())
+        stats.update(ts, seg.ip_bytes, _reference_mp_version(seg.options))
+        table.tcp_packets += 1
+        table.tcp_bytes += seg.ip_bytes
+    return table
+
+
+DSS = b"\x1e\x08\x20\x01" + bytes(4)  # kind 30, subtype 2: not MP_CAPABLE
+TIMESTAMPS_WITH_30 = b"\x01\x01\x08\x0a\x00\x00\x1e\x1e\x1e\x00\x00\x1e"
+UNKNOWN_VERSION = b"\x1e\x04\x0f\x81"
+V1_SYN = encode_mp_capable(MpCapable(1), HandshakePhase.SYN)
+V0_SYN = encode_mp_capable(MpCapable(0, sender_key=K), HandshakePhase.SYN)
+
+
+def _as_udp(frame: bytes) -> bytes:
+    data = bytearray(frame)
+    data[9 if data[0] >> 4 == 4 else 6] = 17
+    return bytes(data)
+
+
+def mixed_ip_frames(seed: int = 5) -> list[tuple[float, bytes]]:
+    """IPv4 and IPv6 flows in both endpoint orders, plain and MPTCP v0/v1,
+    option edge cases, UDP and truncated frames, shuffled together."""
+    frames = []
+    pairs = [
+        ("10.0.0.9", "10.0.0.1", 40001, 80),  # server sorts first
+        ("10.0.0.1", "10.0.0.9", 40002, 443),  # client sorts first
+        ("10.0.0.5", "10.0.0.5", 9999, 80),  # same address: the ports decide
+        ("2001:db8::9", "2001:db8::1", 40003, 80),
+        ("2001:db8::1", "2001:db8::9", 40004, 22),
+    ]
+    for i, (client, server, cport, sport) in enumerate(pairs):
+        for j, version in enumerate((None, 0, 1)):
+            frames += handshake_frames(client, server, cport + 10 * j, sport, mptcp_version=version,
+                                       key=K if version == 0 else None,
+                                       extra_data_packets=2, t0=i + j / 10)
+    edge = [
+        ("10.0.0.7", "10.0.0.8", 5000, 80, TIMESTAMPS_WITH_30),
+        ("10.0.0.8", "10.0.0.7", 80, 5000, DSS),
+        ("10.0.0.7", "10.0.0.8", 5000, 80, UNKNOWN_VERSION),
+        ("10.0.0.7", "10.0.0.8", 5000, 80, V1_SYN + b"\x08\x0a\x00"),  # parse error after it
+        ("10.0.0.8", "10.0.0.7", 80, 5000, V0_SYN),  # version already set: stays 1
+        ("2001:db8::7", "2001:db8::8", 6000, 443, DSS),  # DSS only: never MPTCP
+        ("2001:db8::8", "2001:db8::7", 443, 6000, TIMESTAMPS_WITH_30),
+    ]
+    for k, (src, dst, sport, dport, options) in enumerate(edge):
+        frames.append((10.0 + k, tcp_frame(src, dst, sport, dport, options=options)))
+    v4 = tcp_frame("10.0.0.1", "10.0.0.2", 1, 2, options=V1_SYN, payload_len=20)
+    v6 = tcp_frame("2001:db8::1", "2001:db8::2", 1, 2, options=V1_SYN, payload_len=20)
+    frames += [(20.0, _as_udp(v4)), (20.1, _as_udp(v6))]
+    frames += [(21.0 + n / 100, v4[:n]) for n in (0, 1, 10, 19, 25, 39, 43)]
+    frames += [(22.0 + n / 100, v6[:n]) for n in (9, 30, 50, 63)]
+    frames.append((23.0, b"\x99\x01\x02"))
+    random.Random(seed).shuffle(frames)
+    return frames
+
+
+def _with_link_layer(linktype: int, frames):
+    if linktype == LINKTYPE_RAW:
+        return list(frames)
+    if linktype == LINKTYPE_NULL:
+        return [(ts, b"\x02\x00\x00\x00" + ip) for ts, ip in frames] + [(30.0, b"\x02\x00")]
+    out = []
+    for n, (ts, ip) in enumerate(frames):
+        ethertype = b"\x08\x00" if not ip or ip[0] >> 4 != 6 else b"\x86\xdd"
+        tag = b"\x81\x00\x00\x07" if n % 2 else b""
+        out.append((ts, bytes(6) + b"\xbb" * 6 + tag + ethertype + ip))
+    arp = bytes(12) + b"\x08\x06" + bytes(28)
+    return out + [(30.0, arp), (30.1, bytes(13)), (30.2, bytes(12) + b"\x81\x00\x00")]
+
+
+class TestIngestMatchesReference:
+    @pytest.mark.parametrize("bidirectional", [True, False])
+    @pytest.mark.parametrize("linktype", [LINKTYPE_RAW, LINKTYPE_ETHERNET, LINKTYPE_NULL])
+    def test_same_flows_and_counters(self, linktype, bidirectional):
+        frames = _with_link_layer(linktype, mixed_ip_frames())
+        got = ingest_capture(capture_bytes(frames, linktype), bidirectional)
+        want = reference_ingest(capture_bytes(frames, linktype), bidirectional)
+        versions = {s.mptcp_version for s in want.flows.values()}
+        assert versions == {None, 0, 1}
+        assert any(":" in k.src_addr for k in want.flows)
+        assert want.non_tcp >= 2 and want.parse_failures >= 10
+        assert list(got.flows) == list(want.flows)
+        assert [vars(s) for s in got.flows.values()] == [vars(s) for s in want.flows.values()]
+        for counter in ("frames_seen", "tcp_packets", "tcp_bytes", "parse_failures", "non_tcp"):
+            assert getattr(got, counter) == getattr(want, counter), counter
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_insertion_order_follows_capture(self, seed):
+        frames = mixed_ip_frames(seed)
+        got = ingest_capture(capture_bytes(frames))
+        assert list(got.flows) == list(reference_ingest(capture_bytes(frames), True).flows)
+
+
+_LINK_PREFIX = {
+    LINKTYPE_RAW: b"",
+    LINKTYPE_NULL: b"\x02\x00\x00\x00",
+    LINKTYPE_ETHERNET: bytes(12) + b"\x08\x00",
+}
+_SAMPLES = [
+    tcp_frame("10.0.0.1", "10.0.0.2", 1, 2, options=V1_SYN),
+    tcp_frame("2001:db8::1", "2001:db8::2", 1, 2, options=V0_SYN + DSS),
+]
+
+
+@st.composite
+def _capture(draw):
+    linktype = draw(st.sampled_from(sorted(_LINK_PREFIX)))
+    sample_frame = st.builds(
+        lambda sample, cut, tail: _LINK_PREFIX[linktype] + sample[:cut] + tail,
+        st.sampled_from(_SAMPLES),
+        st.integers(min_value=0, max_value=90),
+        st.binary(max_size=6),
+    )
+    frames = draw(st.lists(st.one_of(st.binary(max_size=60), sample_frame), max_size=6))
+    return linktype, frames
+
+
+@given(_capture(), st.booleans())
+@settings(max_examples=150)
+def test_ingest_total_and_counters_add_up(capture, bidirectional):
+    linktype, frames = capture
+    table = ingest_capture(
+        capture_bytes([(float(i), f) for i, f in enumerate(frames)], linktype), bidirectional
+    )
+    assert table.frames_seen == len(frames)
+    assert table.frames_seen == table.tcp_packets + table.non_tcp + table.parse_failures
 
 
 class TestFilter:

@@ -1,10 +1,16 @@
+import ipaddress
 import struct
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptcpkit.options import TcpOption
 from mptcpkit.packet import (
     TcpFlags,
     TcpPacket,
+    address_text,
     decode_packet,
+    decode_tcp,
     encode_packet,
     extract_quoted_options,
     internet_checksum,
@@ -90,3 +96,57 @@ def test_quote_covering_headers_but_not_options():
 def test_quote_of_optionless_packet():
     data = encode_packet(syn(options=b""))
     assert extract_quoted_options(data) == []
+
+
+def test_decode_tcp_keeps_addresses_packed():
+    seg = decode_tcp(encode_packet(syn(src="2001:db8::1", dst="2001:db8::2")))
+    assert seg[:4] == (ipaddress.ip_address("2001:db8::1").packed,
+                       ipaddress.ip_address("2001:db8::2").packed, 40000, 80)
+    assert decode_tcp(encode_packet(syn()))[:2] == (bytes([192, 0, 2, 1]), bytes([10, 0, 0, 1]))
+
+
+@given(st.one_of(st.binary(min_size=4, max_size=4), st.binary(min_size=16, max_size=16)))
+@settings(max_examples=300)
+def test_address_text_matches_ipaddress(packed):
+    assert address_text(packed) == str(ipaddress.ip_address(packed))
+
+
+# Valid packets of both families, then truncated and with one byte overwritten,
+# so the decoders are driven past their first length checks.
+_BASES = [
+    encode_packet(syn()),
+    encode_packet(syn(src="2001:db8::1", dst="2001:db8::2", options=b"\x01\x01\x08\x0a" + bytes(8))),
+    encode_packet(syn(options=b"")),
+]
+
+
+def _mutate(base: bytes, cut: int, pos: int, value: int) -> bytes:
+    data = bytearray(base[:cut] or b"\x00")
+    data[pos % len(data)] = value
+    return bytes(data)
+
+
+_wire_bytes = st.one_of(
+    st.binary(max_size=100),
+    st.builds(
+        _mutate,
+        st.sampled_from(_BASES),
+        st.integers(min_value=0, max_value=100),
+        st.integers(min_value=0, max_value=99),
+        st.integers(min_value=0, max_value=255),
+    ),
+)
+
+
+@given(_wire_bytes)
+@settings(max_examples=300)
+def test_decoders_total_and_consistent(data):
+    packed = decode_tcp(data)
+    text = decode_packet(data)
+    extract_quoted_options(data)
+    assert (packed is None) == (text is None)
+    if packed is not None:
+        assert text.src == str(ipaddress.ip_address(packed[0]))
+        assert text.dst == str(ipaddress.ip_address(packed[1]))
+        assert (text.src_port, text.dst_port, text.seq, text.ack, text.flags, text.ttl,
+                text.window, text.options, text.ip_bytes, text.payload_len) == packed[2:]
