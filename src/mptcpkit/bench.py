@@ -200,6 +200,28 @@ class DeltaReport:
         return [r.delta_ms for r in self.records if r.metric == metric]
 
 
+def _summarize(
+    records: list[DeltaRecord], paired: int, zero_tolerance_ms: float
+) -> DeltaReport:
+    """Per-metric CDF of the deltas and their faster/even/slower fractions.
+
+    The fractions partition deltas into below -tolerance, within tolerance,
+    and above.
+    """
+    cdf: dict[str, list[tuple[float, float]]] = {}
+    fractions: dict[str, tuple[float, float, float]] = {}
+    for metric in METRICS:
+        deltas = sorted(r.delta_ms for r in records if r.metric == metric)
+        if not deltas:
+            continue
+        n = len(deltas)
+        cdf[metric] = [(d, (i + 1) / n) for i, d in enumerate(deltas)]
+        faster = sum(1 for d in deltas if d < -zero_tolerance_ms) / n
+        slower = sum(1 for d in deltas if d > zero_tolerance_ms) / n
+        fractions[metric] = (faster, 1.0 - faster - slower, slower)
+    return DeltaReport(records, cdf, fractions, paired_runs=paired)
+
+
 def delta_report(
     mptcp_samples: list[TimingSample],
     tcp_samples: list[TimingSample],
@@ -208,8 +230,7 @@ def delta_report(
 ) -> DeltaReport:
     """Pair runs by index and difference each metric (mptcp - tcp).
 
-    Only pairs where both runs succeeded contribute. Summary fractions
-    partition deltas into below -tolerance, within tolerance, and above.
+    Only pairs where both runs succeeded contribute.
     """
     if len(mptcp_samples) != len(tcp_samples):
         raise PairingMismatch(
@@ -226,18 +247,7 @@ def delta_report(
             if a is None or b is None:
                 continue
             records.append(DeltaRecord(target, metric, a - b))
-    cdf: dict[str, list[tuple[float, float]]] = {}
-    fractions: dict[str, tuple[float, float, float]] = {}
-    for metric in METRICS:
-        deltas = sorted(r.delta_ms for r in records if r.metric == metric)
-        if not deltas:
-            continue
-        n = len(deltas)
-        cdf[metric] = [(d, (i + 1) / n) for i, d in enumerate(deltas)]
-        faster = sum(1 for d in deltas if d < -zero_tolerance_ms) / n
-        slower = sum(1 for d in deltas if d > zero_tolerance_ms) / n
-        fractions[metric] = (faster, 1.0 - faster - slower, slower)
-    return DeltaReport(records, cdf, fractions, paired_runs=paired)
+    return _summarize(records, paired, zero_tolerance_ms)
 
 
 def merge_reports(reports: Iterable[DeltaReport], zero_tolerance_ms: float = 1.0) -> DeltaReport:
@@ -247,18 +257,7 @@ def merge_reports(reports: Iterable[DeltaReport], zero_tolerance_ms: float = 1.0
     for report in reports:
         records.extend(report.records)
         paired += report.paired_runs
-    cdf: dict[str, list[tuple[float, float]]] = {}
-    fractions: dict[str, tuple[float, float, float]] = {}
-    for metric in METRICS:
-        deltas = sorted(r.delta_ms for r in records if r.metric == metric)
-        if not deltas:
-            continue
-        n = len(deltas)
-        cdf[metric] = [(d, (i + 1) / n) for i, d in enumerate(deltas)]
-        faster = sum(1 for d in deltas if d < -zero_tolerance_ms) / n
-        slower = sum(1 for d in deltas if d > zero_tolerance_ms) / n
-        fractions[metric] = (faster, 1.0 - faster - slower, slower)
-    return DeltaReport(records, cdf, fractions, paired_runs=paired)
+    return _summarize(records, paired, zero_tolerance_ms)
 
 
 def write_cdf(report: DeltaReport, metric: str, f: IO[str]) -> None:

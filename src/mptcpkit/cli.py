@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 import time
@@ -25,6 +24,8 @@ from .probe import (
     CampaignGuard,
     CampaignRecord,
     DEFAULT_PROBE_KEY,
+    PacedTransport,
+    RatePacer,
     VirtualClock,
     load_targets,
     run_campaign,
@@ -79,19 +80,7 @@ def _read_records(path: str) -> list[CampaignRecord]:
             if not line or line.startswith("#"):
                 continue
             if line.startswith("{"):
-                payload = json.loads(line)
-                records.append(
-                    CampaignRecord(
-                        timestamp=payload["timestamp"],
-                        address=payload["address"],
-                        port=payload["port"],
-                        version=payload["version"],
-                        label=payload["classification"],
-                        sender_key=Key.from_hex(payload["sender_key"])
-                        if payload.get("sender_key")
-                        else None,
-                    )
-                )
+                records.append(CampaignRecord.from_json(line))
             else:
                 records.append(CampaignRecord.from_csv(line))
     return records
@@ -116,7 +105,7 @@ def _guard_from_args(args, simulated: bool) -> CampaignGuard:
             missing.append("--rate")
         if missing:
             raise GuardViolation(
-                f"refusing live scan without {' and '.join(missing)}"
+                f"refusing live {args.command} without {' and '.join(missing)}"
             )
     blocklist = Blocklist.load(blocklist_path) if blocklist_path else None
     if simulated and blocklist is None:
@@ -159,10 +148,7 @@ def cmd_scan(args) -> int:
 
 def cmd_trace(args) -> int:
     simulated = bool(args.sim_topology)
-    if not simulated:
-        blocklist_path = args.blocklist or os.environ.get(BLOCKLIST_ENV)
-        if blocklist_path is None or args.rate is None:
-            raise GuardViolation("refusing live trace without --blocklist and --rate")
+    guard = _guard_from_args(args, simulated)
     if args.from_scan:
         targets = _targets_from_scan(args.from_scan, POSITIVE_SCAN_LABELS)
     elif args.targets:
@@ -170,19 +156,25 @@ def cmd_trace(args) -> int:
     else:
         raise UsageError("trace needs --targets or --from-scan")
     transport, _ = _resolve_transport(args)
+    if not simulated:
+        transport = PacedTransport(transport, RatePacer(guard.max_packets_per_second))
     probe_key = Key.from_hex(args.probe_key) if args.probe_key else None
     with _out(args.out) as f:
         for address, port in targets:
-            _trace, verdict = tracer.inspect_target(
-                address,
-                port,
-                args.version,
-                transport,
-                max_ttl=args.max_ttl,
-                probe_key=probe_key,
-                seed=args.seed,
-            )
-            f.write(tracer.TraceRecord.from_verdict(address, port, verdict).to_csv() + "\n")
+            if guard.blocklist.matches(address):
+                record = tracer.TraceRecord(address, port, "skipped")
+            else:
+                _trace, verdict = tracer.inspect_target(
+                    address,
+                    port,
+                    args.version,
+                    transport,
+                    max_ttl=args.max_ttl,
+                    probe_key=probe_key,
+                    seed=args.seed,
+                )
+                record = tracer.TraceRecord.from_verdict(address, port, verdict)
+            f.write(record.to_csv() + "\n")
     return 0
 
 
@@ -209,45 +201,25 @@ def cmd_keys(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.generate is not None:
-        _require(args, "out_topology", "out_targets")
-        network = netsim.generate_population(args.generate, seed=args.seed)
-        Path(args.out_topology).write_text(netsim.format_topology(network), encoding="utf-8")
-        with open(args.out_targets, "w", encoding="utf-8") as f:
-            for address, port in network.targets():
-                f.write(f"{address},{port}\n")
-        if args.out_truth:
-            with open(args.out_truth, "w", encoding="utf-8") as f:
-                f.write("address,port,version,classification,verdict,first_modifying_ttl\n")
-                for (address, port), path in sorted(network.paths.items()):
-                    from .packet import ip_family
+    _require(args, "out_topology", "out_targets")
+    network = netsim.generate_population(args.generate, seed=args.seed)
+    Path(args.out_topology).write_text(netsim.format_topology(network), encoding="utf-8")
+    with open(args.out_targets, "w", encoding="utf-8") as f:
+        for address, port in network.targets():
+            f.write(f"{address},{port}\n")
+    if args.out_truth:
+        with open(args.out_truth, "w", encoding="utf-8") as f:
+            f.write("address,port,version,classification,verdict,first_modifying_ttl\n")
+            for (address, port), path in sorted(network.paths.items()):
+                from .packet import ip_family
 
-                    for version in (0, 1):
-                        truth = netsim.ground_truth(path, version, ip_family(address))
-                        ttl = truth.first_modifying_ttl
-                        f.write(
-                            f"{address},{port},{version},{truth.classification.value},"
-                            f"{truth.verdict.value},{'' if ttl is None else ttl}\n"
-                        )
-        return 0
-
-    _require(args, "topology")
-    network = netsim.load_topology(args.topology, seed=args.seed)
-    guard = CampaignGuard(1_000_000.0, Blocklist())
-    clock = VirtualClock()
-    records = run_campaign(
-        network.targets(),
-        version=args.version,
-        guard=guard,
-        transport=network,
-        probe_key=Key.from_hex(args.probe_key) if args.probe_key else None,
-        seed=args.seed,
-        clock=clock,
-        sleep=clock.sleep,
-    )
-    with _out(args.out) as f:
-        for record in records:
-            f.write((record.to_json() if args.format == "jsonl" else record.to_csv()) + "\n")
+                for version in (0, 1):
+                    truth = netsim.ground_truth(path, version, ip_family(address))
+                    ttl = truth.first_modifying_ttl
+                    f.write(
+                        f"{address},{port},{version},{truth.classification.value},"
+                        f"{truth.verdict.value},{'' if ttl is None else ttl}\n"
+                    )
     return 0
 
 
@@ -331,8 +303,8 @@ def cmd_report(args) -> int:
                     line = line.strip()
                     if not line or line.startswith("#"):
                         continue
-                    label = line.split(",")[2]
-                    counts[label] = counts.get(label, 0) + 1
+                    verdict = tracer.TraceRecord.from_csv(line).verdict
+                    counts[verdict] = counts.get(verdict, 0) + 1
             for label in sorted(counts):
                 f.write(f"{label},{counts[label]}\n")
             return 0
@@ -471,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed_required=False):
-        p.add_argument("--seed", type=int, default=0, required=seed_required)
+    def add_common(p):
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     scan = sub.add_parser("scan", help="probe targets for MP_CAPABLE support")
@@ -499,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--timeout-ms", type=float, default=2000.0)
     trace.add_argument("--max-ttl", type=int, default=30)
     add_common(trace)
-    trace.set_defaults(func=cmd_trace)
+    trace.set_defaults(func=cmd_trace, dry_run=False)
 
     keys = sub.add_parser("keys", help="Hamming-weight report over observed keys")
     keys.add_argument("--in", dest="infile", default=None, help="one hex key per line")
@@ -508,16 +480,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(keys)
     keys.set_defaults(func=cmd_keys)
 
-    simulate = sub.add_parser("simulate", help="run or generate simulated topologies")
-    simulate.add_argument("--topology", default=None)
-    simulate.add_argument("--version", type=int, choices=(0, 1), default=0)
-    simulate.add_argument("--probe-key", default=None)
-    simulate.add_argument("--generate", type=int, default=None, metavar="N")
+    simulate = sub.add_parser("simulate", help="generate a simulated topology")
+    simulate.add_argument("--generate", type=int, required=True, metavar="N")
     simulate.add_argument("--out-topology", default=None)
     simulate.add_argument("--out-targets", default=None)
     simulate.add_argument("--out-truth", default=None)
-    simulate.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    add_common(simulate, seed_required=True)
+    simulate.add_argument("--seed", type=int, required=True)
     simulate.set_defaults(func=cmd_simulate)
 
     pcap = sub.add_parser("analyze-pcap", help="flow and MPTCP share statistics")

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from scipy.stats import chi2
-
 from .errors import EmptyInput
 from .options import Key
 
@@ -63,6 +61,24 @@ class WeightHistogram:
         return cls(counts, total)
 
 
+def chi_square_sf(x: float, df: int) -> float:
+    """Upper tail P(X > x) of the chi-square distribution with integer df >= 1.
+
+    Closed form: for even df a finite Poisson sum, for odd df erfc plus a
+    finite sum. Each term e^{-x/2} (x/2)^a / Gamma(a + 1) is taken in log
+    space, because e^{-x/2} alone underflows near x = 1,490 while the tail
+    is still a normal double.
+    """
+    if x <= 0:
+        return 1.0
+    y = x / 2
+    log_y = math.log(y)
+    a0 = (df % 2) / 2
+    head = [math.erfc(math.sqrt(y))] if df % 2 else []
+    terms = [math.exp((a0 + i) * log_y - y - math.lgamma(a0 + i + 1)) for i in range(df // 2)]
+    return math.fsum(head + terms)
+
+
 @dataclass(frozen=True)
 class EntropyReport:
     histogram: WeightHistogram
@@ -100,7 +116,7 @@ def pooled_chi_square(
     if len(bins) < 2:
         return 0.0, 1.0, len(bins)
     stat = sum((obs - exp) ** 2 / exp for obs, exp in bins)
-    p_value = float(chi2.sf(stat, df=len(bins) - 1))
+    p_value = chi_square_sf(stat, len(bins) - 1)
     return stat, p_value, len(bins)
 
 

@@ -358,22 +358,6 @@ class SimNetwork:
         return self._respond(path, syn, forward, records)
 
 
-def simulate_handshake(path: SimPath, syn: TcpPacket, seed: int = 0) -> ProbeResponse | None:
-    """Run one handshake against a standalone path."""
-    net = SimNetwork(seed)
-    net.add_path(syn.dst, syn.dst_port, path)
-    return net.handshake(syn)
-
-
-def simulate_ttl_probe(
-    path: SimPath, syn: TcpPacket, ttl: int, seed: int = 0
-) -> HopReply | ProbeResponse | None:
-    """Run one TTL-limited probe against a standalone path."""
-    net = SimNetwork(seed)
-    net.add_path(syn.dst, syn.dst_port, path)
-    return net.ttl_probe(syn, ttl)
-
-
 # -- construction ground truth ------------------------------------------------
 
 

@@ -25,6 +25,7 @@ from .errors import (
     BadSubtype,
     IllegalCombination,
     IllegalLength,
+    OptionError,
     TruncatedOption,
     UnknownVersion,
 )
@@ -136,6 +137,30 @@ _PHASE_LENGTHS = {
 }
 
 
+def _parse_options(data: bytes) -> tuple[list[TcpOption], OptionError | None]:
+    """The one parsing loop: options up to the first error, and that error."""
+    out: list[TcpOption] = []
+    i = 0
+    while i < len(data):
+        kind = data[i]
+        if kind == EOL:
+            break
+        if kind == NOP:
+            out.append(TcpOption(NOP))
+            i += 1
+            continue
+        if i + 1 >= len(data):
+            return out, TruncatedOption(f"truncated option kind {kind}")
+        length = data[i + 1]
+        if length < 2:
+            return out, IllegalLength(f"illegal length {length} for kind {kind}")
+        if i + length > len(data):
+            return out, TruncatedOption(f"truncated option kind {kind}")
+        out.append(TcpOption(kind, bytes(data[i + 2 : i + length])))
+        i += length
+    return out, None
+
+
 def parse_options(data: bytes) -> list[TcpOption]:
     """Parse a TCP header options region into options in wire order.
 
@@ -144,52 +169,16 @@ def parse_options(data: bytes) -> list[TcpOption]:
     past the buffer and IllegalLength when a multi-byte kind declares a
     length below 2.
     """
-    out: list[TcpOption] = []
-    i = 0
-    while i < len(data):
-        kind = data[i]
-        if kind == EOL:
-            break
-        if kind == NOP:
-            out.append(TcpOption(NOP))
-            i += 1
-            continue
-        if i + 1 >= len(data):
-            raise TruncatedOption(f"kind {kind} at offset {i} has no length byte")
-        length = data[i + 1]
-        if length < 2:
-            raise IllegalLength(f"kind {kind} declares length {length}")
-        if i + length > len(data):
-            raise TruncatedOption(
-                f"kind {kind} declares length {length}, only {len(data) - i} bytes left"
-            )
-        out.append(TcpOption(kind, bytes(data[i + 2 : i + length])))
-        i += length
+    out, error = _parse_options(data)
+    if error is not None:
+        raise error
     return out
 
 
 def parse_options_prefix(data: bytes) -> tuple[list[TcpOption], str | None]:
     """Tolerant variant: parse as far as possible, return (options, error)."""
-    out: list[TcpOption] = []
-    i = 0
-    while i < len(data):
-        kind = data[i]
-        if kind == EOL:
-            break
-        if kind == NOP:
-            out.append(TcpOption(NOP))
-            i += 1
-            continue
-        if i + 1 >= len(data):
-            return out, f"truncated option kind {kind}"
-        length = data[i + 1]
-        if length < 2:
-            return out, f"illegal length {length} for kind {kind}"
-        if i + length > len(data):
-            return out, f"truncated option kind {kind}"
-        out.append(TcpOption(kind, bytes(data[i + 2 : i + length])))
-        i += length
-    return out, None
+    out, error = _parse_options(data)
+    return out, None if error is None else str(error)
 
 
 def encode_options(options: list[TcpOption], pad_to_word: bool = False) -> bytes:

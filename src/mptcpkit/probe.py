@@ -313,6 +313,18 @@ class RatePacer:
         return send_at
 
 
+class PacedTransport:
+    """Waits on a RatePacer before every TTL probe, the only packet a trace sends."""
+
+    def __init__(self, transport: PacketTransport, pacer: RatePacer):
+        self.transport = transport
+        self.pacer = pacer
+
+    def ttl_probe(self, syn: TcpPacket, ttl: int) -> HopReply | ProbeResponse | None:
+        self.pacer.acquire()
+        return self.transport.ttl_probe(syn, ttl)
+
+
 @dataclass
 class CampaignRecord:
     """One output record per target; `label` adds skipped/dry_run outcomes."""
@@ -356,6 +368,21 @@ class CampaignRecord:
             version=int(version),
             label=label,
             sender_key=Key.from_hex(key) if key else None,
+        )
+
+    @classmethod
+    def from_json(cls, line: str) -> "CampaignRecord":
+        payload = json.loads(line)
+        key = payload.get("sender_key")
+        return cls(
+            timestamp=payload["timestamp"],
+            address=payload["address"],
+            port=payload["port"],
+            version=payload["version"],
+            label=payload["classification"],
+            sender_key=Key.from_hex(key) if key else None,
+            got_version=payload.get("got_version"),
+            note=payload.get("note"),
         )
 
 

@@ -1,11 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from capture_helpers import handshake_frames
-from mptcpkit.cli import POSITIVE_SCAN_LABELS, _targets_from_scan, main
+import mptcpkit
+from mptcpkit import cli
+from mptcpkit.cli import POSITIVE_SCAN_LABELS, _read_records, _targets_from_scan, main
+from mptcpkit.netsim import SimNetwork
+from mptcpkit.options import Key
 from mptcpkit.pcapio import write_pcap
-from mptcpkit.probe import CampaignRecord
+from mptcpkit.probe import CampaignRecord, RatePacer, VirtualClock
 
 TOPOLOGY = """\
 path 10.0.0.1 80 true_host(v0,v1)
@@ -80,6 +88,26 @@ class TestScan:
         labels = {l.split(",")[1]: l.split(",")[4] for l in out.read_text().splitlines()}
         assert labels["10.0.0.2"] == "skipped"
 
+    def test_seeded_runs_byte_identical(self, workdir):
+        out1 = workdir / "a.txt"
+        out2 = workdir / "b.txt"
+        for out in (out1, out2):
+            run_ok([
+                "scan", "--targets", str(workdir / "targets.csv"),
+                "--sim-topology", str(workdir / "topology.txt"),
+                "--seed", "7", "--out", str(out),
+            ])
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_jsonl_record_keeps_got_version_and_note(self, workdir):
+        record = CampaignRecord(
+            1.5, "10.0.0.1", 80, 1, "version_mismatch",
+            sender_key=Key(0xAB), got_version=0, note="reset",
+        )
+        scan = workdir / "scan.jsonl"
+        scan.write_text(record.to_json() + "\n")
+        assert _read_records(str(scan)) == [record]
+
     def test_dry_run_emits_probe_bytes(self, workdir):
         out = workdir / "dry.jsonl"
         run_ok([
@@ -92,19 +120,18 @@ class TestScan:
 
 
 class TestSimulate:
-    def test_seeded_runs_byte_identical(self, workdir):
-        out1 = workdir / "a.txt"
-        out2 = workdir / "b.txt"
-        for out in (out1, out2):
-            run_ok([
-                "simulate", "--topology", str(workdir / "topology.txt"),
-                "--seed", "7", "--out", str(out),
-            ])
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_seed_required(self, workdir):
         with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--topology", str(workdir / "topology.txt")])
+            main([
+                "simulate", "--generate", "40",
+                "--out-topology", str(workdir / "gen-topo.txt"),
+                "--out-targets", str(workdir / "gen-targets.csv"),
+            ])
+        assert exc.value.code == 2
+
+    def test_generate_required(self, workdir):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--seed", "7"])
         assert exc.value.code == 2
 
     def test_generate_writes_three_files(self, workdir):
@@ -164,6 +191,51 @@ class TestTrace:
 
     def test_live_trace_refused_without_guardrails(self, workdir):
         assert main(["trace", "--targets", str(workdir / "targets.csv")]) == 1
+
+    def test_blocklisted_targets_skipped_unprobed(self, workdir, monkeypatch):
+        probed = []
+        ttl_probe = SimNetwork.ttl_probe
+
+        def recording_ttl_probe(network, syn, ttl):
+            probed.append(syn.dst)
+            return ttl_probe(network, syn, ttl)
+
+        monkeypatch.setattr(SimNetwork, "ttl_probe", recording_ttl_probe)
+        (workdir / "blocklist.txt").write_text("10.0.0.1/32\n10.0.0.4/32\n")
+        out = workdir / "trace.txt"
+        run_ok([
+            "trace", "--targets", str(workdir / "targets.csv"),
+            "--sim-topology", str(workdir / "topology.txt"),
+            "--blocklist", str(workdir / "blocklist.txt"),
+            "--seed", "7", "--out", str(out),
+        ])
+        rows = out.read_text().splitlines()
+        assert rows[0] == "10.0.0.1,80,skipped,,"
+        assert rows[3] == "10.0.0.4,443,skipped,,"
+        assert set(probed) == {"10.0.0.2", "10.0.0.3", "10.0.0.5"}
+
+    def test_live_trace_paced_at_rate(self, workdir, monkeypatch):
+        clock = VirtualClock()
+        sent = []
+
+        class SilentTransport:
+            def ttl_probe(self, syn, ttl):
+                sent.append(clock())
+                return None
+
+        monkeypatch.setattr(cli, "_resolve_transport", lambda args: (SilentTransport(), False))
+        monkeypatch.setattr(
+            cli, "RatePacer", lambda rate: RatePacer(rate, clock=clock, sleep=clock.sleep)
+        )
+        run_ok([
+            "trace", "--targets", str(workdir / "targets.csv"),
+            "--blocklist", str(workdir / "blocklist.txt"), "--rate", "10",
+            "--max-ttl", "4", "--out", str(workdir / "trace.txt"),
+        ])
+        assert len(sent) == 5 * 4 * 3  # every TTL tried three times, no answer
+        # epsilon shrinks the window against float representation fuzz
+        for start in sent:
+            assert sum(1 for t in sent if start <= t < start + 1.0 - 1e-9) <= 10
 
 
 class TestKeys:
@@ -250,8 +322,13 @@ class TestReport:
         )
         out = workdir / "summary.txt"
         run_ok(["report", "summary", "--in", str(trace), "--out", str(out)])
-        assert "truly_capable,2" in out.read_text()
-        assert "unreachable,1" in out.read_text()
+        assert out.read_text() == "truly_capable,2\nunreachable,1\n"
+
+    def test_summary_rejects_scan_records(self, workdir, capsys):
+        scan = workdir / "scan.txt"
+        scan.write_text("0.000000,10.0.0.1,80,0,potential_capable,00000000000000aa\n")
+        assert main(["report", "summary", "--in", str(scan)]) == 1
+        assert "expected 5 fields" in capsys.readouterr().err
 
     def test_overlap(self, workdir):
         a = workdir / "a.txt"
@@ -357,3 +434,15 @@ class TestBench:
         assert (out_dir / "connect.cdf.txt").exists()
         rows = (out_dir / "connect.cdf.txt").read_text().splitlines()
         assert len(rows) == 5  # only the reachable target contributes
+
+
+def test_cli_import_loads_no_numeric_stack():
+    code = (
+        "import sys, mptcpkit.cli; "
+        "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mptcpkit.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+    )
+    assert done.stdout.strip() == "[]"

@@ -1,7 +1,10 @@
+import csv
 import io
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from mptcpkit.errors import EmptyInput
 from mptcpkit.keystats import (
     WeightHistogram,
     analyze_keys,
+    chi_square_sf,
     expected_counts,
     hamming_weight,
     pooled_chi_square,
@@ -137,6 +141,43 @@ class TestPooledChiSquare:
         counts[32] += 1_000_000 - sum(counts)
         _stat, p, _bins = pooled_chi_square(counts, expected)
         assert p > 0.5
+
+
+def scipy_reference():
+    """Frozen scipy chi2.sf values: (df, x, sf) rows, see the file header."""
+    path = Path(__file__).with_name("chi2_sf_reference.csv")
+    with path.open(encoding="utf-8") as f:
+        rows = csv.DictReader(line for line in f if not line.startswith("#"))
+        return [(int(r["df"]), float(r["x"]), float(r["sf"])) for r in rows]
+
+
+class TestChiSquareTail:
+    def test_reference_covers_every_df(self):
+        assert {df for df, _x, _sf in scipy_reference()} == set(range(1, 65))
+
+    def test_matches_scipy_reference(self):
+        for df, x, want in scipy_reference():
+            got = chi_square_sf(x, df)
+            if want < sys.float_info.min:
+                # scipy underflows to zero below the normal range; no
+                # relative comparison is meaningful there
+                assert got < sys.float_info.min, (df, x, got)
+            else:
+                assert abs(got - want) <= 1e-12 * want, (df, x, got, want)
+
+    def test_closed_forms_for_small_df(self):
+        for x in (0.01, 1.0, 7.5, 40.0):
+            assert chi_square_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-14)
+            assert chi_square_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-14)
+
+    def test_normal_tail_past_exp_underflow(self):
+        # e^{-x/2} is 0.0 in double precision here, the df=64 tail is not
+        assert math.exp(-1500 / 2) == 0.0
+        assert chi_square_sf(1500.0, 64) > sys.float_info.min
+
+    def test_non_positive_x_is_certain(self):
+        assert chi_square_sf(0.0, 5) == 1.0
+        assert chi_square_sf(-1.0, 5) == 1.0
 
 
 class TestReportExport:

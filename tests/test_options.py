@@ -91,6 +91,16 @@ class TestParseOptions:
         assert isinstance(opts, list)
         assert err is None or isinstance(err, str)
 
+    @given(st.binary(min_size=0, max_size=40))
+    @settings(max_examples=300)
+    def test_strict_and_prefix_parsers_agree(self, data):
+        opts, err = parse_options_prefix(data)
+        if err is None:
+            assert parse_options(data) == opts
+        else:
+            with pytest.raises(OptionError):
+                parse_options(data)
+
     def test_encode_round_trip(self):
         opts = [TcpOption(1), TcpOption(30, bytes(10)), TcpOption(0xFD, b"\x01")]
         assert parse_options(encode_options(opts)) == opts
