@@ -14,7 +14,7 @@ import random
 import socket
 import ssl
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Protocol
 
 from .errors import PairingMismatch, TransportUnavailable

@@ -18,7 +18,9 @@ from . import bench as bench_mod
 from . import flows as flows_mod
 from . import keystats, netsim, store as store_mod, tracer
 from .errors import GuardViolation, TransportUnavailable
+from .inputs import data_lines
 from .options import Key
+from .packet import ip_family
 from .probe import (
     Blocklist,
     CampaignGuard,
@@ -29,6 +31,7 @@ from .probe import (
     VirtualClock,
     load_targets,
     run_campaign,
+    target_row,
 )
 
 BLOCKLIST_ENV = "MPTCPKIT_BLOCKLIST"
@@ -48,16 +51,10 @@ def _require(args, *names: str) -> None:
         raise UsageError(f"missing required options: {', '.join(missing)}")
 
 
-@contextlib.contextmanager
 def _out(path: str | None):
     if path is None or path == "-":
-        yield sys.stdout
-    else:
-        f = open(path, "w", encoding="utf-8")
-        try:
-            yield f
-        finally:
-            f.close()
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def _read_targets(path: str) -> list[tuple[str, int]]:
@@ -73,17 +70,43 @@ def _targets_from_scan(path: str, labels: set[str]) -> list[tuple[str, int]]:
 
 
 def _read_records(path: str) -> list[CampaignRecord]:
-    records = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("{"):
-                records.append(CampaignRecord.from_json(line))
-            else:
-                records.append(CampaignRecord.from_csv(line))
-    return records
+        return [CampaignRecord.parse(line) for line in data_lines(f)]
+
+
+def _host_row(line: str) -> tuple[str, int | None, str | None]:
+    """(address, port, label) of one report host row, parsed by its schema."""
+    fields = line.count(",") + 1
+    if line.startswith("{") or fields == 6:
+        record = CampaignRecord.parse(line)
+        return record.address, record.port, record.label
+    if fields == 5:
+        trace = tracer.TraceRecord.from_csv(line)
+        return trace.address, trace.port, trace.verdict
+    if fields == 2:
+        return *target_row(line), None
+    if fields == 1:
+        return line, None, None
+    raise ValueError(f"expected address[,port], a trace row or a scan row, got {line!r}")
+
+
+def _read_hosts(path: str, only: str | None) -> list[tuple[str, int | None]]:
+    """(address, port) of each host row, keeping only rows labelled `only` if set."""
+    hosts = []
+    with open(path, encoding="utf-8") as f:
+        for line in data_lines(f):
+            address, port, label = _host_row(line)
+            if only is not None:
+                if label is None:
+                    raise ValueError(f"--only needs scan or trace rows, got {line!r}")
+                if label != only:
+                    continue
+            hosts.append((address, port))
+    return hosts
+
+
+def _read_address_set(path: str, only: str | None) -> set[str]:
+    return {address for address, _port in _read_hosts(path, only)}
 
 
 def _resolve_transport(args) -> tuple[object, bool]:
@@ -135,7 +158,6 @@ def cmd_scan(args) -> int:
         guard=guard,
         transport=transport,
         probe_key=probe_key,
-        timeout_ms=args.timeout_ms,
         seed=args.seed,
         clock=clock,
         sleep=sleep,
@@ -211,8 +233,6 @@ def cmd_simulate(args) -> int:
         with open(args.out_truth, "w", encoding="utf-8") as f:
             f.write("address,port,version,classification,verdict,first_modifying_ttl\n")
             for (address, port), path in sorted(network.paths.items()):
-                from .packet import ip_family
-
                 for version in (0, 1):
                     truth = netsim.ground_truth(path, version, ip_family(address))
                     ttl = truth.first_modifying_ttl
@@ -270,17 +290,6 @@ def cmd_analyze_pcap(args) -> int:
     return 0
 
 
-def _read_address_set(path: str) -> set[str]:
-    addresses = set()
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            addresses.add(line.split(",")[0])
-    return addresses
-
-
 REPORT_REQUIRED = {
     "summary": ("infile",),
     "overlap": ("set_a", "set_b"),
@@ -299,33 +308,26 @@ def cmd_report(args) -> int:
         if args.kind == "summary":
             counts: dict[str, int] = {}
             with open(args.infile, encoding="utf-8") as records:
-                for line in records:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
+                for line in data_lines(records):
                     verdict = tracer.TraceRecord.from_csv(line).verdict
                     counts[verdict] = counts.get(verdict, 0) + 1
             for label in sorted(counts):
                 f.write(f"{label},{counts[label]}\n")
             return 0
         if args.kind == "overlap" or args.kind == "versions":
-            a = _read_address_set(args.set_a)
-            b = _read_address_set(args.set_b)
+            a, b = (_read_address_set(path, args.only) for path in (args.set_a, args.set_b))
             report = store_mod.port_overlap(a, b)
             names = ("both", "only_a", "only_b") if args.kind == "overlap" else (
                 "both", "v0_only", "v1_only",
             )
             sets = (report.both, report.only_a, report.only_b)
-            fractions = report.fractions()
-            order = (0, 1, 2)
-            for name, idx in zip(names, order):
-                f.write(f"{name},{len(sets[idx])},{fractions[idx]:.6f}\n")
+            for name, hosts, fraction in zip(names, sets, report.fractions()):
+                f.write(f"{name},{len(hosts)},{fraction:.6f}\n")
             return 0
         if args.kind == "migration":
-            report = store_mod.migration_report(
-                (_read_address_set(args.prev_v0), _read_address_set(args.prev_v1)),
-                (_read_address_set(args.cur_v0), _read_address_set(args.cur_v1)),
-            )
+            sets = [_read_address_set(path, args.only)
+                    for path in (args.prev_v0, args.prev_v1, args.cur_v0, args.cur_v1)]
+            report = store_mod.migration_report(sets[:2], sets[2:])
             f.write(f"added_v1_support,{len(report.added_v1_support)}\n")
             f.write(f"migrated_v0_to_v1,{len(report.migrated_v0_to_v1)}\n")
             f.write(f"added_v0_support,{len(report.added_v0_support)}\n")
@@ -360,15 +362,9 @@ def cmd_report(args) -> int:
             return 0
         if args.kind == "top":
             table = store_mod.EnrichmentTable.load(args.prefixes, args.asn_meta)
-            entries = []
-            for line in Path(args.infile).read_text(encoding="utf-8").splitlines():
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if args.only and len(parts) > 2 and parts[2] != args.only:
-                    continue
-                entries.append((parts[0], int(parts[1])))
+            entries = _read_hosts(args.infile, args.only)
+            if any(port is None for _address, port in entries):
+                raise ValueError(f"report top needs a port on every row of {args.infile}")
             rows = store_mod.top_report(entries, table, group_by=args.group_by, k=args.k)
             if args.pretty:
                 header = ("GROUP", "PORT80", "PORT443", "RANK", "CC", "ORGANIZATION")

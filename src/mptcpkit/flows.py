@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from .errors import EmptyInput, MalformedCapture, MissingTables
+from .inputs import data_lines
 from .options import decode_mp_capable_any, parse_options_prefix
 from .packet import address_text, decode_tcp
 from .pcapio import LINKTYPE_ETHERNET, LINKTYPE_NULL, LINKTYPE_RAW, read_pcap
@@ -290,10 +291,7 @@ class ServiceTables:
     def _read(path: str | Path) -> dict[int, str]:
         table: dict[int, str] = {}
         with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
+            for line in data_lines(f):
                 port, _protocol, label = line.split(",", 2)
                 table[int(port)] = label.strip()
         return table

@@ -1,0 +1,61 @@
+"""What every text input shares: the comment rule (`data_lines`) and, for
+blocklists and prefix-to-ASN tables, `prefix[,asn]` rows in a `PrefixTable`.
+"""
+
+from __future__ import annotations
+
+import ipaddress
+from typing import Iterable, Iterator
+
+
+def data_lines(lines: Iterable[str]) -> Iterator[str]:
+    """Each line cut at its first `#` and stripped; blank results are skipped."""
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield line
+
+
+def prefix_rows(lines: Iterable[str]) -> Iterator[tuple[str, int | None]]:
+    """(prefix, asn) per `prefix[,asn]` line; asn is None when absent."""
+    for line in data_lines(lines):
+        prefix, sep, asn = line.partition(",")
+        yield prefix.strip(), int(asn) if sep else None
+
+
+class PrefixTable:
+    """Longest-prefix match from CIDR prefixes to values, IPv4 and IPv6.
+
+    One hash bucket per prefix length, keyed by the network bits. A lookup
+    probes only the lengths present for the address's family, longest first.
+    A later entry for the same prefix replaces the earlier one; values must
+    not be None, which lookup returns for "no prefix holds the address".
+    """
+
+    def __init__(self, entries: Iterable[tuple[str, object]] = ()):
+        # IP version -> host bits -> network bits -> value, fewest host bits first
+        self._buckets: dict[int, dict[int, dict[int, object]]] = {4: {}, 6: {}}
+        for prefix, value in entries:
+            self.add(prefix, value)
+
+    def add(self, prefix: str, value: object) -> None:
+        net = ipaddress.ip_network(prefix, strict=False)
+        shift = net.max_prefixlen - net.prefixlen
+        buckets = self._buckets[net.version]
+        if shift not in buckets:
+            buckets[shift] = {}
+            self._buckets[net.version] = buckets = dict(sorted(buckets.items()))
+        buckets[shift][int(net.network_address) >> shift] = value
+
+    def lookup(self, address: str) -> object | None:
+        """The value of the longest prefix holding `address`, or None."""
+        addr = ipaddress.ip_address(address)
+        bits = int(addr)
+        for shift, bucket in self._buckets[addr.version].items():
+            value = bucket.get(bits >> shift)
+            if value is not None:
+                return value
+        return None
+
+    def __len__(self) -> int:
+        return sum(len(b) for buckets in self._buckets.values() for b in buckets.values())

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .errors import EmptyInput
+from .inputs import data_lines
 from .options import Key
 
 _TWO_64 = 1 << 64
@@ -159,10 +160,4 @@ def write_report(report: EntropyReport, f: IO[str]) -> None:
 
 def read_keys(lines: Iterable[str]) -> list[Key]:
     """Read one hex key per line, `#` comments allowed."""
-    keys = []
-    for line in lines:
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        keys.append(Key.from_hex(line))
-    return keys
+    return [Key.from_hex(line) for line in data_lines(lines)]

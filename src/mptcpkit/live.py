@@ -56,20 +56,18 @@ class LiveTransport:
             pkt = TcpPacket(**{**vars(pkt), "src": local_source_address(pkt.dst)})
         self._send.sendto(encode_packet(pkt), (pkt.dst, 0))
 
-    def _matches(self, pkt: TcpPacket, data: bytes) -> ProbeResponse | None:
+    def _matches(self, pkt: TcpPacket, data: bytes) -> bool:
+        """Whether a TCP packet answers `pkt`: its 4-tuple and, if it acks, the ack."""
         seg = decode_packet(data)
-        if seg is None:
-            return None
-        if (
-            seg.src == pkt.dst
+        return (
+            seg is not None
+            and seg.src == pkt.dst
             and seg.src_port == pkt.dst_port
             and seg.dst_port == pkt.src_port
             and (not seg.flags & TcpFlags.ACK or seg.ack == (pkt.seq + 1) & 0xFFFFFFFF)
-        ):
-            return make_response(data, 0.0)
-        return None
+        )
 
-    def _icmp_quote(self, pkt: TcpPacket, data: bytes) -> HopReply | None:
+    def _icmp_quote(self, pkt: TcpPacket, data: bytes, rtt_ms: float = 0.0) -> HopReply | None:
         if len(data) < IPV4_HEADER_LEN + 8:  # IPv4 header plus the ICMP header
             return None
         seg_start = (data[0] & 0x0F) * 4
@@ -83,15 +81,15 @@ class LiveTransport:
             # Quote may be truncated below a parseable TCP header; match on
             # the embedded IP destination alone.
             if len(quote) >= 20 and socket.inet_ntoa(quote[16:20]) == pkt.dst:
-                return HopReply(responder, quote, 0.0)
+                return HopReply(responder, quote, rtt_ms)
             return None
         if quoted.dst == pkt.dst and quoted.dst_port == pkt.dst_port:
-            return HopReply(responder, quote, 0.0)
+            return HopReply(responder, quote, rtt_ms)
         return None
 
     def _await(self, pkt: TcpPacket, want_icmp: bool):
-        deadline = time.monotonic() + self.timeout_ms / 1000.0
         start = time.monotonic()
+        deadline = start + self.timeout_ms / 1000.0
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -102,16 +100,14 @@ class LiveTransport:
                     data = sock.recv(65535)
                 except OSError:
                     continue
+                rtt = (time.monotonic() - start) * 1000
                 if sock is self._tcp:
-                    resp = self._matches(pkt, data)
-                    if resp is not None:
-                        rtt = (time.monotonic() - start) * 1000
-                        return make_response(data, rtt, note=resp.note)
+                    if self._matches(pkt, data):
+                        return make_response(data, rtt)
                 elif want_icmp:
-                    hop = self._icmp_quote(pkt, data)
+                    hop = self._icmp_quote(pkt, data, rtt)
                     if hop is not None:
-                        rtt = (time.monotonic() - start) * 1000
-                        return HopReply(hop.responder, hop.quote, rtt)
+                        return hop
 
     def handshake(self, syn: TcpPacket) -> ProbeResponse | None:
         self._send_packet(syn)

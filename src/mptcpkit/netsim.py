@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
+from .inputs import data_lines
 from .options import (
     DEFAULT_MP_FLAGS,
     HandshakePhase,
@@ -335,19 +336,8 @@ class SimNetwork:
             node = interior[ttl - 1]
             if node.kind in (BehaviorKind.SILENT_ROUTER, BehaviorKind.DROP_FIREWALL):
                 return None
-            quoted = encode_packet(
-                TcpPacket(
-                    src=syn.src,
-                    dst=syn.dst,
-                    src_port=syn.src_port,
-                    dst_port=syn.dst_port,
-                    seq=syn.seq,
-                    ack=syn.ack,
-                    flags=syn.flags,
-                    ttl=0,
-                    options=forward,
-                )
-            )
+            # The packet as this hop would forward it, TTL spent.
+            quoted = encode_packet(replace(syn, ttl=0, options=forward))
             if node.kind is BehaviorKind.QUOTING_ROUTER:
                 quoted = quoted[: node.quote_bytes]
             rtt = 2.0 * path.per_hop_latency_ms * ttl
@@ -492,20 +482,18 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
     """
     net = SimNetwork(seed)
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] != "path" or len(tokens) < 4:
-            raise ValueError(f"line {lineno}: expected `path <addr> <port> <nodes...>`")
-        address, port_text = tokens[1], tokens[2]
-        rest = tokens[3:]
-        latency = 1.0
-        if rest and rest[0].startswith("latency="):
-            latency = float(rest[0].split("=", 1)[1])
-            rest = rest[1:]
-        nodes = [_parse_node(t) for t in rest]
-        net.add_path(address, int(port_text), SimPath(nodes, per_hop_latency_ms=latency))
+        for line in data_lines((raw,)):  # one line at a time, to keep its number
+            tokens = line.split()
+            if tokens[0] != "path" or len(tokens) < 4:
+                raise ValueError(f"line {lineno}: expected `path <addr> <port> <nodes...>`")
+            address, port_text = tokens[1], tokens[2]
+            rest = tokens[3:]
+            latency = 1.0
+            if rest and rest[0].startswith("latency="):
+                latency = float(rest[0].split("=", 1)[1])
+                rest = rest[1:]
+            nodes = [_parse_node(t) for t in rest]
+            net.add_path(address, int(port_text), SimPath(nodes, per_hop_latency_ms=latency))
     return net
 
 

@@ -36,7 +36,7 @@ MP_CAPABLE_KIND = 30
 MP_CAPABLE_SUBTYPE = 0
 
 # Checksum-required bit plus the standard crypto-algorithm bit; common stacks
-# send 0x81. Kept configurable wherever probes are built.
+# send 0x81, and so does every probe mptcpkit builds.
 DEFAULT_MP_FLAGS = 0x81
 
 

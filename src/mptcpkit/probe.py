@@ -11,11 +11,12 @@ import hashlib
 import ipaddress
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Protocol
 
 from .errors import GuardViolation, IllegalCombination
+from .inputs import PrefixTable, data_lines, prefix_rows
 from .options import (
     DEFAULT_MP_FLAGS,
     HandshakePhase,
@@ -44,8 +45,6 @@ class ProbeSpec:
     port: int
     version: int
     probe_key: Key | None = None
-    timeout_ms: float = 2000.0
-    flags: int = DEFAULT_MP_FLAGS
 
     def __post_init__(self) -> None:
         if self.version not in (0, 1):
@@ -60,7 +59,7 @@ class ProbeSpec:
     def syn_option(self) -> bytes:
         """The exact MP_CAPABLE bytes this probe sends in its SYN."""
         return encode_mp_capable(
-            MpCapable(self.version, self.flags, self.probe_key), HandshakePhase.SYN
+            MpCapable(self.version, DEFAULT_MP_FLAGS, self.probe_key), HandshakePhase.SYN
         )
 
 
@@ -220,20 +219,14 @@ class PacketTransport(Protocol):
 
 
 class Blocklist:
-    """CIDR prefixes that must never be probed."""
+    """CIDR prefixes that must never be probed: `prefix[,asn]` lines."""
 
-    def __init__(self, networks: Iterable[ipaddress.IPv4Network | ipaddress.IPv6Network] = ()):
-        self.networks = list(networks)
+    def __init__(self, prefixes: Iterable[str] = ()):
+        self.table = PrefixTable((prefix, True) for prefix in prefixes)
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "Blocklist":
-        nets = []
-        for line in lines:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            nets.append(ipaddress.ip_network(line, strict=False))
-        return cls(nets)
+        return cls(prefix for prefix, _asn in prefix_rows(lines))
 
     @classmethod
     def load(cls, path) -> "Blocklist":
@@ -241,11 +234,10 @@ class Blocklist:
             return cls.from_lines(f)
 
     def matches(self, address: str) -> bool:
-        addr = ipaddress.ip_address(address)
-        return any(addr.version == n.version and addr in n for n in self.networks)
+        return self.table.lookup(address) is not None
 
     def __len__(self) -> int:
-        return len(self.networks)
+        return len(self.table)
 
 
 @dataclass
@@ -372,30 +364,42 @@ class CampaignRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "CampaignRecord":
-        payload = json.loads(line)
-        key = payload.get("sender_key")
-        return cls(
-            timestamp=payload["timestamp"],
-            address=payload["address"],
-            port=payload["port"],
-            version=payload["version"],
-            label=payload["classification"],
-            sender_key=Key.from_hex(key) if key else None,
-            got_version=payload.get("got_version"),
-            note=payload.get("note"),
-        )
+        try:
+            payload = json.loads(line)
+            key = payload.get("sender_key")
+            address, label = payload["address"], payload["classification"]
+            if not isinstance(address, str) or not isinstance(label, str):
+                raise TypeError("address and classification must be strings")
+            return cls(
+                timestamp=float(payload["timestamp"]),
+                address=address,
+                port=int(payload["port"]),
+                version=int(payload["version"]),
+                label=label,
+                sender_key=Key.from_hex(key) if key else None,
+                got_version=payload.get("got_version"),
+                note=payload.get("note"),
+            )
+        except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+            raise ValueError(f"bad scan record ({exc!r}): {line!r}") from None
+
+    @classmethod
+    def parse(cls, line: str) -> "CampaignRecord":
+        """One scan row: JSON when it starts with `{`, CSV otherwise."""
+        return cls.from_json(line) if line.startswith("{") else cls.from_csv(line)
+
+
+def target_row(line: str) -> tuple[str, int]:
+    """One `address,port` row."""
+    address, sep, port = line.rpartition(",")
+    if not sep:
+        raise ValueError(f"expected address,port, got {line!r}")
+    return address.strip(), int(port)
 
 
 def load_targets(lines: Iterable[str]) -> list[tuple[str, int]]:
     """Parse a target list: one `address,port` per line, `#` comments."""
-    targets = []
-    for line in lines:
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        address, port = line.rsplit(",", 1)
-        targets.append((address.strip(), int(port)))
-    return targets
+    return [target_row(line) for line in data_lines(lines)]
 
 
 def run_campaign(
@@ -405,8 +409,6 @@ def run_campaign(
     guard: CampaignGuard,
     transport: PacketTransport | None,
     probe_key: Key | None = None,
-    timeout_ms: float = 2000.0,
-    flags: int = DEFAULT_MP_FLAGS,
     seed: int = 0,
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
@@ -429,7 +431,7 @@ def run_campaign(
         if guard.blocklist is not None and guard.blocklist.matches(address):
             yield CampaignRecord(clock(), address, port, version, "skipped")
             continue
-        spec = ProbeSpec(address, port, version, probe_key, timeout_ms, flags)
+        spec = ProbeSpec(address, port, version, probe_key)
         syn = build_syn_probe(spec, seed)
         if guard.dry_run:
             yield CampaignRecord(
@@ -446,13 +448,10 @@ def run_campaign(
         )
 
 
-def make_response(
-    packet_bytes: bytes, rtt_ms: float, note: str | None = None
-) -> ProbeResponse | None:
+def make_response(packet_bytes: bytes, rtt_ms: float) -> ProbeResponse | None:
     """Build a ProbeResponse from raw reply bytes with a tolerant option parse."""
     seg = decode_packet(packet_bytes)
     if seg is None:
         return None
     opts, err = parse_options_prefix(seg.options)
-    joined = "; ".join(x for x in (note, err) if x) or None
-    return ProbeResponse(seg.flags, opts, rtt_ms, raw=packet_bytes, note=joined)
+    return ProbeResponse(seg.flags, opts, rtt_ms, raw=packet_bytes, note=err)

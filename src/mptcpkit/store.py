@@ -9,12 +9,12 @@ winning.
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import InsufficientHistory, MissingTable
+from .inputs import PrefixTable, data_lines, prefix_rows
 from .options import Key
 
 POSITIVE_LABELS = {"potential_capable", "truly_capable"}
@@ -115,10 +115,7 @@ class SnapshotStore:
 
     def _read(self, path: Path, template: ScanSnapshot) -> ScanSnapshot:
         snap = ScanSnapshot(template.date, template.family, template.port, template.version)
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line in data_lines(path.read_text(encoding="utf-8").splitlines()):
             snap.add(HostRecord.from_line(line))
         return snap
 
@@ -259,15 +256,8 @@ class EnrichmentTable:
         prefix_to_asn: Mapping[str, int] | None = None,
         asn_meta: Mapping[int, tuple[str, str, int | None]] | None = None,
     ):
-        self._by_length: dict[int, dict[tuple[int, bytes], int]] = {}
+        self.prefixes = PrefixTable((prefix_to_asn or {}).items())
         self.asn_meta = dict(asn_meta or {})
-        for prefix, asn in (prefix_to_asn or {}).items():
-            self.add_prefix(prefix, asn)
-
-    def add_prefix(self, prefix: str, asn: int) -> None:
-        net = ipaddress.ip_network(prefix, strict=False)
-        bucket = self._by_length.setdefault(net.prefixlen, {})
-        bucket[(net.version, net.network_address.packed)] = asn
 
     @classmethod
     def load(
@@ -276,18 +266,13 @@ class EnrichmentTable:
         """Prefix file: `prefix,asn` lines. Meta file: `asn,org,country,rank`."""
         table = cls()
         with open(prefix_path, encoding="utf-8") as f:
-            for line in f:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                prefix, asn = line.rsplit(",", 1)
-                table.add_prefix(prefix.strip(), int(asn))
+            for prefix, asn in prefix_rows(f):
+                if asn is None:
+                    raise ValueError(f"expected prefix,asn, got {prefix!r}")
+                table.prefixes.add(prefix, asn)
         if meta_path is not None:
             with open(meta_path, encoding="utf-8") as f:
-                for line in f:
-                    line = line.split("#", 1)[0].strip()
-                    if not line:
-                        continue
+                for line in data_lines(f):
                     asn, org, country, rank = line.split(",")
                     table.asn_meta[int(asn)] = (
                         org.strip(),
@@ -297,20 +282,7 @@ class EnrichmentTable:
         return table
 
     def lookup_asn(self, address: str) -> int | None:
-        addr = ipaddress.ip_address(address)
-        max_len = 32 if addr.version == 4 else 128
-        addr_int = int(addr)
-        for prefix_len in range(max_len, -1, -1):
-            bucket = self._by_length.get(prefix_len)
-            if not bucket:
-                continue
-            mask_bits = max_len - prefix_len
-            network_int = (addr_int >> mask_bits) << mask_bits
-            packed = network_int.to_bytes(max_len // 8, "big")
-            asn = bucket.get((addr.version, packed))
-            if asn is not None:
-                return asn
-        return None
+        return self.prefixes.lookup(address)
 
 
 def enrich(address: str, table: EnrichmentTable | None) -> AsnInfo:

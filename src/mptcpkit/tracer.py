@@ -21,12 +21,16 @@ from .options import (
 )
 from .packet import TcpFlags, extract_quoted_options
 from .probe import (
+    DEFAULT_PROBE_KEY,
     HopReply,
     PacketTransport,
     ProbeResponse,
     ProbeSpec,
     build_syn_probe,
 )
+
+# Tries per TTL before the hop is recorded as unobserved; the first reply wins.
+ATTEMPTS_PER_TTL = 3
 
 
 class OptionDiffKind(Enum):
@@ -122,19 +126,16 @@ def probe_path(
     *,
     probe_key: Key | None = None,
     seed: int = 0,
-    attempts_per_ttl: int = 3,
 ) -> PathTrace:
     """Walk TTLs 1..max_ttl, stopping early on an answer from the target.
 
-    Each TTL is tried up to `attempts_per_ttl` times, first response wins.
+    Each TTL is tried up to ATTEMPTS_PER_TTL times, first response wins.
     Hops whose quotes are missing or too short to show the options region
     are recorded as unobserved.
     """
     if not 1 <= max_ttl <= 64:
         raise ValueError(f"max_ttl must be in [1, 64], got {max_ttl}")
     if version == 0 and probe_key is None:
-        from .probe import DEFAULT_PROBE_KEY
-
         probe_key = DEFAULT_PROBE_KEY
     spec = ProbeSpec(target, port, version, probe_key)
     syn = build_syn_probe(spec, seed)
@@ -144,7 +145,7 @@ def probe_path(
 
     for ttl in range(1, max_ttl + 1):
         reply: HopReply | ProbeResponse | None = None
-        for _ in range(max(1, attempts_per_ttl)):
+        for _ in range(ATTEMPTS_PER_TTL):
             reply = transport.ttl_probe(replace(syn, ttl=ttl), ttl)
             if reply is not None:
                 break
@@ -205,17 +206,9 @@ def inspect_target(
     max_ttl: int = 30,
     probe_key: Key | None = None,
     seed: int = 0,
-    attempts_per_ttl: int = 3,
 ) -> tuple[PathTrace, PathVerdict]:
     trace = probe_path(
-        target,
-        port,
-        version,
-        max_ttl,
-        transport,
-        probe_key=probe_key,
-        seed=seed,
-        attempts_per_ttl=attempts_per_ttl,
+        target, port, version, max_ttl, transport, probe_key=probe_key, seed=seed
     )
     return trace, classify_path(trace.hops, trace.final_response)
 

@@ -446,3 +446,97 @@ def test_cli_import_loads_no_numeric_stack():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
     )
     assert done.stdout.strip() == "[]"
+
+
+class TestReportHostRows:
+    """`report top`, `overlap`, `versions` and `migration` read one row format set."""
+
+    SCAN_A = ("0.000000,10.5.0.1,80,0,potential_capable,00000000000000aa\n"
+              "0.000000,10.5.0.2,80,0,no_mp_capable,\n")
+    SCAN_B = "0.000000,10.9.0.9,80,0,potential_capable,00000000000000bb\n"
+
+    def overlap(self, workdir, a_text, b_text, *extra):
+        (workdir / "a.txt").write_text(a_text)
+        (workdir / "b.txt").write_text(b_text)
+        out = workdir / "overlap.txt"
+        rc = main(["report", "overlap", "--set-a", str(workdir / "a.txt"),
+                   "--set-b", str(workdir / "b.txt"), "--out", str(out), *extra])
+        return rc, out.read_text() if rc == 0 else None
+
+    def test_scan_csvs_compare_addresses(self, workdir):
+        rc, text = self.overlap(workdir, self.SCAN_A, self.SCAN_B)
+        assert rc == 0
+        assert text == "both,0,0.000000\nonly_a,2,0.666667\nonly_b,1,0.333333\n"
+
+    def test_only_filters_every_host_input(self, workdir):
+        rc, text = self.overlap(workdir, self.SCAN_A, self.SCAN_B, "--only", "potential_capable")
+        assert rc == 0
+        assert text == "both,0,0.000000\nonly_a,1,0.500000\nonly_b,1,0.500000\n"
+
+    def test_jsonl_scan_is_a_host_set(self, workdir):
+        records = [CampaignRecord(0.0, "10.5.0.1", 80, 1, "potential_capable",
+                                  Key(0xAA), got_version=1),
+                   CampaignRecord(0.0, "10.5.0.3", 80, 1, "no_response")]
+        jsonl = "".join(r.to_json() + "\n" for r in records)
+        rc, text = self.overlap(workdir, jsonl, "10.5.0.1,80\n10.5.0.4\n")
+        assert rc == 0
+        assert text.splitlines()[0] == "both,1,0.333333"
+
+    def test_trace_rows_label_is_the_verdict(self, workdir):
+        capable = "10.5.0.1,80,truly_capable,,aa00000000000001\n"
+        unreachable = "10.5.0.1,80,unreachable,,\n"
+        for name, text in (("pv0", capable), ("pv1", unreachable), ("cv0", capable),
+                           ("cv1", capable)):
+            (workdir / f"{name}.txt").write_text(text)
+        out = workdir / "mig.txt"
+        run_ok(["report", "migration", "--only", "truly_capable",
+                "--prev-v0", str(workdir / "pv0.txt"), "--prev-v1", str(workdir / "pv1.txt"),
+                "--cur-v0", str(workdir / "cv0.txt"), "--cur-v1", str(workdir / "cv1.txt"),
+                "--out", str(out)])
+        assert out.read_text().splitlines()[0] == "added_v1_support,1"
+
+    def test_only_on_unlabelled_rows_exits_1(self, workdir, capsys):
+        rc, _ = self.overlap(workdir, "10.5.0.1,80\n", "10.5.0.1,80\n", "--only", "potential_capable")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--only" in err and "Traceback" not in err
+
+    def test_unknown_row_names_the_formats(self, workdir, capsys):
+        rc, _ = self.overlap(workdir, "10.5.0.1,80,x\n", "10.5.0.1\n")
+        assert rc == 1
+        assert "expected address[,port], a trace row or a scan row" in capsys.readouterr().err
+
+    def top(self, workdir, hosts, *extra):
+        (workdir / "hosts.txt").write_text(hosts)
+        (workdir / "prefixes.csv").write_text("10.5.0.0/16,500\n10.9.0.0/16,900\n")
+        out = workdir / "top.txt"
+        rc = main(["report", "top", "--in", str(workdir / "hosts.txt"),
+                   "--prefixes", str(workdir / "prefixes.csv"), "--out", str(out), *extra])
+        return rc, out.read_text() if rc == 0 else None
+
+    def test_top_only_on_scan_csv_counts_matching_rows(self, workdir):
+        rc, text = self.top(workdir, self.SCAN_A + self.SCAN_B, "--only", "potential_capable")
+        assert rc == 0
+        assert text.splitlines()[1:] == ["500,1,0,,??,Unknown", "900,1,0,,??,Unknown"]
+
+    def test_top_needs_ports(self, workdir, capsys):
+        rc, _ = self.top(workdir, "10.5.0.1\n")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "needs a port" in err and "Traceback" not in err
+
+    def test_top_on_a_jsonl_scan(self, workdir):
+        record = CampaignRecord(0.0, "10.9.0.9", 443, 0, "potential_capable", Key(0xBB))
+        rc, text = self.top(workdir, record.to_json() + "\n")
+        assert rc == 0
+        assert text.splitlines()[1] == "900,0,1,,??,Unknown"
+
+
+def test_scan_json_missing_field_exits_1(workdir, capsys):
+    scan = workdir / "scan.jsonl"
+    scan.write_text('{"address": "10.0.0.1"}\n')
+    assert main(["keys", "--from-scan", str(scan)]) == 1
+    err = capsys.readouterr().err
+    assert "bad scan record" in err and "Traceback" not in err
+    with pytest.raises(ValueError):
+        CampaignRecord.from_json('{"address": "10.0.0.1"}')

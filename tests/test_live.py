@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mptcpkit.errors import TransportUnavailable
-from mptcpkit.packet import TcpPacket, encode_packet
+from mptcpkit.packet import TcpFlags, TcpPacket, encode_packet
+from mptcpkit.probe import HopReply, make_response
 
 
 def test_live_transport_constructs_or_refuses_cleanly():
@@ -57,3 +58,64 @@ def test_icmp_quote_matches_time_exceeded():
 @settings(max_examples=200)
 def test_icmp_quote_never_raises(data):
     _bare_transport()._icmp_quote(_syn(), data)
+
+
+@pytest.fixture
+def paired_transport():
+    """A bare transport whose TCP and ICMP sockets are AF_UNIX datagram pairs."""
+    import socket
+
+    transport = _bare_transport()
+    transport._tcp, tcp_peer = socket.socketpair(socket.AF_UNIX, socket.SOCK_DGRAM)
+    transport._icmp, icmp_peer = socket.socketpair(socket.AF_UNIX, socket.SOCK_DGRAM)
+    transport.timeout_ms = 1000.0
+    yield transport, tcp_peer, icmp_peer
+    for sock in (transport._tcp, transport._icmp, tcp_peer, icmp_peer):
+        sock.close()
+
+
+def _reply(**fields):
+    syn = _syn()
+    base = dict(src=syn.dst, dst=syn.src, src_port=syn.dst_port, dst_port=syn.src_port,
+                seq=99, ack=syn.seq + 1, flags=int(TcpFlags.SYN | TcpFlags.ACK))
+    return encode_packet(TcpPacket(**{**base, **fields}))
+
+
+def test_matched_reply_is_decoded_once(paired_transport, monkeypatch):
+    from mptcpkit import live
+
+    transport, tcp_peer, _ = paired_transport
+    built = []
+
+    def counting_make_response(*args, **kwargs):
+        built.append(args)
+        return make_response(*args, **kwargs)
+
+    monkeypatch.setattr(live, "make_response", counting_make_response)
+    tcp_peer.send(_reply(src_port=81, options=b"\x1e\x09\x00\x81"))  # another flow
+    tcp_peer.send(_reply(options=b"\x1e\x09\x00\x81"))
+    resp = transport._await(_syn(), want_icmp=False)
+    assert resp is not None
+    assert resp.note == "truncated option kind 30"
+    assert resp.rtt_ms >= 0
+    assert len(built) == 1
+
+
+def test_hop_reply_is_built_once(paired_transport, monkeypatch):
+    from mptcpkit import live
+
+    transport, _, icmp_peer = paired_transport
+    built = []
+
+    def counting_hop_reply(*args):
+        built.append(args)
+        return HopReply(*args)
+
+    monkeypatch.setattr(live, "HopReply", counting_hop_reply)
+    responder = bytes([0x45]) + bytes(11) + bytes([192, 0, 2, 77]) + bytes([10, 0, 0, 9])
+    icmp_peer.send(responder + bytes([11]) + bytes(7) + encode_packet(_syn()))
+    hop = transport._await(_syn(), want_icmp=True)
+    assert hop.responder == "192.0.2.77"
+    assert hop.quote == encode_packet(_syn())
+    assert hop.rtt_ms >= 0
+    assert len(built) == 1
