@@ -25,6 +25,9 @@ METRICS = ("connect", "tls", "ttfb", "total")
 # Linux socket protocol number for MPTCP sockets (kernel 5.6+).
 IPPROTO_MPTCP = 262
 
+# Seconds a system fetch may wait on any one socket operation.
+FETCH_TIMEOUT_S = 10.0
+
 
 @dataclass(frozen=True)
 class TimingSample:
@@ -81,6 +84,7 @@ class SimTimingTransport:
         self.fallback_penalty_ms = fallback_penalty_ms
         self.jitter_ms = jitter_ms
         self.seed = seed
+        self._rng = random.Random()  # reseeded for every draw
 
     def _jitter(self, target: str, port: int, run: int, metric: str) -> float:
         if self.jitter_ms <= 0:
@@ -88,8 +92,9 @@ class SimTimingTransport:
         # stable across processes, unlike hash()
         ident = f"{self.seed}|{self.transport}|{target}|{port}|{run}|{metric}"
         digest = hashlib.blake2b(ident.encode(), digest_size=8).digest()
-        rng = random.Random(int.from_bytes(digest, "big"))
-        return rng.uniform(0, self.jitter_ms)
+        # Random(n).uniform(0, j) computes 0 + (j - 0) * random(): the same value
+        self._rng.seed(int.from_bytes(digest, "big"))
+        return self.jitter_ms * self._rng.random()
 
     def fetch(self, target: str, port: int, run: int = 0) -> TimingSample:
         path = self.network.paths.get((target, port))
@@ -128,9 +133,8 @@ class SystemTimingTransport:
     to TCP-only reporting.
     """
 
-    def __init__(self, transport: str = "tcp", timeout_s: float = 10.0):
+    def __init__(self, transport: str = "tcp"):
         self.transport = transport
-        self.timeout_s = timeout_s
         if transport == "mptcp":
             try:
                 probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM, IPPROTO_MPTCP)
@@ -141,7 +145,7 @@ class SystemTimingTransport:
     def _socket(self) -> socket.socket:
         proto = IPPROTO_MPTCP if self.transport == "mptcp" else 0
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM, proto)
-        sock.settimeout(self.timeout_s)
+        sock.settimeout(FETCH_TIMEOUT_S)
         return sock
 
     def fetch(self, target: str, port: int, run: int = 0) -> TimingSample:

@@ -109,13 +109,13 @@ def _read_address_set(path: str, only: str | None) -> set[str]:
     return {address for address, _port in _read_hosts(path, only)}
 
 
-def _resolve_transport(args) -> tuple[object, bool]:
-    """Returns (transport, is_simulated)."""
+def _resolve_transport(args):
+    """The simulated network of --sim-topology, else a live raw-socket transport."""
     if getattr(args, "sim_topology", None):
-        return netsim.load_topology(args.sim_topology, seed=args.seed), True
+        return netsim.load_topology(args.sim_topology, seed=args.seed)
     from .live import LiveTransport
 
-    return LiveTransport(timeout_ms=args.timeout_ms), False
+    return LiveTransport(timeout_ms=args.timeout_ms)
 
 
 def _guard_from_args(args, simulated: bool) -> CampaignGuard:
@@ -144,7 +144,7 @@ def cmd_scan(args) -> int:
     guard = _guard_from_args(args, simulated)
     transport = None
     if not args.dry_run:
-        transport, _ = _resolve_transport(args)
+        transport = _resolve_transport(args)
     targets = _read_targets(args.targets)
     probe_key = Key.from_hex(args.probe_key) if args.probe_key else None
     if simulated or args.dry_run:
@@ -177,7 +177,7 @@ def cmd_trace(args) -> int:
         targets = _read_targets(args.targets)
     else:
         raise UsageError("trace needs --targets or --from-scan")
-    transport, _ = _resolve_transport(args)
+    transport = _resolve_transport(args)
     if not simulated:
         transport = PacedTransport(transport, RatePacer(guard.max_packets_per_second))
     probe_key = Key.from_hex(args.probe_key) if args.probe_key else None
@@ -186,16 +186,20 @@ def cmd_trace(args) -> int:
             if guard.blocklist.matches(address):
                 record = tracer.TraceRecord(address, port, "skipped")
             else:
-                _trace, verdict = tracer.inspect_target(
-                    address,
-                    port,
-                    args.version,
-                    transport,
-                    max_ttl=args.max_ttl,
-                    probe_key=probe_key,
-                    seed=args.seed,
-                )
-                record = tracer.TraceRecord.from_verdict(address, port, verdict)
+                try:
+                    _trace, verdict = tracer.inspect_target(
+                        address,
+                        port,
+                        args.version,
+                        transport,
+                        max_ttl=args.max_ttl,
+                        probe_key=probe_key,
+                        seed=args.seed,
+                    )
+                except OSError:  # a send that failed for this target only
+                    record = tracer.TraceRecord(address, port, "error")
+                else:
+                    record = tracer.TraceRecord.from_verdict(address, port, verdict)
             f.write(record.to_csv() + "\n")
     return 0
 

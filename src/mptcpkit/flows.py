@@ -13,7 +13,6 @@ whose options contain the kind byte 30 and whose flow has no version yet.
 
 from __future__ import annotations
 
-import ipaddress
 import struct
 from dataclasses import dataclass, field
 from math import ceil
@@ -23,7 +22,7 @@ from typing import IO, Iterable, Mapping
 from .errors import EmptyInput, MalformedCapture, MissingTables
 from .inputs import data_lines
 from .options import decode_mp_capable_any, parse_options_prefix
-from .packet import address_text, decode_tcp
+from .packet import address_text, decode_tcp, pack_address
 from .pcapio import LINKTYPE_ETHERNET, LINKTYPE_NULL, LINKTYPE_RAW, read_pcap
 
 _U16 = struct.Struct("!H")
@@ -68,7 +67,7 @@ class FlowKey:
     protocol: str = "tcp"
 
     def _endpoint_sort_key(self, addr: str, port: int) -> tuple[bytes, int]:
-        return ipaddress.ip_address(addr).packed, port
+        return pack_address(addr), port
 
     def canonical(self) -> "FlowKey":
         """Order endpoints so a flow and its reverse map to the same key."""

@@ -7,6 +7,8 @@ from __future__ import annotations
 import ipaddress
 from typing import Iterable, Iterator
 
+from .packet import pack_address
+
 
 def data_lines(lines: Iterable[str]) -> Iterator[str]:
     """Each line cut at its first `#` and stripped; blank results are skipped."""
@@ -49,9 +51,9 @@ class PrefixTable:
 
     def lookup(self, address: str) -> object | None:
         """The value of the longest prefix holding `address`, or None."""
-        addr = ipaddress.ip_address(address)
-        bits = int(addr)
-        for shift, bucket in self._buckets[addr.version].items():
+        packed = pack_address(address)
+        bits = int.from_bytes(packed, "big")
+        for shift, bucket in self._buckets[4 if len(packed) == 4 else 6].items():
             value = bucket.get(bits >> shift)
             if value is not None:
                 return value

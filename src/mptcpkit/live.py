@@ -31,6 +31,7 @@ class LiveTransport:
 
     def __init__(self, timeout_ms: float = 2000.0):
         self.timeout_ms = timeout_ms
+        self._sources: dict[str, str] = {}  # destination -> our source address
         try:
             self._send = socket.socket(
                 socket.AF_INET, socket.SOCK_RAW, socket.IPPROTO_RAW
@@ -53,7 +54,10 @@ class LiveTransport:
 
     def _send_packet(self, pkt: TcpPacket) -> None:
         if pkt.src.startswith("192.0.2."):  # placeholder source: fill in ours
-            pkt = TcpPacket(**{**vars(pkt), "src": local_source_address(pkt.dst)})
+            src = self._sources.get(pkt.dst)
+            if src is None:
+                src = self._sources[pkt.dst] = local_source_address(pkt.dst)
+            pkt = TcpPacket(**{**vars(pkt), "src": src})
         self._send.sendto(encode_packet(pkt), (pkt.dst, 0))
 
     def _matches(self, pkt: TcpPacket, data: bytes) -> bool:

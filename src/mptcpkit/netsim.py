@@ -481,6 +481,9 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
     key_rewrite(seed=N) drop silent quoting(<bytes>)
     """
     net = SimNetwork(seed)
+    # Node behaviors are frozen and key streams are keyed by position, not by
+    # node, so paths can share one instance per distinct token.
+    nodes_by_token: dict[str, NodeBehavior] = {}
     for lineno, raw in enumerate(lines, start=1):
         for line in data_lines((raw,)):  # one line at a time, to keep its number
             tokens = line.split()
@@ -492,7 +495,12 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
             if rest and rest[0].startswith("latency="):
                 latency = float(rest[0].split("=", 1)[1])
                 rest = rest[1:]
-            nodes = [_parse_node(t) for t in rest]
+            nodes = []
+            for token in rest:
+                node = nodes_by_token.get(token)
+                if node is None:
+                    node = nodes_by_token[token] = _parse_node(token)
+                nodes.append(node)
             net.add_path(address, int(port_text), SimPath(nodes, per_hop_latency_ms=latency))
     return net
 

@@ -67,8 +67,22 @@ class ParsedSegment:
     payload_len: int
 
 
+def pack_address(text: str) -> bytes:
+    """The 4- or 16-byte form of an address, as `ipaddress.ip_address(text).packed`.
+
+    `inet_pton` parses the common forms; whatever it rejects (scoped IPv6
+    such as `fe80::1%eth0`, embedded NULs, non-text input, invalid text) goes
+    to `ipaddress`, which decides and raises its own errors.
+    """
+    try:
+        family = socket.AF_INET6 if ":" in text else socket.AF_INET
+        return socket.inet_pton(family, text)
+    except (OSError, ValueError, TypeError):
+        return ipaddress.ip_address(text).packed
+
+
 def ip_family(addr: str) -> int:
-    return ipaddress.ip_address(addr).version
+    return 4 if len(pack_address(addr)) == 4 else 6
 
 
 def internet_checksum(data: bytes) -> int:
@@ -122,17 +136,17 @@ def _tcp_bytes(pkt: TcpPacket, src_packed: bytes, dst_packed: bytes) -> bytes:
 
 def encode_packet(pkt: TcpPacket) -> bytes:
     """Serialize to IP header + TCP header + options + payload, checksummed."""
-    src = ipaddress.ip_address(pkt.src)
-    dst = ipaddress.ip_address(pkt.dst)
-    if src.version != dst.version:
+    src = pack_address(pkt.src)
+    dst = pack_address(pkt.dst)
+    if len(src) != len(dst):
         raise ValueError("source and destination address families differ")
-    segment = _tcp_bytes(pkt, src.packed, dst.packed)
-    if src.version == 4:
+    segment = _tcp_bytes(pkt, src, dst)
+    if len(src) == 4:
         total = IPV4_HEADER_LEN + len(segment)
-        header = _IPV4.pack(0x45, 0, total, 0, 0, pkt.ttl, 6, 0, src.packed, dst.packed)
+        header = _IPV4.pack(0x45, 0, total, 0, 0, pkt.ttl, 6, 0, src, dst)
         csum = internet_checksum(header)
         return header[:10] + _U16.pack(csum) + header[12:] + segment
-    header = _IPV6.pack(0x60000000, len(segment), 6, pkt.ttl, src.packed, dst.packed)
+    header = _IPV6.pack(0x60000000, len(segment), 6, pkt.ttl, src, dst)
     return header + segment
 
 

@@ -8,7 +8,6 @@ target per campaign, no retries; the first valid response wins.
 from __future__ import annotations
 
 import hashlib
-import ipaddress
 import json
 import time
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from .options import (
     encode_mp_capable,
     parse_options_prefix,
 )
-from .packet import TcpFlags, TcpPacket, decode_packet
+from .packet import TcpFlags, TcpPacket, decode_packet, ip_family
 
 # Default v0 campaign key: a documented constant of Hamming weight 16, so key
 # weight histograms from different campaigns line up.
@@ -137,9 +136,7 @@ def build_syn_probe(
     """Build the SYN carrying exactly one MP_CAPABLE option."""
     if src is None:
         src = (
-            DEFAULT_SCANNER_ADDR_V4
-            if ipaddress.ip_address(spec.target).version == 4
-            else DEFAULT_SCANNER_ADDR_V6
+            DEFAULT_SCANNER_ADDR_V4 if ip_family(spec.target) == 4 else DEFAULT_SCANNER_ADDR_V6
         )
     return TcpPacket(
         src=src,
@@ -416,7 +413,9 @@ def run_campaign(
     """Probe each target once, classify, and yield one record per target.
 
     Blocklisted targets are skipped (and still recorded); dry runs emit the
-    built probes without sending anything. Output order follows input order.
+    built probes without sending anything. A target whose probe raises
+    OSError gets an `error` record noting the exception, and the campaign
+    goes on. Output order follows input order.
     """
     guard.validate()
     if version == 0 and probe_key is None:
@@ -440,7 +439,11 @@ def run_campaign(
             )
             continue
         ts = pacer.acquire()
-        resp = transport.handshake(syn)
+        try:
+            resp = transport.handshake(syn)
+        except OSError as exc:  # a send that failed for this target only
+            yield CampaignRecord(ts, address, port, version, "error", note=str(exc))
+            continue
         cls = classify_response(spec, resp)
         yield CampaignRecord(
             ts, address, port, version, cls.label,

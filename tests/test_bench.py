@@ -1,6 +1,12 @@
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptcpkit.bench import (
+    METRICS,
     DeltaReport,
     SimTimingTransport,
     TimingSample,
@@ -152,3 +158,43 @@ class TestDeltaReport:
         with open(out, "w") as f:
             write_cdf(report, "connect", f)
         assert out.read_text() == "2.000000,1.000000\n"
+
+
+def reference_jitter(seed, transport, target, port, run, metric, jitter_ms):
+    """One generator per draw, seeded from the draw's identity."""
+    ident = f"{seed}|{transport}|{target}|{port}|{run}|{metric}"
+    digest = hashlib.blake2b(ident.encode(), digest_size=8).digest()
+    return random.Random(int.from_bytes(digest, "big")).uniform(0, jitter_ms)
+
+
+_draw = st.tuples(
+    st.booleans(),  # which of the two transports draws
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+    st.integers(min_value=0, max_value=65535),
+    st.integers(min_value=0, max_value=10_000),
+    st.one_of(st.sampled_from(METRICS), st.text(max_size=8).filter(str.isprintable)),
+)
+
+
+@given(
+    seeds=st.tuples(st.integers(min_value=-(2**70), max_value=2**70), st.integers()),
+    jitter_ms=st.tuples(
+        st.floats(min_value=1e-6, max_value=1e6), st.floats(min_value=1e-6, max_value=1e6)
+    ),
+    draws=st.lists(_draw, min_size=1, max_size=12),
+)
+@settings(max_examples=300)
+def test_jitter_matches_one_generator_per_draw(seeds, jitter_ms, draws):
+    net = network()
+    transports = [
+        SimTimingTransport(net, name, jitter_ms=j, seed=s)
+        for name, j, s in zip(("mptcp", "tcp"), jitter_ms, seeds)
+    ]
+    for second, target, port, run, metric in draws:
+        t = transports[second]
+        expected = reference_jitter(t.seed, t.transport, target, port, run, metric, t.jitter_ms)
+        assert t._jitter(target, port, run, metric) == expected
+
+
+def test_no_jitter_when_disabled():
+    assert SimTimingTransport(network(), "tcp", jitter_ms=0.0)._jitter("10.0.0.1", 80, 0, "ttfb") == 0.0

@@ -223,7 +223,7 @@ class TestTrace:
                 sent.append(clock())
                 return None
 
-        monkeypatch.setattr(cli, "_resolve_transport", lambda args: (SilentTransport(), False))
+        monkeypatch.setattr(cli, "_resolve_transport", lambda args: SilentTransport())
         monkeypatch.setattr(
             cli, "RatePacer", lambda rate: RatePacer(rate, clock=clock, sleep=clock.sleep)
         )
@@ -236,6 +236,64 @@ class TestTrace:
         # epsilon shrinks the window against float representation fuzz
         for start in sent:
             assert sum(1 for t in sent if start <= t < start + 1.0 - 1e-9) <= 10
+
+
+class FailingTransport:
+    """Raises OSError for 10.0.0.2 and hears nothing from anyone else."""
+
+    def __init__(self):
+        self.probed = []
+
+    def _send(self, syn):
+        self.probed.append(syn.dst)
+        if syn.dst == "10.0.0.2":
+            raise OSError("sendto: network unreachable")
+
+    def handshake(self, syn):
+        self._send(syn)
+        return None
+
+    def ttl_probe(self, syn, ttl):
+        self._send(syn)
+        return None
+
+
+class TestPerTargetFailure:
+    TARGETS = "10.0.0.1,80\n10.0.0.2,80\n10.0.0.3,443\n"
+
+    def run_live(self, workdir, monkeypatch, argv):
+        transport = FailingTransport()
+        monkeypatch.setattr(cli, "_resolve_transport", lambda args: transport)
+        (workdir / "three.csv").write_text(self.TARGETS)
+        out = workdir / "out.txt"
+        run_ok([
+            *argv, "--targets", str(workdir / "three.csv"),
+            "--blocklist", str(workdir / "blocklist.txt"), "--rate", "100000",
+            "--out", str(out),
+        ])
+        return transport, out.read_text().splitlines()
+
+    def test_scan_records_error_and_goes_on(self, workdir, monkeypatch):
+        transport, rows = self.run_live(workdir, monkeypatch, ["scan", "--format", "jsonl"])
+        records = [json.loads(row) for row in rows]
+        assert [(r["address"], r["classification"]) for r in records] == [
+            ("10.0.0.1", "no_response"), ("10.0.0.2", "error"), ("10.0.0.3", "no_response"),
+        ]
+        assert records[1]["note"] == "sendto: network unreachable"
+        assert transport.probed == ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+
+    def test_scan_csv_error_row(self, workdir, monkeypatch):
+        _transport, rows = self.run_live(workdir, monkeypatch, ["scan"])
+        assert [row.split(",", 1)[1] for row in rows] == [
+            "10.0.0.1,80,0,no_response,", "10.0.0.2,80,0,error,", "10.0.0.3,443,0,no_response,",
+        ]
+
+    def test_trace_records_error_and_goes_on(self, workdir, monkeypatch):
+        transport, rows = self.run_live(workdir, monkeypatch, ["trace", "--max-ttl", "2"])
+        assert rows == [
+            "10.0.0.1,80,unreachable,,", "10.0.0.2,80,error,,", "10.0.0.3,443,unreachable,,",
+        ]
+        assert transport.probed.count("10.0.0.3") == 2 * 3  # two TTLs, three tries each
 
 
 class TestKeys:

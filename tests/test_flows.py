@@ -465,3 +465,23 @@ class TestFlowKey:
         a = FlowKey("10.0.0.1", "10.0.0.1", 9999, 80)
         b = FlowKey("10.0.0.1", "10.0.0.1", 80, 9999)
         assert a.canonical() == b.canonical()
+
+
+_PCAP_MAGICS = [
+    bytes.fromhex(m) for m in ("d4c3b2a1", "a1b2c3d4", "4d3cb2a1", "a1b23c4d")
+]
+
+
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda magic, rest: magic + rest, st.sampled_from(_PCAP_MAGICS),
+              st.binary(max_size=200)),
+))
+@settings(max_examples=500)
+def test_read_pcap_raises_only_malformed_capture(data):
+    try:
+        _linktype, frames = read_pcap(io.BytesIO(data))
+    except MalformedCapture:
+        return
+    for ts, frame in frames:
+        assert isinstance(ts, float) and isinstance(frame, bytes)

@@ -1,6 +1,8 @@
 """The live transport needs raw sockets; only its guard behavior is testable
 without network capability."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,36 @@ def _syn():
 @pytest.mark.parametrize("data", [b"", b"\x45", b"\x45" + bytes(18)])
 def test_icmp_quote_short_input_is_none(data):
     assert _bare_transport()._icmp_quote(_syn(), data) is None
+
+
+def test_source_address_found_once_per_destination(monkeypatch):
+    from mptcpkit import live
+
+    lookups = []
+
+    def counting_source(target):
+        lookups.append(target)
+        return "10.9.9.9"
+
+    class RecordingSocket:
+        def __init__(self):
+            self.sent = []
+
+        def sendto(self, data, address):
+            self.sent.append((data, address))
+
+    monkeypatch.setattr(live, "local_source_address", counting_source)
+    transport = _bare_transport()
+    transport._sources = {}
+    transport._send = RecordingSocket()
+    placeholder = replace(_syn(), src="192.0.2.1")
+    probes = [placeholder, replace(placeholder, dst="10.0.0.2"), replace(placeholder, ttl=3)]
+    for pkt in probes:
+        transport._send_packet(pkt)
+    assert lookups == ["10.0.0.1", "10.0.0.2"]
+    assert transport._send.sent == [
+        (encode_packet(replace(pkt, src="10.9.9.9")), (pkt.dst, 0)) for pkt in probes
+    ]
 
 
 def test_icmp_quote_matches_time_exceeded():

@@ -19,6 +19,7 @@ from mptcpkit.netsim import (
     strip,
     tcp_host,
     true_host,
+    _parse_node,
 )
 from mptcpkit.options import HandshakePhase, Key, decode_mp_capable, find_mp_capable
 from mptcpkit.probe import (
@@ -208,6 +209,69 @@ class TestTopologyFiles:
             parse_topology(["path 10.0.0.1 80 warp_drive"])
         with pytest.raises(ValueError):
             parse_topology(["path 10.0.0.1 80 quoting(hello=1) tcp_host"])
+
+    REPEATED = [
+        "path 10.0.0.1 80 key_rewrite(seed=9) quoting(64) true_host(v0,v1)",
+        "path 10.0.0.2 80 key_rewrite(seed=9) mirror true_host(v0,v1)",
+        "path 10.0.0.3 443 quoting(64) key_rewrite(seed=9) key_rewrite(seed=9) true_host(v0,v1)",
+        "path 2001:db8::5 80 latency=2 quoting(64) strip true_host(v0,v1)",
+        "path 2001:db8::6 443 key_rewrite quoting(64) true_host(v0,v1)",
+        "path 10.0.0.7 80 key_rewrite key_rewrite quoting(64) true_host(v0,v1)",
+        "path 10.0.0.8 80 true_host(v0,v1,seed=3)",
+        "path 10.0.0.9 80 true_host(v0,v1,seed=3)",
+    ]
+
+    def unshared(self, lines, seed):
+        """The network with a fresh node parsed for every token occurrence."""
+        net = SimNetwork(seed)
+        for line in lines:
+            _path, address, port, *rest = line.split()
+            latency = 1.0
+            if rest[0].startswith("latency="):
+                latency = float(rest.pop(0).split("=", 1)[1])
+            nodes = [_parse_node(token) for token in rest]
+            net.add_path(address, int(port), SimPath(nodes, per_hop_latency_ms=latency))
+        return net
+
+    def test_repeated_tokens_parse_once_and_behave_alike(self):
+        net = parse_topology(self.REPEATED, seed=11)
+        ref = self.unshared(self.REPEATED, seed=11)
+        assert format_topology(net) == format_topology(ref)
+        first, second = net.paths[("10.0.0.1", 80)], net.paths[("10.0.0.2", 80)]
+        assert first.nodes[0] is second.nodes[0]  # one instance per distinct token
+        assert first.nodes[-1] is second.nodes[-1]
+        for _ in range(3):  # keyed nodes draw a fresh key every round
+            for address, port in net.targets():
+                for spec in (ProbeSpec(address, port, 0, DEFAULT_PROBE_KEY),
+                             ProbeSpec(address, port, 1)):
+                    syn = build_syn_probe(spec, seed=11)
+                    assert net.handshake(syn) == ref.handshake(syn)
+                    for ttl in range(1, len(net.paths[(address, port)].nodes) + 2):
+                        assert net.ttl_probe(syn, ttl) == ref.ttl_probe(syn, ttl)
+
+    @pytest.mark.parametrize("lines, message", [
+        (["path 10.0.0.1 80 tcp_host", "path 10.0.0.2 80 warp_drive"],
+         "unknown node behavior 'warp_drive'"),
+        (["path 10.0.0.1 80 true_host(v0 tcp_host"],
+         "unbalanced parens in node token 'true_host(v0'"),
+        (["path 10.0.0.1 80 quoting(64) tcp_host", "path 10.0.0.2 80 quoting(hello=1) tcp_host"],
+         "unknown node argument 'hello=1' in 'quoting(hello=1)'"),
+        (["path 10.0.0.1 80 key_rewrite(seed=x) tcp_host"],
+         "invalid literal for int() with base 10: 'x'"),
+        (["path 10.0.0.1 80 tcp_host", "path 10.0.0.2 80"],
+         "line 2: expected `path <addr> <port> <nodes...>`"),
+        (["path 10.0.0.1 80 mirror tcp_host", "path 10.0.0.2 80 tcp_host mirror"],
+         "last node must be an endpoint, got BehaviorKind.MIRROR_MIDDLEBOX"),
+        (["path 10.0.0.1 80 mirror tcp_host", "path 10.0.0.2 80 tcp_host tcp_host"],
+         "endpoint behavior in the path interior"),
+    ])
+    def test_bad_tokens_keep_their_messages(self, lines, message):
+        with pytest.raises(ValueError) as raised:
+            parse_topology(lines)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as again:  # the same bad token, seen twice
+            parse_topology(lines + lines)
+        assert str(again.value) == message
 
     def test_endpoint_position_enforced(self):
         with pytest.raises(ValueError):

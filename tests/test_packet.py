@@ -1,7 +1,8 @@
 import ipaddress
 import struct
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mptcpkit.options import TcpOption
@@ -14,6 +15,8 @@ from mptcpkit.packet import (
     encode_packet,
     extract_quoted_options,
     internet_checksum,
+    ip_family,
+    pack_address,
 )
 
 
@@ -150,3 +153,52 @@ def test_decoders_total_and_consistent(data):
         assert text.dst == str(ipaddress.ip_address(packed[1]))
         assert (text.src_port, text.dst_port, text.seq, text.ack, text.flags, text.ttl,
                 text.window, text.options, text.ip_bytes, text.payload_len) == packed[2:]
+
+
+def _with_nul(text: str, at: int) -> str:
+    at %= len(text) + 1
+    return text[:at] + "\x00" + text[at:]
+
+
+_address_text = st.one_of(
+    st.ip_addresses().map(str),
+    st.ip_addresses(v=6).map(lambda a: a.exploded),
+    st.ip_addresses(v=4).map(lambda a: f"::ffff:{a}"),
+    st.text(),
+    st.text(alphabet="0123456789abcdefABCDEF:.%", max_size=48),
+    st.builds("{}%{}".format, st.ip_addresses(v=6).map(str), st.text(max_size=8)),
+    st.builds(_with_nul, st.ip_addresses().map(str), st.integers(min_value=0)),
+)
+
+
+@given(_address_text)
+@settings(max_examples=1000)
+@example("fe80::1%eth0")
+@example("fe80::1%")
+@example("10.0.0.1\x00")
+@example("1::2:3:4:5:6:7")
+@example("1:2:3:4:5:6:7::")
+@example("::1.2.3.4")
+@example("01.2.3.4")
+@example(" 10.0.0.1")
+@example("")
+def test_pack_address_matches_ipaddress(text):
+    try:
+        expected = ipaddress.ip_address(text).packed
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            pack_address(text)
+        assert str(raised.value) == str(exc)
+        return
+    assert pack_address(text) == expected
+    assert ip_family(text) == ipaddress.ip_address(text).version
+
+
+def test_pack_address_non_text_goes_to_ipaddress():
+    assert pack_address(b"\x0a\x00\x00\x01") == bytes([10, 0, 0, 1])
+    assert pack_address(1) == bytes([0, 0, 0, 1])
+
+
+def test_encode_rejects_mixed_families():
+    with pytest.raises(ValueError, match="families differ"):
+        encode_packet(syn(src="2001:db8::1", dst="10.0.0.1"))

@@ -233,6 +233,27 @@ class TestCampaign:
         assert all(r.label == "potential_capable" for r in records)
         assert len(records) == len(targets)
 
+    def test_send_failure_becomes_error_record(self):
+        targets = self.targets()
+        net = sim_network_all_true(targets)
+
+        class FailingOnOne:
+            def handshake(self, syn):
+                if syn.dst == "10.0.0.2":
+                    raise OSError("sendto: network unreachable")
+                return net.handshake(syn)
+
+        clock = VirtualClock()
+        records = list(
+            run_campaign(
+                targets, version=0, guard=CampaignGuard(1000.0, Blocklist()),
+                transport=FailingOnOne(), clock=clock, sleep=clock.sleep,
+            )
+        )
+        assert [r.label for r in records] == ["potential_capable", "error", "potential_capable"]
+        assert records[1].note == "sendto: network unreachable"
+        assert records[1].timestamp == pytest.approx(0.002)  # the paced send slot
+
     def test_rate_limit_duration(self):
         # 100 targets at 10 pps must take at least 10 virtual seconds
         targets = [(f"10.0.2.{i}", 80) for i in range(100)]
