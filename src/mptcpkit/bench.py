@@ -9,6 +9,7 @@ such boxes leave on real measurements.
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import random
 import socket
@@ -92,8 +93,10 @@ class SimTimingTransport:
         # stable across processes, unlike hash()
         ident = f"{self.seed}|{self.transport}|{target}|{port}|{run}|{metric}"
         digest = hashlib.blake2b(ident.encode(), digest_size=8).digest()
-        # Random(n).uniform(0, j) computes 0 + (j - 0) * random(): the same value
-        self._rng.seed(int.from_bytes(digest, "big"))
+        # Random(n).uniform(0, j) computes 0 + (j - 0) * random(): the same value.
+        # Random.seed(n) checks the type of n, then calls this C seed with n
+        # (and clears gauss_next, which random() never reads).
+        _random.Random.seed(self._rng, int.from_bytes(digest, "big"))
         return self.jitter_ms * self._rng.random()
 
     def fetch(self, target: str, port: int, run: int = 0) -> TimingSample:
@@ -236,21 +239,31 @@ def delta_report(
 
     Only pairs where both runs succeeded contribute.
     """
-    if len(mptcp_samples) != len(tcp_samples):
-        raise PairingMismatch(
-            f"{len(mptcp_samples)} mptcp runs vs {len(tcp_samples)} tcp runs"
-        )
+    return paired_report([(target, mptcp_samples, tcp_samples)], zero_tolerance_ms)
+
+
+def paired_report(
+    runs: Iterable[tuple[str, list[TimingSample], list[TimingSample]]],
+    zero_tolerance_ms: float = 1.0,
+) -> DeltaReport:
+    """`delta_report` over (target, mptcp samples, tcp samples) triples: runs
+    pair within a target, and one summary covers every target."""
     records: list[DeltaRecord] = []
     paired = 0
-    for mp, tcp in zip(mptcp_samples, tcp_samples):
-        if not (mp.success and tcp.success):
-            continue
-        paired += 1
-        for metric in METRICS:
-            a, b = mp.metric(metric), tcp.metric(metric)
-            if a is None or b is None:
+    for target, mptcp_samples, tcp_samples in runs:
+        if len(mptcp_samples) != len(tcp_samples):
+            raise PairingMismatch(
+                f"{len(mptcp_samples)} mptcp runs vs {len(tcp_samples)} tcp runs"
+            )
+        for mp, tcp in zip(mptcp_samples, tcp_samples):
+            if not (mp.success and tcp.success):
                 continue
-            records.append(DeltaRecord(target, metric, a - b))
+            paired += 1
+            for metric in METRICS:
+                a, b = mp.metric(metric), tcp.metric(metric)
+                if a is None or b is None:
+                    continue
+                records.append(DeltaRecord(target, metric, a - b))
     return _summarize(records, paired, zero_tolerance_ms)
 
 

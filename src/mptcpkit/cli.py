@@ -412,20 +412,17 @@ def cmd_bench(args) -> int:
             mptcp_t = None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    for address, port in targets:
-        tcp_samples = bench_mod.time_get(address, port, tcp_t, runs=args.runs)
-        if mptcp_t is None:
-            continue
-        mptcp_samples = bench_mod.time_get(address, port, mptcp_t, runs=args.runs)
-        reports.append(
-            bench_mod.delta_report(
-                mptcp_samples, tcp_samples, target=address, zero_tolerance_ms=args.zero_tol
-            )
-        )
+
+    def runs():  # one target at a time, so samples are freed once paired
+        for address, port in targets:
+            tcp_samples = bench_mod.time_get(address, port, tcp_t, runs=args.runs)
+            if mptcp_t is not None:
+                mptcp_samples = bench_mod.time_get(address, port, mptcp_t, runs=args.runs)
+                yield address, mptcp_samples, tcp_samples
+
+    combined = bench_mod.paired_report(runs(), zero_tolerance_ms=args.zero_tol)
     if mptcp_t is None:
         return 0
-    combined = bench_mod.merge_reports(reports, zero_tolerance_ms=args.zero_tol)
     for metric in bench_mod.METRICS:
         if metric not in combined.cdf:
             continue

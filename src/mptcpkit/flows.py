@@ -22,7 +22,7 @@ from typing import IO, Iterable, Mapping
 from .errors import EmptyInput, MalformedCapture, MissingTables
 from .inputs import data_lines
 from .options import decode_mp_capable_any, parse_options_prefix
-from .packet import address_text, decode_tcp, pack_address
+from .packet import address_text, decode_tcp, is_later_fragment, pack_address
 from .pcapio import LINKTYPE_ETHERNET, LINKTYPE_NULL, LINKTYPE_RAW, read_pcap
 
 _U16 = struct.Struct("!H")
@@ -113,6 +113,7 @@ class FlowTable:
     tcp_bytes: int = 0
     parse_failures: int = 0
     non_tcp: int = 0
+    fragments: int = 0  # IPv4 TCP fragments after the first: no TCP header
 
 
 def _strip_link_layer(linktype: int, frame: bytes) -> bytes | None:
@@ -174,6 +175,8 @@ def ingest_capture(
         if segment is None:
             if _is_non_tcp(ip_data):
                 table.non_tcp += 1
+            elif is_later_fragment(ip_data):
+                table.fragments += 1
             else:
                 table.parse_failures += 1
             continue

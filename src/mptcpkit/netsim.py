@@ -30,9 +30,11 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
 
+from .errors import OptionError
 from .inputs import data_lines
 from .options import (
     DEFAULT_MP_FLAGS,
@@ -65,6 +67,7 @@ class BehaviorKind(Enum):
 
 ENDPOINT_KINDS = {BehaviorKind.TRUE_MPTCP_HOST, BehaviorKind.TCP_ONLY_HOST}
 DEFAULT_QUOTE_BYTES = 128
+_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
 
 
 @dataclass(frozen=True)
@@ -174,26 +177,21 @@ class _KeySource:
         return Key(self._rng.getrandbits(64))
 
 
-def _replace_mp_capable(options: bytes, new_option: bytes | None) -> bytes:
-    """Drop every kind-30 option; insert `new_option` (if any) at the front."""
-    parsed, _err = parse_options_prefix(options)
-    kept = encode_options([o for o in parsed if o.kind != 30])
-    if new_option is None:
-        return kept
-    return new_option + kept
+def _replace_mp_capable(parsed: list[TcpOption], new_option: TcpOption | None) -> list[TcpOption]:
+    """Drop every kind-30 option; put `new_option` (if any) at the front.
+    Options from a parse encode to bytes that parse back to the same list."""
+    kept = [o for o in parsed if o.kind != 30]
+    return kept if new_option is None else [new_option, *kept]
 
 
-def _rewrite_sender_key(option_bytes: bytes, key: Key) -> bytes | None:
-    """Swap the sender's key inside an encoded MP_CAPABLE; None if keyless."""
-    opts, _ = parse_options_prefix(option_bytes)
-    opt = find_mp_capable(opts)
+def _rewrite_sender_key(opt: TcpOption | None, key: Key) -> TcpOption | None:
+    """The MP_CAPABLE `opt` with the sender's key swapped; None if keyless."""
     if opt is None:
         return None
     mc = decode_mp_capable_any(opt)
     if mc is None or mc.sender_key is None:
         return None
-    payload = opt.payload[:2] + key.to_bytes() + opt.payload[10:]
-    return TcpOption(30, payload).encode()
+    return TcpOption(30, opt.payload[:2] + key.to_bytes() + opt.payload[10:])
 
 
 class SimNetwork:
@@ -219,9 +217,6 @@ class SimNetwork:
             self._key_sources[ident] = _KeySource(seed)
         return self._key_sources[ident]
 
-    def _isn(self, address: str, port: int) -> int:
-        return _derive_seed(self.seed, "isn", address, port) & 0xFFFFFFFF
-
     def _hop_address(self, target: str, ttl: int) -> str:
         if ip_family(target) == 4:
             return f"198.51.100.{ttl}"
@@ -231,83 +226,73 @@ class SimNetwork:
 
     def _forward(
         self, path: SimPath, syn: TcpPacket, up_to: int
-    ) -> tuple[bytes | None, list[tuple[int, bytes | None, bool]]]:
+    ) -> tuple[bytes | None, list[TcpOption], list[tuple[TcpOption | None, bool]]]:
         """Apply interior transforms for hops 1..up_to.
 
-        Returns (options bytes or None when dropped, per-node records of
-        (index, mp_capable bytes seen after own transform, rewrite acted)).
+        Returns the options bytes (None when dropped), their parse (kept in
+        step, never re-parsed), and per node in path order (MP_CAPABLE seen
+        after its own transform, rewrite acted).
         """
         options = syn.options
-        records: list[tuple[int, bytes | None, bool]] = []
+        parsed, _ = parse_options_prefix(options)
+        records: list[tuple[TcpOption | None, bool]] = []
         for i, node in enumerate(path.interior[:up_to], start=1):
             if node.kind is BehaviorKind.DROP_FIREWALL:
-                return None, records
+                return None, parsed, records
             if node.kind is BehaviorKind.STRIP_MIDDLEBOX:
-                options = _replace_mp_capable(options, None)
+                parsed = _replace_mp_capable(parsed, None)
+                options = encode_options(parsed)
             elif node.kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX:
                 src = self._keys_for(syn.dst, syn.dst_port, i, node)
-                rewritten = _rewrite_sender_key(options, src.next_key())
+                rewritten = _rewrite_sender_key(find_mp_capable(parsed), src.next_key())
                 if rewritten is not None:
-                    options = _replace_mp_capable(options, rewritten)
-                    records.append((i, rewritten, True))
+                    parsed = _replace_mp_capable(parsed, rewritten)
+                    options = encode_options(parsed)
+                    records.append((rewritten, True))
                     continue
-            parsed, _ = parse_options_prefix(options)
-            seen = find_mp_capable(parsed)
-            records.append((i, seen.encode() if seen else None, False))
-        return options, records
+            records.append((find_mp_capable(parsed), False))
+        return options, parsed, records
 
     def _endpoint_reply(
-        self, path: SimPath, syn: TcpPacket, forward_options: bytes
-    ) -> bytes | None:
-        """MP_CAPABLE bytes of the endpoint's SYN-ACK; None means plain TCP."""
+        self, path: SimPath, syn: TcpPacket, forward: list[TcpOption]
+    ) -> TcpOption | None:
+        """MP_CAPABLE of the endpoint's SYN-ACK; None means plain TCP."""
         endpoint = path.endpoint
         if endpoint.kind is BehaviorKind.TCP_ONLY_HOST:
             return None
-        parsed, _ = parse_options_prefix(forward_options)
-        opt = find_mp_capable(parsed)
+        opt = find_mp_capable(forward)
         if opt is None:
             return None
         try:
             mc = decode_mp_capable(opt, HandshakePhase.SYN)
-        except Exception:
+        except OptionError:
             return None
         if mc.version not in endpoint.supported_versions:
             return None  # no version overlap: fall back to plain TCP
         src = self._keys_for(syn.dst, syn.dst_port, len(path.nodes) - 1, endpoint)
         reply = MpCapable(mc.version, DEFAULT_MP_FLAGS, src.next_key())
-        return encode_mp_capable(reply, HandshakePhase.SYN_ACK)
+        return TcpOption(30, encode_mp_capable(reply, HandshakePhase.SYN_ACK)[2:])
 
-    def _respond(
-        self,
-        path: SimPath,
-        syn: TcpPacket,
-        forward_options: bytes,
-        records: list[tuple[int, bytes | None, bool]],
-    ) -> ProbeResponse:
-        resp_option = self._endpoint_reply(path, syn, forward_options)
-        recorded = {i: (seen, acted) for i, seen, acted in records}
-        for i in range(len(path.interior), 0, -1):
+    def _respond(self, path: SimPath, syn: TcpPacket) -> ProbeResponse | None:
+        """The target's SYN-ACK as it arrives back; None when the SYN is dropped.
+
+        Its one option, if any, comes from an encoder or a parse, so it is
+        not parsed again and carries no note.
+        """
+        forward, parsed, records = self._forward(path, syn, len(path.interior))
+        if forward is None:
+            return None
+        reply = self._endpoint_reply(path, syn, parsed)
+        for i in range(len(records), 0, -1):
             node = path.interior[i - 1]
-            seen, acted = recorded.get(i, (None, False))
+            seen, acted = records[i - 1]
             if node.kind is BehaviorKind.MIRROR_MIDDLEBOX and seen is not None:
-                resp_option = seen
+                reply = seen
             elif node.kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX and acted:
                 src = self._keys_for(syn.dst, syn.dst_port, i, node)
-                resp_option = _rewrite_sender_key(seen, src.next_key())
-        resp_packet = TcpPacket(
-            src=syn.dst,
-            dst=syn.src,
-            src_port=syn.dst_port,
-            dst_port=syn.src_port,
-            seq=self._isn(syn.dst, syn.dst_port),
-            ack=(syn.seq + 1) & 0xFFFFFFFF,
-            flags=int(TcpFlags.SYN | TcpFlags.ACK),
-            options=resp_option or b"",
-        )
-        raw = encode_packet(resp_packet)
+                reply = _rewrite_sender_key(seen, src.next_key())
         rtt = 2.0 * path.per_hop_latency_ms * len(path.nodes)
-        opts, err = parse_options_prefix(resp_packet.options)
-        return ProbeResponse(resp_packet.flags, opts, rtt, raw=raw, note=err)
+        return ProbeResponse(_SYN_ACK, [] if reply is None else [reply], rtt)
 
     # -- transport contract -------------------------------------------------
 
@@ -315,12 +300,7 @@ class SimNetwork:
         if not syn.flags & TcpFlags.SYN:
             raise ValueError("handshake needs a SYN")
         path = self.paths.get((syn.dst, syn.dst_port))
-        if path is None:
-            return None
-        forward, records = self._forward(path, syn, len(path.interior))
-        if forward is None:
-            return None
-        return self._respond(path, syn, forward, records)
+        return None if path is None else self._respond(path, syn)
 
     def ttl_probe(self, syn: TcpPacket, ttl: int) -> HopReply | ProbeResponse | None:
         if ttl < 1:
@@ -330,7 +310,7 @@ class SimNetwork:
             return None
         interior = path.interior
         if ttl <= len(interior):
-            forward, _records = self._forward(path, syn, ttl)
+            forward, _parsed, _records = self._forward(path, syn, ttl)
             if forward is None:
                 return None
             node = interior[ttl - 1]
@@ -342,10 +322,7 @@ class SimNetwork:
                 quoted = quoted[: node.quote_bytes]
             rtt = 2.0 * path.per_hop_latency_ms * ttl
             return HopReply(self._hop_address(syn.dst, ttl), quoted, rtt)
-        forward, records = self._forward(path, syn, len(interior))
-        if forward is None:
-            return None
-        return self._respond(path, syn, forward, records)
+        return self._respond(path, syn)
 
 
 # -- construction ground truth ------------------------------------------------
@@ -536,7 +513,11 @@ def generate_population(
         (BehaviorKind.QUOTING_ROUTER, 0.30),
     ]
     kinds = [k for k, _ in interior_choices]
-    weights = [w for _, w in interior_choices]
+    # rng.choices(weights=w) accumulates w on every call and then draws
+    # exactly as with cum_weights=accumulate(w), so accumulate them once.
+    kind_cum = list(accumulate(w for _, w in interior_choices))
+    length_cum = list(accumulate([30, 28, 22, 12, 8]))
+    versions_cum = list(accumulate([50, 20, 30]))
     for i in range(count):
         if rng.random() < v6_share:
             address = f"2001:db8:1::{i + 1:x}"
@@ -544,18 +525,17 @@ def generate_population(
             host = i + 1
             address = f"10.{(host >> 16) & 255}.{(host >> 8) & 255}.{host & 255}"
         port = rng.choice((80, 443))
-        interior_len = rng.choices([0, 1, 2, 3, 4], weights=[30, 28, 22, 12, 8])[0]
+        interior_len = rng.choices([0, 1, 2, 3, 4], cum_weights=length_cum)[0]
         nodes = []
         for _ in range(interior_len):
-            kind = rng.choices(kinds, weights=weights)[0]
+            kind = rng.choices(kinds, cum_weights=kind_cum)[0]
             if kind is BehaviorKind.QUOTING_ROUTER:
                 nodes.append(quoting(rng.choice((28, 64, DEFAULT_QUOTE_BYTES))))
             else:
                 nodes.append(NodeBehavior(kind))
         if rng.random() < 0.55:
             versions = rng.choices(
-                [frozenset({0}), frozenset({1}), frozenset({0, 1})],
-                weights=[50, 20, 30],
+                [frozenset({0}), frozenset({1}), frozenset({0, 1})], cum_weights=versions_cum
             )[0]
             nodes.append(NodeBehavior(BehaviorKind.TRUE_MPTCP_HOST, supported_versions=versions))
         else:

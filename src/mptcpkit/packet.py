@@ -101,6 +101,7 @@ _TCP = struct.Struct("!HHIIBBHHH")  # ports seq ack offset flags window csum urg
 _PSEUDO_V4 = struct.Struct("!4s4sBBH")
 _PSEUDO_V6 = struct.Struct("!16s16sIBBBB")
 _U16 = struct.Struct("!H")
+_FRAGMENT_OFFSET = 0x1FFF  # mask of the IPv4 fragment offset field
 
 
 def address_text(packed: bytes) -> str:
@@ -153,7 +154,7 @@ def encode_packet(pkt: TcpPacket) -> bytes:
 def _ip_header(data: bytes) -> tuple[int, bytes, bytes, int, int, int] | None:
     """Return (ip_header_len, src, dst, ttl, ip_total_bytes, proto) or None.
 
-    Addresses stay packed (4 or 16 bytes).
+    Addresses stay packed (4 or 16 bytes); None for a later IPv4 fragment.
     """
     if not data:
         return None
@@ -161,11 +162,11 @@ def _ip_header(data: bytes) -> tuple[int, bytes, bytes, int, int, int] | None:
     if version == 4:
         if len(data) < IPV4_HEADER_LEN:
             return None
-        ver_ihl, _tos, total_len, _id, _frag, ttl, proto, _csum, src, dst = (
+        ver_ihl, _tos, total_len, _id, frag, ttl, proto, _csum, src, dst = (
             _IPV4.unpack_from(data)
         )
         ihl = (ver_ihl & 0x0F) * 4
-        if ihl < IPV4_HEADER_LEN or len(data) < ihl:
+        if ihl < IPV4_HEADER_LEN or len(data) < ihl or frag & _FRAGMENT_OFFSET:
             return None
         return ihl, src, dst, ttl, total_len, proto
     if version == 6:
@@ -174,6 +175,12 @@ def _ip_header(data: bytes) -> tuple[int, bytes, bytes, int, int, int] | None:
         _first, payload_len, proto, ttl, src, dst = _IPV6.unpack_from(data)
         return IPV6_HEADER_LEN, src, dst, ttl, IPV6_HEADER_LEN + payload_len, proto
     return None
+
+
+def is_later_fragment(data: bytes) -> bool:
+    """An IPv4 header whose fragment offset is not zero: no transport header follows."""
+    return (len(data) >= IPV4_HEADER_LEN and data[0] >> 4 == 4
+            and _U16.unpack_from(data, 6)[0] & _FRAGMENT_OFFSET != 0)
 
 
 def decode_tcp(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Protocol
 
-from .errors import GuardViolation, IllegalCombination
+from .errors import GuardViolation, IllegalCombination, OptionError
 from .inputs import PrefixTable, data_lines, prefix_rows
 from .options import (
     DEFAULT_MP_FLAGS,
@@ -69,7 +69,6 @@ class ProbeResponse:
     tcp_flags: int
     options: list[TcpOption]
     rtt_ms: float
-    raw: bytes = b""
     note: str | None = None
 
 
@@ -182,7 +181,7 @@ def classify_response(spec: ProbeSpec, resp: ProbeResponse | None) -> Classifica
     for opt in kind30:
         try:
             decoded.append(decode_mp_capable(opt, HandshakePhase.SYN_ACK))
-        except Exception as exc:  # all codec errors fold into a diagnostic
+        except OptionError as exc:  # every codec error folds into a diagnostic
             notes.append(str(exc))
     if not decoded:
         return Classification(
@@ -457,4 +456,4 @@ def make_response(packet_bytes: bytes, rtt_ms: float) -> ProbeResponse | None:
     if seg is None:
         return None
     opts, err = parse_options_prefix(seg.options)
-    return ProbeResponse(seg.flags, opts, rtt_ms, raw=packet_bytes, note=err)
+    return ProbeResponse(seg.flags, opts, rtt_ms, note=err)

@@ -145,8 +145,9 @@ def probe_path(
 
     for ttl in range(1, max_ttl + 1):
         reply: HopReply | ProbeResponse | None = None
+        probe = replace(syn, ttl=ttl)
         for _ in range(ATTEMPTS_PER_TTL):
-            reply = transport.ttl_probe(replace(syn, ttl=ttl), ttl)
+            reply = transport.ttl_probe(probe, ttl)
             if reply is not None:
                 break
         if reply is None:

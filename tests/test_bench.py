@@ -12,6 +12,7 @@ from mptcpkit.bench import (
     TimingSample,
     delta_report,
     merge_reports,
+    paired_report,
     time_get,
     write_cdf,
 )
@@ -151,6 +152,19 @@ class TestDeltaReport:
         merged = merge_reports([r1, r2])
         assert sorted(merged.deltas("connect")) == [0.0, 10.0]
         assert merged.paired_runs == 2
+
+    def test_paired_report_is_merged_per_target_reports(self):
+        # one summary over many targets equals merging one report per target
+        net = network()
+        mptcp = SimTimingTransport(net, "mptcp", seed=3)
+        tcp = SimTimingTransport(net, "tcp", seed=3)
+        runs = [(t, time_get(t, port, mptcp, runs=4), time_get(t, port, tcp, runs=4))
+                for t, port in sorted(net.paths)]
+        want = merge_reports([delta_report(m, c, target=t, zero_tolerance_ms=2.0)
+                              for t, m, c in runs], zero_tolerance_ms=2.0)
+        assert paired_report(iter(runs), zero_tolerance_ms=2.0) == want
+        with pytest.raises(PairingMismatch):
+            paired_report([("a", [sample(1.0)], [sample(1.0)]), ("b", [sample(1.0)], [])])
 
     def test_write_cdf_format(self, tmp_path):
         report = delta_report([sample(12.0, transport="mptcp")], [sample(10.0)])

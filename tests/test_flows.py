@@ -114,6 +114,16 @@ class TestIngest:
         assert table.non_tcp == 1
         assert table.flows == {}
 
+    def test_non_first_fragment_counted_as_fragment(self):
+        frame = tcp_frame("10.0.0.1", "10.0.0.2", 1, 2, payload_len=24)
+        first = _as_fragment(frame, 0x2000)  # more fragments, offset 0
+        later = _as_fragment(frame, 0x0005)  # offset 40 bytes: no TCP header
+        frames = [(0.0, first), (0.1, later), (0.2, _as_udp(later))]
+        table = ingest_capture(capture_bytes(frames))
+        assert (table.tcp_packets, table.fragments, table.non_tcp, table.parse_failures) == (
+            1, 1, 1, 0)
+        assert list(table.flows) == [FlowKey("10.0.0.1", "10.0.0.2", 1, 2)]
+
     def test_garbage_frame_counted_as_failure(self):
         table = ingest_capture(capture_bytes([(0.0, b"\x99\x01\x02")]))
         assert table.parse_failures == 1
@@ -190,6 +200,11 @@ def _as_udp(frame: bytes) -> bytes:
     data = bytearray(frame)
     data[9 if data[0] >> 4 == 4 else 6] = 17
     return bytes(data)
+
+
+def _as_fragment(frame: bytes, frag: int) -> bytes:
+    """An IPv4 frame with its flags and fragment offset field set to `frag`."""
+    return frame[:6] + struct.pack("!H", frag) + frame[8:]
 
 
 def mixed_ip_frames(seed: int = 5) -> list[tuple[float, bytes]]:
@@ -274,6 +289,7 @@ _LINK_PREFIX = {
 _SAMPLES = [
     tcp_frame("10.0.0.1", "10.0.0.2", 1, 2, options=V1_SYN),
     tcp_frame("2001:db8::1", "2001:db8::2", 1, 2, options=V0_SYN + DSS),
+    _as_fragment(tcp_frame("10.0.0.1", "10.0.0.2", 1, 2, options=V1_SYN), 0x2001),
 ]
 
 
@@ -298,7 +314,9 @@ def test_ingest_total_and_counters_add_up(capture, bidirectional):
         capture_bytes([(float(i), f) for i, f in enumerate(frames)], linktype), bidirectional
     )
     assert table.frames_seen == len(frames)
-    assert table.frames_seen == table.tcp_packets + table.non_tcp + table.parse_failures
+    assert table.frames_seen == (
+        table.tcp_packets + table.non_tcp + table.fragments + table.parse_failures
+    )
 
 
 class TestFilter:

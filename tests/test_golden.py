@@ -32,6 +32,9 @@ GOLDEN = {
     "bench-out/ttfb.cdf.txt": "665c1ef8387be045fffcff4d644b267d1210bb19b56bc07af114db4ae943c8e2",
     "bench-out/total.cdf.txt": "5434df4386c57fdd7c5c39be2d167c093675461540804d7bc8b515b6957db2b1",
     "bench-out/summary.txt": "a6048f2beebb74440be915d0564494be07eb4672713ac90d1d80d8ac5fbf157e",
+    "scan-v1.csv": "1219447396932f19bcf9097782d32e2388c3f5111a2b52a23419744e86b3132e",
+    "trace-v1.csv": "649e1e07182313d10b09c9cc50dfe9f9119b3b97f477179ac77f9c66dc1aefb5",
+    "scan.jsonl": "55093e9d85a032e25a95d7f9d42d338a2d15df22eda705d533c56d9413992da8",
 }
 
 
@@ -41,7 +44,8 @@ def _run(argv):
 
 def run_pipeline(d):
     """simulate, scan (v0, blocklisted), keys, trace, report summary and
-    bench on the first 50 targets, all seeded, written under `d`."""
+    bench on the first 50 targets, then a v1 scan, a v1 trace of every
+    target and a v0 JSONL scan, all seeded, written under `d`."""
     (d / "blocklist.txt").write_text(BLOCKLIST)
     _run(["simulate", "--generate", 300, "--seed", SEED,
           "--out-topology", d / "topology.txt", "--out-targets", d / "targets.csv",
@@ -56,6 +60,13 @@ def run_pipeline(d):
     first = (d / "targets.csv").read_text().splitlines(keepends=True)[:50]
     (d / "bench-targets.csv").write_text("".join(first))
     _run(["bench", "--targets", d / "bench-targets.csv", "--out-dir", d / "bench-out", *sim])
+    # v1 probes take the keyless paths; JSONL rows carry got_version and note.
+    _run(["scan", "--targets", d / "targets.csv", "--version", 1,
+          "--blocklist", d / "blocklist.txt", "--out", d / "scan-v1.csv", *sim])
+    _run(["trace", "--targets", d / "targets.csv", "--version", 1,
+          "--blocklist", d / "blocklist.txt", "--out", d / "trace-v1.csv", *sim])
+    _run(["scan", "--targets", d / "targets.csv", "--version", 0, "--format", "jsonl",
+          "--blocklist", d / "blocklist.txt", "--out", d / "scan.jsonl", *sim])
     return {
         name: hashlib.sha256((d / name).read_bytes()).hexdigest() for name in GOLDEN
     }

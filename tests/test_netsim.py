@@ -1,7 +1,11 @@
 import itertools
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mptcpkit.errors import OptionError
 from mptcpkit.netsim import (
     BehaviorKind,
     GroundTruth,
@@ -21,11 +25,25 @@ from mptcpkit.netsim import (
     true_host,
     _parse_node,
 )
-from mptcpkit.options import HandshakePhase, Key, decode_mp_capable, find_mp_capable
+from mptcpkit.options import (
+    DEFAULT_MP_FLAGS,
+    HandshakePhase,
+    Key,
+    MpCapable,
+    TcpOption,
+    decode_mp_capable,
+    decode_mp_capable_any,
+    encode_mp_capable,
+    encode_options,
+    find_mp_capable,
+    parse_options_prefix,
+)
+from mptcpkit.packet import TcpFlags, TcpPacket, decode_packet, encode_packet
 from mptcpkit.probe import (
     ClassificationKind,
     DEFAULT_PROBE_KEY,
     HopReply,
+    ProbeResponse,
     ProbeSpec,
     build_syn_probe,
     classify_response,
@@ -164,7 +182,9 @@ class TestDeterminism:
                 spec = ProbeSpec(address, port, 0, DEFAULT_PROBE_KEY)
                 syn = build_syn_probe(spec, seed=9)
                 resp = net.handshake(syn)
-                outputs.append(resp.raw if resp else b"")
+                outputs.append(
+                    (resp.tcp_flags, resp.options, resp.rtt_ms, resp.note) if resp else None
+                )
                 reply = net.ttl_probe(syn, 1)
                 outputs.append(reply.quote if isinstance(reply, HopReply) else b"")
             return outputs
@@ -368,3 +388,146 @@ def test_generate_population_covers_behaviors():
     net = generate_population(300, seed=1)
     kinds = {n.kind for p in net.paths.values() for n in p.nodes}
     assert kinds == set(BehaviorKind)
+
+
+# -- the reply model against an encode-decode-parse reference ------------------
+
+
+def _ref_replace(options: bytes, new_option: bytes | None) -> bytes:
+    kept = encode_options([o for o in parse_options_prefix(options)[0] if o.kind != 30])
+    return kept if new_option is None else new_option + kept
+
+
+def _ref_rewrite(option_bytes: bytes, key: Key) -> bytes | None:
+    opt = find_mp_capable(parse_options_prefix(option_bytes)[0])
+    if opt is None:
+        return None
+    mc = decode_mp_capable_any(opt)
+    if mc is None or mc.sender_key is None:
+        return None
+    return TcpOption(30, opt.payload[:2] + key.to_bytes() + opt.payload[10:]).encode()
+
+
+class ReferenceNetwork(SimNetwork):
+    """Replies built the long way: the options bytes are re-parsed at every
+    hop, and every SYN-ACK is encoded with `encode_packet`, decoded with
+    `decode_packet` and its options parsed with `parse_options_prefix`.
+    Key streams come from the inherited `_keys_for`, drawn in path order
+    forward and in reverse order back."""
+
+    def _ref_forward(self, path, syn, up_to):
+        options, records = syn.options, {}
+        for i, node in enumerate(path.interior[:up_to], start=1):
+            if node.kind is BehaviorKind.DROP_FIREWALL:
+                return None, records
+            if node.kind is BehaviorKind.STRIP_MIDDLEBOX:
+                options = _ref_replace(options, None)
+            elif node.kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX:
+                key = self._keys_for(syn.dst, syn.dst_port, i, node).next_key()
+                rewritten = _ref_rewrite(options, key)
+                if rewritten is not None:
+                    options = _ref_replace(options, rewritten)
+                    records[i] = (rewritten, True)
+                    continue
+            seen = find_mp_capable(parse_options_prefix(options)[0])
+            records[i] = (seen.encode() if seen else None, False)
+        return options, records
+
+    def handshake(self, syn):
+        path = self.paths.get((syn.dst, syn.dst_port))
+        if path is None:
+            return None
+        forward, records = self._ref_forward(path, syn, len(path.interior))
+        if forward is None:
+            return None
+        reply = None
+        endpoint = path.endpoint
+        opt = find_mp_capable(parse_options_prefix(forward)[0])
+        if endpoint.kind is BehaviorKind.TRUE_MPTCP_HOST and opt is not None:
+            try:
+                mc = decode_mp_capable(opt, HandshakePhase.SYN)
+            except OptionError:
+                mc = None
+            if mc is not None and mc.version in endpoint.supported_versions:
+                src = self._keys_for(syn.dst, syn.dst_port, len(path.nodes) - 1, endpoint)
+                answer = MpCapable(mc.version, DEFAULT_MP_FLAGS, src.next_key())
+                reply = encode_mp_capable(answer, HandshakePhase.SYN_ACK)
+        for i in range(len(path.interior), 0, -1):
+            node = path.interior[i - 1]
+            seen, acted = records[i]
+            if node.kind is BehaviorKind.MIRROR_MIDDLEBOX and seen is not None:
+                reply = seen
+            elif node.kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX and acted:
+                key = self._keys_for(syn.dst, syn.dst_port, i, node).next_key()
+                reply = _ref_rewrite(seen, key)
+        packet = TcpPacket(
+            src=syn.dst, dst=syn.src, src_port=syn.dst_port, dst_port=syn.src_port,
+            seq=0, ack=(syn.seq + 1) & 0xFFFFFFFF, flags=int(TcpFlags.SYN | TcpFlags.ACK),
+            options=reply or b"",
+        )
+        seg = decode_packet(encode_packet(packet))
+        opts, note = parse_options_prefix(seg.options)
+        return ProbeResponse(seg.flags, opts, 2.0 * path.per_hop_latency_ms * len(path.nodes),
+                             note=note)
+
+    def ttl_probe(self, syn, ttl):
+        path = self.paths.get((syn.dst, syn.dst_port))
+        if path is None:
+            return None
+        if ttl > len(path.interior):
+            return self.handshake(syn)
+        forward, _records = self._ref_forward(path, syn, ttl)
+        node = path.interior[ttl - 1]
+        if forward is None or node.kind in (BehaviorKind.SILENT_ROUTER, BehaviorKind.DROP_FIREWALL):
+            return None
+        quoted = encode_packet(replace(syn, ttl=0, options=forward))
+        if node.kind is BehaviorKind.QUOTING_ROUTER:
+            quoted = quoted[: node.quote_bytes]
+        return HopReply(self._hop_address(syn.dst, ttl), quoted,
+                        2.0 * path.per_hop_latency_ms * ttl)
+
+
+_seeds = st.one_of(st.none(), st.integers(0, 3))
+_interior = st.one_of(
+    st.sampled_from([mirror(), strip(), drop(), silent()]),
+    st.builds(key_rewrite, _seeds),
+    st.builds(quoting, st.sampled_from([28, 64, 128])),
+)
+_endpoint = st.one_of(
+    st.just(tcp_host()),
+    st.builds(lambda versions, seed: true_host(*versions, key_seed=seed),
+              st.sets(st.sampled_from([0, 1])), _seeds),
+)
+# Other options around the MP_CAPABLE: NOP, MSS, SACK-permitted, window scale;
+# the tail is empty or a truncated timestamps option.
+_around = st.lists(st.sampled_from([b"\x01", b"\x02\x04\x05\xb4", b"\x04\x02", b"\x03\x03\x07"]),
+                   max_size=3).map(b"".join)
+
+
+@given(
+    interior=st.lists(_interior, max_size=5),
+    endpoint=_endpoint,
+    address=st.sampled_from(["10.1.2.3", "2001:db8::7"]),
+    probe_key=st.integers(0, 2**64 - 1).map(Key),
+    before=_around,
+    after=_around,
+    tail=st.sampled_from([b"", b"\x08\x0a\x00"]),
+    seed=st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_replies_match_encoded_reference(interior, endpoint, address, probe_key, before,
+                                         after, tail, seed):
+    path = SimPath([*interior, endpoint])
+    net, ref = SimNetwork(seed), ReferenceNetwork(seed)
+    net.add_path(address, 443, path)
+    ref.add_path(address, 443, path)
+    specs = [ProbeSpec(address, 443, 0, probe_key), ProbeSpec(address, 443, 1)]
+    for _ in range(2):  # keyed nodes draw fresh keys every round
+        for spec in specs:
+            syn = build_syn_probe(spec, seed)
+            syn = replace(syn, options=before + syn.options + after + tail)
+            want = ref.handshake(syn)
+            assert net.handshake(syn) == want
+            assert want is None or want.note is None  # replies come from encoders
+            for ttl in range(1, len(path.nodes) + 2):  # the last ones reach the host
+                assert net.ttl_probe(syn, ttl) == ref.ttl_probe(syn, ttl)

@@ -15,6 +15,7 @@ from mptcpkit.packet import (
     encode_packet,
     extract_quoted_options,
     internet_checksum,
+    is_later_fragment,
     ip_family,
     pack_address,
 )
@@ -99,6 +100,31 @@ def test_quote_covering_headers_but_not_options():
 def test_quote_of_optionless_packet():
     data = encode_packet(syn(options=b""))
     assert extract_quoted_options(data) == []
+
+
+def _fragment(data: bytes, frag: int) -> bytes:
+    """`data` with the IPv4 flags/fragment-offset field set to `frag`."""
+    out = bytearray(data)
+    struct.pack_into("!H", out, 6, frag)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("frag", [0x2000, 0x4000])  # MF set, DF set: offset 0
+def test_first_fragment_read_as_tcp(frag):
+    data = encode_packet(syn())
+    assert not is_later_fragment(_fragment(data, frag))
+    assert decode_tcp(_fragment(data, frag)) == decode_tcp(data)
+    assert extract_quoted_options(_fragment(data, frag)) == [TcpOption(30, b"\x01\x81")]
+
+
+@pytest.mark.parametrize("frag", [0x0001, 0x2001, 0x1FFF, 0x3FFF])
+def test_non_first_fragment_not_read_as_tcp(frag):
+    # the payload of a later fragment would otherwise parse as a TCP header
+    data = _fragment(encode_packet(syn()), frag)
+    assert is_later_fragment(data)
+    assert decode_tcp(data) is None
+    assert decode_packet(data) is None
+    assert extract_quoted_options(data) is None
 
 
 def test_decode_tcp_keeps_addresses_packed():

@@ -152,6 +152,20 @@ class TestClassifyResponse:
         assert cls.kind is ClassificationKind.NO_MP_CAPABLE
         assert cls.note
 
+    def test_non_codec_error_propagates(self, monkeypatch):
+        # only codec errors fold into no_mp_capable; a fault in the code does not
+        def broken(opt, phase):
+            raise RuntimeError("decoder fault")
+
+        monkeypatch.setattr("mptcpkit.probe.decode_mp_capable", broken)
+        with pytest.raises(RuntimeError, match="decoder fault"):
+            classify_response(self.spec_v0(), syn_ack([mp_option(0, K_OTHER)]))
+        monkeypatch.setattr("mptcpkit.netsim.decode_mp_capable", broken)
+        net = SimNetwork(1)
+        net.add_path("10.0.0.1", 80, SimPath([true_host(0)]))
+        with pytest.raises(RuntimeError, match="decoder fault"):
+            net.handshake(build_syn_probe(self.spec_v0()))
+
     @given(
         version=st.sampled_from([0, 1]),
         flags=st.integers(min_value=0, max_value=255),
