@@ -9,9 +9,7 @@ such boxes leave on real measurements.
 
 from __future__ import annotations
 
-import _random
 import hashlib
-import random
 import socket
 import ssl
 import time
@@ -85,7 +83,6 @@ class SimTimingTransport:
         self.fallback_penalty_ms = fallback_penalty_ms
         self.jitter_ms = jitter_ms
         self.seed = seed
-        self._rng = random.Random()  # reseeded for every draw
 
     def _jitter(self, target: str, port: int, run: int, metric: str) -> float:
         if self.jitter_ms <= 0:
@@ -93,11 +90,8 @@ class SimTimingTransport:
         # stable across processes, unlike hash()
         ident = f"{self.seed}|{self.transport}|{target}|{port}|{run}|{metric}"
         digest = hashlib.blake2b(ident.encode(), digest_size=8).digest()
-        # Random(n).uniform(0, j) computes 0 + (j - 0) * random(): the same value.
-        # Random.seed(n) checks the type of n, then calls this C seed with n
-        # (and clears gauss_next, which random() never reads).
-        _random.Random.seed(self._rng, int.from_bytes(digest, "big"))
-        return self.jitter_ms * self._rng.random()
+        # The top 53 bits of the digest as a float in [0, 1), as random() builds one.
+        return self.jitter_ms * ((int.from_bytes(digest, "big") >> 11) * 2.0**-53)
 
     def fetch(self, target: str, port: int, run: int = 0) -> TimingSample:
         path = self.network.paths.get((target, port))
@@ -132,8 +126,7 @@ class SystemTimingTransport:
     """GET timing over the host network stack.
 
     transport="mptcp" asks the kernel for an MPTCP socket and raises
-    TransportUnavailable where the platform has none, so callers can degrade
-    to TCP-only reporting.
+    TransportUnavailable where the platform has none, before any fetch.
     """
 
     def __init__(self, transport: str = "tcp"):

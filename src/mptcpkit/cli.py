@@ -404,25 +404,19 @@ def cmd_bench(args) -> int:
         )
         tcp_t = bench_mod.SimTimingTransport(network, "tcp", seed=args.seed)
     else:
+        # Without an MPTCP stack there is nothing to pair: refuse before any fetch.
+        mptcp_t = bench_mod.SystemTimingTransport("mptcp")
         tcp_t = bench_mod.SystemTimingTransport("tcp")
-        try:
-            mptcp_t = bench_mod.SystemTimingTransport("mptcp")
-        except TransportUnavailable as exc:
-            print(f"warning: {exc}; reporting TCP-only timings", file=sys.stderr)
-            mptcp_t = None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def runs():  # one target at a time, so samples are freed once paired
         for address, port in targets:
             tcp_samples = bench_mod.time_get(address, port, tcp_t, runs=args.runs)
-            if mptcp_t is not None:
-                mptcp_samples = bench_mod.time_get(address, port, mptcp_t, runs=args.runs)
-                yield address, mptcp_samples, tcp_samples
+            mptcp_samples = bench_mod.time_get(address, port, mptcp_t, runs=args.runs)
+            yield address, mptcp_samples, tcp_samples
 
     combined = bench_mod.paired_report(runs(), zero_tolerance_ms=args.zero_tol)
-    if mptcp_t is None:
-        return 0
     for metric in bench_mod.METRICS:
         if metric not in combined.cdf:
             continue

@@ -22,7 +22,7 @@ from typing import IO, Iterable, Mapping
 from .errors import EmptyInput, MalformedCapture, MissingTables
 from .inputs import data_lines
 from .options import decode_mp_capable_any, parse_options_prefix
-from .packet import address_text, decode_tcp, is_later_fragment, pack_address
+from .packet import address_text, decode_tcp, is_later_fragment, is_non_tcp, pack_address
 from .pcapio import LINKTYPE_ETHERNET, LINKTYPE_NULL, LINKTYPE_RAW, read_pcap
 
 _U16 = struct.Struct("!H")
@@ -113,7 +113,7 @@ class FlowTable:
     tcp_bytes: int = 0
     parse_failures: int = 0
     non_tcp: int = 0
-    fragments: int = 0  # IPv4 TCP fragments after the first: no TCP header
+    fragments: int = 0  # TCP fragments after the first: no TCP header
 
 
 def _strip_link_layer(linktype: int, frame: bytes) -> bytes | None:
@@ -135,14 +135,6 @@ def _strip_link_layer(linktype: int, frame: bytes) -> bytes | None:
     if linktype == LINKTYPE_NULL:
         return frame[4:] if len(frame) > 4 else None
     return None
-
-
-def _is_non_tcp(ip_data: bytes) -> bool:
-    """An IPv4/IPv6 header naming a protocol other than TCP."""
-    if len(ip_data) < 10:
-        return False
-    version = ip_data[0] >> 4
-    return (version == 4 and ip_data[9] != 6) or (version == 6 and ip_data[6] != 6)
 
 
 def _mp_version(options: bytes) -> int | None:
@@ -173,7 +165,7 @@ def ingest_capture(
             continue
         segment = decode_tcp(ip_data)
         if segment is None:
-            if _is_non_tcp(ip_data):
+            if is_non_tcp(ip_data):
                 table.non_tcp += 1
             elif is_later_fragment(ip_data):
                 table.fragments += 1

@@ -1,8 +1,9 @@
 """Minimal IPv4/IPv6 + TCP segment construction and parsing.
 
 Enough of the wire format to build SYN probes, synthesize captures, and read
-TCP headers back out of responses and ICMP-quoted packets. No fragmentation,
-no IPv6 extension headers, no payload reassembly.
+TCP headers back out of responses and ICMP-quoted packets. The reader follows
+the IPv6 Hop-by-Hop, Routing, Destination Options and Fragment headers; a later
+fragment (IPv4 or IPv6) has no TCP header. No fragmentation or reassembly.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ _PSEUDO_V4 = struct.Struct("!4s4sBBH")
 _PSEUDO_V6 = struct.Struct("!16s16sIBBBB")
 _U16 = struct.Struct("!H")
 _FRAGMENT_OFFSET = 0x1FFF  # mask of the IPv4 fragment offset field
+_V6_EXTENSIONS = (0, 43, 44, 60)  # Hop-by-Hop, Routing, Fragment, Destination Options
+_V6_FRAGMENT_OFFSET = 0xFFF8  # mask of the offset in the Fragment header's 2nd word
 
 
 def address_text(packed: bytes) -> str:
@@ -151,10 +154,38 @@ def encode_packet(pkt: TcpPacket) -> bytes:
     return header + segment
 
 
-def _ip_header(data: bytes) -> tuple[int, bytes, bytes, int, int, int] | None:
-    """Return (ip_header_len, src, dst, ttl, ip_total_bytes, proto) or None.
+def _v6_chain(data: bytes) -> tuple[int, int, bool] | None:
+    """Walk the IPv6 extension headers: (offset, protocol, later fragment).
 
-    Addresses stay packed (4 or 16 bytes); None for a later IPv4 fragment.
+    `offset` is where the header named `protocol` starts. The walk stops at a
+    fragment header whose offset is not zero (later fragment: `protocol` is
+    what the fragment carries) and at any header it does not walk; None when
+    the data ends inside an extension header.
+    """
+    offset = IPV6_HEADER_LEN
+    proto = data[6]
+    while proto in _V6_EXTENSIONS:
+        if len(data) < offset + 8:
+            return None
+        next_proto = data[offset]
+        if proto == 44:  # Fragment: always 8 bytes
+            if _U16.unpack_from(data, offset + 2)[0] & _V6_FRAGMENT_OFFSET:
+                return offset + 8, next_proto, True
+            offset += 8
+        else:  # the length byte counts 8-byte units after the first
+            offset += (data[offset + 1] + 1) * 8
+            if len(data) < offset:
+                return None
+        proto = next_proto
+    return offset, proto, False
+
+
+def _ip_header(data: bytes) -> tuple[int, bytes, bytes, int, int, int] | None:
+    """Return (header_len, src, dst, ttl, ip_total_bytes, proto) or None.
+
+    `header_len` counts any IPv6 extension headers, and `proto` is the
+    protocol after them. Addresses stay packed (4 or 16 bytes); None for a
+    later fragment or a truncated extension header.
     """
     if not data:
         return None
@@ -173,14 +204,39 @@ def _ip_header(data: bytes) -> tuple[int, bytes, bytes, int, int, int] | None:
         if len(data) < IPV6_HEADER_LEN:
             return None
         _first, payload_len, proto, ttl, src, dst = _IPV6.unpack_from(data)
-        return IPV6_HEADER_LEN, src, dst, ttl, IPV6_HEADER_LEN + payload_len, proto
+        if proto == 6:
+            return IPV6_HEADER_LEN, src, dst, ttl, IPV6_HEADER_LEN + payload_len, 6
+        chain = _v6_chain(data)
+        if chain is None or chain[2]:
+            return None
+        return chain[0], src, dst, ttl, IPV6_HEADER_LEN + payload_len, chain[1]
     return None
 
 
+def is_non_tcp(data: bytes) -> bool:
+    """An IPv4/IPv6 header naming a protocol other than TCP, past any IPv6
+    extension headers. A later IPv6 fragment that carries an extension header
+    does not say, so it is not counted here."""
+    if len(data) < 10:
+        return False
+    version = data[0] >> 4
+    if version == 4:
+        return data[9] != 6
+    if version != 6:
+        return False
+    chain = _v6_chain(data)
+    return chain is not None and chain[1] != 6 and chain[1] not in _V6_EXTENSIONS
+
+
 def is_later_fragment(data: bytes) -> bool:
-    """An IPv4 header whose fragment offset is not zero: no transport header follows."""
-    return (len(data) >= IPV4_HEADER_LEN and data[0] >> 4 == 4
-            and _U16.unpack_from(data, 6)[0] & _FRAGMENT_OFFSET != 0)
+    """A fragment whose offset is not zero: no transport header follows."""
+    if len(data) < IPV4_HEADER_LEN:
+        return False
+    version = data[0] >> 4
+    if version == 4:
+        return _U16.unpack_from(data, 6)[0] & _FRAGMENT_OFFSET != 0
+    chain = _v6_chain(data) if version == 6 else None
+    return chain is not None and chain[2]
 
 
 def decode_tcp(

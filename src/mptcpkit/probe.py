@@ -211,6 +211,7 @@ class PacketTransport(Protocol):
 
     def handshake(self, syn: TcpPacket) -> ProbeResponse | None: ...
 
+    # Sends `syn` with its IP TTL set to `ttl`; `syn.ttl` is not read.
     def ttl_probe(self, syn: TcpPacket, ttl: int) -> HopReply | ProbeResponse | None: ...
 
 

@@ -9,7 +9,7 @@ that never answer (unreachable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .options import (
@@ -145,9 +145,8 @@ def probe_path(
 
     for ttl in range(1, max_ttl + 1):
         reply: HopReply | ProbeResponse | None = None
-        probe = replace(syn, ttl=ttl)
         for _ in range(ATTEMPTS_PER_TTL):
-            reply = transport.ttl_probe(probe, ttl)
+            reply = transport.ttl_probe(syn, ttl)
             if reply is not None:
                 break
         if reply is None:

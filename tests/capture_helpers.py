@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import struct
 
 from mptcpkit.options import HandshakePhase, Key, MpCapable, encode_mp_capable
 from mptcpkit.packet import TcpFlags, TcpPacket, encode_packet
@@ -72,3 +73,21 @@ def capture_bytes(frames, linktype: int = LINKTYPE_RAW) -> io.BytesIO:
     write_pcap(buf, frames, linktype=linktype)
     buf.seek(0)
     return buf
+
+
+def with_v6_headers(
+    packet: bytes, kinds: tuple[int, ...], fragment_offset: int = 0, size: int = 8
+) -> bytes:
+    """An IPv6 packet with extension headers of `kinds` inserted, in order,
+    after its fixed header. Fragment (44) headers are 8 bytes and carry
+    `fragment_offset` (8-byte units); the others are `size` bytes of padding."""
+    chain = b""
+    for kind, carried in zip(kinds, (*kinds[1:], packet[6])):
+        if kind == 44:
+            chain += struct.pack("!BBHI", carried, 0, fragment_offset << 3, 0)
+        else:
+            chain += bytes([carried, size // 8 - 1]) + bytes(size - 2)
+    header = bytearray(packet[:40])
+    header[6] = kinds[0]
+    struct.pack_into("!H", header, 4, len(packet) - 40 + len(chain))
+    return bytes(header) + chain + packet[40:]

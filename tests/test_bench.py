@@ -1,5 +1,7 @@
 import hashlib
-import random
+import sys
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -175,10 +177,10 @@ class TestDeltaReport:
 
 
 def reference_jitter(seed, transport, target, port, run, metric, jitter_ms):
-    """One generator per draw, seeded from the draw's identity."""
+    """The top 53 bits of a digest of the draw's identity, scaled to [0, jitter_ms)."""
     ident = f"{seed}|{transport}|{target}|{port}|{run}|{metric}"
     digest = hashlib.blake2b(ident.encode(), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big")).uniform(0, jitter_ms)
+    return jitter_ms * ((int.from_bytes(digest[:7], "big") >> 3) / 2**53)
 
 
 _draw = st.tuples(
@@ -198,7 +200,7 @@ _draw = st.tuples(
     draws=st.lists(_draw, min_size=1, max_size=12),
 )
 @settings(max_examples=300)
-def test_jitter_matches_one_generator_per_draw(seeds, jitter_ms, draws):
+def test_jitter_matches_top_53_digest_bits(seeds, jitter_ms, draws):
     net = network()
     transports = [
         SimTimingTransport(net, name, jitter_ms=j, seed=s)
@@ -208,6 +210,32 @@ def test_jitter_matches_one_generator_per_draw(seeds, jitter_ms, draws):
         t = transports[second]
         expected = reference_jitter(t.seed, t.transport, target, port, run, metric, t.jitter_ms)
         assert t._jitter(target, port, run, metric) == expected
+
+
+# Above the smallest normal float; at or below it jitter_ms * (1 - 2**-53)
+# rounds back up to jitter_ms.
+_positive_jitter = st.floats(
+    min_value=sys.float_info.min, exclude_min=True, allow_infinity=False
+)
+
+
+@given(
+    jitter_ms=_positive_jitter,
+    draw=_draw,
+    digest=st.one_of(st.none(), st.sampled_from([bytes(8), b"\xff" * 8]),
+                     st.binary(min_size=8, max_size=8)),
+)
+@settings(max_examples=300)
+def test_jitter_within_bounds(jitter_ms, draw, digest):
+    _second, target, port, run, metric = draw
+    t = SimTimingTransport(network(), "tcp", jitter_ms=jitter_ms)
+    if digest is None:  # the real digest of the draw
+        value = t._jitter(target, port, run, metric)
+    else:
+        fixed = SimpleNamespace(blake2b=lambda *a, **k: SimpleNamespace(digest=lambda: digest))
+        with mock.patch("mptcpkit.bench.hashlib", fixed):
+            value = t._jitter(target, port, run, metric)
+    assert 0 <= value < jitter_ms
 
 
 def test_no_jitter_when_disabled():

@@ -8,8 +8,10 @@ import pytest
 
 from capture_helpers import handshake_frames
 import mptcpkit
+from mptcpkit import bench as bench_mod
 from mptcpkit import cli
 from mptcpkit.cli import POSITIVE_SCAN_LABELS, _read_records, _targets_from_scan, main
+from mptcpkit.errors import TransportUnavailable
 from mptcpkit.netsim import SimNetwork
 from mptcpkit.options import Key
 from mptcpkit.pcapio import write_pcap
@@ -492,6 +494,28 @@ class TestBench:
         assert (out_dir / "connect.cdf.txt").exists()
         rows = (out_dir / "connect.cdf.txt").read_text().splitlines()
         assert len(rows) == 5  # only the reachable target contributes
+
+    def test_refused_without_mptcp_stack(self, workdir, monkeypatch, capsys):
+        fetched = []
+
+        class NoMptcpTransport:
+            def __init__(self, transport="tcp"):
+                if transport == "mptcp":
+                    raise TransportUnavailable("no MPTCP-capable stack: test")
+                self.transport = transport
+
+            def fetch(self, target, port, run=0):
+                fetched.append((self.transport, target, port, run))
+
+        monkeypatch.setattr(bench_mod, "SystemTimingTransport", NoMptcpTransport)
+        out_dir = workdir / "bench"
+        out_dir.mkdir()
+        rc = main(["bench", "--targets", str(workdir / "targets.csv"),
+                   "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert "refused: no MPTCP-capable stack" in capsys.readouterr().err
+        assert fetched == []
+        assert list(out_dir.iterdir()) == []
 
 
 def test_cli_import_loads_no_numeric_stack():

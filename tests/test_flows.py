@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capture_helpers import capture_bytes, handshake_frames, tcp_frame
+from capture_helpers import capture_bytes, handshake_frames, tcp_frame, with_v6_headers
 from mptcpkit.errors import EmptyInput, MalformedCapture, MissingTables
 from mptcpkit.flows import (
     FlowKey,
@@ -124,6 +124,20 @@ class TestIngest:
             1, 1, 1, 0)
         assert list(table.flows) == [FlowKey("10.0.0.1", "10.0.0.2", 1, 2)]
 
+    def test_v6_extension_headers_followed(self):
+        frame = tcp_frame("2001:db8::1", "2001:db8::2", 1, 2, payload_len=24)
+        udp = _as_udp(frame)
+        frames = [(0.0, with_v6_headers(frame, kinds)) for kinds in ((0,), (43,), (60,), (44,))]
+        frames += [
+            (1.0, with_v6_headers(udp, (0,))),
+            (2.0, with_v6_headers(frame, (0, 44), fragment_offset=5)),
+            (3.0, with_v6_headers(frame, (0, 60), size=16)[:50]),  # cut inside a header
+        ]
+        table = ingest_capture(capture_bytes(frames))
+        assert (table.tcp_packets, table.non_tcp, table.fragments, table.parse_failures) == (
+            4, 1, 1, 1)
+        assert list(table.flows) == [FlowKey("2001:db8::1", "2001:db8::2", 1, 2)]
+
     def test_garbage_frame_counted_as_failure(self):
         table = ingest_capture(capture_bytes([(0.0, b"\x99\x01\x02")]))
         assert table.parse_failures == 1
@@ -159,6 +173,29 @@ def _reference_strip(linktype: int, frame: bytes) -> bytes | None:
     return frame[offset:]
 
 
+def _reference_upper(ip_data: bytes) -> tuple[int, bool] | None:
+    """(protocol, later fragment) of a packet that did not decode as TCP;
+    None when no complete header names one."""
+    version = ip_data[0] >> 4 if len(ip_data) >= 10 else 0
+    if version == 4:
+        later = len(ip_data) >= 20 and int.from_bytes(ip_data[6:8], "big") & 0x1FFF
+        return ip_data[9], bool(later)
+    if version != 6:
+        return None
+    at, proto = 40, ip_data[6]
+    while proto in (0, 43, 44, 60):
+        header = ip_data[at : at + 8]
+        if len(header) < 8:
+            return None
+        if proto == 44 and int.from_bytes(header[2:4], "big") >> 3:
+            return header[0], True
+        size = 8 if proto == 44 else 8 * (header[1] + 1)
+        if len(ip_data) < at + size:
+            return None
+        at, proto = at + size, header[0]
+    return proto, False
+
+
 def reference_ingest(source, bidirectional: bool) -> FlowTable:
     """Per-packet text segments, FlowKey.canonical and a full option parse."""
     linktype, frames = read_pcap(source)
@@ -171,11 +208,11 @@ def reference_ingest(source, bidirectional: bool) -> FlowTable:
             continue
         seg = decode_packet(ip_data)
         if seg is None:
-            version = ip_data[0] >> 4 if ip_data else 0
-            if len(ip_data) >= 10 and (
-                (version == 4 and ip_data[9] != 6) or (version == 6 and ip_data[6] != 6)
-            ):
+            upper = _reference_upper(ip_data)
+            if upper is not None and upper[0] not in (6, 0, 43, 44, 60):
                 table.non_tcp += 1
+            elif upper is not None and upper[1]:
+                table.fragments += 1
             else:
                 table.parse_failures += 1
             continue
@@ -239,6 +276,15 @@ def mixed_ip_frames(seed: int = 5) -> list[tuple[float, bytes]]:
     frames += [(20.0, _as_udp(v4)), (20.1, _as_udp(v6))]
     frames += [(21.0 + n / 100, v4[:n]) for n in (0, 1, 10, 19, 25, 39, 43)]
     frames += [(22.0 + n / 100, v6[:n]) for n in (9, 30, 50, 63)]
+    v6_ext = [
+        with_v6_headers(v6, (0,)), with_v6_headers(v6, (43, 60), size=16),
+        with_v6_headers(v6, (44,)), with_v6_headers(_as_udp(v6), (0,)),
+        with_v6_headers(v6, (0, 44), fragment_offset=3),
+        with_v6_headers(_as_udp(v6), (44,), fragment_offset=3),
+        with_v6_headers(v6, (44, 60), fragment_offset=3),
+    ]
+    frames += [(24.0 + k / 100, frame) for k, frame in enumerate(v6_ext)]
+    frames += [(25.0 + n / 100, v6_ext[1][:n]) for n in (47, 48, 60, 71, 72)]
     frames.append((23.0, b"\x99\x01\x02"))
     random.Random(seed).shuffle(frames)
     return frames
@@ -268,10 +314,11 @@ class TestIngestMatchesReference:
         versions = {s.mptcp_version for s in want.flows.values()}
         assert versions == {None, 0, 1}
         assert any(":" in k.src_addr for k in want.flows)
-        assert want.non_tcp >= 2 and want.parse_failures >= 10
+        assert want.non_tcp >= 4 and want.parse_failures >= 10 and want.fragments >= 2
         assert list(got.flows) == list(want.flows)
         assert [vars(s) for s in got.flows.values()] == [vars(s) for s in want.flows.values()]
-        for counter in ("frames_seen", "tcp_packets", "tcp_bytes", "parse_failures", "non_tcp"):
+        for counter in ("frames_seen", "tcp_packets", "tcp_bytes", "parse_failures", "non_tcp",
+                        "fragments"):
             assert getattr(got, counter) == getattr(want, counter), counter
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -290,6 +337,8 @@ _SAMPLES = [
     tcp_frame("10.0.0.1", "10.0.0.2", 1, 2, options=V1_SYN),
     tcp_frame("2001:db8::1", "2001:db8::2", 1, 2, options=V0_SYN + DSS),
     _as_fragment(tcp_frame("10.0.0.1", "10.0.0.2", 1, 2, options=V1_SYN), 0x2001),
+    with_v6_headers(tcp_frame("2001:db8::1", "2001:db8::2", 1, 2, options=V1_SYN), (0, 60)),
+    with_v6_headers(tcp_frame("2001:db8::1", "2001:db8::2", 1, 2), (0, 44), fragment_offset=1),
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capture_helpers import with_v6_headers
 from mptcpkit.options import TcpOption
 from mptcpkit.packet import (
     TcpFlags,
@@ -16,6 +17,7 @@ from mptcpkit.packet import (
     extract_quoted_options,
     internet_checksum,
     is_later_fragment,
+    is_non_tcp,
     ip_family,
     pack_address,
 )
@@ -127,6 +129,49 @@ def test_non_first_fragment_not_read_as_tcp(frag):
     assert extract_quoted_options(data) is None
 
 
+V6_SYN = encode_packet(syn(src="2001:db8::1", dst="2001:db8::2"))
+
+
+@pytest.mark.parametrize("kinds, size", [
+    ((0,), 8), ((43,), 8), ((60,), 8), ((44,), 8),  # Fragment at offset 0: the first
+    ((60,), 24), ((0, 43, 44, 60), 16),
+])
+def test_tcp_behind_v6_extension_headers(kinds, size):
+    data = with_v6_headers(V6_SYN, kinds, size=size)
+    chain_len = len(data) - len(V6_SYN)
+    plain = decode_tcp(V6_SYN)
+    # the same segment; the IP-layer length grows by the chain
+    assert decode_tcp(data) == (*plain[:10], plain[10] + chain_len, plain[11])
+    assert extract_quoted_options(data) == [TcpOption(30, b"\x01\x81")]
+    assert not is_non_tcp(data) and not is_later_fragment(data)
+
+
+def test_udp_behind_hop_by_hop_is_non_tcp():
+    udp = bytearray(V6_SYN)
+    udp[6] = 17
+    data = with_v6_headers(bytes(udp), (0,))
+    assert decode_tcp(data) is None
+    assert is_non_tcp(data) and not is_later_fragment(data)
+
+
+@pytest.mark.parametrize("kinds", [(44,), (0, 44), (44, 60)])
+def test_later_v6_fragment_not_read_as_tcp(kinds):
+    data = with_v6_headers(V6_SYN, kinds, fragment_offset=5)
+    assert is_later_fragment(data) and not is_non_tcp(data)
+    assert decode_tcp(data) is None
+    assert extract_quoted_options(data) is None
+    udp = bytearray(data)
+    udp[40 + 8 * kinds.index(44)] = 17  # the fragment carries UDP
+    assert is_non_tcp(bytes(udp)) and is_later_fragment(bytes(udp))
+
+
+@pytest.mark.parametrize("cut", [40, 47, 48, 55])
+def test_truncated_v6_extension_chain(cut):
+    data = with_v6_headers(V6_SYN, (0, 60), size=16)[:cut]
+    assert decode_tcp(data) is None
+    assert not is_non_tcp(data) and not is_later_fragment(data)
+
+
 def test_decode_tcp_keeps_addresses_packed():
     seg = decode_tcp(encode_packet(syn(src="2001:db8::1", dst="2001:db8::2")))
     assert seg[:4] == (ipaddress.ip_address("2001:db8::1").packed,
@@ -146,6 +191,7 @@ _BASES = [
     encode_packet(syn()),
     encode_packet(syn(src="2001:db8::1", dst="2001:db8::2", options=b"\x01\x01\x08\x0a" + bytes(8))),
     encode_packet(syn(options=b"")),
+    with_v6_headers(V6_SYN, (0, 44, 60), size=16),
 ]
 
 
