@@ -138,9 +138,10 @@ class SystemTimingTransport:
             except OSError as exc:
                 raise TransportUnavailable(f"no MPTCP-capable stack: {exc}") from exc
 
-    def _socket(self) -> socket.socket:
+    def _socket(self, target: str) -> socket.socket:
         proto = IPPROTO_MPTCP if self.transport == "mptcp" else 0
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM, proto)
+        family = socket.AF_INET6 if ":" in target else socket.AF_INET
+        sock = socket.socket(family, socket.SOCK_STREAM, proto)
         sock.settimeout(FETCH_TIMEOUT_S)
         return sock
 
@@ -148,7 +149,7 @@ class SystemTimingTransport:
         start = time.monotonic()
         sock = None
         try:
-            sock = self._socket()
+            sock = self._socket(target)
             sock.connect((target, port))
             connect_ms = (time.monotonic() - start) * 1000
             tls_ms = None

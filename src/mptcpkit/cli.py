@@ -1,5 +1,9 @@
 """Command-line entry point: one subcommand per toolkit component.
 
+Every usage rule (required options, one input source of two, the options
+each `report` kind reads) lives in the argparse declaration of
+`build_parser`, so each usage error exits 2 through argparse.
+
 Exit codes: 0 success, 1 operational error (including refusal to scan live
 without guardrails), 2 usage error. All randomness flows from --seed, so any
 seeded invocation is bit-reproducible.
@@ -37,18 +41,6 @@ from .probe import (
 BLOCKLIST_ENV = "MPTCPKIT_BLOCKLIST"
 
 POSITIVE_SCAN_LABELS = {"potential_capable"}
-
-
-class UsageError(Exception):
-    """Bad flag combination for a subcommand (exit code 2)."""
-
-
-def _require(args, *names: str) -> None:
-    missing = [
-        f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is None
-    ]
-    if missing:
-        raise UsageError(f"missing required options: {', '.join(missing)}")
 
 
 def _out(path: str | None):
@@ -111,7 +103,7 @@ def _read_address_set(path: str, only: str | None) -> set[str]:
 
 def _resolve_transport(args):
     """The simulated network of --sim-topology, else a live raw-socket transport."""
-    if getattr(args, "sim_topology", None):
+    if args.sim_topology:
         return netsim.load_topology(args.sim_topology, seed=args.seed)
     from .live import LiveTransport
 
@@ -171,12 +163,10 @@ def cmd_scan(args) -> int:
 def cmd_trace(args) -> int:
     simulated = bool(args.sim_topology)
     guard = _guard_from_args(args, simulated)
-    if args.from_scan:
+    if args.from_scan is not None:
         targets = _targets_from_scan(args.from_scan, POSITIVE_SCAN_LABELS)
-    elif args.targets:
-        targets = _read_targets(args.targets)
     else:
-        raise UsageError("trace needs --targets or --from-scan")
+        targets = _read_targets(args.targets)
     transport = _resolve_transport(args)
     if not simulated:
         transport = PacedTransport(transport, RatePacer(guard.max_packets_per_second))
@@ -206,17 +196,15 @@ def cmd_trace(args) -> int:
 
 def cmd_keys(args) -> int:
     probe_key = Key.from_hex(args.probe_key) if args.probe_key else DEFAULT_PROBE_KEY
-    if args.from_scan:
+    if args.from_scan is not None:
         keys = [
             r.sender_key
             for r in _read_records(args.from_scan)
             if r.sender_key is not None
         ]
-    elif args.infile:
+    else:
         with open(args.infile, encoding="utf-8") as f:
             keys = keystats.read_keys(f)
-    else:
-        raise UsageError("keys needs --in or --from-scan")
     if not keys:
         print("no keys found in input", file=sys.stderr)
         return 1
@@ -227,7 +215,6 @@ def cmd_keys(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _require(args, "out_topology", "out_targets")
     network = netsim.generate_population(args.generate, seed=args.seed)
     Path(args.out_topology).write_text(netsim.format_topology(network), encoding="utf-8")
     with open(args.out_targets, "w", encoding="utf-8") as f:
@@ -294,105 +281,95 @@ def cmd_analyze_pcap(args) -> int:
     return 0
 
 
-REPORT_REQUIRED = {
-    "summary": ("infile",),
-    "overlap": ("set_a", "set_b"),
-    "versions": ("set_a", "set_b"),
-    "migration": ("prev_v0", "prev_v1", "cur_v0", "cur_v1"),
-    "ingest": ("infile", "store", "date"),
-    "consistent": ("store", "at"),
-    "eligible": ("store", "at"),
-    "top": ("infile", "prefixes"),
-}
-
-
 def cmd_report(args) -> int:
-    _require(args, *REPORT_REQUIRED[args.kind])
+    """Every `report` kind: the writer its subparser chose, into --out."""
     with _out(args.out) as f:
-        if args.kind == "summary":
-            counts: dict[str, int] = {}
-            with open(args.infile, encoding="utf-8") as records:
-                for line in data_lines(records):
-                    verdict = tracer.TraceRecord.from_csv(line).verdict
-                    counts[verdict] = counts.get(verdict, 0) + 1
-            for label in sorted(counts):
-                f.write(f"{label},{counts[label]}\n")
-            return 0
-        if args.kind == "overlap" or args.kind == "versions":
-            a, b = (_read_address_set(path, args.only) for path in (args.set_a, args.set_b))
-            report = store_mod.port_overlap(a, b)
-            names = ("both", "only_a", "only_b") if args.kind == "overlap" else (
-                "both", "v0_only", "v1_only",
+        args.write(args, f)
+    return 0
+
+
+def _write_summary(args, f) -> None:
+    counts: dict[str, int] = {}
+    with open(args.infile, encoding="utf-8") as records:
+        for line in data_lines(records):
+            verdict = tracer.TraceRecord.from_csv(line).verdict
+            counts[verdict] = counts.get(verdict, 0) + 1
+    for label in sorted(counts):
+        f.write(f"{label},{counts[label]}\n")
+
+
+def _write_overlap(args, f) -> None:
+    a, b = (_read_address_set(path, args.only) for path in (args.set_a, args.set_b))
+    report = store_mod.port_overlap(a, b)
+    sets = (report.both, report.only_a, report.only_b)
+    for name, hosts, fraction in zip(args.row_names, sets, report.fractions()):
+        f.write(f"{name},{len(hosts)},{fraction:.6f}\n")
+
+
+def _write_migration(args, f) -> None:
+    sets = [_read_address_set(path, args.only)
+            for path in (args.prev_v0, args.prev_v1, args.cur_v0, args.cur_v1)]
+    report = store_mod.migration_report(sets[:2], sets[2:])
+    f.write(f"added_v1_support,{len(report.added_v1_support)}\n")
+    f.write(f"migrated_v0_to_v1,{len(report.migrated_v0_to_v1)}\n")
+    f.write(f"added_v0_support,{len(report.added_v0_support)}\n")
+    f.write(f"migrated_v1_to_v0,{len(report.migrated_v1_to_v0)}\n")
+
+
+def _write_ingest(args, f) -> None:
+    snapshot_store = store_mod.SnapshotStore(args.store)
+    by_key: dict[tuple[str, int, int], store_mod.ScanSnapshot] = {}
+    for record in _read_records(args.infile):
+        family = "v6" if ":" in record.address else "v4"
+        key = (family, record.port, record.version)
+        snap = by_key.setdefault(
+            key,
+            store_mod.ScanSnapshot(args.date, family, record.port, record.version),
+        )
+        snap.add(
+            store_mod.HostRecord(record.address, record.label, record.sender_key)
+        )
+    for snap in by_key.values():
+        snapshot_store.save(snap)
+    f.write(f"ingested,{len(by_key)}\n")
+
+
+def _write_window(args, f) -> None:
+    series = store_mod.SnapshotStore(args.store).load_series(
+        args.family, args.port, args.version
+    )
+    hosts = args.select(series, window_months=args.window, at_date=args.at)
+    for address in sorted(hosts):
+        f.write(f"{address},{args.port}\n")
+
+
+def _write_top(args, f) -> None:
+    table = store_mod.EnrichmentTable.load(args.prefixes, args.asn_meta)
+    entries = _read_hosts(args.infile, args.only)
+    if any(port is None for _address, port in entries):
+        raise ValueError(f"report top needs a port on every row of {args.infile}")
+    rows = store_mod.top_report(entries, table, group_by=args.group_by, k=args.k)
+    if args.pretty:
+        header = ("GROUP", "PORT80", "PORT443", "RANK", "CC", "ORGANIZATION")
+        cells = [header] + [
+            (
+                row.group, str(row.count(80)), str(row.count(443)),
+                "" if row.rank is None else str(row.rank),
+                row.country, row.organization,
             )
-            sets = (report.both, report.only_a, report.only_b)
-            for name, hosts, fraction in zip(names, sets, report.fractions()):
-                f.write(f"{name},{len(hosts)},{fraction:.6f}\n")
-            return 0
-        if args.kind == "migration":
-            sets = [_read_address_set(path, args.only)
-                    for path in (args.prev_v0, args.prev_v1, args.cur_v0, args.cur_v1)]
-            report = store_mod.migration_report(sets[:2], sets[2:])
-            f.write(f"added_v1_support,{len(report.added_v1_support)}\n")
-            f.write(f"migrated_v0_to_v1,{len(report.migrated_v0_to_v1)}\n")
-            f.write(f"added_v0_support,{len(report.added_v0_support)}\n")
-            f.write(f"migrated_v1_to_v0,{len(report.migrated_v1_to_v0)}\n")
-            return 0
-        if args.kind == "ingest":
-            snapshot_store = store_mod.SnapshotStore(args.store)
-            by_key: dict[tuple[str, int, int], store_mod.ScanSnapshot] = {}
-            for record in _read_records(args.infile):
-                family = "v6" if ":" in record.address else "v4"
-                key = (family, record.port, record.version)
-                snap = by_key.setdefault(
-                    key,
-                    store_mod.ScanSnapshot(args.date, family, record.port, record.version),
-                )
-                snap.add(
-                    store_mod.HostRecord(record.address, record.label, record.sender_key)
-                )
-            for snap in by_key.values():
-                snapshot_store.save(snap)
-            f.write(f"ingested,{len(by_key)}\n")
-            return 0
-        if args.kind in ("consistent", "eligible"):
-            snapshot_store = store_mod.SnapshotStore(args.store)
-            series = snapshot_store.load_series(args.family, args.port, args.version)
-            if args.kind == "consistent":
-                hosts = store_mod.consistent_hosts(series, args.window, args.at)
-            else:
-                hosts = store_mod.eligible_for_path_probe(series, args.at, args.window)
-            for address in sorted(hosts):
-                f.write(f"{address},{args.port}\n")
-            return 0
-        if args.kind == "top":
-            table = store_mod.EnrichmentTable.load(args.prefixes, args.asn_meta)
-            entries = _read_hosts(args.infile, args.only)
-            if any(port is None for _address, port in entries):
-                raise ValueError(f"report top needs a port on every row of {args.infile}")
-            rows = store_mod.top_report(entries, table, group_by=args.group_by, k=args.k)
-            if args.pretty:
-                header = ("GROUP", "PORT80", "PORT443", "RANK", "CC", "ORGANIZATION")
-                cells = [header] + [
-                    (
-                        row.group, str(row.count(80)), str(row.count(443)),
-                        "" if row.rank is None else str(row.rank),
-                        row.country, row.organization,
-                    )
-                    for row in rows
-                ]
-                widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-                for r in cells:
-                    f.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
-                return 0
-            f.write("group,port80,port443,rank,country,organization\n")
-            for row in rows:
-                rank = "" if row.rank is None else str(row.rank)
-                f.write(
-                    f"{row.group},{row.count(80)},{row.count(443)},"
-                    f"{rank},{row.country},{row.organization}\n"
-                )
-            return 0
-    raise AssertionError(f"unhandled report kind {args.kind}")
+            for row in rows
+        ]
+        widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
+        for r in cells:
+            f.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+        return
+    f.write("group,port80,port443,rank,country,organization\n")
+    for row in rows:
+        rank = "" if row.rank is None else str(row.rank)
+        f.write(
+            f"{row.group},{row.count(80)},{row.count(443)},"
+            f"{rank},{row.country},{row.organization}\n"
+        )
 
 
 def cmd_bench(args) -> int:
@@ -434,52 +411,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+    # Options shared by several subcommands, declared once and passed as parents=.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default stdout)")
 
-    scan = sub.add_parser("scan", help="probe targets for MP_CAPABLE support")
+    probing = argparse.ArgumentParser(add_help=False)  # _guard_from_args, _resolve_transport
+    probing.add_argument("--version", type=int, choices=(0, 1), default=0)
+    probing.add_argument("--probe-key", default=None, help="hex v0 probe key")
+    probing.add_argument("--sim-topology", default=None)
+    probing.add_argument("--blocklist", default=None)
+    probing.add_argument("--rate", type=float, default=None, help="packets per second")
+    probing.add_argument("--timeout-ms", type=float, default=2000.0)
+    probing.add_argument("--seed", type=int, default=0)
+
+    scan = sub.add_parser(
+        "scan", parents=[probing, out], help="probe targets for MP_CAPABLE support"
+    )
     scan.add_argument("--targets", required=True)
-    scan.add_argument("--version", type=int, choices=(0, 1), default=0)
-    scan.add_argument("--probe-key", default=None, help="hex v0 probe key")
-    scan.add_argument("--sim-topology", default=None)
-    scan.add_argument("--blocklist", default=None)
-    scan.add_argument("--rate", type=float, default=None, help="packets per second")
-    scan.add_argument("--timeout-ms", type=float, default=2000.0)
     scan.add_argument("--dry-run", action="store_true")
     scan.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    add_common(scan)
     scan.set_defaults(func=cmd_scan)
 
-    trace = sub.add_parser("trace", help="TTL-step targets and judge the path")
-    trace.add_argument("--targets", default=None)
-    trace.add_argument("--from-scan", default=None, help="take potential targets from scan records")
-    trace.add_argument("--version", type=int, choices=(0, 1), default=0)
-    trace.add_argument("--probe-key", default=None)
-    trace.add_argument("--sim-topology", default=None)
-    trace.add_argument("--blocklist", default=None)
-    trace.add_argument("--rate", type=float, default=None)
-    trace.add_argument("--timeout-ms", type=float, default=2000.0)
+    trace = sub.add_parser(
+        "trace", parents=[probing, out], help="TTL-step targets and judge the path"
+    )
+    source = trace.add_mutually_exclusive_group(required=True)
+    source.add_argument("--targets", default=None)
+    source.add_argument("--from-scan", default=None, help="take potential targets from scan records")
     trace.add_argument("--max-ttl", type=int, default=30)
-    add_common(trace)
     trace.set_defaults(func=cmd_trace, dry_run=False)
 
-    keys = sub.add_parser("keys", help="Hamming-weight report over observed keys")
-    keys.add_argument("--in", dest="infile", default=None, help="one hex key per line")
-    keys.add_argument("--from-scan", default=None)
+    keys = sub.add_parser("keys", parents=[out], help="Hamming-weight report over observed keys")
+    source = keys.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", default=None, help="one hex key per line")
+    source.add_argument("--from-scan", default=None)
     keys.add_argument("--probe-key", default=None)
-    add_common(keys)
     keys.set_defaults(func=cmd_keys)
 
     simulate = sub.add_parser("simulate", help="generate a simulated topology")
     simulate.add_argument("--generate", type=int, required=True, metavar="N")
-    simulate.add_argument("--out-topology", default=None)
-    simulate.add_argument("--out-targets", default=None)
+    simulate.add_argument("--out-topology", required=True)
+    simulate.add_argument("--out-targets", required=True)
     simulate.add_argument("--out-truth", default=None)
     simulate.add_argument("--seed", type=int, required=True)
     simulate.set_defaults(func=cmd_simulate)
 
-    pcap = sub.add_parser("analyze-pcap", help="flow and MPTCP share statistics")
+    pcap = sub.add_parser("analyze-pcap", parents=[out], help="flow and MPTCP share statistics")
     pcap.add_argument("--in", dest="infile", action="append", required=True)
     pcap.add_argument("--min-packets", type=int, default=5)
     pcap.add_argument("--services", default=None)
@@ -487,37 +464,56 @@ def build_parser() -> argparse.ArgumentParser:
     pcap.add_argument("--unidirectional", action="store_true")
     pcap.add_argument("--ewma", action="store_true")
     pcap.add_argument("--ewma-alpha", type=float, default=0.2)
-    add_common(pcap)
     pcap.set_defaults(func=cmd_analyze_pcap)
 
     report = sub.add_parser("report", help="longitudinal and enrichment reports")
-    report.add_argument(
-        "kind",
-        choices=("summary", "overlap", "versions", "migration", "ingest",
-                 "consistent", "eligible", "top"),
-    )
-    report.add_argument("--in", dest="infile", default=None)
-    report.add_argument("--set-a", default=None)
-    report.add_argument("--set-b", default=None)
-    report.add_argument("--prev-v0", default=None)
-    report.add_argument("--prev-v1", default=None)
-    report.add_argument("--cur-v0", default=None)
-    report.add_argument("--cur-v1", default=None)
-    report.add_argument("--store", default=None)
-    report.add_argument("--date", default=None)
-    report.add_argument("--at", default=None)
-    report.add_argument("--window", type=int, default=3)
-    report.add_argument("--family", choices=("v4", "v6"), default="v4")
-    report.add_argument("--port", type=int, default=80)
-    report.add_argument("--version", type=int, choices=(0, 1), default=0)
-    report.add_argument("--prefixes", default=None)
-    report.add_argument("--asn-meta", default=None)
-    report.add_argument("--group-by", choices=("asn", "country"), default="asn")
-    report.add_argument("-k", type=int, default=10)
-    report.add_argument("--only", default=None, help="filter records by label")
-    report.add_argument("--pretty", action="store_true", help="aligned columns")
-    add_common(report)
     report.set_defaults(func=cmd_report)
+    kinds = report.add_subparsers(dest="kind", required=True)
+
+    only = argparse.ArgumentParser(add_help=False)
+    only.add_argument("--only", default=None, help="filter records by label")
+
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--store", required=True)
+    window.add_argument("--at", required=True, help="last month of the window, YYYY-MM")
+    window.add_argument("--window", type=int, default=3)
+    window.add_argument("--family", choices=("v4", "v6"), default="v4")
+    window.add_argument("--port", type=int, default=80)
+    window.add_argument("--version", type=int, choices=(0, 1), default=0)
+
+    def kind(name: str, help_text: str, write, *parents, **defaults):
+        """A `report` kind whose `cmd_report` runs `write`, with --out and `parents`."""
+        p = kinds.add_parser(name, parents=[*parents, out], help=help_text)
+        p.set_defaults(write=write, **defaults)
+        return p
+
+    summary = kind("summary", "count trace verdicts", _write_summary)
+    summary.add_argument("--in", dest="infile", required=True)
+    for name, help_text, row_names in (
+        ("overlap", "hosts in both sets, only A, only B", ("both", "only_a", "only_b")),
+        ("versions", "hosts speaking v0, v1 or both", ("both", "v0_only", "v1_only")),
+    ):
+        overlap = kind(name, help_text, _write_overlap, only, row_names=row_names)
+        overlap.add_argument("--set-a", required=True)
+        overlap.add_argument("--set-b", required=True)
+    migration = kind("migration", "v0/v1 support gained or moved", _write_migration, only)
+    for flag in ("--prev-v0", "--prev-v1", "--cur-v0", "--cur-v1"):
+        migration.add_argument(flag, required=True)
+    ingest = kind("ingest", "store scan records as monthly snapshots", _write_ingest)
+    ingest.add_argument("--in", dest="infile", required=True)
+    ingest.add_argument("--store", required=True)
+    ingest.add_argument("--date", required=True, help="month of the scan, YYYY-MM")
+    kind("consistent", "hosts positive in every month of the window", _write_window,
+         window, select=store_mod.consistent_hosts)
+    kind("eligible", "consistent hosts worth path inspection", _write_window,
+         window, select=store_mod.eligible_for_path_probe)
+    top = kind("top", "rank ASes or countries by hosts", _write_top, only)
+    top.add_argument("--in", dest="infile", required=True)
+    top.add_argument("--prefixes", required=True)
+    top.add_argument("--asn-meta", default=None)
+    top.add_argument("--group-by", choices=("asn", "country"), default="asn")
+    top.add_argument("-k", type=int, default=10)
+    top.add_argument("--pretty", action="store_true", help="aligned columns")
 
     bench = sub.add_parser("bench", help="paired MPTCP vs TCP GET timings")
     bench.add_argument("--targets", required=True)
@@ -537,9 +533,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (GuardViolation, TransportUnavailable) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1

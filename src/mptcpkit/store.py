@@ -77,10 +77,11 @@ class ScanSnapshot:
 
 
 def parse_month(date: str) -> tuple[int, int]:
+    """(year, month) of a canonical `YYYY-MM`, the only form snapshots are named by."""
     year, month = date.split("-")
     y, m = int(year), int(month)
-    if not 1 <= m <= 12:
-        raise ValueError(f"bad month in {date!r}")
+    if not 1 <= m <= 12 or date != f"{y:04d}-{m:02d}":
+        raise ValueError(f"bad month in {date!r}, expected YYYY-MM")
     return y, m
 
 
@@ -321,6 +322,8 @@ def top_report(
     """
     if group_by not in ("asn", "country"):
         raise ValueError(f"group_by must be asn or country, got {group_by!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     addresses: dict[str, set[str]] = {}
     per_port: dict[str, dict[int, set[str]]] = {}
     meta: dict[str, AsnInfo] = {}

@@ -1,5 +1,7 @@
 import hashlib
+import socket
 import sys
+import threading
 from types import SimpleNamespace
 from unittest import mock
 
@@ -11,6 +13,7 @@ from mptcpkit.bench import (
     METRICS,
     DeltaReport,
     SimTimingTransport,
+    SystemTimingTransport,
     TimingSample,
     delta_report,
     merge_reports,
@@ -240,3 +243,31 @@ def test_jitter_within_bounds(jitter_ms, draw, digest):
 
 def test_no_jitter_when_disabled():
     assert SimTimingTransport(network(), "tcp", jitter_ms=0.0)._jitter("10.0.0.1", 80, 0, "ttfb") == 0.0
+
+
+def test_system_fetch_over_ipv6_loopback():
+    try:
+        server = socket.socket(socket.AF_INET6, socket.SOCK_STREAM)
+    except OSError:
+        pytest.skip("no IPv6 sockets")
+    with server:
+        try:
+            server.bind(("::1", 0))
+        except OSError:
+            pytest.skip("no IPv6 loopback")
+        server.listen(1)
+        server.settimeout(5)
+
+        def serve_one_reply():
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(4096)
+                conn.sendall(b"HTTP/1.0 200 OK\r\n\r\nok")
+
+        thread = threading.Thread(target=serve_one_reply)
+        thread.start()
+        sample = SystemTimingTransport("tcp").fetch("::1", server.getsockname()[1])
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert sample.success
+    assert sample.connect_ms is not None and sample.total_ms >= sample.ttfb_ms

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -470,14 +472,106 @@ class TestReport:
         assert lines[1].startswith("500")
 
     def test_missing_kind_options_usage_error(self, workdir, capsys):
-        assert main(["report", "overlap", "--set-a", str(workdir / "a.txt")]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "overlap", "--set-a", str(workdir / "a.txt")])
+        assert exc.value.code == 2
         assert "--set-b" in capsys.readouterr().err
 
     def test_trace_needs_target_source(self, workdir):
-        assert main(["trace", "--sim-topology", str(workdir / "topology.txt")]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--sim-topology", str(workdir / "topology.txt")])
+        assert exc.value.code == 2
 
     def test_keys_needs_input(self):
-        assert main(["keys"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["keys"])
+        assert exc.value.code == 2
+
+    def test_ingest_rejects_non_canonical_month(self, workdir, capsys):
+        records = workdir / "scan.txt"
+        records.write_text("0.0,10.0.0.1,80,0,potential_capable,00000000000000aa\n")
+        store = workdir / "store"
+        rc = main(["report", "ingest", "--in", str(records), "--store", str(store),
+                   "--date", "2021-1"])
+        assert rc == 1
+        assert "error: bad month in '2021-1'" in capsys.readouterr().err
+        assert list(store.iterdir()) == []
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_top_k_below_one_exits_1(self, workdir, capsys, k):
+        records = workdir / "hosts.txt"
+        records.write_text("10.5.0.1,80\n")
+        prefixes = workdir / "prefixes.csv"
+        prefixes.write_text("10.5.0.0/16,500\n")
+        rc = main(["report", "top", "--in", str(records), "--prefixes", str(prefixes),
+                   "-k", k])
+        assert rc == 1
+        assert f"error: k must be >= 1, got {k}" in capsys.readouterr().err
+
+
+# The options each command or report kind cannot run without.
+REQUIRED_OPTIONS = {
+    ("simulate",): ("--generate", "--seed", "--out-topology", "--out-targets"),
+    ("report", "summary"): ("--in",),
+    ("report", "overlap"): ("--set-a", "--set-b"),
+    ("report", "versions"): ("--set-a", "--set-b"),
+    ("report", "migration"): ("--prev-v0", "--prev-v1", "--cur-v0", "--cur-v1"),
+    ("report", "ingest"): ("--in", "--store", "--date"),
+    ("report", "consistent"): ("--store", "--at"),
+    ("report", "eligible"): ("--store", "--at"),
+    ("report", "top"): ("--in", "--prefixes"),
+}
+COMMANDS = ["scan", "trace", "keys", "simulate", "analyze-pcap", "report", "bench"]
+
+
+def _usage_cases():
+    """(argv, exit code, text on the last stderr line or None)."""
+    for command, options in REQUIRED_OPTIONS.items():
+        for missing in options:
+            argv = [*command] + [a for o in options if o != missing for a in (o, "1")]
+            yield pytest.param(argv, 2, missing, id=f"{' '.join(command)} without {missing}")
+    for argv, error in (
+        (["report", "summary", "--in", "t", "--pretty"], "unrecognized arguments: --pretty"),
+        (["report", "consistent", "--store", "s", "--at", "2021-01", "--only", "x"],
+         "unrecognized arguments: --only x"),
+        (["report", "summary", "--in", "t", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["keys", "--in", "k", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["analyze-pcap", "--in", "c", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["trace", "--targets", "t", "--from-scan", "s"],
+         "argument --from-scan: not allowed with argument --targets"),
+        (["keys", "--in", "k", "--from-scan", "s"],
+         "argument --from-scan: not allowed with argument --in"),
+    ):
+        yield pytest.param(argv, 2, error, id=" ".join(argv))
+    kinds = [command for command in REQUIRED_OPTIONS if command[0] == "report"]
+    for command in [(c,) for c in COMMANDS] + kinds:
+        yield pytest.param([*command, "--help"], 0, None, id=f"{' '.join(command)} --help")
+
+
+@pytest.mark.parametrize("argv, code, error", _usage_cases())
+def test_usage_rules_enforced_by_the_parser(argv, code, error, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    if error is not None:
+        assert error in capsys.readouterr().err.splitlines()[-1]
+
+
+def _readme_commands():
+    """argv of every `mptcpkit` line in the README's sh blocks."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["sudo"]:
+                argv = argv[1:]
+            if argv[:1] == ["mptcpkit"]:
+                yield argv[1:]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_parse(argv):
+    cli.build_parser().parse_args(argv)
 
 
 class TestBench:

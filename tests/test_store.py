@@ -45,6 +45,15 @@ class TestMonths:
         with pytest.raises(ValueError):
             ScanSnapshot("2021-01", "v5", 80, 0)
 
+    @pytest.mark.parametrize(
+        "date", ["2021-1", "+2021-01", "2021- 1", "2021-01 ", "\uff12\uff10\uff12\uff11-01", "21-01"]
+    )
+    def test_only_canonical_months(self, date):
+        with pytest.raises(ValueError, match="expected YYYY-MM"):
+            ScanSnapshot(date, "v4", 80, 0)
+        with pytest.raises(ValueError, match="expected YYYY-MM"):
+            month_shift(date, -1)
+
 
 class TestSnapshotStore:
     def test_save_load_round_trip(self, tmp_path):
@@ -297,6 +306,12 @@ class TestTopReport:
     def test_k_truncates(self):
         records = [("10.5.0.1", 80), ("10.4.0.1", 80), ("10.3.0.1", 80)]
         assert len(top_report(records, self.table(), "asn", k=2)) == 2
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        records = [("10.5.0.1", 80), ("10.4.0.1", 80)]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            top_report(records, self.table(), "asn", k=k)
 
     def test_same_address_on_both_ports_counts_once(self):
         records = [("10.5.0.1", 80), ("10.5.0.1", 443)]
