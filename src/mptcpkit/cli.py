@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 import time
 from pathlib import Path
@@ -38,15 +37,36 @@ from .probe import (
     target_row,
 )
 
-BLOCKLIST_ENV = "MPTCPKIT_BLOCKLIST"
-
 POSITIVE_SCAN_LABELS = {"potential_capable"}
+
+
+class _OutFile:
+    """`--out`, opened at the first write, or at a clean exit without one, so
+    that a run failing before it writes leaves the previous file intact."""
+
+    def __init__(self, path: str):
+        self._path = path
+        self._file = None
+
+    def write(self, text: str) -> int:
+        if self._file is None:
+            self._file = open(self._path, "w", encoding="utf-8")
+        return self._file.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._file is None and exc_type is None:
+            self.write("")
+        if self._file is not None:
+            self._file.close()
 
 
 def _out(path: str | None):
     if path is None or path == "-":
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+    return _OutFile(path)
 
 
 def _read_targets(path: str) -> list[tuple[str, int]]:
@@ -111,10 +131,9 @@ def _resolve_transport(args):
 
 
 def _guard_from_args(args, simulated: bool) -> CampaignGuard:
-    blocklist_path = args.blocklist or os.environ.get(BLOCKLIST_ENV)
     if not simulated and not args.dry_run:
         missing = []
-        if blocklist_path is None:
+        if args.blocklist is None:
             missing.append("--blocklist")
         if args.rate is None:
             missing.append("--rate")
@@ -122,7 +141,7 @@ def _guard_from_args(args, simulated: bool) -> CampaignGuard:
             raise GuardViolation(
                 f"refusing live {args.command} without {' and '.join(missing)}"
             )
-    blocklist = Blocklist.load(blocklist_path) if blocklist_path else None
+    blocklist = Blocklist.load(args.blocklist) if args.blocklist else None
     if simulated and blocklist is None:
         blocklist = Blocklist()  # simulated targets: empty blocklist reference
     rate = args.rate if args.rate is not None else (1_000_000.0 if simulated else None)
@@ -317,6 +336,7 @@ def _write_migration(args, f) -> None:
 
 
 def _write_ingest(args, f) -> None:
+    store_mod.parse_month(args.date)  # before the store or the input is touched
     snapshot_store = store_mod.SnapshotStore(args.store)
     by_key: dict[tuple[str, int, int], store_mod.ScanSnapshot] = {}
     for record in _read_records(args.infile):

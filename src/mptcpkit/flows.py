@@ -5,10 +5,11 @@ byte accounting uses the IP total length so captures with different link
 layers compare cleanly. A flow counts as MPTCP as soon as any of its packets
 carries a decodable MP_CAPABLE, whether or not the handshake completed.
 
-Ingest keys flows by packed addresses, (src, dst, src_port, dst_port) with
-4- or 16-byte address bytes, and builds the text `FlowKey` once per flow
-when the capture has been read. MP_CAPABLE is decoded only for packets
-whose options contain the kind byte 30 and whose flow has no version yet.
+A `FlowKey` holds packed addresses, (src, dst, src_port, dst_port) with
+4- or 16-byte address bytes; the text form of an address is built only when
+`src_addr` or `dst_addr` is read. Ingest keeps one table and makes a key
+once per flow. MP_CAPABLE is decoded only for packets whose options contain
+the kind byte 30 and whose flow has no version yet.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import struct
 from dataclasses import dataclass, field
 from math import ceil
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, NamedTuple
 
 from .errors import EmptyInput, MalformedCapture, MissingTables
 from .inputs import data_lines
 from .options import decode_mp_capable_any, parse_options_prefix
-from .packet import address_text, decode_tcp, is_later_fragment, is_non_tcp, pack_address
+from .packet import address_text, decode_tcp, is_later_fragment, is_non_tcp
 from .pcapio import LINKTYPE_ETHERNET, LINKTYPE_NULL, LINKTYPE_RAW, read_pcap
 
 _U16 = struct.Struct("!H")
@@ -58,51 +59,42 @@ WELL_KNOWN_SERVICES = {
 }
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    src_addr: str
-    dst_addr: str
+class FlowKey(NamedTuple):
+    src: bytes  # packed, 4 or 16 bytes
+    dst: bytes
     src_port: int
     dst_port: int
-    protocol: str = "tcp"
 
-    def _endpoint_sort_key(self, addr: str, port: int) -> tuple[bytes, int]:
-        return pack_address(addr), port
+    @property
+    def src_addr(self) -> str:
+        return address_text(self.src)
+
+    @property
+    def dst_addr(self) -> str:
+        return address_text(self.dst)
 
     def canonical(self) -> "FlowKey":
         """Order endpoints so a flow and its reverse map to the same key."""
-        a = self._endpoint_sort_key(self.src_addr, self.src_port)
-        b = self._endpoint_sort_key(self.dst_addr, self.dst_port)
-        if a <= b:
+        if (self.src, self.src_port) <= (self.dst, self.dst_port):
             return self
-        return FlowKey(
-            self.dst_addr, self.src_addr, self.dst_port, self.src_port, self.protocol
-        )
+        return FlowKey(self.dst, self.src, self.dst_port, self.src_port)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowStats:
     packets: int = 0
     bytes: int = 0
-    first_ts: float = 0.0
-    last_ts: float = 0.0
-    mp_capable_seen: bool = False
     mptcp_version: int | None = None
-    service_label: str | None = None
 
-    def update(self, ts: float, ip_bytes: int, mp_version: int | None) -> None:
-        if self.packets == 0:
-            self.first_ts = ts
-            self.last_ts = ts
-        else:
-            self.first_ts = min(self.first_ts, ts)
-            self.last_ts = max(self.last_ts, ts)
+    @property
+    def mp_capable_seen(self) -> bool:
+        return self.mptcp_version is not None
+
+    def update(self, ip_bytes: int, mp_version: int | None) -> None:
         self.packets += 1
         self.bytes += ip_bytes
-        if mp_version is not None:
-            self.mp_capable_seen = True
-            if self.mptcp_version is None:
-                self.mptcp_version = mp_version
+        if self.mptcp_version is None:
+            self.mptcp_version = mp_version
 
 
 @dataclass
@@ -156,8 +148,8 @@ def ingest_capture(
     if linktype not in (LINKTYPE_RAW, LINKTYPE_ETHERNET, LINKTYPE_NULL):
         raise MalformedCapture(f"unsupported link type {linktype}")
     table = FlowTable()
-    flows: dict[tuple[bytes, bytes, int, int], FlowStats] = {}
-    for ts, frame in frames:
+    flows = table.flows
+    for _ts, frame in frames:
         table.frames_seen += 1
         ip_data = _strip_link_layer(linktype, frame)
         if ip_data is None:
@@ -180,21 +172,17 @@ def ingest_capture(
             key = (dst, src, dport, sport)
         else:
             key = (src, dst, sport, dport)
-        stats = flows.get(key)
+        stats = flows.get(key)  # a FlowKey hashes and compares as its tuple
         if stats is None:
-            stats = flows[key] = FlowStats()
+            stats = flows[FlowKey._make(key)] = FlowStats()
         # The version is set once and never changes, and a kind-30 option
         # needs the byte 30, so other packets cannot change the flow.
         mp_version = None
         if options and stats.mptcp_version is None and 30 in options:
             mp_version = _mp_version(options)
-        stats.update(ts, ip_bytes, mp_version)
+        stats.update(ip_bytes, mp_version)
         table.tcp_packets += 1
         table.tcp_bytes += ip_bytes
-    table.flows = {
-        FlowKey(address_text(src), address_text(dst), sport, dport): stats
-        for (src, dst, sport, dport), stats in flows.items()
-    }
     return table
 
 

@@ -78,8 +78,11 @@ class ScanSnapshot:
 
 def parse_month(date: str) -> tuple[int, int]:
     """(year, month) of a canonical `YYYY-MM`, the only form snapshots are named by."""
-    year, month = date.split("-")
-    y, m = int(year), int(month)
+    try:
+        year, month = date.split("-")
+        y, m = int(year), int(month)
+    except ValueError:  # not two numbers around one dash
+        y = m = 0
     if not 1 <= m <= 12 or date != f"{y:04d}-{m:02d}":
         raise ValueError(f"bad month in {date!r}, expected YYYY-MM")
     return y, m

@@ -64,6 +64,12 @@ class TestScan:
         assert rc == 1
         assert "refused" in capsys.readouterr().err
 
+    def test_blocklist_environment_variable_not_read(self, workdir, capsys, monkeypatch):
+        monkeypatch.setenv("MPTCPKIT_BLOCKLIST", str(workdir / "blocklist.txt"))
+        rc = main(["scan", "--targets", str(workdir / "targets.csv"), "--rate", "10"])
+        assert rc == 1
+        assert "without --blocklist" in capsys.readouterr().err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["scan"])  # missing required --targets
@@ -490,12 +496,16 @@ class TestReport:
     def test_ingest_rejects_non_canonical_month(self, workdir, capsys):
         records = workdir / "scan.txt"
         records.write_text("0.0,10.0.0.1,80,0,potential_capable,00000000000000aa\n")
+        empty = workdir / "empty.txt"
+        empty.write_text("")
         store = workdir / "store"
-        rc = main(["report", "ingest", "--in", str(records), "--store", str(store),
-                   "--date", "2021-1"])
-        assert rc == 1
-        assert "error: bad month in '2021-1'" in capsys.readouterr().err
-        assert list(store.iterdir()) == []
+        for infile, date in ((records, "2021-1"), (empty, "2021-1"), (records, "2021-1-1"),
+                             (records, "202101")):
+            rc = main(["report", "ingest", "--in", str(infile), "--store", str(store),
+                       "--date", date])
+            assert rc == 1
+            assert f"error: bad month in '{date}', expected YYYY-MM" in capsys.readouterr().err
+            assert not store.exists()
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_top_k_below_one_exits_1(self, workdir, capsys, k):
@@ -507,6 +517,33 @@ class TestReport:
                    "-k", k])
         assert rc == 1
         assert f"error: k must be >= 1, got {k}" in capsys.readouterr().err
+
+
+class TestOutKeptOnFailure:
+    """--out is opened at the first write: a run that fails before it keeps
+    the previous file, and a clean run without output still empties it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "top", "--in", "hosts.txt", "--prefixes", "nope.csv"],
+        ["analyze-pcap", "--in", "missing.pcap"],
+        ["scan", "--targets", "targets.csv", "--sim-topology", "topology.txt", "--rate", "0"],
+    ], ids=["report-top", "analyze-pcap", "scan"])
+    def test_failed_run_keeps_previous_out(self, workdir, capsys, monkeypatch, argv):
+        monkeypatch.chdir(workdir)
+        (workdir / "hosts.txt").write_text("10.5.0.1,80\n")
+        out = workdir / "out.txt"
+        out.write_bytes(b"previous\n")
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err
+        assert out.read_bytes() == b"previous\n"
+
+    def test_empty_result_replaces_old_file(self, workdir):
+        trace = workdir / "trace.txt"
+        trace.write_text("")
+        out = workdir / "out.txt"
+        out.write_bytes(b"previous\n")
+        run_ok(["report", "summary", "--in", str(trace), "--out", str(out)])
+        assert out.read_bytes() == b""
 
 
 # The options each command or report kind cannot run without.

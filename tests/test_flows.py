@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 import struct
@@ -28,7 +29,7 @@ from mptcpkit.options import (
     encode_mp_capable,
     parse_options_prefix,
 )
-from mptcpkit.packet import TcpFlags, decode_packet
+from mptcpkit.packet import TcpFlags, decode_packet, pack_address
 from mptcpkit.pcapio import (
     LINKTYPE_ETHERNET,
     LINKTYPE_NULL,
@@ -38,6 +39,10 @@ from mptcpkit.pcapio import (
 )
 
 K = Key(0xABCDABCDABCDABCD)
+
+
+def _key(src: str, dst: str, src_port: int, dst_port: int) -> FlowKey:
+    return FlowKey(pack_address(src), pack_address(dst), src_port, dst_port)
 
 
 class TestIngest:
@@ -122,7 +127,7 @@ class TestIngest:
         table = ingest_capture(capture_bytes(frames))
         assert (table.tcp_packets, table.fragments, table.non_tcp, table.parse_failures) == (
             1, 1, 1, 0)
-        assert list(table.flows) == [FlowKey("10.0.0.1", "10.0.0.2", 1, 2)]
+        assert list(table.flows) == [_key("10.0.0.1", "10.0.0.2", 1, 2)]
 
     def test_v6_extension_headers_followed(self):
         frame = tcp_frame("2001:db8::1", "2001:db8::2", 1, 2, payload_len=24)
@@ -136,7 +141,7 @@ class TestIngest:
         table = ingest_capture(capture_bytes(frames))
         assert (table.tcp_packets, table.non_tcp, table.fragments, table.parse_failures) == (
             4, 1, 1, 1)
-        assert list(table.flows) == [FlowKey("2001:db8::1", "2001:db8::2", 1, 2)]
+        assert list(table.flows) == [_key("2001:db8::1", "2001:db8::2", 1, 2)]
 
     def test_garbage_frame_counted_as_failure(self):
         table = ingest_capture(capture_bytes([(0.0, b"\x99\x01\x02")]))
@@ -216,11 +221,11 @@ def reference_ingest(source, bidirectional: bool) -> FlowTable:
             else:
                 table.parse_failures += 1
             continue
-        key = FlowKey(seg.src, seg.dst, seg.src_port, seg.dst_port)
+        key = _key(seg.src, seg.dst, seg.src_port, seg.dst_port)
         if bidirectional:
             key = key.canonical()
         stats = table.flows.setdefault(key, FlowStats())
-        stats.update(ts, seg.ip_bytes, _reference_mp_version(seg.options))
+        stats.update(seg.ip_bytes, _reference_mp_version(seg.options))
         table.tcp_packets += 1
         table.tcp_bytes += seg.ip_bytes
     return table
@@ -316,7 +321,8 @@ class TestIngestMatchesReference:
         assert any(":" in k.src_addr for k in want.flows)
         assert want.non_tcp >= 4 and want.parse_failures >= 10 and want.fragments >= 2
         assert list(got.flows) == list(want.flows)
-        assert [vars(s) for s in got.flows.values()] == [vars(s) for s in want.flows.values()]
+        assert [dataclasses.asdict(s) for s in got.flows.values()] == [
+            dataclasses.asdict(s) for s in want.flows.values()]
         for counter in ("frames_seen", "tcp_packets", "tcp_bytes", "parse_failures", "non_tcp",
                         "fragments"):
             assert getattr(got, counter) == getattr(want, counter), counter
@@ -370,7 +376,7 @@ def test_ingest_total_and_counters_add_up(capture, bidirectional):
 
 class TestFilter:
     def make(self, packets):
-        return FlowKey("10.0.0.1", "10.0.0.2", 1, 2), FlowStats(packets=packets, bytes=packets * 100)
+        return _key("10.0.0.1", "10.0.0.2", 1, 2), FlowStats(packets=packets, bytes=packets * 100)
 
     def test_four_packets_removed(self):
         k, v = self.make(4)
@@ -388,12 +394,12 @@ class TestShare:
     def flows(self, tcp_count, mptcp_count, tcp_bytes_each=1000, mptcp_bytes_each=4):
         flows = {}
         for i in range(tcp_count - mptcp_count):
-            flows[FlowKey("10.0.0.1", "10.0.0.2", 10000 + i, 80)] = FlowStats(
+            flows[_key("10.0.0.1", "10.0.0.2", 10000 + i, 80)] = FlowStats(
                 packets=5, bytes=tcp_bytes_each
             )
         for i in range(mptcp_count):
-            flows[FlowKey("10.0.1.1", "10.0.1.2", 20000 + i, 80)] = FlowStats(
-                packets=5, bytes=mptcp_bytes_each, mp_capable_seen=True, mptcp_version=0
+            flows[_key("10.0.1.1", "10.0.1.2", 20000 + i, 80)] = FlowStats(
+                packets=5, bytes=mptcp_bytes_each, mptcp_version=0
             )
         return flows
 
@@ -483,29 +489,29 @@ class TestServiceMapping:
         return ServiceTables({80: "HTTP", 443: "HTTPS", 113: "Ident"}, {5223: "Siri"})
 
     def test_https(self):
-        key = FlowKey("10.0.0.1", "10.0.0.2", 50000, 443)
+        key = _key("10.0.0.1", "10.0.0.2", 50000, 443)
         assert map_service(key, self.tables()) == "HTTPS"
 
     def test_both_ephemeral_unknown(self):
-        key = FlowKey("10.0.0.1", "10.0.0.2", 50000, 60000)
+        key = _key("10.0.0.1", "10.0.0.2", 50000, 60000)
         assert map_service(key, self.tables()) == "Unknown"
 
     def test_source_port_zero(self):
-        key = FlowKey("10.0.0.1", "10.0.0.2", 0, 443)
+        key = _key("10.0.0.1", "10.0.0.2", 0, 443)
         assert map_service(key, self.tables()) == "ReservedZero"
 
     def test_supplementary_takes_precedence(self):
         tables = ServiceTables({5223: "XMPP"}, {5223: "Siri"})
-        key = FlowKey("10.0.0.1", "10.0.0.2", 50000, 5223)
+        key = _key("10.0.0.1", "10.0.0.2", 50000, 5223)
         assert map_service(key, tables) == "Siri"
 
     def test_registered_port_without_entry_unknown(self):
-        key = FlowKey("10.0.0.1", "10.0.0.2", 50000, 9999)
+        key = _key("10.0.0.1", "10.0.0.2", 50000, 9999)
         assert map_service(key, self.tables()) == "Unknown"
 
     def test_missing_tables(self):
         with pytest.raises(MissingTables):
-            map_service(FlowKey("10.0.0.1", "10.0.0.2", 1, 2), None)
+            map_service(_key("10.0.0.1", "10.0.0.2", 1, 2), None)
 
     def test_load_from_files(self, tmp_path):
         registry = tmp_path / "registry.csv"
@@ -518,20 +524,60 @@ class TestServiceMapping:
 
     def test_builtin_registry_default(self):
         tables = ServiceTables.load()
-        key = FlowKey("10.0.0.1", "10.0.0.2", 50000, 3389)
+        key = _key("10.0.0.1", "10.0.0.2", 50000, 3389)
         assert map_service(key, tables) == "RDP"
 
 
 class TestFlowKey:
     def test_canonical_orders_endpoints(self):
-        a = FlowKey("10.0.0.2", "10.0.0.1", 80, 5555)
-        b = FlowKey("10.0.0.1", "10.0.0.2", 5555, 80)
+        a = _key("10.0.0.2", "10.0.0.1", 80, 5555)
+        b = _key("10.0.0.1", "10.0.0.2", 5555, 80)
         assert a.canonical() == b.canonical()
 
     def test_canonical_handles_same_address(self):
-        a = FlowKey("10.0.0.1", "10.0.0.1", 9999, 80)
-        b = FlowKey("10.0.0.1", "10.0.0.1", 80, 9999)
+        a = _key("10.0.0.1", "10.0.0.1", 9999, 80)
+        b = _key("10.0.0.1", "10.0.0.1", 80, 9999)
         assert a.canonical() == b.canonical()
+
+    def test_canonical_orders_by_packed_bytes_not_text(self):
+        # "10.0.0.10" < "10.0.0.9" as text, but 10 > 9 as bytes
+        forward = _key("10.0.0.9", "10.0.0.10", 5555, 80)
+        backward = _key("10.0.0.10", "10.0.0.9", 80, 5555)
+        assert forward.canonical() == backward.canonical() == forward
+
+    @pytest.mark.parametrize("src, dst, text", [
+        ("10.0.0.9", "192.168.1.10", ("10.0.0.9", "192.168.1.10")),
+        ("2001:0db8:0:0:0:0:0:0001", "fe80:0:0:0:0:0:0:a", ("2001:db8::1", "fe80::a")),
+    ])
+    def test_addresses_read_back_as_text(self, src, dst, text):
+        key = _key(src, dst, 1, 2)
+        assert (key.src_addr, key.dst_addr) == text
+
+    def test_ingested_keys_are_packed(self):
+        table = ingest_capture(capture_bytes(mixed_ip_frames()))
+        lengths = set()
+        for key in table.flows:
+            assert type(key) is FlowKey
+            assert type(key.src) is bytes and type(key.dst) is bytes
+            lengths |= {len(key.src), len(key.dst)}
+        assert lengths == {4, 16}
+
+
+class TestFlowStats:
+    def test_slotted(self):
+        assert not hasattr(FlowStats(), "__dict__")
+        assert [f.name for f in dataclasses.fields(FlowStats)] == [
+            "packets", "bytes", "mptcp_version"]
+
+    def test_mp_capable_seen_tracks_version(self):
+        stats = FlowStats()
+        stats.update(40, None)
+        assert (stats.mptcp_version, stats.mp_capable_seen) == (None, False)
+        stats.update(52, 0)
+        assert (stats.mptcp_version, stats.mp_capable_seen) == (0, True)
+        stats.update(52, 1)  # the first version seen stays
+        assert (stats.packets, stats.bytes, stats.mptcp_version) == (3, 144, 0)
+        assert stats.mp_capable_seen
 
 
 _PCAP_MAGICS = [
