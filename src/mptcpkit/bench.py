@@ -14,10 +14,12 @@ import socket
 import ssl
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import IO, Iterable, Protocol
 
 from .errors import PairingMismatch, TransportUnavailable
-from .netsim import BehaviorKind, SimNetwork
+from .netsim import SimNetwork
+from .probe import RatePacer
 
 METRICS = ("connect", "tls", "ttfb", "total")
 
@@ -38,12 +40,15 @@ class TimingSample:
     total_ms: float | None = None
 
     def metric(self, name: str) -> float | None:
-        return {
-            "connect": self.connect_ms,
-            "tls": self.tls_handshake_ms,
-            "ttfb": self.ttfb_ms,
-            "total": self.total_ms,
-        }[name]
+        return _METRIC_FIELDS[name](self)
+
+
+_METRIC_FIELDS = {
+    "connect": attrgetter("connect_ms"),
+    "tls": attrgetter("tls_handshake_ms"),
+    "ttfb": attrgetter("ttfb_ms"),
+    "total": attrgetter("total_ms"),
+}
 
 
 @dataclass(frozen=True)
@@ -95,15 +100,11 @@ class SimTimingTransport:
 
     def fetch(self, target: str, port: int, run: int = 0) -> TimingSample:
         path = self.network.paths.get((target, port))
-        if path is None or any(
-            n.kind is BehaviorKind.DROP_FIREWALL for n in path.interior
-        ):
+        if path is None or path.drops:
             return TimingSample(self.transport, success=False)
-        rtt = 2.0 * path.per_hop_latency_ms * len(path.nodes)
+        rtt = path.rtt_ms
         connect = rtt + self._jitter(target, port, run, "connect")
-        if self.transport == "mptcp" and any(
-            n.kind is BehaviorKind.STRIP_MIDDLEBOX for n in path.interior
-        ):
+        if self.transport == "mptcp" and path.strips:
             connect += self.fallback_penalty_ms
         tls = None
         after_connect = connect
@@ -179,6 +180,19 @@ class SystemTimingTransport:
                     sock.close()
                 except OSError:
                     pass
+
+
+class PacedTimingTransport:
+    """Waits on a RatePacer before every fetch of the transport it wraps."""
+
+    def __init__(self, inner: TimingTransport, pacer: RatePacer):
+        self.inner = inner
+        self.pacer = pacer
+        self.transport = inner.transport
+
+    def fetch(self, target: str, port: int, run: int = 0) -> TimingSample:
+        self.pacer.acquire()
+        return self.inner.fetch(target, port, run)
 
 
 def time_get(

@@ -393,8 +393,12 @@ def _write_top(args, f) -> None:
 
 
 def cmd_bench(args) -> int:
+    simulated = bool(args.sim_topology)
+    guard = _guard_from_args(args, simulated)  # refuses before any socket opens
     targets = _read_targets(args.targets)
-    if args.sim_topology:
+    if args.blocklist:
+        targets = [(a, p) for a, p in targets if not guard.blocklist.matches(a)]
+    if simulated:
         network = netsim.load_topology(args.sim_topology, seed=args.seed)
         mptcp_t = bench_mod.SimTimingTransport(
             network, "mptcp", fallback_penalty_ms=args.fallback_penalty_ms, seed=args.seed
@@ -404,6 +408,9 @@ def cmd_bench(args) -> int:
         # Without an MPTCP stack there is nothing to pair: refuse before any fetch.
         mptcp_t = bench_mod.SystemTimingTransport("mptcp")
         tcp_t = bench_mod.SystemTimingTransport("tcp")
+        pacer = RatePacer(guard.max_packets_per_second)  # one budget for both sides
+        mptcp_t = bench_mod.PacedTimingTransport(mptcp_t, pacer)
+        tcp_t = bench_mod.PacedTimingTransport(tcp_t, pacer)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -435,17 +442,19 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output path (default stdout)")
 
-    probing = argparse.ArgumentParser(add_help=False)  # _guard_from_args, _resolve_transport
+    guarded = argparse.ArgumentParser(add_help=False)  # _guard_from_args: live runs need both
+    guarded.add_argument("--blocklist", default=None)
+    guarded.add_argument("--rate", type=float, default=None, help="packets per second")
+
+    probing = argparse.ArgumentParser(add_help=False)  # _resolve_transport
     probing.add_argument("--version", type=int, choices=(0, 1), default=0)
     probing.add_argument("--probe-key", default=None, help="hex v0 probe key")
     probing.add_argument("--sim-topology", default=None)
-    probing.add_argument("--blocklist", default=None)
-    probing.add_argument("--rate", type=float, default=None, help="packets per second")
     probing.add_argument("--timeout-ms", type=float, default=2000.0)
     probing.add_argument("--seed", type=int, default=0)
 
     scan = sub.add_parser(
-        "scan", parents=[probing, out], help="probe targets for MP_CAPABLE support"
+        "scan", parents=[probing, guarded, out], help="probe targets for MP_CAPABLE support"
     )
     scan.add_argument("--targets", required=True)
     scan.add_argument("--dry-run", action="store_true")
@@ -453,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.set_defaults(func=cmd_scan)
 
     trace = sub.add_parser(
-        "trace", parents=[probing, out], help="TTL-step targets and judge the path"
+        "trace", parents=[probing, guarded, out], help="TTL-step targets and judge the path"
     )
     source = trace.add_mutually_exclusive_group(required=True)
     source.add_argument("--targets", default=None)
@@ -535,7 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("-k", type=int, default=10)
     top.add_argument("--pretty", action="store_true", help="aligned columns")
 
-    bench = sub.add_parser("bench", help="paired MPTCP vs TCP GET timings")
+    bench = sub.add_parser(
+        "bench", parents=[guarded], help="paired MPTCP vs TCP GET timings"
+    )
     bench.add_argument("--targets", required=True)
     bench.add_argument("--sim-topology", default=None)
     bench.add_argument("--runs", type=int, default=10)
@@ -543,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--fallback-penalty-ms", type=float, default=250.0)
     bench.add_argument("--out-dir", default="bench-out")
     bench.add_argument("--seed", type=int, default=0)
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(func=cmd_bench, dry_run=False)
 
     return parser
 

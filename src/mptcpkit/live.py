@@ -13,7 +13,7 @@ import struct
 import time
 
 from .errors import TransportUnavailable
-from .packet import IPV4_HEADER_LEN, TcpFlags, TcpPacket, decode_packet, encode_packet
+from .packet import FLAG_ACK, IPV4_HEADER_LEN, TcpPacket, decode_packet, encode_packet
 from .probe import HopReply, ProbeResponse, make_response
 
 ICMP_TIME_EXCEEDED = 11
@@ -68,7 +68,7 @@ class LiveTransport:
             and seg.src == pkt.dst
             and seg.src_port == pkt.dst_port
             and seg.dst_port == pkt.src_port
-            and (not seg.flags & TcpFlags.ACK or seg.ack == (pkt.seq + 1) & 0xFFFFFFFF)
+            and (not seg.flags & FLAG_ACK or seg.ack == (pkt.seq + 1) & 0xFFFFFFFF)
         )
 
     def _icmp_quote(self, pkt: TcpPacket, data: bytes, rtt_ms: float = 0.0) -> HopReply | None:

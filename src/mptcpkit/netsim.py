@@ -26,13 +26,14 @@ traffic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import OptionError
 from .inputs import data_lines
@@ -49,7 +50,15 @@ from .options import (
     find_mp_capable,
     parse_options_prefix,
 )
-from .packet import IPV4_HEADER_LEN, IPV6_HEADER_LEN, TcpFlags, TcpPacket, encode_packet, ip_family
+from .packet import (
+    FLAG_SYN,
+    FLAG_SYN_ACK,
+    IPV4_HEADER_LEN,
+    IPV6_HEADER_LEN,
+    TcpPacket,
+    encode_packet,
+    ip_family,
+)
 from .probe import ClassificationKind, HopReply, ProbeResponse
 from .tracer import PathVerdictKind
 
@@ -64,10 +73,11 @@ class BehaviorKind(Enum):
     SILENT_ROUTER = "silent"
     QUOTING_ROUTER = "quoting"
 
+    __hash__ = object.__hash__  # as for HandshakePhase: members are singletons
+
 
 ENDPOINT_KINDS = {BehaviorKind.TRUE_MPTCP_HOST, BehaviorKind.TCP_ONLY_HOST}
 DEFAULT_QUOTE_BYTES = 128
-_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
 
 
 @dataclass(frozen=True)
@@ -126,29 +136,41 @@ def quoting(quote_bytes: int = DEFAULT_QUOTE_BYTES) -> NodeBehavior:
     return NodeBehavior(BehaviorKind.QUOTING_ROUTER, quote_bytes=quote_bytes)
 
 
-@dataclass
+@dataclass(slots=True)
 class SimPath:
-    """One forward path: interior nodes then exactly one endpoint at the tail."""
+    """One forward path: interior nodes then exactly one endpoint at the tail.
 
-    nodes: list[NodeBehavior]
+    What the simulator asks of a path on every probe (its interior, whether
+    it drops or strips, its round trip) is worked out once, at construction;
+    the nodes are kept as a tuple, and a path is not changed afterwards.
+    """
+
+    nodes: tuple[NodeBehavior, ...]
     per_hop_latency_ms: float = 1.0
+    interior: tuple[NodeBehavior, ...] = field(init=False, repr=False, compare=False)
+    endpoint: NodeBehavior = field(init=False, repr=False, compare=False)
+    drops: bool = field(init=False, repr=False, compare=False)
+    strips: bool = field(init=False, repr=False, compare=False)
+    rtt_ms: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.nodes:
+        nodes = self.nodes = tuple(self.nodes)
+        if not nodes:
             raise ValueError("a path needs at least the endpoint node")
-        if self.nodes[-1].kind not in ENDPOINT_KINDS:
-            raise ValueError(f"last node must be an endpoint, got {self.nodes[-1].kind}")
-        for node in self.nodes[:-1]:
-            if node.kind in ENDPOINT_KINDS:
+        if nodes[-1].kind not in ENDPOINT_KINDS:
+            raise ValueError(f"last node must be an endpoint, got {nodes[-1].kind}")
+        drops = strips = False
+        for node in nodes[:-1]:
+            kind = node.kind
+            if kind in ENDPOINT_KINDS:
                 raise ValueError("endpoint behavior in the path interior")
-
-    @property
-    def interior(self) -> list[NodeBehavior]:
-        return self.nodes[:-1]
-
-    @property
-    def endpoint(self) -> NodeBehavior:
-        return self.nodes[-1]
+            drops = drops or kind is BehaviorKind.DROP_FIREWALL
+            strips = strips or kind is BehaviorKind.STRIP_MIDDLEBOX
+        self.interior = nodes[:-1]
+        self.endpoint = nodes[-1]
+        self.drops = drops
+        self.strips = strips
+        self.rtt_ms = 2.0 * self.per_hop_latency_ms * len(nodes)
 
 
 @dataclass(frozen=True)
@@ -177,21 +199,43 @@ class _KeySource:
         return Key(self._rng.getrandbits(64))
 
 
-def _replace_mp_capable(parsed: list[TcpOption], new_option: TcpOption | None) -> list[TcpOption]:
+def _replace_mp_capable(
+    parsed: Sequence[TcpOption], new_option: TcpOption | None
+) -> list[TcpOption]:
     """Drop every kind-30 option; put `new_option` (if any) at the front.
     Options from a parse encode to bytes that parse back to the same list."""
     kept = [o for o in parsed if o.kind != 30]
     return kept if new_option is None else [new_option, *kept]
 
 
-def _rewrite_sender_key(opt: TcpOption | None, key: Key) -> TcpOption | None:
-    """The MP_CAPABLE `opt` with the sender's key swapped; None if keyless."""
-    if opt is None:
-        return None
-    mc = decode_mp_capable_any(opt)
-    if mc is None or mc.sender_key is None:
-        return None
+def _with_sender_key(opt: TcpOption, key: Key) -> TcpOption:
+    """The keyed MP_CAPABLE `opt` with its sender's key swapped for `key`."""
     return TcpOption(30, opt.payload[:2] + key.to_bytes() + opt.payload[10:])
+
+
+class _SynView(NamedTuple):
+    """What the simulator reads from one SYN's option bytes."""
+
+    parsed: tuple[TcpOption, ...]
+    mp: TcpOption | None  # the first MP_CAPABLE
+    keyed: bool  # `mp` decodes, in some phase, with a sender's key
+    syn_mc: MpCapable | None  # `mp` decoded as a SYN; None if it does not decode
+
+
+# Keyed by the SYN's option bytes, which every probe of a campaign shares.
+@functools.lru_cache(maxsize=16)
+def _syn_view(options: bytes) -> _SynView:
+    parsed, _ = parse_options_prefix(options)
+    mp = find_mp_capable(parsed)
+    if mp is None:
+        return _SynView(tuple(parsed), None, False, None)
+    any_mc = decode_mp_capable_any(mp)
+    try:
+        syn_mc = decode_mp_capable(mp, HandshakePhase.SYN)
+    except OptionError:
+        syn_mc = None
+    return _SynView(tuple(parsed), mp, any_mc is not None and any_mc.sender_key is not None,
+                    syn_mc)
 
 
 class SimNetwork:
@@ -225,49 +269,51 @@ class SimNetwork:
     # -- forward/response passes ------------------------------------------
 
     def _forward(
-        self, path: SimPath, syn: TcpPacket, up_to: int
-    ) -> tuple[bytes | None, list[TcpOption], list[tuple[TcpOption | None, bool]]]:
-        """Apply interior transforms for hops 1..up_to.
+        self, path: SimPath, syn: TcpPacket, view: _SynView, up_to: int
+    ) -> tuple[bytes | None, TcpOption | None, list[tuple[TcpOption | None, bool]]]:
+        """Apply interior transforms for hops 1..up_to to the SYN `view` reads.
 
-        Returns the options bytes (None when dropped), their parse (kept in
-        step, never re-parsed), and per node in path order (MP_CAPABLE seen
-        after its own transform, rewrite acted).
+        Returns the options bytes (None when dropped), the MP_CAPABLE they
+        carry, and per node in path order (MP_CAPABLE seen after its own
+        transform, rewrite acted). A key_rewrite node draws a key on every
+        pass, whether or not it can use it.
         """
-        options = syn.options
-        parsed, _ = parse_options_prefix(options)
+        options, parsed, mp, keyed = syn.options, view.parsed, view.mp, view.keyed
         records: list[tuple[TcpOption | None, bool]] = []
         for i, node in enumerate(path.interior[:up_to], start=1):
-            if node.kind is BehaviorKind.DROP_FIREWALL:
-                return None, parsed, records
-            if node.kind is BehaviorKind.STRIP_MIDDLEBOX:
+            kind = node.kind
+            if kind is BehaviorKind.DROP_FIREWALL:
+                return None, mp, records
+            if kind is BehaviorKind.STRIP_MIDDLEBOX:
                 parsed = _replace_mp_capable(parsed, None)
                 options = encode_options(parsed)
-            elif node.kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX:
-                src = self._keys_for(syn.dst, syn.dst_port, i, node)
-                rewritten = _rewrite_sender_key(find_mp_capable(parsed), src.next_key())
-                if rewritten is not None:
-                    parsed = _replace_mp_capable(parsed, rewritten)
+                mp, keyed = None, False
+            elif kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX:
+                key = self._keys_for(syn.dst, syn.dst_port, i, node).next_key()
+                if keyed:  # a rewrite keeps the option's form, so it stays keyed
+                    mp = _with_sender_key(mp, key)
+                    parsed = _replace_mp_capable(parsed, mp)
                     options = encode_options(parsed)
-                    records.append((rewritten, True))
+                    records.append((mp, True))
                     continue
-            records.append((find_mp_capable(parsed), False))
-        return options, parsed, records
+            records.append((mp, False))
+        return options, mp, records
 
     def _endpoint_reply(
-        self, path: SimPath, syn: TcpPacket, forward: list[TcpOption]
+        self, path: SimPath, syn: TcpPacket, view: _SynView, mp: TcpOption | None
     ) -> TcpOption | None:
-        """MP_CAPABLE of the endpoint's SYN-ACK; None means plain TCP."""
+        """MP_CAPABLE of the endpoint's SYN-ACK to a SYN arriving with `mp`;
+        None means plain TCP.
+
+        `mp` is the SYN's own option or a key_rewrite of it, which changes
+        only the key bytes, so it decodes as `view.syn_mc` does (same
+        version, or no decode at all).
+        """
         endpoint = path.endpoint
-        if endpoint.kind is BehaviorKind.TCP_ONLY_HOST:
+        if endpoint.kind is BehaviorKind.TCP_ONLY_HOST or mp is None:
             return None
-        opt = find_mp_capable(forward)
-        if opt is None:
-            return None
-        try:
-            mc = decode_mp_capable(opt, HandshakePhase.SYN)
-        except OptionError:
-            return None
-        if mc.version not in endpoint.supported_versions:
+        mc = view.syn_mc
+        if mc is None or mc.version not in endpoint.supported_versions:
             return None  # no version overlap: fall back to plain TCP
         src = self._keys_for(syn.dst, syn.dst_port, len(path.nodes) - 1, endpoint)
         reply = MpCapable(mc.version, DEFAULT_MP_FLAGS, src.next_key())
@@ -279,25 +325,26 @@ class SimNetwork:
         Its one option, if any, comes from an encoder or a parse, so it is
         not parsed again and carries no note.
         """
-        forward, parsed, records = self._forward(path, syn, len(path.interior))
+        view = _syn_view(syn.options)
+        forward, mp, records = self._forward(path, syn, view, len(path.interior))
         if forward is None:
             return None
-        reply = self._endpoint_reply(path, syn, parsed)
+        reply = self._endpoint_reply(path, syn, view, mp)
+        interior = path.interior
         for i in range(len(records), 0, -1):
-            node = path.interior[i - 1]
+            node = interior[i - 1]
             seen, acted = records[i - 1]
             if node.kind is BehaviorKind.MIRROR_MIDDLEBOX and seen is not None:
                 reply = seen
             elif node.kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX and acted:
                 src = self._keys_for(syn.dst, syn.dst_port, i, node)
-                reply = _rewrite_sender_key(seen, src.next_key())
-        rtt = 2.0 * path.per_hop_latency_ms * len(path.nodes)
-        return ProbeResponse(_SYN_ACK, [] if reply is None else [reply], rtt)
+                reply = _with_sender_key(seen, src.next_key())
+        return ProbeResponse(FLAG_SYN_ACK, [] if reply is None else [reply], path.rtt_ms)
 
     # -- transport contract -------------------------------------------------
 
     def handshake(self, syn: TcpPacket) -> ProbeResponse | None:
-        if not syn.flags & TcpFlags.SYN:
+        if not syn.flags & FLAG_SYN:
             raise ValueError("handshake needs a SYN")
         path = self.paths.get((syn.dst, syn.dst_port))
         return None if path is None else self._respond(path, syn)
@@ -310,7 +357,7 @@ class SimNetwork:
             return None
         interior = path.interior
         if ttl <= len(interior):
-            forward, _parsed, _records = self._forward(path, syn, ttl)
+            forward, _mp, _records = self._forward(path, syn, _syn_view(syn.options), ttl)
             if forward is None:
                 return None
             node = interior[ttl - 1]
@@ -489,8 +536,14 @@ def load_topology(path: str | Path, seed: int = 0) -> SimNetwork:
 
 def format_topology(net: SimNetwork) -> str:
     lines = []
+    tokens_by_node: dict[NodeBehavior, str] = {}  # a population has few distinct nodes
     for (address, port), path in sorted(net.paths.items()):
-        tokens = [node.spec_token() for node in path.nodes]
+        tokens = []
+        for node in path.nodes:
+            token = tokens_by_node.get(node)
+            if token is None:
+                token = tokens_by_node[node] = node.spec_token()
+            tokens.append(token)
         latency = ""
         if path.per_hop_latency_ms != 1.0:
             latency = f"latency={path.per_hop_latency_ms:g} "

@@ -97,6 +97,13 @@ class HandshakePhase(Enum):
     SYN_ACK = "syn-ack"
     ACK = "ack"
 
+    # Members are singletons, so identity is their equality; this keeps the
+    # codec's (version, phase) table lookups off Enum's Python `__hash__`.
+    __hash__ = object.__hash__
+
+
+_PHASES = tuple(HandshakePhase)  # iterating the class runs a Python generator
+
 
 @dataclass(frozen=True)
 class MpCapable:
@@ -226,7 +233,7 @@ def decode_mp_capable(opt: TcpOption, phase: HandshakePhase) -> MpCapable:
 
 def decode_mp_capable_any(opt: TcpOption) -> MpCapable | None:
     """Decode under whichever phase fits the length; None if nothing does."""
-    for phase in HandshakePhase:
+    for phase in _PHASES:
         try:
             return decode_mp_capable(opt, phase)
         except (BadSubtype, UnknownVersion):

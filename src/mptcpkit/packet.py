@@ -28,6 +28,13 @@ class TcpFlags(IntFlag):
     CWR = 0x80
 
 
+# The same bits as plain ints, for per-packet tests: `flags & TcpFlags.SYN`
+# with an int `flags` runs IntFlag's reflected `__rand__`, a Python call.
+FLAG_SYN = int(TcpFlags.SYN)
+FLAG_RST = int(TcpFlags.RST)
+FLAG_ACK = int(TcpFlags.ACK)
+FLAG_SYN_ACK = FLAG_SYN | FLAG_ACK
+
 IPV4_HEADER_LEN = 20
 IPV6_HEADER_LEN = 40
 TCP_HEADER_LEN = 20
@@ -43,7 +50,7 @@ class TcpPacket:
     dst_port: int
     seq: int
     ack: int = 0
-    flags: int = int(TcpFlags.SYN)
+    flags: int = FLAG_SYN
     ttl: int = 64
     window: int = 65535
     options: bytes = b""

@@ -1,16 +1,18 @@
 """Classic pcap file reading and writing.
 
-Handles microsecond and nanosecond magic in either byte order. Link types
-supported downstream: Ethernet (1), raw IP (101), and NULL/loopback (0).
-A truncated trailing record ends the stream quietly; only an unreadable
-global header is fatal.
+Handles microsecond and nanosecond magic in either byte order, plain or
+gzip-compressed. Link types supported downstream: Ethernet (1), raw IP
+(101), and NULL/loopback (0). A truncated trailing record, or a compressed
+stream cut short, ends the stream quietly; an unreadable global header or
+corrupt compressed data is fatal.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import MalformedCapture
 
@@ -21,14 +23,41 @@ LINKTYPE_NULL = 0
 LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW = 101
 
+GZIP_MAGIC = b"\x1f\x8b"
+
 # Per-record header (ts_sec, ts_frac, incl_len, orig_len), by byte order.
 _RECORD = {"<": struct.Struct("<IIII"), ">": struct.Struct(">IIII")}
+
+
+def _gunzip_reader(f: IO[bytes], consumed: int) -> Callable[[int], bytes]:
+    """`read` for a gzip-compressed capture whose first `consumed` bytes were
+    read from `f`: a stream cut short reads as its end, and corrupt data
+    raises MalformedCapture."""
+    import gzip  # only compressed captures pay for these imports
+    import zlib
+
+    f.seek(-consumed, io.SEEK_CUR)
+    stream = gzip.GzipFile(fileobj=f, mode="rb")
+
+    def read(size: int) -> bytes:
+        try:
+            return stream.read(size)
+        except EOFError:
+            return b""
+        except (gzip.BadGzipFile, zlib.error) as exc:
+            raise MalformedCapture(f"corrupt compressed capture: {exc}") from None
+
+    return read
 
 
 def read_pcap(source: str | Path | IO[bytes]) -> tuple[int, Iterator[tuple[float, bytes]]]:
     """Open a pcap file; returns (linktype, iterator of (timestamp, frame))."""
     f = open(source, "rb") if isinstance(source, (str, Path)) else source
-    header = f.read(24)
+    read = f.read
+    header = read(24)
+    if header[:2] == GZIP_MAGIC:
+        read = _gunzip_reader(f, len(header))
+        header = read(24)
     if len(header) < 24:
         raise MalformedCapture("file too short for a pcap global header")
     magic = struct.unpack("<I", header[:4])[0]
@@ -44,7 +73,6 @@ def read_pcap(source: str | Path | IO[bytes]) -> tuple[int, Iterator[tuple[float
     linktype = struct.unpack(f"{endian}I", header[20:24])[0]
 
     record = _RECORD[endian].unpack
-    read = f.read
 
     def frames() -> Iterator[tuple[float, bytes]]:
         try:

@@ -7,6 +7,7 @@ target per campaign, no retries; the first valid response wins.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -26,7 +27,7 @@ from .options import (
     encode_mp_capable,
     parse_options_prefix,
 )
-from .packet import TcpFlags, TcpPacket, decode_packet, ip_family
+from .packet import FLAG_RST, FLAG_SYN, FLAG_SYN_ACK, TcpPacket, decode_packet, ip_family
 
 # Default v0 campaign key: a documented constant of Hamming weight 16, so key
 # weight histograms from different campaigns line up.
@@ -57,9 +58,15 @@ class ProbeSpec:
 
     def syn_option(self) -> bytes:
         """The exact MP_CAPABLE bytes this probe sends in its SYN."""
-        return encode_mp_capable(
-            MpCapable(self.version, DEFAULT_MP_FLAGS, self.probe_key), HandshakePhase.SYN
-        )
+        return _syn_option(self.version, self.probe_key)
+
+
+# Keyed by campaign constants only: a campaign has one version and one key.
+@functools.lru_cache(maxsize=16)
+def _syn_option(version: int, probe_key: Key | None) -> bytes:
+    return encode_mp_capable(
+        MpCapable(version, DEFAULT_MP_FLAGS, probe_key), HandshakePhase.SYN
+    )
 
 
 @dataclass(frozen=True)
@@ -103,27 +110,31 @@ class Classification:
         return self.kind.value
 
 
+# Keyed by campaign constants only: the seed and the digest size.
+@functools.lru_cache(maxsize=16)
+def _keyed_blake2b(seed: int, digest_size: int) -> hashlib.blake2b:
+    """A blake2b that has absorbed the seed as its key; callers hash copies of it."""
+    return hashlib.blake2b(key=seed.to_bytes(8, "big", signed=False), digest_size=digest_size)
+
+
+def _keyed_digest(data: bytes, seed: int, digest_size: int) -> int:
+    """`blake2b(data, key=seed, digest_size=...)` as a big-endian integer."""
+    h = _keyed_blake2b(seed, digest_size).copy()
+    h.update(data)
+    return int.from_bytes(h.digest(), "big")
+
+
 def derive_seq(target: str, port: int, seed: int) -> int:
     """Deterministic sequence number from the target and campaign seed.
 
     A keyed hash of the flow identity lets replies be validated without a
     per-target state table.
     """
-    digest = hashlib.blake2b(
-        f"{target},{port}".encode(),
-        key=seed.to_bytes(8, "big", signed=False),
-        digest_size=4,
-    ).digest()
-    return int.from_bytes(digest, "big")
+    return _keyed_digest(f"{target},{port}".encode(), seed, 4)
 
 
 def derive_src_port(target: str, port: int, seed: int) -> int:
-    digest = hashlib.blake2b(
-        f"sport:{target},{port}".encode(),
-        key=seed.to_bytes(8, "big", signed=False),
-        digest_size=2,
-    ).digest()
-    return 32768 + int.from_bytes(digest, "big") % 28000
+    return 32768 + _keyed_digest(f"sport:{target},{port}".encode(), seed, 2) % 28000
 
 
 def build_syn_probe(
@@ -144,14 +155,14 @@ def build_syn_probe(
         dst_port=spec.port,
         seq=derive_seq(spec.target, spec.port, seed),
         ack=0,
-        flags=int(TcpFlags.SYN),
+        flags=FLAG_SYN,
         ttl=ttl,
         options=spec.syn_option(),
     )
 
 
 def _is_syn_ack(flags: int) -> bool:
-    return bool(flags & TcpFlags.SYN) and bool(flags & TcpFlags.ACK)
+    return (flags & FLAG_SYN_ACK) == FLAG_SYN_ACK
 
 
 def classify_response(spec: ProbeSpec, resp: ProbeResponse | None) -> Classification:
@@ -165,15 +176,16 @@ def classify_response(spec: ProbeSpec, resp: ProbeResponse | None) -> Classifica
     if resp is None:
         return Classification(ClassificationKind.NO_RESPONSE)
     if not _is_syn_ack(resp.tcp_flags):
-        note = "reset" if resp.tcp_flags & TcpFlags.RST else "not a SYN-ACK"
+        note = "reset" if resp.tcp_flags & FLAG_RST else "not a SYN-ACK"
         return Classification(ClassificationKind.NO_RESPONSE, note=note)
     kind30 = [o for o in resp.options if o.kind == 30]
     if not kind30:
         return Classification(ClassificationKind.NO_MP_CAPABLE)
 
     if spec.version == 1:
-        sent = spec.syn_option()
-        if any(o.encode() == sent for o in kind30):
+        # Both are kind 30, so equal payloads mean byte-identical options.
+        sent_payload = spec.syn_option()[2:]
+        if any(o.payload == sent_payload for o in kind30):
             return Classification(ClassificationKind.MIRRORED_KEY)
 
     decoded: list[MpCapable] = []

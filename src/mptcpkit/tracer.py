@@ -9,17 +9,20 @@ that never answer (unreachable).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .options import (
     Key,
+    MpCapable,
     TcpOption,
     decode_mp_capable_any,
     find_mp_capable,
     parse_options,
 )
-from .packet import TcpFlags, extract_quoted_options
+from .packet import FLAG_SYN_ACK, extract_quoted_options
 from .probe import (
     DEFAULT_PROBE_KEY,
     HopReply,
@@ -93,8 +96,17 @@ class PathTrace:
     final_response: ProbeResponse | None
 
 
-def diff_options(sent: list[TcpOption], observed: list[TcpOption]) -> OptionDiff:
-    """Compare the MP_CAPABLE we sent against what a hop observed."""
+def diff_options(
+    sent: Sequence[TcpOption],
+    observed: list[TcpOption],
+    *,
+    sent_mc: MpCapable | None = None,
+) -> OptionDiff:
+    """Compare the MP_CAPABLE we sent against what a hop observed.
+
+    `sent_mc`, when given, is `decode_mp_capable_any` of the sent MP_CAPABLE,
+    so a caller diffing many hops against one SYN decodes it once.
+    """
     sent_opt = find_mp_capable(sent)
     if sent_opt is None:
         raise ValueError("sent options carry no MP_CAPABLE")
@@ -103,18 +115,28 @@ def diff_options(sent: list[TcpOption], observed: list[TcpOption]) -> OptionDiff
         return OptionDiff(OptionDiffKind.STRIPPED)
     if seen == sent_opt:
         return OptionDiff(OptionDiffKind.UNTOUCHED)
-    sent_mc = decode_mp_capable_any(sent_opt)
     seen_mc = decode_mp_capable_any(seen)
     if seen_mc is None:
         return OptionDiff(
             OptionDiffKind.OTHER_MODIFICATION, description="option no longer decodes"
         )
+    if sent_mc is None:
+        sent_mc = decode_mp_capable_any(sent_opt)
     if sent_mc is not None and seen_mc.sender_key != sent_mc.sender_key:
         return OptionDiff(OptionDiffKind.KEY_CHANGED, new_key=seen_mc.sender_key)
     return OptionDiff(
         OptionDiffKind.OTHER_MODIFICATION,
         description=f"bytes changed: {sent_opt.encode().hex()} -> {seen.encode().hex()}",
     )
+
+
+# Keyed by the SYN's option bytes, which every probe of a campaign shares.
+@functools.lru_cache(maxsize=16)
+def _sent_options(options: bytes) -> tuple[tuple[TcpOption, ...], MpCapable | None]:
+    """The parse of a SYN's options and the decode of its MP_CAPABLE."""
+    parsed = tuple(parse_options(options))
+    sent_opt = find_mp_capable(parsed)
+    return parsed, None if sent_opt is None else decode_mp_capable_any(sent_opt)
 
 
 def probe_path(
@@ -139,7 +161,7 @@ def probe_path(
         probe_key = DEFAULT_PROBE_KEY
     spec = ProbeSpec(target, port, version, probe_key)
     syn = build_syn_probe(spec, seed)
-    sent_options = parse_options(syn.options)
+    sent_options, sent_mc = _sent_options(syn.options)
     hops: list[HopRecord] = []
     final: ProbeResponse | None = None
 
@@ -157,11 +179,11 @@ def probe_path(
             if quoted is None:
                 diff = OptionDiff(OptionDiffKind.UNOBSERVED)
             else:
-                diff = diff_options(sent_options, quoted)
+                diff = diff_options(sent_options, quoted, sent_mc=sent_mc)
             hops.append(HopRecord(ttl, reply.responder, quoted, diff))
             continue
         # The target answered (SYN-ACK or RST): terminal record.
-        diff = diff_options(sent_options, reply.options)
+        diff = diff_options(sent_options, reply.options, sent_mc=sent_mc)
         hops.append(HopRecord(ttl, target, reply.options, diff))
         final = reply
         break
@@ -190,8 +212,7 @@ def classify_path(
     last = hops[-1]
     if (
         last.diff.kind is OptionDiffKind.KEY_CHANGED
-        and bool(final_response.tcp_flags & TcpFlags.SYN)
-        and bool(final_response.tcp_flags & TcpFlags.ACK)
+        and (final_response.tcp_flags & FLAG_SYN_ACK) == FLAG_SYN_ACK
     ):
         return PathVerdict(PathVerdictKind.TRULY_CAPABLE, sender_key=last.diff.new_key)
     return PathVerdict(PathVerdictKind.NOT_CAPABLE)

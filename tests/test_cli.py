@@ -642,11 +642,69 @@ class TestBench:
         out_dir = workdir / "bench"
         out_dir.mkdir()
         rc = main(["bench", "--targets", str(workdir / "targets.csv"),
+                   "--blocklist", str(workdir / "blocklist.txt"), "--rate", "10",
                    "--out-dir", str(out_dir)])
         assert rc == 1
         assert "refused: no MPTCP-capable stack" in capsys.readouterr().err
         assert fetched == []
         assert list(out_dir.iterdir()) == []
+
+    def fake_system(self, monkeypatch):
+        """Stands in for the host stack; records each transport built and each fetch."""
+        log = {"built": [], "fetched": []}
+
+        class FakeTransport:
+            def __init__(self, transport="tcp"):
+                log["built"].append(transport)
+                self.transport = transport
+
+            def fetch(self, target, port, run=0):
+                log["fetched"].append((self.transport, target, port, run))
+                return bench_mod.TimingSample(self.transport, True, 1.0, None, 2.0, 3.0)
+
+        monkeypatch.setattr(bench_mod, "SystemTimingTransport", FakeTransport)
+        return log
+
+    @pytest.mark.parametrize("guards, missing", [
+        ([], "--blocklist and --rate"),
+        (["--rate", "10"], "--blocklist"),
+        (["--blocklist", "blocklist.txt"], "--rate"),
+    ])
+    def test_live_bench_refused_without_guardrails(self, workdir, monkeypatch, capsys,
+                                                   guards, missing):
+        log = self.fake_system(monkeypatch)
+        guards = [str(workdir / g) if g.endswith(".txt") else g for g in guards]
+        out_dir = workdir / "bench"
+        rc = main(["bench", "--targets", str(workdir / "targets.csv"), *guards,
+                   "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"refused: refusing live bench without {missing}\n"
+        assert log == {"built": [], "fetched": []}
+        assert not out_dir.exists()
+
+    def test_live_bench_skips_blocklisted_and_paces(self, workdir, monkeypatch):
+        log = self.fake_system(monkeypatch)
+        waits = []
+        monkeypatch.setattr(RatePacer, "acquire", lambda self: waits.append(1))
+        (workdir / "blocklist.txt").write_text("10.0.0.2/32\n10.0.0.4/32\n")
+        run_ok(["bench", "--targets", str(workdir / "targets.csv"),
+                "--blocklist", str(workdir / "blocklist.txt"), "--rate", "10",
+                "--runs", "2", "--out-dir", str(workdir / "bench")])
+        assert log["built"] == ["mptcp", "tcp"]
+        fetched_targets = {target for _transport, target, _port, _run in log["fetched"]}
+        assert fetched_targets == {"10.0.0.1", "10.0.0.3", "10.0.0.5"}
+        assert len(log["fetched"]) == 3 * 2 * 2  # targets x transports x runs
+        assert len(waits) == len(log["fetched"])  # every fetch waited its turn
+
+    def test_sim_bench_blocklist_skips_targets(self, workdir):
+        (workdir / "bench-targets.csv").write_text("10.0.0.1,80\n10.0.0.5,80\n")
+        (workdir / "blocklist.txt").write_text("10.0.0.5/32\n")
+        for name, extra in (("all", []), ("blocked", ["--blocklist", str(workdir / "blocklist.txt")])):
+            run_ok(["bench", "--targets", str(workdir / "bench-targets.csv"),
+                    "--sim-topology", str(workdir / "topology.txt"), *extra,
+                    "--runs", "3", "--seed", "2", "--out-dir", str(workdir / name)])
+        assert len((workdir / "all" / "connect.cdf.txt").read_text().splitlines()) == 6
+        assert len((workdir / "blocked" / "connect.cdf.txt").read_text().splitlines()) == 3
 
 
 def test_cli_import_loads_no_numeric_stack():

@@ -1,7 +1,9 @@
 import dataclasses
+import gzip
 import io
 import random
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from mptcpkit.options import (
 )
 from mptcpkit.packet import TcpFlags, decode_packet, pack_address
 from mptcpkit.pcapio import (
+    GZIP_MAGIC,
     LINKTYPE_ETHERNET,
     LINKTYPE_NULL,
     LINKTYPE_RAW,
@@ -598,3 +601,71 @@ def test_read_pcap_raises_only_malformed_capture(data):
         return
     for ts, frame in frames:
         assert isinstance(ts, float) and isinstance(frame, bytes)
+
+
+def _capture_frames():
+    frames = handshake_frames("10.0.0.1", "10.0.0.2", 5555, 80, mptcp_version=0,
+                              extra_data_packets=6)
+    frames += handshake_frames("2001:db8::1", "2001:db8::2", 6000, 443,
+                               extra_data_packets=3, t0=1.0)
+    frames += handshake_frames("10.0.0.3", "10.0.0.2", 5556, 80, mptcp_version=1,
+                               extra_data_packets=2, t0=2.0)
+    frames.append((3.0, b"\x45" + bytes(30)))  # an IPv4 header of another protocol
+    return frames
+
+
+class TestCompressedCapture:
+    def test_gzip_reads_as_the_plain_file(self, tmp_path):
+        plain = capture_bytes(_capture_frames()).getvalue()
+        (tmp_path / "c.pcap").write_bytes(plain)
+        (tmp_path / "c.pcap.gz").write_bytes(gzip.compress(plain))
+        want = ingest_capture(tmp_path / "c.pcap")
+        assert want.tcp_packets > 0 and want.non_tcp == 1
+        assert ingest_capture(tmp_path / "c.pcap.gz") == want
+        assert ingest_capture(str(tmp_path / "c.pcap.gz")) == want
+        assert ingest_capture(io.BytesIO(gzip.compress(plain))) == want
+
+    def test_cut_short_ends_after_the_last_whole_record(self):
+        plain = capture_bytes(_capture_frames()).getvalue()
+        packed = gzip.compress(plain)
+        for cut in range(len(packed) + 1):
+            available = zlib.decompressobj(wbits=31).decompress(packed[:cut])
+            if len(available) < 24:
+                with pytest.raises(MalformedCapture):
+                    read_pcap(io.BytesIO(packed[:cut]))
+                continue
+            _linktype, frames = read_pcap(io.BytesIO(packed[:cut]))
+            _linktype, want = read_pcap(io.BytesIO(available))  # the plain reader's answer
+            assert list(frames) == list(want), cut
+
+    @pytest.mark.parametrize("where, value", [
+        (10, 0xFF),  # first deflate byte: a block of the reserved type
+        (-8, None),  # CRC of the trailer no longer matches
+    ])
+    def test_corrupt_data_raises_malformed_capture(self, where, value):
+        packed = bytearray(gzip.compress(capture_bytes(_capture_frames()).getvalue()))
+        packed[where] = value if value is not None else packed[where] ^ 0xFF
+        with pytest.raises(MalformedCapture):
+            _linktype, frames = read_pcap(io.BytesIO(bytes(packed)))
+            list(frames)
+
+
+_GZIP_HEADER = bytes.fromhex("1f8b08000000000000ff")
+
+
+@given(st.one_of(
+    st.binary(max_size=200).map(lambda rest: GZIP_MAGIC + rest),
+    st.binary(max_size=200).map(lambda rest: _GZIP_HEADER + rest),
+    st.builds(lambda data, i, byte: data[:i % len(data)] + bytes([byte]) + data[i % len(data) + 1:],
+              st.just(gzip.compress(capture_bytes(handshake_frames(
+                  "10.0.0.1", "10.0.0.2", 5555, 80, mptcp_version=0)).getvalue())),
+              st.integers(0, 10_000), st.integers(0, 255)),
+))
+@settings(max_examples=500)
+def test_read_gzip_raises_only_malformed_capture(data):
+    try:
+        _linktype, frames = read_pcap(io.BytesIO(data))
+        for ts, frame in frames:
+            assert isinstance(ts, float) and isinstance(frame, bytes)
+    except MalformedCapture:
+        pass

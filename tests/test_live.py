@@ -42,6 +42,22 @@ def _syn():
                      options=b"\x1e\x04\x01\x81")
 
 
+@pytest.mark.parametrize("flags, ack, sport, matches", [
+    (TcpFlags.SYN | TcpFlags.ACK, 8, 80, True),  # acks seq + 1
+    (TcpFlags.SYN | TcpFlags.ACK, 9, 80, False),  # acks something else
+    (TcpFlags.RST | TcpFlags.ACK, 8, 80, True),
+    (TcpFlags.RST | TcpFlags.ACK, 0, 80, False),
+    (TcpFlags.RST, 0, 80, True),  # no ACK flag: the ack field is not read
+    (TcpFlags.SYN, 12345, 80, True),
+    (TcpFlags.SYN | TcpFlags.ACK, 8, 81, False),  # another port
+])
+def test_reply_matched_by_flow_and_ack(flags, ack, sport, matches):
+    syn = _syn()
+    reply = TcpPacket(src=syn.dst, dst=syn.src, src_port=sport, dst_port=syn.src_port,
+                      seq=99, ack=ack, flags=int(flags))
+    assert _bare_transport()._matches(syn, encode_packet(reply)) is matches
+
+
 @pytest.mark.parametrize("data", [b"", b"\x45", b"\x45" + bytes(18)])
 def test_icmp_quote_short_input_is_none(data):
     assert _bare_transport()._icmp_quote(_syn(), data) is None

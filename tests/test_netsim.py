@@ -531,3 +531,89 @@ def test_replies_match_encoded_reference(interior, endpoint, address, probe_key,
             assert want is None or want.note is None  # replies come from encoders
             for ttl in range(1, len(path.nodes) + 2):  # the last ones reach the host
                 assert net.ttl_probe(syn, ttl) == ref.ttl_probe(syn, ttl)
+
+
+_calls = st.lists(
+    st.tuples(st.sampled_from(["handshake", "ttl_probe"]), st.integers(1, 7),
+              st.sampled_from([0, 1])),
+    min_size=1, max_size=14,
+)
+
+
+@given(
+    interior=st.lists(_interior, max_size=3).flatmap(
+        lambda nodes: st.builds(lambda i, rewrite: [*nodes[:i], rewrite, *nodes[i:]],
+                                st.integers(0, len(nodes)), st.builds(key_rewrite, _seeds))
+    ),
+    endpoint=_endpoint,
+    address=st.sampled_from(["10.1.2.3", "2001:db8::7"]),
+    probe_key=st.integers(0, 2**64 - 1).map(Key),
+    calls=_calls,
+    seed=st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_call_sequences_draw_keys_as_the_reference_does(interior, endpoint, address,
+                                                        probe_key, calls, seed):
+    # Every pass through a key_rewrite node draws a key, so one network fed a
+    # mixed sequence (repeats, TTLs out of order, both versions) must draw them
+    # in the reference's order for every later reply to match.
+    path = SimPath([*interior, endpoint])
+    net, ref = SimNetwork(seed), ReferenceNetwork(seed)
+    net.add_path(address, 443, path)
+    ref.add_path(address, 443, path)
+    syns = {0: build_syn_probe(ProbeSpec(address, 443, 0, probe_key), seed),
+            1: build_syn_probe(ProbeSpec(address, 443, 1), seed)}
+    for op, ttl, version in calls:
+        syn = syns[version]
+        if op == "handshake":
+            assert net.handshake(syn) == ref.handshake(syn)
+        else:
+            assert net.ttl_probe(syn, ttl) == ref.ttl_probe(syn, ttl)
+
+
+class TestSimPath:
+    def test_derived_fields_follow_the_nodes(self):
+        for path in generate_population(400, seed=8).paths.values():
+            kinds = [node.kind for node in path.nodes[:-1]]
+            assert path.interior == path.nodes[:-1]
+            assert path.interior is path.interior  # built once, not sliced per read
+            assert path.endpoint is path.nodes[-1]
+            assert path.drops == (BehaviorKind.DROP_FIREWALL in kinds)
+            assert path.strips == (BehaviorKind.STRIP_MIDDLEBOX in kinds)
+            assert path.rtt_ms == 2.0 * path.per_hop_latency_ms * len(path.nodes)
+
+    def test_nodes_kept_as_a_tuple(self):
+        nodes = [strip(), tcp_host()]
+        path = SimPath(nodes)
+        nodes.append(mirror())  # the caller's list is not the path's
+        assert path.nodes == (strip(), tcp_host())
+        assert path == SimPath((strip(), tcp_host()))
+
+
+def test_campaign_memo_tables_do_not_grow_with_targets():
+    # The memo tables are keyed by campaign constants (version, key, seed, SYN
+    # option bytes): a scan and a trace of both versions fill the same few
+    # entries whether they cover 200 targets or 2,000.
+    from mptcpkit import netsim, probe, tracer
+    from mptcpkit.probe import Blocklist, CampaignGuard, VirtualClock, run_campaign
+    from mptcpkit.tracer import inspect_target
+
+    memos = (probe._syn_option, netsim._syn_view, tracer._sent_options, probe._keyed_blake2b)
+    sizes = {}
+    for count in (200, 2000):
+        for memo in memos:
+            memo.cache_clear()
+        net = generate_population(count, seed=5)
+        for version in (0, 1):
+            clock = VirtualClock()
+            records = run_campaign(net.targets(), version=version,
+                                   guard=CampaignGuard(1e6, Blocklist()), transport=net,
+                                   seed=5, clock=clock, sleep=clock.sleep)
+            for record in records:
+                if record.label == "potential_capable":
+                    inspect_target(record.address, record.port, version, net, seed=5)
+        infos = [memo.cache_info() for memo in memos]
+        sizes[count] = [info.currsize for info in infos]
+        assert [info.misses for info in infos] == sizes[count]  # each entry built once
+        assert all(info.hits >= count for info in infos[:2])  # every probe reads them
+    assert sizes[200] == sizes[2000] == [2, 2, 2, 2]  # _keyed_blake2b: seq and port sizes

@@ -34,3 +34,49 @@ def test_recorder_wraps_every_layer():
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["layers"] > 0
     assert result["unwrapped"] == []
+
+
+CAMPAIGN = """
+import json, sys
+sys.path.insert(0, "perfbench")
+from tracing import Recorder
+recorder = Recorder()
+recorder.install()
+from mptcpkit import cli
+d = sys.argv[1]
+for argv in (
+    ["simulate", "--generate", "80", "--seed", "3", "--out-topology", d + "/topo.txt",
+     "--out-targets", d + "/targets.txt"],
+    ["scan", "--targets", d + "/targets.txt", "--sim-topology", d + "/topo.txt",
+     "--seed", "3", "--out", d + "/scan.csv"],
+    ["trace", "--from-scan", d + "/scan.csv", "--sim-topology", d + "/topo.txt",
+     "--seed", "3", "--out", d + "/trace.csv"],
+    ["bench", "--targets", d + "/targets.txt", "--sim-topology", d + "/topo.txt",
+     "--runs", "2", "--seed", "3", "--out-dir", d + "/bench-out"],
+):
+    assert cli.main(argv) == 0, argv
+totals = recorder.totals()
+print(json.dumps({name: totals[name]["calls"] for name in recorder.names}))
+"""
+
+# The layers whose per-layer metrics tell where a simulated campaign spends
+# its time; each must still be reached through the function the table wraps.
+CAMPAIGN_LAYERS = [
+    "netsim.SimNetwork.handshake",
+    "netsim.SimNetwork.ttl_probe",
+    "probe.build_syn_probe",
+    "probe.classify_response",
+    "tracer.diff_options",
+    "options.encode_mp_capable",
+    "bench.SimTimingTransport.fetch",
+]
+
+
+def test_traced_campaign_layers_stay_on_the_call_path(tmp_path):
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run([sys.executable, "-c", CAMPAIGN, str(tmp_path)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    calls = json.loads(done.stdout.splitlines()[-1])
+    assert {name: calls[name] > 0 for name in CAMPAIGN_LAYERS} == dict.fromkeys(
+        CAMPAIGN_LAYERS, True)

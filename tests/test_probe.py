@@ -1,3 +1,4 @@
+import hashlib
 import ipaddress
 
 import pytest
@@ -31,6 +32,7 @@ from mptcpkit.probe import (
     build_syn_probe,
     classify_response,
     derive_seq,
+    derive_src_port,
     load_targets,
     run_campaign,
 )
@@ -62,6 +64,25 @@ class TestProbeSpec:
     def test_default_probe_key_weight(self):
         assert DEFAULT_PROBE_KEY.value.bit_count() == 16
 
+    @given(
+        specs=st.lists(
+            st.one_of(
+                st.builds(lambda key: (0, Key(key)), st.integers(0, 2**64 - 1)),
+                st.just((1, None)),
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    @settings(max_examples=200)
+    def test_syn_option_is_the_encoded_option(self, specs):
+        # Several (version, key) pairs in one process, each asked more than once:
+        # every answer is the encoding of that spec's own option.
+        for version, key in specs + specs[::-1]:
+            want = encode_mp_capable(
+                MpCapable(version, DEFAULT_MP_FLAGS, key), HandshakePhase.SYN
+            )
+            assert ProbeSpec("10.0.0.1", 80, version, key).syn_option() == want
+
 
 class TestBuildSynProbe:
     def test_v0_probe_carries_key(self):
@@ -84,6 +105,21 @@ class TestBuildSynProbe:
         assert derive_seq("10.0.0.1", 80, 7) != derive_seq("10.0.0.1", 80, 8)
         assert derive_seq("10.0.0.1", 80, 7) != derive_seq("10.0.0.2", 80, 7)
 
+    @given(
+        calls=st.lists(st.tuples(st.text(max_size=20), st.integers(0, 65535),
+                                 st.integers(0, 2**64 - 1)), min_size=1, max_size=5),
+    )
+    @settings(max_examples=200)
+    def test_seq_and_port_are_keyed_blake2b_of_the_flow(self, calls):
+        # Seeds interleave, so each call must hash with its own seed's key.
+        for target, port, seed in calls + calls[::-1]:
+            key = seed.to_bytes(8, "big")
+            seq = hashlib.blake2b(f"{target},{port}".encode(), key=key, digest_size=4)
+            sport = hashlib.blake2b(f"sport:{target},{port}".encode(), key=key, digest_size=2)
+            assert derive_seq(target, port, seed) == int.from_bytes(seq.digest(), "big")
+            assert derive_src_port(target, port, seed) == (
+                32768 + int.from_bytes(sport.digest(), "big") % 28000)
+
     def test_v6_target_gets_v6_source(self):
         pkt = build_syn_probe(ProbeSpec("2001:db8::5", 443, 1))
         assert ipaddress.ip_address(pkt.src).version == 6
@@ -104,6 +140,17 @@ class TestClassifyResponse:
         cls = classify_response(self.spec_v0(), resp)
         assert cls.kind is ClassificationKind.NO_RESPONSE
         assert cls.note == "reset"
+
+    def test_only_syn_and_ack_together_make_a_syn_ack(self):
+        for flags in range(256):  # the IntFlag reading of each flag byte is the reference
+            is_syn_ack = bool(flags & TcpFlags.SYN) and bool(flags & TcpFlags.ACK)
+            resp = syn_ack([mp_option(0, K_OTHER)], flags=flags)
+            cls = classify_response(self.spec_v0(), resp)
+            if is_syn_ack:
+                assert cls.kind is ClassificationKind.POTENTIAL_CAPABLE, flags
+            else:
+                assert cls.kind is ClassificationKind.NO_RESPONSE, flags
+                assert cls.note == ("reset" if flags & TcpFlags.RST else "not a SYN-ACK")
 
     def test_plain_syn_ack_no_mp_capable(self):
         cls = classify_response(self.spec_v0(), syn_ack([TcpOption(2, b"\x05\xb4")]))

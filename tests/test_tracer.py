@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptcpkit.netsim import (
     SimNetwork,
@@ -11,7 +13,7 @@ from mptcpkit.netsim import (
     tcp_host,
     true_host,
 )
-from mptcpkit.options import Key, TcpOption
+from mptcpkit.options import Key, TcpOption, decode_mp_capable_any, find_mp_capable
 from mptcpkit.packet import TcpFlags
 from mptcpkit.probe import DEFAULT_PROBE_KEY, ProbeResponse, ProbeSpec
 from mptcpkit.tracer import (
@@ -67,6 +69,21 @@ class TestDiffOptions:
     def test_requires_mp_capable_in_sent(self):
         with pytest.raises(ValueError):
             diff_options([TcpOption(2, b"\x05\xb4")], [])
+
+    @given(
+        sent=st.sampled_from([SENT, [mp_opt(None, version=1)], [mp_opt(K, version=1)],
+                              [TcpOption(1), mp_opt(K)], [TcpOption(30, b"\x70")]]),
+        observed=st.lists(st.one_of(
+            st.builds(mp_opt, st.one_of(st.none(), st.sampled_from([K, K2])),
+                      st.sampled_from([0, 1])),
+            st.builds(TcpOption, st.just(30), st.binary(max_size=20)),
+            st.sampled_from([TcpOption(1), TcpOption(2, b"\x05\xb4"), TcpOption(4)]),
+        ), max_size=4),
+    )
+    @settings(max_examples=300)
+    def test_pre_decoded_sent_option_changes_nothing(self, sent, observed):
+        sent_mc = decode_mp_capable_any(find_mp_capable(sent))
+        assert diff_options(sent, observed, sent_mc=sent_mc) == diff_options(sent, observed)
 
 
 def network(path: SimPath, target="10.5.5.5", port=80, seed=2) -> SimNetwork:
@@ -149,6 +166,15 @@ class TestClassifyPath:
         verdict = classify_path(hops, final_resp())
         assert verdict.kind is PathVerdictKind.TRULY_CAPABLE
         assert verdict.sender_key == K2
+
+    def test_fresh_key_needs_a_syn_ack(self):
+        hops = [hop(1, OptionDiffKind.KEY_CHANGED, new_key=K2)]
+        for flags in range(256):  # the IntFlag reading of each flag byte is the reference
+            final = ProbeResponse(flags, [], 1.0)
+            want = (PathVerdictKind.TRULY_CAPABLE
+                    if flags & TcpFlags.SYN and flags & TcpFlags.ACK
+                    else PathVerdictKind.NOT_CAPABLE)
+            assert classify_path(hops, final).kind is want, flags
 
     def test_stripped_hop_wins_over_final(self):
         hops = [
