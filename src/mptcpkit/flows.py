@@ -20,7 +20,7 @@ from math import ceil
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
 
-from .errors import EmptyInput, MalformedCapture, MissingTables
+from .errors import EmptyInput, MissingTables
 from .inputs import data_lines
 from .options import decode_mp_capable_any, parse_options_prefix
 from .packet import address_text, decode_tcp, is_later_fragment, is_non_tcp
@@ -145,8 +145,6 @@ def ingest_capture(
 ) -> FlowTable:
     """Aggregate every TCP packet of a pcap into per-flow counters."""
     linktype, frames = read_pcap(source)
-    if linktype not in (LINKTYPE_RAW, LINKTYPE_ETHERNET, LINKTYPE_NULL):
-        raise MalformedCapture(f"unsupported link type {linktype}")
     table = FlowTable()
     flows = table.flows
     for _ts, frame in frames:

@@ -2,7 +2,10 @@
 
 Needs CAP_NET_RAW; construction raises TransportUnavailable otherwise.
 Replies are matched statelessly against the probe's 4-tuple and expected
-acknowledgment number, so no per-target state survives a send.
+acknowledgment number, so no per-target state survives a send. The match
+runs on the packed bytes as read: a packet's source address and port pair
+are compared with the probe's before anything is decoded, and only a
+matching reply is decoded, once, with its addresses left packed.
 """
 
 from __future__ import annotations
@@ -13,17 +16,70 @@ import struct
 import time
 
 from .errors import TransportUnavailable
-from .packet import FLAG_ACK, IPV4_HEADER_LEN, TcpPacket, decode_packet, encode_packet
+from .packet import (
+    FLAG_ACK,
+    IPV4_HEADER_LEN,
+    RawSegment,
+    TcpPacket,
+    decode_tcp,
+    encode_packet,
+    pack_address,
+)
 from .probe import HopReply, ProbeResponse, make_response
 
 ICMP_TIME_EXCEEDED = 11
 ICMP_DEST_UNREACHABLE = 3
+
+_PORTS = struct.Struct("!HH")  # a TCP header's (source, destination) ports
 
 
 def local_source_address(target: str) -> str:
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as s:
         s.connect((target, 53))
         return s.getsockname()[0]
+
+
+def _reply_keys(pkt: TcpPacket) -> tuple[bytes, bytes, int]:
+    """What a reply to `pkt` carries, in wire form: `_match_reply`'s keys."""
+    ports = _PORTS.pack(pkt.dst_port, pkt.src_port)
+    return pack_address(pkt.dst), ports, (pkt.seq + 1) & 0xFFFFFFFF
+
+
+def _match_reply(data: bytes, peer: bytes, ports: bytes, ack: int) -> RawSegment | None:
+    """`data` decoded, if it is an IPv4 TCP reply to a probe; else None.
+
+    `peer` is the probe's packed destination, `ports` the probe's
+    (destination, source) ports packed in the reply's order, and `ack` the
+    probe's seq + 1, which a reply with the ACK flag must acknowledge.
+    """
+    if data[12:16] != peer or data[0] >> 4 != 4:
+        return None
+    ihl = (data[0] & 0x0F) * 4
+    if data[ihl : ihl + 4] != ports:
+        return None
+    seg = decode_tcp(data)
+    if seg is None or (seg[6] & FLAG_ACK and seg[5] != ack):
+        return None
+    return seg
+
+
+def _icmp_quote(data: bytes, peer: bytes, port: int, rtt_ms: float) -> HopReply | None:
+    """An ICMP time-exceeded or unreachable packet that quotes a probe to
+    `peer` (packed) and `port`, as a HopReply; else None."""
+    if len(data) < IPV4_HEADER_LEN + 8:  # IPv4 header plus the ICMP header
+        return None
+    icmp = data[(data[0] & 0x0F) * 4 :]
+    if len(icmp) < 8 or icmp[0] not in (ICMP_TIME_EXCEEDED, ICMP_DEST_UNREACHABLE):
+        return None
+    quote = icmp[8:]
+    quoted = decode_tcp(quote)
+    if quoted is None:
+        # Quote may be truncated below a parseable TCP header; match on
+        # the embedded IP destination alone.
+        matched = quote[16:20] == peer
+    else:
+        matched = quoted[1] == peer and quoted[3] == port
+    return HopReply(socket.inet_ntoa(data[12:16]), quote, rtt_ms) if matched else None
 
 
 class LiveTransport:
@@ -52,46 +108,16 @@ class LiveTransport:
             except OSError:
                 pass
 
-    def _send_packet(self, pkt: TcpPacket) -> None:
-        if pkt.src.startswith("192.0.2."):  # placeholder source: fill in ours
+    def _send_packet(self, pkt: TcpPacket, ttl: int | None = None) -> None:
+        src = None
+        if pkt.src.startswith("192.0.2."):  # placeholder source: send from ours
             src = self._sources.get(pkt.dst)
             if src is None:
                 src = self._sources[pkt.dst] = local_source_address(pkt.dst)
-            pkt = TcpPacket(**{**vars(pkt), "src": src})
-        self._send.sendto(encode_packet(pkt), (pkt.dst, 0))
-
-    def _matches(self, pkt: TcpPacket, data: bytes) -> bool:
-        """Whether a TCP packet answers `pkt`: its 4-tuple and, if it acks, the ack."""
-        seg = decode_packet(data)
-        return (
-            seg is not None
-            and seg.src == pkt.dst
-            and seg.src_port == pkt.dst_port
-            and seg.dst_port == pkt.src_port
-            and (not seg.flags & FLAG_ACK or seg.ack == (pkt.seq + 1) & 0xFFFFFFFF)
-        )
-
-    def _icmp_quote(self, pkt: TcpPacket, data: bytes, rtt_ms: float = 0.0) -> HopReply | None:
-        if len(data) < IPV4_HEADER_LEN + 8:  # IPv4 header plus the ICMP header
-            return None
-        seg_start = (data[0] & 0x0F) * 4
-        icmp = data[seg_start:]
-        if len(icmp) < 8 or icmp[0] not in (ICMP_TIME_EXCEEDED, ICMP_DEST_UNREACHABLE):
-            return None
-        quote = icmp[8:]
-        quoted = decode_packet(quote)
-        responder = str(socket.inet_ntoa(data[12:16]))
-        if quoted is None:
-            # Quote may be truncated below a parseable TCP header; match on
-            # the embedded IP destination alone.
-            if len(quote) >= 20 and socket.inet_ntoa(quote[16:20]) == pkt.dst:
-                return HopReply(responder, quote, rtt_ms)
-            return None
-        if quoted.dst == pkt.dst and quoted.dst_port == pkt.dst_port:
-            return HopReply(responder, quote, rtt_ms)
-        return None
+        self._send.sendto(encode_packet(pkt, src, ttl), (pkt.dst, 0))
 
     def _await(self, pkt: TcpPacket, want_icmp: bool):
+        peer, ports, ack = _reply_keys(pkt)
         start = time.monotonic()
         deadline = start + self.timeout_ms / 1000.0
         while True:
@@ -106,10 +132,11 @@ class LiveTransport:
                     continue
                 rtt = (time.monotonic() - start) * 1000
                 if sock is self._tcp:
-                    if self._matches(pkt, data):
-                        return make_response(data, rtt)
+                    seg = _match_reply(data, peer, ports, ack)
+                    if seg is not None:
+                        return make_response(seg, rtt)
                 elif want_icmp:
-                    hop = self._icmp_quote(pkt, data, rtt)
+                    hop = _icmp_quote(data, peer, pkt.dst_port, rtt)
                     if hop is not None:
                         return hop
 
@@ -118,5 +145,5 @@ class LiveTransport:
         return self._await(syn, want_icmp=False)
 
     def ttl_probe(self, syn: TcpPacket, ttl: int) -> HopReply | ProbeResponse | None:
-        self._send_packet(TcpPacket(**{**vars(syn), "ttl": ttl}))
+        self._send_packet(syn, ttl)
         return self._await(syn, want_icmp=True)

@@ -145,19 +145,24 @@ def _tcp_bytes(pkt: TcpPacket, src_packed: bytes, dst_packed: bytes) -> bytes:
     return segment[:16] + _U16.pack(csum) + segment[18:]
 
 
-def encode_packet(pkt: TcpPacket) -> bytes:
-    """Serialize to IP header + TCP header + options + payload, checksummed."""
-    src = pack_address(pkt.src)
+def encode_packet(pkt: TcpPacket, src: str | None = None, ttl: int | None = None) -> bytes:
+    """Serialize to IP header + TCP header + options + payload, checksummed.
+
+    `src` and `ttl`, when given, are sent in place of the packet's own.
+    """
+    src = pack_address(pkt.src if src is None else src)
     dst = pack_address(pkt.dst)
+    if ttl is None:
+        ttl = pkt.ttl
     if len(src) != len(dst):
         raise ValueError("source and destination address families differ")
     segment = _tcp_bytes(pkt, src, dst)
     if len(src) == 4:
         total = IPV4_HEADER_LEN + len(segment)
-        header = _IPV4.pack(0x45, 0, total, 0, 0, pkt.ttl, 6, 0, src, dst)
+        header = _IPV4.pack(0x45, 0, total, 0, 0, ttl, 6, 0, src, dst)
         csum = internet_checksum(header)
         return header[:10] + _U16.pack(csum) + header[12:] + segment
-    header = _IPV6.pack(0x60000000, len(segment), 6, pkt.ttl, src, dst)
+    header = _IPV6.pack(0x60000000, len(segment), 6, ttl, src, dst)
     return header + segment
 
 
@@ -246,15 +251,13 @@ def is_later_fragment(data: bytes) -> bool:
     return chain is not None and chain[2]
 
 
-def decode_tcp(
-    data: bytes,
-) -> tuple[bytes, bytes, int, int, int, int, int, int, int, bytes, int, int] | None:
-    """Parse an IP+TCP packet with packed addresses; None for anything not
-    complete TCP.
+# The fields of `ParsedSegment` in its order, src and dst packed (4 or 16 bytes).
+RawSegment = tuple[bytes, bytes, int, int, int, int, int, int, int, bytes, int, int]
 
-    The tuple holds the fields of `ParsedSegment` in its order, except that
-    src and dst are the packed 4- or 16-byte addresses.
-    """
+
+def decode_tcp(data: bytes) -> RawSegment | None:
+    """Parse an IP+TCP packet with packed addresses; None for anything not
+    complete TCP."""
     ip = _ip_header(data)
     if ip is None:
         return None

@@ -1,10 +1,10 @@
 """Classic pcap file reading and writing.
 
 Handles microsecond and nanosecond magic in either byte order, plain or
-gzip-compressed. Link types supported downstream: Ethernet (1), raw IP
-(101), and NULL/loopback (0). A truncated trailing record, or a compressed
-stream cut short, ends the stream quietly; an unreadable global header or
-corrupt compressed data is fatal.
+gzip-compressed. Link types: Ethernet (1), raw IP (101), and NULL/loopback
+(0); the global header of any other is refused. A truncated trailing record,
+or a compressed stream cut short, ends the stream quietly; an unreadable
+global header or corrupt compressed data is fatal.
 """
 
 from __future__ import annotations
@@ -51,27 +51,38 @@ def _gunzip_reader(f: IO[bytes], consumed: int) -> Callable[[int], bytes]:
 
 
 def read_pcap(source: str | Path | IO[bytes]) -> tuple[int, Iterator[tuple[float, bytes]]]:
-    """Open a pcap file; returns (linktype, iterator of (timestamp, frame))."""
-    f = open(source, "rb") if isinstance(source, (str, Path)) else source
-    read = f.read
-    header = read(24)
-    if header[:2] == GZIP_MAGIC:
-        read = _gunzip_reader(f, len(header))
-        header = read(24)
-    if len(header) < 24:
-        raise MalformedCapture("file too short for a pcap global header")
-    magic = struct.unpack("<I", header[:4])[0]
-    if magic in (MAGIC_US, MAGIC_NS):
-        endian = "<"
-    else:
-        magic = struct.unpack(">I", header[:4])[0]
-        if magic in (MAGIC_US, MAGIC_NS):
-            endian = ">"
-        else:
-            raise MalformedCapture(f"unknown pcap magic {header[:4].hex()}")
-    ts_divisor = 1e9 if magic == MAGIC_NS else 1e6
-    linktype = struct.unpack(f"{endian}I", header[20:24])[0]
+    """Open a pcap file; returns (linktype, iterator of (timestamp, frame)).
 
+    A file opened here is closed when the frames run out, or at once when
+    the global header raises MalformedCapture.
+    """
+    owned = isinstance(source, (str, Path))
+    f = open(source, "rb") if owned else source
+    try:
+        read = f.read
+        header = read(24)
+        if header[:2] == GZIP_MAGIC:
+            read = _gunzip_reader(f, len(header))
+            header = read(24)
+        if len(header) < 24:
+            raise MalformedCapture("file too short for a pcap global header")
+        magic = struct.unpack("<I", header[:4])[0]
+        if magic in (MAGIC_US, MAGIC_NS):
+            endian = "<"
+        else:
+            magic = struct.unpack(">I", header[:4])[0]
+            if magic in (MAGIC_US, MAGIC_NS):
+                endian = ">"
+            else:
+                raise MalformedCapture(f"unknown pcap magic {header[:4].hex()}")
+        linktype = struct.unpack(f"{endian}I", header[20:24])[0]
+        if linktype not in (LINKTYPE_NULL, LINKTYPE_ETHERNET, LINKTYPE_RAW):
+            raise MalformedCapture(f"unsupported link type {linktype}")
+    except BaseException:
+        if owned:
+            f.close()
+        raise
+    ts_divisor = 1e9 if magic == MAGIC_NS else 1e6
     record = _RECORD[endian].unpack
 
     def frames() -> Iterator[tuple[float, bytes]]:
@@ -86,7 +97,7 @@ def read_pcap(source: str | Path | IO[bytes]) -> tuple[int, Iterator[tuple[float
                     return
                 yield ts_sec + ts_frac / ts_divisor, data
         finally:
-            if isinstance(source, (str, Path)):
+            if owned:
                 f.close()
 
     return linktype, frames()

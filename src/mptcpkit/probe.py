@@ -27,7 +27,7 @@ from .options import (
     encode_mp_capable,
     parse_options_prefix,
 )
-from .packet import FLAG_RST, FLAG_SYN, FLAG_SYN_ACK, TcpPacket, decode_packet, ip_family
+from .packet import FLAG_RST, FLAG_SYN, FLAG_SYN_ACK, RawSegment, TcpPacket, ip_family
 
 # Default v0 campaign key: a documented constant of Hamming weight 16, so key
 # weight histograms from different campaigns line up.
@@ -463,10 +463,8 @@ def run_campaign(
         )
 
 
-def make_response(packet_bytes: bytes, rtt_ms: float) -> ProbeResponse | None:
-    """Build a ProbeResponse from raw reply bytes with a tolerant option parse."""
-    seg = decode_packet(packet_bytes)
-    if seg is None:
-        return None
-    opts, err = parse_options_prefix(seg.options)
-    return ProbeResponse(seg.flags, opts, rtt_ms, note=err)
+def make_response(seg: RawSegment, rtt_ms: float) -> ProbeResponse:
+    """Build a ProbeResponse from a reply `decode_tcp` has read, with a
+    tolerant option parse."""
+    opts, err = parse_options_prefix(seg[9])
+    return ProbeResponse(seg[6], opts, rtt_ms, note=err)

@@ -650,6 +650,30 @@ class TestCompressedCapture:
             list(frames)
 
 
+@pytest.mark.parametrize("content", [
+    b"\xd4\xc3\xb2\xa1",  # too short for the global header
+    bytes(24),  # unknown magic
+    GZIP_MAGIC + bytes(30),  # corrupt compressed data
+    capture_bytes(_capture_frames(), linktype=147).getvalue(),  # unsupported link type
+], ids=["short", "magic", "gzip", "linktype"])
+def test_file_opened_for_a_bad_capture_is_closed(tmp_path, monkeypatch, content):
+    from mptcpkit import pcapio
+
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        f = open(*args, **kwargs)
+        opened.append(f)
+        return f
+
+    monkeypatch.setattr(pcapio, "open", recording_open, raising=False)
+    (tmp_path / "bad.pcap").write_bytes(content)
+    for source in (tmp_path / "bad.pcap", str(tmp_path / "bad.pcap")):
+        with pytest.raises(MalformedCapture):
+            ingest_capture(source)
+    assert len(opened) == 2 and all(f.closed for f in opened)
+
+
 _GZIP_HEADER = bytes.fromhex("1f8b08000000000000ff")
 
 

@@ -1,6 +1,8 @@
-"""The live transport needs raw sockets; only its guard behavior is testable
-without network capability."""
+"""The live transport without raw sockets: its guards, its byte-level reply
+matching and its socket loop over AF_UNIX pairs. `test_live_loopback.py`
+runs it against kernel listeners."""
 
+import socket
 from dataclasses import replace
 
 import pytest
@@ -8,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mptcpkit.errors import TransportUnavailable
-from mptcpkit.packet import TcpFlags, TcpPacket, encode_packet
+from mptcpkit.packet import (
+    TcpFlags,
+    TcpPacket,
+    decode_packet,
+    decode_tcp,
+    encode_packet,
+    pack_address,
+)
 from mptcpkit.probe import HopReply, make_response
 
 
@@ -42,6 +51,18 @@ def _syn():
                      options=b"\x1e\x04\x01\x81")
 
 
+def _matches(syn, data):
+    from mptcpkit.live import _match_reply, _reply_keys
+
+    return _match_reply(data, *_reply_keys(syn))
+
+
+def _quote(syn, data):
+    from mptcpkit.live import _icmp_quote
+
+    return _icmp_quote(data, pack_address(syn.dst), syn.dst_port, 0.0)
+
+
 @pytest.mark.parametrize("flags, ack, sport, matches", [
     (TcpFlags.SYN | TcpFlags.ACK, 8, 80, True),  # acks seq + 1
     (TcpFlags.SYN | TcpFlags.ACK, 9, 80, False),  # acks something else
@@ -53,14 +74,17 @@ def _syn():
 ])
 def test_reply_matched_by_flow_and_ack(flags, ack, sport, matches):
     syn = _syn()
-    reply = TcpPacket(src=syn.dst, dst=syn.src, src_port=sport, dst_port=syn.src_port,
-                      seq=99, ack=ack, flags=int(flags))
-    assert _bare_transport()._matches(syn, encode_packet(reply)) is matches
+    reply = encode_packet(TcpPacket(src=syn.dst, dst=syn.src, src_port=sport,
+                                    dst_port=syn.src_port, seq=99, ack=ack, flags=int(flags)))
+    seg = _matches(syn, reply)
+    assert (seg is not None) is matches
+    if matches:
+        assert seg == decode_tcp(reply)
 
 
 @pytest.mark.parametrize("data", [b"", b"\x45", b"\x45" + bytes(18)])
 def test_icmp_quote_short_input_is_none(data):
-    assert _bare_transport()._icmp_quote(_syn(), data) is None
+    assert _quote(_syn(), data) is None
 
 
 def test_source_address_found_once_per_destination(monkeypatch):
@@ -96,7 +120,7 @@ def test_source_address_found_once_per_destination(monkeypatch):
 def test_icmp_quote_matches_time_exceeded():
     responder = bytes([0x45]) + bytes(11) + bytes([192, 0, 2, 77]) + bytes([10, 0, 0, 9])
     quote = encode_packet(_syn())
-    hop = _bare_transport()._icmp_quote(_syn(), responder + bytes([11]) + bytes(7) + quote)
+    hop = _quote(_syn(), responder + bytes([11]) + bytes(7) + quote)
     assert hop is not None
     assert hop.responder == "192.0.2.77"
     assert hop.quote == quote
@@ -105,7 +129,121 @@ def test_icmp_quote_matches_time_exceeded():
 @given(st.binary(max_size=80))
 @settings(max_examples=200)
 def test_icmp_quote_never_raises(data):
-    _bare_transport()._icmp_quote(_syn(), data)
+    _quote(_syn(), data)
+
+
+# -- the byte-level matchers against the text rule they replace ----------------
+
+
+def text_matches(syn: TcpPacket, data: bytes) -> bool:
+    """Reference: decode to text, then compare the 4-tuple and, if it acks, the ack."""
+    seg = decode_packet(data)
+    return (
+        seg is not None
+        and seg.src == syn.dst
+        and seg.src_port == syn.dst_port
+        and seg.dst_port == syn.src_port
+        and (not seg.flags & TcpFlags.ACK or seg.ack == (syn.seq + 1) & 0xFFFFFFFF)
+    )
+
+
+def text_icmp_quote(syn: TcpPacket, data: bytes) -> tuple[str, bytes] | None:
+    """Reference: the quote decoded to text; (responder, quote) when it matches."""
+    if len(data) < 28:
+        return None
+    icmp = data[(data[0] & 0x0F) * 4:]
+    if len(icmp) < 8 or icmp[0] not in (3, 11):
+        return None
+    quote = icmp[8:]
+    quoted = decode_packet(quote)
+    if quoted is None:
+        matched = len(quote) >= 20 and socket.inet_ntoa(quote[16:20]) == syn.dst
+    else:
+        matched = quoted.dst == syn.dst and quoted.dst_port == syn.dst_port
+    return (socket.inet_ntoa(data[12:16]), quote) if matched else None
+
+
+_ports = st.integers(0, 65535)
+_syns = st.builds(
+    TcpPacket, src=st.ip_addresses(v=4).map(str), dst=st.ip_addresses(v=4).map(str),
+    src_port=_ports, dst_port=_ports, seq=st.integers(0, 2**32 - 1),
+)
+
+
+def _edit(data: bytes, at: int, new: bytes) -> bytes:
+    return data[:at] + new + data[at + len(new):]
+
+
+@st.composite
+def _probe_and_reply(draw):
+    """A probe and an encoded reply to it, one field possibly changed."""
+    syn = draw(_syns)
+    flags = draw(st.sampled_from([0x12, 0x14, 0x04, 0x02, 0x10, 0x11]))
+    data = encode_packet(TcpPacket(
+        src=syn.dst, dst=syn.src, src_port=syn.dst_port, dst_port=syn.src_port,
+        seq=draw(st.integers(0, 2**32 - 1)), ack=(syn.seq + 1) & 0xFFFFFFFF, flags=flags,
+        options=draw(st.sampled_from([b"", b"\x1e\x0c\x01\x81" + bytes(8)])),
+        payload=draw(st.binary(max_size=8)),
+    ))
+    field = draw(st.sampled_from(
+        ["none", "address", "src_port", "dst_port", "ack", "flags", "ihl", "ip_options",
+         "offset", "truncate", "version"]))
+    byte = draw(st.integers(0, 255))
+    if field == "address":
+        data = _edit(data, draw(st.integers(12, 15)), bytes([byte]))
+    elif field == "src_port":
+        data = _edit(data, 20 + draw(st.integers(0, 1)), bytes([byte]))
+    elif field == "dst_port":
+        data = _edit(data, 22 + draw(st.integers(0, 1)), bytes([byte]))
+    elif field == "ack":
+        data = _edit(data, 28 + draw(st.integers(0, 3)), bytes([byte]))
+    elif field == "flags":
+        data = _edit(data, 33, bytes([data[33] ^ TcpFlags.ACK]))
+    elif field == "ihl":
+        data = _edit(data, 0, bytes([0x40 | byte & 0x0F]))
+    elif field == "offset":
+        data = _edit(data, 32, bytes([byte]))
+    elif field == "truncate":
+        data = data[:draw(st.integers(0, len(data)))]
+    elif field == "ip_options":  # the TCP header moves: found through the IHL
+        words = draw(st.integers(1, 10))
+        data = bytes([0x45 + words]) + data[1:20] + bytes(4 * words) + data[20:]
+    elif field == "version":
+        version = draw(st.sampled_from(range(16)))
+        data = _edit(data, 0, bytes([version << 4 | 5]))
+        if version == 6:  # an IPv6 TCP packet with the IPv4 fields in place
+            data = _edit(data, 6, b"\x06").ljust(60, b"\x00")
+            data = _edit(data, 52, b"\x50")
+    return syn, data
+
+
+@given(st.one_of(st.tuples(_syns, st.binary(max_size=80)), _probe_and_reply()))
+@settings(max_examples=1000)
+def test_byte_matcher_accepts_what_the_text_rule_accepts(case):
+    syn, data = case
+    seg = _matches(syn, data)
+    assert (seg is not None) is text_matches(syn, data)
+    if seg is not None:
+        assert seg == decode_tcp(data)
+
+
+@st.composite
+def _probe_and_icmp(draw):
+    """A probe and an ICMP error quoting it (or another flow), possibly cut short."""
+    syn = draw(_syns)
+    quoted = syn if draw(st.booleans()) else draw(_syns)
+    quote = encode_packet(quoted)[:draw(st.integers(0, 60))]
+    outer = bytes([0x45]) + bytes(11) + draw(st.binary(min_size=8, max_size=8))
+    icmp = bytes([draw(st.sampled_from([3, 11, 0, 8]))]) + bytes(7)
+    return syn, outer + icmp + quote
+
+
+@given(st.one_of(st.tuples(_syns, st.binary(max_size=80)), _probe_and_icmp()))
+@settings(max_examples=500)
+def test_icmp_quote_answers_as_the_text_rule(case):
+    syn, data = case
+    hop = _quote(syn, data)
+    assert (None if hop is None else (hop.responder, hop.quote)) == text_icmp_quote(syn, data)
 
 
 @pytest.fixture
