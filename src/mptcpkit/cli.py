@@ -150,32 +150,40 @@ def _guard_from_args(args, simulated: bool) -> CampaignGuard:
     return CampaignGuard(rate, blocklist, dry_run=args.dry_run)
 
 
+def _close(transport) -> None:
+    """Close a live transport's sockets; a simulated network holds none."""
+    close = getattr(transport, "close", None)
+    if close is not None:
+        close()
+
+
 def cmd_scan(args) -> int:
     simulated = bool(args.sim_topology)
     guard = _guard_from_args(args, simulated)
-    transport = None
-    if not args.dry_run:
-        transport = _resolve_transport(args)
-    targets = _read_targets(args.targets)
-    probe_key = Key.from_hex(args.probe_key) if args.probe_key else None
-    if simulated or args.dry_run:
-        clock = VirtualClock()
-        sleep = clock.sleep
-    else:
-        clock, sleep = time.monotonic, time.sleep
-    records = run_campaign(
-        targets,
-        version=args.version,
-        guard=guard,
-        transport=transport,
-        probe_key=probe_key,
-        seed=args.seed,
-        clock=clock,
-        sleep=sleep,
-    )
-    with _out(args.out) as f:
-        for record in records:
-            f.write((record.to_json() if args.format == "jsonl" else record.to_csv()) + "\n")
+    transport = None if args.dry_run else _resolve_transport(args)
+    try:
+        targets = _read_targets(args.targets)
+        probe_key = Key.from_hex(args.probe_key) if args.probe_key else None
+        if simulated or args.dry_run:
+            clock = VirtualClock()
+            sleep = clock.sleep
+        else:
+            clock, sleep = time.monotonic, time.sleep
+        records = run_campaign(
+            targets,
+            version=args.version,
+            guard=guard,
+            transport=transport,
+            probe_key=probe_key,
+            seed=args.seed,
+            clock=clock,
+            sleep=sleep,
+        )
+        with _out(args.out) as f:
+            for record in records:
+                f.write((record.to_json() if args.format == "jsonl" else record.to_csv()) + "\n")
+    finally:
+        _close(transport)
     return 0
 
 
@@ -186,30 +194,34 @@ def cmd_trace(args) -> int:
         targets = _targets_from_scan(args.from_scan, POSITIVE_SCAN_LABELS)
     else:
         targets = _read_targets(args.targets)
-    transport = _resolve_transport(args)
+    opened = _resolve_transport(args)
+    transport = opened
     if not simulated:
-        transport = PacedTransport(transport, RatePacer(guard.max_packets_per_second))
+        transport = PacedTransport(opened, RatePacer(guard.max_packets_per_second))
     probe_key = Key.from_hex(args.probe_key) if args.probe_key else None
-    with _out(args.out) as f:
-        for address, port in targets:
-            if guard.blocklist.matches(address):
-                record = tracer.TraceRecord(address, port, "skipped")
-            else:
-                try:
-                    _trace, verdict = tracer.inspect_target(
-                        address,
-                        port,
-                        args.version,
-                        transport,
-                        max_ttl=args.max_ttl,
-                        probe_key=probe_key,
-                        seed=args.seed,
-                    )
-                except OSError:  # a send that failed for this target only
-                    record = tracer.TraceRecord(address, port, "error")
+    try:
+        with _out(args.out) as f:
+            for address, port in targets:
+                if guard.blocklist.matches(address):
+                    record = tracer.TraceRecord(address, port, "skipped")
                 else:
-                    record = tracer.TraceRecord.from_verdict(address, port, verdict)
-            f.write(record.to_csv() + "\n")
+                    try:
+                        _trace, verdict = tracer.inspect_target(
+                            address,
+                            port,
+                            args.version,
+                            transport,
+                            max_ttl=args.max_ttl,
+                            probe_key=probe_key,
+                            seed=args.seed,
+                        )
+                    except OSError:  # a send that failed for this target only
+                        record = tracer.TraceRecord(address, port, "error")
+                    else:
+                        record = tracer.TraceRecord.from_verdict(address, port, verdict)
+                f.write(record.to_csv() + "\n")
+    finally:
+        _close(opened)
     return 0
 
 

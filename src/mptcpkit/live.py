@@ -5,7 +5,8 @@ Replies are matched statelessly against the probe's 4-tuple and expected
 acknowledgment number, so no per-target state survives a send. The match
 runs on the packed bytes as read: a packet's source address and port pair
 are compared with the probe's before anything is decoded, and only a
-matching reply is decoded, once, with its addresses left packed.
+matching reply is decoded, once, with its addresses left packed. Packets
+already queued are read before the transport waits on a `poll` set.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ def _icmp_quote(data: bytes, peer: bytes, port: int, rtt_ms: float) -> HopReply 
 class LiveTransport:
     """Send crafted SYNs and collect TCP or ICMP answers."""
 
+    _polls = None  # (TCP only, TCP and ICMP) poll sets, see _poll_set
+
     def __init__(self, timeout_ms: float = 2000.0):
         self.timeout_ms = timeout_ms
         self._sources: dict[str, str] = {}  # destination -> our source address
@@ -116,29 +119,47 @@ class LiveTransport:
                 src = self._sources[pkt.dst] = local_source_address(pkt.dst)
         self._send.sendto(encode_packet(pkt, src, ttl), (pkt.dst, 0))
 
+    def _poll_set(self, want_icmp: bool):
+        """A poll set over the TCP socket, and the ICMP one when wanted.
+
+        Built on first use: tests swap the sockets after construction.
+        `poll`, unlike `select`, takes descriptors at 1024 and above.
+        """
+        if self._polls is None:
+            tcp, both = select.poll(), select.poll()
+            for polls in (tcp, both):
+                polls.register(self._tcp, select.POLLIN)
+            both.register(self._icmp, select.POLLIN)
+            self._polls = (tcp, both)
+        return self._polls[want_icmp]
+
     def _await(self, pkt: TcpPacket, want_icmp: bool):
         peer, ports, ack = _reply_keys(pkt)
         start = time.monotonic()
         deadline = start + self.timeout_ms / 1000.0
+        sockets = (self._tcp, self._icmp) if want_icmp else (self._tcp,)
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return None
-            readable, _, _ = select.select([self._tcp, self._icmp], [], [], remaining)
-            for sock in readable:
-                try:
-                    data = sock.recv(65535)
-                except OSError:
-                    continue
-                rtt = (time.monotonic() - start) * 1000
-                if sock is self._tcp:
-                    seg = _match_reply(data, peer, ports, ack)
-                    if seg is not None:
-                        return make_response(seg, rtt)
-                elif want_icmp:
-                    hop = _icmp_quote(data, peer, pkt.dst_port, rtt)
-                    if hop is not None:
-                        return hop
+            # On loopback the reply is usually queued by the time sendto
+            # returns: read what is there before waiting for more.
+            for sock in sockets:
+                while True:
+                    try:
+                        data = sock.recv(65535, socket.MSG_DONTWAIT)
+                    except OSError:  # nothing queued, or a socket error
+                        break
+                    rtt = (time.monotonic() - start) * 1000
+                    if sock is self._tcp:
+                        seg = _match_reply(data, peer, ports, ack)
+                        if seg is not None:
+                            return make_response(seg, rtt)
+                    else:
+                        hop = _icmp_quote(data, peer, pkt.dst_port, rtt)
+                        if hop is not None:
+                            return hop
+            self._poll_set(want_icmp).poll(remaining * 1000)
 
     def handshake(self, syn: TcpPacket) -> ProbeResponse | None:
         self._send_packet(syn)

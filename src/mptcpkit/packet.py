@@ -8,6 +8,7 @@ fragment (IPv4 or IPv6) has no TCP header. No fragmentation or reassembly.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import socket
 import struct
@@ -102,12 +103,14 @@ def internet_checksum(data: bytes) -> int:
     return ~total & 0xFFFF
 
 
-# Wire layouts, shared by the builder and the parser.
+# Wire layouts the parser reads.
 _IPV4 = struct.Struct("!BBHHHBBH4s4s")  # ver/ihl tos len id frag ttl proto csum src dst
 _IPV6 = struct.Struct("!IHBB16s16s")  # ver/class/label payload-len next-header hops src dst
 _TCP = struct.Struct("!HHIIBBHHH")  # ports seq ack offset flags window csum urg
-_PSEUDO_V4 = struct.Struct("!4s4sBBH")
-_PSEUDO_V6 = struct.Struct("!16s16sIBBBB")
+# What the builder writes: both headers in one pack, the TCP data offset and
+# flags as one word.
+_IPV4_TCP = struct.Struct("!BBHHHBBH4s4sHHIIHHHH")
+_IPV6_TCP = struct.Struct("!IHBB16s16sHHIIHHHH")
 _U16 = struct.Struct("!H")
 _FRAGMENT_OFFSET = 0x1FFF  # mask of the IPv4 fragment offset field
 _V6_EXTENSIONS = (0, 43, 44, 60)  # Hop-by-Hop, Routing, Fragment, Destination Options
@@ -122,27 +125,30 @@ def address_text(packed: bytes) -> str:
     return str(ipaddress.IPv6Address(packed))
 
 
-def _tcp_bytes(pkt: TcpPacket, src_packed: bytes, dst_packed: bytes) -> bytes:
-    options = pkt.options + b"\x00" * (-len(pkt.options) % 4)
-    offset = (TCP_HEADER_LEN + len(options)) // 4
-    header = _TCP.pack(
-        pkt.src_port,
-        pkt.dst_port,
-        pkt.seq & 0xFFFFFFFF,
-        pkt.ack & 0xFFFFFFFF,
-        offset << 4,
-        pkt.flags & 0xFF,
-        pkt.window,
-        0,
-        0,
-    )
-    segment = header + options + pkt.payload
-    if len(src_packed) == 4:
-        pseudo = _PSEUDO_V4.pack(src_packed, dst_packed, 0, 6, len(segment))
-    else:
-        pseudo = _PSEUDO_V6.pack(src_packed, dst_packed, len(segment), 0, 0, 0, 6)
-    csum = internet_checksum(pseudo + segment)
-    return segment[:16] + _U16.pack(csum) + segment[18:]
+# Keyed by what a campaign holds fixed: its source, options, flags, window and
+# TTL. A trace walks at most 64 TTLs, so a whole walk stays in the memo.
+@functools.lru_cache(maxsize=64)
+def _header_template(
+    src: bytes, options: bytes, flags: int, window: int, ttl: int
+) -> tuple[bytes, int, int, int]:
+    """(padded options, data offset and flags word, IPv4 header sum, TCP sum).
+
+    The sums are one's-complement partial sums of the fixed header fields,
+    left unfolded: `int.from_bytes` of an even number of bytes is congruent
+    to the sum of its 16-bit words modulo 0xFFFF, and so is any sum of such
+    terms. The TCP sum covers the pseudo-header's source and protocol.
+    """
+    options += b"\x00" * (-len(options) % 4)
+    offset_flags = (TCP_HEADER_LEN + len(options)) // 4 << 12 | flags
+    src_sum = int.from_bytes(src, "big")
+    ip_sum = 0x4500 + (ttl << 8 | 6) + src_sum
+    tcp_sum = src_sum + 6 + offset_flags + window + int.from_bytes(options, "big")
+    return options, offset_flags, ip_sum, tcp_sum
+
+
+def _checksum(total: int) -> int:
+    """`internet_checksum` of data whose 16-bit words sum to `total` > 0."""
+    return 0xFFFE - (total - 1) % 0xFFFF
 
 
 def encode_packet(pkt: TcpPacket, src: str | None = None, ttl: int | None = None) -> bytes:
@@ -156,14 +162,30 @@ def encode_packet(pkt: TcpPacket, src: str | None = None, ttl: int | None = None
         ttl = pkt.ttl
     if len(src) != len(dst):
         raise ValueError("source and destination address families differ")
-    segment = _tcp_bytes(pkt, src, dst)
+    options, offset_flags, ip_sum, tcp_sum = _header_template(
+        src, pkt.options, pkt.flags & 0xFF, pkt.window, ttl
+    )
+    payload = pkt.payload
+    tcp_len = TCP_HEADER_LEN + len(options) + len(payload)
+    seq = pkt.seq & 0xFFFFFFFF
+    ack = pkt.ack & 0xFFFFFFFF
+    dst_sum = int.from_bytes(dst, "big")
+    tcp_csum = _checksum(
+        tcp_sum + dst_sum + tcp_len + pkt.src_port + pkt.dst_port + seq + ack
+        + (int.from_bytes(payload, "big") << 8 * (len(payload) & 1))  # odd: pad a zero
+    )
     if len(src) == 4:
-        total = IPV4_HEADER_LEN + len(segment)
-        header = _IPV4.pack(0x45, 0, total, 0, 0, ttl, 6, 0, src, dst)
-        csum = internet_checksum(header)
-        return header[:10] + _U16.pack(csum) + header[12:] + segment
-    header = _IPV6.pack(0x60000000, len(segment), 6, ttl, src, dst)
-    return header + segment
+        total = IPV4_HEADER_LEN + tcp_len
+        header = _IPV4_TCP.pack(
+            0x45, 0, total, 0, 0, ttl, 6, _checksum(ip_sum + dst_sum + total), src, dst,
+            pkt.src_port, pkt.dst_port, seq, ack, offset_flags, pkt.window, tcp_csum, 0,
+        )
+    else:
+        header = _IPV6_TCP.pack(
+            0x60000000, tcp_len, 6, ttl, src, dst,
+            pkt.src_port, pkt.dst_port, seq, ack, offset_flags, pkt.window, tcp_csum, 0,
+        )
+    return header + options + payload
 
 
 def _v6_chain(data: bytes) -> tuple[int, int, bool] | None:

@@ -3,6 +3,7 @@ matching and its socket loop over AF_UNIX pairs. `test_live_loopback.py`
 runs it against kernel listeners."""
 
 import socket
+import threading
 from dataclasses import replace
 
 import pytest
@@ -87,6 +88,14 @@ def test_icmp_quote_short_input_is_none(data):
     assert _quote(_syn(), data) is None
 
 
+class _RecordingSocket:
+    def __init__(self):
+        self.sent = []
+
+    def sendto(self, data, address):
+        self.sent.append((data, address))
+
+
 def test_source_address_found_once_per_destination(monkeypatch):
     from mptcpkit import live
 
@@ -96,17 +105,10 @@ def test_source_address_found_once_per_destination(monkeypatch):
         lookups.append(target)
         return "10.9.9.9"
 
-    class RecordingSocket:
-        def __init__(self):
-            self.sent = []
-
-        def sendto(self, data, address):
-            self.sent.append((data, address))
-
     monkeypatch.setattr(live, "local_source_address", counting_source)
     transport = _bare_transport()
     transport._sources = {}
-    transport._send = RecordingSocket()
+    transport._send = _RecordingSocket()
     placeholder = replace(_syn(), src="192.0.2.1")
     probes = [placeholder, replace(placeholder, dst="10.0.0.2"), replace(placeholder, ttl=3)]
     for pkt in probes:
@@ -305,3 +307,95 @@ def test_hop_reply_is_built_once(paired_transport, monkeypatch):
     assert hop.quote == encode_packet(_syn())
     assert hop.rtt_ms >= 0
     assert len(built) == 1
+
+
+# -- queued replies are read before any wait ------------------------------------
+
+
+@pytest.fixture
+def polls(paired_transport, monkeypatch):
+    """The transport of `paired_transport` with a sending stub, and the
+    `want_icmp` of every wait on its poll set."""
+    from mptcpkit.live import LiveTransport
+
+    transport = paired_transport[0]
+    transport._send = _RecordingSocket()
+    waits = []
+    real = LiveTransport._poll_set
+
+    def recording(self, want_icmp):
+        waits.append(want_icmp)
+        return real(self, want_icmp)
+
+    monkeypatch.setattr(LiveTransport, "_poll_set", recording)
+    return waits
+
+
+def test_queued_reply_returned_without_a_poll(paired_transport, polls):
+    transport, tcp_peer, _ = paired_transport
+    tcp_peer.send(_reply(options=b"\x1e\x09\x00\x81"))
+    resp = transport.handshake(_syn())
+    assert resp is not None and resp.note == "truncated option kind 30"
+    assert transport._send.sent == [(encode_packet(_syn()), ("10.0.0.1", 0))]
+    assert polls == []
+
+
+def test_stale_packets_queued_ahead_are_skipped(paired_transport, polls):
+    transport, tcp_peer, _ = paired_transport
+    tcp_peer.send(encode_packet(_syn()))  # the probe itself, as loopback shows it
+    tcp_peer.send(_reply(ack=9))  # acks something else
+    tcp_peer.send(_reply(src_port=81, flags=int(TcpFlags.RST)))  # another flow
+    tcp_peer.send(_reply(flags=int(TcpFlags.RST | TcpFlags.ACK)))
+    resp = transport.handshake(_syn())
+    assert resp is not None and resp.tcp_flags == TcpFlags.RST | TcpFlags.ACK
+    assert polls == []
+
+
+def test_reply_arriving_later_found_by_poll(paired_transport, polls):
+    transport, tcp_peer, _ = paired_transport
+    tcp_peer.send(_reply(src_port=81))  # only a stale packet is queued
+    later = threading.Timer(0.05, tcp_peer.send, args=(_reply(),))
+    later.start()
+    try:
+        resp = transport.handshake(_syn())
+    finally:
+        later.join()
+    assert resp is not None and resp.tcp_flags == TcpFlags.SYN | TcpFlags.ACK
+    assert resp.rtt_ms >= 40
+    assert polls and set(polls) == {False}
+
+
+def test_nothing_queued_waits_out_the_timeout(paired_transport, polls):
+    transport = paired_transport[0]
+    transport.timeout_ms = 30.0
+    assert transport.handshake(_syn()) is None
+    assert polls and set(polls) == {False}
+
+
+def _time_exceeded(syn) -> bytes:
+    responder = bytes([0x45]) + bytes(11) + bytes([192, 0, 2, 77]) + bytes([10, 0, 0, 9])
+    return responder + bytes([11]) + bytes(7) + encode_packet(syn)
+
+
+@pytest.mark.parametrize("delay", [None, 0.05])
+def test_ttl_probe_matches_icmp_quote(paired_transport, polls, delay):
+    transport, tcp_peer, icmp_peer = paired_transport
+    tcp_peer.send(encode_packet(_syn()))  # the probe itself, not a reply
+    icmp_peer.send(_time_exceeded(replace(_syn(), dst_port=81)))  # another flow's
+    if delay is None:
+        icmp_peer.send(_time_exceeded(_syn()))
+        hop = transport.ttl_probe(_syn(), 3)
+    else:
+        later = threading.Timer(delay, icmp_peer.send, args=(_time_exceeded(_syn()),))
+        later.start()
+        try:
+            hop = transport.ttl_probe(_syn(), 3)
+        finally:
+            later.join()
+    assert isinstance(hop, HopReply) and hop.responder == "192.0.2.77"
+    assert hop.quote == encode_packet(_syn())
+    assert transport._send.sent == [(encode_packet(_syn(), ttl=3), ("10.0.0.1", 0))]
+    if delay is None:
+        assert polls == []
+    else:
+        assert polls and set(polls) == {True}

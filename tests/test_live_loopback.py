@@ -6,8 +6,13 @@ listener sits on a 127.0.1.x address and an ephemeral port, and nothing
 outside the test's own sockets is changed.
 """
 
+import gc
 import json
+import os
+import resource
 import socket
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,6 +20,7 @@ import pytest
 from mptcpkit import cli
 from mptcpkit.errors import TransportUnavailable
 from mptcpkit.netsim import SimPath, ground_truth, true_host
+from mptcpkit.packet import TcpPacket
 
 IPPROTO_MPTCP = 262
 MPTCP_SWITCH = Path("/proc/sys/net/mptcp/enabled")
@@ -130,20 +136,22 @@ def test_v0_probe_to_v1_listener_gets_plain_tcp(tmp_path, endpoints):
     assert [r["classification"] for r in rows] == ["no_mp_capable"]
 
 
-def test_trace_to_mptcp_listener_matches_zero_hop_truth(tmp_path, endpoints, sends):
+def _trace(tmp_path: Path, targets) -> list[list[str]]:
     out = tmp_path / "trace.csv"
     argv = [
-        "trace", "--targets", _write(tmp_path / "targets.txt", [
-            "{},{}".format(*endpoints["mptcp"]), "{},{}".format(*endpoints["blocked"]),
-        ]),
+        "trace", "--targets", _write(tmp_path / "targets.txt", targets),
         "--version", "1", "--rate", "1000", "--max-ttl", "4",
         "--blocklist", _write(tmp_path / "blocklist.txt", [f"{BLOCKED_HOST}/32"]),
         "--timeout-ms", "500", "--out", str(out),
     ]
     assert cli.main(argv) == 0
-    (address, port, verdict, ttl, key), blocked = (
-        line.split(",") for line in out.read_text(encoding="utf-8").splitlines()
-    )
+    return [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()]
+
+
+def test_trace_to_mptcp_listener_matches_zero_hop_truth(tmp_path, endpoints, sends):
+    (address, port, verdict, ttl, key), blocked = _trace(tmp_path, [
+        "{},{}".format(*endpoints["mptcp"]), "{},{}".format(*endpoints["blocked"]),
+    ])
     truth = ground_truth(SimPath((true_host(1),)), version=1)
     assert (address, int(port)) == endpoints["mptcp"]
     assert verdict == truth.verdict.value == "truly_capable"
@@ -151,3 +159,62 @@ def test_trace_to_mptcp_listener_matches_zero_hop_truth(tmp_path, endpoints, sen
     assert len(key) == 16
     assert blocked[2] == "skipped"
     assert BLOCKED_HOST not in sends
+
+
+def test_live_runs_leave_no_unclosed_socket(tmp_path, endpoints, monkeypatch):
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        rows = _scan(tmp_path, 1, ["{},{}".format(*endpoints["mptcp"])])
+        (trace,) = _trace(tmp_path, ["{},{}".format(*endpoints["mptcp"])])
+        gc.collect()
+    assert [str(u.exc_value) for u in unraisable] == []
+    assert [r["classification"] for r in rows] == ["potential_capable"]
+    assert trace[2] == "truly_capable"
+
+
+@pytest.fixture
+def high_descriptors():
+    """Every descriptor below 1030 held by a dup of /dev/null, so sockets
+    opened meanwhile sit above `select`'s limit of 1024."""
+    soft, _hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft < 1200:
+        pytest.skip(f"RLIMIT_NOFILE soft limit {soft} is below 1200")
+    held = [os.open(os.devnull, os.O_RDONLY)]
+    try:
+        while held[-1] < 1030:  # dup takes the lowest free descriptor
+            held.append(os.dup(held[0]))
+        yield
+    finally:
+        for fd in held:
+            os.close(fd)
+
+
+def test_scan_with_descriptors_above_1024(tmp_path, endpoints, high_descriptors, monkeypatch):
+    from mptcpkit.live import LiveTransport
+
+    descriptors = []
+    real = LiveTransport.handshake
+
+    def recording(self, syn):
+        descriptors.extend((self._tcp.fileno(), self._icmp.fileno()))
+        return real(self, syn)
+
+    monkeypatch.setattr(LiveTransport, "handshake", recording)
+    rows = _scan(tmp_path, 1, [
+        "{},{}".format(*endpoints[kind]) for kind in ("mptcp", "tcp", "closed")
+    ])
+    assert min(descriptors) >= 1024
+    assert [(r["classification"], r["note"]) for r in rows] == [
+        ("potential_capable", None), ("no_mp_capable", None), ("no_response", "reset"),
+    ]
+    # Nothing answers a probe that was never sent: the wait polls both
+    # sockets until the timeout.
+    transport = LiveTransport(timeout_ms=20.0)
+    try:
+        assert min(transport._tcp.fileno(), transport._icmp.fileno()) >= 1024
+        unsent = TcpPacket(src="127.0.0.1", dst=CLOSED_HOST, src_port=9, dst_port=9, seq=0)
+        assert transport._await(unsent, want_icmp=True) is None
+    finally:
+        transport.close()

@@ -274,3 +274,99 @@ def test_pack_address_non_text_goes_to_ipaddress():
 def test_encode_rejects_mixed_families():
     with pytest.raises(ValueError, match="families differ"):
         encode_packet(syn(src="2001:db8::1", dst="10.0.0.1"))
+
+
+# -- the memoized encoder against the straight one it replaced -------------------
+
+
+_REF_IPV4 = struct.Struct("!BBHHHBBH4s4s")
+_REF_IPV6 = struct.Struct("!IHBB16s16s")
+_REF_TCP = struct.Struct("!HHIIBBHHH")
+_REF_PSEUDO_V4 = struct.Struct("!4s4sBBH")
+_REF_PSEUDO_V6 = struct.Struct("!16s16sIBBBB")
+_REF_U16 = struct.Struct("!H")
+
+
+def reference_tcp_bytes(pkt: TcpPacket, src_packed: bytes, dst_packed: bytes) -> bytes:
+    """Reference: the TCP segment packed field by field, checksummed in full."""
+    options = pkt.options + b"\x00" * (-len(pkt.options) % 4)
+    offset = (20 + len(options)) // 4
+    header = _REF_TCP.pack(
+        pkt.src_port, pkt.dst_port, pkt.seq & 0xFFFFFFFF, pkt.ack & 0xFFFFFFFF,
+        offset << 4, pkt.flags & 0xFF, pkt.window, 0, 0,
+    )
+    segment = header + options + pkt.payload
+    if len(src_packed) == 4:
+        pseudo = _REF_PSEUDO_V4.pack(src_packed, dst_packed, 0, 6, len(segment))
+    else:
+        pseudo = _REF_PSEUDO_V6.pack(src_packed, dst_packed, len(segment), 0, 0, 0, 6)
+    csum = internet_checksum(pseudo + segment)
+    return segment[:16] + _REF_U16.pack(csum) + segment[18:]
+
+
+def reference_encode_packet(pkt: TcpPacket, src=None, ttl=None) -> bytes:
+    """Reference: every header field packed and checksummed on every call."""
+    src = pack_address(pkt.src if src is None else src)
+    dst = pack_address(pkt.dst)
+    if ttl is None:
+        ttl = pkt.ttl
+    segment = reference_tcp_bytes(pkt, src, dst)
+    if len(src) == 4:
+        header = _REF_IPV4.pack(0x45, 0, 20 + len(segment), 0, 0, ttl, 6, 0, src, dst)
+        csum = internet_checksum(header)
+        return header[:10] + _REF_U16.pack(csum) + header[12:] + segment
+    return _REF_IPV6.pack(0x60000000, len(segment), 6, ttl, src, dst) + segment
+
+
+@st.composite
+def _encodable(draw):
+    """A packet of either family, any flags, seq and ack past 32 bits, options
+    and payloads of any length, and possibly a source or TTL override."""
+    addresses = st.ip_addresses(v=draw(st.sampled_from([4, 6]))).map(str)
+    ports = st.integers(0, 65535)
+    pkt = TcpPacket(
+        src=draw(addresses), dst=draw(addresses),
+        src_port=draw(ports), dst_port=draw(ports),
+        seq=draw(st.integers(0, 2**40)), ack=draw(st.integers(0, 2**40)),
+        flags=draw(st.integers(0, 0xFFFF)), ttl=draw(st.integers(0, 255)),
+        window=draw(ports), options=draw(st.binary(max_size=40)),
+        payload=draw(st.binary(max_size=64)),
+    )
+    return pkt, draw(st.none() | addresses), draw(st.none() | st.integers(0, 255))
+
+
+@given(_encodable())
+@settings(max_examples=1000)
+@example((syn(options=b"\x01\x01\x01"), None, None))
+# Words that sum to 0xFFFF: the checksum is 0, not 0xFFFF.
+@example((TcpPacket("192.0.2.1", "10.0.0.1", 40000, 80, 18256), None, None))  # TCP
+@example((TcpPacket("2001:db8::1", "2001:db8::2", 40000, 80, 47069), None, None))
+@example((TcpPacket("192.0.2.1", "10.0.174.207", 40000, 80, 1), None, None))  # IPv4
+@example((TcpPacket("192.0.2.1", "10.0.0.1", 1, 2, 2**32 + 5, 2**33, flags=0x1FF,
+                    options=b"\x02", payload=b"\xff" * 7), "10.9.9.9", 1))
+@example((TcpPacket("2001:db8::1", "2001:db8::2", 65535, 0, 2**32 - 1, 2**32,
+                    flags=0x312, window=0, options=b"\x1e\x04\x01", payload=b"\x01"), None, 0))
+def test_encoder_matches_reference(case):
+    pkt, src, ttl = case
+    data = encode_packet(pkt, src, ttl)
+    assert data == reference_encode_packet(pkt, src, ttl)
+    if data[0] >> 4 == 4:
+        assert internet_checksum(data[:20]) == 0
+        pseudo = data[12:20] + struct.pack("!BBH", 0, 6, len(data) - 20)
+        assert internet_checksum(pseudo + data[20:]) == 0
+    else:
+        pseudo = data[8:40] + struct.pack("!IBBBB", len(data) - 40, 0, 0, 0, 6)
+        assert internet_checksum(pseudo + data[40:]) == 0
+
+
+def test_header_memo_is_shared_and_bounded():
+    from mptcpkit.packet import _header_template
+
+    _header_template.cache_clear()
+    encode_packet(syn(dst="10.0.0.1"))
+    encode_packet(syn(dst="10.0.0.2"))  # another target, the same campaign
+    assert _header_template.cache_info().hits == 1
+    for ttl in range(256):
+        encode_packet(syn(), ttl=ttl)
+    info = _header_template.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
