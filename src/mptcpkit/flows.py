@@ -108,9 +108,11 @@ class FlowTable:
     fragments: int = 0  # TCP fragments after the first: no TCP header
 
 
-def _strip_link_layer(linktype: int, frame: bytes) -> bytes | None:
+def _ip_start(linktype: int, frame: bytes) -> int | None:
+    """Offset of the IP packet in `frame`; None when the link header is cut
+    short or names no IPv4 or IPv6 payload."""
     if linktype == LINKTYPE_RAW:
-        return frame
+        return 0
     if linktype == LINKTYPE_ETHERNET:
         if len(frame) < 14:
             return None
@@ -121,11 +123,9 @@ def _strip_link_layer(linktype: int, frame: bytes) -> bytes | None:
                 return None
             ethertype = _U16.unpack_from(frame, 16)[0]
             offset = 18
-        if ethertype not in (0x0800, 0x86DD):
-            return None
-        return frame[offset:]
+        return offset if ethertype in (0x0800, 0x86DD) else None
     if linktype == LINKTYPE_NULL:
-        return frame[4:] if len(frame) > 4 else None
+        return 4 if len(frame) > 4 else None
     return None
 
 
@@ -145,22 +145,23 @@ def ingest_capture(
 ) -> FlowTable:
     """Aggregate every TCP packet of a pcap into per-flow counters."""
     linktype, frames = read_pcap(source)
-    table = FlowTable()
-    flows = table.flows
+    flows: dict[FlowKey, FlowStats] = {}
+    frames_seen = tcp_packets = tcp_bytes = parse_failures = non_tcp = fragments = 0
     for _ts, frame in frames:
-        table.frames_seen += 1
-        ip_data = _strip_link_layer(linktype, frame)
-        if ip_data is None:
-            table.parse_failures += 1
+        frames_seen += 1
+        start = _ip_start(linktype, frame)
+        if start is None:
+            parse_failures += 1
             continue
-        segment = decode_tcp(ip_data)
+        segment = decode_tcp(frame, start)
         if segment is None:
+            ip_data = frame[start:]
             if is_non_tcp(ip_data):
-                table.non_tcp += 1
+                non_tcp += 1
             elif is_later_fragment(ip_data):
-                table.fragments += 1
+                fragments += 1
             else:
-                table.parse_failures += 1
+                parse_failures += 1
             continue
         src, dst, sport, dport, _seq, _ack, _flags, _ttl, _win, options, ip_bytes, _len = (
             segment
@@ -179,9 +180,12 @@ def ingest_capture(
         if options and stats.mptcp_version is None and 30 in options:
             mp_version = _mp_version(options)
         stats.update(ip_bytes, mp_version)
-        table.tcp_packets += 1
-        table.tcp_bytes += ip_bytes
-    return table
+        tcp_packets += 1
+        tcp_bytes += ip_bytes
+    return FlowTable(
+        flows, frames_seen=frames_seen, tcp_packets=tcp_packets, tcp_bytes=tcp_bytes,
+        parse_failures=parse_failures, non_tcp=non_tcp, fragments=fragments,
+    )
 
 
 def filter_min_packets(

@@ -25,11 +25,6 @@ def _as_int(key: Key | int) -> int:
     return key.value if isinstance(key, Key) else int(key)
 
 
-def hamming_weight(key: Key | int) -> int:
-    """Number of set bits in a 64-bit key."""
-    return _as_int(key).bit_count()
-
-
 def expected_counts(total: int) -> list[float]:
     """Expected weight-bin counts for `total` uniform keys: Binomial(64, 1/2).
 

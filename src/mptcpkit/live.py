@@ -69,18 +69,18 @@ def _icmp_quote(data: bytes, peer: bytes, port: int, rtt_ms: float) -> HopReply 
     `peer` (packed) and `port`, as a HopReply; else None."""
     if len(data) < IPV4_HEADER_LEN + 8:  # IPv4 header plus the ICMP header
         return None
-    icmp = data[(data[0] & 0x0F) * 4 :]
-    if len(icmp) < 8 or icmp[0] not in (ICMP_TIME_EXCEEDED, ICMP_DEST_UNREACHABLE):
+    ihl = (data[0] & 0x0F) * 4
+    if len(data) < ihl + 8 or data[ihl] not in (ICMP_TIME_EXCEEDED, ICMP_DEST_UNREACHABLE):
         return None
-    quote = icmp[8:]
-    quoted = decode_tcp(quote)
+    quote = ihl + 8  # where the quoted packet starts
+    quoted = decode_tcp(data, quote)
     if quoted is None:
         # Quote may be truncated below a parseable TCP header; match on
         # the embedded IP destination alone.
-        matched = quote[16:20] == peer
+        matched = data[quote + 16 : quote + 20] == peer
     else:
         matched = quoted[1] == peer and quoted[3] == port
-    return HopReply(socket.inet_ntoa(data[12:16]), quote, rtt_ms) if matched else None
+    return HopReply(socket.inet_ntoa(data[12:16]), data[quote:], rtt_ms) if matched else None
 
 
 class LiveTransport:

@@ -94,15 +94,6 @@ def ip_family(addr: str) -> int:
     return 4 if len(pack_address(addr)) == 4 else 6
 
 
-def internet_checksum(data: bytes) -> int:
-    if len(data) % 2:
-        data += b"\x00"
-    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
-
-
 # Wire layouts the parser reads.
 _IPV4 = struct.Struct("!BBHHHBBH4s4s")  # ver/ihl tos len id frag ttl proto csum src dst
 _IPV6 = struct.Struct("!IHBB16s16s")  # ver/class/label payload-len next-header hops src dst
@@ -147,7 +138,8 @@ def _header_template(
 
 
 def _checksum(total: int) -> int:
-    """`internet_checksum` of data whose 16-bit words sum to `total` > 0."""
+    """The Internet checksum (RFC 1071) of data whose 16-bit words sum to
+    `total` > 0: the one's complement of the sum folded to 16 bits."""
     return 0xFFFE - (total - 1) % 0xFFFF
 
 
@@ -188,16 +180,17 @@ def encode_packet(pkt: TcpPacket, src: str | None = None, ttl: int | None = None
     return header + options + payload
 
 
-def _v6_chain(data: bytes) -> tuple[int, int, bool] | None:
-    """Walk the IPv6 extension headers: (offset, protocol, later fragment).
+def _v6_chain(data: bytes, start: int = 0) -> tuple[int, int, bool] | None:
+    """Walk the extension headers of the IPv6 packet at `start` in `data`:
+    (offset, protocol, later fragment).
 
     `offset` is where the header named `protocol` starts. The walk stops at a
     fragment header whose offset is not zero (later fragment: `protocol` is
     what the fragment carries) and at any header it does not walk; None when
     the data ends inside an extension header.
     """
-    offset = IPV6_HEADER_LEN
-    proto = data[6]
+    offset = start + IPV6_HEADER_LEN
+    proto = data[start + 6]
     while proto in _V6_EXTENSIONS:
         if len(data) < offset + 8:
             return None
@@ -212,39 +205,6 @@ def _v6_chain(data: bytes) -> tuple[int, int, bool] | None:
                 return None
         proto = next_proto
     return offset, proto, False
-
-
-def _ip_header(data: bytes) -> tuple[int, bytes, bytes, int, int, int] | None:
-    """Return (header_len, src, dst, ttl, ip_total_bytes, proto) or None.
-
-    `header_len` counts any IPv6 extension headers, and `proto` is the
-    protocol after them. Addresses stay packed (4 or 16 bytes); None for a
-    later fragment or a truncated extension header.
-    """
-    if not data:
-        return None
-    version = data[0] >> 4
-    if version == 4:
-        if len(data) < IPV4_HEADER_LEN:
-            return None
-        ver_ihl, _tos, total_len, _id, frag, ttl, proto, _csum, src, dst = (
-            _IPV4.unpack_from(data)
-        )
-        ihl = (ver_ihl & 0x0F) * 4
-        if ihl < IPV4_HEADER_LEN or len(data) < ihl or frag & _FRAGMENT_OFFSET:
-            return None
-        return ihl, src, dst, ttl, total_len, proto
-    if version == 6:
-        if len(data) < IPV6_HEADER_LEN:
-            return None
-        _first, payload_len, proto, ttl, src, dst = _IPV6.unpack_from(data)
-        if proto == 6:
-            return IPV6_HEADER_LEN, src, dst, ttl, IPV6_HEADER_LEN + payload_len, 6
-        chain = _v6_chain(data)
-        if chain is None or chain[2]:
-            return None
-        return chain[0], src, dst, ttl, IPV6_HEADER_LEN + payload_len, chain[1]
-    return None
 
 
 def is_non_tcp(data: bytes) -> bool:
@@ -277,26 +237,44 @@ def is_later_fragment(data: bytes) -> bool:
 RawSegment = tuple[bytes, bytes, int, int, int, int, int, int, int, bytes, int, int]
 
 
-def decode_tcp(data: bytes) -> RawSegment | None:
-    """Parse an IP+TCP packet with packed addresses; None for anything not
-    complete TCP."""
-    ip = _ip_header(data)
-    if ip is None:
+def decode_tcp(data: bytes, start: int = 0) -> RawSegment | None:
+    """Parse the IP+TCP packet that starts at `start` in `data`, addresses
+    packed; None for anything not complete TCP, a later fragment or a
+    truncated IPv6 extension header. Headers are read where they lie: only
+    the options are copied out."""
+    size = len(data) - start
+    version = data[start] >> 4 if size >= IPV4_HEADER_LEN else 0
+    if version == 4:
+        ver_ihl, _tos, ip_total, _id, frag, ttl, proto, _csum, src, dst = (
+            _IPV4.unpack_from(data, start)
+        )
+        ihl = (ver_ihl & 0x0F) * 4
+        if ihl < IPV4_HEADER_LEN or size < ihl or frag & _FRAGMENT_OFFSET:
+            return None
+    elif version == 6 and size >= IPV6_HEADER_LEN:
+        _first, payload_len, proto, ttl, src, dst = _IPV6.unpack_from(data, start)
+        ihl, ip_total = IPV6_HEADER_LEN, IPV6_HEADER_LEN + payload_len
+        if proto != 6:  # walk any extension headers; `ihl` counts them
+            chain = _v6_chain(data, start)
+            if chain is None or chain[2]:
+                return None
+            ihl, proto = chain[0] - start, chain[1]
+    else:
         return None
-    ihl, src, dst, ttl, ip_total, proto = ip
-    if proto != 6 or len(data) < ihl + TCP_HEADER_LEN:
+    tcp = start + ihl
+    if proto != 6 or size < ihl + TCP_HEADER_LEN:
         return None
     src_port, dst_port, seq, ack, offset_byte, flags, window, _csum, _urg = (
-        _TCP.unpack_from(data, ihl)
+        _TCP.unpack_from(data, tcp)
     )
     tcp_len = (offset_byte >> 4) * 4
-    if tcp_len < TCP_HEADER_LEN or len(data) < ihl + tcp_len:
+    if tcp_len < TCP_HEADER_LEN or size < ihl + tcp_len:
         return None
-    options = bytes(data[ihl + TCP_HEADER_LEN : ihl + tcp_len])
-    payload_len = max(0, ip_total - ihl - tcp_len)
+    options = bytes(data[tcp + TCP_HEADER_LEN : tcp + tcp_len])
+    payload_len = ip_total - ihl - tcp_len
     return (
         src, dst, src_port, dst_port, seq, ack, flags, ttl, window, options,
-        ip_total, payload_len,
+        ip_total, payload_len if payload_len > 0 else 0,
     )
 
 
@@ -312,19 +290,11 @@ def extract_quoted_options(quote: bytes) -> list[TcpOption] | None:
     """Read the TCP options region out of an ICMP-quoted packet prefix.
 
     Returns None when the quote is too short to cover the full options
-    region: absence of evidence, not evidence of absence.
+    region, or quotes no TCP header: absence of evidence, not evidence of
+    absence.
     """
-    ip = _ip_header(quote)
-    if ip is None:
+    seg = decode_tcp(quote)
+    if seg is None:
         return None
-    ihl = ip[0]
-    if len(quote) < ihl + 13:
-        return None
-    tcp_len = (quote[ihl + 12] >> 4) * 4
-    if tcp_len < TCP_HEADER_LEN or len(quote) < ihl + tcp_len:
-        return None
-    region = bytes(quote[ihl + TCP_HEADER_LEN : ihl + tcp_len])
-    opts, err = parse_options_prefix(region)
-    if err is not None:
-        return None
-    return opts
+    opts, err = parse_options_prefix(seg[9])
+    return None if err is not None else opts

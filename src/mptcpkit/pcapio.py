@@ -1,10 +1,13 @@
-"""Classic pcap file reading and writing.
+"""Classic pcap file reading.
 
 Handles microsecond and nanosecond magic in either byte order, plain or
 gzip-compressed. Link types: Ethernet (1), raw IP (101), and NULL/loopback
 (0); the global header of any other is refused. A truncated trailing record,
 or a compressed stream cut short, ends the stream quietly; an unreadable
 global header or corrupt compressed data is fatal.
+
+Frames are sliced out of 64 KiB blocks of the (decompressed) file, so memory
+stays bounded by one block plus the largest frame, whatever the file size.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import io
 import struct
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterator
 
 from .errors import MalformedCapture
 
@@ -27,6 +30,7 @@ GZIP_MAGIC = b"\x1f\x8b"
 
 # Per-record header (ts_sec, ts_frac, incl_len, orig_len), by byte order.
 _RECORD = {"<": struct.Struct("<IIII"), ">": struct.Struct(">IIII")}
+BLOCK = 1 << 16  # bytes read at a time
 
 
 def _gunzip_reader(f: IO[bytes], consumed: int) -> Callable[[int], bytes]:
@@ -40,12 +44,21 @@ def _gunzip_reader(f: IO[bytes], consumed: int) -> Callable[[int], bytes]:
     stream = gzip.GzipFile(fileobj=f, mode="rb")
 
     def read(size: int) -> bytes:
-        try:
-            return stream.read(size)
-        except EOFError:
-            return b""
-        except (gzip.BadGzipFile, zlib.error) as exc:
-            raise MalformedCapture(f"corrupt compressed capture: {exc}") from None
+        # `read1`, not `read`: on a stream cut short, `read` raises EOFError
+        # and drops what it decompressed in the same call.
+        chunks = []
+        while size > 0:
+            try:
+                chunk = stream.read1(size)
+            except EOFError:
+                break
+            except (gzip.BadGzipFile, zlib.error) as exc:
+                raise MalformedCapture(f"corrupt compressed capture: {exc}") from None
+            if not chunk:
+                break
+            chunks.append(chunk)
+            size -= len(chunk)
+        return b"".join(chunks)
 
     return read
 
@@ -83,40 +96,33 @@ def read_pcap(source: str | Path | IO[bytes]) -> tuple[int, Iterator[tuple[float
             f.close()
         raise
     ts_divisor = 1e9 if magic == MAGIC_NS else 1e6
-    record = _RECORD[endian].unpack
+    record = _RECORD[endian].unpack_from
 
     def frames() -> Iterator[tuple[float, bytes]]:
         try:
+            tail, missing = b"", 0
             while True:
-                rec = read(16)
-                if len(rec) < 16:
+                # A record cut at the end of a block is completed by reads of
+                # what it lacks, a block at most: two blocks are never joined,
+                # and a corrupt length reserves no more than a block.
+                buf = tail + read(min(missing, BLOCK) if tail else BLOCK)
+                size = len(buf)
+                if size == len(tail):
                     return
-                ts_sec, ts_frac, incl_len, _orig_len = record(rec)
-                data = read(incl_len)
-                if len(data) < incl_len:
-                    return
-                yield ts_sec + ts_frac / ts_divisor, data
+                pos = 0
+                while True:
+                    end = pos + 16
+                    if end > size:
+                        break
+                    ts_sec, ts_frac, incl_len, _orig_len = record(buf, pos)
+                    end += incl_len
+                    if end > size:
+                        break
+                    yield ts_sec + ts_frac / ts_divisor, buf[pos + 16 : end]
+                    pos = end
+                tail, missing = buf[pos:], end - size
         finally:
             if owned:
                 f.close()
 
     return linktype, frames()
-
-
-def write_pcap(
-    dest: str | Path | IO[bytes],
-    frames: Iterable[tuple[float, bytes]],
-    linktype: int = LINKTYPE_RAW,
-) -> None:
-    """Write frames of (timestamp seconds, bytes) as a microsecond pcap."""
-    f = open(dest, "wb") if isinstance(dest, (str, Path)) else dest
-    try:
-        f.write(struct.pack("<IHHiIII", MAGIC_US, 2, 4, 0, 0, 65535, linktype))
-        for ts, data in frames:
-            sec = int(ts)
-            usec = int(round((ts - sec) * 1e6))
-            f.write(_RECORD["<"].pack(sec, usec, len(data), len(data)))
-            f.write(data)
-    finally:
-        if isinstance(dest, (str, Path)):
-            f.close()

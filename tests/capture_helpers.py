@@ -4,10 +4,32 @@ from __future__ import annotations
 
 import io
 import struct
+from pathlib import Path
+from typing import IO, Iterable
 
 from mptcpkit.options import HandshakePhase, Key, MpCapable, encode_mp_capable
 from mptcpkit.packet import TcpFlags, TcpPacket, encode_packet
-from mptcpkit.pcapio import LINKTYPE_RAW, write_pcap
+from mptcpkit.pcapio import LINKTYPE_RAW, MAGIC_US
+
+
+def write_pcap(
+    dest: str | Path | IO[bytes],
+    frames: Iterable[tuple[float, bytes]],
+    linktype: int = LINKTYPE_RAW,
+) -> None:
+    """Write frames of (timestamp seconds, bytes) as a little-endian
+    microsecond pcap."""
+    f = open(dest, "wb") if isinstance(dest, (str, Path)) else dest
+    try:
+        f.write(struct.pack("<IHHiIII", MAGIC_US, 2, 4, 0, 0, 65535, linktype))
+        for ts, data in frames:
+            sec = int(ts)
+            usec = int(round((ts - sec) * 1e6))
+            f.write(struct.pack("<IIII", sec, usec, len(data), len(data)))
+            f.write(data)
+    finally:
+        if isinstance(dest, (str, Path)):
+            f.close()
 
 
 def tcp_frame(

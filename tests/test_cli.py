@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from capture_helpers import handshake_frames
+from capture_helpers import handshake_frames, write_pcap
 import mptcpkit
 from mptcpkit import bench as bench_mod
 from mptcpkit import cli
@@ -16,7 +16,6 @@ from mptcpkit.cli import POSITIVE_SCAN_LABELS, _read_records, _targets_from_scan
 from mptcpkit.errors import TransportUnavailable
 from mptcpkit.netsim import SimNetwork
 from mptcpkit.options import Key
-from mptcpkit.pcapio import write_pcap
 from mptcpkit.probe import CampaignRecord, RatePacer, VirtualClock
 
 TOPOLOGY = """\

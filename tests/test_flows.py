@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capture_helpers import capture_bytes, handshake_frames, tcp_frame, with_v6_headers
+from capture_helpers import (
+    capture_bytes,
+    handshake_frames,
+    tcp_frame,
+    with_v6_headers,
+    write_pcap,
+)
 from mptcpkit.errors import EmptyInput, MalformedCapture, MissingTables
 from mptcpkit.flows import (
     FlowKey,
@@ -38,7 +44,6 @@ from mptcpkit.pcapio import (
     LINKTYPE_NULL,
     LINKTYPE_RAW,
     read_pcap,
-    write_pcap,
 )
 
 K = Key(0xABCDABCDABCDABCD)
@@ -368,13 +373,15 @@ def _capture(draw):
 @settings(max_examples=150)
 def test_ingest_total_and_counters_add_up(capture, bidirectional):
     linktype, frames = capture
-    table = ingest_capture(
-        capture_bytes([(float(i), f) for i, f in enumerate(frames)], linktype), bidirectional
-    )
+    stamped = [(float(i), f) for i, f in enumerate(frames)]
+    table = ingest_capture(capture_bytes(stamped, linktype), bidirectional)
     assert table.frames_seen == len(frames)
     assert table.frames_seen == (
         table.tcp_packets + table.non_tcp + table.fragments + table.parse_failures
     )
+    want = reference_ingest(capture_bytes(stamped, linktype), bidirectional)
+    assert list(table.flows) == list(want.flows)
+    assert table == want  # the same FlowStats per flow and the same six counters
 
 
 class TestFilter:

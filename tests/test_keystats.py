@@ -16,7 +16,6 @@ from mptcpkit.keystats import (
     analyze_keys,
     chi_square_sf,
     expected_counts,
-    hamming_weight,
     pooled_chi_square,
     read_keys,
     write_report,
@@ -24,6 +23,11 @@ from mptcpkit.keystats import (
 from mptcpkit.options import Key
 
 PROBE = Key(0x000000000000FFFF)  # weight 16
+
+
+def hamming_weight(key: Key | int) -> int:
+    """Reference: number of set bits in a 64-bit key."""
+    return (key.value if isinstance(key, Key) else int(key)).bit_count()
 
 
 class TestHammingWeight:
@@ -44,6 +48,7 @@ class TestHammingWeight:
         # independent oracle: count bits one position at a time
         expected = sum((value >> i) & 1 for i in range(64))
         assert hamming_weight(Key(value)) == expected
+        assert WeightHistogram.from_keys([Key(value), value]).counts[expected] == 2
 
 
 class TestExpectedCounts:

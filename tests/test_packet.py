@@ -15,12 +15,21 @@ from mptcpkit.packet import (
     decode_tcp,
     encode_packet,
     extract_quoted_options,
-    internet_checksum,
     is_later_fragment,
     is_non_tcp,
     ip_family,
     pack_address,
 )
+
+
+def internet_checksum(data: bytes) -> int:
+    """Reference: the RFC 1071 checksum, summed word by word and folded."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
 
 
 def syn(src="192.0.2.1", dst="10.0.0.1", options=b"\x1e\x04\x01\x81"):
@@ -370,3 +379,59 @@ def test_header_memo_is_shared_and_bounded():
         encode_packet(syn(), ttl=ttl)
     info = _header_template.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+# -- decode_tcp at an offset: the same parse as of the packet on its own ---------
+
+
+@st.composite
+def _encoded(draw):
+    """(packet bytes, the fields decode_tcp must read back) for either family."""
+    pkt, src, ttl = draw(_encodable())
+    data = encode_packet(pkt, src, ttl)
+    ihl = 20 if data[0] >> 4 == 4 else 40
+    options = pkt.options + b"\x00" * (-len(pkt.options) % 4)
+    want = (
+        pack_address(pkt.src if src is None else src), pack_address(pkt.dst),
+        pkt.src_port, pkt.dst_port, pkt.seq & 0xFFFFFFFF, pkt.ack & 0xFFFFFFFF,
+        pkt.flags & 0xFF, pkt.ttl if ttl is None else ttl, pkt.window, options,
+        len(data), len(pkt.payload),
+    )
+    assert len(data) == ihl + 20 + len(options) + len(pkt.payload)
+    return data, want
+
+
+_v6_behind_extensions = st.builds(
+    lambda data, kinds, offset, size: with_v6_headers(data, tuple(kinds), offset, size),
+    st.sampled_from([V6_SYN, encode_packet(syn(src="2001:db8::1", dst="2001:db8::2",
+                                               options=b""))]),
+    st.lists(st.sampled_from([0, 43, 44, 60]), min_size=1, max_size=4),
+    st.sampled_from([0, 0, 3]),
+    st.sampled_from([8, 16, 24]),
+)
+
+
+@given(_encoded())
+@settings(max_examples=300)
+def test_decode_tcp_reads_back_every_encoded_field(case):
+    data, want = case
+    assert decode_tcp(data) == want
+
+
+@given(
+    st.binary(max_size=48),
+    st.one_of(_wire_bytes, _encoded().map(lambda case: case[0]), _v6_behind_extensions),
+    st.integers(min_value=0, max_value=200),
+)
+@settings(max_examples=1000)
+@example(b"\x45", encode_packet(syn()), 200)  # a prefix that reads as an IPv4 header
+@example(b"\x60" * 7 + b"\x06", V6_SYN, 200)
+@example(b"", b"", 0)
+def test_decode_at_offset_matches_decode_alone(prefix, packet, cut):
+    data = packet[:cut]
+    seg = decode_tcp(data)
+    assert decode_tcp(prefix + data, len(prefix)) == seg
+    from_bytearray = decode_tcp(bytearray(prefix + data), len(prefix))
+    assert from_bytearray == seg
+    if seg is not None:
+        assert type(seg[9]) is bytes and type(from_bytearray[9]) is bytes
