@@ -88,13 +88,15 @@ class SimTimingTransport:
         self.fallback_penalty_ms = fallback_penalty_ms
         self.jitter_ms = jitter_ms
         self.seed = seed
-        self._jitter_prefix = f"{seed}|{transport}|"  # stable across processes, unlike hash()
+        # Has absorbed each draw's identity prefix; draws hash copies (unlike hash(), stable).
+        self._jitter_hash = hashlib.blake2b(f"{seed}|{transport}|".encode(), digest_size=8)
 
     def _jitter(self, target: str, port: int, run: int, metric: str) -> float:
         if self.jitter_ms <= 0:
             return 0.0
-        ident = f"{self._jitter_prefix}{target}|{port}|{run}|{metric}"
-        digest = hashlib.blake2b(ident.encode(), digest_size=8).digest()
+        h = self._jitter_hash.copy()
+        h.update(f"{target}|{port}|{run}|{metric}".encode())
+        digest = h.digest()
         # The top 53 bits of the digest as a float in [0, 1), as random() builds one.
         return self.jitter_ms * ((int.from_bytes(digest, "big") >> 11) * 2.0**-53)
 

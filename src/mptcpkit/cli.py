@@ -248,20 +248,26 @@ def cmd_keys(args) -> int:
 def cmd_simulate(args) -> int:
     network = netsim.generate_population(args.generate, seed=args.seed)
     Path(args.out_topology).write_text(netsim.format_topology(network), encoding="utf-8")
+    rows = sorted(network.paths.items())
     with open(args.out_targets, "w", encoding="utf-8") as f:
-        for address, port in network.targets():
-            f.write(f"{address},{port}\n")
+        f.writelines(f"{address},{port}\n" for (address, port), _path in rows)
     if args.out_truth:
+        # Truth depends only on the path and the address family, and targets
+        # share paths; `network` keeps every path alive, so ids stay unique.
+        tails: dict[tuple[int, int], list[str]] = {}
         with open(args.out_truth, "w", encoding="utf-8") as f:
             f.write("address,port,version,classification,verdict,first_modifying_ttl\n")
-            for (address, port), path in sorted(network.paths.items()):
-                for version in (0, 1):
-                    truth = netsim.ground_truth(path, version, ip_family(address))
-                    ttl = truth.first_modifying_ttl
-                    f.write(
-                        f"{address},{port},{version},{truth.classification.value},"
-                        f"{truth.verdict.value},{'' if ttl is None else ttl}\n"
-                    )
+            for (address, port), path in rows:
+                key = (id(path), ip_family(address))
+                tail = tails.get(key)
+                if tail is None:
+                    tail = tails[key] = []
+                    for version in (0, 1):
+                        truth = netsim.ground_truth(path, version, key[1])
+                        ttl = truth.first_modifying_ttl
+                        tail.append(f"{version},{truth.classification.value},"
+                                    f"{truth.verdict.value},{'' if ttl is None else ttl}\n")
+                f.write(f"{address},{port},{tail[0]}{address},{port},{tail[1]}")
     return 0
 
 
@@ -341,10 +347,8 @@ def _write_migration(args, f) -> None:
     sets = [_read_address_set(path, args.only)
             for path in (args.prev_v0, args.prev_v1, args.cur_v0, args.cur_v1)]
     report = store_mod.migration_report(sets[:2], sets[2:])
-    f.write(f"added_v1_support,{len(report.added_v1_support)}\n")
-    f.write(f"migrated_v0_to_v1,{len(report.migrated_v0_to_v1)}\n")
-    f.write(f"added_v0_support,{len(report.added_v0_support)}\n")
-    f.write(f"migrated_v1_to_v0,{len(report.migrated_v1_to_v0)}\n")
+    for name in ("added_v1_support", "migrated_v0_to_v1", "added_v0_support", "migrated_v1_to_v0"):
+        f.write(f"{name},{len(getattr(report, name))}\n")
 
 
 def _write_ingest(args, f) -> None:
@@ -354,13 +358,10 @@ def _write_ingest(args, f) -> None:
     for record in _read_records(args.infile):
         family = "v6" if ":" in record.address else "v4"
         key = (family, record.port, record.version)
-        snap = by_key.setdefault(
-            key,
-            store_mod.ScanSnapshot(args.date, family, record.port, record.version),
-        )
-        snap.add(
-            store_mod.HostRecord(record.address, record.label, record.sender_key)
-        )
+        snap = by_key.get(key)
+        if snap is None:  # one snapshot per key, not one built per record
+            snap = by_key[key] = store_mod.ScanSnapshot(args.date, *key)
+        snap.add(store_mod.HostRecord(record.address, record.label, record.sender_key))
     for snap in by_key.values():
         snapshot_store.save(snap)
     f.write(f"ingested,{len(by_key)}\n")

@@ -24,7 +24,7 @@ from .errors import EmptyInput, MissingTables
 from .inputs import data_lines
 from .options import decode_mp_capable_any, parse_options_prefix
 from .packet import address_text, decode_tcp, is_later_fragment, is_non_tcp
-from .pcapio import LINKTYPE_ETHERNET, LINKTYPE_NULL, LINKTYPE_RAW, read_pcap
+from .pcapio import LINKTYPE_NULL, LINKTYPE_RAW, read_pcap
 
 _U16 = struct.Struct("!H")
 
@@ -109,24 +109,20 @@ class FlowTable:
 
 
 def _ip_start(linktype: int, frame: bytes) -> int | None:
-    """Offset of the IP packet in `frame`; None when the link header is cut
-    short or names no IPv4 or IPv6 payload."""
-    if linktype == LINKTYPE_RAW:
-        return 0
-    if linktype == LINKTYPE_ETHERNET:
-        if len(frame) < 14:
-            return None
-        ethertype = _U16.unpack_from(frame, 12)[0]
-        offset = 14
-        if ethertype == 0x8100:  # one VLAN tag
-            if len(frame) < 18:
-                return None
-            ethertype = _U16.unpack_from(frame, 16)[0]
-            offset = 18
-        return offset if ethertype in (0x0800, 0x86DD) else None
+    """Offset of the IP packet in a NULL or Ethernet `frame`; None when the
+    link header is cut short or names no IPv4 or IPv6 payload."""
     if linktype == LINKTYPE_NULL:
         return 4 if len(frame) > 4 else None
-    return None
+    if len(frame) < 14:
+        return None
+    ethertype = _U16.unpack_from(frame, 12)[0]
+    offset = 14
+    if ethertype == 0x8100:  # one VLAN tag
+        if len(frame) < 18:
+            return None
+        ethertype = _U16.unpack_from(frame, 16)[0]
+        offset = 18
+    return offset if ethertype in (0x0800, 0x86DD) else None
 
 
 def _mp_version(options: bytes) -> int | None:
@@ -147,9 +143,10 @@ def ingest_capture(
     linktype, frames = read_pcap(source)
     flows: dict[FlowKey, FlowStats] = {}
     frames_seen = tcp_packets = tcp_bytes = parse_failures = non_tcp = fragments = 0
+    raw = linktype == LINKTYPE_RAW  # every frame is an IP packet: no link header
     for _ts, frame in frames:
         frames_seen += 1
-        start = _ip_start(linktype, frame)
+        start = 0 if raw else _ip_start(linktype, frame)
         if start is None:
             parse_failures += 1
             continue

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import accumulate
@@ -143,6 +144,8 @@ class SimPath:
     What the simulator asks of a path on every probe (its interior, whether
     it drops or strips, its round trip) is worked out once, at construction;
     the nodes are kept as a tuple, and a path is not changed afterwards.
+    A path holds no per-target state (key streams live in the SimNetwork,
+    keyed by address, port and hop), so targets with equal paths share one.
     """
 
     nodes: tuple[NodeBehavior, ...]
@@ -189,14 +192,11 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(digest, "big")
 
 
-class _KeySource:
+class _KeySource(random.Random):
     """Seeded deterministic 64-bit key generator."""
 
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-
     def next_key(self) -> Key:
-        return Key(self._rng.getrandbits(64))
+        return Key(self.getrandbits(64))
 
 
 def _replace_mp_capable(
@@ -254,12 +254,13 @@ class SimNetwork:
 
     def _keys_for(self, address: str, port: int, index: int, node: NodeBehavior) -> _KeySource:
         ident = (address, port, index)
-        if ident not in self._key_sources:
+        source = self._key_sources.get(ident)
+        if source is None:
             seed = node.key_seed
             if seed is None:
                 seed = _derive_seed(self.seed, address, port, index)
-            self._key_sources[ident] = _KeySource(seed)
-        return self._key_sources[ident]
+            source = self._key_sources[ident] = _KeySource(seed)
+        return source
 
     def _hop_address(self, target: str, ttl: int) -> str:
         if ip_family(target) == 4:
@@ -503,29 +504,30 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
 
     Node tokens: true_host(v0,v1,seed=N) tcp_host mirror strip
     key_rewrite(seed=N) drop silent quoting(<bytes>)
+
+    Lines with the same text after the port share one SimPath, which holds
+    no per-target state.
     """
     net = SimNetwork(seed)
     # Node behaviors are frozen and key streams are keyed by position, not by
     # node, so paths can share one instance per distinct token.
-    nodes_by_token: dict[str, NodeBehavior] = {}
+    parse_node = functools.lru_cache(maxsize=None)(_parse_node)
+    paths_by_text: dict[tuple[str, ...], SimPath] = {}
     for lineno, raw in enumerate(lines, start=1):
         for line in data_lines((raw,)):  # one line at a time, to keep its number
             tokens = line.split()
             if tokens[0] != "path" or len(tokens) < 4:
                 raise ValueError(f"line {lineno}: expected `path <addr> <port> <nodes...>`")
-            address, port_text = tokens[1], tokens[2]
-            rest = tokens[3:]
-            latency = 1.0
-            if rest and rest[0].startswith("latency="):
-                latency = float(rest[0].split("=", 1)[1])
-                rest = rest[1:]
-            nodes = []
-            for token in rest:
-                node = nodes_by_token.get(token)
-                if node is None:
-                    node = nodes_by_token[token] = _parse_node(token)
-                nodes.append(node)
-            net.add_path(address, int(port_text), SimPath(nodes, per_hop_latency_ms=latency))
+            text = tuple(tokens[3:])
+            path = paths_by_text.get(text)
+            if path is None:
+                rest, latency = text, 1.0
+                if rest[0].startswith("latency="):
+                    latency = float(rest[0].split("=", 1)[1])
+                    rest = rest[1:]
+                nodes = [parse_node(token) for token in rest]
+                path = paths_by_text[text] = SimPath(nodes, per_hop_latency_ms=latency)
+            net.add_path(tokens[1], int(tokens[2]), path)
     return net
 
 
@@ -536,62 +538,59 @@ def load_topology(path: str | Path, seed: int = 0) -> SimNetwork:
 
 def format_topology(net: SimNetwork) -> str:
     lines = []
-    tokens_by_node: dict[NodeBehavior, str] = {}  # a population has few distinct nodes
+    text_by_path: dict[int, str] = {}  # targets share paths; `net` keeps them alive
+    spec_token = functools.lru_cache(maxsize=None)(NodeBehavior.spec_token)  # few distinct nodes
     for (address, port), path in sorted(net.paths.items()):
-        tokens = []
-        for node in path.nodes:
-            token = tokens_by_node.get(node)
-            if token is None:
-                token = tokens_by_node[node] = node.spec_token()
-            tokens.append(token)
-        latency = ""
-        if path.per_hop_latency_ms != 1.0:
-            latency = f"latency={path.per_hop_latency_ms:g} "
-        lines.append(f"path {address} {port} {latency}{' '.join(tokens)}")
+        text = text_by_path.get(id(path))
+        if text is None:
+            latency = ""
+            if path.per_hop_latency_ms != 1.0:
+                latency = f"latency={path.per_hop_latency_ms:g} "
+            text = text_by_path[id(path)] = latency + " ".join(map(spec_token, path.nodes))
+        lines.append(f"path {address} {port} {text}")
     return "\n".join(lines) + "\n"
 
 
-def generate_population(
-    count: int, seed: int, v6_share: float = 0.2
-) -> SimNetwork:
+def generate_population(count: int, seed: int, v6_share: float = 0.2) -> SimNetwork:
     """Generate a mixed target population with every behavior represented."""
     rng = random.Random(seed)
+    draw = rng.random
     net = SimNetwork(seed)
-    interior_choices = [
-        (BehaviorKind.MIRROR_MIDDLEBOX, 0.18),
-        (BehaviorKind.STRIP_MIDDLEBOX, 0.14),
-        (BehaviorKind.KEY_REWRITE_MIDDLEBOX, 0.10),
-        (BehaviorKind.DROP_FIREWALL, 0.08),
-        (BehaviorKind.SILENT_ROUTER, 0.20),
-        (BehaviorKind.QUOTING_ROUTER, 0.30),
-    ]
-    kinds = [k for k, _ in interior_choices]
-    # rng.choices(weights=w) accumulates w on every call and then draws
-    # exactly as with cum_weights=accumulate(w), so accumulate them once.
-    kind_cum = list(accumulate(w for _, w in interior_choices))
+    kinds = [BehaviorKind.MIRROR_MIDDLEBOX, BehaviorKind.STRIP_MIDDLEBOX,
+             BehaviorKind.KEY_REWRITE_MIDDLEBOX, BehaviorKind.DROP_FIREWALL,
+             BehaviorKind.SILENT_ROUTER, BehaviorKind.QUOTING_ROUTER]
+    quote_sizes = (28, 64, DEFAULT_QUOTE_BYTES)
+    endpoints = [frozenset({0}), frozenset({1}), frozenset({0, 1})]
+    # rng.choices(pop, cum_weights=cw)[0] is pop[bisect_right(cw, random() * cw[-1],
+    # 0, len(cw) - 1)]; it is inlined here with the same draws.
+    kind_cum = list(accumulate([0.18, 0.14, 0.10, 0.08, 0.20, 0.30]))  # weights of `kinds`
     length_cum = list(accumulate([30, 28, 22, 12, 8]))
     versions_cum = list(accumulate([50, 20, 30]))
+    # A path is drawn as a tuple of keys (interior kinds, a quote size for a quoting
+    # router, then the endpoint's versions or None); equal draws share one SimPath.
+    node_for: dict = {None: tcp_host(), **{kind: NodeBehavior(kind) for kind in kinds},
+                      **{size: quoting(size) for size in quote_sizes},
+                      **{versions: true_host(*versions) for versions in endpoints}}
+    paths: dict[tuple, SimPath] = {}
     for i in range(count):
-        if rng.random() < v6_share:
+        if draw() < v6_share:
             address = f"2001:db8:1::{i + 1:x}"
         else:
             host = i + 1
             address = f"10.{(host >> 16) & 255}.{(host >> 8) & 255}.{host & 255}"
         port = rng.choice((80, 443))
-        interior_len = rng.choices([0, 1, 2, 3, 4], cum_weights=length_cum)[0]
-        nodes = []
-        for _ in range(interior_len):
-            kind = rng.choices(kinds, cum_weights=kind_cum)[0]
+        shape = []
+        for _ in range(bisect_right(length_cum, draw() * length_cum[-1], 0, 4)):
+            kind = kinds[bisect_right(kind_cum, draw() * kind_cum[-1], 0, 5)]
             if kind is BehaviorKind.QUOTING_ROUTER:
-                nodes.append(quoting(rng.choice((28, 64, DEFAULT_QUOTE_BYTES))))
-            else:
-                nodes.append(NodeBehavior(kind))
-        if rng.random() < 0.55:
-            versions = rng.choices(
-                [frozenset({0}), frozenset({1}), frozenset({0, 1})], cum_weights=versions_cum
-            )[0]
-            nodes.append(NodeBehavior(BehaviorKind.TRUE_MPTCP_HOST, supported_versions=versions))
-        else:
-            nodes.append(tcp_host())
-        net.add_path(address, port, SimPath(nodes))
+                kind = rng.choice(quote_sizes)
+            shape.append(kind)
+        versions = None  # a TCP host
+        if draw() < 0.55:
+            versions = endpoints[bisect_right(versions_cum, draw() * versions_cum[-1], 0, 2)]
+        key = (*shape, versions)
+        path = paths.get(key)
+        if path is None:
+            path = paths[key] = SimPath([node_for[k] for k in key])
+        net.add_path(address, port, path)
     return net

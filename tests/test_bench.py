@@ -235,8 +235,9 @@ def test_jitter_within_bounds(jitter_ms, draw, digest):
     if digest is None:  # the real digest of the draw
         value = t._jitter(target, port, run, metric)
     else:
-        fixed = SimpleNamespace(blake2b=lambda *a, **k: SimpleNamespace(digest=lambda: digest))
-        with mock.patch("mptcpkit.bench.hashlib", fixed):
+        # Each draw hashes a copy of the transport's prefix-fed blake2b.
+        fixed = SimpleNamespace(update=lambda data: None, digest=lambda: digest)
+        with mock.patch.object(t, "_jitter_hash", SimpleNamespace(copy=lambda: fixed)):
             value = t._jitter(target, port, run, metric)
     assert 0 <= value < jitter_ms
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -11,11 +12,12 @@ import pytest
 from capture_helpers import handshake_frames, write_pcap
 import mptcpkit
 from mptcpkit import bench as bench_mod
-from mptcpkit import cli
+from mptcpkit import cli, netsim
 from mptcpkit.cli import POSITIVE_SCAN_LABELS, _read_records, _targets_from_scan, main
 from mptcpkit.errors import TransportUnavailable
 from mptcpkit.netsim import SimNetwork
 from mptcpkit.options import Key
+from mptcpkit.packet import ip_family
 from mptcpkit.probe import CampaignRecord, RatePacer, VirtualClock
 
 TOPOLOGY = """\
@@ -155,6 +157,44 @@ class TestSimulate:
         truth_lines = (workdir / "gen-truth.csv").read_text().splitlines()
         assert truth_lines[0].startswith("address,port,version")
         assert len(truth_lines) == 1 + 2 * 40  # both versions per target
+
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_truth_rows_match_a_per_row_reference(self, workdir, monkeypatch, marked):
+        """Each row is ground_truth(path, version, family of its address).
+
+        Generated paths give both families the same labels, so a run with
+        `marked` also tags each truth with the family it was asked for: a
+        shared path on IPv4 and IPv6 targets then shows a memo that ignores
+        the family.
+        """
+        truth_of = netsim.ground_truth
+        if marked:
+            def truth_of(path, version, family=4, real=netsim.ground_truth):
+                return dataclasses.replace(real(path, version, family), first_modifying_ttl=family)
+            monkeypatch.setattr(netsim, "ground_truth", truth_of)
+        run_ok([
+            "simulate", "--generate", "300", "--seed", "5",
+            "--out-topology", str(workdir / "gen-topo.txt"),
+            "--out-targets", str(workdir / "gen-targets.csv"),
+            "--out-truth", str(workdir / "gen-truth.csv"),
+        ])
+        network = netsim.generate_population(300, seed=5)
+        families: dict[int, set[int]] = {}
+        for (address, _port), path in network.paths.items():
+            if any(node.kind is netsim.BehaviorKind.QUOTING_ROUTER and node.quote_bytes in (28, 64)
+                   for node in path.nodes):
+                families.setdefault(id(path), set()).add(ip_family(address))
+        assert {4, 6} in families.values()
+        expected = ["address,port,version,classification,verdict,first_modifying_ttl"]
+        for (address, port), path in sorted(network.paths.items()):
+            for version in (0, 1):
+                truth = truth_of(path, version, ip_family(address))
+                ttl = "" if truth.first_modifying_ttl is None else truth.first_modifying_ttl
+                expected.append(f"{address},{port},{version},{truth.classification.value},"
+                                f"{truth.verdict.value},{ttl}")
+        assert (workdir / "gen-truth.csv").read_text().splitlines() == expected
+        targets = [f"{address},{port}" for address, port in sorted(network.paths)]
+        assert (workdir / "gen-targets.csv").read_text().splitlines() == targets
 
 
 class TestTrace:

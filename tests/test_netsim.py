@@ -1,4 +1,5 @@
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from mptcpkit.errors import OptionError
 from mptcpkit.netsim import (
     BehaviorKind,
     GroundTruth,
+    NodeBehavior,
     SimNetwork,
     SimPath,
     drop,
@@ -239,6 +241,17 @@ class TestTopologyFiles:
         "path 10.0.0.7 80 key_rewrite key_rewrite quoting(64) true_host(v0,v1)",
         "path 10.0.0.8 80 true_host(v0,v1,seed=3)",
         "path 10.0.0.9 80 true_host(v0,v1,seed=3)",
+        # Whole paths repeated on other targets, unseeded keys among them.
+        "path 10.0.0.10 443 key_rewrite key_rewrite quoting(64) true_host(v0,v1)",
+        "path 2001:db8::a 80 key_rewrite key_rewrite quoting(64) true_host(v0,v1)",
+        "path 2001:db8::b 443 latency=2 quoting(64) strip true_host(v0,v1)",
+        "path 10.0.0.12 443 key_rewrite(seed=9) mirror true_host(v0,v1)",
+    ]
+    SHARED = [  # targets whose lines have the same text after the port
+        [("10.0.0.7", 80), ("10.0.0.10", 443), ("2001:db8::a", 80)],
+        [("2001:db8::5", 80), ("2001:db8::b", 443)],
+        [("10.0.0.2", 80), ("10.0.0.12", 443)],
+        [("10.0.0.8", 80), ("10.0.0.9", 80)],
     ]
 
     def unshared(self, lines, seed):
@@ -260,6 +273,10 @@ class TestTopologyFiles:
         first, second = net.paths[("10.0.0.1", 80)], net.paths[("10.0.0.2", 80)]
         assert first.nodes[0] is second.nodes[0]  # one instance per distinct token
         assert first.nodes[-1] is second.nodes[-1]
+        for targets in self.SHARED:  # one path per distinct text
+            assert all(net.paths[t] is net.paths[targets[0]] for t in targets)
+        distinct = len(net.paths) - sum(len(targets) - 1 for targets in self.SHARED)
+        assert len({id(p) for p in net.paths.values()}) == distinct
         for _ in range(3):  # keyed nodes draw a fresh key every round
             for address, port in net.targets():
                 for spec in (ProbeSpec(address, port, 0, DEFAULT_PROBE_KEY),
@@ -382,6 +399,59 @@ def test_generate_population_deterministic():
     b = format_topology(generate_population(50, seed=3))
     assert a == b
     assert a != format_topology(generate_population(50, seed=4))
+
+
+def reference_population(count: int, seed: int, v6_share: float) -> SimNetwork:
+    """generate_population drawn with rng.choices, and with fresh nodes and a
+    fresh SimPath for every target."""
+    rng = random.Random(seed)
+    net = SimNetwork(seed)
+    kinds = [BehaviorKind.MIRROR_MIDDLEBOX, BehaviorKind.STRIP_MIDDLEBOX,
+             BehaviorKind.KEY_REWRITE_MIDDLEBOX, BehaviorKind.DROP_FIREWALL,
+             BehaviorKind.SILENT_ROUTER, BehaviorKind.QUOTING_ROUTER]
+    for i in range(count):
+        if rng.random() < v6_share:
+            address = f"2001:db8:1::{i + 1:x}"
+        else:
+            host = i + 1
+            address = f"10.{(host >> 16) & 255}.{(host >> 8) & 255}.{host & 255}"
+        port = rng.choice((80, 443))
+        nodes = []
+        for _ in range(rng.choices([0, 1, 2, 3, 4], weights=[30, 28, 22, 12, 8])[0]):
+            kind = rng.choices(kinds, weights=[0.18, 0.14, 0.10, 0.08, 0.20, 0.30])[0]
+            if kind is BehaviorKind.QUOTING_ROUTER:
+                nodes.append(quoting(rng.choice((28, 64, 128))))
+            else:
+                nodes.append(NodeBehavior(kind))
+        if rng.random() < 0.55:
+            versions = rng.choices([(0,), (1,), (0, 1)], weights=[50, 20, 30])[0]
+            nodes.append(true_host(*versions))
+        else:
+            nodes.append(tcp_host())
+        net.add_path(address, port, SimPath(nodes))
+    return net
+
+
+@given(
+    count=st.integers(min_value=0, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**64),
+    v6_share=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_generate_population_matches_reference(count, seed, v6_share):
+    net = generate_population(count, seed, v6_share)
+    ref = reference_population(count, seed, v6_share)
+    assert format_topology(net) == format_topology(ref)
+    assert list(net.paths) == list(ref.paths)
+    # Targets share a path exactly when their paths are equal, and every path
+    # is built from one node instance per distinct node.
+    groups: dict[tuple, set[int]] = {}
+    for target, path in ref.paths.items():
+        groups.setdefault(path.nodes, set()).add(id(net.paths[target]))
+    assert all(len(ids) == 1 for ids in groups.values())
+    assert len({id(p) for p in net.paths.values()}) == len(groups)
+    nodes = [node for path in net.paths.values() for node in path.nodes]
+    assert len({id(node) for node in nodes}) == len(set(nodes))
 
 
 def test_generate_population_covers_behaviors():
