@@ -30,7 +30,7 @@ IPPROTO_MPTCP = 262
 FETCH_TIMEOUT_S = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TimingSample:
     transport: str  # "tcp" | "mptcp"
     success: bool
@@ -51,7 +51,7 @@ _METRIC_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeltaRecord:
     target: str
     metric: str
@@ -206,7 +206,7 @@ def time_get(
     return [transport.fetch(target, port, run) for run in range(runs)]
 
 
-@dataclass
+@dataclass(slots=True)
 class DeltaReport:
     records: list[DeltaRecord]
     cdf: dict[str, list[tuple[float, float]]]

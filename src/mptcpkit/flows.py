@@ -97,7 +97,7 @@ class FlowStats:
             self.mptcp_version = mp_version
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowTable:
     flows: dict[FlowKey, FlowStats] = field(default_factory=dict)
     frames_seen: int = 0
@@ -192,7 +192,7 @@ def filter_min_packets(
     return {k: v for k, v in flows.items() if v.packets >= min_packets}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ShareReport:
     tcp_flows: int
     tcp_bytes: int
@@ -222,7 +222,7 @@ def mptcp_share(flows: Mapping[FlowKey, FlowStats]) -> ShareReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConcentrationReport:
     top1_share: float
     top5_share: float
@@ -260,7 +260,7 @@ def ewma(series: Iterable[float], alpha: float = 0.2) -> list[float]:
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class ServiceTables:
     """Port-to-service mapping: a well-known registry plus a supplementary
     vendor table that takes precedence."""

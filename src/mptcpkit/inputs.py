@@ -1,4 +1,4 @@
-"""What every text input shares: the comment rule (`data_lines`) and, for
+"""What every text input shares: the comment rule (`data_line`) and, for
 blocklists and prefix-to-ASN tables, `prefix[,asn]` rows in a `PrefixTable`.
 """
 
@@ -10,12 +10,14 @@ from typing import Iterable, Iterator
 from .packet import pack_address
 
 
+def data_line(line: str) -> str:
+    """`line` cut at its first `#` and stripped; empty when it holds no data."""
+    return line.split("#", 1)[0].strip()
+
+
 def data_lines(lines: Iterable[str]) -> Iterator[str]:
-    """Each line cut at its first `#` and stripped; blank results are skipped."""
-    for line in lines:
-        line = line.split("#", 1)[0].strip()
-        if line:
-            yield line
+    """Each line through `data_line`; blank results are skipped."""
+    return filter(None, map(data_line, lines))
 
 
 def prefix_rows(lines: Iterable[str]) -> Iterator[tuple[str, int | None]]:

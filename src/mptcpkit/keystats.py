@@ -36,7 +36,7 @@ def expected_counts(total: int) -> list[float]:
     return [total * math.comb(64, w) / _TWO_64 for w in range(65)]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WeightHistogram:
     counts: list[int]  # 65 bins, weight 0..64
     total: int
@@ -75,7 +75,7 @@ def chi_square_sf(x: float, df: int) -> float:
     return math.fsum(head + terms)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EntropyReport:
     histogram: WeightHistogram
     probe_key_weight: int

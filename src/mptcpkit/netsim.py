@@ -30,14 +30,14 @@ import functools
 import hashlib
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import OptionError
-from .inputs import data_lines
+from .inputs import data_line
 from .options import (
     DEFAULT_MP_FLAGS,
     HandshakePhase,
@@ -81,7 +81,7 @@ ENDPOINT_KINDS = {BehaviorKind.TRUE_MPTCP_HOST, BehaviorKind.TCP_ONLY_HOST}
 DEFAULT_QUOTE_BYTES = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeBehavior:
     kind: BehaviorKind
     supported_versions: frozenset[int] = frozenset()
@@ -176,7 +176,7 @@ class SimPath:
         self.rtt_ms = 2.0 * self.per_hop_latency_ms * len(nodes)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GroundTruth:
     """Construction-time labels a correct scan + trace must reproduce."""
 
@@ -365,7 +365,7 @@ class SimNetwork:
             if node.kind in (BehaviorKind.SILENT_ROUTER, BehaviorKind.DROP_FIREWALL):
                 return None
             # The packet as this hop would forward it, TTL spent.
-            quoted = encode_packet(replace(syn, ttl=0, options=forward))
+            quoted = encode_packet(syn, ttl=0, options=forward)
             if node.kind is BehaviorKind.QUOTING_ROUTER:
                 quoted = quoted[: node.quote_bytes]
             rtt = 2.0 * path.per_hop_latency_ms * ttl
@@ -514,20 +514,21 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
     parse_node = functools.lru_cache(maxsize=None)(_parse_node)
     paths_by_text: dict[tuple[str, ...], SimPath] = {}
     for lineno, raw in enumerate(lines, start=1):
-        for line in data_lines((raw,)):  # one line at a time, to keep its number
-            tokens = line.split()
-            if tokens[0] != "path" or len(tokens) < 4:
-                raise ValueError(f"line {lineno}: expected `path <addr> <port> <nodes...>`")
-            text = tuple(tokens[3:])
-            path = paths_by_text.get(text)
-            if path is None:
-                rest, latency = text, 1.0
-                if rest[0].startswith("latency="):
-                    latency = float(rest[0].split("=", 1)[1])
-                    rest = rest[1:]
-                nodes = [parse_node(token) for token in rest]
-                path = paths_by_text[text] = SimPath(nodes, per_hop_latency_ms=latency)
-            net.add_path(tokens[1], int(tokens[2]), path)
+        tokens = data_line(raw).split()
+        if not tokens:
+            continue
+        if tokens[0] != "path" or len(tokens) < 4:
+            raise ValueError(f"line {lineno}: expected `path <addr> <port> <nodes...>`")
+        text = tuple(tokens[3:])
+        path = paths_by_text.get(text)
+        if path is None:
+            rest, latency = text, 1.0
+            if rest[0].startswith("latency="):
+                latency = float(rest[0].split("=", 1)[1])
+                rest = rest[1:]
+            nodes = [parse_node(token) for token in rest]
+            path = paths_by_text[text] = SimPath(nodes, per_hop_latency_ms=latency)
+        net.add_path(tokens[1], int(tokens[2]), path)
     return net
 
 

@@ -40,7 +40,7 @@ MP_CAPABLE_SUBTYPE = 0
 DEFAULT_MP_FLAGS = 0x81
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Key:
     """A 64-bit MPTCP sender's key."""
 
@@ -68,7 +68,7 @@ class Key:
         return f"{self.value:016x}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TcpOption:
     """One TCP option: kind plus payload (kind and length bytes excluded).
 
@@ -105,7 +105,7 @@ class HandshakePhase(Enum):
 _PHASES = tuple(HandshakePhase)  # iterating the class runs a Python generator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MpCapable:
     """Decoded MP_CAPABLE: version, opaque flags, optional 64-bit keys."""
 

@@ -41,7 +41,7 @@ IPV6_HEADER_LEN = 40
 TCP_HEADER_LEN = 20
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TcpPacket:
     """Builder-side description of one TCP segment."""
 
@@ -58,7 +58,7 @@ class TcpPacket:
     payload: bytes = b""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ParsedSegment:
     """Reader-side view of an IP+TCP packet."""
 
@@ -143,10 +143,12 @@ def _checksum(total: int) -> int:
     return 0xFFFE - (total - 1) % 0xFFFF
 
 
-def encode_packet(pkt: TcpPacket, src: str | None = None, ttl: int | None = None) -> bytes:
+def encode_packet(
+    pkt: TcpPacket, src: str | None = None, ttl: int | None = None, options: bytes | None = None
+) -> bytes:
     """Serialize to IP header + TCP header + options + payload, checksummed.
 
-    `src` and `ttl`, when given, are sent in place of the packet's own.
+    `src`, `ttl` and `options`, when given, are sent in place of the packet's own.
     """
     src = pack_address(pkt.src if src is None else src)
     dst = pack_address(pkt.dst)
@@ -155,7 +157,7 @@ def encode_packet(pkt: TcpPacket, src: str | None = None, ttl: int | None = None
     if len(src) != len(dst):
         raise ValueError("source and destination address families differ")
     options, offset_flags, ip_sum, tcp_sum = _header_template(
-        src, pkt.options, pkt.flags & 0xFF, pkt.window, ttl
+        src, pkt.options if options is None else options, pkt.flags & 0xFF, pkt.window, ttl
     )
     payload = pkt.payload
     tcp_len = TCP_HEADER_LEN + len(options) + len(payload)

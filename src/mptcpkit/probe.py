@@ -27,7 +27,7 @@ from .options import (
     encode_mp_capable,
     parse_options_prefix,
 )
-from .packet import FLAG_RST, FLAG_SYN, FLAG_SYN_ACK, RawSegment, TcpPacket, ip_family
+from .packet import FLAG_RST, FLAG_SYN_ACK, RawSegment, TcpPacket, ip_family
 
 # Default v0 campaign key: a documented constant of Hamming weight 16, so key
 # weight histograms from different campaigns line up.
@@ -37,7 +37,7 @@ DEFAULT_SCANNER_ADDR_V4 = "192.0.2.1"
 DEFAULT_SCANNER_ADDR_V6 = "2001:db8:ffff::1"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProbeSpec:
     """One probe: target, port, MPTCP version, and (for v0) the static key."""
 
@@ -69,7 +69,7 @@ def _syn_option(version: int, probe_key: Key | None) -> bytes:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProbeResponse:
     """A packet received before the timeout, with its parsed options."""
 
@@ -79,7 +79,7 @@ class ProbeResponse:
     note: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HopReply:
     """An ICMP-style time-exceeded reply quoting the in-flight packet."""
 
@@ -96,7 +96,7 @@ class ClassificationKind(Enum):
     POTENTIAL_CAPABLE = "potential_capable"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Classification:
     """Outcome of one probe exchange; exactly one kind per probe."""
 
@@ -154,15 +154,9 @@ def build_syn_probe(
         src_port=derive_src_port(spec.target, spec.port, seed),
         dst_port=spec.port,
         seq=derive_seq(spec.target, spec.port, seed),
-        ack=0,
-        flags=FLAG_SYN,
         ttl=ttl,
         options=spec.syn_option(),
     )
-
-
-def _is_syn_ack(flags: int) -> bool:
-    return (flags & FLAG_SYN_ACK) == FLAG_SYN_ACK
 
 
 def classify_response(spec: ProbeSpec, resp: ProbeResponse | None) -> Classification:
@@ -175,7 +169,7 @@ def classify_response(spec: ProbeSpec, resp: ProbeResponse | None) -> Classifica
     """
     if resp is None:
         return Classification(ClassificationKind.NO_RESPONSE)
-    if not _is_syn_ack(resp.tcp_flags):
+    if resp.tcp_flags & FLAG_SYN_ACK != FLAG_SYN_ACK:
         note = "reset" if resp.tcp_flags & FLAG_RST else "not a SYN-ACK"
         return Classification(ClassificationKind.NO_RESPONSE, note=note)
     kind30 = [o for o in resp.options if o.kind == 30]
@@ -249,7 +243,7 @@ class Blocklist:
         return len(self.table)
 
 
-@dataclass
+@dataclass(slots=True)
 class CampaignGuard:
     """Mandatory rate and blocklist guardrails for a campaign."""
 
@@ -326,7 +320,7 @@ class PacedTransport:
         return self.transport.ttl_probe(syn, ttl)
 
 
-@dataclass
+@dataclass(slots=True)
 class CampaignRecord:
     """One output record per target; `label` adds skipped/dry_run outcomes."""
 

@@ -22,7 +22,7 @@ POSITIVE_LABELS = {"potential_capable", "truly_capable"}
 MPCAPABLE_LABELS = POSITIVE_LABELS | {"mirrored_key", "version_mismatch"}
 
 
-@dataclass
+@dataclass(slots=True)
 class HostRecord:
     address: str
     classification: str
@@ -46,7 +46,7 @@ class HostRecord:
         return cls(address, classification, Key.from_hex(key) if key else None)
 
 
-@dataclass
+@dataclass(slots=True)
 class ScanSnapshot:
     """One month of results for a single (family, port, version) scan."""
 
@@ -181,7 +181,7 @@ def eligible_for_path_probe(
     return reachable & different_key_once
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OverlapReport:
     both: frozenset[str]
     only_a: frozenset[str]
@@ -211,7 +211,7 @@ def version_overlap(v0_set: Iterable[str], v1_set: Iterable[str]) -> OverlapRepo
     return port_overlap(v0_set, v1_set)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MigrationReport:
     added_v1_support: frozenset[str]
     migrated_v0_to_v1: frozenset[str]
@@ -241,7 +241,7 @@ def migration_report(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AsnInfo:
     asn: int | None
     organization: str
@@ -300,7 +300,7 @@ def enrich(address: str, table: EnrichmentTable | None) -> AsnInfo:
     return AsnInfo(asn, org, country, rank)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TopReportRow:
     group: str  # ASN as decimal text, or country code
     organization: str

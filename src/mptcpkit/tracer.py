@@ -51,7 +51,7 @@ MODIFYING_DIFFS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OptionDiff:
     kind: OptionDiffKind
     new_key: Key | None = None
@@ -62,7 +62,7 @@ class OptionDiff:
         return self.kind in MODIFYING_DIFFS
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HopRecord:
     ttl: int
     responder: str | None
@@ -77,7 +77,7 @@ class PathVerdictKind(Enum):
     NOT_CAPABLE = "not_capable"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PathVerdict:
     kind: PathVerdictKind
     sender_key: Key | None = None
@@ -88,7 +88,7 @@ class PathVerdict:
         return self.kind.value
 
 
-@dataclass
+@dataclass(slots=True)
 class PathTrace:
     """probe_path output: one record per TTL plus the target's final answer."""
 
@@ -234,7 +234,7 @@ def inspect_target(
     return trace, classify_path(trace.hops, trace.final_response)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """One verdict per inspected target, in wire-file form."""
 

@@ -301,6 +301,9 @@ class TestTopologyFiles:
          "last node must be an endpoint, got BehaviorKind.MIRROR_MIDDLEBOX"),
         (["path 10.0.0.1 80 mirror tcp_host", "path 10.0.0.2 80 tcp_host tcp_host"],
          "endpoint behavior in the path interior"),
+        (["# comment and blank lines count", "", "path 10.0.0.1 80 tcp_host  # ok",
+          "  path 10.0.0.2  # no nodes"],
+         "line 4: expected `path <addr> <port> <nodes...>`"),
     ])
     def test_bad_tokens_keep_their_messages(self, lines, message):
         with pytest.raises(ValueError) as raised:
@@ -596,11 +599,13 @@ def test_replies_match_encoded_reference(interior, endpoint, address, probe_key,
         for spec in specs:
             syn = build_syn_probe(spec, seed)
             syn = replace(syn, options=before + syn.options + after + tail)
+            sent = replace(syn)
             want = ref.handshake(syn)
             assert net.handshake(syn) == want
             assert want is None or want.note is None  # replies come from encoders
             for ttl in range(1, len(path.nodes) + 2):  # the last ones reach the host
                 assert net.ttl_probe(syn, ttl) == ref.ttl_probe(syn, ttl)
+            assert syn == sent  # the simulator does not change the caller's SYN
 
 
 _calls = st.lists(

@@ -1,5 +1,6 @@
 import ipaddress
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -366,6 +367,17 @@ def test_encoder_matches_reference(case):
     else:
         pseudo = data[8:40] + struct.pack("!IBBBB", len(data) - 40, 0, 0, 0, 6)
         assert internet_checksum(pseudo + data[40:]) == 0
+
+
+@given(_encodable(), st.binary(max_size=40))
+@settings(max_examples=300)
+def test_options_sent_in_place_of_the_packets_own(case, options):
+    pkt, _src, _ttl = case
+    before = replace(pkt)
+    assert encode_packet(pkt, ttl=0, options=options) == encode_packet(
+        replace(pkt, ttl=0, options=options)
+    )
+    assert pkt == before  # the caller's packet is not touched
 
 
 def test_header_memo_is_shared_and_bounded():
