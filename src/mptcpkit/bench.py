@@ -19,7 +19,6 @@ from typing import IO, Iterable, Protocol
 
 from .errors import PairingMismatch, TransportUnavailable
 from .netsim import SimNetwork
-from .probe import RatePacer
 
 METRICS = ("connect", "tls", "ttfb", "total")
 
@@ -182,19 +181,6 @@ class SystemTimingTransport:
                     sock.close()
                 except OSError:
                     pass
-
-
-class PacedTimingTransport:
-    """Waits on a RatePacer before every fetch of the transport it wraps."""
-
-    def __init__(self, inner: TimingTransport, pacer: RatePacer):
-        self.inner = inner
-        self.pacer = pacer
-        self.transport = inner.transport
-
-    def fetch(self, target: str, port: int, run: int = 0) -> TimingSample:
-        self.pacer.acquire()
-        return self.inner.fetch(target, port, run)
 
 
 def time_get(

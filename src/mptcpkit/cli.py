@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-import time
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -130,8 +129,19 @@ def _resolve_transport(args):
     return LiveTransport(timeout_ms=args.timeout_ms)
 
 
-def _guard_from_args(args, simulated: bool) -> CampaignGuard:
-    if not simulated and not args.dry_run:
+def _guard_from_args(args) -> CampaignGuard:
+    """The blocklist and pacer a sending command applies, built before any
+    target is read or transport opened, so every refusal comes first.
+
+    A live run needs --blocklist and --rate and paces in wall time. A
+    simulated or dry run paces on a virtual clock, at 1e6 per second unless
+    --rate says otherwise, and without --blocklist blocks nothing.
+    """
+    if args.sim_topology or args.dry_run:
+        clock = VirtualClock()
+        rate = 1_000_000.0 if args.rate is None else args.rate
+        pacer = RatePacer(rate, clock=clock, sleep=clock.sleep)
+    else:
         missing = []
         if args.blocklist is None:
             missing.append("--blocklist")
@@ -141,13 +151,13 @@ def _guard_from_args(args, simulated: bool) -> CampaignGuard:
             raise GuardViolation(
                 f"refusing live {args.command} without {' and '.join(missing)}"
             )
-    blocklist = Blocklist.load(args.blocklist) if args.blocklist else None
-    if simulated and blocklist is None:
-        blocklist = Blocklist()  # simulated targets: empty blocklist reference
-    rate = args.rate if args.rate is not None else (1_000_000.0 if simulated else None)
-    if rate is None:
-        rate = 1.0  # dry runs only reach here
-    return CampaignGuard(rate, blocklist, dry_run=args.dry_run)
+        pacer = RatePacer(args.rate)
+    blocklist = Blocklist.load(args.blocklist) if args.blocklist else Blocklist()
+    return CampaignGuard(blocklist, pacer)
+
+
+def _probe_key(args) -> Key | None:
+    return Key.from_hex(args.probe_key) if args.probe_key else None
 
 
 def _close(transport) -> None:
@@ -158,17 +168,11 @@ def _close(transport) -> None:
 
 
 def cmd_scan(args) -> int:
-    simulated = bool(args.sim_topology)
-    guard = _guard_from_args(args, simulated)
+    guard = _guard_from_args(args)
+    probe_key = _probe_key(args)
+    targets = _read_targets(args.targets)
     transport = None if args.dry_run else _resolve_transport(args)
     try:
-        targets = _read_targets(args.targets)
-        probe_key = Key.from_hex(args.probe_key) if args.probe_key else None
-        if simulated or args.dry_run:
-            clock = VirtualClock()
-            sleep = clock.sleep
-        else:
-            clock, sleep = time.monotonic, time.sleep
         records = run_campaign(
             targets,
             version=args.version,
@@ -176,8 +180,6 @@ def cmd_scan(args) -> int:
             transport=transport,
             probe_key=probe_key,
             seed=args.seed,
-            clock=clock,
-            sleep=sleep,
         )
         with _out(args.out) as f:
             for record in records:
@@ -188,17 +190,14 @@ def cmd_scan(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    simulated = bool(args.sim_topology)
-    guard = _guard_from_args(args, simulated)
+    guard = _guard_from_args(args)
+    probe_key = _probe_key(args)
     if args.from_scan is not None:
         targets = _targets_from_scan(args.from_scan, POSITIVE_SCAN_LABELS)
     else:
         targets = _read_targets(args.targets)
     opened = _resolve_transport(args)
-    transport = opened
-    if not simulated:
-        transport = PacedTransport(opened, RatePacer(guard.max_packets_per_second))
-    probe_key = Key.from_hex(args.probe_key) if args.probe_key else None
+    transport = PacedTransport(opened, guard.pacer)
     try:
         with _out(args.out) as f:
             for address, port in targets:
@@ -226,7 +225,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_keys(args) -> int:
-    probe_key = Key.from_hex(args.probe_key) if args.probe_key else DEFAULT_PROBE_KEY
+    probe_key = _probe_key(args) or DEFAULT_PROBE_KEY
     if args.from_scan is not None:
         keys = [
             r.sender_key
@@ -406,12 +405,9 @@ def _write_top(args, f) -> None:
 
 
 def cmd_bench(args) -> int:
-    simulated = bool(args.sim_topology)
-    guard = _guard_from_args(args, simulated)  # refuses before any socket opens
-    targets = _read_targets(args.targets)
-    if args.blocklist:
-        targets = [(a, p) for a, p in targets if not guard.blocklist.matches(a)]
-    if simulated:
+    guard = _guard_from_args(args)
+    targets = [(a, p) for a, p in _read_targets(args.targets) if not guard.blocklist.matches(a)]
+    if args.sim_topology:
         network = netsim.load_topology(args.sim_topology, seed=args.seed)
         mptcp_t = bench_mod.SimTimingTransport(
             network, "mptcp", fallback_penalty_ms=args.fallback_penalty_ms, seed=args.seed
@@ -421,9 +417,9 @@ def cmd_bench(args) -> int:
         # Without an MPTCP stack there is nothing to pair: refuse before any fetch.
         mptcp_t = bench_mod.SystemTimingTransport("mptcp")
         tcp_t = bench_mod.SystemTimingTransport("tcp")
-        pacer = RatePacer(guard.max_packets_per_second)  # one budget for both sides
-        mptcp_t = bench_mod.PacedTimingTransport(mptcp_t, pacer)
-        tcp_t = bench_mod.PacedTimingTransport(tcp_t, pacer)
+    # One budget for both sides.
+    mptcp_t = PacedTransport(mptcp_t, guard.pacer)
+    tcp_t = PacedTransport(tcp_t, guard.pacer)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

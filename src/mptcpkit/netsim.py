@@ -552,8 +552,24 @@ def format_topology(net: SimNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Targets the IPv4 plan 10.x.y.z can number, from 1.
+MAX_GENERATED_TARGETS = 2**24 - 1
+
+
+def _target_address(host: int, v6: bool) -> str:
+    """The address of generated target number `host`: the number in the low
+    bits of 10.0.0.0/8 or of 2001:db8:1::/64, one 16-bit group per 0xffff."""
+    if not v6:
+        return f"10.{host >> 16}.{(host >> 8) & 255}.{host & 255}"
+    if host <= 0xFFFF:
+        return f"2001:db8:1::{host:x}"
+    return f"2001:db8:1::{host >> 16:x}:{host & 0xFFFF:x}"
+
+
 def generate_population(count: int, seed: int, v6_share: float = 0.2) -> SimNetwork:
     """Generate a mixed target population with every behavior represented."""
+    if count > MAX_GENERATED_TARGETS:
+        raise ValueError(f"cannot generate {count} targets: at most {MAX_GENERATED_TARGETS}")
     rng = random.Random(seed)
     draw = rng.random
     net = SimNetwork(seed)
@@ -574,11 +590,7 @@ def generate_population(count: int, seed: int, v6_share: float = 0.2) -> SimNetw
                       **{versions: true_host(*versions) for versions in endpoints}}
     paths: dict[tuple, SimPath] = {}
     for i in range(count):
-        if draw() < v6_share:
-            address = f"2001:db8:1::{i + 1:x}"
-        else:
-            host = i + 1
-            address = f"10.{(host >> 16) & 255}.{(host >> 8) & 255}.{host & 255}"
+        address = _target_address(i + 1, draw() < v6_share)
         port = rng.choice((80, 443))
         shape = []
         for _ in range(bisect_right(length_cum, draw() * length_cum[-1], 0, 4)):

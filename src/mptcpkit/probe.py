@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -243,23 +244,6 @@ class Blocklist:
         return len(self.table)
 
 
-@dataclass(slots=True)
-class CampaignGuard:
-    """Mandatory rate and blocklist guardrails for a campaign."""
-
-    max_packets_per_second: float
-    blocklist: Blocklist | None
-    dry_run: bool = False
-
-    def validate(self) -> None:
-        if self.dry_run:
-            return
-        if self.blocklist is None:
-            raise GuardViolation("campaign refused: no blocklist reference")
-        if self.max_packets_per_second <= 0:
-            raise GuardViolation("campaign refused: rate must be positive")
-
-
 class VirtualClock:
     """Deterministic clock for tests and simulated campaigns."""
 
@@ -287,16 +271,16 @@ class RatePacer:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if packets_per_second <= 0:
-            raise GuardViolation("rate must be positive")
+        if not 0 < packets_per_second < math.inf:  # NaN and inf would never wait
+            raise GuardViolation(f"rate must be positive and finite, got {packets_per_second}")
         self.interval = 1.0 / packets_per_second
-        self._clock = clock
+        self.clock = clock
         self._sleep = sleep
         self._base = clock() + self.interval
         self._count = 0
 
     def acquire(self) -> float:
-        now = self._clock()
+        now = self.clock()
         send_at = self._base + self._count * self.interval
         if send_at < now:
             self._base = now
@@ -308,16 +292,36 @@ class RatePacer:
         return send_at
 
 
-class PacedTransport:
-    """Waits on a RatePacer before every TTL probe, the only packet a trace sends."""
+@dataclass(slots=True)
+class CampaignGuard:
+    """What every command that sends applies, simulated or live: targets the
+    blocklist matches are never probed, and every packet or fetch first waits
+    its turn on the pacer, whose clock also stamps the rows of unsent probes.
+    A guard without a blocklist reference is refused."""
 
-    def __init__(self, transport: PacketTransport, pacer: RatePacer):
-        self.transport = transport
+    blocklist: Blocklist
+    pacer: RatePacer
+
+    def __post_init__(self) -> None:
+        if self.blocklist is None:
+            raise GuardViolation("campaign refused: no blocklist reference")
+
+
+class PacedTransport:
+    """The transport it wraps, each TTL probe or fetch of which first waits
+    its turn on a RatePacer."""
+
+    def __init__(self, inner, pacer: RatePacer):
+        self.inner = inner
         self.pacer = pacer
 
     def ttl_probe(self, syn: TcpPacket, ttl: int) -> HopReply | ProbeResponse | None:
         self.pacer.acquire()
-        return self.transport.ttl_probe(syn, ttl)
+        return self.inner.ttl_probe(syn, ttl)
+
+    def fetch(self, target: str, port: int, run: int = 0):
+        self.pacer.acquire()
+        return self.inner.fetch(target, port, run)
 
 
 @dataclass(slots=True)
@@ -413,38 +417,33 @@ def run_campaign(
     transport: PacketTransport | None,
     probe_key: Key | None = None,
     seed: int = 0,
-    clock: Callable[[], float] = time.monotonic,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> Iterator[CampaignRecord]:
     """Probe each target once, classify, and yield one record per target.
 
-    Blocklisted targets are skipped (and still recorded); dry runs emit the
-    built probes without sending anything. A target whose probe raises
-    OSError gets an `error` record noting the exception, and the campaign
-    goes on. Output order follows input order.
+    Blocklisted targets are skipped (and still recorded). Every send waits
+    on `guard.pacer`, and its send slot is the record's timestamp; skipped
+    and dry-run rows read the pacer's clock. Without a transport the run is
+    dry: it emits the built probes and sends nothing. A target whose probe
+    raises OSError gets an `error` record noting the exception, and the
+    campaign goes on. Output order follows input order.
     """
-    guard.validate()
     if version == 0 and probe_key is None:
         probe_key = DEFAULT_PROBE_KEY
-    if not guard.dry_run and transport is None:
-        raise GuardViolation("campaign refused: no transport")
-    pacer = None if guard.dry_run else RatePacer(
-        guard.max_packets_per_second, clock=clock, sleep=sleep
-    )
+    clock = guard.pacer.clock
 
     for address, port in targets:
-        if guard.blocklist is not None and guard.blocklist.matches(address):
+        if guard.blocklist.matches(address):
             yield CampaignRecord(clock(), address, port, version, "skipped")
             continue
         spec = ProbeSpec(address, port, version, probe_key)
         syn = build_syn_probe(spec, seed)
-        if guard.dry_run:
+        if transport is None:
             yield CampaignRecord(
                 clock(), address, port, version, "dry_run",
                 note=syn.options.hex(),
             )
             continue
-        ts = pacer.acquire()
+        ts = guard.pacer.acquire()
         try:
             resp = transport.handshake(syn)
         except OSError as exc:  # a send that failed for this target only

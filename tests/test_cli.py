@@ -345,6 +345,79 @@ class TestPerTargetFailure:
         assert transport.probed.count("10.0.0.3") == 2 * 3  # two TTLs, three tries each
 
 
+class TestSharedGuard:
+    """scan, trace and bench build one guard the same way, simulated or live."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every transport a command builds, stubbed; each logs its build and close."""
+        log = []
+
+        class Fake:
+            def __init__(self, *args, **kwargs):
+                log.append("built")
+
+            def close(self):
+                log.append("closed")
+
+        monkeypatch.setattr(cli, "_resolve_transport", Fake)
+        monkeypatch.setattr(netsim, "load_topology", Fake)
+        monkeypatch.setattr(bench_mod, "SimTimingTransport", Fake)
+        monkeypatch.setattr(bench_mod, "SystemTimingTransport", Fake)
+        return log
+
+    @pytest.mark.parametrize("rate", ["0", "-1"])
+    @pytest.mark.parametrize("mode", ["simulated", "live"])
+    @pytest.mark.parametrize("command", ["scan", "trace", "bench"])
+    def test_nonpositive_rate_refused_before_any_transport(self, workdir, capsys, built,
+                                                           command, mode, rate):
+        source = (["--sim-topology", str(workdir / "topology.txt")] if mode == "simulated"
+                  else ["--blocklist", str(workdir / "blocklist.txt")])
+        extra = ["--out-dir", str(workdir / "bench")] if command == "bench" else []
+        rc = main([command, "--targets", str(workdir / "targets.csv"), *source,
+                   "--rate", rate, *extra])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("refused: ")
+        assert built == []
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--rate", "0"],
+        ["trace", "--rate", "10", "--probe-key", "zz"],
+        ["scan", "--rate", "10", "--probe-key", "zz"],
+    ])
+    def test_live_refusal_leaves_no_transport_open(self, workdir, built, argv):
+        rc = main([*argv, "--targets", str(workdir / "targets.csv"),
+                   "--blocklist", str(workdir / "blocklist.txt")])
+        assert rc == 1
+        assert built in ([], ["built", "closed"])
+
+    @pytest.mark.parametrize("command, method", [
+        ("trace", (SimNetwork, "ttl_probe")),
+        ("bench", (bench_mod.SimTimingTransport, "fetch")),
+    ])
+    def test_simulated_sends_advance_the_virtual_clock(self, workdir, monkeypatch,
+                                                       command, method):
+        guards, sends = [], []
+        build_guard = cli._guard_from_args
+        monkeypatch.setattr(cli, "_guard_from_args",
+                            lambda args: guards.append(build_guard(args)) or guards[-1])
+        owner, name = method
+        send = getattr(owner, name)
+
+        def counted(self, *args):
+            sends.append(args)
+            return send(self, *args)
+
+        monkeypatch.setattr(owner, name, counted)
+        extra = ["--out-dir", str(workdir / "bench")] if command == "bench" else []
+        run_ok([command, "--targets", str(workdir / "targets.csv"),
+                "--sim-topology", str(workdir / "topology.txt"), "--rate", "1000",
+                "--seed", "7", *extra])
+        (guard,) = guards
+        assert len(sends) > 5
+        assert guard.pacer.clock.now == pytest.approx(len(sends) / 1000)
+
+
 class TestKeys:
     def test_keys_from_scan(self, workdir):
         scan_out = workdir / "scan.txt"

@@ -6,7 +6,7 @@ import struct
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capture_helpers import (
@@ -222,7 +222,10 @@ def reference_ingest(source, bidirectional: bool) -> FlowTable:
         seg = decode_packet(ip_data)
         if seg is None:
             upper = _reference_upper(ip_data)
-            if upper is not None and upper[0] not in (6, 0, 43, 44, 60):
+            # Only IPv6 has extension headers: in IPv4 every protocol but TCP is another one.
+            if upper is not None and upper[0] != 6 and (
+                ip_data[0] >> 4 == 4 or upper[0] not in (0, 43, 44, 60)
+            ):
                 table.non_tcp += 1
             elif upper is not None and upper[1]:
                 table.fragments += 1
@@ -370,6 +373,7 @@ def _capture(draw):
 
 
 @given(_capture(), st.booleans())
+@example((0, [b"\x02\x00\x00\x00E\x00\x00,\x00\x00\x00\x00\x00\x00"]), False)  # IPv4 protocol 0
 @settings(max_examples=150)
 def test_ingest_total_and_counters_add_up(capture, bidirectional):
     linktype, frames = capture

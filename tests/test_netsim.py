@@ -1,3 +1,4 @@
+import ipaddress
 import itertools
 import random
 from dataclasses import replace
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from mptcpkit.errors import OptionError
 from mptcpkit.netsim import (
+    MAX_GENERATED_TARGETS,
     BehaviorKind,
     GroundTruth,
     NodeBehavior,
@@ -26,6 +28,7 @@ from mptcpkit.netsim import (
     tcp_host,
     true_host,
     _parse_node,
+    _target_address,
 )
 from mptcpkit.options import (
     DEFAULT_MP_FLAGS,
@@ -463,6 +466,33 @@ def test_generate_population_covers_behaviors():
     assert kinds == set(BehaviorKind)
 
 
+@pytest.mark.parametrize("v6, base", [(False, "10.0.0.0"), (True, "2001:db8:1::")])
+def test_generated_address_is_base_plus_target_number(v6, base):
+    # Past 0xffff the number spills into the next 16-bit group; every address
+    # parses, and the numbers map one to one onto the addresses.
+    hosts = (1, 0xFFFE, 0xFFFF, 0x10000, 0x1FFFF, MAX_GENERATED_TARGETS)
+    addresses = [_target_address(host, v6) for host in hosts]
+    offsets = [int(ipaddress.ip_address(a)) - int(ipaddress.ip_address(base)) for a in addresses]
+    assert offsets == list(hosts)
+    assert len(set(addresses)) == len(hosts)
+    # A topology line of each reads back to the same target.
+    net = parse_topology(f"path {a} 80 tcp_host" for a in addresses)
+    assert [address for address, _port in net.paths] == addresses
+
+
+def test_generated_address_text():
+    assert [_target_address(h, True) for h in (1, 0xFFFE, 0xFFFF, 0x10000, 0x1FFFF)] == [
+        "2001:db8:1::1", "2001:db8:1::fffe", "2001:db8:1::ffff",
+        "2001:db8:1::1:0", "2001:db8:1::1:ffff",
+    ]
+    assert _target_address(0x10203, False) == "10.1.2.3"
+
+
+def test_generate_population_refuses_more_targets_than_ipv4_plan_holds():
+    with pytest.raises(ValueError, match="at most 16777215"):
+        generate_population(MAX_GENERATED_TARGETS + 1, seed=1)
+
+
 # -- the reply model against an encode-decode-parse reference ------------------
 
 
@@ -670,7 +700,7 @@ def test_campaign_memo_tables_do_not_grow_with_targets():
     # option bytes): a scan and a trace of both versions fill the same few
     # entries whether they cover 200 targets or 2,000.
     from mptcpkit import netsim, probe, tracer
-    from mptcpkit.probe import Blocklist, CampaignGuard, VirtualClock, run_campaign
+    from mptcpkit.probe import Blocklist, CampaignGuard, RatePacer, VirtualClock, run_campaign
     from mptcpkit.tracer import inspect_target
 
     memos = (probe._syn_option, netsim._syn_view, tracer._sent_options, probe._keyed_blake2b)
@@ -681,9 +711,9 @@ def test_campaign_memo_tables_do_not_grow_with_targets():
         net = generate_population(count, seed=5)
         for version in (0, 1):
             clock = VirtualClock()
-            records = run_campaign(net.targets(), version=version,
-                                   guard=CampaignGuard(1e6, Blocklist()), transport=net,
-                                   seed=5, clock=clock, sleep=clock.sleep)
+            guard = CampaignGuard(Blocklist(), RatePacer(1e6, clock=clock, sleep=clock.sleep))
+            records = run_campaign(net.targets(), version=version, guard=guard,
+                                   transport=net, seed=5)
             for record in records:
                 if record.label == "potential_capable":
                     inspect_target(record.address, record.port, version, net, seed=5)

@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import ipaddress
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mptcpkit import cli
 from mptcpkit.errors import GuardViolation, IllegalCombination
 from mptcpkit.netsim import SimNetwork, SimPath, true_host
 from mptcpkit.options import (
@@ -231,18 +234,38 @@ class TestClassifyResponse:
         assert isinstance(cls.kind, ClassificationKind)
 
 
+def virtual_guard(rate: float, blocklist: Blocklist | None = None) -> CampaignGuard:
+    """A guard pacing on its own virtual clock, as simulated runs do."""
+    clock = VirtualClock()
+    return CampaignGuard(
+        Blocklist() if blocklist is None else blocklist,
+        RatePacer(rate, clock=clock, sleep=clock.sleep),
+    )
+
+
 class TestGuard:
     def test_missing_blocklist_reference_refused(self):
-        guard = CampaignGuard(100.0, blocklist=None)
         with pytest.raises(GuardViolation):
-            guard.validate()
+            CampaignGuard(None, RatePacer(100.0))
+
+    def test_guard_holds_only_blocklist_and_pacer(self):
+        assert [f.name for f in dataclasses.fields(CampaignGuard)] == ["blocklist", "pacer"]
 
     def test_dry_run_without_blocklist_ok(self):
-        CampaignGuard(100.0, blocklist=None, dry_run=True).validate()
+        args = cli.build_parser().parse_args(["scan", "--targets", "t.csv", "--dry-run"])
+        guard = cli._guard_from_args(args)
+        assert len(guard.blocklist) == 0
+        assert isinstance(guard.pacer.clock, VirtualClock)
 
     def test_nonpositive_rate_refused(self):
+        for rate in (0.0, -1.0):
+            with pytest.raises(GuardViolation):
+                RatePacer(rate)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rate_that_never_waits_refused(self, rate):
         with pytest.raises(GuardViolation):
-            CampaignGuard(0.0, blocklist=Blocklist()).validate()
+            RatePacer(rate)
 
     def test_blocklist_matching(self):
         bl = Blocklist.from_lines(["10.0.0.0/8", "# comment", "2001:db8::/32"])
@@ -265,13 +288,11 @@ class TestCampaign:
 
     def test_blocklisted_target_skipped(self):
         targets = self.targets()
-        guard = CampaignGuard(1000.0, Blocklist.from_lines(["10.9.0.0/16"]))
-        clock = VirtualClock()
+        guard = virtual_guard(1000.0, Blocklist.from_lines(["10.9.0.0/16"]))
         records = list(
             run_campaign(
                 targets, version=0, guard=guard,
                 transport=sim_network_all_true(targets),
-                clock=clock, sleep=clock.sleep,
             )
         )
         assert len(records) == 3
@@ -282,13 +303,11 @@ class TestCampaign:
 
     def test_all_true_hosts_potential(self):
         targets = [(f"10.0.1.{i}", 80) for i in range(1, 21)]
-        guard = CampaignGuard(100000.0, Blocklist())
-        clock = VirtualClock()
+        guard = virtual_guard(100000.0)
         records = list(
             run_campaign(
                 targets, version=0, guard=guard,
                 transport=sim_network_all_true(targets),
-                clock=clock, sleep=clock.sleep,
             )
         )
         assert all(r.label == "potential_capable" for r in records)
@@ -304,11 +323,10 @@ class TestCampaign:
                     raise OSError("sendto: network unreachable")
                 return net.handshake(syn)
 
-        clock = VirtualClock()
         records = list(
             run_campaign(
-                targets, version=0, guard=CampaignGuard(1000.0, Blocklist()),
-                transport=FailingOnOne(), clock=clock, sleep=clock.sleep,
+                targets, version=0, guard=virtual_guard(1000.0),
+                transport=FailingOnOne(),
             )
         )
         assert [r.label for r in records] == ["potential_capable", "error", "potential_capable"]
@@ -318,16 +336,14 @@ class TestCampaign:
     def test_rate_limit_duration(self):
         # 100 targets at 10 pps must take at least 10 virtual seconds
         targets = [(f"10.0.2.{i}", 80) for i in range(100)]
-        guard = CampaignGuard(10.0, Blocklist())
-        clock = VirtualClock()
+        guard = virtual_guard(10.0)
         records = list(
             run_campaign(
                 targets, version=0, guard=guard,
                 transport=sim_network_all_true(targets),
-                clock=clock, sleep=clock.sleep,
             )
         )
-        assert clock.now >= 10.0
+        assert guard.pacer.clock.now >= 10.0
         assert len(records) == 100
 
     def test_rate_never_exceeded_in_any_window(self):
@@ -341,7 +357,7 @@ class TestCampaign:
 
     def test_dry_run_emits_probe_descriptions(self):
         targets = self.targets()
-        guard = CampaignGuard(10.0, None, dry_run=True)
+        guard = virtual_guard(10.0)
         records = list(
             run_campaign(targets, version=1, guard=guard, transport=None)
         )
