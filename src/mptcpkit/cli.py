@@ -441,6 +441,18 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """The `--seed` type: probes take it as an 8-byte blake2b key, so it must
+    fit in 64 unsigned bits."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mptcpkit", description="Multipath TCP measurement toolkit"
@@ -460,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     probing.add_argument("--probe-key", default=None, help="hex v0 probe key")
     probing.add_argument("--sim-topology", default=None)
     probing.add_argument("--timeout-ms", type=float, default=2000.0)
-    probing.add_argument("--seed", type=int, default=0)
+    probing.add_argument("--seed", type=_seed, default=0)
 
     scan = sub.add_parser(
         "scan", parents=[probing, guarded, out], help="probe targets for MP_CAPABLE support"
@@ -491,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out-topology", required=True)
     simulate.add_argument("--out-targets", required=True)
     simulate.add_argument("--out-truth", default=None)
-    simulate.add_argument("--seed", type=int, required=True)
+    simulate.add_argument("--seed", type=_seed, required=True)
     simulate.set_defaults(func=cmd_simulate)
 
     pcap = sub.add_parser("analyze-pcap", parents=[out], help="flow and MPTCP share statistics")
@@ -562,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--zero-tol", type=float, default=1.0)
     bench.add_argument("--fallback-penalty-ms", type=float, default=250.0)
     bench.add_argument("--out-dir", default="bench-out")
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_seed, default=0)
     bench.set_defaults(func=cmd_bench, dry_run=False)
 
     return parser

@@ -21,7 +21,8 @@ paths:
 Transforming middleboxes (mirror/strip/key_rewrite) answer TTL expiry with a
 full quote of the packet as they would forward it; silent and drop nodes
 reveal nothing. Identical seeds and topologies produce byte-identical
-traffic.
+traffic: each key a node draws is a blake2b digest of its stream (address,
+port, hop) and draw number, and the network keeps only a count per stream.
 """
 
 from __future__ import annotations
@@ -144,8 +145,8 @@ class SimPath:
     What the simulator asks of a path on every probe (its interior, whether
     it drops or strips, its round trip) is worked out once, at construction;
     the nodes are kept as a tuple, and a path is not changed afterwards.
-    A path holds no per-target state (key streams live in the SimNetwork,
-    keyed by address, port and hop), so targets with equal paths share one.
+    A path holds no per-target state (the SimNetwork counts key draws by
+    address, port and hop), so targets with equal paths share one.
     """
 
     nodes: tuple[NodeBehavior, ...]
@@ -183,20 +184,6 @@ class GroundTruth:
     classification: ClassificationKind
     verdict: PathVerdictKind
     first_modifying_ttl: int | None = None
-
-
-def _derive_seed(*parts) -> int:
-    digest = hashlib.blake2b(
-        "|".join(str(p) for p in parts).encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
-
-
-class _KeySource(random.Random):
-    """Seeded deterministic 64-bit key generator."""
-
-    def next_key(self) -> Key:
-        return Key(self.getrandbits(64))
 
 
 def _replace_mp_capable(
@@ -244,7 +231,7 @@ class SimNetwork:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.paths: dict[tuple[str, int], SimPath] = {}
-        self._key_sources: dict[tuple, _KeySource] = {}
+        self._key_draws: dict[tuple[str, int, int], int] = {}
 
     def add_path(self, address: str, port: int, path: SimPath) -> None:
         self.paths[(address, port)] = path
@@ -252,15 +239,17 @@ class SimNetwork:
     def targets(self) -> list[tuple[str, int]]:
         return sorted(self.paths)
 
-    def _keys_for(self, address: str, port: int, index: int, node: NodeBehavior) -> _KeySource:
+    def _next_key(self, address: str, port: int, index: int, node: NodeBehavior) -> Key:
+        """Key *n* of the stream at hop `index` of (address, port): the blake2b
+        of its identity and *n*. A `seed=N` node hashes `seed=N` and *n* alone
+        (no network seed's text starts so), the same at every target."""
         ident = (address, port, index)
-        source = self._key_sources.get(ident)
-        if source is None:
-            seed = node.key_seed
-            if seed is None:
-                seed = _derive_seed(self.seed, address, port, index)
-            source = self._key_sources[ident] = _KeySource(seed)
-        return source
+        n = self._key_draws.get(ident, 0)
+        self._key_draws[ident] = n + 1
+        seed = node.key_seed
+        text = (f"{self.seed}|{address}|{port}|{index}|{n}" if seed is None
+                else f"seed={seed}|{n}")
+        return Key(int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big"))
 
     def _hop_address(self, target: str, ttl: int) -> str:
         if ip_family(target) == 4:
@@ -290,7 +279,7 @@ class SimNetwork:
                 options = encode_options(parsed)
                 mp, keyed = None, False
             elif kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX:
-                key = self._keys_for(syn.dst, syn.dst_port, i, node).next_key()
+                key = self._next_key(syn.dst, syn.dst_port, i, node)
                 if keyed:  # a rewrite keeps the option's form, so it stays keyed
                     mp = _with_sender_key(mp, key)
                     parsed = _replace_mp_capable(parsed, mp)
@@ -316,8 +305,8 @@ class SimNetwork:
         mc = view.syn_mc
         if mc is None or mc.version not in endpoint.supported_versions:
             return None  # no version overlap: fall back to plain TCP
-        src = self._keys_for(syn.dst, syn.dst_port, len(path.nodes) - 1, endpoint)
-        reply = MpCapable(mc.version, DEFAULT_MP_FLAGS, src.next_key())
+        key = self._next_key(syn.dst, syn.dst_port, len(path.nodes) - 1, endpoint)
+        reply = MpCapable(mc.version, DEFAULT_MP_FLAGS, key)
         return TcpOption(30, encode_mp_capable(reply, HandshakePhase.SYN_ACK)[2:])
 
     def _respond(self, path: SimPath, syn: TcpPacket) -> ProbeResponse | None:
@@ -338,8 +327,7 @@ class SimNetwork:
             if node.kind is BehaviorKind.MIRROR_MIDDLEBOX and seen is not None:
                 reply = seen
             elif node.kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX and acted:
-                src = self._keys_for(syn.dst, syn.dst_port, i, node)
-                reply = _with_sender_key(seen, src.next_key())
+                reply = _with_sender_key(seen, self._next_key(syn.dst, syn.dst_port, i, node))
         return ProbeResponse(FLAG_SYN_ACK, [] if reply is None else [reply], path.rtt_ms)
 
     # -- transport contract -------------------------------------------------

@@ -690,6 +690,7 @@ def _usage_cases():
          "argument --from-scan: not allowed with argument --targets"),
         (["keys", "--in", "k", "--from-scan", "s"],
          "argument --from-scan: not allowed with argument --in"),
+        (["scan", "--targets", "t", "--seed", "x"], "argument --seed: invalid seed 'x'"),
     ):
         yield pytest.param(argv, 2, error, id=" ".join(argv))
     kinds = [command for command in REQUIRED_OPTIONS if command[0] == "report"]
@@ -704,6 +705,39 @@ def test_usage_rules_enforced_by_the_parser(argv, code, error, capsys):
     assert exc.value.code == code
     if error is not None:
         assert error in capsys.readouterr().err.splitlines()[-1]
+
+
+def _seeded_argv(command, workdir, seed):
+    """A complete `command` run on the simulated workdir with `--seed seed`."""
+    sim = ["--sim-topology", workdir / "topology.txt"]
+    argv = {
+        "simulate": ["--generate", 3, "--out-topology", workdir / "gen-topology.txt",
+                     "--out-targets", workdir / "gen-targets.csv"],
+        "scan": ["--targets", workdir / "targets.csv", "--out", workdir / "scan.csv", *sim],
+        "trace": ["--targets", workdir / "targets.csv", "--out", workdir / "trace.csv", *sim],
+        "bench": ["--targets", workdir / "targets.csv", "--out-dir", workdir / "bench-out", *sim],
+    }[command]
+    return [command, *map(str, argv), "--seed", str(seed)]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["simulate", "scan", "trace", "bench"])
+def test_seed_outside_64_bits_is_a_usage_error(command, seed, workdir, capsys):
+    # Probes key a blake2b with the seed's 8 bytes, so every seeded command
+    # takes one seed type and refuses what does not fit before it runs.
+    before = sorted(workdir.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        main(_seeded_argv(command, workdir, seed))
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith(f"argument --seed: seed must be in [0, 2**64), got {seed}")
+    assert sorted(workdir.iterdir()) == before  # nothing written
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("command", ["simulate", "scan", "trace", "bench"])
+def test_seed_at_the_ends_of_its_range_runs(command, seed, workdir):
+    run_ok(_seeded_argv(command, workdir, seed))
 
 
 def _readme_commands():

@@ -4,10 +4,17 @@ A small campaign runs through `cli.main` and every output file is compared
 by sha256 with the digests the pipeline wrote before the campaign's hot
 paths were optimised. A change that only makes the toolkit faster must
 leave every digest as it is. The `bench-out/` digests were recorded again
-when the simulated jitter became the top 53 bits of its blake2b digest.
+when the simulated jitter became the top 53 bits of its blake2b digest, and
+the six key-bearing digests when each simulated key became a blake2b digest
+of its stream's identity and draw number. `KEY_BLIND` pins the five row files
+with their key column cleared, as they were before that change: only the keys
+moved.
 """
 
 import hashlib
+import json
+
+import pytest
 
 from mptcpkit.cli import main
 
@@ -24,18 +31,28 @@ GOLDEN = {
     "topology.txt": "59af902571eb6f0226b00424c3271fed1d88e4d537cc9d174ecda0b4a3f7912b",
     "targets.csv": "14557266c9b64f35ef14627ecc2348a4e05f77d47295d5051d346b7015caaf52",
     "truth.csv": "d27c902ce87e046af30556dd4407f6f8f708d37087ce21c6f80460af9ba57c9d",
-    "scan.csv": "246973b1e6a2c0bc4ebdc117833b4b2cd222469b669e6fc57a4527a04c633330",
-    "keys.txt": "0b714d9f1b7570c56966bd50da6fa45f429ece3d2e018decd73410bb8a6ff060",
-    "trace.csv": "268dd621f4233c16c2219269f07137a18c2aed3d7a1b90efbe4c616541973f30",
+    "scan.csv": "a440bd0fb4efd3517a5f97734276da04415fafb5f60d6d385a0738b026bb6748",
+    "keys.txt": "658cf3271bfb3f8a90dcc44aaf49b76157be02bd868f50661d7ff9eb6ad24dc8",
+    "trace.csv": "998f6205a8b278666d6e03573ff9905dd4f565eea3f6480c77a54250ea2f61f2",
     "summary.csv": "9456465e800bc46e1767cca9c540652f6ff3e5c970c3fdb1e1995a42074c6763",
     "bench-out/connect.cdf.txt": "6bbb76f0fdeeb59b136692ba52e1b043a229922a28298f6e4c6f93957bc269e5",
     "bench-out/tls.cdf.txt": "d77163436052739c0666abf515e3f07f7d09708046a964ce344ddc0edec56a14",
     "bench-out/ttfb.cdf.txt": "b263f77d7f4e3cb32a8579da2b4b98c70c3d13d3b9c23efda282ae9a933a9e5a",
     "bench-out/total.cdf.txt": "48d931143c2ed16816fee7a093b43d1bbd6cd8191de56a1a49b3e800afdb63bc",
     "bench-out/summary.txt": "bb6d3d584ef8d99534acd6744d8c7d81a0e70c63249277f407b8722b8530c9fd",
-    "scan-v1.csv": "1219447396932f19bcf9097782d32e2388c3f5111a2b52a23419744e86b3132e",
-    "trace-v1.csv": "649e1e07182313d10b09c9cc50dfe9f9119b3b97f477179ac77f9c66dc1aefb5",
-    "scan.jsonl": "55093e9d85a032e25a95d7f9d42d338a2d15df22eda705d533c56d9413992da8",
+    "scan-v1.csv": "61ff7ef64de1ea351f5b079a6b4b01adf4fe10edd07db45cc680d44e81619e7a",
+    "trace-v1.csv": "a1f7868f5ede74b6025c6ac52a93fda42981b997524946c45e0b7814ff01fe11",
+    "scan.jsonl": "46fa6c2ffe6b0e8a4a1da8ae05516041e2c609bc88c98f283b9333247f3c66bb",
+}
+
+# The row files with the sender's key blanked: the last CSV field cleared, and
+# `sender_key` set to null in the JSONL rows (re-serialised with sorted keys).
+KEY_BLIND = {
+    "scan.csv": "0d0aeca8cd8f963cf0a3953900733f4d96c2e02cd9193d8bcfae98fe8285bcaa",
+    "scan-v1.csv": "62c7c90ec411db19afe5f6d4d63ffc88d469dd065423015433c4e21f564bceaf",
+    "scan.jsonl": "9d73c5d8333574438c1b1137624467621781ffc64e4ab2c040a3fbb06d835e65",
+    "trace.csv": "2f6754029d07670ecfc1dd7af1de3ac928f847fb7834f6e1afe16c79aad7651b",
+    "trace-v1.csv": "fb145ef8b9809d15ce5e05736422a951a571678e47c1fa3a5a6f22d48af01c3e",
 }
 
 
@@ -73,5 +90,28 @@ def run_pipeline(d):
     }
 
 
-def test_seeded_pipeline_outputs_unchanged(tmp_path):
-    assert run_pipeline(tmp_path) == GOLDEN
+def key_blind_digest(path) -> str:
+    """sha256 of the row file at `path` with every row's key blanked."""
+    rows = path.read_text().splitlines()
+    if path.suffix == ".jsonl":
+        rows = [json.dumps({**json.loads(row), "sender_key": None}, sort_keys=True)
+                for row in rows]
+    else:
+        rows = [row.rpartition(",")[0] + "," for row in rows]
+    return hashlib.sha256("".join(row + "\n" for row in rows).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """The pipeline's output directory and the digests of its files."""
+    d = tmp_path_factory.mktemp("pipeline")
+    return d, run_pipeline(d)
+
+
+def test_seeded_pipeline_outputs_unchanged(pipeline):
+    assert pipeline[1] == GOLDEN
+
+
+def test_outputs_unchanged_but_for_their_keys(pipeline):
+    d = pipeline[0]
+    assert {name: key_blind_digest(d / name) for name in KEY_BLIND} == KEY_BLIND

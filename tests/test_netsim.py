@@ -1,6 +1,9 @@
+import gc
+import hashlib
 import ipaddress
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -43,7 +46,8 @@ from mptcpkit.options import (
     find_mp_capable,
     parse_options_prefix,
 )
-from mptcpkit.packet import TcpFlags, TcpPacket, decode_packet, encode_packet
+from mptcpkit.packet import (TcpFlags, TcpPacket, decode_packet, encode_packet,
+                             extract_quoted_options)
 from mptcpkit.probe import (
     ClassificationKind,
     DEFAULT_PROBE_KEY,
@@ -511,12 +515,29 @@ def _ref_rewrite(option_bytes: bytes, key: Key) -> bytes | None:
     return TcpOption(30, opt.payload[:2] + key.to_bytes() + opt.payload[10:]).encode()
 
 
+def reference_key(seed: int, address: str, port: int, hop: int, n: int,
+                  key_seed: int | None) -> Key:
+    """Key `n` of the stream at `hop` of (address, port), as the README states
+    the rule: the 8-byte blake2b of the network seed, address, port, hop and
+    `n`, or of `seed=N` and `n` for a node with `seed=N`."""
+    text = f"{seed}|{address}|{port}|{hop}|{n}" if key_seed is None else f"seed={key_seed}|{n}"
+    return Key(int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big"))
+
+
 class ReferenceNetwork(SimNetwork):
     """Replies built the long way: the options bytes are re-parsed at every
     hop, and every SYN-ACK is encoded with `encode_packet`, decoded with
     `decode_packet` and its options parsed with `parse_options_prefix`.
-    Key streams come from the inherited `_keys_for`, drawn in path order
-    forward and in reverse order back."""
+    Keys come from `reference_key`, counted per stream with its own
+    counters, drawn in path order forward and in reverse order back."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self._ref_counters = {}
+
+    def _ref_key(self, syn, hop, node):
+        n = next(self._ref_counters.setdefault((syn.dst, syn.dst_port, hop), itertools.count()))
+        return reference_key(self.seed, syn.dst, syn.dst_port, hop, n, node.key_seed)
 
     def _ref_forward(self, path, syn, up_to):
         options, records = syn.options, {}
@@ -526,7 +547,7 @@ class ReferenceNetwork(SimNetwork):
             if node.kind is BehaviorKind.STRIP_MIDDLEBOX:
                 options = _ref_replace(options, None)
             elif node.kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX:
-                key = self._keys_for(syn.dst, syn.dst_port, i, node).next_key()
+                key = self._ref_key(syn, i, node)
                 rewritten = _ref_rewrite(options, key)
                 if rewritten is not None:
                     options = _ref_replace(options, rewritten)
@@ -552,8 +573,8 @@ class ReferenceNetwork(SimNetwork):
             except OptionError:
                 mc = None
             if mc is not None and mc.version in endpoint.supported_versions:
-                src = self._keys_for(syn.dst, syn.dst_port, len(path.nodes) - 1, endpoint)
-                answer = MpCapable(mc.version, DEFAULT_MP_FLAGS, src.next_key())
+                key = self._ref_key(syn, len(path.nodes) - 1, endpoint)
+                answer = MpCapable(mc.version, DEFAULT_MP_FLAGS, key)
                 reply = encode_mp_capable(answer, HandshakePhase.SYN_ACK)
         for i in range(len(path.interior), 0, -1):
             node = path.interior[i - 1]
@@ -561,7 +582,7 @@ class ReferenceNetwork(SimNetwork):
             if node.kind is BehaviorKind.MIRROR_MIDDLEBOX and seen is not None:
                 reply = seen
             elif node.kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX and acted:
-                key = self._keys_for(syn.dst, syn.dst_port, i, node).next_key()
+                key = self._ref_key(syn, i, node)
                 reply = _ref_rewrite(seen, key)
         packet = TcpPacket(
             src=syn.dst, dst=syn.src, src_port=syn.dst_port, dst_port=syn.src_port,
@@ -674,6 +695,128 @@ def test_call_sequences_draw_keys_as_the_reference_does(interior, endpoint, addr
             assert net.handshake(syn) == ref.handshake(syn)
         else:
             assert net.ttl_probe(syn, ttl) == ref.ttl_probe(syn, ttl)
+    # The network keeps one draw count per stream, and nothing else.
+    assert net._key_draws == {ident: next(c) for ident, c in ref._ref_counters.items()}
+
+
+# -- key draws -------------------------------------------------------------------
+
+
+def _handshake_keys(net, targets):
+    """The SYN-ACK sender's key of one v0 handshake to each of `targets`, in turn."""
+    keys = []
+    for address, port in targets:
+        syn = build_syn_probe(ProbeSpec(address, port, 0, DEFAULT_PROBE_KEY), 0)
+        option = find_mp_capable(net.handshake(syn).options)
+        keys.append(decode_mp_capable(option, HandshakePhase.SYN_ACK).sender_key)
+    return keys
+
+
+_KEYED_PATHS = ["true_host(v0)", "key_rewrite tcp_host", "key_rewrite quoting(64) true_host(v0)",
+                "true_host(v0,seed=7)", "key_rewrite(seed=7) true_host(v0)"]
+
+
+@given(
+    order=st.lists(st.integers(0, 2 * len(_KEYED_PATHS) - 1), max_size=30),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_stream_keys_do_not_depend_on_interleaving(order, seed):
+    # Each path on an IPv4 and an IPv6 target; draws go in `order`, and each
+    # target's keys equal those of a network that probes only that target.
+    lines = [f"path {address} 443 {nodes}" for i, nodes in enumerate(_KEYED_PATHS, start=1)
+             for address in (f"10.0.0.{i}", f"2001:db8::{i}")]
+    net = parse_topology(lines, seed=seed)
+    targets = net.targets()
+    drawn = dict.fromkeys(targets, ())
+    for i in order:
+        drawn[targets[i]] += tuple(_handshake_keys(net, [targets[i]]))
+    for target, keys in drawn.items():
+        alone = parse_topology(lines, seed=seed)
+        assert tuple(_handshake_keys(alone, [target] * len(keys))) == keys
+
+
+@given(
+    key_seed=st.integers(),
+    seed=st.integers(0, 2**64 - 1),
+    addresses=st.lists(st.sampled_from(["10.0.0.1", "10.9.8.7", "2001:db8::1", "2001:db8::2"]),
+                       min_size=2, max_size=2, unique=True),
+    port=st.sampled_from([80, 443]),
+    path=st.sampled_from(["key_rewrite(seed={}) tcp_host", "true_host(v0,seed={})",
+                          "quoting(64) key_rewrite(seed={}) true_host(v1)"]),
+    draws=st.integers(1, 4),
+)
+@settings(max_examples=100, deadline=None)
+def test_seeded_node_draws_one_sequence_at_every_target(key_seed, seed, addresses, port, path,
+                                                        draws):
+    net = parse_topology([f"path {a} {port} {path.format(key_seed)}" for a in addresses],
+                         seed=seed)
+    first, second = ([(a, port)] * draws for a in addresses)
+    keys = _handshake_keys(net, first)
+    assert _handshake_keys(net, second) == keys
+    assert len(set(keys)) == draws  # still a fresh key on every draw
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    address=st.sampled_from(["10.1.2.3", "2001:db8::7"]),
+    port=st.sampled_from([80, 443]),
+)
+@settings(max_examples=50, deadline=None)
+def test_two_hops_of_one_target_draw_different_keys(seed, address, port):
+    # A v0 SYN through two unseeded key_rewrite hops: the TTL 1 quote carries
+    # hop 1's first key, the TTL 2 quote (in a fresh network) hop 2's first key.
+    line = f"path {address} {port} key_rewrite key_rewrite true_host(v0)"
+    syn = build_syn_probe(ProbeSpec(address, port, 0, DEFAULT_PROBE_KEY), 0)
+    quoted = []
+    for ttl in (1, 2):
+        reply = parse_topology([line], seed=seed).ttl_probe(syn, ttl)
+        mp = find_mp_capable(extract_quoted_options(reply.quote))
+        quoted.append(decode_mp_capable(mp, HandshakePhase.SYN).sender_key)
+    assert quoted[0] != quoted[1]
+    assert quoted[0] == reference_key(seed, address, port, 1, 0, None)
+    assert quoted[1] == reference_key(seed, address, port, 2, 0, None)
+
+
+@pytest.mark.parametrize("key_seed", [-3, 2**70])
+@pytest.mark.parametrize("node", ["true_host(v0,v1,seed={})", "key_rewrite(seed={})"])
+def test_seed_outside_64_bits_parses_and_draws(key_seed, node):
+    token = node.format(key_seed)
+    path = token if token.startswith("true_host") else f"{token} tcp_host"
+    net = parse_topology([f"path 10.0.0.1 80 {path}"], seed=1)
+    assert net.paths[("10.0.0.1", 80)].nodes[0].key_seed == key_seed
+    assert format_topology(net) == f"path 10.0.0.1 80 {path}\n"
+    keys = _handshake_keys(net, [("10.0.0.1", 80)] * 2)
+    # A host draws once per handshake; a key_rewrite hop draws on the way out
+    # and again on the way back, and the reply carries the second draw.
+    hop, draws = (0, (0, 1)) if token.startswith("true_host") else (1, (1, 3))
+    assert keys == [reference_key(1, "10.0.0.1", 80, hop, n, key_seed) for n in draws]
+    assert DEFAULT_PROBE_KEY not in keys
+
+
+def test_scan_keeps_a_few_bytes_per_target():
+    # A v0 scan leaves the network only a draw count per key stream: the
+    # memory it holds afterwards grows by well under 200 B per target.
+    from mptcpkit.probe import Blocklist, CampaignGuard, RatePacer, VirtualClock, run_campaign
+
+    count = 20000
+    net = generate_population(count, seed=5)
+    targets = net.targets()
+    clock = VirtualClock()
+    guard = CampaignGuard(Blocklist(), RatePacer(1e6, clock=clock, sleep=clock.sleep))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = run_campaign(targets, version=0, guard=guard, transport=net, seed=5)
+        assert sum(r.label == "potential_capable" for r in records) > count // 4
+        del records
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert net._key_draws  # the scan drew keys
+    assert held / count < 200, f"{held / count:.0f} B per target"
 
 
 class TestSimPath:
