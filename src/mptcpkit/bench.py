@@ -14,7 +14,6 @@ import socket
 import ssl
 import time
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import IO, Iterable, Protocol
 
 from .errors import PairingMismatch, TransportUnavailable
@@ -38,23 +37,9 @@ class TimingSample:
     ttfb_ms: float | None = None
     total_ms: float | None = None
 
-    def metric(self, name: str) -> float | None:
-        return _METRIC_FIELDS[name](self)
-
-
-_METRIC_FIELDS = {
-    "connect": attrgetter("connect_ms"),
-    "tls": attrgetter("tls_handshake_ms"),
-    "ttfb": attrgetter("ttfb_ms"),
-    "total": attrgetter("total_ms"),
-}
-
-
-@dataclass(slots=True)
-class DeltaRecord:
-    target: str
-    metric: str
-    delta_ms: float
+    def values(self) -> tuple[float | None, ...]:
+        """The metric values in `METRICS` order."""
+        return (self.connect_ms, self.tls_handshake_ms, self.ttfb_ms, self.total_ms)
 
 
 class TimingTransport(Protocol):
@@ -194,59 +179,57 @@ def time_get(
 
 @dataclass(slots=True)
 class DeltaReport:
-    records: list[DeltaRecord]
-    cdf: dict[str, list[tuple[float, float]]]
+    # Each metric's deltas in pairing order; metrics with none are left out.
+    by_metric: dict[str, list[float]]
     fractions: dict[str, tuple[float, float, float]]  # (faster, even, slower)
     paired_runs: int = 0
 
     def deltas(self, metric: str) -> list[float]:
-        return [r.delta_ms for r in self.records if r.metric == metric]
+        return list(self.by_metric.get(metric, ()))
 
 
 def _summarize(
-    records: list[DeltaRecord], paired: int, zero_tolerance_ms: float
+    by_metric: dict[str, list[float]], paired: int, zero_tolerance_ms: float
 ) -> DeltaReport:
-    """Per-metric CDF of the deltas and their faster/even/slower fractions.
+    """Each metric's faster/even/slower fractions.
 
     The fractions partition deltas into below -tolerance, within tolerance,
     and above.
     """
-    cdf: dict[str, list[tuple[float, float]]] = {}
+    if not zero_tolerance_ms >= 0:
+        raise ValueError(f"zero tolerance must be >= 0 ms, got {zero_tolerance_ms}")
+    by_metric = {metric: deltas for metric, deltas in by_metric.items() if deltas}
     fractions: dict[str, tuple[float, float, float]] = {}
-    for metric in METRICS:
-        deltas = sorted(r.delta_ms for r in records if r.metric == metric)
-        if not deltas:
-            continue
+    for metric, deltas in by_metric.items():
         n = len(deltas)
-        cdf[metric] = [(d, (i + 1) / n) for i, d in enumerate(deltas)]
         faster = sum(1 for d in deltas if d < -zero_tolerance_ms) / n
         slower = sum(1 for d in deltas if d > zero_tolerance_ms) / n
         fractions[metric] = (faster, 1.0 - faster - slower, slower)
-    return DeltaReport(records, cdf, fractions, paired_runs=paired)
+    return DeltaReport(by_metric, fractions, paired_runs=paired)
 
 
 def delta_report(
     mptcp_samples: list[TimingSample],
     tcp_samples: list[TimingSample],
-    target: str = "",
     zero_tolerance_ms: float = 1.0,
 ) -> DeltaReport:
     """Pair runs by index and difference each metric (mptcp - tcp).
 
     Only pairs where both runs succeeded contribute.
     """
-    return paired_report([(target, mptcp_samples, tcp_samples)], zero_tolerance_ms)
+    return paired_report([(mptcp_samples, tcp_samples)], zero_tolerance_ms)
 
 
 def paired_report(
-    runs: Iterable[tuple[str, list[TimingSample], list[TimingSample]]],
+    runs: Iterable[tuple[list[TimingSample], list[TimingSample]]],
     zero_tolerance_ms: float = 1.0,
 ) -> DeltaReport:
-    """`delta_report` over (target, mptcp samples, tcp samples) triples: runs
-    pair within a target, and one summary covers every target."""
-    records: list[DeltaRecord] = []
+    """`delta_report` over one (mptcp samples, tcp samples) pair per target:
+    runs pair within a target, and one summary covers every target."""
+    by_metric: dict[str, list[float]] = {metric: [] for metric in METRICS}
+    columns = list(by_metric.values())
     paired = 0
-    for target, mptcp_samples, tcp_samples in runs:
+    for mptcp_samples, tcp_samples in runs:
         if len(mptcp_samples) != len(tcp_samples):
             raise PairingMismatch(
                 f"{len(mptcp_samples)} mptcp runs vs {len(tcp_samples)} tcp runs"
@@ -255,25 +238,26 @@ def paired_report(
             if not (mp.success and tcp.success):
                 continue
             paired += 1
-            for metric in METRICS:
-                a, b = mp.metric(metric), tcp.metric(metric)
-                if a is None or b is None:
-                    continue
-                records.append(DeltaRecord(target, metric, a - b))
-    return _summarize(records, paired, zero_tolerance_ms)
+            for deltas, a, b in zip(columns, mp.values(), tcp.values()):
+                if a is not None and b is not None:
+                    deltas.append(a - b)
+    return _summarize(by_metric, paired, zero_tolerance_ms)
 
 
 def merge_reports(reports: Iterable[DeltaReport], zero_tolerance_ms: float = 1.0) -> DeltaReport:
     """Combine per-target reports into one distribution per metric."""
-    records: list[DeltaRecord] = []
+    by_metric: dict[str, list[float]] = {metric: [] for metric in METRICS}
     paired = 0
     for report in reports:
-        records.extend(report.records)
+        for metric, deltas in report.by_metric.items():
+            by_metric[metric].extend(deltas)
         paired += report.paired_runs
-    return _summarize(records, paired, zero_tolerance_ms)
+    return _summarize(by_metric, paired, zero_tolerance_ms)
 
 
 def write_cdf(report: DeltaReport, metric: str, f: IO[str]) -> None:
-    """Two-column text: delta_ms, cumulative fraction."""
-    for delta, fraction in report.cdf.get(metric, []):
-        f.write(f"{delta:.6f},{fraction:.6f}\n")
+    """Two-column text: the deltas sorted ascending, each with (i + 1) / n."""
+    deltas = sorted(report.by_metric.get(metric, ()))
+    n = len(deltas)
+    for i, delta in enumerate(deltas):
+        f.write(f"{delta:.6f},{(i + 1) / n:.6f}\n")

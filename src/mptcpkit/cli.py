@@ -1,8 +1,9 @@
 """Command-line entry point: one subcommand per toolkit component.
 
 Every usage rule (required options, one input source of two, the options
-each `report` kind reads) lives in the argparse declaration of
-`build_parser`, so each usage error exits 2 through argparse.
+each `report` kind reads, the range of each numeric option) lives in the
+argparse declaration of `build_parser`, so each usage error exits 2 through
+argparse, before any file is touched.
 
 Exit codes: 0 success, 1 operational error (including refusal to scan live
 without guardrails), 2 usage error. All randomness flows from --seed, so any
@@ -427,11 +428,11 @@ def cmd_bench(args) -> int:
         for address, port in targets:
             tcp_samples = bench_mod.time_get(address, port, tcp_t, runs=args.runs)
             mptcp_samples = bench_mod.time_get(address, port, mptcp_t, runs=args.runs)
-            yield address, mptcp_samples, tcp_samples
+            yield mptcp_samples, tcp_samples
 
     combined = bench_mod.paired_report(runs(), zero_tolerance_ms=args.zero_tol)
     for metric in bench_mod.METRICS:
-        if metric not in combined.cdf:
+        if metric not in combined.by_metric:
             continue
         with open(out_dir / f"{metric}.cdf.txt", "w", encoding="utf-8") as f:
             bench_mod.write_cdf(combined, metric, f)
@@ -453,6 +454,21 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _ranged(kind, low, high=None, above=False):
+    """An argparse type: `kind(text)` at least `low` (above it if `above`)
+    and at most `high`, so an out-of-range value is a usage error."""
+    bound = f"{'>' if above else '>='} {low}" + ("" if high is None else f" and <= {high}")
+
+    def parse(text: str):
+        value = kind(text)  # a ValueError reads "invalid <kind> value"
+        if not ((value > low if above else value >= low) and (high is None or value <= high)):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mptcpkit", description="Multipath TCP measurement toolkit"
@@ -471,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     probing.add_argument("--version", type=int, choices=(0, 1), default=0)
     probing.add_argument("--probe-key", default=None, help="hex v0 probe key")
     probing.add_argument("--sim-topology", default=None)
-    probing.add_argument("--timeout-ms", type=float, default=2000.0)
+    probing.add_argument("--timeout-ms", type=_ranged(float, 0, above=True), default=2000.0)
     probing.add_argument("--seed", type=_seed, default=0)
 
     scan = sub.add_parser(
@@ -488,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = trace.add_mutually_exclusive_group(required=True)
     source.add_argument("--targets", default=None)
     source.add_argument("--from-scan", default=None, help="take potential targets from scan records")
-    trace.add_argument("--max-ttl", type=int, default=30)
+    trace.add_argument("--max-ttl", type=_ranged(int, 1, 64), default=30)
     trace.set_defaults(func=cmd_trace, dry_run=False)
 
     keys = sub.add_parser("keys", parents=[out], help="Hamming-weight report over observed keys")
@@ -499,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     keys.set_defaults(func=cmd_keys)
 
     simulate = sub.add_parser("simulate", help="generate a simulated topology")
-    simulate.add_argument("--generate", type=int, required=True, metavar="N")
+    simulate.add_argument("--generate", type=_ranged(int, 0), required=True, metavar="N")
     simulate.add_argument("--out-topology", required=True)
     simulate.add_argument("--out-targets", required=True)
     simulate.add_argument("--out-truth", default=None)
@@ -513,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     pcap.add_argument("--extra-services", default=None)
     pcap.add_argument("--unidirectional", action="store_true")
     pcap.add_argument("--ewma", action="store_true")
-    pcap.add_argument("--ewma-alpha", type=float, default=0.2)
+    pcap.add_argument("--ewma-alpha", type=_ranged(float, 0, 1, above=True), default=0.2)
     pcap.set_defaults(func=cmd_analyze_pcap)
 
     report = sub.add_parser("report", help="longitudinal and enrichment reports")
@@ -526,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     window = argparse.ArgumentParser(add_help=False)
     window.add_argument("--store", required=True)
     window.add_argument("--at", required=True, help="last month of the window, YYYY-MM")
-    window.add_argument("--window", type=int, default=3)
+    window.add_argument("--window", type=_ranged(int, 1), default=3)
     window.add_argument("--family", choices=("v4", "v6"), default="v4")
     window.add_argument("--port", type=int, default=80)
     window.add_argument("--version", type=int, choices=(0, 1), default=0)
@@ -562,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--prefixes", required=True)
     top.add_argument("--asn-meta", default=None)
     top.add_argument("--group-by", choices=("asn", "country"), default="asn")
-    top.add_argument("-k", type=int, default=10)
+    top.add_argument("-k", type=_ranged(int, 1), default=10)
     top.add_argument("--pretty", action="store_true", help="aligned columns")
 
     bench = sub.add_parser(
@@ -570,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--targets", required=True)
     bench.add_argument("--sim-topology", default=None)
-    bench.add_argument("--runs", type=int, default=10)
-    bench.add_argument("--zero-tol", type=float, default=1.0)
-    bench.add_argument("--fallback-penalty-ms", type=float, default=250.0)
+    bench.add_argument("--runs", type=_ranged(int, 1), default=10)
+    bench.add_argument("--zero-tol", type=_ranged(float, 0), default=1.0)
+    bench.add_argument("--fallback-penalty-ms", type=_ranged(float, 0), default=250.0)
     bench.add_argument("--out-dir", default="bench-out")
     bench.add_argument("--seed", type=_seed, default=0)
     bench.set_defaults(func=cmd_bench, dry_run=False)

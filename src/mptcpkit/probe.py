@@ -138,24 +138,14 @@ def derive_src_port(target: str, port: int, seed: int) -> int:
     return 32768 + _keyed_digest(f"sport:{target},{port}".encode(), seed, 2) % 28000
 
 
-def build_syn_probe(
-    spec: ProbeSpec,
-    seed: int = 0,
-    src: str | None = None,
-    ttl: int = 64,
-) -> TcpPacket:
+def build_syn_probe(spec: ProbeSpec, seed: int = 0) -> TcpPacket:
     """Build the SYN carrying exactly one MP_CAPABLE option."""
-    if src is None:
-        src = (
-            DEFAULT_SCANNER_ADDR_V4 if ip_family(spec.target) == 4 else DEFAULT_SCANNER_ADDR_V6
-        )
     return TcpPacket(
-        src=src,
+        src=DEFAULT_SCANNER_ADDR_V4 if ip_family(spec.target) == 4 else DEFAULT_SCANNER_ADDR_V6,
         dst=spec.target,
         src_port=derive_src_port(spec.target, spec.port, seed),
         dst_port=spec.port,
         seq=derive_seq(spec.target, spec.port, seed),
-        ttl=ttl,
         options=spec.syn_option(),
     )
 

@@ -1,7 +1,9 @@
 import hashlib
+import io
 import socket
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -22,7 +24,16 @@ from mptcpkit.bench import (
     write_cdf,
 )
 from mptcpkit.errors import PairingMismatch
-from mptcpkit.netsim import SimNetwork, SimPath, drop, silent, strip, tcp_host, true_host
+from mptcpkit.netsim import (
+    SimNetwork,
+    SimPath,
+    drop,
+    generate_population,
+    silent,
+    strip,
+    tcp_host,
+    true_host,
+)
 
 
 def network():
@@ -77,7 +88,8 @@ class TestDeltaReport:
     def test_identical_samples_zero_deltas(self):
         samples = [sample(10.0) for _ in range(10)]
         report = delta_report(samples, list(samples))
-        assert all(r.delta_ms == 0.0 for r in report.records)
+        assert report.by_metric == {"connect": [0.0] * 10, "ttfb": [0.0] * 10,
+                                    "total": [0.0] * 10}
         assert report.fractions["connect"] == (0.0, 1.0, 0.0)
 
     def test_sign_convention(self):
@@ -144,16 +156,19 @@ class TestDeltaReport:
             time_get("10.0.0.1", 80, SimTimingTransport(net, "mptcp"), runs=10),
             time_get("10.0.0.1", 80, SimTimingTransport(net, "tcp"), runs=10),
         )
-        cdf = report.cdf["connect"]
-        deltas = [d for d, _ in cdf]
-        fractions = [p for _, p in cdf]
+        out = io.StringIO()
+        write_cdf(report, "connect", out)
+        rows = [tuple(map(float, row.split(","))) for row in out.getvalue().splitlines()]
+        assert len(rows) == 10
+        deltas = [d for d, _ in rows]
+        fractions = [p for _, p in rows]
         assert deltas == sorted(deltas)
         assert fractions[-1] == pytest.approx(1.0)
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
 
     def test_merge_reports(self):
-        r1 = delta_report([sample(10.0, transport="mptcp")], [sample(10.0)], target="a")
-        r2 = delta_report([sample(20.0, transport="mptcp")], [sample(10.0)], target="b")
+        r1 = delta_report([sample(10.0, transport="mptcp")], [sample(10.0)])
+        r2 = delta_report([sample(20.0, transport="mptcp")], [sample(10.0)])
         merged = merge_reports([r1, r2])
         assert sorted(merged.deltas("connect")) == [0.0, 10.0]
         assert merged.paired_runs == 2
@@ -163,13 +178,13 @@ class TestDeltaReport:
         net = network()
         mptcp = SimTimingTransport(net, "mptcp", seed=3)
         tcp = SimTimingTransport(net, "tcp", seed=3)
-        runs = [(t, time_get(t, port, mptcp, runs=4), time_get(t, port, tcp, runs=4))
+        runs = [(time_get(t, port, mptcp, runs=4), time_get(t, port, tcp, runs=4))
                 for t, port in sorted(net.paths)]
-        want = merge_reports([delta_report(m, c, target=t, zero_tolerance_ms=2.0)
-                              for t, m, c in runs], zero_tolerance_ms=2.0)
+        want = merge_reports([delta_report(m, c, zero_tolerance_ms=2.0)
+                              for m, c in runs], zero_tolerance_ms=2.0)
         assert paired_report(iter(runs), zero_tolerance_ms=2.0) == want
         with pytest.raises(PairingMismatch):
-            paired_report([("a", [sample(1.0)], [sample(1.0)]), ("b", [sample(1.0)], [])])
+            paired_report([([sample(1.0)], [sample(1.0)]), ([sample(1.0)], [])])
 
     def test_write_cdf_format(self, tmp_path):
         report = delta_report([sample(12.0, transport="mptcp")], [sample(10.0)])
@@ -177,6 +192,81 @@ class TestDeltaReport:
         with open(out, "w") as f:
             write_cdf(report, "connect", f)
         assert out.read_text() == "2.000000,1.000000\n"
+
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-9, float("nan")])
+    def test_negative_zero_tolerance_rejected(self, tolerance):
+        # A negative band would count a delta both faster and slower.
+        with pytest.raises(ValueError, match="zero tolerance must be >= 0 ms"):
+            delta_report([sample(12.0, transport="mptcp")], [sample(10.0)],
+                         zero_tolerance_ms=tolerance)
+
+
+def test_report_holds_each_delta_once_as_a_float():
+    # Samples are built first, so only what the report keeps is measured.
+    net = generate_population(500, seed=5)
+    mptcp = SimTimingTransport(net, "mptcp", seed=5)
+    tcp = SimTimingTransport(net, "tcp", seed=5)
+    runs = [(time_get(a, port, mptcp, runs=10), time_get(a, port, tcp, runs=10))
+            for a, port in sorted(net.paths)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = paired_report(runs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    count = sum(len(report.deltas(metric)) for metric in METRICS)
+    assert count > 10_000
+    assert held / count < 64
+
+
+def reference_cdf(deltas):
+    """(delta, cumulative fraction) rows: the deltas sorted, each with (i + 1) / n."""
+    ordered = sorted(deltas)
+    return [(d, (i + 1) / len(ordered)) for i, d in enumerate(ordered)]
+
+
+def reference_fractions(deltas, tolerance):
+    n = len(deltas)
+    faster = sum(1 for d in deltas if d < -tolerance) / n
+    slower = sum(1 for d in deltas if d > tolerance) / n
+    return (faster, 1.0 - faster - slower, slower)
+
+
+# Few distinct values, so ties and both zeros are common.
+_delta = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-7, -1e-7]),
+    st.floats(allow_nan=False, min_value=-1e6, max_value=1e6),
+)
+# One run's MPTCP values in METRICS order; None leaves the metric unpaired.
+_run = st.tuples(*[st.one_of(st.none(), _delta)] * len(METRICS))
+
+
+@given(
+    runs=st.lists(st.lists(_run, max_size=6), max_size=5),
+    tolerance=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0, max_value=2)),
+)
+@settings(max_examples=300)
+def test_cdf_rows_and_fractions_match_reference(runs, tolerance):
+    # Every TCP value is 0.0, so each delta is the MPTCP value itself (-0.0 included).
+    pairs = [
+        ([TimingSample("mptcp", True, *values) for values in target],
+         [TimingSample("tcp", True, *(None if v is None else 0.0 for v in values))
+          for values in target])
+        for target in runs
+    ]
+    report = paired_report(pairs, zero_tolerance_ms=tolerance)
+    assert report.paired_runs == sum(map(len, runs))
+    for i, metric in enumerate(METRICS):
+        deltas = [values[i] for target in runs for values in target if values[i] is not None]
+        assert report.deltas(metric) == deltas
+        out = io.StringIO()
+        write_cdf(report, metric, out)
+        assert out.getvalue() == "".join(f"{d:.6f},{p:.6f}\n" for d, p in reference_cdf(deltas))
+        if deltas:
+            assert report.fractions[metric] == reference_fractions(deltas, tolerance)
+        else:
+            assert metric not in report.fractions and metric not in report.by_metric
 
 
 def reference_jitter(seed, transport, target, port, run, metric, jitter_ms):

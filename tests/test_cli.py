@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -619,17 +620,6 @@ class TestReport:
             assert f"error: bad month in '{date}', expected YYYY-MM" in capsys.readouterr().err
             assert not store.exists()
 
-    @pytest.mark.parametrize("k", ["0", "-1"])
-    def test_top_k_below_one_exits_1(self, workdir, capsys, k):
-        records = workdir / "hosts.txt"
-        records.write_text("10.5.0.1,80\n")
-        prefixes = workdir / "prefixes.csv"
-        prefixes.write_text("10.5.0.0/16,500\n")
-        rc = main(["report", "top", "--in", str(records), "--prefixes", str(prefixes),
-                   "-k", k])
-        assert rc == 1
-        assert f"error: k must be >= 1, got {k}" in capsys.readouterr().err
-
 
 class TestOutKeptOnFailure:
     """--out is opened at the first write: a run that fails before it keeps
@@ -691,6 +681,7 @@ def _usage_cases():
         (["keys", "--in", "k", "--from-scan", "s"],
          "argument --from-scan: not allowed with argument --in"),
         (["scan", "--targets", "t", "--seed", "x"], "argument --seed: invalid seed 'x'"),
+        (["bench", "--targets", "t", "--runs", "x"], "argument --runs: invalid int value: 'x'"),
     ):
         yield pytest.param(argv, 2, error, id=" ".join(argv))
     kinds = [command for command in REQUIRED_OPTIONS if command[0] == "report"]
@@ -738,6 +729,59 @@ def test_seed_outside_64_bits_is_a_usage_error(command, seed, workdir, capsys):
 @pytest.mark.parametrize("command", ["simulate", "scan", "trace", "bench"])
 def test_seed_at_the_ends_of_its_range_runs(command, seed, workdir):
     run_ok(_seeded_argv(command, workdir, seed))
+
+
+# (argv, option, value, the bound the usage error states). Each argv names
+# the outputs a run would write, so the test sees that none was made or changed.
+_SIM = ("--sim-topology", "topology.txt")
+OUT_OF_RANGE = [
+    (("analyze-pcap", "--ewma", "--in", "a.pcap", "--in", "b.pcap", "--out", "out.txt"),
+     "--ewma-alpha", value, "must be > 0 and <= 1")
+    for value in ("0", "1.5", "nan")
+] + [
+    (("trace", "--targets", "targets.csv", *_SIM, "--out", "out.txt"),
+     "--max-ttl", value, "must be >= 1 and <= 64")
+    for value in ("0", "65")
+] + [
+    (("bench", "--targets", "targets.csv", *_SIM, "--out-dir", "bench-out"),
+     "--runs", "0", "must be >= 1"),
+    (("report", "top", "--in", "hosts.txt", "--prefixes", "prefixes.csv", "--out", "out.txt"),
+     "-k", "0", "must be >= 1"),
+    (("report", "top", "--in", "hosts.txt", "--prefixes", "prefixes.csv", "--out", "out.txt"),
+     "-k", "-1", "must be >= 1"),
+    (("report", "consistent", "--store", "store", "--at", "2021-01", "--out", "out.txt"),
+     "--window", "0", "must be >= 1"),
+    (("simulate", "--seed", "1", "--out-topology", "t.txt", "--out-targets", "g.csv"),
+     "--generate", "-5", "must be >= 0"),
+    (("bench", "--targets", "targets.csv", *_SIM, "--out-dir", "bench-out"),
+     "--fallback-penalty-ms", "-500", "must be >= 0"),
+    (("bench", "--targets", "targets.csv", *_SIM, "--out-dir", "bench-out"),
+     "--zero-tol", "-1", "must be >= 0"),
+    (("scan", "--targets", "targets.csv", *_SIM, "--out", "out.txt"),
+     "--timeout-ms", "-1", "must be > 0"),
+    (("trace", "--targets", "targets.csv", *_SIM, "--out", "out.txt"),
+     "--timeout-ms", "0", "must be > 0"),
+]
+
+
+def _tree(root):
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("argv, option, value, bound", OUT_OF_RANGE,
+                         ids=[" ".join([*takewhile(lambda w: w[0] != "-", a), o, v])
+                              for a, o, v, _ in OUT_OF_RANGE])
+def test_out_of_range_number_is_a_usage_error(workdir, capsys, monkeypatch, argv, option,
+                                              value, bound):
+    monkeypatch.chdir(workdir)
+    (workdir / "out.txt").write_bytes(b"previous\n")
+    before = _tree(workdir)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"argument {option}: {bound}, got {value}")
+    assert _tree(workdir) == before
 
 
 def _readme_commands():
