@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from pathlib import Path
 
@@ -469,6 +470,7 @@ def _ranged(kind, low, high=None, above=False):
     return parse
 
 
+@functools.cache  # one parser per process, built at the first call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mptcpkit", description="Multipath TCP measurement toolkit"
@@ -496,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--targets", required=True)
     scan.add_argument("--dry-run", action="store_true")
     scan.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    scan.set_defaults(func=cmd_scan)
 
     trace = sub.add_parser(
         "trace", parents=[probing, guarded, out], help="TTL-step targets and judge the path"
@@ -505,14 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--targets", default=None)
     source.add_argument("--from-scan", default=None, help="take potential targets from scan records")
     trace.add_argument("--max-ttl", type=_ranged(int, 1, 64), default=30)
-    trace.set_defaults(func=cmd_trace, dry_run=False)
+    trace.set_defaults(dry_run=False)
 
     keys = sub.add_parser("keys", parents=[out], help="Hamming-weight report over observed keys")
     source = keys.add_mutually_exclusive_group(required=True)
     source.add_argument("--in", dest="infile", default=None, help="one hex key per line")
     source.add_argument("--from-scan", default=None)
     keys.add_argument("--probe-key", default=None)
-    keys.set_defaults(func=cmd_keys)
 
     simulate = sub.add_parser("simulate", help="generate a simulated topology")
     simulate.add_argument("--generate", type=_ranged(int, 0), required=True, metavar="N")
@@ -520,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out-targets", required=True)
     simulate.add_argument("--out-truth", default=None)
     simulate.add_argument("--seed", type=_seed, required=True)
-    simulate.set_defaults(func=cmd_simulate)
 
     pcap = sub.add_parser("analyze-pcap", parents=[out], help="flow and MPTCP share statistics")
     pcap.add_argument("--in", dest="infile", action="append", required=True)
@@ -530,10 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     pcap.add_argument("--unidirectional", action="store_true")
     pcap.add_argument("--ewma", action="store_true")
     pcap.add_argument("--ewma-alpha", type=_ranged(float, 0, 1, above=True), default=0.2)
-    pcap.set_defaults(func=cmd_analyze_pcap)
 
     report = sub.add_parser("report", help="longitudinal and enrichment reports")
-    report.set_defaults(func=cmd_report)
     kinds = report.add_subparsers(dest="kind", required=True)
 
     only = argparse.ArgumentParser(add_help=False)
@@ -591,16 +588,15 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--fallback-penalty-ms", type=_ranged(float, 0), default=250.0)
     bench.add_argument("--out-dir", default="bench-out")
     bench.add_argument("--seed", type=_seed, default=0)
-    bench.set_defaults(func=cmd_bench, dry_run=False)
+    bench.set_defaults(dry_run=False)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:  # the command is looked up at each call, so a wrapper or patch set later runs
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except (GuardViolation, TransportUnavailable) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1

@@ -27,8 +27,25 @@ def prefix_rows(lines: Iterable[str]) -> Iterator[tuple[str, int | None]]:
         yield prefix.strip(), int(asn) if sep else None
 
 
+def _prefix_key(prefix: str) -> tuple[int, int, int] | None:
+    """(version, host bits, address bits) of `address/length`, else None."""
+    try:
+        address, _, length = prefix.partition("/")
+        packed = pack_address(address)
+    except (AttributeError, ValueError):
+        return None
+    bits = len(packed) * 8
+    if not (length.isascii() and length.isdigit() and len(length) <= 3 and int(length) <= bits):
+        return None
+    return 4 if bits == 32 else 6, bits - int(length), int.from_bytes(packed, "big")
+
+
 class PrefixTable:
     """Longest-prefix match from CIDR prefixes to values, IPv4 and IPv6.
+
+    A prefix is what `ipaddress.ip_network(prefix, strict=False)` reads, with
+    its errors: `address/length` (host bits set or not; read by `pack_address`),
+    `address/netmask`, `address/hostmask`, a bare address and scoped IPv6.
 
     One hash bucket per prefix length, keyed by the network bits. A lookup
     probes only the lengths present for the address's family, longest first.
@@ -43,13 +60,16 @@ class PrefixTable:
             self.add(prefix, value)
 
     def add(self, prefix: str, value: object) -> None:
-        net = ipaddress.ip_network(prefix, strict=False)
-        shift = net.max_prefixlen - net.prefixlen
-        buckets = self._buckets[net.version]
+        key = _prefix_key(prefix)
+        if key is None:
+            net = ipaddress.ip_network(prefix, strict=False)
+            key = net.version, net.max_prefixlen - net.prefixlen, int(net.network_address)
+        version, shift, bits = key
+        buckets = self._buckets[version]
         if shift not in buckets:
             buckets[shift] = {}
-            self._buckets[net.version] = buckets = dict(sorted(buckets.items()))
-        buckets[shift][int(net.network_address) >> shift] = value
+            self._buckets[version] = buckets = dict(sorted(buckets.items()))
+        buckets[shift][bits >> shift] = value
 
     def lookup(self, address: str) -> object | None:
         """The value of the longest prefix holding `address`, or None."""

@@ -493,30 +493,29 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
     Node tokens: true_host(v0,v1,seed=N) tcp_host mirror strip
     key_rewrite(seed=N) drop silent quoting(<bytes>)
 
-    Lines with the same text after the port share one SimPath, which holds
-    no per-target state.
+    Lines with the same text after the port, compared as written (inner
+    whitespace included), share one SimPath, which holds no per-target state.
     """
     net = SimNetwork(seed)
     # Node behaviors are frozen and key streams are keyed by position, not by
     # node, so paths can share one instance per distinct token.
     parse_node = functools.lru_cache(maxsize=None)(_parse_node)
-    paths_by_text: dict[tuple[str, ...], SimPath] = {}
+    paths_by_text: dict[str, SimPath] = {}
     for lineno, raw in enumerate(lines, start=1):
-        tokens = data_line(raw).split()
-        if not tokens:
+        fields = data_line(raw).split(None, 3)
+        if not fields:
             continue
-        if tokens[0] != "path" or len(tokens) < 4:
+        if fields[0] != "path" or len(fields) < 4:
             raise ValueError(f"line {lineno}: expected `path <addr> <port> <nodes...>`")
-        text = tuple(tokens[3:])
+        _, address, port, text = fields
         path = paths_by_text.get(text)
         if path is None:
-            rest, latency = text, 1.0
-            if rest[0].startswith("latency="):
-                latency = float(rest[0].split("=", 1)[1])
-                rest = rest[1:]
-            nodes = [parse_node(token) for token in rest]
+            tokens, latency = text.split(), 1.0
+            if tokens[0].startswith("latency="):
+                latency = float(tokens.pop(0).split("=", 1)[1])
+            nodes = [parse_node(token) for token in tokens]
             path = paths_by_text[text] = SimPath(nodes, per_hop_latency_ms=latency)
-        net.add_path(tokens[1], int(tokens[2]), path)
+        net.add_path(address, int(port), path)
     return net
 
 

@@ -350,14 +350,8 @@ class CampaignRecord:
         if len(parts) != 6:
             raise ValueError(f"expected 6 fields, got {len(parts)}: {line!r}")
         ts, address, port, version, label, key = parts
-        return cls(
-            timestamp=float(ts),
-            address=address,
-            port=int(port),
-            version=int(version),
-            label=label,
-            sender_key=Key.from_hex(key) if key else None,
-        )
+        return cls(float(ts), address, int(port), int(version), label,
+                   Key(int(key, 16)) if key else None)
 
     @classmethod
     def from_json(cls, line: str) -> "CampaignRecord":

@@ -83,7 +83,7 @@ def parse_month(date: str) -> tuple[int, int]:
         y, m = int(year), int(month)
     except ValueError:  # not two numbers around one dash
         y = m = 0
-    if not 1 <= m <= 12 or date != f"{y:04d}-{m:02d}":
+    if not (1 <= m <= 12 and y >= 1) or date != f"{y:04d}-{m:02d}":
         raise ValueError(f"bad month in {date!r}, expected YYYY-MM")
     return y, m
 
@@ -91,6 +91,8 @@ def parse_month(date: str) -> tuple[int, int]:
 def month_shift(date: str, delta: int) -> str:
     y, m = parse_month(date)
     index = y * 12 + (m - 1) + delta
+    if index < 12:
+        raise ValueError(f"{date} shifted by {delta} months is before 0001-01")
     return f"{index // 12:04d}-{index % 12 + 1:02d}"
 
 
@@ -145,6 +147,10 @@ def _window_snapshots(
 ) -> list[ScanSnapshot]:
     if window_months < 1:
         raise ValueError("window must be >= 1 month")
+    parse_month(at_date)  # a bad month is named before a short series
+    if window_months > len(series):
+        raise InsufficientHistory(f"window of {window_months} months is longer "
+                                  f"than the {len(series)}-month series")
     months = [month_shift(at_date, -i) for i in range(window_months)]
     missing = [m for m in months if m not in series]
     if missing:

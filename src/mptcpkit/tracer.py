@@ -255,13 +255,8 @@ class TraceRecord:
         if len(parts) != 5:
             raise ValueError(f"expected 5 fields, got {len(parts)}: {line!r}")
         address, port, verdict, ttl, key = parts
-        return cls(
-            address=address,
-            port=int(port),
-            verdict=verdict,
-            first_modifying_ttl=int(ttl) if ttl else None,
-            final_key=Key.from_hex(key) if key else None,
-        )
+        return cls(address, int(port), verdict, int(ttl) if ttl else None,
+                   Key(int(key, 16)) if key else None)
 
     @classmethod
     def from_verdict(cls, address: str, port: int, verdict: PathVerdict) -> "TraceRecord":

@@ -620,6 +620,18 @@ class TestReport:
             assert f"error: bad month in '{date}', expected YYYY-MM" in capsys.readouterr().err
             assert not store.exists()
 
+    def test_window_longer_than_the_store_is_one_short_error(self, workdir, capsys):
+        records = workdir / "scan.txt"
+        records.write_text("0.0,10.0.0.1,80,0,potential_capable,00000000000000aa\n")
+        store = str(workdir / "store")
+        run_ok(["report", "ingest", "--in", str(records), "--store", store, "--date", "2021-01",
+                "--out", str(workdir / "ingest.txt")])
+        rc = main(["report", "consistent", "--store", store, "--at", "2021-01",
+                   "--window", "30000"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: window of 30000 months is longer than the 1-month series\n")
+
 
 class TestOutKeptOnFailure:
     """--out is opened at the first write: a run that fails before it keeps
@@ -799,6 +811,59 @@ def _readme_commands():
 @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
 def test_readme_commands_parse(argv):
     cli.build_parser().parse_args(argv)
+
+
+class TestParserReuse:
+    """`main` reuses one parser per process: a call must not see what an
+    earlier call parsed, and must run the command bound at call time."""
+
+    def outputs(self, calls, fresh):
+        """The --out text of each (argv, out path) call, with a new parser per
+        call when `fresh`, else one parser for all of them."""
+        texts = []
+        for argv, out in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            run_ok([*argv, "--out", str(out)])
+            texts.append(out.read_text())
+        return texts
+
+    def test_append_option_starts_empty_each_call(self, workdir):
+        captures = []
+        for i, port in enumerate((80, 443)):
+            captures.append(str(workdir / f"c{i}.pcap"))
+            write_pcap(captures[-1], handshake_frames(
+                f"10.1.0.{i}", "10.2.0.1", 5555, port, mptcp_version=0,
+                extra_data_packets=4), linktype=101)
+        calls = [(["analyze-pcap", "--in", captures[0], "--in", captures[1]], workdir / "two"),
+                 (["analyze-pcap", "--in", captures[1]], workdir / "one")]
+        reused = self.outputs(calls, fresh=False)
+        assert reused == self.outputs(calls, fresh=True)
+        assert [text.count("share,") for text in reused] == [2, 1]
+
+    def test_report_kinds_keep_their_own_defaults(self, workdir):
+        (workdir / "a.txt").write_text("x\ny\n")
+        (workdir / "b.txt").write_text("y\nz\n")
+        (workdir / "trace.txt").write_text("10.0.0.1,80,truly_capable,,\n")
+        sets = ["--set-a", str(workdir / "a.txt"), "--set-b", str(workdir / "b.txt")]
+        calls = [(["report", "overlap", *sets], workdir / "overlap"),
+                 (["report", "versions", *sets], workdir / "versions"),
+                 (["report", "summary", "--in", str(workdir / "trace.txt")], workdir / "summary"),
+                 (["report", "overlap", *sets], workdir / "overlap2")]
+        reused = self.outputs(calls, fresh=False)
+        assert reused == self.outputs(calls, fresh=True)
+        assert [text.split(",", 1)[0] for text in reused] == [
+            "both", "both", "truly_capable", "both"]
+        assert "v0_only" in reused[1] and "only_a" in reused[3]
+
+    def test_command_patched_after_a_first_call_runs(self, workdir, monkeypatch):
+        argv = ["scan", "--targets", str(workdir / "targets.csv"), "--dry-run",
+                "--out", str(workdir / "scan.txt")]
+        run_ok(argv)
+        seen = []
+        monkeypatch.setattr(cli, "cmd_scan", lambda args: seen.append(args.targets) or 7)
+        assert main(argv) == 7
+        assert seen == [str(workdir / "targets.csv")]
 
 
 class TestBench:

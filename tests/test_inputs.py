@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mptcpkit import cli, keystats, netsim
 from mptcpkit.flows import ServiceTables
-from mptcpkit.inputs import PrefixTable, data_lines, prefix_rows
+from mptcpkit.inputs import PrefixTable, _prefix_key, data_lines, prefix_rows
 from mptcpkit.probe import Blocklist, load_targets
 from mptcpkit.store import EnrichmentTable, ScanSnapshot, SnapshotStore
 
@@ -68,6 +68,50 @@ def test_prefix_table_agrees_with_brute_force(entries, inside, outside):
         expected = [value for net, value in holding if net.prefixlen == longest][-1]
         assert table.lookup(address) == expected
     assert len(table) == len({net for net, _value in entries})
+
+
+_V4 = st.integers(0, 2**32 - 1).map(lambda n: str(ipaddress.IPv4Address(n)))
+_V6 = st.integers(0, 2**128 - 1).map(lambda n: ipaddress.IPv6Address(n))
+_ADDRESSES = st.one_of(
+    _V4,
+    _V6.map(str),
+    _V6.map(lambda a: a.exploded),
+    _V4.map(lambda a: "0" + a),  # a leading-zero octet
+    _V4.map(lambda a: "::ffff:" + a),
+    _V6.map(lambda a: f"{a}%eth0"),  # scoped
+    st.sampled_from(["", "10.0.0", "1.2.3.256", "::1::", "fe80::1%", "10.0.0.1 ", "x"]),
+)
+_MASKS = st.one_of(
+    st.integers(0, 140).map(str),
+    st.integers(0, 140).map(lambda n: f"0{n}"),  # `/08`
+    st.integers(0, 140).map(lambda n: f"{n:04d}"),
+    st.integers(0, 40).map(lambda n: f"+{n}"),
+    st.integers(0, 40).map(lambda n: f" {n}"),
+    st.integers(0, 32).map(lambda n: str(ipaddress.IPv4Network(f"0.0.0.0/{n}").netmask)),
+    st.integers(0, 32).map(lambda n: str(ipaddress.IPv4Network(f"0.0.0.0/{n}").hostmask)),
+    st.integers(0, 128).map(lambda n: str(ipaddress.IPv6Network(f"::/{n}").netmask)),
+    st.sampled_from(["", "-1", "8/8", "８", "٨", "1e1", "8 "]),
+)
+
+
+@given(_ADDRESSES, st.one_of(st.none(), _MASKS))
+@settings(max_examples=1000)
+def test_prefix_table_reads_prefixes_as_ip_network_does(address, mask):
+    prefix = address if mask is None else f"{address}/{mask}"
+    try:
+        net = ipaddress.ip_network(prefix, strict=False)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            PrefixTable().add(prefix, "v")
+        assert str(raised.value) == str(exc)
+        return
+    table = PrefixTable([(prefix, "v")])
+    shift = net.max_prefixlen - net.prefixlen
+    expected = {4: {}, 6: {}}
+    expected[net.version] = {shift: {int(net.network_address) >> shift: "v"}}
+    assert table._buckets == expected
+    if mask is not None and mask.isdigit() and len(mask) <= 3:
+        assert _prefix_key(prefix) is not None  # `address/length` skips ipaddress
 
 
 def test_prefix_table_extremes():

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import ipaddress
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mptcpkit.errors import OptionError
+from mptcpkit.inputs import data_line
 from mptcpkit.netsim import (
     MAX_GENERATED_TARGETS,
     BehaviorKind,
@@ -327,6 +329,106 @@ class TestTopologyFiles:
             SimPath([mirror()])
         with pytest.raises(ValueError):
             SimPath([])
+
+
+def token_split_parse_topology(lines, seed=0):
+    """The topology reader that splits every line into all its tokens and keys
+    shared paths on the token tuple: the reference for `parse_topology`."""
+    net = SimNetwork(seed)
+    parse_node = functools.lru_cache(maxsize=None)(_parse_node)
+    paths_by_text = {}
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = data_line(raw).split()
+        if not tokens:
+            continue
+        if tokens[0] != "path" or len(tokens) < 4:
+            raise ValueError(f"line {lineno}: expected `path <addr> <port> <nodes...>`")
+        text = tuple(tokens[3:])
+        path = paths_by_text.get(text)
+        if path is None:
+            rest, latency = text, 1.0
+            if rest[0].startswith("latency="):
+                latency = float(rest[0].split("=", 1)[1])
+                rest = rest[1:]
+            nodes = [parse_node(token) for token in rest]
+            path = paths_by_text[text] = SimPath(nodes, per_hop_latency_ms=latency)
+        net.add_path(tokens[1], int(tokens[2]), path)
+    return net
+
+
+_GAPS = st.sampled_from([" ", "  ", "\t", " \t ", "\u00a0"])
+_INTERIOR = ["mirror", "strip", "drop", "silent", "quoting(28)", "key_rewrite(seed=9)",
+             "key_rewrite"]
+_ENDPOINTS = ["tcp_host", "true_host(v0,v1)", "true_host(v1,seed=4)"]
+_BAD_TOKENS = ["warp_drive", "true_host(v0", "quoting(hello=1)", "key_rewrite(seed=x)",
+               "latency=3", "tcp_host"]
+
+
+@st.composite
+def topology_lines(draw):
+    """Mostly valid path lines with varied whitespace, plus comments, blank
+    lines and, now and then, a bad keyword, port, latency, token or length,
+    or a bad port together with a bad latency or token."""
+    kind = draw(st.sampled_from(["path"] * 8 + ["blank", "comment"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["# a comment", "  #", "#path 10.0.0.1 80 tcp_host"]))
+    address = draw(st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3", "2001:db8::5"]))
+    words = [kind, address, draw(st.sampled_from(["80", "443"]))]
+    if draw(st.booleans()):
+        words.append(draw(st.sampled_from(["latency=2", "latency=0.5"])))
+    words += draw(st.lists(st.sampled_from(_INTERIOR[:draw(st.integers(1, 7))]), max_size=2))
+    words.append(draw(st.sampled_from(_ENDPOINTS)))
+    faults = draw(st.sampled_from([()] * 12 + [("keyword",), ("port",), ("latency",), ("token",),
+                                                ("cut",), ("port", "latency"), ("port", "token")]))
+    if "keyword" in faults:
+        words[0] = "route"
+    if "port" in faults:
+        words[2] = "x"
+    if "latency" in faults:
+        words.insert(3, "latency=x")
+    if "token" in faults:
+        words.insert(draw(st.integers(3, len(words))), draw(st.sampled_from(_BAD_TOKENS)))
+    if "cut" in faults:
+        words = words[:draw(st.integers(1, 3))]
+    line = words[0] + "".join(draw(_GAPS) + word for word in words[1:])
+    lead = draw(st.sampled_from(["", " ", "\t"]))
+    tail = draw(st.sampled_from(["", " ", "  # note", "\n"]))
+    return lead + line + tail
+
+
+@given(st.lists(topology_lines(), max_size=8), st.integers(0, 2**16))
+@settings(max_examples=400, deadline=None)
+def test_parse_topology_matches_token_split_reference(lines, seed):
+    try:
+        ref = token_split_parse_topology(lines, seed)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as raised:
+            parse_topology(lines, seed)
+        assert str(raised.value) == str(exc)
+        return
+    net = parse_topology(lines, seed)
+    assert list(net.paths) == list(ref.paths)
+    assert format_topology(net) == format_topology(ref)
+    for target, path in net.paths.items():
+        assert path.nodes == ref.paths[target].nodes
+        assert path.per_hop_latency_ms == ref.paths[target].per_hop_latency_ms
+    # Lines share a path when their text after the port is the same as written.
+    texts = {}
+    for fields in (data_line(raw).split(None, 3) for raw in lines):
+        if fields:
+            texts[(fields[1], int(fields[2]))] = fields[3]
+    for a, b in itertools.combinations(net.paths, 2):
+        assert (net.paths[a] is net.paths[b]) == (texts[a] == texts[b])
+
+
+def test_paths_are_shared_by_their_text_as_written():
+    net = parse_topology(["path 10.0.0.1 80 mirror tcp_host", "path 10.0.0.2 80\tmirror tcp_host",
+                          "path 10.0.0.3 80 mirror  tcp_host # note"])
+    first, second, third = net.paths.values()
+    assert first is second  # the gap before the text is not part of it
+    assert third is not first and third.nodes == first.nodes  # the gap inside is
 
 
 class TestGroundTruth:

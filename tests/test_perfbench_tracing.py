@@ -80,3 +80,48 @@ def test_traced_campaign_layers_stay_on_the_call_path(tmp_path):
     calls = json.loads(done.stdout.splitlines()[-1])
     assert {name: calls[name] > 0 for name in CAMPAIGN_LAYERS} == dict.fromkeys(
         CAMPAIGN_LAYERS, True)
+
+
+EVERY_COMMAND_AFTER_A_FIRST_CALL = """
+import json, struct, sys
+sys.path.insert(0, "perfbench")
+from tracing import Recorder
+from mptcpkit import cli
+d = sys.argv[1]
+simulate = ["simulate", "--generate", "40", "--seed", "3", "--out-topology", d + "/topo.txt",
+            "--out-targets", d + "/targets.txt"]
+assert cli.main(simulate) == 0  # untraced, as the worker's first passes are
+recorder = Recorder()
+recorder.install()
+with open(d + "/empty.pcap", "wb") as f:
+    f.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101))
+sim = ["--sim-topology", d + "/topo.txt", "--seed", "3"]
+for argv in (
+    simulate,
+    ["scan", "--targets", d + "/targets.txt", *sim, "--out", d + "/scan.csv"],
+    ["keys", "--from-scan", d + "/scan.csv", "--out", d + "/keys.txt"],
+    ["trace", "--from-scan", d + "/scan.csv", *sim, "--out", d + "/trace.csv"],
+    ["report", "summary", "--in", d + "/trace.csv", "--out", d + "/summary.csv"],
+    ["bench", "--targets", d + "/targets.txt", *sim, "--runs", "2",
+     "--out-dir", d + "/bench-out"],
+    ["analyze-pcap", "--in", d + "/empty.pcap", "--out", d + "/pcap.csv"],
+):
+    assert cli.main(argv) == 0, argv
+totals = recorder.totals()
+print(json.dumps({name: totals[name]["calls"] for name in recorder.names
+                  if name.startswith("cli.")}))
+"""
+
+
+def test_commands_are_counted_when_the_recorder_follows_a_first_call(tmp_path):
+    """The worker makes untraced passes before it installs the recorder, so a
+    command must be found at each `main` call, not when the parser was built."""
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run([sys.executable, "-c", EVERY_COMMAND_AFTER_A_FIRST_CALL,
+                           str(tmp_path)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    calls = json.loads(done.stdout.splitlines()[-1])
+    assert calls == dict.fromkeys(
+        ["cli.simulate", "cli.scan", "cli.keys", "cli.trace", "cli.report", "cli.bench",
+         "cli.analyze_pcap"], 1)

@@ -15,6 +15,7 @@ from mptcpkit.store import (
     enrich,
     migration_report,
     month_shift,
+    parse_month,
     port_overlap,
     top_report,
     version_overlap,
@@ -44,6 +45,16 @@ class TestMonths:
             ScanSnapshot("2021-13", "v4", 80, 0)
         with pytest.raises(ValueError):
             ScanSnapshot("2021-01", "v5", 80, 0)
+
+    def test_no_month_before_year_one(self):
+        assert month_shift("0001-03", -2) == "0001-01"
+        with pytest.raises(ValueError, match="^0001-03 shifted by -3 months is before 0001-01$"):
+            month_shift("0001-03", -3)
+        with pytest.raises(ValueError, match="^2021-01 shifted by -24241 months is before"):
+            month_shift("2021-01", -24241)
+        for date in ("0000-12", "0000-01"):
+            with pytest.raises(ValueError, match="expected YYYY-MM"):
+                parse_month(date)
 
     @pytest.mark.parametrize(
         "date", ["2021-1", "+2021-01", "2021- 1", "2021-01 ", "\uff12\uff10\uff12\uff11-01", "21-01"]
@@ -117,6 +128,15 @@ class TestConsistentHosts:
             consistent_hosts(s, 3, "2021-10")
         with pytest.raises(InsufficientHistory):
             consistent_hosts({}, 3, "2021-10")
+
+    def test_window_longer_than_the_series_is_refused_in_one_line(self):
+        s = series(snap("2021-01", ["a"]))
+        for select in (consistent_hosts, eligible_for_path_probe):
+            with pytest.raises(InsufficientHistory) as raised:
+                select(s, window_months=30000, at_date="2021-01")
+            assert str(raised.value) == "window of 30000 months is longer than the 1-month series"
+        with pytest.raises(ValueError, match="expected YYYY-MM"):  # a bad month still comes first
+            consistent_hosts(s, 30000, "2021-1")
 
     def test_window_one_equals_latest_positives(self):
         latest = snap("2021-10", ["a", "b"])
