@@ -9,15 +9,14 @@ such boxes leave on real measurements.
 
 from __future__ import annotations
 
-import hashlib
 import socket
-import ssl
 import time
 from dataclasses import dataclass
 from typing import IO, Iterable, Protocol
 
 from .errors import PairingMismatch, TransportUnavailable
 from .netsim import SimNetwork
+from .probe import blake2b
 
 METRICS = ("connect", "tls", "ttfb", "total")
 
@@ -73,7 +72,7 @@ class SimTimingTransport:
         self.jitter_ms = jitter_ms
         self.seed = seed
         # Has absorbed each draw's identity prefix; draws hash copies (unlike hash(), stable).
-        self._jitter_hash = hashlib.blake2b(f"{seed}|{transport}|".encode(), digest_size=8)
+        self._jitter_hash = blake2b(f"{seed}|{transport}|".encode(), digest_size=8)
 
     def _jitter(self, target: str, port: int, run: int, metric: str) -> float:
         if self.jitter_ms <= 0:
@@ -142,6 +141,8 @@ class SystemTimingTransport:
             tls_ms = None
             stream = sock
             if port == 443:
+                import ssl  # only a TLS fetch loads it, and OpenSSL with it
+
                 tls_start = time.monotonic()
                 context = ssl.create_default_context()
                 context.check_hostname = False

@@ -15,8 +15,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
+import os
+import stat
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import bench as bench_mod
 from . import flows as flows_mod
@@ -42,16 +46,39 @@ POSITIVE_SCAN_LABELS = {"potential_capable"}
 
 
 class _OutFile:
-    """`--out`, opened at the first write, or at a clean exit without one, so
-    that a run failing before it writes leaves the previous file intact."""
+    """`--out`, replaced whole, and only by a run that succeeds.
+
+    Rows go to a temporary file beside it, opened at the first write (or at
+    a clean exit without one, so an empty result still empties `--out`),
+    that `os.replace` renames over `--out` at a clean exit; a run that fails,
+    even after writing (a bad row late in a streamed input), removes it. An
+    existing `--out` that is not a regular file (a FIFO, /dev/null) cannot be
+    replaced, so it is opened at the first write and written in place.
+    """
 
     def __init__(self, path: str):
-        self._path = path
+        self._path = os.path.realpath(path)  # through a symlink, to its target
+        try:
+            self._in_place = not stat.S_ISREG(os.stat(self._path).st_mode)
+        except OSError:  # no file yet, or one that opening will report on
+            self._in_place = False
+        self._temp = None
         self._file = None
+
+    def _open(self):
+        if self._in_place:
+            return open(self._path, "w", encoding="utf-8")
+        head, tail = os.path.split(self._path)
+        for n in itertools.count():  # a name no other run holds
+            self._temp = os.path.join(head, f".{tail}.{n}.tmp")
+            try:
+                return open(self._temp, "x", encoding="utf-8")
+            except FileExistsError:
+                continue
 
     def write(self, text: str) -> int:
         if self._file is None:
-            self._file = open(self._path, "w", encoding="utf-8")
+            self._file = self._open()
         return self._file.write(text)
 
     def __enter__(self):
@@ -60,8 +87,16 @@ class _OutFile:
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._file is None and exc_type is None:
             self.write("")
-        if self._file is not None:
+        if self._file is None:
+            return
+        try:
             self._file.close()
+            if self._temp is not None and exc_type is None:
+                os.replace(self._temp, self._path)
+                self._temp = None
+        finally:
+            if self._temp is not None:
+                os.unlink(self._temp)
 
 
 def _out(path: str | None):
@@ -70,9 +105,10 @@ def _out(path: str | None):
     return _OutFile(path)
 
 
-def _read_targets(path: str) -> list[tuple[str, int]]:
+def _read_targets(path: str) -> Iterator[tuple[str, int]]:
+    """Each (address, port) of a targets file, read as the caller asks for it."""
     with open(path, encoding="utf-8") as f:
-        return load_targets(f)
+        yield from load_targets(f)
 
 
 def _targets_from_scan(path: str, labels: set[str]) -> list[tuple[str, int]]:
@@ -82,9 +118,18 @@ def _targets_from_scan(path: str, labels: set[str]) -> list[tuple[str, int]]:
     )
 
 
-def _read_records(path: str) -> list[CampaignRecord]:
+def _drain(items: list) -> Iterator:
+    """Each item of `items`, first to last, dropped from the list as it is
+    taken, so the list holds only the items still to come."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
+def _read_records(path: str) -> Iterator[CampaignRecord]:
+    """Each scan record of a CSV or JSONL file, read as the caller asks for it."""
     with open(path, encoding="utf-8") as f:
-        return [CampaignRecord.parse(line) for line in data_lines(f)]
+        yield from map(CampaignRecord.parse, data_lines(f))
 
 
 def _host_row(line: str) -> tuple[str, int | None, str | None]:
@@ -195,7 +240,7 @@ def cmd_trace(args) -> int:
     guard = _guard_from_args(args)
     probe_key = _probe_key(args)
     if args.from_scan is not None:
-        targets = _targets_from_scan(args.from_scan, POSITIVE_SCAN_LABELS)
+        targets = _drain(_targets_from_scan(args.from_scan, POSITIVE_SCAN_LABELS))
     else:
         targets = _read_targets(args.targets)
     opened = _resolve_transport(args)
@@ -248,17 +293,20 @@ def cmd_keys(args) -> int:
 
 def cmd_simulate(args) -> int:
     network = netsim.generate_population(args.generate, seed=args.seed)
-    Path(args.out_topology).write_text(netsim.format_topology(network), encoding="utf-8")
-    rows = sorted(network.paths.items())
+    with open(args.out_topology, "w", encoding="utf-8") as f:
+        f.writelines(netsim.topology_lines(network))
+    paths = network.paths
+    targets = sorted(paths)
     with open(args.out_targets, "w", encoding="utf-8") as f:
-        f.writelines(f"{address},{port}\n" for (address, port), _path in rows)
+        f.writelines(f"{address},{port}\n" for address, port in targets)
     if args.out_truth:
         # Truth depends only on the path and the address family, and targets
         # share paths; `network` keeps every path alive, so ids stay unique.
         tails: dict[tuple[int, int], list[str]] = {}
         with open(args.out_truth, "w", encoding="utf-8") as f:
             f.write("address,port,version,classification,verdict,first_modifying_ttl\n")
-            for (address, port), path in rows:
+            for address, port in targets:
+                path = paths[address, port]
                 key = (id(path), ip_family(address))
                 tail = tails.get(key)
                 if tail is None:
@@ -320,9 +368,10 @@ def cmd_analyze_pcap(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Every `report` kind: the writer its subparser chose, into --out."""
+    """Every `report` kind: the writer its subparser named, looked up at each
+    call as `main` looks up commands, into --out."""
     with _out(args.out) as f:
-        args.write(args, f)
+        globals()[f"_write_{args.write}"](args, f)
     return 0
 
 
@@ -372,7 +421,8 @@ def _write_window(args, f) -> None:
     series = store_mod.SnapshotStore(args.store).load_series(
         args.family, args.port, args.version
     )
-    hosts = args.select(series, window_months=args.window, at_date=args.at)
+    select = getattr(store_mod, args.select)  # looked up at each call, like the writer
+    hosts = select(series, window_months=args.window, at_date=args.at)
     for address in sorted(hosts):
         f.write(f"{address},{args.port}\n")
 
@@ -408,7 +458,7 @@ def _write_top(args, f) -> None:
 
 def cmd_bench(args) -> int:
     guard = _guard_from_args(args)
-    targets = [(a, p) for a, p in _read_targets(args.targets) if not guard.blocklist.matches(a)]
+    targets = ((a, p) for a, p in _read_targets(args.targets) if not guard.blocklist.matches(a))
     if args.sim_topology:
         network = netsim.load_topology(args.sim_topology, seed=args.seed)
         mptcp_t = bench_mod.SimTimingTransport(
@@ -544,33 +594,34 @@ def build_parser() -> argparse.ArgumentParser:
     window.add_argument("--port", type=int, default=80)
     window.add_argument("--version", type=int, choices=(0, 1), default=0)
 
-    def kind(name: str, help_text: str, write, *parents, **defaults):
-        """A `report` kind whose `cmd_report` runs `write`, with --out and `parents`."""
+    def kind(name: str, help_text: str, write: str, *parents, **defaults):
+        """A `report` kind whose `cmd_report` runs `_write_<write>`, with --out
+        and `parents`."""
         p = kinds.add_parser(name, parents=[*parents, out], help=help_text)
         p.set_defaults(write=write, **defaults)
         return p
 
-    summary = kind("summary", "count trace verdicts", _write_summary)
+    summary = kind("summary", "count trace verdicts", "summary")
     summary.add_argument("--in", dest="infile", required=True)
     for name, help_text, row_names in (
         ("overlap", "hosts in both sets, only A, only B", ("both", "only_a", "only_b")),
         ("versions", "hosts speaking v0, v1 or both", ("both", "v0_only", "v1_only")),
     ):
-        overlap = kind(name, help_text, _write_overlap, only, row_names=row_names)
+        overlap = kind(name, help_text, "overlap", only, row_names=row_names)
         overlap.add_argument("--set-a", required=True)
         overlap.add_argument("--set-b", required=True)
-    migration = kind("migration", "v0/v1 support gained or moved", _write_migration, only)
+    migration = kind("migration", "v0/v1 support gained or moved", "migration", only)
     for flag in ("--prev-v0", "--prev-v1", "--cur-v0", "--cur-v1"):
         migration.add_argument(flag, required=True)
-    ingest = kind("ingest", "store scan records as monthly snapshots", _write_ingest)
+    ingest = kind("ingest", "store scan records as monthly snapshots", "ingest")
     ingest.add_argument("--in", dest="infile", required=True)
     ingest.add_argument("--store", required=True)
     ingest.add_argument("--date", required=True, help="month of the scan, YYYY-MM")
-    kind("consistent", "hosts positive in every month of the window", _write_window,
-         window, select=store_mod.consistent_hosts)
-    kind("eligible", "consistent hosts worth path inspection", _write_window,
-         window, select=store_mod.eligible_for_path_probe)
-    top = kind("top", "rank ASes or countries by hosts", _write_top, only)
+    kind("consistent", "hosts positive in every month of the window", "window",
+         window, select="consistent_hosts")
+    kind("eligible", "consistent hosts worth path inspection", "window",
+         window, select="eligible_for_path_probe")
+    top = kind("top", "rank ASes or countries by hosts", "top", only)
     top.add_argument("--in", dest="infile", required=True)
     top.add_argument("--prefixes", required=True)
     top.add_argument("--asn-meta", default=None)

@@ -23,7 +23,7 @@ from .packet import (
     RawSegment,
     TcpPacket,
     decode_tcp,
-    encode_packet,
+    encode_packed,
     pack_address,
 )
 from .probe import HopReply, ProbeResponse, make_response
@@ -40,10 +40,10 @@ def local_source_address(target: str) -> str:
         return s.getsockname()[0]
 
 
-def _reply_keys(pkt: TcpPacket) -> tuple[bytes, bytes, int]:
-    """What a reply to `pkt` carries, in wire form: `_match_reply`'s keys."""
-    ports = _PORTS.pack(pkt.dst_port, pkt.src_port)
-    return pack_address(pkt.dst), ports, (pkt.seq + 1) & 0xFFFFFFFF
+def _reply_keys(pkt: TcpPacket) -> tuple[bytes, int]:
+    """The port pair and ack a reply to `pkt` carries, in wire form:
+    `_match_reply`'s keys besides the packed peer."""
+    return _PORTS.pack(pkt.dst_port, pkt.src_port), (pkt.seq + 1) & 0xFFFFFFFF
 
 
 def _match_reply(data: bytes, peer: bytes, ports: bytes, ack: int) -> RawSegment | None:
@@ -90,7 +90,7 @@ class LiveTransport:
 
     def __init__(self, timeout_ms: float = 2000.0):
         self.timeout_ms = timeout_ms
-        self._sources: dict[str, str] = {}  # destination -> our source address
+        self._sources: dict[str, bytes] = {}  # destination -> our packed source address
         try:
             self._send = socket.socket(
                 socket.AF_INET, socket.SOCK_RAW, socket.IPPROTO_RAW
@@ -111,13 +111,18 @@ class LiveTransport:
             except OSError:
                 pass
 
-    def _send_packet(self, pkt: TcpPacket, ttl: int | None = None) -> None:
-        src = None
+    def _send_packet(self, pkt: TcpPacket, ttl: int | None = None) -> bytes:
+        """Send `pkt`; its packed destination, packed once here, is returned
+        for matching the reply."""
+        dst = pack_address(pkt.dst)
         if pkt.src.startswith("192.0.2."):  # placeholder source: send from ours
             src = self._sources.get(pkt.dst)
-            if src is None:
-                src = self._sources[pkt.dst] = local_source_address(pkt.dst)
-        self._send.sendto(encode_packet(pkt, src, ttl), (pkt.dst, 0))
+            if src is None:  # an IPv4 transport: its source is an IPv4 address
+                src = self._sources[pkt.dst] = socket.inet_aton(local_source_address(pkt.dst))
+        else:
+            src = pack_address(pkt.src)
+        self._send.sendto(encode_packed(pkt, src, dst, ttl), (pkt.dst, 0))
+        return dst
 
     def _poll_set(self, want_icmp: bool):
         """A poll set over the TCP socket, and the ICMP one when wanted.
@@ -133,8 +138,9 @@ class LiveTransport:
             self._polls = (tcp, both)
         return self._polls[want_icmp]
 
-    def _await(self, pkt: TcpPacket, want_icmp: bool):
-        peer, ports, ack = _reply_keys(pkt)
+    def _await(self, pkt: TcpPacket, peer: bytes, want_icmp: bool):
+        """The reply to `pkt`, sent to `peer` (packed), or None at the timeout."""
+        ports, ack = _reply_keys(pkt)
         start = time.monotonic()
         deadline = start + self.timeout_ms / 1000.0
         sockets = (self._tcp, self._icmp) if want_icmp else (self._tcp,)
@@ -162,9 +168,7 @@ class LiveTransport:
             self._poll_set(want_icmp).poll(remaining * 1000)
 
     def handshake(self, syn: TcpPacket) -> ProbeResponse | None:
-        self._send_packet(syn)
-        return self._await(syn, want_icmp=False)
+        return self._await(syn, self._send_packet(syn), want_icmp=False)
 
     def ttl_probe(self, syn: TcpPacket, ttl: int) -> HopReply | ProbeResponse | None:
-        self._send_packet(syn, ttl)
-        return self._await(syn, want_icmp=True)
+        return self._await(syn, self._send_packet(syn, ttl), want_icmp=True)

@@ -28,14 +28,13 @@ port, hop) and draw number, and the network keeps only a count per stream.
 from __future__ import annotations
 
 import functools
-import hashlib
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import OptionError
 from .inputs import data_line
@@ -61,7 +60,7 @@ from .packet import (
     encode_packet,
     ip_family,
 )
-from .probe import ClassificationKind, HopReply, ProbeResponse
+from .probe import ClassificationKind, HopReply, ProbeResponse, blake2b
 from .tracer import PathVerdictKind
 
 
@@ -231,7 +230,9 @@ class SimNetwork:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.paths: dict[tuple[str, int], SimPath] = {}
-        self._key_draws: dict[tuple[str, int, int], int] = {}
+        # Draws so far per key stream, keyed by its `address|port|hop` bytes,
+        # which hold no reference to the caller's address and port objects.
+        self._key_draws: dict[bytes, int] = {}
 
     def add_path(self, address: str, port: int, path: SimPath) -> None:
         self.paths[(address, port)] = path
@@ -243,13 +244,12 @@ class SimNetwork:
         """Key *n* of the stream at hop `index` of (address, port): the blake2b
         of its identity and *n*. A `seed=N` node hashes `seed=N` and *n* alone
         (no network seed's text starts so), the same at every target."""
-        ident = (address, port, index)
+        ident = f"{address}|{port}|{index}".encode()
         n = self._key_draws.get(ident, 0)
         self._key_draws[ident] = n + 1
         seed = node.key_seed
-        text = (f"{self.seed}|{address}|{port}|{index}|{n}" if seed is None
-                else f"seed={seed}|{n}")
-        return Key(int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big"))
+        text = b"%d|%s|%d" % (self.seed, ident, n) if seed is None else b"seed=%d|%d" % (seed, n)
+        return Key(int.from_bytes(blake2b(text, digest_size=8).digest(), "big"))
 
     def _hop_address(self, target: str, ttl: int) -> str:
         if ip_family(target) == 4:
@@ -494,13 +494,15 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
     key_rewrite(seed=N) drop silent quoting(<bytes>)
 
     Lines with the same text after the port, compared as written (inner
-    whitespace included), share one SimPath, which holds no per-target state.
+    whitespace included), share one SimPath, which holds no per-target state;
+    lines with the same port text share one port int.
     """
     net = SimNetwork(seed)
     # Node behaviors are frozen and key streams are keyed by position, not by
     # node, so paths can share one instance per distinct token.
     parse_node = functools.lru_cache(maxsize=None)(_parse_node)
     paths_by_text: dict[str, SimPath] = {}
+    ports: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         fields = data_line(raw).split(None, 3)
         if not fields:
@@ -515,7 +517,10 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
                 latency = float(tokens.pop(0).split("=", 1)[1])
             nodes = [parse_node(token) for token in tokens]
             path = paths_by_text[text] = SimPath(nodes, per_hop_latency_ms=latency)
-        net.add_path(address, int(port), path)
+        number = ports.get(port)
+        if number is None:
+            number = ports[port] = int(port)
+        net.add_path(address, number, path)
     return net
 
 
@@ -524,19 +529,28 @@ def load_topology(path: str | Path, seed: int = 0) -> SimNetwork:
         return parse_topology(f, seed=seed)
 
 
-def format_topology(net: SimNetwork) -> str:
-    lines = []
+def topology_lines(net: SimNetwork) -> Iterator[str]:
+    """The topology file of `net`, one line (newline included) at a time, in
+    target order; an empty network is one blank line."""
+    paths = net.paths
+    if not paths:
+        yield "\n"
+        return
     text_by_path: dict[int, str] = {}  # targets share paths; `net` keeps them alive
     spec_token = functools.lru_cache(maxsize=None)(NodeBehavior.spec_token)  # few distinct nodes
-    for (address, port), path in sorted(net.paths.items()):
+    for address, port in sorted(paths):
+        path = paths[address, port]
         text = text_by_path.get(id(path))
         if text is None:
             latency = ""
             if path.per_hop_latency_ms != 1.0:
                 latency = f"latency={path.per_hop_latency_ms:g} "
             text = text_by_path[id(path)] = latency + " ".join(map(spec_token, path.nodes))
-        lines.append(f"path {address} {port} {text}")
-    return "\n".join(lines) + "\n"
+        yield f"path {address} {port} {text}\n"
+
+
+def format_topology(net: SimNetwork) -> str:
+    return "".join(topology_lines(net))
 
 
 # Targets the IPv4 plan 10.x.y.z can number, from 1.

@@ -150,8 +150,16 @@ def encode_packet(
 
     `src`, `ttl` and `options`, when given, are sent in place of the packet's own.
     """
-    src = pack_address(pkt.src if src is None else src)
-    dst = pack_address(pkt.dst)
+    return encode_packed(
+        pkt, pack_address(pkt.src if src is None else src), pack_address(pkt.dst), ttl, options
+    )
+
+
+def encode_packed(
+    pkt: TcpPacket, src: bytes, dst: bytes, ttl: int | None = None, options: bytes | None = None
+) -> bytes:
+    """`encode_packet` from addresses the caller has packed (4 or 16 bytes),
+    sent in place of the packet's own text ones."""
     if ttl is None:
         ttl = pkt.ttl
     if len(src) != len(dst):

@@ -8,7 +8,6 @@ target per campaign, no retries; the first valid response wins.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import time
@@ -28,7 +27,12 @@ from .options import (
     encode_mp_capable,
     parse_options_prefix,
 )
-from .packet import FLAG_RST, FLAG_SYN_ACK, RawSegment, TcpPacket, ip_family
+from .packet import FLAG_RST, FLAG_SYN_ACK, RawSegment, TcpPacket
+
+try:  # the built-in module; hashlib's would also map OpenSSL's libcrypto
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without it
+    from hashlib import blake2b
 
 # Default v0 campaign key: a documented constant of Hamming weight 16, so key
 # weight histograms from different campaigns line up.
@@ -113,9 +117,9 @@ class Classification:
 
 # Keyed by campaign constants only: the seed and the digest size.
 @functools.lru_cache(maxsize=16)
-def _keyed_blake2b(seed: int, digest_size: int) -> hashlib.blake2b:
+def _keyed_blake2b(seed: int, digest_size: int) -> blake2b:
     """A blake2b that has absorbed the seed as its key; callers hash copies of it."""
-    return hashlib.blake2b(key=seed.to_bytes(8, "big", signed=False), digest_size=digest_size)
+    return blake2b(key=seed.to_bytes(8, "big", signed=False), digest_size=digest_size)
 
 
 def _keyed_digest(data: bytes, seed: int, digest_size: int) -> int:
@@ -139,9 +143,13 @@ def derive_src_port(target: str, port: int, seed: int) -> int:
 
 
 def build_syn_probe(spec: ProbeSpec, seed: int = 0) -> TcpPacket:
-    """Build the SYN carrying exactly one MP_CAPABLE option."""
+    """Build the SYN carrying exactly one MP_CAPABLE option.
+
+    The family is read from the text (IPv6 alone has a colon) without parsing
+    the address: the caller's blocklist lookup has parsed it already.
+    """
     return TcpPacket(
-        src=DEFAULT_SCANNER_ADDR_V4 if ip_family(spec.target) == 4 else DEFAULT_SCANNER_ADDR_V6,
+        src=DEFAULT_SCANNER_ADDR_V6 if ":" in spec.target else DEFAULT_SCANNER_ADDR_V4,
         dst=spec.target,
         src_port=derive_src_port(spec.target, spec.port, seed),
         dst_port=spec.port,
@@ -248,6 +256,26 @@ class VirtualClock:
             self.now += seconds
 
 
+# The tail of a real-clock wait spent polling the clock rather than asleep:
+# `time.sleep` of a few µs takes tens of µs, and each overshoot would cost
+# the pacer a send slot.
+SLEEP_SLACK_S = 200e-6
+
+
+def precise_sleep(
+    seconds: float,
+    clock: Callable[[], float] = time.monotonic,
+    sleep: Callable[[float], None] = time.sleep,
+) -> None:
+    """Wait until `seconds` have passed on `clock`: `sleep` all but the last
+    SLEEP_SLACK_S, then poll `clock` for the rest."""
+    deadline = clock() + seconds
+    if seconds > SLEEP_SLACK_S:
+        sleep(seconds - SLEEP_SLACK_S)
+    while clock() < deadline:
+        pass
+
+
 class RatePacer:
     """Spaces sends one interval apart so no 1-second window exceeds the rate.
 
@@ -259,7 +287,7 @@ class RatePacer:
         self,
         packets_per_second: float,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
+        sleep: Callable[[float], None] = precise_sleep,
     ):
         if not 0 < packets_per_second < math.inf:  # NaN and inf would never wait
             raise GuardViolation(f"rate must be positive and finite, got {packets_per_second}")
@@ -388,9 +416,10 @@ def target_row(line: str) -> tuple[str, int]:
     return address.strip(), int(port)
 
 
-def load_targets(lines: Iterable[str]) -> list[tuple[str, int]]:
-    """Parse a target list: one `address,port` per line, `#` comments."""
-    return [target_row(line) for line in data_lines(lines)]
+def load_targets(lines: Iterable[str]) -> Iterator[tuple[str, int]]:
+    """Each target of a target list, as it is read: one `address,port` per
+    line, `#` comments."""
+    return map(target_row, data_lines(lines))
 
 
 def run_campaign(

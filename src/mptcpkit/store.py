@@ -111,12 +111,11 @@ class SnapshotStore:
             for record in snapshot.records.values():
                 existing.add(record)
             snapshot = existing
-        lines = [
-            f"# snapshot {snapshot.date} {snapshot.family} "
-            f"port={snapshot.port} version={snapshot.version}"
-        ]
-        lines += [snapshot.records[a].to_line() for a in sorted(snapshot.records)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        records = snapshot.records
+        with open(path, "w", encoding="utf-8") as f:  # a line at a time, not one string
+            f.write(f"# snapshot {snapshot.date} {snapshot.family} "
+                    f"port={snapshot.port} version={snapshot.version}\n")
+            f.writelines(f"{records[a].to_line()}\n" for a in sorted(records))
         return path
 
     def _read(self, path: Path, template: ScanSnapshot) -> ScanSnapshot:

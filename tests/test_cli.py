@@ -1,10 +1,14 @@
 import dataclasses
+import gc
 import json
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
+import textwrap
+import tracemalloc
 from itertools import takewhile
 from pathlib import Path
 
@@ -118,7 +122,7 @@ class TestScan:
         )
         scan = workdir / "scan.jsonl"
         scan.write_text(record.to_json() + "\n")
-        assert _read_records(str(scan)) == [record]
+        assert list(_read_records(str(scan))) == [record]
 
     def test_dry_run_emits_probe_bytes(self, workdir):
         out = workdir / "dry.jsonl"
@@ -659,6 +663,54 @@ class TestOutKeptOnFailure:
         run_ok(["report", "summary", "--in", str(trace), "--out", str(out)])
         assert out.read_bytes() == b""
 
+    def test_bad_row_late_in_the_input_keeps_previous_out(self, workdir, capsys):
+        # Targets stream: rows before the bad one are written, to a temporary
+        # file that the failure removes.
+        rows = [f"10.7.{i // 256}.{i % 256},80" for i in range(1, 3001)]
+        rows[2999] = "10.7.11.184"  # row 3,000 has no port
+        (workdir / "long.csv").write_text("\n".join(rows) + "\n")
+        out = workdir / "out.txt"
+        out.write_bytes(b"previous\n")
+        before = sorted(os.listdir(workdir))
+        assert main(["scan", "--targets", str(workdir / "long.csv"), "--dry-run",
+                     "--out", str(out)]) == 1
+        assert "expected address,port" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous\n"
+        assert sorted(os.listdir(workdir)) == before  # no temporary file left
+
+    def test_clean_run_replaces_out_whole(self, workdir):
+        out = workdir / "out.txt"
+        out.write_bytes(b"previous\n" * 1000)
+        run_ok(["scan", "--targets", str(workdir / "targets.csv"), "--dry-run",
+                "--out", str(out)])
+        assert len(out.read_text().splitlines()) == 5
+        assert sorted(os.listdir(workdir)) == [
+            "blocklist.txt", "out.txt", "targets.csv", "topology.txt"]
+
+    def test_out_through_a_symlink_replaces_its_target(self, workdir):
+        target = workdir / "real.txt"
+        target.write_bytes(b"previous\n")
+        link = workdir / "link.txt"
+        link.symlink_to(target)
+        run_ok(["scan", "--targets", str(workdir / "targets.csv"), "--dry-run",
+                "--out", str(link)])
+        assert link.is_symlink()
+        assert len(target.read_text().splitlines()) == 5
+
+    def test_fifo_out_written_in_place(self, workdir):
+        fifo = workdir / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open
+        try:
+            run_ok(["scan", "--targets", str(workdir / "targets.csv"), "--dry-run",
+                    "--out", str(fifo)])
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert len(text.splitlines()) == 5
+        assert not [name for name in os.listdir(workdir) if name.endswith(".tmp")]
+
 
 # The options each command or report kind cannot run without.
 REQUIRED_OPTIONS = {
@@ -856,6 +908,33 @@ class TestParserReuse:
             "both", "both", "truly_capable", "both"]
         assert "v0_only" in reused[1] and "only_a" in reused[3]
 
+    def test_report_selector_patched_after_a_first_call_runs(self, workdir, monkeypatch):
+        scan = workdir / "scan.csv"
+        scan.write_text("0.000000,10.0.0.1,80,0,potential_capable,00000000000000aa\n")
+        store = str(workdir / "store")
+        run_ok(["report", "ingest", "--in", str(scan), "--store", store, "--date", "2021-01"])
+        calls = []
+
+        def select(series, window_months, at_date):
+            calls.append((sorted(series), window_months, at_date))
+            return {"10.9.9.9"}
+
+        monkeypatch.setattr(cli.store_mod, "consistent_hosts", select)
+        out = workdir / "consistent.txt"
+        run_ok(["report", "consistent", "--store", store, "--at", "2021-01", "--window", "1",
+                "--out", str(out)])
+        assert calls == [(["2021-01"], 1, "2021-01")]
+        assert out.read_text() == "10.9.9.9,80\n"
+
+    def test_report_writer_patched_after_a_first_call_runs(self, workdir, monkeypatch):
+        trace = workdir / "trace.txt"
+        trace.write_text("10.0.0.1,80,truly_capable,,\n")
+        argv = ["report", "summary", "--in", str(trace), "--out", str(workdir / "summary")]
+        run_ok(argv)
+        monkeypatch.setattr(cli, "_write_summary", lambda args, f: f.write("patched\n"))
+        run_ok(argv)
+        assert (workdir / "summary").read_text() == "patched\n"
+
     def test_command_patched_after_a_first_call_runs(self, workdir, monkeypatch):
         argv = ["scan", "--targets", str(workdir / "targets.csv"), "--dry-run",
                 "--out", str(workdir / "scan.txt")]
@@ -972,6 +1051,76 @@ def test_cli_import_loads_no_numeric_stack():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_campaign_commands_load_neither_tls_nor_openssl(tmp_path):
+    # blake2b comes from the built-in _blake2 module, and ssl is imported only
+    # by a live TLS fetch: no simulated command maps OpenSSL.
+    (tmp_path / "prefixes.txt").write_text("10.0.0.0/8,64500\n")
+    code = textwrap.dedent("""
+        import sys
+        from mptcpkit.cli import main
+
+        def run(*argv):
+            assert main(list(argv)) == 0, argv
+
+        run("simulate", "--generate", "300", "--seed", "4", "--out-topology", "topo.txt",
+            "--out-targets", "targets.txt", "--out-truth", "truth.csv")
+        run("scan", "--targets", "targets.txt", "--sim-topology", "topo.txt", "--seed", "4",
+            "--out", "scan.csv")
+        run("trace", "--from-scan", "scan.csv", "--sim-topology", "topo.txt", "--seed", "4",
+            "--out", "trace.csv")
+        run("keys", "--from-scan", "scan.csv", "--out", "keys.txt")
+        run("report", "summary", "--in", "trace.csv", "--out", "summary.txt")
+        run("report", "ingest", "--in", "scan.csv", "--store", "store", "--date", "2026-01",
+            "--out", "ingest.txt")
+        run("report", "top", "--in", "trace.csv", "--prefixes", "prefixes.txt",
+            "--out", "top.csv")
+        run("bench", "--targets", "targets.txt", "--sim-topology", "topo.txt", "--runs", "2",
+            "--seed", "4", "--out-dir", "bench-out")
+        print(sorted(m for m in ("ssl", "_ssl", "_hashlib") if m in sys.modules))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(mptcpkit.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+class TestPerTargetMemory:
+    """Each campaign command streams its input: the Python memory it peaks
+    at, over what it must keep (the topology index for `scan` and `trace`,
+    the keys for `keys`, the snapshot for `report ingest`), stays within a
+    few hundred bytes per target (`tracemalloc`, 2x10^4 targets)."""
+
+    COUNT = 20000
+
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("campaign")
+        run_ok(["simulate", "--generate", str(self.COUNT), "--seed", "3",
+                "--out-topology", str(d / "topo.txt"), "--out-targets", str(d / "targets.txt")])
+        run_ok(["scan", "--targets", str(d / "targets.txt"), "--sim-topology",
+                str(d / "topo.txt"), "--seed", "3", "--out", str(d / "scan.csv")])
+        return d
+
+    @pytest.mark.parametrize("command, bound", [
+        ("scan --targets targets.txt --sim-topology topo.txt --seed 3 --out out.csv", 280),
+        ("trace --from-scan scan.csv --sim-topology topo.txt --seed 3 --out out.csv", 300),
+        ("keys --from-scan scan.csv --out out.txt", 100),
+        ("report ingest --in scan.csv --store store --date 2026-01 --out out.txt", 320),
+    ], ids=["scan", "trace", "keys", "report-ingest"])
+    def test_peak_per_target(self, campaign, monkeypatch, command, bound):
+        monkeypatch.chdir(campaign)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_ok(command.split())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / self.COUNT < bound, f"{peak / self.COUNT:.0f} B per target"
 
 
 class TestReportHostRows:

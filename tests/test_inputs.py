@@ -137,7 +137,7 @@ def _decorated(text):
 
 SNAPSHOT = ScanSnapshot("2021-12", "v4", 80, 0)
 READERS = {
-    "targets": ("10.0.0.1,80\n2001:db8::1,443\n", cli._read_targets),
+    "targets": ("10.0.0.1,80\n2001:db8::1,443\n", lambda p: list(cli._read_targets(p))),
     "blocklist": (
         "10.0.0.0/8\n2001:db8::/32,64500\n",
         lambda p: [Blocklist.load(p).matches(a) for a in ("10.9.9.9", "2001:db8::5", "192.0.2.1")],
@@ -157,7 +157,7 @@ READERS = {
         "0.000000,10.0.0.1,80,0,potential_capable,00000000000000aa\n"
         '{"address": "10.0.0.2", "classification": "no_response", "port": 443,'
         ' "timestamp": 1.0, "version": 1}\n',
-        cli._read_records,
+        lambda p: list(cli._read_records(p)),
     ),
     "trace records": ("10.0.0.1,80,truly_capable,,aa00000000000001\n10.0.0.2,80,unreachable,,\n",
                       lambda p: _main_output(["report", "summary", "--in", str(p)], p)),
@@ -214,11 +214,11 @@ def _summary_exit_code(path):
 # Each takes the path of a file holding the text and reads it the way the
 # program does; any exception but ValueError fails the test.
 TEXT_READERS = {
-    "scan": cli._read_records,
+    "scan": lambda p: list(cli._read_records(p)),
     "trace": _summary_exit_code,
     "host rows": lambda p: cli._read_hosts(str(p), None),
     "labelled host rows": lambda p: cli._read_hosts(str(p), "truly_capable"),
-    "targets": cli._read_targets,
+    "targets": lambda p: list(cli._read_targets(p)),
     "keys": lambda p: keystats.read_keys(p.read_text().splitlines()),
     "blocklist": lambda p: Blocklist.load(p).matches("10.0.0.1"),
     "prefix table": lambda p: EnrichmentTable.load(p).lookup_asn("2001:db8::1"),
@@ -240,7 +240,7 @@ def test_readers_raise_only_value_error(rows):
 
 def test_load_targets_names_the_format():
     with pytest.raises(ValueError, match="expected address,port"):
-        load_targets(["10.0.0.1"])
+        list(load_targets(["10.0.0.1"]))
 
 
 def test_prefix_table_file_needs_an_asn(tmp_path):

@@ -55,7 +55,7 @@ def _syn():
 def _matches(syn, data):
     from mptcpkit.live import _match_reply, _reply_keys
 
-    return _match_reply(data, *_reply_keys(syn))
+    return _match_reply(data, pack_address(syn.dst), *_reply_keys(syn))
 
 
 def _quote(syn, data):
@@ -282,7 +282,7 @@ def test_matched_reply_is_decoded_once(paired_transport, monkeypatch):
     monkeypatch.setattr(live, "make_response", counting_make_response)
     tcp_peer.send(_reply(src_port=81, options=b"\x1e\x09\x00\x81"))  # another flow
     tcp_peer.send(_reply(options=b"\x1e\x09\x00\x81"))
-    resp = transport._await(_syn(), want_icmp=False)
+    resp = transport._await(_syn(), pack_address(_syn().dst), want_icmp=False)
     assert resp is not None
     assert resp.note == "truncated option kind 30"
     assert resp.rtt_ms >= 0
@@ -302,7 +302,7 @@ def test_hop_reply_is_built_once(paired_transport, monkeypatch):
     monkeypatch.setattr(live, "HopReply", counting_hop_reply)
     responder = bytes([0x45]) + bytes(11) + bytes([192, 0, 2, 77]) + bytes([10, 0, 0, 9])
     icmp_peer.send(responder + bytes([11]) + bytes(7) + encode_packet(_syn()))
-    hop = transport._await(_syn(), want_icmp=True)
+    hop = transport._await(_syn(), pack_address(_syn().dst), want_icmp=True)
     assert hop.responder == "192.0.2.77"
     assert hop.quote == encode_packet(_syn())
     assert hop.rtt_ms >= 0
@@ -399,3 +399,36 @@ def test_ttl_probe_matches_icmp_quote(paired_transport, polls, delay):
         assert polls == []
     else:
         assert polls and set(polls) == {True}
+
+
+def test_each_probe_packs_its_destination_once(paired_transport, monkeypatch):
+    # A scan through the live transport parses each destination twice: once
+    # for the blocklist lookup and once to send the SYN and match its reply.
+    from mptcpkit import inputs, live, packet
+    from mptcpkit.probe import (Blocklist, CampaignGuard, ProbeSpec, RatePacer, VirtualClock,
+                                build_syn_probe, run_campaign)
+
+    monkeypatch.setattr(live, "local_source_address", lambda target: "10.9.9.9")
+    transport = paired_transport[0]
+    transport.timeout_ms = 1.0  # nothing answers
+    transport._sources = {}
+    transport._send = _RecordingSocket()
+    targets = [(f"10.0.{i // 4}.{i}", 80 + i % 3) for i in range(40)]
+    clock = VirtualClock()
+    guard = CampaignGuard(Blocklist(["10.99.0.0/16"]),
+                          RatePacer(1e6, clock=clock, sleep=clock.sleep))
+    packed = []
+
+    def counting_pack(text):
+        packed.append(text)
+        return pack_address(text)
+
+    for module in (packet, inputs, live):
+        monkeypatch.setattr(module, "pack_address", counting_pack)
+    records = list(run_campaign(targets, version=1, guard=guard, transport=transport, seed=3))
+    assert [r.label for r in records] == ["no_response"] * len(targets)
+    assert len(packed) == 2 * len(targets)
+    assert transport._send.sent == [
+        (encode_packet(build_syn_probe(ProbeSpec(a, p, 1), 3), "10.9.9.9"), (a, 0))
+        for a, p in targets
+    ]

@@ -20,7 +20,7 @@ import pytest
 from mptcpkit import cli
 from mptcpkit.errors import TransportUnavailable
 from mptcpkit.netsim import SimPath, ground_truth, true_host
-from mptcpkit.packet import TcpPacket
+from mptcpkit.packet import TcpPacket, pack_address
 
 IPPROTO_MPTCP = 262
 MPTCP_SWITCH = Path("/proc/sys/net/mptcp/enabled")
@@ -215,6 +215,6 @@ def test_scan_with_descriptors_above_1024(tmp_path, endpoints, high_descriptors,
     try:
         assert min(transport._tcp.fileno(), transport._icmp.fileno()) >= 1024
         unsent = TcpPacket(src="127.0.0.1", dst=CLOSED_HOST, src_port=9, dst_port=9, seq=0)
-        assert transport._await(unsent, want_icmp=True) is None
+        assert transport._await(unsent, pack_address(CLOSED_HOST), want_icmp=True) is None
     finally:
         transport.close()

@@ -798,7 +798,8 @@ def test_call_sequences_draw_keys_as_the_reference_does(interior, endpoint, addr
         else:
             assert net.ttl_probe(syn, ttl) == ref.ttl_probe(syn, ttl)
     # The network keeps one draw count per stream, and nothing else.
-    assert net._key_draws == {ident: next(c) for ident, c in ref._ref_counters.items()}
+    assert net._key_draws == {f"{address}|{port}|{hop}".encode(): next(c)
+                              for (address, port, hop), c in ref._ref_counters.items()}
 
 
 # -- key draws -------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import bisect
 import dataclasses
+import functools
 import hashlib
+import inspect
 import ipaddress
 import math
 
@@ -31,12 +34,14 @@ from mptcpkit.probe import (
     ProbeResponse,
     ProbeSpec,
     RatePacer,
+    SLEEP_SLACK_S,
     VirtualClock,
     build_syn_probe,
     classify_response,
     derive_seq,
     derive_src_port,
     load_targets,
+    precise_sleep,
     run_campaign,
 )
 
@@ -376,4 +381,77 @@ class TestCampaign:
 
 def test_load_targets():
     lines = ["# comment", "10.0.0.1,80", " 2001:db8::1 , 443 ", ""]
-    assert load_targets(lines) == [("10.0.0.1", 80), ("2001:db8::1", 443)]
+    assert list(load_targets(lines)) == [("10.0.0.1", 80), ("2001:db8::1", 443)]
+
+
+# -- pacing against a real clock ------------------------------------------------
+
+
+class OversleepingClock:
+    """A stand-in for the monotonic clock and `time.sleep` of a real machine:
+    every read of the clock takes `read_s`, and every sleep lasts
+    `overshoot_s` longer than asked, as short sleeps do."""
+
+    def __init__(self, read_s: float = 1e-6, overshoot_s: float = 60e-6):
+        self.now = 0.0
+        self.read_s = read_s
+        self.overshoot_s = overshoot_s
+        self.sleeps = 0
+
+    def __call__(self) -> float:
+        self.now += self.read_s
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps += 1
+        self.now += seconds + self.overshoot_s
+
+
+def _paced_sends(rate: float, sleep, clock: OversleepingClock, seconds: float = 1.5):
+    """(slots, sends): the slot `acquire` gives each send and when the send
+    leaves, for a pacer at `rate` that waits with `sleep` on `clock`; each
+    send then takes 40 µs of work, about what a live probe costs on loopback."""
+    pacer = RatePacer(rate, clock=clock, sleep=sleep)
+    slots, sends = [], []
+    for _ in range(int(rate * seconds)):
+        slots.append(pacer.acquire())
+        sends.append(clock())
+        clock.now += 40e-6
+    return slots, sends
+
+
+def _achieved(sends: list[float]) -> float:
+    return (len(sends) - 1) / (sends[-1] - sends[0])
+
+
+def test_pacer_waits_with_the_precise_sleep_by_default():
+    assert inspect.signature(RatePacer).parameters["sleep"].default is precise_sleep
+
+
+@pytest.mark.parametrize("rate", [500.0, 1000.0, 4000.0, 8000.0, 12000.0, 17000.0])
+def test_precise_sleep_holds_the_rate_against_oversleeping(rate):
+    clock = OversleepingClock()
+    sleep = functools.partial(precise_sleep, clock=clock, sleep=clock.sleep)
+    slots, sends = _paced_sends(rate, sleep, clock)
+    assert _achieved(sends) >= 0.9 * rate
+    # No 1 s window holds more slots than the rate allows, and each send
+    # leaves at its slot, never before, late by no more than a few clock reads.
+    for i, start in enumerate(slots):
+        assert bisect.bisect_left(slots, start + 1.0 - 1e-9) - i <= rate
+    assert all(0 <= send - slot <= 3 * clock.read_s for slot, send in zip(slots, sends))
+    # The clock's sleep, used alone, loses a send slot to each overshoot once
+    # the work and the overshoot outlast the interval.
+    if rate >= 12000:
+        alone = OversleepingClock()
+        assert _achieved(_paced_sends(rate, alone.sleep, alone)[1]) < 0.9 * rate
+
+
+def test_precise_sleep_sleeps_all_but_the_slack():
+    clock = OversleepingClock(overshoot_s=SLEEP_SLACK_S / 2)
+    precise_sleep(0.01, clock=clock, sleep=clock.sleep)
+    assert clock.sleeps == 1
+    assert 0.01 <= clock.now <= 0.01 + 3 * clock.read_s
+    short = OversleepingClock()
+    precise_sleep(SLEEP_SLACK_S / 2, clock=short, sleep=short.sleep)
+    assert short.sleeps == 0  # a wait inside the slack is all polling
+    assert SLEEP_SLACK_S / 2 <= short.now <= SLEEP_SLACK_S / 2 + 3 * short.read_s
