@@ -45,36 +45,60 @@ from .probe import (
 POSITIVE_SCAN_LABELS = {"potential_capable"}
 
 
+def _through_proc(path: str) -> bool:
+    """Whether `path` resolves through /proc, as /dev/stdout, /dev/fd/N and a
+    shell's `>(cmd)` do: their last link names a file some descriptor already
+    holds open (a pipe, or a log opened for appending), to be written, not
+    replaced."""
+    for _ in range(40):  # as many links as the kernel follows
+        head = os.path.realpath(os.path.dirname(os.path.abspath(path)))
+        if head == "/proc" or head.startswith("/proc/"):
+            return True
+        path = os.path.join(head, os.path.basename(path))
+        if not os.path.islink(path):
+            return False
+        path = os.path.join(head, os.readlink(path))
+    return False
+
+
 class _OutFile:
     """`--out`, replaced whole, and only by a run that succeeds.
 
     Rows go to a temporary file beside it, opened at the first write (or at
     a clean exit without one, so an empty result still empties `--out`),
-    that `os.replace` renames over `--out` at a clean exit; a run that fails,
-    even after writing (a bad row late in a streamed input), removes it. An
-    existing `--out` that is not a regular file (a FIFO, /dev/null) cannot be
-    replaced, so it is opened at the first write and written in place.
+    that `os.replace` renames over `--out`, with the old file's permission
+    bits, at a clean exit; a run that fails, even after writing (a bad row
+    late in a streamed input), removes it. A `--out` that cannot be replaced
+    is opened at the first write and written in place: one that exists and
+    is not a regular file (a FIFO, /dev/null), one reached through /proc
+    (/dev/stdout, /dev/fd/N), and one whose directory takes no new file.
     """
 
     def __init__(self, path: str):
-        self._path = os.path.realpath(path)  # through a symlink, to its target
         try:
-            self._in_place = not stat.S_ISREG(os.stat(self._path).st_mode)
+            st = os.stat(path)  # through symlinks: /dev/stdout on a pipe is a FIFO
         except OSError:  # no file yet, or one that opening will report on
-            self._in_place = False
+            st = None
+        self._in_place = (st is not None and not stat.S_ISREG(st.st_mode)) or _through_proc(path)
+        self._path = path if self._in_place else os.path.realpath(path)  # a link's target
+        self._mode = None if st is None else stat.S_IMODE(st.st_mode)
         self._temp = None
         self._file = None
 
     def _open(self):
-        if self._in_place:
-            return open(self._path, "w", encoding="utf-8")
-        head, tail = os.path.split(self._path)
-        for n in itertools.count():  # a name no other run holds
-            self._temp = os.path.join(head, f".{tail}.{n}.tmp")
-            try:
-                return open(self._temp, "x", encoding="utf-8")
-            except FileExistsError:
-                continue
+        if not self._in_place:
+            head, tail = os.path.split(self._path)
+            for n in itertools.count():  # a name no other run holds
+                temp = os.path.join(head, f".{tail}.{n}.tmp")
+                try:
+                    file = open(temp, "x", encoding="utf-8")
+                except FileExistsError:
+                    continue
+                except PermissionError:  # a directory that takes no new file
+                    break
+                self._temp = temp
+                return file
+        return open(self._path, "w", encoding="utf-8")
 
     def write(self, text: str) -> int:
         if self._file is None:
@@ -92,6 +116,8 @@ class _OutFile:
         try:
             self._file.close()
             if self._temp is not None and exc_type is None:
+                if self._mode is not None:
+                    os.chmod(self._temp, self._mode)
                 os.replace(self._temp, self._path)
                 self._temp = None
         finally:

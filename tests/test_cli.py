@@ -711,6 +711,57 @@ class TestOutKeptOnFailure:
         assert len(text.splitlines()) == 5
         assert not [name for name in os.listdir(workdir) if name.endswith(".tmp")]
 
+    def test_pipe_out_through_dev_fd_written_in_place(self, workdir):
+        # /dev/fd/N of a pipe resolves to /proc/PID/fd/pipe:[N], which names
+        # no directory a temporary file could go in.
+        read_end, write_end = os.pipe()
+        try:
+            run_ok(["scan", "--targets", str(workdir / "targets.csv"), "--dry-run",
+                    "--out", f"/dev/fd/{write_end}"])
+            text = os.read(read_end, 1 << 16).decode()
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert len(text.splitlines()) == 5
+
+    def test_file_out_through_dev_fd_written_not_replaced(self, workdir):
+        # As /dev/stdout is when the shell sends stdout to a file: the file a
+        # descriptor holds open is written, not renamed over.
+        log = workdir / "log.txt"
+        log.write_bytes(b"previous\n")
+        with open(log, "a") as held:
+            inode = os.fstat(held.fileno()).st_ino
+            run_ok(["scan", "--targets", str(workdir / "targets.csv"), "--dry-run",
+                    "--out", f"/dev/fd/{held.fileno()}"])
+        assert os.stat(log).st_ino == inode
+        assert len(log.read_text().splitlines()) == 5
+        assert not [name for name in os.listdir(workdir) if name.endswith(".tmp")]
+
+    def test_replaced_out_keeps_its_permission_bits(self, workdir):
+        out = workdir / "out.txt"
+        out.write_bytes(b"previous\n")
+        out.chmod(0o600)
+        run_ok(["scan", "--targets", str(workdir / "targets.csv"), "--dry-run",
+                "--out", str(out)])
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o600
+        assert len(out.read_text().splitlines()) == 5
+
+    def test_out_in_a_directory_that_takes_no_new_file_written_in_place(
+            self, workdir, monkeypatch):
+        def no_new_files(file, mode="r", **kwargs):
+            if mode == "x":
+                raise PermissionError(13, "Permission denied", file)
+            return open(file, mode, **kwargs)
+
+        monkeypatch.setattr(cli, "open", no_new_files, raising=False)
+        out = workdir / "out.txt"
+        out.write_bytes(b"previous\n")
+        inode = os.stat(out).st_ino
+        run_ok(["scan", "--targets", str(workdir / "targets.csv"), "--dry-run",
+                "--out", str(out)])
+        assert os.stat(out).st_ino == inode
+        assert len(out.read_text().splitlines()) == 5
+
 
 # The options each command or report kind cannot run without.
 REQUIRED_OPTIONS = {
