@@ -20,7 +20,7 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import bench as bench_mod
 from . import flows as flows_mod
@@ -233,68 +233,39 @@ def _probe_key(args) -> Key | None:
     return Key.from_hex(args.probe_key) if args.probe_key else None
 
 
-def _close(transport) -> None:
-    """Close a live transport's sockets; a simulated network holds none."""
-    close = getattr(transport, "close", None)
-    if close is not None:
-        close()
+def _write_rows(path: str | None, rows: Iterable, line: Callable[..., str], transport) -> int:
+    """Write `line(row)` for each of `rows` to --out `path`, and close a live
+    transport's sockets however the run ends (a simulated network holds none)."""
+    try:
+        with _out(path) as f:
+            for row in rows:
+                f.write(line(row) + "\n")
+    finally:
+        close = getattr(transport, "close", None)
+        if close is not None:
+            close()
+    return 0
 
 
 def cmd_scan(args) -> int:
     guard = _guard_from_args(args)
     probe_key = _probe_key(args)
-    targets = _read_targets(args.targets)
     transport = None if args.dry_run else _resolve_transport(args)
-    try:
-        records = run_campaign(
-            targets,
-            version=args.version,
-            guard=guard,
-            transport=transport,
-            probe_key=probe_key,
-            seed=args.seed,
-        )
-        with _out(args.out) as f:
-            for record in records:
-                f.write((record.to_json() if args.format == "jsonl" else record.to_csv()) + "\n")
-    finally:
-        _close(transport)
-    return 0
+    records = run_campaign(_read_targets(args.targets), version=args.version, guard=guard,
+                           transport=transport, probe_key=probe_key, seed=args.seed)
+    line = CampaignRecord.to_json if args.format == "jsonl" else CampaignRecord.to_csv
+    return _write_rows(args.out, records, line, transport)
 
 
 def cmd_trace(args) -> int:
     guard = _guard_from_args(args)
     probe_key = _probe_key(args)
-    if args.from_scan is not None:
-        targets = _drain(_targets_from_scan(args.from_scan, POSITIVE_SCAN_LABELS))
-    else:
-        targets = _read_targets(args.targets)
-    opened = _resolve_transport(args)
-    transport = PacedTransport(opened, guard.pacer)
-    try:
-        with _out(args.out) as f:
-            for address, port in targets:
-                if guard.blocklist.matches(address):
-                    record = tracer.TraceRecord(address, port, "skipped")
-                else:
-                    try:
-                        _trace, verdict = tracer.inspect_target(
-                            address,
-                            port,
-                            args.version,
-                            transport,
-                            max_ttl=args.max_ttl,
-                            probe_key=probe_key,
-                            seed=args.seed,
-                        )
-                    except OSError:  # a send that failed for this target only
-                        record = tracer.TraceRecord(address, port, "error")
-                    else:
-                        record = tracer.TraceRecord.from_verdict(address, port, verdict)
-                f.write(record.to_csv() + "\n")
-    finally:
-        _close(opened)
-    return 0
+    targets = (_read_targets(args.targets) if args.from_scan is None
+               else _drain(_targets_from_scan(args.from_scan, POSITIVE_SCAN_LABELS)))
+    transport = _resolve_transport(args)
+    rows = tracer.trace_campaign(targets, version=args.version, guard=guard, transport=transport,
+                                 max_ttl=args.max_ttl, probe_key=probe_key, seed=args.seed)
+    return _write_rows(args.out, rows, tracer.TraceRecord.to_csv, transport)
 
 
 def cmd_keys(args) -> int:
@@ -599,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pcap = sub.add_parser("analyze-pcap", parents=[out], help="flow and MPTCP share statistics")
     pcap.add_argument("--in", dest="infile", action="append", required=True)
-    pcap.add_argument("--min-packets", type=int, default=5)
+    pcap.add_argument("--min-packets", type=_ranged(int, 0), default=5)
     pcap.add_argument("--services", default=None)
     pcap.add_argument("--extra-services", default=None)
     pcap.add_argument("--unidirectional", action="store_true")
@@ -617,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     window.add_argument("--at", required=True, help="last month of the window, YYYY-MM")
     window.add_argument("--window", type=_ranged(int, 1), default=3)
     window.add_argument("--family", choices=("v4", "v6"), default="v4")
-    window.add_argument("--port", type=int, default=80)
+    window.add_argument("--port", type=_ranged(int, 0, 65535), default=80)
     window.add_argument("--version", type=int, choices=(0, 1), default=0)
 
     def kind(name: str, help_text: str, write: str, *parents, **defaults):

@@ -305,7 +305,8 @@ class SimNetwork:
         mc = view.syn_mc
         if mc is None or mc.version not in endpoint.supported_versions:
             return None  # no version overlap: fall back to plain TCP
-        key = self._next_key(syn.dst, syn.dst_port, len(path.nodes) - 1, endpoint)
+        # Interior node i draws on stream i; the endpoint on the TTL it answers at.
+        key = self._next_key(syn.dst, syn.dst_port, len(path.nodes), endpoint)
         reply = MpCapable(mc.version, DEFAULT_MP_FLAGS, key)
         return TcpOption(30, encode_mp_capable(reply, HandshakePhase.SYN_ACK)[2:])
 

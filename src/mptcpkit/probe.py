@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol, TypeVar
 
 from .errors import GuardViolation, IllegalCombination, OptionError
 from .inputs import PrefixTable, data_lines, prefix_rows
@@ -422,6 +422,28 @@ def load_targets(lines: Iterable[str]) -> Iterator[tuple[str, int]]:
     return map(target_row, data_lines(lines))
 
 
+Row = TypeVar("Row")  # one output row of a probing command
+
+
+def probe_targets(targets: Iterable[tuple[str, int]], blocklist: Blocklist,
+                  probe: Callable[[str, int], Row],
+                  unprobed: Callable[[str, int, str, str | None], Row]) -> Iterator[Row]:
+    """The per-target loop of every probing command: one row per target, in
+    input order. A target `blocklist` matches gets `unprobed(address, port,
+    "skipped", None)` and no packet; any other gets `probe(address, port)`,
+    or `unprobed(address, port, "error", str(exc))` if that raises OSError (a
+    send that failed for this target only), and the run goes on."""
+    for address, port in targets:
+        if blocklist.matches(address):
+            yield unprobed(address, port, "skipped", None)
+            continue
+        try:
+            row = probe(address, port)
+        except OSError as exc:
+            row = unprobed(address, port, "error", str(exc))
+        yield row
+
+
 def run_campaign(
     targets: Iterable[tuple[str, int]],
     *,
@@ -431,42 +453,35 @@ def run_campaign(
     probe_key: Key | None = None,
     seed: int = 0,
 ) -> Iterator[CampaignRecord]:
-    """Probe each target once, classify, and yield one record per target.
+    """Probe each target once through `probe_targets`, and classify.
 
-    Blocklisted targets are skipped (and still recorded). Every send waits
-    on `guard.pacer`, and its send slot is the record's timestamp; skipped
-    and dry-run rows read the pacer's clock. Without a transport the run is
-    dry: it emits the built probes and sends nothing. A target whose probe
-    raises OSError gets an `error` record noting the exception, and the
-    campaign goes on. Output order follows input order.
+    Every send waits on `guard.pacer`, and its send slot is the record's
+    timestamp, an `error` record's too; skipped and dry-run rows read the
+    pacer's clock. Without a transport the run is dry: it emits the built
+    probes and sends nothing.
     """
     if version == 0 and probe_key is None:
         probe_key = DEFAULT_PROBE_KEY
-    clock = guard.pacer.clock
+    pacer = guard.pacer
+    sent_at = 0.0  # the send slot of the latest probe
 
-    for address, port in targets:
-        if guard.blocklist.matches(address):
-            yield CampaignRecord(clock(), address, port, version, "skipped")
-            continue
+    def probe(address: str, port: int) -> CampaignRecord:
+        nonlocal sent_at
         spec = ProbeSpec(address, port, version, probe_key)
         syn = build_syn_probe(spec, seed)
         if transport is None:
-            yield CampaignRecord(
-                clock(), address, port, version, "dry_run",
-                note=syn.options.hex(),
-            )
-            continue
-        ts = guard.pacer.acquire()
-        try:
-            resp = transport.handshake(syn)
-        except OSError as exc:  # a send that failed for this target only
-            yield CampaignRecord(ts, address, port, version, "error", note=str(exc))
-            continue
-        cls = classify_response(spec, resp)
-        yield CampaignRecord(
-            ts, address, port, version, cls.label,
-            sender_key=cls.sender_key, got_version=cls.got_version, note=cls.note,
-        )
+            return CampaignRecord(pacer.clock(), address, port, version, "dry_run",
+                                  note=syn.options.hex())
+        sent_at = pacer.acquire()
+        cls = classify_response(spec, transport.handshake(syn))
+        return CampaignRecord(sent_at, address, port, version, cls.label, cls.sender_key,
+                              cls.got_version, cls.note)
+
+    def unprobed(address: str, port: int, label: str, note: str | None) -> CampaignRecord:
+        timestamp = sent_at if label == "error" else pacer.clock()
+        return CampaignRecord(timestamp, address, port, version, label, note=note)
+
+    return probe_targets(targets, guard.blocklist, probe, unprobed)
 
 
 def make_response(seg: RawSegment, rtt_ms: float) -> ProbeResponse:

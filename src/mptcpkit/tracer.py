@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .options import (
     Key,
@@ -25,11 +25,14 @@ from .options import (
 from .packet import FLAG_SYN_ACK, extract_quoted_options
 from .probe import (
     DEFAULT_PROBE_KEY,
+    CampaignGuard,
     HopReply,
+    PacedTransport,
     PacketTransport,
     ProbeResponse,
     ProbeSpec,
     build_syn_probe,
+    probe_targets,
 )
 
 # Tries per TTL before the hop is recorded as unobserved; the first reply wins.
@@ -258,12 +261,20 @@ class TraceRecord:
         return cls(address, int(port), verdict, int(ttl) if ttl else None,
                    Key(int(key, 16)) if key else None)
 
-    @classmethod
-    def from_verdict(cls, address: str, port: int, verdict: PathVerdict) -> "TraceRecord":
-        return cls(
-            address=address,
-            port=port,
-            verdict=verdict.label,
-            first_modifying_ttl=verdict.first_modifying_ttl,
-            final_key=verdict.sender_key,
+
+def trace_campaign(targets: Iterable[tuple[str, int]], *, version: int, guard: CampaignGuard,
+                   transport: PacketTransport, max_ttl: int = 30, probe_key: Key | None = None,
+                   seed: int = 0) -> Iterator[TraceRecord]:
+    """Inspect each target's path through `probe_targets`: one verdict row
+    per target, each TTL probe of which first waits on `guard.pacer`."""
+    paced = PacedTransport(transport, guard.pacer)
+
+    def probe(address: str, port: int) -> TraceRecord:
+        _trace, verdict = inspect_target(
+            address, port, version, paced, max_ttl=max_ttl, probe_key=probe_key, seed=seed
         )
+        return TraceRecord(address, port, verdict.label, verdict.first_modifying_ttl,
+                           verdict.sender_key)
+
+    return probe_targets(targets, guard.blocklist, probe,
+                         lambda address, port, label, _note: TraceRecord(address, port, label))

@@ -797,6 +797,10 @@ def _usage_cases():
          "argument --from-scan: not allowed with argument --in"),
         (["scan", "--targets", "t", "--seed", "x"], "argument --seed: invalid seed 'x'"),
         (["bench", "--targets", "t", "--runs", "x"], "argument --runs: invalid int value: 'x'"),
+        (["analyze-pcap", "--in", "c", "--min-packets", "-7"],
+         "argument --min-packets: must be >= 0, got -7"),
+        (["report", "consistent", "--store", "s", "--at", "2021-01", "--port", "70000"],
+         "argument --port: must be >= 0 and <= 65535, got 70000"),
     ):
         yield pytest.param(argv, 2, error, id=" ".join(argv))
     kinds = [command for command in REQUIRED_OPTIONS if command[0] == "report"]

@@ -6,9 +6,10 @@ paths were optimised. A change that only makes the toolkit faster must
 leave every digest as it is. The `bench-out/` digests were recorded again
 when the simulated jitter became the top 53 bits of its blake2b digest, and
 the six key-bearing digests when each simulated key became a blake2b digest
-of its stream's identity and draw number. `KEY_BLIND` pins the five row files
-with their key column cleared, as they were before that change: only the keys
-moved.
+of its stream's identity and draw number, and again when the endpoint's
+stream became the TTL it answers at, no longer the last interior hop's.
+`KEY_BLIND` pins the five row files with their key column cleared, as they
+were before those changes: only the keys moved.
 """
 
 import hashlib
@@ -31,18 +32,18 @@ GOLDEN = {
     "topology.txt": "59af902571eb6f0226b00424c3271fed1d88e4d537cc9d174ecda0b4a3f7912b",
     "targets.csv": "14557266c9b64f35ef14627ecc2348a4e05f77d47295d5051d346b7015caaf52",
     "truth.csv": "d27c902ce87e046af30556dd4407f6f8f708d37087ce21c6f80460af9ba57c9d",
-    "scan.csv": "a440bd0fb4efd3517a5f97734276da04415fafb5f60d6d385a0738b026bb6748",
-    "keys.txt": "658cf3271bfb3f8a90dcc44aaf49b76157be02bd868f50661d7ff9eb6ad24dc8",
-    "trace.csv": "998f6205a8b278666d6e03573ff9905dd4f565eea3f6480c77a54250ea2f61f2",
+    "scan.csv": "25dc5d5f3b40f7b9094bacbba2c61b9e84e440cc6e51405c26710f3cdc7c5a57",
+    "keys.txt": "924025b4081b97e0968428d1a43ec06c374d1928baa6ea61c31df4d0b8154ca0",
+    "trace.csv": "192e36462ac0f783dc8b6aeb7b34ded1256ac53cb9ede6698af98eaaccb3144c",
     "summary.csv": "9456465e800bc46e1767cca9c540652f6ff3e5c970c3fdb1e1995a42074c6763",
     "bench-out/connect.cdf.txt": "6bbb76f0fdeeb59b136692ba52e1b043a229922a28298f6e4c6f93957bc269e5",
     "bench-out/tls.cdf.txt": "d77163436052739c0666abf515e3f07f7d09708046a964ce344ddc0edec56a14",
     "bench-out/ttfb.cdf.txt": "b263f77d7f4e3cb32a8579da2b4b98c70c3d13d3b9c23efda282ae9a933a9e5a",
     "bench-out/total.cdf.txt": "48d931143c2ed16816fee7a093b43d1bbd6cd8191de56a1a49b3e800afdb63bc",
     "bench-out/summary.txt": "bb6d3d584ef8d99534acd6744d8c7d81a0e70c63249277f407b8722b8530c9fd",
-    "scan-v1.csv": "61ff7ef64de1ea351f5b079a6b4b01adf4fe10edd07db45cc680d44e81619e7a",
-    "trace-v1.csv": "a1f7868f5ede74b6025c6ac52a93fda42981b997524946c45e0b7814ff01fe11",
-    "scan.jsonl": "46fa6c2ffe6b0e8a4a1da8ae05516041e2c609bc88c98f283b9333247f3c66bb",
+    "scan-v1.csv": "ab3b7e7c82260bf4fdcf13077577c2b6f80ef7f4dbea167d1d978ff6a71c6e8f",
+    "trace-v1.csv": "cacc7aac9e2c42a7f954e9ebe9630103f1b6d70f4de9fa5ef4793a0389e0f9c6",
+    "scan.jsonl": "9af7a288943f8428c45315b9ba9bb2ff829970a09e8d3e2f0fdf371a46f6ebd5",
 }
 
 # The row files with the sender's key blanked: the last CSV field cleared, and
@@ -115,3 +116,16 @@ def test_seeded_pipeline_outputs_unchanged(pipeline):
 def test_outputs_unchanged_but_for_their_keys(pipeline):
     d = pipeline[0]
     assert {name: key_blind_digest(d / name) for name in KEY_BLIND} == KEY_BLIND
+
+
+def test_v1_trace_keys_are_the_scan_keys(pipeline):
+    # A v1 SYN is keyless, so the endpoint's key is the first draw of its own
+    # stream in a scan and in a trace alike, however often the TTL walk passes
+    # a key_rewrite hop; the endpoint's stream is the TTL it answers at.
+    d = pipeline[0]
+    scan = [row.split(",") for row in (d / "scan-v1.csv").read_text().splitlines()]
+    scan_keys = {(row[1], row[2]): row[5] for row in scan}
+    trace = [row.split(",") for row in (d / "trace-v1.csv").read_text().splitlines()]
+    capable = [row for row in trace if row[2] == "truly_capable"]
+    assert len(capable) > 40
+    assert [row[4] for row in capable] == [scan_keys[row[0], row[1]] for row in capable]

@@ -675,7 +675,7 @@ class ReferenceNetwork(SimNetwork):
             except OptionError:
                 mc = None
             if mc is not None and mc.version in endpoint.supported_versions:
-                key = self._ref_key(syn, len(path.nodes) - 1, endpoint)
+                key = self._ref_key(syn, len(path.nodes), endpoint)
                 answer = MpCapable(mc.version, DEFAULT_MP_FLAGS, key)
                 reply = encode_mp_capable(answer, HandshakePhase.SYN_ACK)
         for i in range(len(path.interior), 0, -1):
@@ -892,7 +892,7 @@ def test_seed_outside_64_bits_parses_and_draws(key_seed, node):
     keys = _handshake_keys(net, [("10.0.0.1", 80)] * 2)
     # A host draws once per handshake; a key_rewrite hop draws on the way out
     # and again on the way back, and the reply carries the second draw.
-    hop, draws = (0, (0, 1)) if token.startswith("true_host") else (1, (1, 3))
+    hop, draws = (1, (0, 1)) if token.startswith("true_host") else (1, (1, 3))
     assert keys == [reference_key(1, "10.0.0.1", 80, hop, n, key_seed) for n in draws]
     assert DEFAULT_PROBE_KEY not in keys
 

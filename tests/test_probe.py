@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from mptcpkit import cli
 from mptcpkit.errors import GuardViolation, IllegalCombination
-from mptcpkit.netsim import SimNetwork, SimPath, true_host
+from mptcpkit.netsim import (
+    SimNetwork,
+    SimPath,
+    generate_population,
+    parse_topology,
+    topology_lines,
+    true_host,
+)
 from mptcpkit.options import (
     DEFAULT_MP_FLAGS,
     HandshakePhase,
@@ -44,6 +51,7 @@ from mptcpkit.probe import (
     precise_sleep,
     run_campaign,
 )
+from mptcpkit.tracer import trace_campaign
 
 K = Key(0x00000000000000FF)
 K_OTHER = Key(0xDEADBEEF12345678)
@@ -382,6 +390,89 @@ class TestCampaign:
 def test_load_targets():
     lines = ["# comment", "10.0.0.1,80", " 2001:db8::1 , 443 ", ""]
     assert list(load_targets(lines)) == [("10.0.0.1", 80), ("2001:db8::1", 443)]
+
+
+# -- the one per-target loop of scan and trace ---------------------------------
+
+LOOP_TOPOLOGY = list(topology_lines(generate_population(16, seed=4)))
+LOOP_TARGETS = parse_topology(LOOP_TOPOLOGY).targets()
+LOOP_ADDRESSES = sorted({address for address, _port in LOOP_TARGETS})
+
+
+class CountingPacer(RatePacer):
+    waits = 0
+
+    def acquire(self) -> float:
+        self.waits += 1
+        return super().acquire()
+
+
+class FailingFor:
+    """A fresh simulated network, except that every send to an address in
+    `failing` raises OSError. Each send is counted, failed or not, and takes
+    half a send interval of `clock`, so a row stamped after its send would
+    differ from its send slot."""
+
+    def __init__(self, failing, clock):
+        self.net = parse_topology(LOOP_TOPOLOGY, seed=4)
+        self.failing = failing
+        self.clock = clock
+        self.sends = 0
+
+    def _send(self, syn):
+        self.sends += 1
+        self.clock.sleep(0.0005)
+        if syn.dst in self.failing:
+            raise OSError(f"sendto {syn.dst}: network unreachable")
+
+    def handshake(self, syn):
+        self._send(syn)
+        return self.net.handshake(syn)
+
+    def ttl_probe(self, syn, ttl):
+        self._send(syn)
+        return self.net.ttl_probe(syn, ttl)
+
+
+def _loop_rows(command, targets, blocked, failing, version):
+    """(rows, their labels, pacer waits, sends) of one run."""
+    clock = VirtualClock()
+    pacer = CountingPacer(1000.0, clock=clock, sleep=clock.sleep)
+    guard = CampaignGuard(Blocklist(blocked), pacer)
+    transport = FailingFor(failing, clock)
+    if command == "scan":
+        rows = list(run_campaign(targets, version=version, guard=guard, transport=transport,
+                                 seed=4))
+        labels = [row.label for row in rows]
+    else:
+        rows = list(trace_campaign(targets, version=version, guard=guard, transport=transport,
+                                   max_ttl=6, seed=4))
+        labels = [row.verdict for row in rows]
+    return rows, labels, pacer.waits, transport.sends
+
+
+@given(
+    command=st.sampled_from(["scan", "trace"]),
+    version=st.sampled_from([0, 1]),
+    targets=st.lists(st.sampled_from(LOOP_TARGETS), max_size=24),
+    blocked=st.sets(st.sampled_from(LOOP_ADDRESSES)),
+    failing=st.sets(st.sampled_from(LOOP_ADDRESSES)),
+)
+@settings(max_examples=150, deadline=None)
+def test_scan_and_trace_share_one_loop(command, version, targets, blocked, failing):
+    rows, labels, waits, sends = _loop_rows(command, targets, blocked, failing, version)
+    clean = _loop_rows(command, targets, blocked, set(), version)[0]
+    assert [(row.address, row.port) for row in rows] == targets
+    assert [label == "skipped" for label in labels] == [
+        address in blocked for address, _port in targets]
+    assert [label == "error" for label in labels] == [
+        address in failing - blocked for address, _port in targets]
+    for row, label, clean_row in zip(rows, labels, clean):
+        if label != "error":
+            assert row == clean_row
+        elif command == "scan":  # the failed send kept its slot
+            assert row.timestamp == clean_row.timestamp
+    assert waits == sends  # one pacer wait per packet sent
 
 
 # -- pacing against a real clock ------------------------------------------------
