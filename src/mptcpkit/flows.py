@@ -10,12 +10,20 @@ A `FlowKey` holds packed addresses, (src, dst, src_port, dst_port) with
 `src_addr` or `dst_addr` is read. Ingest keeps one table and makes a key
 once per flow. MP_CAPABLE is decoded only for packets whose options contain
 the kind byte 30 and whose flow has no version yet.
+
+Ingest reads each packet where it lies in its block (`pcapio.read_blocks`):
+`packet.flow_fields` reads an IPv4 packet without IP options, or an IPv6
+packet whose next header is TCP, in one unpack. Any other packet (IP options,
+extension headers, fragments, truncation, other protocols) is sliced out of
+its block on its own and goes through `decode_tcp`, `is_non_tcp` and
+`is_later_fragment`.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 from math import ceil
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
@@ -23,8 +31,8 @@ from typing import IO, Iterable, Mapping, NamedTuple
 from .errors import EmptyInput, MissingTables
 from .inputs import data_lines
 from .options import decode_mp_capable_any, parse_options_prefix
-from .packet import address_text, decode_tcp, is_later_fragment, is_non_tcp
-from .pcapio import LINKTYPE_NULL, LINKTYPE_RAW, read_pcap
+from .packet import address_text, decode_tcp, flow_fields, is_later_fragment, is_non_tcp
+from .pcapio import LINKTYPE_NULL, LINKTYPE_RAW, read_blocks
 
 _U16 = struct.Struct("!H")
 
@@ -108,20 +116,21 @@ class FlowTable:
     fragments: int = 0  # TCP fragments after the first: no TCP header
 
 
-def _ip_start(linktype: int, frame: bytes) -> int | None:
-    """Offset of the IP packet in a NULL or Ethernet `frame`; None when the
-    link header is cut short or names no IPv4 or IPv6 payload."""
+def _ip_start(linktype: int, data: bytes, start: int, end: int) -> int | None:
+    """Offset of the IP packet in the NULL or Ethernet frame `data[start:end]`;
+    None when the link header is cut short or names no IPv4 or IPv6 payload."""
+    size = end - start
     if linktype == LINKTYPE_NULL:
-        return 4 if len(frame) > 4 else None
-    if len(frame) < 14:
+        return start + 4 if size > 4 else None
+    if size < 14:
         return None
-    ethertype = _U16.unpack_from(frame, 12)[0]
-    offset = 14
+    ethertype = _U16.unpack_from(data, start + 12)[0]
+    offset = start + 14
     if ethertype == 0x8100:  # one VLAN tag
-        if len(frame) < 18:
+        if size < 18:
             return None
-        ethertype = _U16.unpack_from(frame, 16)[0]
-        offset = 18
+        ethertype = _U16.unpack_from(data, start + 16)[0]
+        offset = start + 18
     return offset if ethertype in (0x0800, 0x86DD) else None
 
 
@@ -140,45 +149,56 @@ def ingest_capture(
     source: str | Path | IO[bytes], bidirectional: bool = True
 ) -> FlowTable:
     """Aggregate every TCP packet of a pcap into per-flow counters."""
-    linktype, frames = read_pcap(source)
+    linktype, blocks = read_blocks(source)
     flows: dict[FlowKey, FlowStats] = {}
     frames_seen = tcp_packets = tcp_bytes = parse_failures = non_tcp = fragments = 0
     raw = linktype == LINKTYPE_RAW  # every frame is an IP packet: no link header
-    for _ts, frame in frames:
-        frames_seen += 1
-        start = 0 if raw else _ip_start(linktype, frame)
-        if start is None:
-            parse_failures += 1
-            continue
-        segment = decode_tcp(frame, start)
-        if segment is None:
-            ip_data = frame[start:]
-            if is_non_tcp(ip_data):
-                non_tcp += 1
-            elif is_later_fragment(ip_data):
-                fragments += 1
-            else:
+    for data, offsets in blocks:
+        frames_seen += len(offsets) - 1
+        record = 0
+        for end in islice(offsets, 1, None):
+            start = record + 16  # the frame, past its record header
+            record = end
+            ip = start if raw else _ip_start(linktype, data, start, end)
+            if ip is None:
                 parse_failures += 1
-            continue
-        src, dst, sport, dport, _seq, _ack, _flags, _ttl, _win, options, ip_bytes, _len = (
-            segment
-        )
-        # Same endpoint order as FlowKey.canonical: (packed address, port).
-        if bidirectional and (dst, dport) < (src, sport):
-            key = (dst, src, dport, sport)
-        else:
-            key = (src, dst, sport, dport)
-        stats = flows.get(key)  # a FlowKey hashes and compares as its tuple
-        if stats is None:
-            stats = flows[FlowKey._make(key)] = FlowStats()
-        # The version is set once and never changes, and a kind-30 option
-        # needs the byte 30, so other packets cannot change the flow.
-        mp_version = None
-        if options and stats.mptcp_version is None and 30 in options:
-            mp_version = _mp_version(options)
-        stats.update(ip_bytes, mp_version)
-        tcp_packets += 1
-        tcp_bytes += ip_bytes
+                continue
+            fields = flow_fields(data, ip, end)
+            if fields is not None:
+                src, dst, sport, dport, ip_bytes, opt_start, opt_end = fields
+                options = data
+            else:  # the uncommon layouts: parse this one frame on its own
+                packet = data[start:end]
+                ip -= start
+                segment = decode_tcp(packet, ip)
+                if segment is None:
+                    ip_data = packet[ip:]
+                    if is_non_tcp(ip_data):
+                        non_tcp += 1
+                    elif is_later_fragment(ip_data):
+                        fragments += 1
+                    else:
+                        parse_failures += 1
+                    continue
+                src, dst, sport, dport = segment[:4]
+                options, ip_bytes = segment[9:11]
+                opt_start, opt_end = 0, len(options)
+            # Same endpoint order as FlowKey.canonical: (packed address, port).
+            if bidirectional and (dst, dport) < (src, sport):
+                key = (dst, src, dport, sport)
+            else:
+                key = (src, dst, sport, dport)
+            stats = flows.get(key)  # a FlowKey hashes and compares as its tuple
+            if stats is None:
+                stats = flows[FlowKey._make(key)] = FlowStats()
+            # The version is set once and never changes, and a kind-30 option
+            # needs the byte 30, so other packets cannot change the flow.
+            mp_version = None
+            if stats.mptcp_version is None and options.find(30, opt_start, opt_end) >= 0:
+                mp_version = _mp_version(options[opt_start:opt_end])
+            stats.update(ip_bytes, mp_version)
+            tcp_packets += 1
+            tcp_bytes += ip_bytes
     return FlowTable(
         flows, frames_seen=frames_seen, tcp_packets=tcp_packets, tcp_bytes=tcp_bytes,
         parse_failures=parse_failures, non_tcp=non_tcp, fragments=fragments,

@@ -4,6 +4,9 @@ Enough of the wire format to build SYN probes, synthesize captures, and read
 TCP headers back out of responses and ICMP-quoted packets. The reader follows
 the IPv6 Hop-by-Hop, Routing, Destination Options and Fragment headers; a later
 fragment (IPv4 or IPv6) has no TCP header. No fragmentation or reassembly.
+`flow_fields` reads what passive ingest needs from the two common layouts in
+one unpack, bounded by the end of the packet's record, and leaves every other
+packet to `decode_tcp`.
 """
 
 from __future__ import annotations
@@ -102,6 +105,10 @@ _TCP = struct.Struct("!HHIIBBHHH")  # ports seq ack offset flags window csum urg
 # flags as one word.
 _IPV4_TCP = struct.Struct("!BBHHHBBH4s4sHHIIHHHH")
 _IPV6_TCP = struct.Struct("!IHBB16s16sHHIIHHHH")
+# The common layouts up to the TCP data offset, for `flow_fields`: an IPv4
+# header without options (its first byte read apart), or an IPv6 header.
+_IPV4_FLOW = struct.Struct("!xxH2xHxB2x4s4sHH8xB")  # len frag proto src dst ports offset
+_IPV6_FLOW = struct.Struct("!4xHBx16s16sHH8xB")  # payload-len next-header src dst ports offset
 _U16 = struct.Struct("!H")
 _FRAGMENT_OFFSET = 0x1FFF  # mask of the IPv4 fragment offset field
 _V6_EXTENSIONS = (0, 43, 44, 60)  # Hop-by-Hop, Routing, Fragment, Destination Options
@@ -286,6 +293,44 @@ def decode_tcp(data: bytes, start: int = 0) -> RawSegment | None:
         src, dst, src_port, dst_port, seq, ack, flags, ttl, window, options,
         ip_total, payload_len if payload_len > 0 else 0,
     )
+
+
+# src, dst (packed), src_port, dst_port, IP length, options start, options end.
+FlowFields = tuple[bytes, bytes, int, int, int, int, int]
+
+
+def flow_fields(data: bytes, start: int, end: int) -> FlowFields | None:
+    """(src, dst, src_port, dst_port, IP length, options start, options end)
+    of the packet in `data[start:end]`, read in one unpack, as `decode_tcp`
+    of that slice reads them; the options are `data[options start:options end]`.
+
+    Only two layouts are read: IPv4 without IP options and not a later
+    fragment, and IPv6 whose next header is TCP, each with its whole TCP
+    header before `end`. None for anything else, which `decode_tcp` decides.
+    """
+    size = end - start
+    if size < IPV4_HEADER_LEN + TCP_HEADER_LEN:
+        return None
+    first = data[start]
+    if first == 0x45:
+        ip_total, frag, proto, src, dst, src_port, dst_port, offset = _IPV4_FLOW.unpack_from(
+            data, start)
+        if proto != 6 or frag & _FRAGMENT_OFFSET:
+            return None
+        tcp = start + IPV4_HEADER_LEN
+    elif first >> 4 == 6 and size >= IPV6_HEADER_LEN + TCP_HEADER_LEN:
+        payload_len, proto, src, dst, src_port, dst_port, offset = _IPV6_FLOW.unpack_from(
+            data, start)
+        if proto != 6:
+            return None
+        ip_total = IPV6_HEADER_LEN + payload_len
+        tcp = start + IPV6_HEADER_LEN
+    else:
+        return None
+    tcp_len = (offset >> 4) * 4
+    if tcp_len < TCP_HEADER_LEN or tcp + tcp_len > end:
+        return None
+    return src, dst, src_port, dst_port, ip_total, tcp + TCP_HEADER_LEN, tcp + tcp_len
 
 
 def decode_packet(data: bytes) -> ParsedSegment | None:

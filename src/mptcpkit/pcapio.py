@@ -6,14 +6,20 @@ gzip-compressed. Link types: Ethernet (1), raw IP (101), and NULL/loopback
 or a compressed stream cut short, ends the stream quietly; an unreadable
 global header or corrupt compressed data is fatal.
 
-Frames are sliced out of 64 KiB blocks of the (decompressed) file, so memory
-stays bounded by one block plus the largest frame, whatever the file size.
+The file is read in 64 KiB blocks of its (decompressed) bytes. `read_blocks`
+yields each block with the offsets of the whole records in it, so a reader
+finds every frame in place without a copy; `read_pcap` is the per-frame view
+of the same walk, which slices out each frame and its timestamp. Memory stays
+bounded by one block and its offsets (8 bytes a record) plus the largest
+frame, whatever the file size.
 """
 
 from __future__ import annotations
 
 import io
 import struct
+from array import array
+from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Iterator
 
@@ -30,6 +36,7 @@ GZIP_MAGIC = b"\x1f\x8b"
 
 # Per-record header (ts_sec, ts_frac, incl_len, orig_len), by byte order.
 _RECORD = {"<": struct.Struct("<IIII"), ">": struct.Struct(">IIII")}
+_INCL_LEN = {"<": struct.Struct("<8xI"), ">": struct.Struct(">8xI")}
 BLOCK = 1 << 16  # bytes read at a time
 
 
@@ -63,12 +70,12 @@ def _gunzip_reader(f: IO[bytes], consumed: int) -> Callable[[int], bytes]:
     return read
 
 
-def read_pcap(source: str | Path | IO[bytes]) -> tuple[int, Iterator[tuple[float, bytes]]]:
-    """Open a pcap file; returns (linktype, iterator of (timestamp, frame)).
+Blocks = Iterator[tuple[bytes, array]]
 
-    A file opened here is closed when the frames run out, or at once when
-    the global header raises MalformedCapture.
-    """
+
+def _open(source: str | Path | IO[bytes]) -> tuple[int, str, float, Blocks]:
+    """(linktype, byte order, timestamp divisor, blocks) of the capture at
+    `source`, its global header read and checked."""
     owned = isinstance(source, (str, Path))
     f = open(source, "rb") if owned else source
     try:
@@ -95,34 +102,68 @@ def read_pcap(source: str | Path | IO[bytes]) -> tuple[int, Iterator[tuple[float
         if owned:
             f.close()
         raise
-    ts_divisor = 1e9 if magic == MAGIC_NS else 1e6
-    record = _RECORD[endian].unpack_from
+    blocks = _walk(read, _INCL_LEN[endian].unpack_from, f if owned else None)
+    return linktype, endian, 1e9 if magic == MAGIC_NS else 1e6, blocks
+
+
+def _walk(read: Callable[[int], bytes], incl_len: Callable, owned: IO[bytes] | None) -> Blocks:
+    """(block, offsets) for each block that holds a whole record: record i
+    runs from offsets[i] to offsets[i + 1], its 16-byte header first."""
+    try:
+        tail, missing = b"", 0
+        while True:
+            # A record cut at the end of a block is completed by reads of
+            # what it lacks, a block at most: two blocks are never joined,
+            # and a corrupt length reserves no more than a block.
+            buf = tail + read(min(missing, BLOCK) if tail else BLOCK)
+            size = len(buf)
+            if size == len(tail):
+                return
+            offsets = array("Q", (0,))  # 32 KiB at the most, 4,096 records to a block
+            pos = 0
+            while True:
+                end = pos + 16
+                if end > size:
+                    break
+                end += incl_len(buf, pos)[0]
+                if end > size:
+                    break
+                offsets.append(end)
+                pos = end
+            if pos:
+                yield buf, offsets
+            tail, missing = buf[pos:], end - size
+    finally:
+        if owned is not None:
+            owned.close()
+
+
+def read_blocks(source: str | Path | IO[bytes]) -> tuple[int, Blocks]:
+    """Open a pcap file; returns (linktype, iterator of (block, offsets)).
+
+    Each block comes with the offsets of the whole records it holds: record i
+    is `block[offsets[i]:offsets[i + 1]]`, a 16-byte record header and then
+    the frame. A file opened here is closed as `read_pcap` closes it.
+    """
+    linktype, _endian, _divisor, blocks = _open(source)
+    return linktype, blocks
+
+
+def read_pcap(source: str | Path | IO[bytes]) -> tuple[int, Iterator[tuple[float, bytes]]]:
+    """Open a pcap file; returns (linktype, iterator of (timestamp, frame)).
+
+    A file opened here is closed when the frames run out, or at once when
+    the global header raises MalformedCapture.
+    """
+    linktype, endian, divisor, blocks = _open(source)
+    stamp = _RECORD[endian].unpack_from
 
     def frames() -> Iterator[tuple[float, bytes]]:
-        try:
-            tail, missing = b"", 0
-            while True:
-                # A record cut at the end of a block is completed by reads of
-                # what it lacks, a block at most: two blocks are never joined,
-                # and a corrupt length reserves no more than a block.
-                buf = tail + read(min(missing, BLOCK) if tail else BLOCK)
-                size = len(buf)
-                if size == len(tail):
-                    return
-                pos = 0
-                while True:
-                    end = pos + 16
-                    if end > size:
-                        break
-                    ts_sec, ts_frac, incl_len, _orig_len = record(buf, pos)
-                    end += incl_len
-                    if end > size:
-                        break
-                    yield ts_sec + ts_frac / ts_divisor, buf[pos + 16 : end]
-                    pos = end
-                tail, missing = buf[pos:], end - size
-        finally:
-            if owned:
-                f.close()
+        for buf, offsets in blocks:
+            pos = 0
+            for end in islice(offsets, 1, None):
+                ts_sec, ts_frac, _incl_len, _orig_len = stamp(buf, pos)
+                yield ts_sec + ts_frac / divisor, buf[pos + 16 : end]
+                pos = end
 
     return linktype, frames()

@@ -16,6 +16,7 @@ from mptcpkit.packet import (
     decode_tcp,
     encode_packet,
     extract_quoted_options,
+    flow_fields,
     is_later_fragment,
     is_non_tcp,
     ip_family,
@@ -447,3 +448,48 @@ def test_decode_at_offset_matches_decode_alone(prefix, packet, cut):
     assert from_bytearray == seg
     if seg is not None:
         assert type(seg[9]) is bytes and type(from_bytearray[9]) is bytes
+
+
+# -- flow_fields: decode_tcp's flow fields for the two common layouts, in one read ---
+
+
+def _with_ip_options(data: bytes) -> bytes:
+    """An IPv4 packet with one word of NOP options in its header (IHL 6)."""
+    return bytes([0x46]) + data[1:2] + struct.pack("!H", len(data) + 4) + data[4:20] + (
+        b"\x01" * 4) + data[20:]
+
+
+@given(
+    st.binary(max_size=48),
+    st.one_of(_wire_bytes, _encoded().map(lambda case: case[0]), _v6_behind_extensions,
+              _encoded().map(lambda case: case[0]).filter(lambda d: d[0] == 0x45)
+              .map(_with_ip_options)),
+    st.integers(min_value=0, max_value=200),
+    st.binary(max_size=8),
+)
+@settings(max_examples=1000)
+@example(b"", encode_packet(syn()), 43, b"")  # cut inside the TCP options
+@example(b"\x45", encode_packet(syn()), 39, b"")  # cut inside the fixed TCP header
+@example(b"", encode_packet(syn(src="2001:db8::1", dst="2001:db8::2")), 59, b"")
+@example(b"", encode_packet(syn(src="2001:db8::1", dst="2001:db8::2")), 30, b"")  # in IPv6
+@example(b"", encode_packet(syn()), 12, b"")  # inside the IPv4 header
+@example(b"", b"", 0, b"")
+def test_flow_fields_are_decode_tcp_fields_of_the_window(prefix, packet, cut, suffix):
+    # The window [start, end) sits inside a larger buffer: what follows `end`
+    # is the rest of the packet, which a read past `end` would find.
+    data = prefix + packet + suffix
+    start = len(prefix)
+    end = min(start + cut, len(data))
+    got = flow_fields(data, start, end)
+    window = data[start:end]
+    seg = decode_tcp(window)
+    common = len(window) >= 20 and (
+        window[0] == 0x45 or (window[0] >> 4 == 6 and len(window) >= 40 and window[6] == 6))
+    if seg is None or not common:
+        assert got is None
+        return
+    assert got is not None
+    src, dst, src_port, dst_port, ip_bytes, options_start, options_end = got
+    assert (src, dst, src_port, dst_port, ip_bytes) == (*seg[:4], seg[10])
+    assert start < options_start <= options_end <= end  # the whole TCP header is inside
+    assert data[options_start:options_end] == seg[9]

@@ -1,4 +1,5 @@
-"""The block reader in `pcapio.read_pcap` against a per-record reference."""
+"""The block reader in `pcapio` against a per-record reference, and ingest
+straight out of its blocks against the per-frame reference ingest."""
 
 import gzip
 import io
@@ -7,11 +8,13 @@ import tracemalloc
 
 import pytest
 
-from capture_helpers import capture_bytes, tcp_frame
+from capture_helpers import capture_bytes, tcp_frame, with_v6_headers
 from mptcpkit import pcapio
 from mptcpkit.errors import MalformedCapture
 from mptcpkit.flows import ingest_capture
+from mptcpkit.options import HandshakePhase, MpCapable, encode_mp_capable
 from mptcpkit.pcapio import BLOCK, LINKTYPE_ETHERNET, LINKTYPE_RAW, MAGIC_NS, MAGIC_US, read_pcap
+from test_flows import reference_ingest
 
 _FORMATS = [("<", False), (">", False), ("<", True), (">", True)]
 _FORMAT_IDS = ["le-us", "be-us", "le-ns", "be-ns"]
@@ -144,3 +147,116 @@ def test_corrupt_frame_length_reserves_no_more_than_a_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+# -- ingest straight out of the blocks: the same shapes, real frames -----------------
+
+_V1_SYN = encode_mp_capable(MpCapable(1), HandshakePhase.SYN)
+_LINKTYPES = [LINKTYPE_RAW, LINKTYPE_ETHERNET]
+_LINK_IDS = ["raw", "ethernet"]
+
+
+def _packet(n: int, payload_len: int) -> bytes:
+    """Record n's IP packet: IPv4 or IPv6 TCP in a few flows and both
+    directions, with and without an MP_CAPABLE, some behind an IPv6
+    Hop-by-Hop header, and now and then a UDP datagram."""
+    kind = n % 5
+    port = 40000 + n % 3
+    options = _V1_SYN if n % 4 == 0 else b"\x01\x01\x08\x0a" + bytes(8)
+    if kind == 0:
+        return tcp_frame("10.0.0.1", "10.0.0.2", port, 443, options=options,
+                         payload_len=payload_len)
+    if kind == 1:
+        return tcp_frame("10.0.0.2", "10.0.0.1", 443, port, payload_len=payload_len)
+    if kind == 2:
+        return tcp_frame("2001:db8::1", "2001:db8::2", port, 80, options=options,
+                         payload_len=payload_len)
+    if kind == 3:
+        return with_v6_headers(tcp_frame("2001:db8::2", "2001:db8::1", 80, port,
+                                         payload_len=payload_len), (0,))
+    udp = bytearray(tcp_frame("10.0.0.3", "10.0.0.4", port, 53, payload_len=payload_len))
+    udp[9] = 17
+    return bytes(udp)
+
+
+def _real_frame(n: int, size: int, linktype: int) -> bytes:
+    """A frame of exactly `size` bytes for record n: the link header (Ethernet,
+    every other one VLAN-tagged) and `_packet(n)`, cut short like a snaplen
+    when `size` is small, followed by a trailer when it is past what one IP
+    packet holds."""
+    link = b""
+    if linktype == LINKTYPE_ETHERNET:
+        ethertype = b"\x86\xdd" if n % 5 in (2, 3) else b"\x08\x00"
+        link = bytes(6) + b"\xbb" * 6 + (b"\x81\x00\x00\x07" if n % 2 else b"") + ethertype
+    header_len = len(link) + len(_packet(n, 0))
+    frame = link + _packet(n, min(max(0, size - header_len), 60000))
+    return frame[:size] + bytes(max(0, size - len(frame)))
+
+
+def _ingest_matches_reference(data: bytes, packed: bool):
+    raw = gzip.compress(data) if packed else data
+    got = ingest_capture(io.BytesIO(raw))
+    want = reference_ingest(io.BytesIO(raw), True)
+    assert list(got.flows) == list(want.flows)
+    assert got == want  # the same FlowStats per flow and the same six counters
+    return want
+
+
+@pytest.mark.parametrize("linktype", _LINKTYPES, ids=_LINK_IDS)
+@pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("endian, nanos", _FORMATS, ids=_FORMAT_IDS)
+def test_ingest_across_the_block_edge(packed, endian, nanos, linktype):
+    for shift in (-40, -17, -16, -15, -8, -1, 0, 1, 15, 16, 17, 40):
+        records = [(1, 999_999, _real_frame(0, _TO_EDGE + shift, linktype))]
+        # Some of the later frames are cut short inside a header, as by a snaplen.
+        records += [(2 + n, n * 1000, _real_frame(n, 40 + 9 * n, linktype)) for n in range(1, 11)]
+        table = _ingest_matches_reference(capture(records, endian, nanos, linktype), packed)
+        assert table.frames_seen == 11 and table.non_tcp == 2, shift
+        assert table.tcp_packets >= 5 and table.parse_failures >= 2
+        assert any(s.mptcp_version for s in table.flows.values())
+
+
+@pytest.mark.parametrize("linktype", _LINKTYPES, ids=_LINK_IDS)
+@pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("endian, nanos", _FORMATS, ids=_FORMAT_IDS)
+def test_ingest_frame_larger_than_a_block(packed, endian, nanos, linktype):
+    sizes = [100, 3 * BLOCK + 123, 0, 2 * BLOCK, 70]
+    records = [(n, n, _real_frame(n, size, linktype)) for n, size in enumerate(sizes)]
+    table = _ingest_matches_reference(capture(records, endian, nanos, linktype), packed)
+    assert (table.tcp_packets, table.non_tcp, table.parse_failures) == (3, 1, 1)
+    assert table.tcp_bytes < 2 * BLOCK  # counted by the IP length, not the frame's
+
+
+@pytest.mark.parametrize("linktype", _LINKTYPES, ids=_LINK_IDS)
+@pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("endian, nanos", _FORMATS, ids=_FORMAT_IDS)
+def test_ingest_every_cut_of_a_multi_block_capture(monkeypatch, packed, endian, nanos,
+                                                   linktype):
+    monkeypatch.setattr(pcapio, "BLOCK", 64)
+    sizes = [0, 1, 47, 48, 49, 64, 100, 130, 250, 3, 16, 200, 40, 80, 20, 120]
+    records = [(n, n * 7, _real_frame(n, size, linktype)) for n, size in enumerate(sizes)]
+    data = capture(records, endian, nanos, linktype)
+    assert _ingest_matches_reference(data, packed).tcp_packets >= 5
+    for cut in range(24, len(data) + 1):
+        _ingest_matches_reference(data[:cut], packed)
+
+
+def test_ingest_peak_memory_with_minimum_size_records(tmp_path):
+    # 16-byte records with empty frames, 4,096 to a block, then records of
+    # every size from 16 to 56 bytes: the most records a block can hold.
+    packet = tcp_frame("10.0.0.1", "10.0.0.2", 40000, 443)
+    assert len(packet) == 40
+    records = [(n, 0, b"") for n in range(8 * BLOCK // 16)]
+    records += [(n, 0, packet[: n % 41]) for n in range(50_000)]
+    path = tmp_path / "small.pcap"
+    path.write_bytes(capture(records))
+    assert path.stat().st_size >= 2_000_000
+    ingest_capture(path)  # imports and caches warmed before measuring
+    tracemalloc.start()
+    try:
+        table = ingest_capture(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.frames_seen == len(records) and len(table.flows) == 1
+    assert peak - held < 1_000_000
