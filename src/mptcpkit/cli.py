@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 from . import bench as bench_mod
 from . import flows as flows_mod
 from . import keystats, netsim, store as store_mod, tracer
-from .errors import GuardViolation, TransportUnavailable
+from .errors import EmptyInput, GuardViolation, TransportUnavailable
 from .inputs import data_lines
 from .options import Key
 from .packet import ip_family
@@ -270,19 +270,16 @@ def cmd_trace(args) -> int:
 
 def cmd_keys(args) -> int:
     probe_key = _probe_key(args) or DEFAULT_PROBE_KEY
-    if args.from_scan is not None:
-        keys = [
-            r.sender_key
-            for r in _read_records(args.from_scan)
-            if r.sender_key is not None
-        ]
-    else:
-        with open(args.infile, encoding="utf-8") as f:
-            keys = keystats.read_keys(f)
-    if not keys:
+    try:  # the keys are read as they are counted, and none is held
+        if args.from_scan is not None:
+            keys = (r.sender_key for r in _read_records(args.from_scan) if r.sender_key is not None)
+            report = keystats.analyze_keys(keys, probe_key)
+        else:
+            with open(args.infile, encoding="utf-8") as f:
+                report = keystats.analyze_keys(keystats.read_keys(f), probe_key)
+    except EmptyInput:
         print("no keys found in input", file=sys.stderr)
         return 1
-    report = keystats.analyze_keys(keys, probe_key)
     with _out(args.out) as f:
         keystats.write_report(report, f)
     return 0

@@ -11,12 +11,10 @@ A `FlowKey` holds packed addresses, (src, dst, src_port, dst_port) with
 once per flow. MP_CAPABLE is decoded only for packets whose options contain
 the kind byte 30 and whose flow has no version yet.
 
-Ingest reads each packet where it lies in its block (`pcapio.read_blocks`):
-`packet.flow_fields` reads an IPv4 packet without IP options, or an IPv6
-packet whose next header is TCP, in one unpack. Any other packet (IP options,
-extension headers, fragments, truncation, other protocols) is sliced out of
-its block on its own and goes through `decode_tcp`, `is_non_tcp` and
-`is_later_fragment`.
+Ingest reads each packet where it lies in its block (`pcapio.read_blocks`),
+with one `packet.flow_fields` call bounded by the end of its record: the flow
+fields of a TCP packet, or the code that counts it as non-TCP, as a later
+fragment or as a parse failure.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import IO, Iterable, Mapping, NamedTuple
 from .errors import EmptyInput, MissingTables
 from .inputs import data_lines
 from .options import decode_mp_capable_any, parse_options_prefix
-from .packet import address_text, decode_tcp, flow_fields, is_later_fragment, is_non_tcp
+from .packet import LATER_FRAGMENT, NON_TCP, address_text, flow_fields
 from .pcapio import LINKTYPE_NULL, LINKTYPE_RAW, read_blocks
 
 _U16 = struct.Struct("!H")
@@ -164,25 +162,15 @@ def ingest_capture(
                 parse_failures += 1
                 continue
             fields = flow_fields(data, ip, end)
-            if fields is not None:
-                src, dst, sport, dport, ip_bytes, opt_start, opt_end = fields
-                options = data
-            else:  # the uncommon layouts: parse this one frame on its own
-                packet = data[start:end]
-                ip -= start
-                segment = decode_tcp(packet, ip)
-                if segment is None:
-                    ip_data = packet[ip:]
-                    if is_non_tcp(ip_data):
-                        non_tcp += 1
-                    elif is_later_fragment(ip_data):
-                        fragments += 1
-                    else:
-                        parse_failures += 1
-                    continue
-                src, dst, sport, dport = segment[:4]
-                options, ip_bytes = segment[9:11]
-                opt_start, opt_end = 0, len(options)
+            if fields.__class__ is not tuple:
+                if fields == NON_TCP:
+                    non_tcp += 1
+                elif fields == LATER_FRAGMENT:
+                    fragments += 1
+                else:
+                    parse_failures += 1
+                continue
+            src, dst, sport, dport, ip_bytes, opt_start, opt_end = fields
             # Same endpoint order as FlowKey.canonical: (packed address, port).
             if bidirectional and (dst, dport) < (src, sport):
                 key = (dst, src, dport, sport)
@@ -194,8 +182,8 @@ def ingest_capture(
             # The version is set once and never changes, and a kind-30 option
             # needs the byte 30, so other packets cannot change the flow.
             mp_version = None
-            if stats.mptcp_version is None and options.find(30, opt_start, opt_end) >= 0:
-                mp_version = _mp_version(options[opt_start:opt_end])
+            if stats.mptcp_version is None and data.find(30, opt_start, opt_end) >= 0:
+                mp_version = _mp_version(data[opt_start:opt_end])
             stats.update(ip_bytes, mp_version)
             tcp_packets += 1
             tcp_bytes += ip_bytes

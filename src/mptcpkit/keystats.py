@@ -5,14 +5,16 @@ weights follow Binomial(64, 1/2). Mirroring middleboxes echo the scanner's
 static key instead, which piles mass onto that key's exact weight bin. The
 report measures both signals: exact byte equality with the probe key and
 excess mass at the probe key's weight bin, plus a chi-square fit against the
-exact binomial reference.
+exact binomial reference. `analyze_keys` reads its keys in one pass and keeps
+only the 65 bin counts and the count of keys equal to the probe key, so
+`read_keys` hands them over one at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .errors import EmptyInput
 from .inputs import data_lines
@@ -46,15 +48,6 @@ class WeightHistogram:
             raise ValueError("weight histogram needs 65 bins")
         if sum(self.counts) != self.total:
             raise ValueError("histogram counts do not sum to total")
-
-    @classmethod
-    def from_keys(cls, keys: Iterable[Key | int]) -> "WeightHistogram":
-        counts = [0] * 65
-        total = 0
-        for key in keys:
-            counts[_as_int(key).bit_count()] += 1
-            total += 1
-        return cls(counts, total)
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -116,14 +109,21 @@ def pooled_chi_square(
     return stat, p_value, len(bins)
 
 
-def analyze_keys(keys: list[Key | int], probe_key: Key | int) -> EntropyReport:
-    """Full entropy report for a batch of observed sender's keys."""
-    if not keys:
-        raise EmptyInput("no keys to analyze")
+def analyze_keys(keys: Iterable[Key | int], probe_key: Key | int) -> EntropyReport:
+    """Full entropy report for observed sender's keys, read in one pass: no
+    key is held once its weight and its match with the probe key are counted."""
     probe_value = _as_int(probe_key)
-    histogram = WeightHistogram.from_keys(keys)
-    mirrored = sum(1 for k in keys if _as_int(k) == probe_value)
-    expected = expected_counts(histogram.total)
+    counts = [0] * 65
+    mirrored = 0
+    for key in keys:
+        value = _as_int(key)
+        counts[value.bit_count()] += 1
+        mirrored += value == probe_value
+    total = sum(counts)
+    if not total:
+        raise EmptyInput("no keys to analyze")
+    histogram = WeightHistogram(counts, total)
+    expected = expected_counts(total)
     w_star = probe_value.bit_count()
     excess = max(
         0.0, (histogram.counts[w_star] - expected[w_star]) / histogram.total
@@ -153,6 +153,7 @@ def write_report(report: EntropyReport, f: IO[str]) -> None:
         f.write(f"{w},{report.histogram.counts[w]},{expected[w]:.6f}\n")
 
 
-def read_keys(lines: Iterable[str]) -> list[Key]:
-    """Read one hex key per line, `#` comments allowed."""
-    return [Key.from_hex(line) for line in data_lines(lines)]
+def read_keys(lines: Iterable[str]) -> Iterator[Key]:
+    """Each key of one hex key per line, `#` comments allowed, read as the
+    caller asks for it."""
+    return map(Key.from_hex, data_lines(lines))

@@ -6,7 +6,9 @@ acknowledgment number, so no per-target state survives a send. The match
 runs on the packed bytes as read: a packet's source address and port pair
 are compared with the probe's before anything is decoded, and only a
 matching reply is decoded, once, with its addresses left packed. Packets
-already queued are read before the transport waits on a `poll` set.
+already queued are read before the transport waits on a `poll` set. A probe
+that carries the `192.0.2.` placeholder source is sent from this host's IPv4
+source address, looked up once for the transport at the first such send.
 """
 
 from __future__ import annotations
@@ -87,10 +89,10 @@ class LiveTransport:
     """Send crafted SYNs and collect TCP or ICMP answers."""
 
     _polls = None  # (TCP only, TCP and ICMP) poll sets, see _poll_set
+    _source = None  # our packed IPv4 source address, see _send_packet
 
     def __init__(self, timeout_ms: float = 2000.0):
         self.timeout_ms = timeout_ms
-        self._sources: dict[str, bytes] = {}  # destination -> our packed source address
         try:
             self._send = socket.socket(
                 socket.AF_INET, socket.SOCK_RAW, socket.IPPROTO_RAW
@@ -115,12 +117,13 @@ class LiveTransport:
         """Send `pkt`; its packed destination, packed once here, is returned
         for matching the reply."""
         dst = pack_address(pkt.dst)
-        if pkt.src.startswith("192.0.2."):  # placeholder source: send from ours
-            src = self._sources.get(pkt.dst)
-            if src is None:  # an IPv4 transport: its source is an IPv4 address
-                src = self._sources[pkt.dst] = socket.inet_aton(local_source_address(pkt.dst))
-        else:
+        if not pkt.src.startswith("192.0.2."):
             src = pack_address(pkt.src)
+        elif self._source is not None and len(dst) == 4:
+            src = self._source
+        else:  # the placeholder: send from our IPv4 address, looked up once.
+            # An IPv6 destination fails the lookup: this transport is IPv4 only.
+            src = self._source = socket.inet_aton(local_source_address(pkt.dst))
         self._send.sendto(encode_packed(pkt, src, dst, ttl), (pkt.dst, 0))
         return dst
 

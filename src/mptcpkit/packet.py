@@ -1,12 +1,13 @@
 """Minimal IPv4/IPv6 + TCP segment construction and parsing.
 
 Enough of the wire format to build SYN probes, synthesize captures, and read
-TCP headers back out of responses and ICMP-quoted packets. The reader follows
-the IPv6 Hop-by-Hop, Routing, Destination Options and Fragment headers; a later
-fragment (IPv4 or IPv6) has no TCP header. No fragmentation or reassembly.
-`flow_fields` reads what passive ingest needs from the two common layouts in
-one unpack, bounded by the end of the packet's record, and leaves every other
-packet to `decode_tcp`.
+TCP headers back out of responses and ICMP-quoted packets. `flow_fields` is the
+one reader of IP and TCP headers: it reads the two common layouts in one unpack
+and walks any other packet, every read bounded by the packet's end, and answers
+with the flow fields, `NON_TCP`, `LATER_FRAGMENT` or None. It follows the IPv6
+Hop-by-Hop, Routing, Destination Options and Fragment headers; a later fragment
+(IPv4 or IPv6) has no TCP header. `decode_tcp` is its view with the rest of the
+TCP header. No fragmentation or reassembly.
 """
 
 from __future__ import annotations
@@ -97,10 +98,12 @@ def ip_family(addr: str) -> int:
     return 4 if len(pack_address(addr)) == 4 else 6
 
 
-# Wire layouts the parser reads.
-_IPV4 = struct.Struct("!BBHHHBBH4s4s")  # ver/ihl tos len id frag ttl proto csum src dst
-_IPV6 = struct.Struct("!IHBB16s16s")  # ver/class/label payload-len next-header hops src dst
-_TCP = struct.Struct("!HHIIBBHHH")  # ports seq ack offset flags window csum urg
+# What `flow_fields` reads of a packet it walks header by header, and the
+# rest of the TCP header, which `decode_tcp` adds.
+_IPV4 = struct.Struct("!2xH8x4s4s")  # len src dst
+_IPV6 = struct.Struct("!4xH2x16s16s")  # payload-len src dst
+_TCP_PORTS = struct.Struct("!HH8xB")  # ports offset
+_TCP_STATE = struct.Struct("!4xIIxBH")  # seq ack flags window
 # What the builder writes: both headers in one pack, the TCP data offset and
 # flags as one word.
 _IPV4_TCP = struct.Struct("!BBHHHBBH4s4sHHIIHHHH")
@@ -197,19 +200,19 @@ def encode_packed(
     return header + options + payload
 
 
-def _v6_chain(data: bytes, start: int = 0) -> tuple[int, int, bool] | None:
-    """Walk the extension headers of the IPv6 packet at `start` in `data`:
+def _v6_chain(data: bytes, start: int, end: int) -> tuple[int, int, bool] | None:
+    """Walk the extension headers of the IPv6 packet `data[start:end]`:
     (offset, protocol, later fragment).
 
     `offset` is where the header named `protocol` starts. The walk stops at a
     fragment header whose offset is not zero (later fragment: `protocol` is
     what the fragment carries) and at any header it does not walk; None when
-    the data ends inside an extension header.
+    the packet ends inside an extension header.
     """
     offset = start + IPV6_HEADER_LEN
     proto = data[start + 6]
     while proto in _V6_EXTENSIONS:
-        if len(data) < offset + 8:
+        if end < offset + 8:
             return None
         next_proto = data[offset]
         if proto == 44:  # Fragment: always 8 bytes
@@ -218,36 +221,86 @@ def _v6_chain(data: bytes, start: int = 0) -> tuple[int, int, bool] | None:
             offset += 8
         else:  # the length byte counts 8-byte units after the first
             offset += (data[offset + 1] + 1) * 8
-            if len(data) < offset:
+            if end < offset:
                 return None
         proto = next_proto
     return offset, proto, False
 
 
-def is_non_tcp(data: bytes) -> bool:
-    """An IPv4/IPv6 header naming a protocol other than TCP, past any IPv6
-    extension headers. A later IPv6 fragment that carries an extension header
-    does not say, so it is not counted here."""
-    if len(data) < 10:
-        return False
-    version = data[0] >> 4
-    if version == 4:
-        return data[9] != 6
-    if version != 6:
-        return False
-    chain = _v6_chain(data)
-    return chain is not None and chain[1] != 6 and chain[1] not in _V6_EXTENSIONS
+# src, dst (packed), src_port, dst_port, IP length, options start, options end.
+FlowFields = tuple[bytes, bytes, int, int, int, int, int]
+
+# What `flow_fields` answers for a packet whose IP header says it holds no TCP
+# header: another protocol, or a fragment after the first.
+NON_TCP = 1
+LATER_FRAGMENT = 2
 
 
-def is_later_fragment(data: bytes) -> bool:
-    """A fragment whose offset is not zero: no transport header follows."""
-    if len(data) < IPV4_HEADER_LEN:
-        return False
-    version = data[0] >> 4
+def flow_fields(data: bytes, start: int, end: int) -> FlowFields | int | None:
+    """(src, dst, src_port, dst_port, IP length, options start, options end)
+    of the TCP packet in `data[start:end]`; the options are
+    `data[options start:options end]`. Nothing at or past `end` is read.
+
+    A packet with no TCP header to read is `NON_TCP` when an IP header names
+    another protocol (an IPv4 one does even in a later fragment, an IPv6
+    Fragment header only when what it carries is not TCP or an extension
+    header), else `LATER_FRAGMENT` for a fragment after the first. None when
+    no complete header says: the packet ends inside one, or is not IP.
+    """
+    size = end - start
+    if size >= IPV4_HEADER_LEN + TCP_HEADER_LEN:
+        # The common layouts in one unpack: IPv4 without IP options, and IPv6
+        # whose next header is TCP. Anything else they leave to the walk.
+        first = data[start]
+        if first == 0x45:
+            ip_total, frag, proto, src, dst, src_port, dst_port, offset = (
+                _IPV4_FLOW.unpack_from(data, start))
+            tcp_end = start + IPV4_HEADER_LEN + (offset >> 4) * 4
+            if proto == 6 and not frag & _FRAGMENT_OFFSET and start + 40 <= tcp_end <= end:
+                return src, dst, src_port, dst_port, ip_total, start + 40, tcp_end
+        elif first >> 4 == 6 and size >= IPV6_HEADER_LEN + TCP_HEADER_LEN:
+            payload_len, proto, src, dst, src_port, dst_port, offset = (
+                _IPV6_FLOW.unpack_from(data, start))
+            tcp_end = start + IPV6_HEADER_LEN + (offset >> 4) * 4
+            if proto == 6 and start + 60 <= tcp_end <= end:
+                return src, dst, src_port, dst_port, 40 + payload_len, start + 60, tcp_end
+    if size < 10:  # no protocol byte
+        return None
+    version = data[start] >> 4
     if version == 4:
-        return _U16.unpack_from(data, 6)[0] & _FRAGMENT_OFFSET != 0
-    chain = _v6_chain(data) if version == 6 else None
-    return chain is not None and chain[2]
+        if data[start + 9] != 6:
+            return NON_TCP
+        if size < IPV4_HEADER_LEN:
+            return None
+        if _U16.unpack_from(data, start + 6)[0] & _FRAGMENT_OFFSET:
+            return LATER_FRAGMENT
+        ihl = (data[start] & 0x0F) * 4
+        if ihl < IPV4_HEADER_LEN:
+            return None
+        tcp = start + ihl
+        ip_total, src, dst = _IPV4.unpack_from(data, start)
+    elif version == 6:
+        chain = _v6_chain(data, start, end)
+        if chain is None:
+            return None
+        tcp, proto, later = chain
+        if proto != 6 and proto not in _V6_EXTENSIONS:
+            return NON_TCP
+        if later:
+            return LATER_FRAGMENT
+        if size < IPV6_HEADER_LEN:
+            return None
+        payload_len, src, dst = _IPV6.unpack_from(data, start)
+        ip_total = IPV6_HEADER_LEN + payload_len
+    else:
+        return None
+    if tcp + TCP_HEADER_LEN > end:
+        return None
+    src_port, dst_port, offset = _TCP_PORTS.unpack_from(data, tcp)
+    tcp_len = (offset >> 4) * 4
+    if tcp_len < TCP_HEADER_LEN or tcp + tcp_len > end:
+        return None
+    return src, dst, src_port, dst_port, ip_total, tcp + TCP_HEADER_LEN, tcp + tcp_len
 
 
 # The fields of `ParsedSegment` in its order, src and dst packed (4 or 16 bytes).
@@ -255,82 +308,20 @@ RawSegment = tuple[bytes, bytes, int, int, int, int, int, int, int, bytes, int, 
 
 
 def decode_tcp(data: bytes, start: int = 0) -> RawSegment | None:
-    """Parse the IP+TCP packet that starts at `start` in `data`, addresses
-    packed; None for anything not complete TCP, a later fragment or a
-    truncated IPv6 extension header. Headers are read where they lie: only
-    the options are copied out."""
-    size = len(data) - start
-    version = data[start] >> 4 if size >= IPV4_HEADER_LEN else 0
-    if version == 4:
-        ver_ihl, _tos, ip_total, _id, frag, ttl, proto, _csum, src, dst = (
-            _IPV4.unpack_from(data, start)
-        )
-        ihl = (ver_ihl & 0x0F) * 4
-        if ihl < IPV4_HEADER_LEN or size < ihl or frag & _FRAGMENT_OFFSET:
-            return None
-    elif version == 6 and size >= IPV6_HEADER_LEN:
-        _first, payload_len, proto, ttl, src, dst = _IPV6.unpack_from(data, start)
-        ihl, ip_total = IPV6_HEADER_LEN, IPV6_HEADER_LEN + payload_len
-        if proto != 6:  # walk any extension headers; `ihl` counts them
-            chain = _v6_chain(data, start)
-            if chain is None or chain[2]:
-                return None
-            ihl, proto = chain[0] - start, chain[1]
-    else:
+    """The TCP packet that starts at `start` in `data`, read by `flow_fields`
+    with the rest of its TCP header and its TTL or hop limit, addresses packed;
+    None for anything else. Only the options are copied out."""
+    fields = flow_fields(data, start, len(data))
+    if fields.__class__ is not tuple:
         return None
-    tcp = start + ihl
-    if proto != 6 or size < ihl + TCP_HEADER_LEN:
-        return None
-    src_port, dst_port, seq, ack, offset_byte, flags, window, _csum, _urg = (
-        _TCP.unpack_from(data, tcp)
-    )
-    tcp_len = (offset_byte >> 4) * 4
-    if tcp_len < TCP_HEADER_LEN or size < ihl + tcp_len:
-        return None
-    options = bytes(data[tcp + TCP_HEADER_LEN : tcp + tcp_len])
-    payload_len = ip_total - ihl - tcp_len
+    src, dst, src_port, dst_port, ip_total, options_start, options_end = fields
+    seq, ack, flags, window = _TCP_STATE.unpack_from(data, options_start - TCP_HEADER_LEN)
+    ttl = data[start + 8 if len(src) == 4 else start + 7]
+    payload_len = ip_total - (options_end - start)
     return (
-        src, dst, src_port, dst_port, seq, ack, flags, ttl, window, options,
-        ip_total, payload_len if payload_len > 0 else 0,
+        src, dst, src_port, dst_port, seq, ack, flags, ttl, window,
+        bytes(data[options_start:options_end]), ip_total, payload_len if payload_len > 0 else 0,
     )
-
-
-# src, dst (packed), src_port, dst_port, IP length, options start, options end.
-FlowFields = tuple[bytes, bytes, int, int, int, int, int]
-
-
-def flow_fields(data: bytes, start: int, end: int) -> FlowFields | None:
-    """(src, dst, src_port, dst_port, IP length, options start, options end)
-    of the packet in `data[start:end]`, read in one unpack, as `decode_tcp`
-    of that slice reads them; the options are `data[options start:options end]`.
-
-    Only two layouts are read: IPv4 without IP options and not a later
-    fragment, and IPv6 whose next header is TCP, each with its whole TCP
-    header before `end`. None for anything else, which `decode_tcp` decides.
-    """
-    size = end - start
-    if size < IPV4_HEADER_LEN + TCP_HEADER_LEN:
-        return None
-    first = data[start]
-    if first == 0x45:
-        ip_total, frag, proto, src, dst, src_port, dst_port, offset = _IPV4_FLOW.unpack_from(
-            data, start)
-        if proto != 6 or frag & _FRAGMENT_OFFSET:
-            return None
-        tcp = start + IPV4_HEADER_LEN
-    elif first >> 4 == 6 and size >= IPV6_HEADER_LEN + TCP_HEADER_LEN:
-        payload_len, proto, src, dst, src_port, dst_port, offset = _IPV6_FLOW.unpack_from(
-            data, start)
-        if proto != 6:
-            return None
-        ip_total = IPV6_HEADER_LEN + payload_len
-        tcp = start + IPV6_HEADER_LEN
-    else:
-        return None
-    tcp_len = (offset >> 4) * 4
-    if tcp_len < TCP_HEADER_LEN or tcp + tcp_len > end:
-        return None
-    return src, dst, src_port, dst_port, ip_total, tcp + TCP_HEADER_LEN, tcp + tcp_len
 
 
 def decode_packet(data: bytes) -> ParsedSegment | None:

@@ -110,12 +110,20 @@ def _walk(read: Callable[[int], bytes], incl_len: Callable, owned: IO[bytes] | N
     """(block, offsets) for each block that holds a whole record: record i
     runs from offsets[i] to offsets[i + 1], its 16-byte header first."""
     try:
-        tail, missing = b"", 0
+        tail, missing = b"", BLOCK
         while True:
             # A record cut at the end of a block is completed by reads of
-            # what it lacks, a block at most: two blocks are never joined,
-            # and a corrupt length reserves no more than a block.
-            buf = tail + read(min(missing, BLOCK) if tail else BLOCK)
+            # what it lacks, a block at most each, joined once: two blocks
+            # are never joined, and a corrupt length reserves no more than
+            # a block beyond what the file holds.
+            chunks = [tail]
+            while missing > 0:
+                chunk = read(min(missing, BLOCK))
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                missing -= len(chunk)
+            buf = b"".join(chunks)
             size = len(buf)
             if size == len(tail):
                 return
@@ -132,7 +140,8 @@ def _walk(read: Callable[[int], bytes], incl_len: Callable, owned: IO[bytes] | N
                 pos = end
             if pos:
                 yield buf, offsets
-            tail, missing = buf[pos:], end - size
+            tail = buf[pos:]
+            missing = end - size if tail else BLOCK
     finally:
         if owned is not None:
             owned.close()

@@ -443,10 +443,14 @@ class TestKeys:
         run_ok(["keys", "--in", str(keyfile), "--out", str(workdir / "keys-out.txt")])
         assert "# total=2" in (workdir / "keys-out.txt").read_text()
 
-    def test_empty_input_fails(self, workdir):
+    def test_empty_input_fails(self, workdir, capsys):
         keyfile = workdir / "empty.txt"
         keyfile.write_text("# nothing\n")
         assert main(["keys", "--in", str(keyfile)]) == 1
+        scan = workdir / "keyless-scan.csv"  # records, none with a sender's key
+        scan.write_text("0.000000,10.0.0.1,80,1,no_mp_capable,\n")
+        assert main(["keys", "--from-scan", str(scan)]) == 1
+        assert capsys.readouterr().err == "no keys found in input\n" * 2
 
 
 class TestAnalyzePcap:

@@ -149,7 +149,7 @@ READERS = {
     "asn metadata": ("64500,ExampleNet,US,12\n64501,Other,DE,\n",
                      lambda p: EnrichmentTable.load(p.parent / "none.txt", p).asn_meta),
     "keys": ("000000000000ffff\naa00000000000001\n",
-             lambda p: keystats.read_keys(p.read_text().splitlines(keepends=True))),
+             lambda p: list(keystats.read_keys(p.read_text().splitlines(keepends=True)))),
     "topology": ("path 10.0.0.1 80 true_host(v0,v1)\npath 10.0.0.2 443 mirror tcp_host\n",
                  lambda p: sorted(netsim.load_topology(p).paths)),
     "service table": ("80,tcp,Web\n8443,tcp,Vendor\n", ServiceTables._read),
@@ -219,7 +219,7 @@ TEXT_READERS = {
     "host rows": lambda p: cli._read_hosts(str(p), None),
     "labelled host rows": lambda p: cli._read_hosts(str(p), "truly_capable"),
     "targets": lambda p: list(cli._read_targets(p)),
-    "keys": lambda p: keystats.read_keys(p.read_text().splitlines()),
+    "keys": lambda p: list(keystats.read_keys(p.read_text().splitlines())),
     "blocklist": lambda p: Blocklist.load(p).matches("10.0.0.1"),
     "prefix table": lambda p: EnrichmentTable.load(p).lookup_asn("2001:db8::1"),
 }

@@ -96,27 +96,33 @@ class _RecordingSocket:
         self.sent.append((data, address))
 
 
-def test_source_address_found_once_per_destination(monkeypatch):
+def test_source_address_found_once_per_transport(monkeypatch):
     from mptcpkit import live
 
     lookups = []
 
     def counting_source(target):
         lookups.append(target)
+        if ":" in target:  # as the IPv4 UDP socket fails to connect
+            raise OSError("Address family for hostname not supported")
         return "10.9.9.9"
 
     monkeypatch.setattr(live, "local_source_address", counting_source)
     transport = _bare_transport()
-    transport._sources = {}
     transport._send = _RecordingSocket()
     placeholder = replace(_syn(), src="192.0.2.1")
     probes = [placeholder, replace(placeholder, dst="10.0.0.2"), replace(placeholder, ttl=3)]
     for pkt in probes:
         transport._send_packet(pkt)
-    assert lookups == ["10.0.0.1", "10.0.0.2"]
+    own = replace(_syn(), dst="10.0.0.3")  # its own source: sent as it is
+    transport._send_packet(own)
+    assert lookups == ["10.0.0.1"]
     assert transport._send.sent == [
         (encode_packet(replace(pkt, src="10.9.9.9")), (pkt.dst, 0)) for pkt in probes
-    ]
+    ] + [(encode_packet(own), ("10.0.0.3", 0))]
+    with pytest.raises(OSError):  # an IPv6 target still fails the lookup
+        transport._send_packet(replace(placeholder, dst="2001:db8::1"))
+    assert lookups == ["10.0.0.1", "2001:db8::1"]
 
 
 def test_icmp_quote_matches_time_exceeded():
@@ -411,7 +417,6 @@ def test_each_probe_packs_its_destination_once(paired_transport, monkeypatch):
     monkeypatch.setattr(live, "local_source_address", lambda target: "10.9.9.9")
     transport = paired_transport[0]
     transport.timeout_ms = 1.0  # nothing answers
-    transport._sources = {}
     transport._send = _RecordingSocket()
     targets = [(f"10.0.{i // 4}.{i}", 80 + i % 3) for i in range(40)]
     clock = VirtualClock()

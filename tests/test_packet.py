@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from capture_helpers import with_v6_headers
 from mptcpkit.options import TcpOption
 from mptcpkit.packet import (
+    LATER_FRAGMENT,
+    NON_TCP,
     TcpFlags,
     TcpPacket,
     address_text,
@@ -17,8 +19,6 @@ from mptcpkit.packet import (
     encode_packet,
     extract_quoted_options,
     flow_fields,
-    is_later_fragment,
-    is_non_tcp,
     ip_family,
     pack_address,
 )
@@ -115,6 +115,11 @@ def test_quote_of_optionless_packet():
     assert extract_quoted_options(data) == []
 
 
+def _read(data: bytes):
+    """`flow_fields` of the whole of `data`."""
+    return flow_fields(data, 0, len(data))
+
+
 def _fragment(data: bytes, frag: int) -> bytes:
     """`data` with the IPv4 flags/fragment-offset field set to `frag`."""
     out = bytearray(data)
@@ -125,7 +130,7 @@ def _fragment(data: bytes, frag: int) -> bytes:
 @pytest.mark.parametrize("frag", [0x2000, 0x4000])  # MF set, DF set: offset 0
 def test_first_fragment_read_as_tcp(frag):
     data = encode_packet(syn())
-    assert not is_later_fragment(_fragment(data, frag))
+    assert _read(_fragment(data, frag)).__class__ is tuple
     assert decode_tcp(_fragment(data, frag)) == decode_tcp(data)
     assert extract_quoted_options(_fragment(data, frag)) == [TcpOption(30, b"\x01\x81")]
 
@@ -134,13 +139,14 @@ def test_first_fragment_read_as_tcp(frag):
 def test_non_first_fragment_not_read_as_tcp(frag):
     # the payload of a later fragment would otherwise parse as a TCP header
     data = _fragment(encode_packet(syn()), frag)
-    assert is_later_fragment(data)
+    assert _read(data) == LATER_FRAGMENT
     assert decode_tcp(data) is None
     assert decode_packet(data) is None
     assert extract_quoted_options(data) is None
 
 
 V6_SYN = encode_packet(syn(src="2001:db8::1", dst="2001:db8::2"))
+_V6_UDP = V6_SYN[:6] + b"\x11" + V6_SYN[7:]  # the same header naming UDP
 
 
 @pytest.mark.parametrize("kinds, size", [
@@ -154,7 +160,7 @@ def test_tcp_behind_v6_extension_headers(kinds, size):
     # the same segment; the IP-layer length grows by the chain
     assert decode_tcp(data) == (*plain[:10], plain[10] + chain_len, plain[11])
     assert extract_quoted_options(data) == [TcpOption(30, b"\x01\x81")]
-    assert not is_non_tcp(data) and not is_later_fragment(data)
+    assert _read(data).__class__ is tuple
 
 
 def test_udp_behind_hop_by_hop_is_non_tcp():
@@ -162,25 +168,25 @@ def test_udp_behind_hop_by_hop_is_non_tcp():
     udp[6] = 17
     data = with_v6_headers(bytes(udp), (0,))
     assert decode_tcp(data) is None
-    assert is_non_tcp(data) and not is_later_fragment(data)
+    assert _read(data) == NON_TCP
 
 
 @pytest.mark.parametrize("kinds", [(44,), (0, 44), (44, 60)])
 def test_later_v6_fragment_not_read_as_tcp(kinds):
     data = with_v6_headers(V6_SYN, kinds, fragment_offset=5)
-    assert is_later_fragment(data) and not is_non_tcp(data)
+    assert _read(data) == LATER_FRAGMENT
     assert decode_tcp(data) is None
     assert extract_quoted_options(data) is None
     udp = bytearray(data)
     udp[40 + 8 * kinds.index(44)] = 17  # the fragment carries UDP
-    assert is_non_tcp(bytes(udp)) and is_later_fragment(bytes(udp))
+    assert _read(bytes(udp)) == NON_TCP  # what the fragment carries decides first
 
 
 @pytest.mark.parametrize("cut", [40, 47, 48, 55])
 def test_truncated_v6_extension_chain(cut):
     data = with_v6_headers(V6_SYN, (0, 60), size=16)[:cut]
     assert decode_tcp(data) is None
-    assert not is_non_tcp(data) and not is_later_fragment(data)
+    assert _read(data) is None
 
 
 def test_decode_tcp_keeps_addresses_packed():
@@ -417,7 +423,7 @@ def _encoded(draw):
 _v6_behind_extensions = st.builds(
     lambda data, kinds, offset, size: with_v6_headers(data, tuple(kinds), offset, size),
     st.sampled_from([V6_SYN, encode_packet(syn(src="2001:db8::1", dst="2001:db8::2",
-                                               options=b""))]),
+                                               options=b"")), _V6_UDP]),
     st.lists(st.sampled_from([0, 43, 44, 60]), min_size=1, max_size=4),
     st.sampled_from([0, 0, 3]),
     st.sampled_from([8, 16, 24]),
@@ -450,7 +456,67 @@ def test_decode_at_offset_matches_decode_alone(prefix, packet, cut):
         assert type(seg[9]) is bytes and type(from_bytearray[9]) is bytes
 
 
-# -- flow_fields: decode_tcp's flow fields for the two common layouts, in one read ---
+# -- flow_fields: the one reader, against a classifier that reads slices ---------
+
+
+def _reference_read(ip: bytes):
+    """What the IP packet `ip` holds, read from slices of it alone, by the rules
+    of reference ingest: (TCP header offset, TCP header length) for a whole TCP
+    header, else NON_TCP, LATER_FRAGMENT or None."""
+    if len(ip) < 10:
+        return None
+    version = ip[0] >> 4
+    if version == 4:
+        if ip[9] != 6:  # in IPv4 every protocol but TCP is another one
+            return NON_TCP
+        if len(ip) < 20:
+            return None
+        if int.from_bytes(ip[6:8], "big") & 0x1FFF:
+            return LATER_FRAGMENT
+        tcp = (ip[0] & 0x0F) * 4
+        if tcp < 20:
+            return None
+    elif version == 6:
+        tcp, proto = 40, ip[6]
+        while proto in (0, 43, 44, 60):
+            header = ip[tcp : tcp + 8]
+            if len(header) < 8:
+                return None
+            if proto == 44 and int.from_bytes(header[2:4], "big") >> 3:
+                return LATER_FRAGMENT if header[0] in (6, 0, 43, 44, 60) else NON_TCP
+            size = 8 if proto == 44 else 8 * (header[1] + 1)
+            if len(ip) < tcp + size:
+                return None
+            tcp, proto = tcp + size, header[0]
+        if proto != 6:
+            return NON_TCP
+    else:
+        return None
+    header = ip[tcp : tcp + 20]
+    tcp_len = (header[12] >> 4) * 4 if len(header) == 20 else 0
+    return (tcp, tcp_len) if 20 <= tcp_len <= len(ip) - tcp else None
+
+
+def _check_window(data: bytes, start: int, end: int) -> None:
+    """flow_fields of the window [start, end) of `data` is what the reference
+    reads in the window's bytes alone, and decode_tcp of them agrees."""
+    got = flow_fields(data, start, end)
+    window = data[start:end]
+    want = _reference_read(window)
+    seg = decode_tcp(window)
+    if want.__class__ is not tuple:
+        assert got == want and got.__class__ is not tuple
+        assert seg is None
+        return
+    tcp, tcp_len = want
+    if window[0] >> 4 == 4:
+        addresses, ip_bytes = (window[12:16], window[16:20]), int.from_bytes(window[2:4], "big")
+    else:
+        addresses, ip_bytes = (window[8:24], window[24:40]), 40 + int.from_bytes(window[4:6], "big")
+    ports = struct.unpack("!HH", window[tcp : tcp + 4])
+    assert got == (*addresses, *ports, ip_bytes, start + tcp + 20, start + tcp + tcp_len)
+    assert seg is not None and (*seg[:4], seg[10]) == got[:5]
+    assert data[got[5]:got[6]] == seg[9]
 
 
 def _with_ip_options(data: bytes) -> bytes:
@@ -459,11 +525,28 @@ def _with_ip_options(data: bytes) -> bytes:
         b"\x01" * 4) + data[20:]
 
 
+def _v4_variant(data: bytes, ip_options: bool, proto: int, frag: int) -> bytes:
+    """An IPv4 packet, perhaps with IP options, naming `proto`, its flags and
+    fragment offset field set to `frag`."""
+    data = bytearray(_with_ip_options(data) if ip_options else data)
+    data[9] = proto
+    struct.pack_into("!H", data, 6, frag)
+    return bytes(data)
+
+
+_v4_variants = st.builds(
+    _v4_variant,
+    _encoded().map(lambda case: case[0]).filter(lambda d: d[0] == 0x45),
+    st.booleans(),
+    st.sampled_from([6, 6, 17]),
+    st.sampled_from([0, 0x4000, 0x2000, 0x0001, 0x3FFF]),
+)
+
+
 @given(
     st.binary(max_size=48),
     st.one_of(_wire_bytes, _encoded().map(lambda case: case[0]), _v6_behind_extensions,
-              _encoded().map(lambda case: case[0]).filter(lambda d: d[0] == 0x45)
-              .map(_with_ip_options)),
+              _v4_variants),
     st.integers(min_value=0, max_value=200),
     st.binary(max_size=8),
 )
@@ -479,17 +562,17 @@ def test_flow_fields_are_decode_tcp_fields_of_the_window(prefix, packet, cut, su
     # is the rest of the packet, which a read past `end` would find.
     data = prefix + packet + suffix
     start = len(prefix)
-    end = min(start + cut, len(data))
-    got = flow_fields(data, start, end)
-    window = data[start:end]
-    seg = decode_tcp(window)
-    common = len(window) >= 20 and (
-        window[0] == 0x45 or (window[0] >> 4 == 6 and len(window) >= 40 and window[6] == 6))
-    if seg is None or not common:
-        assert got is None
-        return
-    assert got is not None
-    src, dst, src_port, dst_port, ip_bytes, options_start, options_end = got
-    assert (src, dst, src_port, dst_port, ip_bytes) == (*seg[:4], seg[10])
-    assert start < options_start <= options_end <= end  # the whole TCP header is inside
-    assert data[options_start:options_end] == seg[9]
+    _check_window(data, start, min(start + cut, len(data)))
+
+
+@pytest.mark.parametrize("packet", [
+    with_v6_headers(V6_SYN, (0, 60), size=16),
+    with_v6_headers(_V6_UDP, (0, 43), size=16),
+    with_v6_headers(V6_SYN, (0, 44, 60), fragment_offset=5),
+    with_v6_headers(_V6_UDP, (60, 44), size=24, fragment_offset=5),
+    with_v6_headers(V6_SYN, (44, 0), size=8),
+], ids=["tcp", "udp", "later-fragment", "later-fragment-of-udp", "first-fragment"])
+def test_flow_fields_of_an_extension_chain_cut_at_every_byte(packet):
+    data = b"\x60" * 3 + packet + packet  # the packet again after the cut
+    for cut in range(len(packet) + 1):
+        _check_window(data, 3, 3 + cut)

@@ -4,6 +4,7 @@ straight out of its blocks against the per-frame reference ingest."""
 import gzip
 import io
 import struct
+import time
 import tracemalloc
 
 import pytest
@@ -147,6 +148,29 @@ def test_corrupt_frame_length_reserves_no_more_than_a_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def _walk_seconds(frame_size: int) -> float:
+    """Best of five: the time to walk a capture of one record whose frame is
+    `frame_size` bytes."""
+    data = capture([(0, 0, bytes(frame_size))])
+    best = float("inf")
+    for _ in range(5):
+        started = time.perf_counter()
+        _linktype, blocks = pcapio.read_blocks(io.BytesIO(data))
+        lengths = [len(block) for block, _offsets in blocks]
+        best = min(best, time.perf_counter() - started)
+    assert lengths == [16 + frame_size]
+    return best
+
+
+def test_record_longer_than_a_block_is_joined_once(monkeypatch):
+    # 4 KiB blocks, so a 2 MiB record spans 512 of them. Sixteen times the
+    # bytes take about 16 times as long when the record's reads are joined
+    # once, and above 250 times when each read copies all before it again.
+    monkeypatch.setattr(pcapio, "BLOCK", 4096)
+    _walk_seconds(2 << 20)  # the allocator's first large blocks, untimed
+    assert _walk_seconds(2 << 20) / _walk_seconds(128 << 10) < 100
 
 
 # -- ingest straight out of the blocks: the same shapes, real frames -----------------
