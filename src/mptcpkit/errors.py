@@ -10,7 +10,7 @@ class TruncatedOption(OptionError):
 
 
 class IllegalLength(OptionError):
-    """A multi-byte option declares a length below 2."""
+    """A multi-byte option declares a length below 2, or above the 40 a TCP header holds."""
 
 
 class BadSubtype(OptionError):
@@ -42,7 +42,7 @@ class TransportUnavailable(RuntimeError):
 
 
 class MalformedCapture(ValueError):
-    """Capture file header is unreadable."""
+    """Capture file header is unreadable, or a record claims an impossible length."""
 
 
 class MissingTables(RuntimeError):

@@ -7,9 +7,10 @@ carries a decodable MP_CAPABLE, whether or not the handshake completed.
 
 A `FlowKey` holds packed addresses, (src, dst, src_port, dst_port) with
 4- or 16-byte address bytes; the text form of an address is built only when
-`src_addr` or `dst_addr` is read. Ingest keeps one table and makes a key
-once per flow. MP_CAPABLE is decoded only for packets whose options contain
-the kind byte 30 and whose flow has no version yet.
+`src_addr` or `dst_addr` is read. Ingest keeps one table, makes a key once
+per flow and adds to its counts inline. Only packets whose options hold the
+byte 30 and whose flow has no version are read for MP_CAPABLE, in place
+(`options.mp_capable_version`): other options are skipped, not built.
 
 Ingest reads each packet where it lies in its block (`pcapio.read_blocks`),
 with one `packet.flow_fields` call bounded by the end of its record: the flow
@@ -28,7 +29,7 @@ from typing import IO, Iterable, Mapping, NamedTuple
 
 from .errors import EmptyInput, MissingTables
 from .inputs import data_lines
-from .options import decode_mp_capable_any, parse_options_prefix
+from .options import mp_capable_version
 from .packet import LATER_FRAGMENT, NON_TCP, address_text, flow_fields
 from .pcapio import LINKTYPE_NULL, LINKTYPE_RAW, read_blocks
 
@@ -132,17 +133,6 @@ def _ip_start(linktype: int, data: bytes, start: int, end: int) -> int | None:
     return offset if ethertype in (0x0800, 0x86DD) else None
 
 
-def _mp_version(options: bytes) -> int | None:
-    opts, _err = parse_options_prefix(options)
-    for opt in opts:
-        if opt.kind != 30:
-            continue
-        mc = decode_mp_capable_any(opt)
-        if mc is not None:
-            return mc.version
-    return None
-
-
 def ingest_capture(
     source: str | Path | IO[bytes], bidirectional: bool = True
 ) -> FlowTable:
@@ -172,19 +162,19 @@ def ingest_capture(
                 continue
             src, dst, sport, dport, ip_bytes, opt_start, opt_end = fields
             # Same endpoint order as FlowKey.canonical: (packed address, port).
-            if bidirectional and (dst, dport) < (src, sport):
+            if bidirectional and (dst < src or (dst == src and dport < sport)):
                 key = (dst, src, dport, sport)
             else:
                 key = (src, dst, sport, dport)
             stats = flows.get(key)  # a FlowKey hashes and compares as its tuple
             if stats is None:
                 stats = flows[FlowKey._make(key)] = FlowStats()
+            stats.packets += 1
+            stats.bytes += ip_bytes
             # The version is set once and never changes, and a kind-30 option
             # needs the byte 30, so other packets cannot change the flow.
-            mp_version = None
             if stats.mptcp_version is None and data.find(30, opt_start, opt_end) >= 0:
-                mp_version = _mp_version(data[opt_start:opt_end])
-            stats.update(ip_bytes, mp_version)
+                stats.mptcp_version = mp_capable_version(data, opt_start, opt_end)
             tcp_packets += 1
             tcp_bytes += ip_bytes
     return FlowTable(

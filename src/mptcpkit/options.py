@@ -144,26 +144,31 @@ _PHASE_LENGTHS = {
 }
 
 
-def _parse_options(data: bytes) -> tuple[list[TcpOption], OptionError | None]:
-    """The one parsing loop: options up to the first error, and that error."""
+def _parse_options(
+    data: bytes, start: int = 0, end: int | None = None, keep: int | None = None
+) -> tuple[list[TcpOption], OptionError | None]:
+    """The one option-framing loop: options of `data[start:end]` up to the first
+    error, and that error. With `keep` (a multi-byte kind), only that kind is built."""
     out: list[TcpOption] = []
-    i = 0
-    while i < len(data):
+    i, end = start, len(data) if end is None else end
+    while i < end:
         kind = data[i]
         if kind == EOL:
             break
         if kind == NOP:
-            out.append(TcpOption(NOP))
+            if keep is None:
+                out.append(TcpOption(NOP))
             i += 1
             continue
-        if i + 1 >= len(data):
+        if i + 1 >= end:
             return out, TruncatedOption(f"truncated option kind {kind}")
         length = data[i + 1]
-        if length < 2:
-            return out, IllegalLength(f"illegal length {length} for kind {kind}")
-        if i + length > len(data):
+        if i + length > end:  # never for a length below 2: i + 1 < end
             return out, TruncatedOption(f"truncated option kind {kind}")
-        out.append(TcpOption(kind, bytes(data[i + 2 : i + length])))
+        if not 2 <= length <= 40:  # 40: the most a TCP header holds
+            return out, IllegalLength(f"illegal length {length} for kind {kind}")
+        if keep is None or kind == keep:
+            out.append(TcpOption(kind, bytes(data[i + 2 : i + length])))
         i += length
     return out, None
 
@@ -173,8 +178,8 @@ def parse_options(data: bytes) -> list[TcpOption]:
 
     Parsing stops at EOL; NOP yields a zero-payload entry. Unknown kinds are
     preserved verbatim. Raises TruncatedOption when a declared length runs
-    past the buffer and IllegalLength when a multi-byte kind declares a
-    length below 2.
+    past the buffer, else IllegalLength when a multi-byte kind declares a
+    length below 2 or above 40.
     """
     out, error = _parse_options(data)
     if error is not None:
@@ -241,6 +246,13 @@ def decode_mp_capable_any(opt: TcpOption) -> MpCapable | None:
         except BadLength:
             continue
     return None
+
+
+def mp_capable_version(data: bytes, start: int = 0, end: int | None = None) -> int | None:
+    """Version of the first MP_CAPABLE in the options `data[start:end]` that
+    `decode_mp_capable_any` decodes; None if none does."""
+    kept = _parse_options(data, start, end, MP_CAPABLE_KIND)[0]
+    return next((mc.version for mc in map(decode_mp_capable_any, kept) if mc is not None), None)
 
 
 def encode_mp_capable(mc: MpCapable, phase: HandshakePhase) -> bytes:

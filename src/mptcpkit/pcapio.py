@@ -4,7 +4,7 @@ Handles microsecond and nanosecond magic in either byte order, plain or
 gzip-compressed. Link types: Ethernet (1), raw IP (101), and NULL/loopback
 (0); the global header of any other is refused. A truncated trailing record,
 or a compressed stream cut short, ends the stream quietly; an unreadable
-global header or corrupt compressed data is fatal.
+global header, corrupt compressed data or an impossible record length is fatal.
 
 The file is read in 64 KiB blocks of its (decompressed) bytes. `read_blocks`
 yields each block with the offsets of the whole records in it, so a reader
@@ -38,6 +38,7 @@ GZIP_MAGIC = b"\x1f\x8b"
 _RECORD = {"<": struct.Struct("<IIII"), ">": struct.Struct(">IIII")}
 _INCL_LEN = {"<": struct.Struct("<8xI"), ">": struct.Struct(">8xI")}
 BLOCK = 1 << 16  # bytes read at a time
+MAX_SNAPLEN = 262144  # libpcap's: a record longer than this and the snaplen is corrupt
 
 
 def _gunzip_reader(f: IO[bytes], consumed: int) -> Callable[[int], bytes]:
@@ -95,22 +96,24 @@ def _open(source: str | Path | IO[bytes]) -> tuple[int, str, float, Blocks]:
                 endian = ">"
             else:
                 raise MalformedCapture(f"unknown pcap magic {header[:4].hex()}")
-        linktype = struct.unpack(f"{endian}I", header[20:24])[0]
+        snaplen, linktype = struct.unpack(f"{endian}II", header[16:24])
         if linktype not in (LINKTYPE_NULL, LINKTYPE_ETHERNET, LINKTYPE_RAW):
             raise MalformedCapture(f"unsupported link type {linktype}")
     except BaseException:
         if owned:
             f.close()
         raise
-    blocks = _walk(read, _INCL_LEN[endian].unpack_from, f if owned else None)
+    limit = max(snaplen, MAX_SNAPLEN)
+    blocks = _walk(read, _INCL_LEN[endian].unpack_from, limit, f if owned else None)
     return linktype, endian, 1e9 if magic == MAGIC_NS else 1e6, blocks
 
 
-def _walk(read: Callable[[int], bytes], incl_len: Callable, owned: IO[bytes] | None) -> Blocks:
-    """(block, offsets) for each block that holds a whole record: record i
-    runs from offsets[i] to offsets[i + 1], its 16-byte header first."""
+def _walk(read: Callable[[int], bytes], incl_len: Callable, limit: int,
+          owned: IO[bytes] | None) -> Blocks:
+    """(block, offsets) for each block that holds a whole record: record i runs from
+    offsets[i] to offsets[i + 1], its 16-byte header first; one over `limit` raises."""
     try:
-        tail, missing = b"", BLOCK
+        tail, missing, base = b"", BLOCK, 24  # base: the stream offset of buf
         while True:
             # A record cut at the end of a block is completed by reads of
             # what it lacks, a block at most each, joined once: two blocks
@@ -133,7 +136,11 @@ def _walk(read: Callable[[int], bytes], incl_len: Callable, owned: IO[bytes] | N
                 end = pos + 16
                 if end > size:
                     break
-                end += incl_len(buf, pos)[0]
+                length = incl_len(buf, pos)[0]
+                if length > limit:
+                    raise MalformedCapture(f"record at offset {base + pos} claims "
+                                           f"{length} bytes, above the {limit}-byte limit")
+                end += length
                 if end > size:
                     break
                 offsets.append(end)
@@ -141,6 +148,7 @@ def _walk(read: Callable[[int], bytes], incl_len: Callable, owned: IO[bytes] | N
             if pos:
                 yield buf, offsets
             tail = buf[pos:]
+            base += pos
             missing = end - size if tail else BLOCK
     finally:
         if owned is not None:

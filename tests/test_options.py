@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mptcpkit.errors import (
@@ -27,6 +27,8 @@ from mptcpkit.options import (
 
 K1 = Key(0x0102030405060708)
 K2 = Key(0x1111222233334444)
+# Declares 50 bytes, more than a TCP header's 40 option bytes hold, and has them.
+_LONG_OPTION = bytes([99, 50]) + bytes(48)
 
 
 class TestKey:
@@ -71,11 +73,20 @@ class TestParseOptions:
         # EOL then garbage that would otherwise be truncated
         assert parse_options(b"\x01\x00\x1e\x10") == [TcpOption(1)]
 
+    def test_length_above_forty_is_illegal_once_present(self):
+        assert parse_options_prefix(_LONG_OPTION) == ([], "illegal length 50 for kind 99")
+        with pytest.raises(IllegalLength):
+            parse_options(b"\x01" + _LONG_OPTION)
+        # Cut to a TCP header's 40 bytes, the same option is truncated, as before.
+        with pytest.raises(TruncatedOption):
+            parse_options(_LONG_OPTION[:40])
+
     def test_unknown_kind_preserved(self):
         parsed = parse_options(b"\xfd\x04\xab\xcd")
         assert parsed == [TcpOption(0xFD, b"\xab\xcd")]
 
-    @given(st.binary(min_size=0, max_size=40))
+    @given(st.binary(min_size=0, max_size=64))
+    @example(_LONG_OPTION)
     @settings(max_examples=300)
     def test_total_over_option_regions(self, data):
         # returns a list or raises a declared error, never anything else
@@ -85,13 +96,15 @@ class TestParseOptions:
             return
         assert isinstance(result, list)
 
-    @given(st.binary(min_size=0, max_size=40))
+    @given(st.binary(min_size=0, max_size=64))
+    @example(_LONG_OPTION)
     def test_prefix_parse_never_raises(self, data):
         opts, err = parse_options_prefix(data)
         assert isinstance(opts, list)
         assert err is None or isinstance(err, str)
 
-    @given(st.binary(min_size=0, max_size=40))
+    @given(st.binary(min_size=0, max_size=64))
+    @example(_LONG_OPTION)
     @settings(max_examples=300)
     def test_strict_and_prefix_parsers_agree(self, data):
         opts, err = parse_options_prefix(data)

@@ -21,10 +21,10 @@ _FORMATS = [("<", False), (">", False), ("<", True), (">", True)]
 _FORMAT_IDS = ["le-us", "be-us", "le-ns", "be-ns"]
 
 
-def capture(records, endian="<", nanos=False, linktype=LINKTYPE_RAW) -> bytes:
+def capture(records, endian="<", nanos=False, linktype=LINKTYPE_RAW, snaplen=262144) -> bytes:
     """A pcap of `records` given as (seconds, fraction, frame)."""
     magic = MAGIC_NS if nanos else MAGIC_US
-    parts = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 262144, linktype)]
+    parts = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, snaplen, linktype)]
     for sec, frac, frame in records:
         parts += [struct.pack(endian + "IIII", sec, frac, len(frame), len(frame)), frame]
     return b"".join(parts)
@@ -143,17 +143,53 @@ def test_corrupt_frame_length_reserves_no_more_than_a_block(tmp_path):
     tracemalloc.start()
     try:
         _linktype, frames = read_pcap(path)
-        assert list(frames) == []
+        with pytest.raises(MalformedCapture, match="offset 24 claims 50000000 bytes"):
+            list(frames)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("endian, nanos", _FORMATS, ids=_FORMAT_IDS)
+def test_record_claiming_4gb_raises_within_a_block(packed, endian, nanos):
+    # Whole records past the first block, then a header claiming 4 GB in
+    # front of 6 MB of records: the walk stops at that header, having read
+    # no more than its block.
+    before = [(n, 0, _frame(n, 1000)) for n in range(80)]
+    after = [(n, 0, _frame(n, 1400)) for n in range(4300)]
+    corrupt = struct.pack(endian + "IIII", 0, 0, 0xFFFF_FFF0, 0xFFFF_FFF0)
+    head = capture(before, endian, nanos)
+    data = head + corrupt + capture(after, endian, nanos)[24:]
+    assert len(head) > BLOCK and len(data) > 6_000_000
+    source = io.BytesIO(gzip.compress(data) if packed else data)
+    tracemalloc.start()
+    try:
+        _linktype, frames = read_pcap(source)
+        with pytest.raises(MalformedCapture, match=f"offset {len(head)} claims 4294967280 bytes"):
+            for _frame_seen in frames:
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a block, its offsets and the decompressor's state
+
+
+def test_limit_is_the_larger_of_snaplen_and_libpcaps():
+    big = (0, 0, bytes(pcapio.MAX_SNAPLEN + 1))
+    with pytest.raises(MalformedCapture):
+        read_all(capture([big], snaplen=65535), False)
+    assert read_all(capture([big], snaplen=pcapio.MAX_SNAPLEN + 1), False) == [(0.0, big[2])]
+    # A plausible length cut short by the end of the file ends the stream quietly.
+    assert read_all(capture([big], snaplen=1 << 30)[:-1], False) == []
+    assert read_all(capture([(0, 0, bytes(100))])[:-1], False) == []
+
+
 def _walk_seconds(frame_size: int) -> float:
     """Best of five: the time to walk a capture of one record whose frame is
-    `frame_size` bytes."""
-    data = capture([(0, 0, bytes(frame_size))])
+    `frame_size` bytes, under a snaplen of 2 MiB."""
+    data = capture([(0, 0, bytes(frame_size))], snaplen=2 << 20)
     best = float("inf")
     for _ in range(5):
         started = time.perf_counter()
