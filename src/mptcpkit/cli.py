@@ -28,7 +28,6 @@ from . import keystats, netsim, store as store_mod, tracer
 from .errors import EmptyInput, GuardViolation, TransportUnavailable
 from .inputs import data_lines
 from .options import Key
-from .packet import ip_family
 from .probe import (
     Blocklist,
     CampaignGuard,
@@ -294,19 +293,18 @@ def cmd_simulate(args) -> int:
     with open(args.out_targets, "w", encoding="utf-8") as f:
         f.writelines(f"{address},{port}\n" for address, port in targets)
     if args.out_truth:
-        # Truth depends only on the path and the address family, and targets
-        # share paths; `network` keeps every path alive, so ids stay unique.
-        tails: dict[tuple[int, int], list[str]] = {}
+        # Truth depends only on the path, and targets share paths; `network`
+        # keeps every path alive, so ids stay unique.
+        tails: dict[int, list[str]] = {}
         with open(args.out_truth, "w", encoding="utf-8") as f:
             f.write("address,port,version,classification,verdict,first_modifying_ttl\n")
             for address, port in targets:
                 path = paths[address, port]
-                key = (id(path), ip_family(address))
-                tail = tails.get(key)
+                tail = tails.get(id(path))
                 if tail is None:
-                    tail = tails[key] = []
+                    tail = tails[id(path)] = []
                     for version in (0, 1):
-                        truth = netsim.ground_truth(path, version, key[1])
+                        truth = netsim.ground_truth(path, version)
                         ttl = truth.first_modifying_ttl
                         tail.append(f"{version},{truth.classification.value},"
                                     f"{truth.verdict.value},{'' if ttl is None else ttl}\n")

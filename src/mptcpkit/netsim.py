@@ -20,14 +20,18 @@ paths:
 
 Transforming middleboxes (mirror/strip/key_rewrite) answer TTL expiry with a
 full quote of the packet as they would forward it; silent and drop nodes
-reveal nothing. Identical seeds and topologies produce byte-identical
-traffic: each key a node draws is a blake2b digest of its stream (address,
-port, hop) and draw number, and the network keeps only a count per stream.
+reveal nothing. A change to the option therefore always shows at the hop that
+makes it, and `ground_truth` reads the labels from the path alone: neither
+the target's address family nor a quoting router's size decides one.
+Identical seeds and topologies produce byte-identical traffic: each key a
+node draws is a blake2b digest of its stream (address, port, hop) and draw
+number, and the network keeps only a count per stream.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -51,15 +55,7 @@ from .options import (
     find_mp_capable,
     parse_options_prefix,
 )
-from .packet import (
-    FLAG_SYN,
-    FLAG_SYN_ACK,
-    IPV4_HEADER_LEN,
-    IPV6_HEADER_LEN,
-    TcpPacket,
-    encode_packet,
-    ip_family,
-)
+from .packet import FLAG_SYN, FLAG_SYN_ACK, TcpPacket, encode_packet
 from .probe import ClassificationKind, HopReply, ProbeResponse, blake2b
 from .tracer import PathVerdictKind
 
@@ -162,6 +158,8 @@ class SimPath:
             raise ValueError("a path needs at least the endpoint node")
         if nodes[-1].kind not in ENDPOINT_KINDS:
             raise ValueError(f"last node must be an endpoint, got {nodes[-1].kind}")
+        if not 0.0 <= self.per_hop_latency_ms < math.inf:  # NaN fails too
+            raise ValueError(f"latency must be finite and >= 0, got {self.per_hop_latency_ms}")
         drops = strips = False
         for node in nodes[:-1]:
             kind = node.kind
@@ -252,9 +250,9 @@ class SimNetwork:
         return Key(int.from_bytes(blake2b(text, digest_size=8).digest(), "big"))
 
     def _hop_address(self, target: str, ttl: int) -> str:
-        if ip_family(target) == 4:
-            return f"198.51.100.{ttl}"
-        return f"2001:db8:ee::{ttl:x}"
+        if ":" in target:
+            return f"2001:db8:ee::{ttl:x}"
+        return f"198.51.100.{ttl}"
 
     # -- forward/response passes ------------------------------------------
 
@@ -365,49 +363,32 @@ class SimNetwork:
 # -- construction ground truth ------------------------------------------------
 
 
-def _quote_reaches_options(node: NodeBehavior, family: int, options_len: int) -> bool:
-    if node.kind is not BehaviorKind.QUOTING_ROUTER:
-        return True  # transforming middleboxes quote the whole packet
-    ip_len = IPV4_HEADER_LEN if family == 4 else IPV6_HEADER_LEN
-    padded = options_len + (-options_len % 4)
-    return node.quote_bytes >= ip_len + 20 + padded
-
-
-def ground_truth(path: SimPath, version: int, target_family: int = 4) -> GroundTruth:
+def ground_truth(path: SimPath, version: int) -> GroundTruth:
     """Labels the scan and trace machinery must produce for this topology.
 
     Derived from path structure alone (an abstract walk over option states),
-    independent of the byte-level codec and packet plumbing it checks.
+    independent of the byte-level codec and packet plumbing it checks, and of
+    the target's address family. Strip and key_rewrite, the only nodes that
+    change the forward option, quote the whole packet they forward; so the
+    first modifying TTL is the first hop after which the option is no longer
+    intact, whatever any quoting router's size.
     """
     keyed = version == 0
-    sent_len = 12 if keyed else 4
     fwd = "intact"  # intact | rewritten | stripped
     first_mod: int | None = None
-    dropped = False
     record: dict[int, str] = {}
 
     for i, node in enumerate(path.interior, start=1):
         kind = node.kind
         if kind is BehaviorKind.DROP_FIREWALL:
-            dropped = True
-            break
+            return GroundTruth(ClassificationKind.NO_RESPONSE, PathVerdictKind.UNREACHABLE)
         if kind is BehaviorKind.STRIP_MIDDLEBOX:
             fwd = "stripped"
         elif kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX and keyed and fwd != "stripped":
             fwd = "rewritten"
         record[i] = fwd
-        quotes = kind is not BehaviorKind.SILENT_ROUTER
-        opt_len = 0 if fwd == "stripped" else sent_len
-        if (
-            quotes
-            and fwd != "intact"
-            and first_mod is None
-            and _quote_reaches_options(node, target_family, opt_len)
-        ):
+        if fwd != "intact" and first_mod is None:
             first_mod = i
-
-    if dropped:
-        return GroundTruth(ClassificationKind.NO_RESPONSE, PathVerdictKind.UNREACHABLE)
 
     endpoint = path.endpoint
     if (
@@ -470,8 +451,6 @@ def _parse_node(token: str) -> NodeBehavior:
             versions.add(int(arg[1]))
         elif arg.startswith("seed="):
             key_seed = int(arg.split("=", 1)[1])
-        elif arg.startswith(("quote=", "bytes=")):
-            quote_bytes = int(arg.split("=", 1)[1])
         elif arg.isdigit():
             quote_bytes = int(arg)
         else:

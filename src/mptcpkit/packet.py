@@ -94,10 +94,6 @@ def pack_address(text: str) -> bytes:
         return ipaddress.ip_address(text).packed
 
 
-def ip_family(addr: str) -> int:
-    return 4 if len(pack_address(addr)) == 4 else 6
-
-
 # What `flow_fields` reads of a packet it walks header by header, and the
 # rest of the TCP header, which `decode_tcp` adds.
 _IPV4 = struct.Struct("!2xH8x4s4s")  # len src dst

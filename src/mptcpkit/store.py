@@ -2,13 +2,14 @@
 
 Snapshots are persisted one file per (month, family, port, version) as
 line-delimited text, named `YYYY-MM_family_port_version`: append-only,
-diff-able, no database. Re-ingesting the same data is idempotent; within a
-month, repeated scans collapse by union with positive classifications
-winning.
+diff-able, no database; a save replaces its file whole, or not at all.
+Re-ingesting the same data is idempotent; within a month, repeated scans
+collapse by union with positive classifications winning.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -112,10 +113,17 @@ class SnapshotStore:
                 existing.add(record)
             snapshot = existing
         records = snapshot.records
-        with open(path, "w", encoding="utf-8") as f:  # a line at a time, not one string
-            f.write(f"# snapshot {snapshot.date} {snapshot.family} "
-                    f"port={snapshot.port} version={snapshot.version}\n")
-            f.writelines(f"{records[a].to_line()}\n" for a in sorted(records))
+        # Written beside the file and renamed over it, so a failed write keeps
+        # the months merged before; `load_series` reads no name ending `.tmp`.
+        temp = path.with_name(f".{path.name}.tmp")
+        try:
+            with open(temp, "w", encoding="utf-8") as f:  # a line at a time, not one string
+                f.write(f"# snapshot {snapshot.date} {snapshot.family} "
+                        f"port={snapshot.port} version={snapshot.version}\n")
+                f.writelines(f"{records[a].to_line()}\n" for a in sorted(records))
+            os.replace(temp, path)
+        finally:
+            temp.unlink(missing_ok=True)
         return path
 
     def _read(self, path: Path, template: ScanSnapshot) -> ScanSnapshot:

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import os
@@ -22,7 +21,6 @@ from mptcpkit.cli import POSITIVE_SCAN_LABELS, _read_records, _targets_from_scan
 from mptcpkit.errors import TransportUnavailable
 from mptcpkit.netsim import SimNetwork
 from mptcpkit.options import Key
-from mptcpkit.packet import ip_family
 from mptcpkit.probe import CampaignRecord, RatePacer, VirtualClock
 
 TOPOLOGY = """\
@@ -163,37 +161,34 @@ class TestSimulate:
         assert truth_lines[0].startswith("address,port,version")
         assert len(truth_lines) == 1 + 2 * 40  # both versions per target
 
-    @pytest.mark.parametrize("marked", [False, True])
-    def test_truth_rows_match_a_per_row_reference(self, workdir, monkeypatch, marked):
-        """Each row is ground_truth(path, version, family of its address).
+    def test_truth_rows_match_a_per_row_reference(self, workdir, monkeypatch):
+        """Each row is ground_truth(path, version), worked out once per
+        distinct path and version, also for a path that IPv4 and IPv6
+        targets share."""
+        calls = []
 
-        Generated paths give both families the same labels, so a run with
-        `marked` also tags each truth with the family it was asked for: a
-        shared path on IPv4 and IPv6 targets then shows a memo that ignores
-        the family.
-        """
-        truth_of = netsim.ground_truth
-        if marked:
-            def truth_of(path, version, family=4, real=netsim.ground_truth):
-                return dataclasses.replace(real(path, version, family), first_modifying_ttl=family)
-            monkeypatch.setattr(netsim, "ground_truth", truth_of)
+        def counted(path, *args, real=netsim.ground_truth):
+            calls.append(id(path))
+            return real(path, *args)
+
+        monkeypatch.setattr(netsim, "ground_truth", counted)
         run_ok([
             "simulate", "--generate", "300", "--seed", "5",
             "--out-topology", str(workdir / "gen-topo.txt"),
             "--out-targets", str(workdir / "gen-targets.csv"),
             "--out-truth", str(workdir / "gen-truth.csv"),
         ])
+        monkeypatch.undo()
         network = netsim.generate_population(300, seed=5)
-        families: dict[int, set[int]] = {}
+        families: dict[int, set[bool]] = {}
         for (address, _port), path in network.paths.items():
-            if any(node.kind is netsim.BehaviorKind.QUOTING_ROUTER and node.quote_bytes in (28, 64)
-                   for node in path.nodes):
-                families.setdefault(id(path), set()).add(ip_family(address))
-        assert {4, 6} in families.values()
+            families.setdefault(id(path), set()).add(":" in address)
+        assert {False, True} in families.values()
+        assert len(calls) == 2 * len(families)
         expected = ["address,port,version,classification,verdict,first_modifying_ttl"]
         for (address, port), path in sorted(network.paths.items()):
             for version in (0, 1):
-                truth = truth_of(path, version, ip_family(address))
+                truth = netsim.ground_truth(path, version)
                 ttl = "" if truth.first_modifying_ttl is None else truth.first_modifying_ttl
                 expected.append(f"{address},{port},{version},{truth.classification.value},"
                                 f"{truth.verdict.value},{ttl}")
@@ -1018,6 +1013,17 @@ class TestBench:
         assert (out_dir / "connect.cdf.txt").exists()
         rows = (out_dir / "connect.cdf.txt").read_text().splitlines()
         assert len(rows) == 5  # only the reachable target contributes
+
+    @pytest.mark.parametrize("latency", ["nan", "inf", "-3"])
+    def test_bad_latency_exits_before_writing(self, workdir, capsys, latency):
+        (workdir / "bad-topology.txt").write_text(f"path 10.0.0.1 80 latency={latency} tcp_host\n")
+        out_dir = workdir / "bench"
+        rc = main(["bench", "--targets", str(workdir / "targets.csv"),
+                   "--sim-topology", str(workdir / "bad-topology.txt"),
+                   "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert "latency must be finite and >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_refused_without_mptcp_stack(self, workdir, monkeypatch, capsys):
         fetched = []

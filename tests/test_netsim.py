@@ -241,6 +241,24 @@ class TestTopologyFiles:
         with pytest.raises(ValueError):
             parse_topology(["path 10.0.0.1 80 quoting(hello=1) tcp_host"])
 
+    @pytest.mark.parametrize("token", ["quoting(quote=64)", "quoting(bytes=64)",
+                                       "quoting(quote=-5)", "quoting(-5)"])
+    def test_quote_size_is_a_bare_count(self, token):
+        with pytest.raises(ValueError, match="unknown node argument"):
+            parse_topology([f"path 10.0.0.1 80 {token} tcp_host"])
+
+    @pytest.mark.parametrize("latency", ["nan", "inf", "-3"])
+    def test_latency_must_be_finite_and_not_negative(self, latency):
+        with pytest.raises(ValueError, match="latency must be finite and >= 0"):
+            parse_topology([f"path 10.0.0.1 80 latency={latency} tcp_host"])
+        with pytest.raises(ValueError, match="latency must be finite and >= 0"):
+            SimPath([tcp_host()], per_hop_latency_ms=float(latency))
+
+    def test_zero_and_fractional_latency_parse(self):
+        net = parse_topology(["path 10.0.0.1 80 latency=0 tcp_host",
+                              "path 10.0.0.2 80 latency=2.5 tcp_host"])
+        assert [p.per_hop_latency_ms for p in net.paths.values()] == [0.0, 2.5]
+
     REPEATED = [
         "path 10.0.0.1 80 key_rewrite(seed=9) quoting(64) true_host(v0,v1)",
         "path 10.0.0.2 80 key_rewrite(seed=9) mirror true_host(v0,v1)",
@@ -476,16 +494,16 @@ class TestGroundTruth:
         assert truth2.first_modifying_ttl == 2
 
 
-def machinery_labels(path: SimPath, version: int, seed: int = 11):
+def machinery_labels(path: SimPath, version: int, seed: int = 11, target: str = TARGET):
     from mptcpkit.tracer import inspect_target
 
     net = SimNetwork(seed)
-    net.add_path(TARGET, 80, path)
+    net.add_path(target, 80, path)
     key = DEFAULT_PROBE_KEY if version == 0 else None
-    spec = ProbeSpec(TARGET, 80, version, key)
+    spec = ProbeSpec(target, 80, version, key)
     cls = classify_response(spec, net.handshake(build_syn_probe(spec, seed)))
     _trace, verdict = inspect_target(
-        TARGET, 80, version, net, max_ttl=len(path.nodes), seed=seed
+        target, 80, version, net, max_ttl=len(path.nodes), seed=seed
     )
     return cls, verdict
 
@@ -504,6 +522,28 @@ def test_oracle_agreement_sampled():
                     assert cls.kind == truth.classification, path.nodes
                     assert verdict.kind == truth.verdict, path.nodes
                     assert verdict.first_modifying_ttl == truth.first_modifying_ttl
+
+
+@given(
+    interior=st.lists(
+        st.sampled_from([mirror(), strip(), key_rewrite(), drop(), silent()])
+        | st.integers(0, 200).map(quoting),
+        max_size=8,
+    ),
+    endpoint=st.sampled_from([true_host(0), true_host(1), true_host(0, 1), tcp_host()]),
+    target=st.sampled_from([TARGET, "2001:db8:1::7"]),
+    version=st.sampled_from([0, 1]),
+)
+@settings(max_examples=600, deadline=None)
+def test_oracle_agreement_beyond_the_enumeration(interior, endpoint, target, version):
+    """Longer paths, any quote size and both families: the labels still
+    follow from the path alone."""
+    path = SimPath([*interior, endpoint])
+    truth = ground_truth(path, version)
+    cls, verdict = machinery_labels(path, version, target=target)
+    assert cls.kind == truth.classification
+    assert verdict.kind == truth.verdict
+    assert verdict.first_modifying_ttl == truth.first_modifying_ttl
 
 
 def test_generate_population_deterministic():

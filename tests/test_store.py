@@ -96,6 +96,26 @@ class TestSnapshotStore:
         assert merged.records["10.0.0.1"].classification == "potential_capable"
         assert "10.0.0.9" in merged.records
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        store = SnapshotStore(tmp_path)
+        path = store.save(snap("2021-10", ["10.0.0.1", "10.0.0.2"]))
+        before = path.read_bytes()
+        real_to_line = HostRecord.to_line
+        written = []
+
+        def to_line(record):
+            if written:
+                raise OSError("no space left on device")
+            written.append(record)
+            return real_to_line(record)
+
+        monkeypatch.setattr(HostRecord, "to_line", to_line)
+        with pytest.raises(OSError):
+            store.save(snap("2021-10", ["10.0.0.3"]))
+        assert written  # the failure came after a row was written
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_load_series(self, tmp_path):
         store = SnapshotStore(tmp_path)
         for date in ("2021-08", "2021-09", "2021-10"):
