@@ -228,10 +228,6 @@ def _guard_from_args(args) -> CampaignGuard:
     return CampaignGuard(blocklist, pacer)
 
 
-def _probe_key(args) -> Key | None:
-    return Key.from_hex(args.probe_key) if args.probe_key else None
-
-
 def _write_rows(path: str | None, rows: Iterable, line: Callable[..., str], transport) -> int:
     """Write `line(row)` for each of `rows` to --out `path`, and close a live
     transport's sockets however the run ends (a simulated network holds none)."""
@@ -248,34 +244,31 @@ def _write_rows(path: str | None, rows: Iterable, line: Callable[..., str], tran
 
 def cmd_scan(args) -> int:
     guard = _guard_from_args(args)
-    probe_key = _probe_key(args)
     transport = None if args.dry_run else _resolve_transport(args)
     records = run_campaign(_read_targets(args.targets), version=args.version, guard=guard,
-                           transport=transport, probe_key=probe_key, seed=args.seed)
+                           transport=transport, probe_key=args.probe_key, seed=args.seed)
     line = CampaignRecord.to_json if args.format == "jsonl" else CampaignRecord.to_csv
     return _write_rows(args.out, records, line, transport)
 
 
 def cmd_trace(args) -> int:
     guard = _guard_from_args(args)
-    probe_key = _probe_key(args)
     targets = (_read_targets(args.targets) if args.from_scan is None
                else _drain(_targets_from_scan(args.from_scan, POSITIVE_SCAN_LABELS)))
     transport = _resolve_transport(args)
     rows = tracer.trace_campaign(targets, version=args.version, guard=guard, transport=transport,
-                                 max_ttl=args.max_ttl, probe_key=probe_key, seed=args.seed)
+                                 max_ttl=args.max_ttl, probe_key=args.probe_key, seed=args.seed)
     return _write_rows(args.out, rows, tracer.TraceRecord.to_csv, transport)
 
 
 def cmd_keys(args) -> int:
-    probe_key = _probe_key(args) or DEFAULT_PROBE_KEY
     try:  # the keys are read as they are counted, and none is held
         if args.from_scan is not None:
             keys = (r.sender_key for r in _read_records(args.from_scan) if r.sender_key is not None)
-            report = keystats.analyze_keys(keys, probe_key)
+            report = keystats.analyze_keys(keys, args.probe_key)
         else:
             with open(args.infile, encoding="utf-8") as f:
-                report = keystats.analyze_keys(keystats.read_keys(f), probe_key)
+                report = keystats.analyze_keys(keystats.read_keys(f), args.probe_key)
     except EmptyInput:
         print("no keys found in input", file=sys.stderr)
         return 1
@@ -464,8 +457,6 @@ def cmd_bench(args) -> int:
     # One budget for both sides.
     mptcp_t = PacedTransport(mptcp_t, guard.pacer)
     tcp_t = PacedTransport(tcp_t, guard.pacer)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def runs():  # one target at a time, so samples are freed once paired
         for address, port in targets:
@@ -474,6 +465,8 @@ def cmd_bench(args) -> int:
             yield mptcp_samples, tcp_samples
 
     combined = bench_mod.paired_report(runs(), zero_tolerance_ms=args.zero_tol)
+    out_dir = Path(args.out_dir)  # made once every target is read and paired
+    out_dir.mkdir(parents=True, exist_ok=True)
     for metric in bench_mod.METRICS:
         if metric not in combined.by_metric:
             continue
@@ -529,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     probing = argparse.ArgumentParser(add_help=False)  # _resolve_transport
     probing.add_argument("--version", type=int, choices=(0, 1), default=0)
-    probing.add_argument("--probe-key", default=None, help="hex v0 probe key")
+    probing.add_argument("--probe-key", type=Key.from_hex, default=None, help="hex v0 probe key")
     probing.add_argument("--sim-topology", default=None)
     probing.add_argument("--timeout-ms", type=_ranged(float, 0, above=True), default=2000.0)
     probing.add_argument("--seed", type=_seed, default=0)
@@ -554,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = keys.add_mutually_exclusive_group(required=True)
     source.add_argument("--in", dest="infile", default=None, help="one hex key per line")
     source.add_argument("--from-scan", default=None)
-    keys.add_argument("--probe-key", default=None)
+    keys.add_argument("--probe-key", type=Key.from_hex, default=DEFAULT_PROBE_KEY)
 
     simulate = sub.add_parser("simulate", help="generate a simulated topology")
     simulate.add_argument("--generate", type=_ranged(int, 0), required=True, metavar="N")

@@ -21,6 +21,8 @@ from .inputs import data_lines
 from .options import Key
 
 _TWO_64 = 1 << 64
+# The expected count each pooled chi-square bin reaches.
+MIN_EXPECTED = 5.0
 
 
 def _as_int(key: Key | int) -> int:
@@ -78,10 +80,8 @@ class EntropyReport:
     p_value: float
 
 
-def pooled_chi_square(
-    counts: list[int], expected: list[float], min_expected: float = 5.0
-) -> tuple[float, float, int]:
-    """Chi-square statistic with tail bins pooled to expected >= min_expected.
+def pooled_chi_square(counts: list[int], expected: list[float]) -> tuple[float, float, int]:
+    """Chi-square statistic with tail bins pooled to expected >= MIN_EXPECTED.
 
     Returns (statistic, p_value, pooled_bin_count); degrees of freedom are
     pooled bins minus one. With fewer than two pooled bins there is nothing
@@ -93,7 +93,7 @@ def pooled_chi_square(
     for obs, exp in zip(counts, expected):
         obs_acc += obs
         exp_acc += exp
-        if exp_acc >= min_expected:
+        if exp_acc >= MIN_EXPECTED:
             bins.append((obs_acc, exp_acc))
             obs_acc = exp_acc = 0.0
     if exp_acc > 0 or obs_acc > 0:

@@ -25,7 +25,9 @@ makes it, and `ground_truth` reads the labels from the path alone: neither
 the target's address family nor a quoting router's size decides one.
 Identical seeds and topologies produce byte-identical traffic: each key a
 node draws is a blake2b digest of its stream (address, port, hop) and draw
-number, and the network keeps only a count per stream.
+number, and the network keeps only a count per stream. The simulator reads
+each SYN through `options.syn_view` and rewrites a key with
+`options.with_sender_key`; it knows no MP_CAPABLE byte layout of its own.
 """
 
 from __future__ import annotations
@@ -38,22 +40,20 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import OptionError
 from .inputs import data_line
 from .options import (
     DEFAULT_MP_FLAGS,
     HandshakePhase,
     Key,
     MpCapable,
+    SynView,
     TcpOption,
-    decode_mp_capable,
-    decode_mp_capable_any,
     encode_mp_capable,
     encode_options,
-    find_mp_capable,
-    parse_options_prefix,
+    syn_view,
+    with_sender_key,
 )
 from .packet import FLAG_SYN, FLAG_SYN_ACK, TcpPacket, encode_packet
 from .probe import ClassificationKind, HopReply, ProbeResponse, blake2b
@@ -192,36 +192,6 @@ def _replace_mp_capable(
     return kept if new_option is None else [new_option, *kept]
 
 
-def _with_sender_key(opt: TcpOption, key: Key) -> TcpOption:
-    """The keyed MP_CAPABLE `opt` with its sender's key swapped for `key`."""
-    return TcpOption(30, opt.payload[:2] + key.to_bytes() + opt.payload[10:])
-
-
-class _SynView(NamedTuple):
-    """What the simulator reads from one SYN's option bytes."""
-
-    parsed: tuple[TcpOption, ...]
-    mp: TcpOption | None  # the first MP_CAPABLE
-    keyed: bool  # `mp` decodes, in some phase, with a sender's key
-    syn_mc: MpCapable | None  # `mp` decoded as a SYN; None if it does not decode
-
-
-# Keyed by the SYN's option bytes, which every probe of a campaign shares.
-@functools.lru_cache(maxsize=16)
-def _syn_view(options: bytes) -> _SynView:
-    parsed, _ = parse_options_prefix(options)
-    mp = find_mp_capable(parsed)
-    if mp is None:
-        return _SynView(tuple(parsed), None, False, None)
-    any_mc = decode_mp_capable_any(mp)
-    try:
-        syn_mc = decode_mp_capable(mp, HandshakePhase.SYN)
-    except OptionError:
-        syn_mc = None
-    return _SynView(tuple(parsed), mp, any_mc is not None and any_mc.sender_key is not None,
-                    syn_mc)
-
-
 class SimNetwork:
     """A population of simulated paths addressed by (address, port)."""
 
@@ -257,7 +227,7 @@ class SimNetwork:
     # -- forward/response passes ------------------------------------------
 
     def _forward(
-        self, path: SimPath, syn: TcpPacket, view: _SynView, up_to: int
+        self, path: SimPath, syn: TcpPacket, view: SynView, up_to: int
     ) -> tuple[bytes | None, TcpOption | None, list[tuple[TcpOption | None, bool]]]:
         """Apply interior transforms for hops 1..up_to to the SYN `view` reads.
 
@@ -266,7 +236,8 @@ class SimNetwork:
         transform, rewrite acted). A key_rewrite node draws a key on every
         pass, whether or not it can use it.
         """
-        options, parsed, mp, keyed = syn.options, view.parsed, view.mp, view.keyed
+        options, parsed, mp, mc = syn.options, view.parsed, view.mp, view.any_mc
+        keyed = mc is not None and mc.sender_key is not None
         records: list[tuple[TcpOption | None, bool]] = []
         for i, node in enumerate(path.interior[:up_to], start=1):
             kind = node.kind
@@ -279,7 +250,7 @@ class SimNetwork:
             elif kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX:
                 key = self._next_key(syn.dst, syn.dst_port, i, node)
                 if keyed:  # a rewrite keeps the option's form, so it stays keyed
-                    mp = _with_sender_key(mp, key)
+                    mp = with_sender_key(mp, key)
                     parsed = _replace_mp_capable(parsed, mp)
                     options = encode_options(parsed)
                     records.append((mp, True))
@@ -288,7 +259,7 @@ class SimNetwork:
         return options, mp, records
 
     def _endpoint_reply(
-        self, path: SimPath, syn: TcpPacket, view: _SynView, mp: TcpOption | None
+        self, path: SimPath, syn: TcpPacket, view: SynView, mp: TcpOption | None
     ) -> TcpOption | None:
         """MP_CAPABLE of the endpoint's SYN-ACK to a SYN arriving with `mp`;
         None means plain TCP.
@@ -314,7 +285,7 @@ class SimNetwork:
         Its one option, if any, comes from an encoder or a parse, so it is
         not parsed again and carries no note.
         """
-        view = _syn_view(syn.options)
+        view = syn_view(syn.options)
         forward, mp, records = self._forward(path, syn, view, len(path.interior))
         if forward is None:
             return None
@@ -326,7 +297,7 @@ class SimNetwork:
             if node.kind is BehaviorKind.MIRROR_MIDDLEBOX and seen is not None:
                 reply = seen
             elif node.kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX and acted:
-                reply = _with_sender_key(seen, self._next_key(syn.dst, syn.dst_port, i, node))
+                reply = with_sender_key(seen, self._next_key(syn.dst, syn.dst_port, i, node))
         return ProbeResponse(FLAG_SYN_ACK, [] if reply is None else [reply], path.rtt_ms)
 
     # -- transport contract -------------------------------------------------
@@ -345,7 +316,7 @@ class SimNetwork:
             return None
         interior = path.interior
         if ttl <= len(interior):
-            forward, _mp, _records = self._forward(path, syn, _syn_view(syn.options), ttl)
+            forward, _mp, _records = self._forward(path, syn, syn_view(syn.options), ttl)
             if forward is None:
                 return None
             node = interior[ttl - 1]

@@ -13,12 +13,19 @@ Total option length by (version, handshake phase):
 
 Flags are treated as an opaque 8-bit field; checksum and HMAC semantics are
 not interpreted. All functions here are pure and safe for concurrent use.
+
+This is the only module that knows the MP_CAPABLE byte layout. `syn_view`
+reads a sent SYN's options once per campaign for the scanner's mirror test,
+the tracer's per-hop diff and the simulator's middleboxes, and
+`with_sender_key` is the one rewrite of a key in place.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     BadLength,
@@ -123,17 +130,8 @@ class MpCapable:
             raise IllegalCombination("receiver key requires a sender key")
 
 
-# Which keys each legal wire form carries: (sender present, receiver present).
-_PHASE_KEYS = {
-    (0, HandshakePhase.SYN): (True, False),
-    (0, HandshakePhase.SYN_ACK): (True, False),
-    (0, HandshakePhase.ACK): (True, True),
-    (1, HandshakePhase.SYN): (False, False),
-    (1, HandshakePhase.SYN_ACK): (True, False),
-    (1, HandshakePhase.ACK): (True, True),
-}
-
-# Accepted total option lengths on decode.
+# Accepted total option lengths on decode; the first is the one encoded. A
+# form of 12 bytes or more carries the sender's key, one of 20 or more both.
 _PHASE_LENGTHS = {
     (0, HandshakePhase.SYN): (12,),
     (0, HandshakePhase.SYN_ACK): (12,),
@@ -193,12 +191,9 @@ def parse_options_prefix(data: bytes) -> tuple[list[TcpOption], str | None]:
     return out, None if error is None else str(error)
 
 
-def encode_options(options: list[TcpOption], pad_to_word: bool = False) -> bytes:
-    """Serialize options back to wire bytes, optionally zero-padded to 4n."""
-    data = b"".join(opt.encode() for opt in options)
-    if pad_to_word:
-        data += b"\x00" * (-len(data) % 4)
-    return data
+def encode_options(options: list[TcpOption]) -> bytes:
+    """Serialize options back to wire bytes."""
+    return b"".join(opt.encode() for opt in options)
 
 
 def find_mp_capable(options: list[TcpOption]) -> TcpOption | None:
@@ -261,7 +256,8 @@ def encode_mp_capable(mc: MpCapable, phase: HandshakePhase) -> bytes:
     The key set must match the (version, phase) form exactly, otherwise
     IllegalCombination is raised. decode(encode(mc, phase), phase) == mc.
     """
-    want_sender, want_receiver = _PHASE_KEYS[(mc.version, phase)]
+    length = _PHASE_LENGTHS[(mc.version, phase)][0]
+    want_sender, want_receiver = length >= 12, length >= 20
     if (mc.sender_key is not None) != want_sender or (
         mc.receiver_key is not None
     ) != want_receiver:
@@ -275,3 +271,32 @@ def encode_mp_capable(mc: MpCapable, phase: HandshakePhase) -> bytes:
     if mc.receiver_key is not None:
         body += mc.receiver_key.to_bytes()
     return bytes([MP_CAPABLE_KIND, len(body) + 2]) + body
+
+
+def with_sender_key(opt: TcpOption, key: Key) -> TcpOption:
+    """The keyed MP_CAPABLE `opt` with its sender's key swapped for `key`."""
+    return TcpOption(MP_CAPABLE_KIND, opt.payload[:2] + key.to_bytes() + opt.payload[10:])
+
+
+class SynView(NamedTuple):
+    """What a sent SYN's option bytes say about the MP_CAPABLE it carries."""
+
+    parsed: tuple[TcpOption, ...]  # the tolerant parse
+    mp: TcpOption | None  # the first MP_CAPABLE
+    any_mc: MpCapable | None  # `mp` decoded in whichever phase fits
+    syn_mc: MpCapable | None  # `mp` decoded as a SYN; None if it does not decode
+
+
+# Keyed by the SYN's option bytes, which every probe of a campaign shares.
+@functools.lru_cache(maxsize=16)
+def syn_view(options: bytes) -> SynView:
+    """The view of a sent SYN's options, read once per distinct option bytes."""
+    parsed, _ = parse_options_prefix(options)
+    mp = find_mp_capable(parsed)
+    if mp is None:
+        return SynView(tuple(parsed), None, None, None)
+    try:
+        syn_mc = decode_mp_capable(mp, HandshakePhase.SYN)
+    except OptionError:
+        syn_mc = None
+    return SynView(tuple(parsed), mp, decode_mp_capable_any(mp), syn_mc)

@@ -149,16 +149,12 @@ def _checksum(total: int) -> int:
     return 0xFFFE - (total - 1) % 0xFFFF
 
 
-def encode_packet(
-    pkt: TcpPacket, src: str | None = None, ttl: int | None = None, options: bytes | None = None
-) -> bytes:
+def encode_packet(pkt: TcpPacket, ttl: int | None = None, options: bytes | None = None) -> bytes:
     """Serialize to IP header + TCP header + options + payload, checksummed.
 
-    `src`, `ttl` and `options`, when given, are sent in place of the packet's own.
+    `ttl` and `options`, when given, are sent in place of the packet's own.
     """
-    return encode_packed(
-        pkt, pack_address(pkt.src if src is None else src), pack_address(pkt.dst), ttl, options
-    )
+    return encode_packed(pkt, pack_address(pkt.src), pack_address(pkt.dst), ttl, options)
 
 
 def encode_packed(

@@ -26,6 +26,7 @@ from .options import (
     decode_mp_capable,
     encode_mp_capable,
     parse_options_prefix,
+    syn_view,
 )
 from .packet import FLAG_RST, FLAG_SYN_ACK, RawSegment, TcpPacket
 
@@ -175,11 +176,8 @@ def classify_response(spec: ProbeSpec, resp: ProbeResponse | None) -> Classifica
     if not kind30:
         return Classification(ClassificationKind.NO_MP_CAPABLE)
 
-    if spec.version == 1:
-        # Both are kind 30, so equal payloads mean byte-identical options.
-        sent_payload = spec.syn_option()[2:]
-        if any(o.payload == sent_payload for o in kind30):
-            return Classification(ClassificationKind.MIRRORED_KEY)
+    if spec.version == 1 and syn_view(spec.syn_option()).mp in kind30:
+        return Classification(ClassificationKind.MIRRORED_KEY)  # a byte-identical echo
 
     decoded: list[MpCapable] = []
     notes: list[str] = []
@@ -243,10 +241,10 @@ class Blocklist:
 
 
 class VirtualClock:
-    """Deterministic clock for tests and simulated campaigns."""
+    """Deterministic clock for tests and simulated campaigns; it starts at 0."""
 
-    def __init__(self, start: float = 0.0):
-        self.now = start
+    def __init__(self):
+        self.now = 0.0
 
     def __call__(self) -> float:
         return self.now
@@ -409,11 +407,14 @@ class CampaignRecord:
 
 
 def target_row(line: str) -> tuple[str, int]:
-    """One `address,port` row."""
+    """One `address,port` row; the port must be in [0, 65535]."""
     address, sep, port = line.rpartition(",")
     if not sep:
         raise ValueError(f"expected address,port, got {line!r}")
-    return address.strip(), int(port)
+    number = int(port)
+    if not 0 <= number <= 65535:
+        raise ValueError(f"port out of range: {number}")
+    return address.strip(), number
 
 
 def load_targets(lines: Iterable[str]) -> Iterator[tuple[str, int]]:

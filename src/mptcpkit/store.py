@@ -166,7 +166,7 @@ def _window_snapshots(
 
 
 def consistent_hosts(
-    series: Mapping[str, ScanSnapshot], window_months: int = 3, at_date: str = ""
+    series: Mapping[str, ScanSnapshot], window_months: int, at_date: str
 ) -> set[str]:
     """Addresses positive in every month of the trailing window."""
     snaps = _window_snapshots(series, window_months, at_date)
@@ -177,7 +177,7 @@ def consistent_hosts(
 
 
 def eligible_for_path_probe(
-    series: Mapping[str, ScanSnapshot], at_date: str, window_months: int = 3
+    series: Mapping[str, ScanSnapshot], window_months: int, at_date: str
 ) -> set[str]:
     """Targets worth tracing: answered with MP_CAPABLE in every month of the
     window and returned a non-mirrored key at least once. Prunes transient

@@ -4,24 +4,18 @@ Sends the same MP_CAPABLE SYN with increasing TTLs, reads the option bytes
 quoted back by intermediate hops, and diffs them against what was sent. The
 verdict separates targets that rewrite the option themselves (capable) from
 paths where some hop strips or rewrites it (middlebox-affected) and targets
-that never answer (unreachable).
+that never answer (unreachable). What was sent is read once per campaign, as
+the `options.syn_view` of the SYN's option bytes, and every hop is diffed
+against that view.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .options import (
-    Key,
-    MpCapable,
-    TcpOption,
-    decode_mp_capable_any,
-    find_mp_capable,
-    parse_options,
-)
+from .options import Key, SynView, TcpOption, decode_mp_capable_any, find_mp_capable, syn_view
 from .packet import FLAG_SYN_ACK, extract_quoted_options
 from .probe import (
     DEFAULT_PROBE_KEY,
@@ -99,18 +93,10 @@ class PathTrace:
     final_response: ProbeResponse | None
 
 
-def diff_options(
-    sent: Sequence[TcpOption],
-    observed: list[TcpOption],
-    *,
-    sent_mc: MpCapable | None = None,
-) -> OptionDiff:
-    """Compare the MP_CAPABLE we sent against what a hop observed.
-
-    `sent_mc`, when given, is `decode_mp_capable_any` of the sent MP_CAPABLE,
-    so a caller diffing many hops against one SYN decodes it once.
-    """
-    sent_opt = find_mp_capable(sent)
+def diff_options(sent: SynView, observed: list[TcpOption]) -> OptionDiff:
+    """Compare the MP_CAPABLE we sent, as `sent` reads it, against what a hop
+    observed."""
+    sent_opt = sent.mp
     if sent_opt is None:
         raise ValueError("sent options carry no MP_CAPABLE")
     seen = find_mp_capable(observed)
@@ -123,23 +109,12 @@ def diff_options(
         return OptionDiff(
             OptionDiffKind.OTHER_MODIFICATION, description="option no longer decodes"
         )
-    if sent_mc is None:
-        sent_mc = decode_mp_capable_any(sent_opt)
-    if sent_mc is not None and seen_mc.sender_key != sent_mc.sender_key:
+    if sent.any_mc is not None and seen_mc.sender_key != sent.any_mc.sender_key:
         return OptionDiff(OptionDiffKind.KEY_CHANGED, new_key=seen_mc.sender_key)
     return OptionDiff(
         OptionDiffKind.OTHER_MODIFICATION,
         description=f"bytes changed: {sent_opt.encode().hex()} -> {seen.encode().hex()}",
     )
-
-
-# Keyed by the SYN's option bytes, which every probe of a campaign shares.
-@functools.lru_cache(maxsize=16)
-def _sent_options(options: bytes) -> tuple[tuple[TcpOption, ...], MpCapable | None]:
-    """The parse of a SYN's options and the decode of its MP_CAPABLE."""
-    parsed = tuple(parse_options(options))
-    sent_opt = find_mp_capable(parsed)
-    return parsed, None if sent_opt is None else decode_mp_capable_any(sent_opt)
 
 
 def probe_path(
@@ -164,7 +139,7 @@ def probe_path(
         probe_key = DEFAULT_PROBE_KEY
     spec = ProbeSpec(target, port, version, probe_key)
     syn = build_syn_probe(spec, seed)
-    sent_options, sent_mc = _sent_options(syn.options)
+    sent = syn_view(syn.options)
     hops: list[HopRecord] = []
     final: ProbeResponse | None = None
 
@@ -182,11 +157,11 @@ def probe_path(
             if quoted is None:
                 diff = OptionDiff(OptionDiffKind.UNOBSERVED)
             else:
-                diff = diff_options(sent_options, quoted, sent_mc=sent_mc)
+                diff = diff_options(sent, quoted)
             hops.append(HopRecord(ttl, reply.responder, quoted, diff))
             continue
         # The target answered (SYN-ACK or RST): terminal record.
-        diff = diff_options(sent_options, reply.options, sent_mc=sent_mc)
+        diff = diff_options(sent, reply.options)
         hops.append(HopRecord(ttl, target, reply.options, diff))
         final = reply
         break

@@ -382,8 +382,8 @@ class TestSharedGuard:
 
     @pytest.mark.parametrize("argv", [
         ["trace", "--rate", "0"],
-        ["trace", "--rate", "10", "--probe-key", "zz"],
-        ["scan", "--rate", "10", "--probe-key", "zz"],
+        ["trace", "--rate", "10", "--version", "1", "--probe-key", "ff"],
+        ["scan", "--rate", "10", "--version", "1", "--probe-key", "ff"],
     ])
     def test_live_refusal_leaves_no_transport_open(self, workdir, built, argv):
         rc = main([*argv, "--targets", str(workdir / "targets.csv"),
@@ -843,6 +843,37 @@ def test_seed_outside_64_bits_is_a_usage_error(command, seed, workdir, capsys):
     assert sorted(workdir.iterdir()) == before  # nothing written
 
 
+def _probe_key_argv(command, workdir, key):
+    """A complete `command` run on the simulated workdir with `--probe-key=key`."""
+    (workdir / "keys.txt").write_text("00000000000000ff\n")
+    sim = ["--sim-topology", workdir / "topology.txt"]
+    argv = {
+        "scan": ["--targets", workdir / "targets.csv", "--out", workdir / "scan.csv", *sim],
+        "trace": ["--targets", workdir / "targets.csv", "--out", workdir / "trace.csv", *sim],
+        "keys": ["--in", workdir / "keys.txt", "--out", workdir / "keys-report.txt"],
+    }[command]
+    return [command, *map(str, argv), f"--probe-key={key}"]
+
+
+@pytest.mark.parametrize("key", ["zz", "", "-1", "1" + "0" * 16])
+@pytest.mark.parametrize("command", ["scan", "trace", "keys"])
+def test_bad_probe_key_is_a_usage_error(command, key, workdir, capsys):
+    # Not hex, empty, or wider than 64 bits: refused before any file is touched.
+    argv = _probe_key_argv(command, workdir, key)
+    before = _tree(workdir)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith(f"argument --probe-key: invalid from_hex value: {key!r}")
+    assert _tree(workdir) == before
+
+
+@pytest.mark.parametrize("command", ["scan", "trace", "keys"])
+def test_widest_probe_key_runs(command, workdir):
+    run_ok(_probe_key_argv(command, workdir, "f" * 16))
+
+
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("command", ["simulate", "scan", "trace", "bench"])
 def test_seed_at_the_ends_of_its_range_runs(command, seed, workdir):
@@ -1023,6 +1054,23 @@ class TestBench:
                    "--out-dir", str(out_dir)])
         assert rc == 1
         assert "latency must be finite and >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("port", ["-1", "70000"])
+    @pytest.mark.parametrize("mode", ["simulated", "live"])
+    def test_target_port_out_of_range_is_an_error(self, workdir, monkeypatch, capsys, mode,
+                                                  port):
+        # The same error as scan and trace, before any fetch of that target.
+        log = self.fake_system(monkeypatch)
+        (workdir / "bad-targets.csv").write_text(f"10.0.0.1,80\n10.0.0.1,{port}\n")
+        source = (["--sim-topology", str(workdir / "topology.txt")] if mode == "simulated"
+                  else ["--blocklist", str(workdir / "blocklist.txt"), "--rate", "1000"])
+        out_dir = workdir / "bench"
+        rc = main(["bench", "--targets", str(workdir / "bad-targets.csv"), *source,
+                   "--runs", "2", "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: port out of range: {port}\n"
+        assert all((a, p) == ("10.0.0.1", 80) for _t, a, p, _r in log["fetched"])
         assert not out_dir.exists()
 
     def test_refused_without_mptcp_stack(self, workdir, monkeypatch, capsys):

@@ -434,6 +434,6 @@ def test_each_probe_packs_its_destination_once(paired_transport, monkeypatch):
     assert [r.label for r in records] == ["no_response"] * len(targets)
     assert len(packed) == 2 * len(targets)
     assert transport._send.sent == [
-        (encode_packet(build_syn_probe(ProbeSpec(a, p, 1), 3), "10.9.9.9"), (a, 0))
+        (encode_packet(replace(build_syn_probe(ProbeSpec(a, p, 1), 3), src="10.9.9.9")), (a, 0))
         for a, p in targets
     ]

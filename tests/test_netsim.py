@@ -985,11 +985,11 @@ def test_campaign_memo_tables_do_not_grow_with_targets():
     # The memo tables are keyed by campaign constants (version, key, seed, SYN
     # option bytes): a scan and a trace of both versions fill the same few
     # entries whether they cover 200 targets or 2,000.
-    from mptcpkit import netsim, probe, tracer
+    from mptcpkit import options, probe
     from mptcpkit.probe import Blocklist, CampaignGuard, RatePacer, VirtualClock, run_campaign
     from mptcpkit.tracer import inspect_target
 
-    memos = (probe._syn_option, netsim._syn_view, tracer._sent_options, probe._keyed_blake2b)
+    memos = (probe._syn_option, options.syn_view, probe._keyed_blake2b)
     sizes = {}
     for count in (200, 2000):
         for memo in memos:
@@ -1007,4 +1007,4 @@ def test_campaign_memo_tables_do_not_grow_with_targets():
         sizes[count] = [info.currsize for info in infos]
         assert [info.misses for info in infos] == sizes[count]  # each entry built once
         assert all(info.hits >= count for info in infos[:2])  # every probe reads them
-    assert sizes[200] == sizes[2000] == [2, 2, 2, 2]  # _keyed_blake2b: seq and port sizes
+    assert sizes[200] == sizes[2000] == [2, 2, 2]  # _keyed_blake2b: seq and port sizes

@@ -21,9 +21,13 @@ from mptcpkit.options import (
     decode_mp_capable_any,
     encode_mp_capable,
     encode_options,
+    find_mp_capable,
     parse_options,
     parse_options_prefix,
+    syn_view,
+    with_sender_key,
 )
+from mptcpkit.probe import DEFAULT_PROBE_KEY
 
 K1 = Key(0x0102030405060708)
 K2 = Key(0x1111222233334444)
@@ -117,11 +121,6 @@ class TestParseOptions:
     def test_encode_round_trip(self):
         opts = [TcpOption(1), TcpOption(30, bytes(10)), TcpOption(0xFD, b"\x01")]
         assert parse_options(encode_options(opts)) == opts
-
-    def test_pad_to_word(self):
-        data = encode_options([TcpOption(0xFD, b"\x01")], pad_to_word=True)
-        assert len(data) % 4 == 0
-        assert parse_options(data) == [TcpOption(0xFD, b"\x01")]
 
 
 class TestDecodeMpCapable:
@@ -254,3 +253,50 @@ def test_round_trip_decode_encode(case):
     parsed = parse_options(data)
     assert len(parsed) == 1
     assert decode_mp_capable(parsed[0], phase) == mc
+
+
+# -- the one view of a sent SYN: the parse and decodes it replaced --------------
+
+_MSS, _NOP = b"\x02\x04\x05\xb4", b"\x01"
+_CAMPAIGN_SYNS = [encode_mp_capable(MpCapable(0, DEFAULT_MP_FLAGS, DEFAULT_PROBE_KEY),
+                                    HandshakePhase.SYN),
+                  encode_mp_capable(MpCapable(1), HandshakePhase.SYN)]
+
+
+def reference_syn_view(data: bytes) -> tuple:
+    """(parse, first MP_CAPABLE, its decode in any phase, its SYN decode),
+    each worked out on its own."""
+    parsed, _error = parse_options_prefix(data)
+    mp = find_mp_capable(parsed)
+    if mp is None:
+        return tuple(parsed), None, None, None
+    try:
+        syn_mc = decode_mp_capable(mp, HandshakePhase.SYN)
+    except OptionError:
+        syn_mc = None
+    return tuple(parsed), mp, decode_mp_capable_any(mp), syn_mc
+
+
+around = st.sampled_from([b"", _MSS, _NOP, _MSS + _NOP, _NOP + _MSS])
+
+
+@given(st.one_of(st.binary(max_size=40),
+                 st.tuples(around, st.sampled_from(_CAMPAIGN_SYNS), around).map(b"".join)))
+@settings(max_examples=500)
+@example(_CAMPAIGN_SYNS[0])
+@example(_MSS + _NOP + _CAMPAIGN_SYNS[1])
+def test_syn_view_matches_reference(data):
+    view = syn_view(data)
+    assert view == reference_syn_view(data)
+    assert syn_view(data) is view  # read once per distinct SYN
+
+
+@given(legal_mp_capable(), keys)
+def test_with_sender_key_changes_only_the_key(case, key):
+    mc, phase = case
+    if mc.sender_key is None:
+        return
+    opt = parse_options(encode_mp_capable(mc, phase))[0]
+    swapped = with_sender_key(opt, key)
+    assert decode_mp_capable(swapped, phase) == MpCapable(mc.version, mc.flags, key,
+                                                          mc.receiver_key)

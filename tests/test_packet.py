@@ -363,7 +363,7 @@ def _encodable(draw):
                     flags=0x312, window=0, options=b"\x1e\x04\x01", payload=b"\x01"), None, 0))
 def test_encoder_matches_reference(case):
     pkt, src, ttl = case
-    data = encode_packet(pkt, src, ttl)
+    data = encode_packet(pkt if src is None else replace(pkt, src=src), ttl)
     assert data == reference_encode_packet(pkt, src, ttl)
     if data[0] >> 4 == 4:
         assert internet_checksum(data[:20]) == 0
@@ -405,7 +405,7 @@ def test_header_memo_is_shared_and_bounded():
 def _encoded(draw):
     """(packet bytes, the fields decode_tcp must read back) for either family."""
     pkt, src, ttl = draw(_encodable())
-    data = encode_packet(pkt, src, ttl)
+    data = encode_packet(pkt if src is None else replace(pkt, src=src), ttl)
     ihl = 20 if data[0] >> 4 == 4 else 40
     options = pkt.options + b"\x00" * (-len(pkt.options) % 4)
     want = (

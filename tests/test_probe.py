@@ -29,6 +29,7 @@ from mptcpkit.options import (
     decode_mp_capable,
     encode_mp_capable,
     parse_options,
+    syn_view,
 )
 from mptcpkit.packet import TcpFlags
 from mptcpkit.probe import (
@@ -50,6 +51,7 @@ from mptcpkit.probe import (
     load_targets,
     precise_sleep,
     run_campaign,
+    target_row,
 )
 from mptcpkit.tracer import trace_campaign
 
@@ -223,7 +225,8 @@ class TestClassifyResponse:
         monkeypatch.setattr("mptcpkit.probe.decode_mp_capable", broken)
         with pytest.raises(RuntimeError, match="decoder fault"):
             classify_response(self.spec_v0(), syn_ack([mp_option(0, K_OTHER)]))
-        monkeypatch.setattr("mptcpkit.netsim.decode_mp_capable", broken)
+        monkeypatch.setattr("mptcpkit.options.decode_mp_capable", broken)
+        syn_view.cache_clear()  # the simulator decodes each SYN once, in `syn_view`
         net = SimNetwork(1)
         net.add_path("10.0.0.1", 80, SimPath([true_host(0)]))
         with pytest.raises(RuntimeError, match="decoder fault"):
@@ -390,6 +393,17 @@ class TestCampaign:
 def test_load_targets():
     lines = ["# comment", "10.0.0.1,80", " 2001:db8::1 , 443 ", ""]
     assert list(load_targets(lines)) == [("10.0.0.1", 80), ("2001:db8::1", 443)]
+
+
+@pytest.mark.parametrize("port", [0, 65535])
+def test_target_row_takes_every_tcp_port(port):
+    assert target_row(f"10.0.0.1,{port}") == ("10.0.0.1", port)
+
+
+@pytest.mark.parametrize("port", [-1, 65536])
+def test_target_row_refuses_a_port_outside_16_bits(port):
+    with pytest.raises(ValueError, match=f"port out of range: {port}$"):
+        target_row(f"10.0.0.1,{port}")
 
 
 # -- the one per-target loop of scan and trace ---------------------------------

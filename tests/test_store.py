@@ -185,7 +185,7 @@ class TestEligibleForPathProbe:
             "2021-11": [("a", "potential_capable")],
             "2021-12": [("a", "mirrored_key")],
         })
-        assert eligible_for_path_probe(s, "2021-12") == {"a"}
+        assert eligible_for_path_probe(s, 3, "2021-12") == {"a"}
 
     def test_always_mirrored_excluded(self):
         s = self.build({
@@ -193,7 +193,7 @@ class TestEligibleForPathProbe:
             "2021-11": [("a", "mirrored_key")],
             "2021-12": [("a", "mirrored_key")],
         })
-        assert eligible_for_path_probe(s, "2021-12") == set()
+        assert eligible_for_path_probe(s, 3, "2021-12") == set()
 
     def test_transient_host_excluded(self):
         s = self.build({
@@ -201,7 +201,7 @@ class TestEligibleForPathProbe:
             "2021-11": [],
             "2021-12": [("a", "potential_capable")],
         })
-        assert eligible_for_path_probe(s, "2021-12") == set()
+        assert eligible_for_path_probe(s, 3, "2021-12") == set()
 
 
 class TestOverlaps:

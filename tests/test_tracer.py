@@ -13,7 +13,15 @@ from mptcpkit.netsim import (
     tcp_host,
     true_host,
 )
-from mptcpkit.options import Key, TcpOption, decode_mp_capable_any, find_mp_capable
+from mptcpkit.options import (
+    Key,
+    SynView,
+    TcpOption,
+    decode_mp_capable_any,
+    encode_options,
+    find_mp_capable,
+    syn_view,
+)
 from mptcpkit.packet import TcpFlags
 from mptcpkit.probe import DEFAULT_PROBE_KEY, ProbeResponse, ProbeSpec
 from mptcpkit.tracer import (
@@ -40,35 +48,64 @@ def mp_opt(key: Key | None, version=0) -> TcpOption:
 SENT = [mp_opt(K)]
 
 
+def view(sent: list[TcpOption]) -> SynView:
+    return syn_view(encode_options(sent))
+
+
+def reference_diff_options(sent: list[TcpOption], observed: list[TcpOption]) -> OptionDiff:
+    """The list-based diff that reading the sent SYN through `syn_view` replaced."""
+    sent_opt = find_mp_capable(sent)
+    if sent_opt is None:
+        raise ValueError("sent options carry no MP_CAPABLE")
+    seen = find_mp_capable(observed)
+    if seen is None:
+        return OptionDiff(OptionDiffKind.STRIPPED)
+    if seen == sent_opt:
+        return OptionDiff(OptionDiffKind.UNTOUCHED)
+    seen_mc = decode_mp_capable_any(seen)
+    if seen_mc is None:
+        return OptionDiff(
+            OptionDiffKind.OTHER_MODIFICATION, description="option no longer decodes"
+        )
+    sent_mc = decode_mp_capable_any(sent_opt)
+    if sent_mc is not None and seen_mc.sender_key != sent_mc.sender_key:
+        return OptionDiff(OptionDiffKind.KEY_CHANGED, new_key=seen_mc.sender_key)
+    return OptionDiff(
+        OptionDiffKind.OTHER_MODIFICATION,
+        description=f"bytes changed: {sent_opt.encode().hex()} -> {seen.encode().hex()}",
+    )
+
+
 class TestDiffOptions:
     def test_identity_untouched(self):
-        assert diff_options(SENT, list(SENT)).kind is OptionDiffKind.UNTOUCHED
+        assert diff_options(view(SENT), list(SENT)).kind is OptionDiffKind.UNTOUCHED
 
     def test_missing_kind30_stripped(self):
-        assert diff_options(SENT, [TcpOption(2, b"\x05\xb4")]).kind is OptionDiffKind.STRIPPED
-        assert diff_options(SENT, []).kind is OptionDiffKind.STRIPPED
+        diff = diff_options(view(SENT), [TcpOption(2, b"\x05\xb4")])
+        assert diff.kind is OptionDiffKind.STRIPPED
+        assert diff_options(view(SENT), []).kind is OptionDiffKind.STRIPPED
 
     def test_different_key_bytes(self):
-        diff = diff_options(SENT, [mp_opt(K2)])
+        diff = diff_options(view(SENT), [mp_opt(K2)])
         assert diff.kind is OptionDiffKind.KEY_CHANGED
         assert diff.new_key == K2
 
     def test_keyless_sent_vs_keyed_observed(self):
-        diff = diff_options([mp_opt(None, version=1)], [mp_opt(K2, version=1)])
+        diff = diff_options(view([mp_opt(None, version=1)]), [mp_opt(K2, version=1)])
         assert diff.kind is OptionDiffKind.KEY_CHANGED
 
     def test_same_key_other_bytes_changed(self):
         tweaked = TcpOption(30, bytes([0x00, 0x01]) + K.to_bytes())
-        diff = diff_options(SENT, [tweaked])
+        diff = diff_options(view(SENT), [tweaked])
         assert diff.kind is OptionDiffKind.OTHER_MODIFICATION
 
     def test_undecodable_observed(self):
-        diff = diff_options(SENT, [TcpOption(30, b"\x70")])
+        diff = diff_options(view(SENT), [TcpOption(30, b"\x70")])
         assert diff.kind is OptionDiffKind.OTHER_MODIFICATION
 
     def test_requires_mp_capable_in_sent(self):
         with pytest.raises(ValueError):
-            diff_options([TcpOption(2, b"\x05\xb4")], [])
+            diff_options(view([TcpOption(2, b"\x05\xb4")]), [])
 
     @given(
         sent=st.sampled_from([SENT, [mp_opt(None, version=1)], [mp_opt(K, version=1)],
@@ -81,9 +118,8 @@ class TestDiffOptions:
         ), max_size=4),
     )
     @settings(max_examples=300)
-    def test_pre_decoded_sent_option_changes_nothing(self, sent, observed):
-        sent_mc = decode_mp_capable_any(find_mp_capable(sent))
-        assert diff_options(sent, observed, sent_mc=sent_mc) == diff_options(sent, observed)
+    def test_view_diff_matches_list_reference(self, sent, observed):
+        assert diff_options(view(sent), observed) == reference_diff_options(sent, observed)
 
 
 def network(path: SimPath, target="10.5.5.5", port=80, seed=2) -> SimNetwork:

@@ -16,11 +16,10 @@ import pytest
 
 import mptcpkit
 from mptcpkit.cli import main
-from mptcpkit.netsim import NodeBehavior, _syn_view, parse_topology
-from mptcpkit.options import Key, MpCapable, TcpOption
+from mptcpkit.netsim import NodeBehavior, parse_topology
+from mptcpkit.options import Key, MpCapable, TcpOption, syn_view
 from mptcpkit.probe import DEFAULT_PROBE_KEY, ProbeSpec, build_syn_probe
 from mptcpkit.store import UNKNOWN_ASN, AsnInfo
-from mptcpkit.tracer import _sent_options
 
 FROZEN = {Key, TcpOption, MpCapable, NodeBehavior, AsnInfo}
 
@@ -69,10 +68,8 @@ def _options_seen_in_campaigns() -> list[bytes]:
 def _cached_values() -> list[object]:
     values = []
     for options in _options_seen_in_campaigns():
-        view = _syn_view(options)
-        values += [*view.parsed, view.mp, view.syn_mc]
-        parsed, sent_mc = _sent_options(options)
-        values += [*parsed, sent_mc]
+        view = syn_view(options)
+        values += [*view.parsed, view.mp, view.any_mc, view.syn_mc]
     return [v for v in values if v is not None]
 
 
