@@ -99,10 +99,16 @@ class _OutFile:
                 return file
         return open(self._path, "w", encoding="utf-8")
 
-    def write(self, text: str) -> int:
+    def _opened(self):
         if self._file is None:
             self._file = self._open()
-        return self._file.write(text)
+        return self._file
+
+    def write(self, text: str) -> int:
+        return self._opened().write(text)
+
+    def writelines(self, lines: Iterable[str]) -> None:
+        self._opened().writelines(lines)
 
     def __enter__(self):
         return self
@@ -279,29 +285,32 @@ def cmd_keys(args) -> int:
 
 def cmd_simulate(args) -> int:
     network = netsim.generate_population(args.generate, seed=args.seed)
-    with open(args.out_topology, "w", encoding="utf-8") as f:
-        f.writelines(netsim.topology_lines(network))
     paths = network.paths
     targets = sorted(paths)
-    with open(args.out_targets, "w", encoding="utf-8") as f:
-        f.writelines(f"{address},{port}\n" for address, port in targets)
-    if args.out_truth:
+    # All three files are replaced together, or none is: a bad --out-truth
+    # leaves the topology and targets of an earlier run in place.
+    truth_out = _out(args.out_truth) if args.out_truth else contextlib.nullcontext()
+    with (_out(args.out_topology) as topology_file, _out(args.out_targets) as targets_file,
+          truth_out as truth_file):
+        topology_file.writelines(netsim.topology_lines(network))
+        targets_file.writelines(f"{address},{port}\n" for address, port in targets)
+        if truth_file is None:
+            return 0
         # Truth depends only on the path, and targets share paths; `network`
         # keeps every path alive, so ids stay unique.
         tails: dict[int, list[str]] = {}
-        with open(args.out_truth, "w", encoding="utf-8") as f:
-            f.write("address,port,version,classification,verdict,first_modifying_ttl\n")
-            for address, port in targets:
-                path = paths[address, port]
-                tail = tails.get(id(path))
-                if tail is None:
-                    tail = tails[id(path)] = []
-                    for version in (0, 1):
-                        truth = netsim.ground_truth(path, version)
-                        ttl = truth.first_modifying_ttl
-                        tail.append(f"{version},{truth.classification.value},"
-                                    f"{truth.verdict.value},{'' if ttl is None else ttl}\n")
-                f.write(f"{address},{port},{tail[0]}{address},{port},{tail[1]}")
+        truth_file.write("address,port,version,classification,verdict,first_modifying_ttl\n")
+        for address, port in targets:
+            path = paths[address, port]
+            tail = tails.get(id(path))
+            if tail is None:
+                tail = tails[id(path)] = []
+                for version in (0, 1):
+                    truth = netsim.ground_truth(path, version)
+                    ttl = truth.first_modifying_ttl
+                    tail.append(f"{version},{truth.classification.value},"
+                                f"{truth.verdict.value},{'' if ttl is None else ttl}\n")
+            truth_file.write(f"{address},{port},{tail[0]}{address},{port},{tail[1]}")
     return 0
 
 
@@ -468,9 +477,11 @@ def cmd_bench(args) -> int:
     out_dir = Path(args.out_dir)  # made once every target is read and paired
     out_dir.mkdir(parents=True, exist_ok=True)
     for metric in bench_mod.METRICS:
-        if metric not in combined.by_metric:
+        cdf = out_dir / f"{metric}.cdf.txt"
+        if metric not in combined.by_metric:  # no deltas: no CDF, not an earlier run's
+            cdf.unlink(missing_ok=True)
             continue
-        with open(out_dir / f"{metric}.cdf.txt", "w", encoding="utf-8") as f:
+        with open(cdf, "w", encoding="utf-8") as f:
             bench_mod.write_cdf(combined, metric, f)
     with open(out_dir / "summary.txt", "w", encoding="utf-8") as f:
         for metric, (faster, even, slower) in sorted(combined.fractions.items()):

@@ -21,8 +21,10 @@ paths:
 Transforming middleboxes (mirror/strip/key_rewrite) answer TTL expiry with a
 full quote of the packet as they would forward it; silent and drop nodes
 reveal nothing. A change to the option therefore always shows at the hop that
-makes it, and `ground_truth` reads the labels from the path alone: neither
-the target's address family nor a quoting router's size decides one.
+makes it, and `ground_truth` reads the labels from the path alone, in one
+forward walk up to the first strip: the nearest mirror or keyed key_rewrite
+answers, else the endpoint does. Neither the target's address family nor a
+quoting router's size decides a label.
 Identical seeds and topologies produce byte-identical traffic: each key a
 node draws is a blake2b digest of its stream (address, port, hop) and draw
 number, and the network keeps only a count per stream. The simulator reads
@@ -74,6 +76,7 @@ class BehaviorKind(Enum):
 
 
 ENDPOINT_KINDS = {BehaviorKind.TRUE_MPTCP_HOST, BehaviorKind.TCP_ONLY_HOST}
+SEEDED_KINDS = {BehaviorKind.TRUE_MPTCP_HOST, BehaviorKind.KEY_REWRITE_MIDDLEBOX}  # draw keys
 DEFAULT_QUOTE_BYTES = 128
 
 
@@ -89,7 +92,7 @@ class NodeBehavior:
         args = []
         if self.kind is BehaviorKind.TRUE_MPTCP_HOST:
             args.extend(f"v{v}" for v in sorted(self.supported_versions))
-        if self.key_seed is not None:
+        if self.key_seed is not None and self.kind in SEEDED_KINDS:
             args.append(f"seed={self.key_seed}")
         if self.kind is BehaviorKind.QUOTING_ROUTER and self.quote_bytes != DEFAULT_QUOTE_BYTES:
             args.append(str(self.quote_bytes))
@@ -337,66 +340,36 @@ class SimNetwork:
 def ground_truth(path: SimPath, version: int) -> GroundTruth:
     """Labels the scan and trace machinery must produce for this topology.
 
-    Derived from path structure alone (an abstract walk over option states),
-    independent of the byte-level codec and packet plumbing it checks, and of
-    the target's address family. Strip and key_rewrite, the only nodes that
-    change the forward option, quote the whole packet they forward; so the
-    first modifying TTL is the first hop after which the option is no longer
-    intact, whatever any quoting router's size.
+    Read from the path alone, in one forward walk up to the first strip,
+    independent of the byte-level codec and packet plumbing it checks:
+    any drop leaves no reply; the first strip, or the first key_rewrite of a
+    keyed (v0) option, is the first modifying TTL, since a node that changes
+    the option quotes the whole packet it forwards; the nearest mirror
+    (`mirrored_key`) or keyed key_rewrite (`potential_capable`) answers;
+    past them, an unstripped option reaching a true_host of `version` draws
+    a fresh key. Anything else gets no MP_CAPABLE.
     """
+    if path.drops:
+        return GroundTruth(ClassificationKind.NO_RESPONSE, PathVerdictKind.UNREACHABLE)
     keyed = version == 0
-    fwd = "intact"  # intact | rewritten | stripped
-    first_mod: int | None = None
-    record: dict[int, str] = {}
-
-    for i, node in enumerate(path.interior, start=1):
+    first_mod = reply = None
+    for ttl, node in enumerate(path.interior, start=1):
         kind = node.kind
-        if kind is BehaviorKind.DROP_FIREWALL:
-            return GroundTruth(ClassificationKind.NO_RESPONSE, PathVerdictKind.UNREACHABLE)
         if kind is BehaviorKind.STRIP_MIDDLEBOX:
-            fwd = "stripped"
-        elif kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX and keyed and fwd != "stripped":
-            fwd = "rewritten"
-        record[i] = fwd
-        if fwd != "intact" and first_mod is None:
-            first_mod = i
-
-    endpoint = path.endpoint
-    if (
-        endpoint.kind is BehaviorKind.TRUE_MPTCP_HOST
-        and version in endpoint.supported_versions
-        and fwd != "stripped"
-    ):
-        reply = "fresh"
+            first_mod = first_mod or ttl
+            break
+        if kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX and keyed:
+            first_mod = first_mod or ttl
+            reply = reply or ClassificationKind.POTENTIAL_CAPABLE
+        elif kind is BehaviorKind.MIRROR_MIDDLEBOX:
+            reply = reply or ClassificationKind.MIRRORED_KEY
     else:
-        reply = "none"
-
-    for i in range(len(path.interior), 0, -1):
-        node = path.interior[i - 1]
-        state = record[i]
-        if node.kind is BehaviorKind.MIRROR_MIDDLEBOX and state != "stripped":
-            reply = "echo" if state == "intact" else "rewritten"
-        elif (
-            node.kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX
-            and keyed
-            and state != "stripped"
-        ):
-            reply = "rewritten"
-
-    classification = {
-        "none": ClassificationKind.NO_MP_CAPABLE,
-        "echo": ClassificationKind.MIRRORED_KEY,
-        "fresh": ClassificationKind.POTENTIAL_CAPABLE,
-        "rewritten": ClassificationKind.POTENTIAL_CAPABLE,
-    }[reply]
-
-    if first_mod is not None:
-        verdict = PathVerdictKind.MIDDLEBOX_AFFECTED
-    elif reply == "fresh":
-        verdict = PathVerdictKind.TRULY_CAPABLE
-    else:
-        verdict = PathVerdictKind.NOT_CAPABLE
-    return GroundTruth(classification, verdict, first_mod)
+        endpoint = path.endpoint
+        if (reply is None and endpoint.kind is BehaviorKind.TRUE_MPTCP_HOST
+                and version in endpoint.supported_versions):
+            return GroundTruth(ClassificationKind.POTENTIAL_CAPABLE, PathVerdictKind.TRULY_CAPABLE)
+    verdict = PathVerdictKind.MIDDLEBOX_AFFECTED if first_mod else PathVerdictKind.NOT_CAPABLE
+    return GroundTruth(reply or ClassificationKind.NO_MP_CAPABLE, verdict, first_mod)
 
 
 # -- topology files ------------------------------------------------------------
@@ -417,12 +390,12 @@ def _parse_node(token: str) -> NodeBehavior:
     versions: set[int] = set()
     key_seed: int | None = None
     quote_bytes = DEFAULT_QUOTE_BYTES
-    for arg in args:
-        if arg in ("v0", "v1"):
+    for arg in args:  # each kind takes only the arguments `spec_token` writes for it
+        if arg in ("v0", "v1") and kind is BehaviorKind.TRUE_MPTCP_HOST:
             versions.add(int(arg[1]))
-        elif arg.startswith("seed="):
+        elif arg.startswith("seed=") and kind in SEEDED_KINDS:
             key_seed = int(arg.split("=", 1)[1])
-        elif arg.isdigit():
+        elif arg.isdigit() and kind is BehaviorKind.QUOTING_ROUTER:
             quote_bytes = int(arg)
         else:
             raise ValueError(f"unknown node argument {arg!r} in {token!r}")
@@ -441,8 +414,8 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
 
         path <address> <port> [latency=<ms>] <node> [<node> ...]
 
-    Node tokens: true_host(v0,v1,seed=N) tcp_host mirror strip
-    key_rewrite(seed=N) drop silent quoting(<bytes>)
+    Node tokens, each with only the arguments shown: true_host(v0,v1,seed=N)
+    tcp_host mirror strip key_rewrite(seed=N) drop silent quoting(<bytes>)
 
     Lines with the same text after the port, compared as written (inner
     whitespace included), share one SimPath, which holds no per-target state;

@@ -101,11 +101,11 @@ class SnapshotStore:
     """Directory of snapshot files; single writer, many readers."""
 
     def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.root = Path(root)  # made by the first `save`, so reading creates nothing
 
     def save(self, snapshot: ScanSnapshot) -> Path:
         """Write or merge a snapshot; existing records are unioned in."""
+        self.root.mkdir(parents=True, exist_ok=True)
         path = self.root / snapshot.filename()
         if path.exists():
             existing = self._read(path, snapshot)

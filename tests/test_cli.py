@@ -196,6 +196,18 @@ class TestSimulate:
         targets = [f"{address},{port}" for address, port in sorted(network.paths)]
         assert (workdir / "gen-targets.csv").read_text().splitlines() == targets
 
+    def test_bad_truth_path_keeps_every_earlier_output(self, workdir, capsys):
+        outputs = [workdir / "gen-topo.txt", workdir / "gen-targets.csv"]
+        for out in outputs:
+            out.write_bytes(b"previous\n")
+        rc = main(["simulate", "--generate", "40", "--seed", "3",
+                   "--out-topology", str(outputs[0]), "--out-targets", str(outputs[1]),
+                   "--out-truth", str(workdir / "missing" / "truth.csv")])
+        assert rc == 1
+        assert "missing" in capsys.readouterr().err
+        assert [out.read_bytes() for out in outputs] == [b"previous\n", b"previous\n"]
+        assert sorted(p.name for p in workdir.iterdir() if p.name.startswith(".")) == []
+
 
 class TestTrace:
     def test_trace_from_scan(self, workdir):
@@ -635,6 +647,15 @@ class TestReport:
         assert capsys.readouterr().err == (
             "error: window of 30000 months is longer than the 1-month series\n")
 
+    @pytest.mark.parametrize("select", ["consistent", "eligible"])
+    def test_reading_a_missing_store_creates_nothing(self, workdir, capsys, select):
+        store = workdir / "nosuch" / "store"
+        rc = main(["report", select, "--store", str(store), "--at", "2021-01",
+                   "--window", "1"])
+        assert rc == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not (workdir / "nosuch").exists()
+
 
 class TestOutKeptOnFailure:
     """--out is opened at the first write: a run that fails before it keeps
@@ -1044,6 +1065,20 @@ class TestBench:
         assert (out_dir / "connect.cdf.txt").exists()
         rows = (out_dir / "connect.cdf.txt").read_text().splitlines()
         assert len(rows) == 5  # only the reachable target contributes
+
+    def test_rerun_into_the_same_dir_keeps_no_stale_cdf(self, workdir):
+        (workdir / "bench-topology.txt").write_text(TOPOLOGY + "path 10.0.0.6 443 tcp_host\n")
+        out_dir = workdir / "bench"
+        for target in ("10.0.0.6,443", "10.0.0.1,80"):  # TLS on 443 only
+            (workdir / "bench-targets.csv").write_text(target + "\n")
+            run_ok(["bench", "--targets", str(workdir / "bench-targets.csv"),
+                    "--sim-topology", str(workdir / "bench-topology.txt"),
+                    "--runs", "3", "--seed", "2", "--out-dir", str(out_dir)])
+            assert (out_dir / "tls.cdf.txt").exists() == target.endswith(",443")
+        rows = (out_dir / "summary.txt").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["connect", "total", "ttfb"]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "connect.cdf.txt", "summary.txt", "total.cdf.txt", "ttfb.cdf.txt"]
 
     @pytest.mark.parametrize("latency", ["nan", "inf", "-3"])
     def test_bad_latency_exits_before_writing(self, workdir, capsys, latency):

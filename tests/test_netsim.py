@@ -331,6 +331,14 @@ class TestTopologyFiles:
         (["# comment and blank lines count", "", "path 10.0.0.1 80 tcp_host  # ok",
           "  path 10.0.0.2  # no nodes"],
          "line 4: expected `path <addr> <port> <nodes...>`"),
+        # Each kind takes only the arguments its token writes back.
+        (["path 10.0.0.1 80 tcp_host(v0)"], "unknown node argument 'v0' in 'tcp_host(v0)'"),
+        (["path 10.0.0.1 80 strip(64) tcp_host"], "unknown node argument '64' in 'strip(64)'"),
+        (["path 10.0.0.1 80 drop(7) tcp_host"], "unknown node argument '7' in 'drop(7)'"),
+        (["path 10.0.0.1 80 quoting(v1) tcp_host"],
+         "unknown node argument 'v1' in 'quoting(v1)'"),
+        (["path 10.0.0.1 80 mirror(seed=3) tcp_host"],
+         "unknown node argument 'seed=3' in 'mirror(seed=3)'"),
     ])
     def test_bad_tokens_keep_their_messages(self, lines, message):
         with pytest.raises(ValueError) as raised:
@@ -339,6 +347,16 @@ class TestTopologyFiles:
         with pytest.raises(ValueError) as again:  # the same bad token, seen twice
             parse_topology(lines + lines)
         assert str(again.value) == message
+
+    def test_tokens_write_only_the_arguments_a_kind_takes(self):
+        unused = [NodeBehavior(BehaviorKind.MIRROR_MIDDLEBOX, key_seed=3),
+                  NodeBehavior(BehaviorKind.TCP_ONLY_HOST, frozenset({0, 1}), key_seed=3),
+                  NodeBehavior(BehaviorKind.STRIP_MIDDLEBOX, quote_bytes=64)]
+        assert [node.spec_token() for node in unused] == ["mirror", "tcp_host", "strip"]
+        used = [true_host(0, 1, key_seed=3), key_rewrite(key_seed=3), quoting(64)]
+        tokens = [node.spec_token() for node in used]
+        assert tokens == ["true_host(v0,v1,seed=3)", "key_rewrite(seed=3)", "quoting(64)"]
+        assert [_parse_node(token) for token in tokens] == used
 
     def test_endpoint_position_enforced(self):
         with pytest.raises(ValueError):
@@ -530,7 +548,10 @@ def test_oracle_agreement_sampled():
         | st.integers(0, 200).map(quoting),
         max_size=8,
     ),
-    endpoint=st.sampled_from([true_host(0), true_host(1), true_host(0, 1), tcp_host()]),
+    endpoint=st.sampled_from([
+        true_host(0), true_host(1), true_host(0, 1), true_host(), tcp_host(),
+        NodeBehavior(BehaviorKind.TCP_ONLY_HOST, supported_versions=frozenset({0, 1})),
+    ]),
     target=st.sampled_from([TARGET, "2001:db8:1::7"]),
     version=st.sampled_from([0, 1]),
 )
