@@ -21,15 +21,21 @@ paths:
 Transforming middleboxes (mirror/strip/key_rewrite) answer TTL expiry with a
 full quote of the packet as they would forward it; silent and drop nodes
 reveal nothing. A change to the option therefore always shows at the hop that
-makes it, and `ground_truth` reads the labels from the path alone, in one
-forward walk up to the first strip: the nearest mirror or keyed key_rewrite
-answers, else the endpoint does. Neither the target's address family nor a
+makes it. `SimNetwork` works out every reply, hop quote or SYN-ACK, in one
+forward walk, by the rule `ground_truth` reads the labels with: the first
+mirror that sees an MP_CAPABLE, or the first key_rewrite that rewrites one,
+answers; else the endpoint does. `ground_truth` reads them from the path
+alone, up to the first strip; neither the target's address family nor a
 quoting router's size decides a label.
 Identical seeds and topologies produce byte-identical traffic: each key a
 node draws is a blake2b digest of its stream (address, port, hop) and draw
-number, and the network keeps only a count per stream. The simulator reads
-each SYN through `options.syn_view` and rewrites a key with
-`options.with_sender_key`; it knows no MP_CAPABLE byte layout of its own.
+number, and the network keeps only a count per stream. A key_rewrite draws
+one key on every pass, and, when it rewrites and the SYN reaches the
+endpoint (which no SYN does on a path with a drop), its echo's key right
+after. The endpoint draws whenever it answers with MP_CAPABLE, even when a
+nearer node's reply hides its key. The simulator reads each SYN through
+`options.syn_view` and rewrites a key with `options.with_sender_key`; it
+knows no MP_CAPABLE byte layout of its own.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .inputs import data_line
 from .options import (
@@ -50,7 +56,6 @@ from .options import (
     HandshakePhase,
     Key,
     MpCapable,
-    SynView,
     TcpOption,
     encode_mp_capable,
     encode_options,
@@ -186,15 +191,6 @@ class GroundTruth:
     first_modifying_ttl: int | None = None
 
 
-def _replace_mp_capable(
-    parsed: Sequence[TcpOption], new_option: TcpOption | None
-) -> list[TcpOption]:
-    """Drop every kind-30 option; put `new_option` (if any) at the front.
-    Options from a parse encode to bytes that parse back to the same list."""
-    kept = [o for o in parsed if o.kind != 30]
-    return kept if new_option is None else [new_option, *kept]
-
-
 class SimNetwork:
     """A population of simulated paths addressed by (address, port)."""
 
@@ -227,111 +223,76 @@ class SimNetwork:
             return f"2001:db8:ee::{ttl:x}"
         return f"198.51.100.{ttl}"
 
-    # -- forward/response passes ------------------------------------------
+    # -- the one walk -------------------------------------------------------
 
-    def _forward(
-        self, path: SimPath, syn: TcpPacket, view: SynView, up_to: int
-    ) -> tuple[bytes | None, TcpOption | None, list[tuple[TcpOption | None, bool]]]:
-        """Apply interior transforms for hops 1..up_to to the SYN `view` reads.
-
-        Returns the options bytes (None when dropped), the MP_CAPABLE they
-        carry, and per node in path order (MP_CAPABLE seen after its own
-        transform, rewrite acted). A key_rewrite node draws a key on every
-        pass, whether or not it can use it.
+    def _walk(self, path: SimPath, syn: TcpPacket, ttl: int) -> HopReply | ProbeResponse | None:
+        """The reply to `syn` sent with `ttl`: the quote of hop `ttl` when that
+        hop lies inside the path, else the endpoint's SYN-ACK; None when a drop
+        or a silent hop absorbs it. One forward walk over `path.interior[:ttl]`
+        transforms the options bytes and draws keys as the module docstring
+        states. The SYN-ACK's one option, if any, comes from an encoder or a
+        parse, so it is not parsed again and carries no note.
         """
+        if not syn.flags & FLAG_SYN:
+            raise ValueError("the simulator answers only SYNs")
+        view = syn_view(syn.options)
         options, parsed, mp, mc = syn.options, view.parsed, view.mp, view.any_mc
         keyed = mc is not None and mc.sender_key is not None
-        records: list[tuple[TcpOption | None, bool]] = []
-        for i, node in enumerate(path.interior[:up_to], start=1):
+        address, port, interior = syn.dst, syn.dst_port, path.interior
+        echoes = ttl > len(interior) and not path.drops
+        reply = None
+        for i, node in enumerate(interior[:ttl], start=1):
             kind = node.kind
             if kind is BehaviorKind.DROP_FIREWALL:
-                return None, mp, records
+                return None
             if kind is BehaviorKind.STRIP_MIDDLEBOX:
-                parsed = _replace_mp_capable(parsed, None)
+                parsed = [o for o in parsed if o.kind != 30]
                 options = encode_options(parsed)
                 mp, keyed = None, False
             elif kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX:
-                key = self._next_key(syn.dst, syn.dst_port, i, node)
+                key = self._next_key(address, port, i, node)
                 if keyed:  # a rewrite keeps the option's form, so it stays keyed
                     mp = with_sender_key(mp, key)
-                    parsed = _replace_mp_capable(parsed, mp)
+                    parsed = [mp, *(o for o in parsed if o.kind != 30)]
                     options = encode_options(parsed)
-                    records.append((mp, True))
-                    continue
-            records.append((mp, False))
-        return options, mp, records
-
-    def _endpoint_reply(
-        self, path: SimPath, syn: TcpPacket, view: SynView, mp: TcpOption | None
-    ) -> TcpOption | None:
-        """MP_CAPABLE of the endpoint's SYN-ACK to a SYN arriving with `mp`;
-        None means plain TCP.
-
-        `mp` is the SYN's own option or a key_rewrite of it, which changes
-        only the key bytes, so it decodes as `view.syn_mc` does (same
-        version, or no decode at all).
-        """
-        endpoint = path.endpoint
-        if endpoint.kind is BehaviorKind.TCP_ONLY_HOST or mp is None:
-            return None
-        mc = view.syn_mc
-        if mc is None or mc.version not in endpoint.supported_versions:
-            return None  # no version overlap: fall back to plain TCP
-        # Interior node i draws on stream i; the endpoint on the TTL it answers at.
-        key = self._next_key(syn.dst, syn.dst_port, len(path.nodes), endpoint)
-        reply = MpCapable(mc.version, DEFAULT_MP_FLAGS, key)
-        return TcpOption(30, encode_mp_capable(reply, HandshakePhase.SYN_ACK)[2:])
-
-    def _respond(self, path: SimPath, syn: TcpPacket) -> ProbeResponse | None:
-        """The target's SYN-ACK as it arrives back; None when the SYN is dropped.
-
-        Its one option, if any, comes from an encoder or a parse, so it is
-        not parsed again and carries no note.
-        """
-        view = syn_view(syn.options)
-        forward, mp, records = self._forward(path, syn, view, len(path.interior))
-        if forward is None:
-            return None
-        reply = self._endpoint_reply(path, syn, view, mp)
-        interior = path.interior
-        for i in range(len(records), 0, -1):
-            node = interior[i - 1]
-            seen, acted = records[i - 1]
-            if node.kind is BehaviorKind.MIRROR_MIDDLEBOX and seen is not None:
-                reply = seen
-            elif node.kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX and acted:
-                reply = with_sender_key(seen, self._next_key(syn.dst, syn.dst_port, i, node))
+                    if echoes:
+                        key = self._next_key(address, port, i, node)
+                        reply = reply or with_sender_key(mp, key)
+            elif kind is BehaviorKind.MIRROR_MIDDLEBOX:
+                reply = reply or mp
+        if ttl <= len(interior):
+            node = interior[ttl - 1]
+            if node.kind is BehaviorKind.SILENT_ROUTER:
+                return None
+            # The packet as this hop would forward it, TTL spent.
+            quoted = encode_packet(syn, ttl=0, options=options)
+            if node.kind is BehaviorKind.QUOTING_ROUTER:
+                quoted = quoted[: node.quote_bytes]
+            rtt = 2.0 * path.per_hop_latency_ms * ttl
+            return HopReply(self._hop_address(address, ttl), quoted, rtt)
+        # `mp` is the SYN's own option or a key_rewrite of it, which changes
+        # only the key bytes, so it decodes as `view.syn_mc` does.
+        endpoint, mc = path.endpoint, view.syn_mc
+        if (mp is not None and mc is not None and endpoint.kind is BehaviorKind.TRUE_MPTCP_HOST
+                and mc.version in endpoint.supported_versions):
+            # Interior node i draws on stream i; the endpoint on the TTL it answers at.
+            key = self._next_key(address, port, len(path.nodes), endpoint)
+            if reply is None:
+                answer = MpCapable(mc.version, DEFAULT_MP_FLAGS, key)
+                reply = TcpOption(30, encode_mp_capable(answer, HandshakePhase.SYN_ACK)[2:])
         return ProbeResponse(FLAG_SYN_ACK, [] if reply is None else [reply], path.rtt_ms)
 
     # -- transport contract -------------------------------------------------
 
     def handshake(self, syn: TcpPacket) -> ProbeResponse | None:
-        if not syn.flags & FLAG_SYN:
-            raise ValueError("handshake needs a SYN")
         path = self.paths.get((syn.dst, syn.dst_port))
-        return None if path is None else self._respond(path, syn)
+        return None if path is None else self._walk(path, syn, len(path.nodes))
 
     def ttl_probe(self, syn: TcpPacket, ttl: int) -> HopReply | ProbeResponse | None:
         if ttl < 1:
             raise ValueError("ttl must be >= 1")
         path = self.paths.get((syn.dst, syn.dst_port))
-        if path is None:
-            return None
-        interior = path.interior
-        if ttl <= len(interior):
-            forward, _mp, _records = self._forward(path, syn, syn_view(syn.options), ttl)
-            if forward is None:
-                return None
-            node = interior[ttl - 1]
-            if node.kind in (BehaviorKind.SILENT_ROUTER, BehaviorKind.DROP_FIREWALL):
-                return None
-            # The packet as this hop would forward it, TTL spent.
-            quoted = encode_packet(syn, ttl=0, options=forward)
-            if node.kind is BehaviorKind.QUOTING_ROUTER:
-                quoted = quoted[: node.quote_bytes]
-            rtt = 2.0 * path.per_hop_latency_ms * ttl
-            return HopReply(self._hop_address(syn.dst, ttl), quoted, rtt)
-        return self._respond(path, syn)
+        return None if path is None else self._walk(path, syn, ttl)
 
 
 # -- construction ground truth ------------------------------------------------
@@ -414,6 +375,7 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
 
         path <address> <port> [latency=<ms>] <node> [<node> ...]
 
+    `<port>` is an integer in [0, 65535].
     Node tokens, each with only the arguments shown: true_host(v0,v1,seed=N)
     tcp_host mirror strip key_rewrite(seed=N) drop silent quoting(<bytes>)
 
@@ -443,7 +405,14 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
             path = paths_by_text[text] = SimPath(nodes, per_hop_latency_ms=latency)
         number = ports.get(port)
         if number is None:
-            number = ports[port] = int(port)
+            try:
+                number = int(port)
+            except ValueError:
+                number = -1
+            if not 0 <= number <= 65535:
+                raise ValueError(f"line {lineno}: port must be an integer in [0, 65535], "
+                                 f"got {port!r}")
+            ports[port] = number
         net.add_path(address, number, path)
     return net
 

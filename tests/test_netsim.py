@@ -8,7 +8,7 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mptcpkit.errors import OptionError
@@ -112,6 +112,18 @@ class TestHandshake:
     def test_unknown_target_is_silent(self):
         net = SimNetwork(1)
         assert net.handshake(v0_syn()) is None
+
+    def test_refuses_a_packet_without_syn_and_a_ttl_below_one(self):
+        net = network_for(SimPath([key_rewrite(), true_host(0)]))
+        ack = replace(v0_syn(), flags=int(TcpFlags.ACK))
+        with pytest.raises(ValueError, match="answers only SYNs"):
+            net.handshake(ack)
+        for ttl in (1, 2):
+            with pytest.raises(ValueError, match="answers only SYNs"):
+                net.ttl_probe(ack, ttl)
+        with pytest.raises(ValueError, match="ttl must be >= 1"):
+            net.ttl_probe(v0_syn(), 0)
+        assert net._key_draws == {}  # a refused packet draws no key
 
     def test_strip_hides_option_from_endpoint(self):
         net = network_for(SimPath([strip(), true_host(0)]))
@@ -339,6 +351,12 @@ class TestTopologyFiles:
          "unknown node argument 'v1' in 'quoting(v1)'"),
         (["path 10.0.0.1 80 mirror(seed=3) tcp_host"],
          "unknown node argument 'seed=3' in 'mirror(seed=3)'"),
+        # A port is an integer in [0, 65535], as in a target list.
+        (["path 10.0.0.1 0 tcp_host", "path 10.0.0.1 99999 true_host(v0)"],
+         "line 2: port must be an integer in [0, 65535], got '99999'"),
+        (["path 10.0.0.1 -1 tcp_host"], "line 1: port must be an integer in [0, 65535], got '-1'"),
+        (["path 10.0.0.1 http tcp_host"],
+         "line 1: port must be an integer in [0, 65535], got 'http'"),
     ])
     def test_bad_tokens_keep_their_messages(self, lines, message):
         with pytest.raises(ValueError) as raised:
@@ -388,7 +406,14 @@ def token_split_parse_topology(lines, seed=0):
                 rest = rest[1:]
             nodes = [parse_node(token) for token in rest]
             path = paths_by_text[text] = SimPath(nodes, per_hop_latency_ms=latency)
-        net.add_path(tokens[1], int(tokens[2]), path)
+        try:
+            port = int(tokens[2])
+        except ValueError:
+            port = None
+        if port not in range(65536):
+            raise ValueError(f"line {lineno}: port must be an integer in [0, 65535], "
+                             f"got {tokens[2]!r}")
+        net.add_path(tokens[1], port, path)
     return net
 
 
@@ -411,7 +436,7 @@ def topology_lines(draw):
     if kind == "comment":
         return draw(st.sampled_from(["# a comment", "  #", "#path 10.0.0.1 80 tcp_host"]))
     address = draw(st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3", "2001:db8::5"]))
-    words = [kind, address, draw(st.sampled_from(["80", "443"]))]
+    words = [kind, address, draw(st.sampled_from(["80", "443", "0", "65535"]))]
     if draw(st.booleans()):
         words.append(draw(st.sampled_from(["latency=2", "latency=0.5"])))
     words += draw(st.lists(st.sampled_from(_INTERIOR[:draw(st.integers(1, 7))]), max_size=2))
@@ -421,7 +446,7 @@ def topology_lines(draw):
     if "keyword" in faults:
         words[0] = "route"
     if "port" in faults:
-        words[2] = "x"
+        words[2] = draw(st.sampled_from(["x", "65536", "-1"]))
     if "latency" in faults:
         words.insert(3, "latency=x")
     if "token" in faults:
@@ -801,6 +826,12 @@ _around = st.lists(st.sampled_from([b"\x01", b"\x02\x04\x05\xb4", b"\x04\x02", b
     tail=st.sampled_from([b"", b"\x08\x0a\x00"]),
     seed=st.integers(0, 3),
 )
+# A rewriting key_rewrite before a drop draws no echo key; a mirror before a
+# host of the probed version hides a key the host still draws.
+@example(interior=[key_rewrite(), drop()], endpoint=tcp_host(), address="10.1.2.3",
+         probe_key=DEFAULT_PROBE_KEY, before=b"", after=b"", tail=b"", seed=0)
+@example(interior=[mirror()], endpoint=true_host(0, 1), address="10.1.2.3",
+         probe_key=DEFAULT_PROBE_KEY, before=b"", after=b"", tail=b"", seed=0)
 @settings(max_examples=300, deadline=None)
 def test_replies_match_encoded_reference(interior, endpoint, address, probe_key, before,
                                          after, tail, seed):
@@ -840,6 +871,10 @@ _calls = st.lists(
     calls=_calls,
     seed=st.integers(0, 3),
 )
+@example(interior=[key_rewrite(), drop()], endpoint=true_host(0), address="10.1.2.3",
+         probe_key=DEFAULT_PROBE_KEY, calls=[("handshake", 1, 0), ("ttl_probe", 1, 0)], seed=0)
+@example(interior=[mirror(), key_rewrite()], endpoint=true_host(0, 1), address="10.1.2.3",
+         probe_key=DEFAULT_PROBE_KEY, calls=[("handshake", 1, 0), ("handshake", 1, 1)], seed=0)
 @settings(max_examples=300, deadline=None)
 def test_call_sequences_draw_keys_as_the_reference_does(interior, endpoint, address,
                                                         probe_key, calls, seed):
@@ -951,8 +986,8 @@ def test_seed_outside_64_bits_parses_and_draws(key_seed, node):
     assert net.paths[("10.0.0.1", 80)].nodes[0].key_seed == key_seed
     assert format_topology(net) == f"path 10.0.0.1 80 {path}\n"
     keys = _handshake_keys(net, [("10.0.0.1", 80)] * 2)
-    # A host draws once per handshake; a key_rewrite hop draws on the way out
-    # and again on the way back, and the reply carries the second draw.
+    # A host draws once per handshake; a key_rewrite hop draws once per pass
+    # and its echo's key right after, and the reply carries the echo's key.
     hop, draws = (1, (0, 1)) if token.startswith("true_host") else (1, (1, 3))
     assert keys == [reference_key(1, "10.0.0.1", 80, hop, n, key_seed) for n in draws]
     assert DEFAULT_PROBE_KEY not in keys
