@@ -15,9 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
-import os
-import stat
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -26,7 +23,7 @@ from . import bench as bench_mod
 from . import flows as flows_mod
 from . import keystats, netsim, store as store_mod, tracer
 from .errors import EmptyInput, GuardViolation, TransportUnavailable
-from .inputs import data_lines
+from .inputs import data_lines, open_out
 from .options import Key
 from .probe import (
     Blocklist,
@@ -42,98 +39,6 @@ from .probe import (
 )
 
 POSITIVE_SCAN_LABELS = {"potential_capable"}
-
-
-def _through_proc(path: str) -> bool:
-    """Whether `path` resolves through /proc, as /dev/stdout, /dev/fd/N and a
-    shell's `>(cmd)` do: their last link names a file some descriptor already
-    holds open (a pipe, or a log opened for appending), to be written, not
-    replaced."""
-    for _ in range(40):  # as many links as the kernel follows
-        head = os.path.realpath(os.path.dirname(os.path.abspath(path)))
-        if head == "/proc" or head.startswith("/proc/"):
-            return True
-        path = os.path.join(head, os.path.basename(path))
-        if not os.path.islink(path):
-            return False
-        path = os.path.join(head, os.readlink(path))
-    return False
-
-
-class _OutFile:
-    """`--out`, replaced whole, and only by a run that succeeds.
-
-    Rows go to a temporary file beside it, opened at the first write (or at
-    a clean exit without one, so an empty result still empties `--out`),
-    that `os.replace` renames over `--out`, with the old file's permission
-    bits, at a clean exit; a run that fails, even after writing (a bad row
-    late in a streamed input), removes it. A `--out` that cannot be replaced
-    is opened at the first write and written in place: one that exists and
-    is not a regular file (a FIFO, /dev/null), one reached through /proc
-    (/dev/stdout, /dev/fd/N), and one whose directory takes no new file.
-    """
-
-    def __init__(self, path: str):
-        try:
-            st = os.stat(path)  # through symlinks: /dev/stdout on a pipe is a FIFO
-        except OSError:  # no file yet, or one that opening will report on
-            st = None
-        self._in_place = (st is not None and not stat.S_ISREG(st.st_mode)) or _through_proc(path)
-        self._path = path if self._in_place else os.path.realpath(path)  # a link's target
-        self._mode = None if st is None else stat.S_IMODE(st.st_mode)
-        self._temp = None
-        self._file = None
-
-    def _open(self):
-        if not self._in_place:
-            head, tail = os.path.split(self._path)
-            for n in itertools.count():  # a name no other run holds
-                temp = os.path.join(head, f".{tail}.{n}.tmp")
-                try:
-                    file = open(temp, "x", encoding="utf-8")
-                except FileExistsError:
-                    continue
-                except PermissionError:  # a directory that takes no new file
-                    break
-                self._temp = temp
-                return file
-        return open(self._path, "w", encoding="utf-8")
-
-    def _opened(self):
-        if self._file is None:
-            self._file = self._open()
-        return self._file
-
-    def write(self, text: str) -> int:
-        return self._opened().write(text)
-
-    def writelines(self, lines: Iterable[str]) -> None:
-        self._opened().writelines(lines)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._file is None and exc_type is None:
-            self.write("")
-        if self._file is None:
-            return
-        try:
-            self._file.close()
-            if self._temp is not None and exc_type is None:
-                if self._mode is not None:
-                    os.chmod(self._temp, self._mode)
-                os.replace(self._temp, self._path)
-                self._temp = None
-        finally:
-            if self._temp is not None:
-                os.unlink(self._temp)
-
-
-def _out(path: str | None):
-    if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return _OutFile(path)
 
 
 def _read_targets(path: str) -> Iterator[tuple[str, int]]:
@@ -238,7 +143,7 @@ def _write_rows(path: str | None, rows: Iterable, line: Callable[..., str], tran
     """Write `line(row)` for each of `rows` to --out `path`, and close a live
     transport's sockets however the run ends (a simulated network holds none)."""
     try:
-        with _out(path) as f:
+        with open_out(path) as f:
             for row in rows:
                 f.write(line(row) + "\n")
     finally:
@@ -278,7 +183,7 @@ def cmd_keys(args) -> int:
     except EmptyInput:
         print("no keys found in input", file=sys.stderr)
         return 1
-    with _out(args.out) as f:
+    with open_out(args.out) as f:
         keystats.write_report(report, f)
     return 0
 
@@ -289,8 +194,8 @@ def cmd_simulate(args) -> int:
     targets = sorted(paths)
     # All three files are replaced together, or none is: a bad --out-truth
     # leaves the topology and targets of an earlier run in place.
-    truth_out = _out(args.out_truth) if args.out_truth else contextlib.nullcontext()
-    with (_out(args.out_topology) as topology_file, _out(args.out_targets) as targets_file,
+    truth_out = open_out(args.out_truth) if args.out_truth else contextlib.nullcontext()
+    with (open_out(args.out_topology) as topology_file, open_out(args.out_targets) as targets_file,
           truth_out as truth_file):
         topology_file.writelines(netsim.topology_lines(network))
         targets_file.writelines(f"{address},{port}\n" for address, port in targets)
@@ -319,7 +224,7 @@ def cmd_analyze_pcap(args) -> int:
     if args.services or args.extra_services:
         tables = flows_mod.ServiceTables.load(args.services, args.extra_services)
     share_rows = []
-    with _out(args.out) as f:
+    with open_out(args.out) as f:
         for capture in args.infile:
             table = flows_mod.ingest_capture(
                 capture, bidirectional=not args.unidirectional
@@ -335,7 +240,7 @@ def cmd_analyze_pcap(args) -> int:
             )
             mptcp_flows = {k: v for k, v in kept.items() if v.mp_capable_seen}
             if mptcp_flows:
-                conc = flows_mod.concentration(mptcp_flows.values())
+                conc = flows_mod.concentration(s.bytes for s in mptcp_flows.values())
                 f.write(
                     f"concentration,{capture},{conc.top1_share:.6f},"
                     f"{conc.top5_share:.6f},{conc.top_half_share:.6f}\n"
@@ -364,7 +269,7 @@ def cmd_analyze_pcap(args) -> int:
 def cmd_report(args) -> int:
     """Every `report` kind: the writer its subparser named, looked up at each
     call as `main` looks up commands, into --out."""
-    with _out(args.out) as f:
+    with open_out(args.out) as f:
         globals()[f"_write_{args.write}"](args, f)
     return 0
 
@@ -476,16 +381,17 @@ def cmd_bench(args) -> int:
     combined = bench_mod.paired_report(runs(), zero_tolerance_ms=args.zero_tol)
     out_dir = Path(args.out_dir)  # made once every target is read and paired
     out_dir.mkdir(parents=True, exist_ok=True)
-    for metric in bench_mod.METRICS:
-        cdf = out_dir / f"{metric}.cdf.txt"
-        if metric not in combined.by_metric:  # no deltas: no CDF, not an earlier run's
-            cdf.unlink(missing_ok=True)
-            continue
-        with open(cdf, "w", encoding="utf-8") as f:
+    # The CDFs and the summary are replaced together, or none is, as in `simulate`.
+    with contextlib.ExitStack() as files:
+        for metric in combined.by_metric:
+            f = files.enter_context(open_out(out_dir / f"{metric}.cdf.txt"))
             bench_mod.write_cdf(combined, metric, f)
-    with open(out_dir / "summary.txt", "w", encoding="utf-8") as f:
+        f = files.enter_context(open_out(out_dir / "summary.txt"))
         for metric, (faster, even, slower) in sorted(combined.fractions.items()):
             f.write(f"{metric},{faster:.6f},{even:.6f},{slower:.6f}\n")
+    for metric in bench_mod.METRICS:
+        if metric not in combined.by_metric:  # no deltas: no CDF, not an earlier run's
+            (out_dir / f"{metric}.cdf.txt").unlink(missing_ok=True)
     return 0
 
 

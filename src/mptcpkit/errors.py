@@ -45,14 +45,6 @@ class MalformedCapture(ValueError):
     """Capture file header is unreadable, or a record claims an impossible length."""
 
 
-class MissingTables(RuntimeError):
-    """Service mapping tables were not loaded."""
-
-
-class MissingTable(RuntimeError):
-    """Enrichment table was not loaded."""
-
-
 class InsufficientHistory(ValueError):
     """Not enough snapshot months to evaluate the requested window."""
 

@@ -27,7 +27,7 @@ from math import ceil
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
 
-from .errors import EmptyInput, MissingTables
+from .errors import EmptyInput
 from .inputs import data_lines
 from .options import mp_capable_version
 from .packet import LATER_FRAGMENT, NON_TCP, address_text, flow_fields
@@ -227,13 +227,10 @@ class ConcentrationReport:
     top_half_share: float
 
 
-def concentration(mptcp_flows: Iterable[FlowStats | int]) -> ConcentrationReport:
+def concentration(flow_bytes: Iterable[int]) -> ConcentrationReport:
     """Traffic concentration: byte share of the largest, top five, and top
-    half of flows (half rounds up)."""
-    sizes = sorted(
-        (f.bytes if isinstance(f, FlowStats) else int(f) for f in mptcp_flows),
-        reverse=True,
-    )
+    half of flows (half rounds up), from each flow's byte count."""
+    sizes = sorted(flow_bytes, reverse=True)
     if not sizes:
         raise EmptyInput("concentration needs at least one flow")
     total = sum(sizes)
@@ -288,14 +285,12 @@ class ServiceTables:
         return cls(registry, supplementary)
 
 
-def map_service(key: FlowKey, tables: ServiceTables | None) -> str:
+def map_service(key: FlowKey, tables: ServiceTables) -> str:
     """Service label for a flow from its non-ephemeral port.
 
     Port zero is a reserved value and flagged as such; flows with both ports
     in the ephemeral range are Unknown.
     """
-    if tables is None:
-        raise MissingTables("service tables not loaded")
     if key.src_port == 0 or key.dst_port == 0:
         return "ReservedZero"
     candidates = [p for p in sorted((key.src_port, key.dst_port)) if p < EPHEMERAL_START]

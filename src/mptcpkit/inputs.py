@@ -1,10 +1,17 @@
-"""What every text input shares: the comment rule (`data_line`) and, for
-blocklists and prefix-to-ASN tables, `prefix[,asn]` rows in a `PrefixTable`.
+"""What every text file shares. Inputs: the comment rule (`data_line`) and,
+for blocklists and prefix-to-ASN tables, `prefix[,asn]` rows in a
+`PrefixTable`. Outputs: `OutFile`, the one writer, which replaces a file
+whole, and only when the run succeeds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ipaddress
+import itertools
+import os
+import stat
+import sys
 from typing import Iterable, Iterator
 
 from .packet import pack_address
@@ -83,3 +90,97 @@ class PrefixTable:
 
     def __len__(self) -> int:
         return sum(len(b) for buckets in self._buckets.values() for b in buckets.values())
+
+
+def through_proc(path: str | os.PathLike) -> bool:
+    """Whether `path` resolves through /proc, as /dev/stdout, /dev/fd/N and a
+    shell's `>(cmd)` do: their last link names a file some descriptor already
+    holds open (a pipe, or a log opened for appending), to be written, not
+    replaced."""
+    for _ in range(40):  # as many links as the kernel follows
+        head = os.path.realpath(os.path.dirname(os.path.abspath(path)))
+        if head == "/proc" or head.startswith("/proc/"):
+            return True
+        path = os.path.join(head, os.path.basename(path))
+        if not os.path.islink(path):
+            return False
+        path = os.path.join(head, os.readlink(path))
+    return False
+
+
+class OutFile:
+    """An output file (`--out`, a `bench --out-dir` file, a snapshot),
+    replaced whole, and only by a run that succeeds.
+
+    Rows go to a temporary file beside it, opened at the first write (or at
+    a clean exit without one, so an empty result still empties the file),
+    that `os.replace` renames over the file, with the old file's permission
+    bits, at a clean exit; a run that fails, even after writing (a bad row
+    late in a streamed input), removes it. A file that cannot be replaced
+    is opened at the first write and written in place: one that exists and
+    is not a regular file (a FIFO, /dev/null), one reached through /proc
+    (/dev/stdout, /dev/fd/N), and one whose directory takes no new file.
+    """
+
+    def __init__(self, path: str | os.PathLike):
+        try:
+            st = os.stat(path)  # through symlinks: /dev/stdout on a pipe is a FIFO
+        except OSError:  # no file yet, or one that opening will report on
+            st = None
+        self._in_place = (st is not None and not stat.S_ISREG(st.st_mode)) or through_proc(path)
+        self._path = path if self._in_place else os.path.realpath(path)  # a link's target
+        self._mode = None if st is None else stat.S_IMODE(st.st_mode)
+        self._temp = None
+        self._file = None
+
+    def _open(self):
+        if not self._in_place:
+            head, tail = os.path.split(self._path)
+            for n in itertools.count():  # a name no other run holds
+                temp = os.path.join(head, f".{tail}.{n}.tmp")
+                try:
+                    file = open(temp, "x", encoding="utf-8")
+                except FileExistsError:
+                    continue
+                except PermissionError:  # a directory that takes no new file
+                    break
+                self._temp = temp
+                return file
+        return open(self._path, "w", encoding="utf-8")
+
+    def _opened(self):
+        if self._file is None:
+            self._file = self._open()
+        return self._file
+
+    def write(self, text: str) -> int:
+        return self._opened().write(text)
+
+    def writelines(self, lines: Iterable[str]) -> None:
+        self._opened().writelines(lines)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._file is None and exc_type is None:
+            self.write("")
+        if self._file is None:
+            return
+        try:
+            self._file.close()
+            if self._temp is not None and exc_type is None:
+                if self._mode is not None:
+                    os.chmod(self._temp, self._mode)
+                os.replace(self._temp, self._path)
+                self._temp = None
+        finally:
+            if self._temp is not None:
+                os.unlink(self._temp)
+
+
+def open_out(path: str | os.PathLike | None):
+    """`OutFile(path)`, or stdout for no path or `-`."""
+    if path is None or path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return OutFile(path)

@@ -377,7 +377,7 @@ class CampaignRecord:
             raise ValueError(f"expected 6 fields, got {len(parts)}: {line!r}")
         ts, address, port, version, label, key = parts
         return cls(float(ts), address, int(port), int(version), label,
-                   Key(int(key, 16)) if key else None)
+                   Key.from_hex(key) if key else None)
 
     @classmethod
     def from_json(cls, line: str) -> "CampaignRecord":

@@ -2,20 +2,20 @@
 
 Snapshots are persisted one file per (month, family, port, version) as
 line-delimited text, named `YYYY-MM_family_port_version`: append-only,
-diff-able, no database; a save replaces its file whole, or not at all.
+diff-able, no database. A save writes through `inputs.OutFile`, the rule of
+every output file: it replaces its file whole, or not at all.
 Re-ingesting the same data is idempotent; within a month, repeated scans
 collapse by union with positive classifications winning.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import InsufficientHistory, MissingTable
-from .inputs import PrefixTable, data_lines, prefix_rows
+from .errors import InsufficientHistory
+from .inputs import OutFile, PrefixTable, data_lines, prefix_rows
 from .options import Key
 
 POSITIVE_LABELS = {"potential_capable", "truly_capable"}
@@ -113,17 +113,11 @@ class SnapshotStore:
                 existing.add(record)
             snapshot = existing
         records = snapshot.records
-        # Written beside the file and renamed over it, so a failed write keeps
-        # the months merged before; `load_series` reads no name ending `.tmp`.
-        temp = path.with_name(f".{path.name}.tmp")
-        try:
-            with open(temp, "w", encoding="utf-8") as f:  # a line at a time, not one string
-                f.write(f"# snapshot {snapshot.date} {snapshot.family} "
-                        f"port={snapshot.port} version={snapshot.version}\n")
-                f.writelines(f"{records[a].to_line()}\n" for a in sorted(records))
-            os.replace(temp, path)
-        finally:
-            temp.unlink(missing_ok=True)
+        # `load_series` reads no `OutFile` temporary: its name ends `.tmp`.
+        with OutFile(path) as f:  # a line at a time, not one string
+            f.write(f"# snapshot {snapshot.date} {snapshot.family} "
+                    f"port={snapshot.port} version={snapshot.version}\n")
+            f.writelines(f"{records[a].to_line()}\n" for a in sorted(records))
         return path
 
     def _read(self, path: Path, template: ScanSnapshot) -> ScanSnapshot:
@@ -131,13 +125,6 @@ class SnapshotStore:
         for line in data_lines(path.read_text(encoding="utf-8").splitlines()):
             snap.add(HostRecord.from_line(line))
         return snap
-
-    def load(self, date: str, family: str, port: int, version: int) -> ScanSnapshot:
-        snap = ScanSnapshot(date, family, port, version)
-        path = self.root / snap.filename()
-        if not path.exists():
-            raise FileNotFoundError(path)
-        return self._read(path, snap)
 
     def load_series(self, family: str, port: int, version: int) -> dict[str, ScanSnapshot]:
         series = {}
@@ -302,10 +289,8 @@ class EnrichmentTable:
         return self.prefixes.lookup(address)
 
 
-def enrich(address: str, table: EnrichmentTable | None) -> AsnInfo:
+def enrich(address: str, table: EnrichmentTable) -> AsnInfo:
     """Longest-prefix match; total, falling back to Unknown."""
-    if table is None:
-        raise MissingTable("enrichment table not loaded")
     asn = table.lookup_asn(address)
     if asn is None:
         return UNKNOWN_ASN
@@ -328,7 +313,7 @@ class TopReportRow:
 
 def top_report(
     records: Iterable[tuple[str, int]],
-    table: EnrichmentTable | None,
+    table: EnrichmentTable,
     group_by: str = "asn",
     k: int = 10,
 ) -> list[TopReportRow]:

@@ -234,7 +234,7 @@ class TraceRecord:
             raise ValueError(f"expected 5 fields, got {len(parts)}: {line!r}")
         address, port, verdict, ttl, key = parts
         return cls(address, int(port), verdict, int(ttl) if ttl else None,
-                   Key(int(key, 16)) if key else None)
+                   Key.from_hex(key) if key else None)
 
 
 def trace_campaign(targets: Iterable[tuple[str, int]], *, version: int, guard: CampaignGuard,

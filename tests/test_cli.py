@@ -16,7 +16,7 @@ import pytest
 from capture_helpers import handshake_frames, write_pcap
 import mptcpkit
 from mptcpkit import bench as bench_mod
-from mptcpkit import cli, netsim
+from mptcpkit import cli, inputs, netsim
 from mptcpkit.cli import POSITIVE_SCAN_LABELS, _read_records, _targets_from_scan, main
 from mptcpkit.errors import TransportUnavailable
 from mptcpkit.netsim import SimNetwork
@@ -773,7 +773,7 @@ class TestOutKeptOnFailure:
                 raise PermissionError(13, "Permission denied", file)
             return open(file, mode, **kwargs)
 
-        monkeypatch.setattr(cli, "open", no_new_files, raising=False)
+        monkeypatch.setattr(inputs, "open", no_new_files, raising=False)
         out = workdir / "out.txt"
         out.write_bytes(b"previous\n")
         inode = os.stat(out).st_ino
@@ -1077,6 +1077,23 @@ class TestBench:
             assert (out_dir / "tls.cdf.txt").exists() == target.endswith(",443")
         rows = (out_dir / "summary.txt").read_text().splitlines()
         assert [row.split(",")[0] for row in rows] == ["connect", "total", "ttfb"]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "connect.cdf.txt", "summary.txt", "total.cdf.txt", "ttfb.cdf.txt"]
+
+    def test_failed_rerun_keeps_every_earlier_file(self, workdir, capsys):
+        # All five files are replaced together: a rerun that cannot write one
+        # leaves every file of the earlier run as it was, and no temporary.
+        out_dir = workdir / "bench"
+        argv = ["bench", "--targets", str(workdir / "targets.csv"),
+                "--sim-topology", str(workdir / "topology.txt"), "--runs", "3",
+                "--out-dir", str(out_dir)]
+        run_ok([*argv, "--seed", "2"])
+        (out_dir / "ttfb.cdf.txt").unlink()
+        (out_dir / "ttfb.cdf.txt").mkdir()
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
+        assert main([*argv, "--seed", "3"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()} == before
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "connect.cdf.txt", "summary.txt", "total.cdf.txt", "ttfb.cdf.txt"]
 

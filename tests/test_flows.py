@@ -16,7 +16,7 @@ from capture_helpers import (
     with_v6_headers,
     write_pcap,
 )
-from mptcpkit.errors import EmptyInput, MalformedCapture, MissingTables
+from mptcpkit.errors import EmptyInput, MalformedCapture
 from mptcpkit.flows import (
     FlowKey,
     FlowStats,
@@ -485,10 +485,6 @@ class TestConcentration:
     def test_equal_sizes_top_half(self):
         assert concentration([10, 10, 10, 10]).top_half_share == 0.5
 
-    def test_accepts_flow_stats(self):
-        flows = [FlowStats(packets=5, bytes=b) for b in (50, 20, 10, 10, 10)]
-        assert concentration(flows).top1_share == 0.5
-
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             concentration([])
@@ -558,10 +554,6 @@ class TestServiceMapping:
     def test_registered_port_without_entry_unknown(self):
         key = _key("10.0.0.1", "10.0.0.2", 50000, 9999)
         assert map_service(key, self.tables()) == "Unknown"
-
-    def test_missing_tables(self):
-        with pytest.raises(MissingTables):
-            map_service(_key("10.0.0.1", "10.0.0.2", 1, 2), None)
 
     def test_load_from_files(self, tmp_path):
         registry = tmp_path / "registry.csv"

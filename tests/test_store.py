@@ -1,8 +1,10 @@
+import stat
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mptcpkit.errors import InsufficientHistory, MissingTable
+from mptcpkit.errors import InsufficientHistory
 from mptcpkit.options import Key
 from mptcpkit.store import (
     EnrichmentTable,
@@ -73,7 +75,7 @@ class TestSnapshotStore:
         snapshot.add(HostRecord("10.0.0.3", "mirrored_key", Key(0xFFFF)))
         path = store.save(snapshot)
         assert path.name == "2021-10_v4_80_0"
-        loaded = store.load("2021-10", "v4", 80, 0)
+        loaded = store.load_series("v4", 80, 0)["2021-10"]
         assert loaded.records.keys() == snapshot.records.keys()
         assert loaded.records["10.0.0.3"].sender_key == Key(0xFFFF)
 
@@ -92,7 +94,7 @@ class TestSnapshotStore:
         later.add(HostRecord("10.0.0.1", "no_response"))
         later.add(HostRecord("10.0.0.9", "potential_capable"))
         store.save(later)
-        merged = store.load("2021-10", "v4", 80, 0)
+        merged = store.load_series("v4", 80, 0)["2021-10"]
         assert merged.records["10.0.0.1"].classification == "potential_capable"
         assert "10.0.0.9" in merged.records
 
@@ -115,6 +117,15 @@ class TestSnapshotStore:
         assert written  # the failure came after a row was written
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_merge_save_keeps_the_permission_bits(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        path = store.save(snap("2021-10", ["10.0.0.1"]))
+        path.chmod(0o600)
+        store.save(snap("2021-10", ["10.0.0.2"]))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert store.load_series("v4", 80, 0)["2021-10"].records.keys() == {
+            "10.0.0.1", "10.0.0.2"}
 
     def test_load_series(self, tmp_path):
         store = SnapshotStore(tmp_path)
@@ -300,10 +311,6 @@ class TestEnrichment:
         info = enrich("192.168.0.1", self.table())
         assert info.asn is None
         assert info.organization == "Unknown"
-
-    def test_missing_table(self):
-        with pytest.raises(MissingTable):
-            enrich("10.0.0.1", None)
 
     def test_load_from_files(self, tmp_path):
         prefixes = tmp_path / "prefixes.csv"
