@@ -185,9 +185,6 @@ class DeltaReport:
     fractions: dict[str, tuple[float, float, float]]  # (faster, even, slower)
     paired_runs: int = 0
 
-    def deltas(self, metric: str) -> list[float]:
-        return list(self.by_metric.get(metric, ()))
-
 
 def _summarize(
     by_metric: dict[str, list[float]], paired: int, zero_tolerance_ms: float

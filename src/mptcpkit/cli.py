@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import functools
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -23,35 +24,28 @@ from . import bench as bench_mod
 from . import flows as flows_mod
 from . import keystats, netsim, store as store_mod, tracer
 from .errors import EmptyInput, GuardViolation, TransportUnavailable
-from .inputs import data_lines, open_out
+from .inputs import open_out, read_rows
 from .options import Key
 from .probe import (
     Blocklist,
     CampaignGuard,
     CampaignRecord,
+    ClassificationKind,
     DEFAULT_PROBE_KEY,
     PacedTransport,
     RatePacer,
     VirtualClock,
-    load_targets,
     run_campaign,
     target_row,
 )
 
-POSITIVE_SCAN_LABELS = {"potential_capable"}
-
-
-def _read_targets(path: str) -> Iterator[tuple[str, int]]:
-    """Each (address, port) of a targets file, read as the caller asks for it."""
-    with open(path, encoding="utf-8") as f:
-        yield from load_targets(f)
+POSITIVE_SCAN_LABELS = {ClassificationKind.POTENTIAL_CAPABLE.value}
 
 
 def _targets_from_scan(path: str, labels: set[str]) -> list[tuple[str, int]]:
     """Distinct (address, port) of rows with a wanted label, first-seen order."""
-    return list(
-        dict.fromkeys((r.address, r.port) for r in _read_records(path) if r.label in labels)
-    )
+    records = read_rows(path, CampaignRecord.parse)
+    return list(dict.fromkeys((r.address, r.port) for r in records if r.label in labels))
 
 
 def _drain(items: list) -> Iterator:
@@ -60,12 +54,6 @@ def _drain(items: list) -> Iterator:
     items.reverse()
     while items:
         yield items.pop()
-
-
-def _read_records(path: str) -> Iterator[CampaignRecord]:
-    """Each scan record of a CSV or JSONL file, read as the caller asks for it."""
-    with open(path, encoding="utf-8") as f:
-        yield from map(CampaignRecord.parse, data_lines(f))
 
 
 def _host_row(line: str) -> tuple[str, int | None, str | None]:
@@ -84,23 +72,25 @@ def _host_row(line: str) -> tuple[str, int | None, str | None]:
     raise ValueError(f"expected address[,port], a trace row or a scan row, got {line!r}")
 
 
-def _read_hosts(path: str, only: str | None) -> list[tuple[str, int | None]]:
-    """(address, port) of each host row, keeping only rows labelled `only` if set."""
-    hosts = []
-    with open(path, encoding="utf-8") as f:
-        for line in data_lines(f):
-            address, port, label = _host_row(line)
-            if only is not None:
-                if label is None:
-                    raise ValueError(f"--only needs scan or trace rows, got {line!r}")
-                if label != only:
-                    continue
-            hosts.append((address, port))
-    return hosts
+def _labelled_row(line: str) -> tuple[str, int | None, str | None]:
+    """A host row under `--only`, which must carry a label."""
+    row = _host_row(line)
+    if row[2] is None:
+        raise ValueError(f"--only needs scan or trace rows, got {line!r}")
+    return row
+
+
+def _ported_row(line: str) -> tuple[str, int | None, str | None]:
+    """A `report top` host row, which needs a port, as every `--only` row has."""
+    row = _host_row(line)
+    if row[1] is None:
+        raise ValueError(f"report top needs a port on every row, got {line!r}")
+    return row
 
 
 def _read_address_set(path: str, only: str | None) -> set[str]:
-    return {address for address, _port in _read_hosts(path, only)}
+    rows = read_rows(path, _host_row if only is None else _labelled_row)
+    return {address for address, _port, label in rows if only in (None, label)}
 
 
 def _resolve_transport(args):
@@ -156,7 +146,7 @@ def _write_rows(path: str | None, rows: Iterable, line: Callable[..., str], tran
 def cmd_scan(args) -> int:
     guard = _guard_from_args(args)
     transport = None if args.dry_run else _resolve_transport(args)
-    records = run_campaign(_read_targets(args.targets), version=args.version, guard=guard,
+    records = run_campaign(read_rows(args.targets, target_row), version=args.version, guard=guard,
                            transport=transport, probe_key=args.probe_key, seed=args.seed)
     line = CampaignRecord.to_json if args.format == "jsonl" else CampaignRecord.to_csv
     return _write_rows(args.out, records, line, transport)
@@ -164,7 +154,7 @@ def cmd_scan(args) -> int:
 
 def cmd_trace(args) -> int:
     guard = _guard_from_args(args)
-    targets = (_read_targets(args.targets) if args.from_scan is None
+    targets = (read_rows(args.targets, target_row) if args.from_scan is None
                else _drain(_targets_from_scan(args.from_scan, POSITIVE_SCAN_LABELS)))
     transport = _resolve_transport(args)
     rows = tracer.trace_campaign(targets, version=args.version, guard=guard, transport=transport,
@@ -175,11 +165,11 @@ def cmd_trace(args) -> int:
 def cmd_keys(args) -> int:
     try:  # the keys are read as they are counted, and none is held
         if args.from_scan is not None:
-            keys = (r.sender_key for r in _read_records(args.from_scan) if r.sender_key is not None)
-            report = keystats.analyze_keys(keys, args.probe_key)
+            records = read_rows(args.from_scan, CampaignRecord.parse)
+            keys = (r.sender_key for r in records if r.sender_key is not None)
         else:
-            with open(args.infile, encoding="utf-8") as f:
-                report = keystats.analyze_keys(keystats.read_keys(f), args.probe_key)
+            keys = read_rows(args.infile, Key.from_hex)
+        report = keystats.analyze_keys(keys, args.probe_key)
     except EmptyInput:
         print("no keys found in input", file=sys.stderr)
         return 1
@@ -275,11 +265,7 @@ def cmd_report(args) -> int:
 
 
 def _write_summary(args, f) -> None:
-    counts: dict[str, int] = {}
-    with open(args.infile, encoding="utf-8") as records:
-        for line in data_lines(records):
-            verdict = tracer.TraceRecord.from_csv(line).verdict
-            counts[verdict] = counts.get(verdict, 0) + 1
+    counts = Counter(r.verdict for r in read_rows(args.infile, tracer.TraceRecord.from_csv))
     for label in sorted(counts):
         f.write(f"{label},{counts[label]}\n")
 
@@ -304,7 +290,7 @@ def _write_ingest(args, f) -> None:
     store_mod.parse_month(args.date)  # before the store or the input is touched
     snapshot_store = store_mod.SnapshotStore(args.store)
     by_key: dict[tuple[str, int, int], store_mod.ScanSnapshot] = {}
-    for record in _read_records(args.infile):
+    for record in read_rows(args.infile, CampaignRecord.parse):
         family = "v6" if ":" in record.address else "v4"
         key = (family, record.port, record.version)
         snap = by_key.get(key)
@@ -328,9 +314,8 @@ def _write_window(args, f) -> None:
 
 def _write_top(args, f) -> None:
     table = store_mod.EnrichmentTable.load(args.prefixes, args.asn_meta)
-    entries = _read_hosts(args.infile, args.only)
-    if any(port is None for _address, port in entries):
-        raise ValueError(f"report top needs a port on every row of {args.infile}")
+    hosts = read_rows(args.infile, _ported_row if args.only is None else _labelled_row)
+    entries = [(address, port) for address, port, label in hosts if args.only in (None, label)]
     rows = store_mod.top_report(entries, table, group_by=args.group_by, k=args.k)
     if args.pretty:
         header = ("GROUP", "PORT80", "PORT443", "RANK", "CC", "ORGANIZATION")
@@ -357,7 +342,8 @@ def _write_top(args, f) -> None:
 
 def cmd_bench(args) -> int:
     guard = _guard_from_args(args)
-    targets = ((a, p) for a, p in _read_targets(args.targets) if not guard.blocklist.matches(a))
+    targets = ((a, p) for a, p in read_rows(args.targets, target_row)
+               if not guard.blocklist.matches(a))
     if args.sim_topology:
         network = netsim.load_topology(args.sim_topology, seed=args.seed)
         mptcp_t = bench_mod.SimTimingTransport(

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
 
 from .errors import EmptyInput
-from .inputs import data_lines
+from .inputs import read_rows
 from .options import mp_capable_version
 from .packet import LATER_FRAGMENT, NON_TCP, address_text, flow_fields
 from .pcapio import LINKTYPE_NULL, LINKTYPE_RAW, read_blocks
@@ -263,26 +263,20 @@ class ServiceTables:
     registry: dict[int, str]
     supplementary: dict[int, str] = field(default_factory=dict)
 
-    @staticmethod
-    def _read(path: str | Path) -> dict[int, str]:
-        table: dict[int, str] = {}
-        with open(path, encoding="utf-8") as f:
-            for line in data_lines(f):
-                port, _protocol, label = line.split(",", 2)
-                table[int(port)] = label.strip()
-        return table
-
     @classmethod
-    def load(
-        cls,
-        registry_path: str | Path | None = None,
-        supplementary_path: str | Path | None = None,
-    ) -> "ServiceTables":
-        registry = (
-            cls._read(registry_path) if registry_path else dict(WELL_KNOWN_SERVICES)
-        )
-        supplementary = cls._read(supplementary_path) if supplementary_path else {}
+    def load(cls, registry_path: str | Path | None = None,
+             supplementary_path: str | Path | None = None) -> "ServiceTables":
+        registry = dict(read_rows(registry_path, service_row) if registry_path
+                        else WELL_KNOWN_SERVICES)
+        supplementary = dict(read_rows(supplementary_path, service_row)
+                             if supplementary_path else ())
         return cls(registry, supplementary)
+
+
+def service_row(line: str) -> tuple[int, str]:
+    """(port, label) of one `port,protocol,label` service table row."""
+    port, _protocol, label = line.split(",", 2)
+    return int(port), label.strip()
 
 
 def map_service(key: FlowKey, tables: ServiceTables) -> str:

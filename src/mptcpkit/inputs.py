@@ -1,8 +1,8 @@
-"""What every text file shares. Inputs: the comment rule (`data_line`) and,
-for blocklists and prefix-to-ASN tables, `prefix[,asn]` rows in a
-`PrefixTable`. Outputs: `OutFile`, the one writer, which replaces a file
-whole, and only when the run succeeds.
-"""
+"""What every text file shares. One reader: `rows` applies the comment rule
+(`data_line`) and a schema's row parser to each line, and names the line of a
+bad row; `read_rows` and `open_in` open a file by path and name it too. One
+writer: `OutFile`, which replaces a file whole, and only when the run succeeds.
+And the `prefix[,asn]` rows and `PrefixTable` of blocklists and ASN tables."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import itertools
 import os
 import stat
 import sys
-from typing import Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .packet import pack_address
 
@@ -22,29 +22,58 @@ def data_line(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def data_lines(lines: Iterable[str]) -> Iterator[str]:
-    """Each line through `data_line`; blank results are skipped."""
-    return filter(None, map(data_line, lines))
+Row = TypeVar("Row")  # one row of a text input, or of a command's output
+PrefixKey = tuple[int, int, int]  # IP version, host bits, address bits (host bits unread)
 
 
-def prefix_rows(lines: Iterable[str]) -> Iterator[tuple[str, int | None]]:
-    """(prefix, asn) per `prefix[,asn]` line; asn is None when absent."""
-    for line in data_lines(lines):
-        prefix, sep, asn = line.partition(",")
-        yield prefix.strip(), int(asn) if sep else None
+def rows(lines: Iterable[str], parse: Callable[[str], Row]) -> Iterator[Row]:
+    """`parse(data_line(line))` for each line of `lines` that holds data, as the
+    caller asks for it; a ValueError of `parse` is raised again, chained, as
+    `line N: <message>`, N counting every line, comment and blank lines too."""
+    for number, line in enumerate(lines, 1):
+        if line := data_line(line):
+            try:
+                row = parse(line)
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from exc
+            yield row
 
 
-def _prefix_key(prefix: str) -> tuple[int, int, int] | None:
-    """(version, host bits, address bits) of `address/length`, else None."""
+@contextlib.contextmanager
+def open_in(path: str | os.PathLike) -> Iterator[IO[str]]:
+    """The text input at `path`, opened UTF-8; a ValueError while it is open gains `<path>: `."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def read_rows(path: str | os.PathLike, parse: Callable[[str], Row]) -> Iterator[Row]:
+    """`rows` of the text input at `path`, opened at the first row asked for."""
+    with open_in(path) as f:
+        yield from rows(f, parse)
+
+
+def prefix_key(prefix: str) -> PrefixKey:
+    """The `PrefixTable` key of `prefix`, read as `ipaddress.ip_network(prefix,
+    strict=False)` reads it, with its errors; `address/length` skips ipaddress."""
     try:
         address, _, length = prefix.partition("/")
         packed = pack_address(address)
+        bits = len(packed) * 8
+        if length.isascii() and length.isdigit() and len(length) <= 3 and int(length) <= bits:
+            return 4 if bits == 32 else 6, bits - int(length), int.from_bytes(packed, "big")
     except (AttributeError, ValueError):
-        return None
-    bits = len(packed) * 8
-    if not (length.isascii() and length.isdigit() and len(length) <= 3 and int(length) <= bits):
-        return None
-    return 4 if bits == 32 else 6, bits - int(length), int.from_bytes(packed, "big")
+        pass
+    net = ipaddress.ip_network(prefix, strict=False)
+    return net.version, net.max_prefixlen - net.prefixlen, int(net.network_address)
+
+
+def prefix_row(line: str) -> tuple[PrefixKey, int | None]:
+    """(prefix key, asn) of one `prefix[,asn]` row; asn is None when absent."""
+    prefix, sep, asn = line.partition(",")
+    return prefix_key(prefix.strip()), int(asn) if sep else None
 
 
 class PrefixTable:
@@ -64,13 +93,10 @@ class PrefixTable:
         # IP version -> host bits -> network bits -> value, fewest host bits first
         self._buckets: dict[int, dict[int, dict[int, object]]] = {4: {}, 6: {}}
         for prefix, value in entries:
-            self.add(prefix, value)
+            self.add(prefix_key(prefix), value)
 
-    def add(self, prefix: str, value: object) -> None:
-        key = _prefix_key(prefix)
-        if key is None:
-            net = ipaddress.ip_network(prefix, strict=False)
-            key = net.version, net.max_prefixlen - net.prefixlen, int(net.network_address)
+    def add(self, key: PrefixKey, value: object) -> None:
+        """Map the prefix whose `prefix_key` is `key` to `value`."""
         version, shift, bits = key
         buckets = self._buckets[version]
         if shift not in buckets:

@@ -6,18 +6,17 @@ static key instead, which piles mass onto that key's exact weight bin. The
 report measures both signals: exact byte equality with the probe key and
 excess mass at the probe key's weight bin, plus a chi-square fit against the
 exact binomial reference. `analyze_keys` reads its keys in one pass and keeps
-only the 65 bin counts and the count of keys equal to the probe key, so
-`read_keys` hands them over one at a time.
+only the 65 bin counts and the count of keys equal to the probe key, so its
+caller can hand them over one at a time, as they are read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 from .errors import EmptyInput
-from .inputs import data_lines
 from .options import Key
 
 _TWO_64 = 1 << 64
@@ -151,9 +150,3 @@ def write_report(report: EntropyReport, f: IO[str]) -> None:
     expected = expected_counts(report.histogram.total)
     for w in range(65):
         f.write(f"{w},{report.histogram.counts[w]},{expected[w]:.6f}\n")
-
-
-def read_keys(lines: Iterable[str]) -> Iterator[Key]:
-    """Each key of one hex key per line, `#` comments allowed, read as the
-    caller asks for it."""
-    return map(Key.from_hex, data_lines(lines))

@@ -50,7 +50,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .inputs import data_line
+from .inputs import open_in, rows
 from .options import (
     DEFAULT_MP_FLAGS,
     HandshakePhase,
@@ -381,7 +381,8 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
 
     Lines with the same text after the port, compared as written (inner
     whitespace included), share one SimPath, which holds no per-target state;
-    lines with the same port text share one port int.
+    lines with the same port text share one port int. Every error names its
+    line: `line N: <message>`, N counting comment and blank lines too.
     """
     net = SimNetwork(seed)
     # Node behaviors are frozen and key streams are keyed by position, not by
@@ -389,12 +390,11 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
     parse_node = functools.lru_cache(maxsize=None)(_parse_node)
     paths_by_text: dict[str, SimPath] = {}
     ports: dict[str, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        fields = data_line(raw).split(None, 3)
-        if not fields:
-            continue
+
+    def path_line(line: str) -> tuple[str, int, SimPath]:
+        fields = line.split(None, 3)
         if fields[0] != "path" or len(fields) < 4:
-            raise ValueError(f"line {lineno}: expected `path <addr> <port> <nodes...>`")
+            raise ValueError("expected `path <addr> <port> <nodes...>`")
         _, address, port, text = fields
         path = paths_by_text.get(text)
         if path is None:
@@ -410,15 +410,17 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
             except ValueError:
                 number = -1
             if not 0 <= number <= 65535:
-                raise ValueError(f"line {lineno}: port must be an integer in [0, 65535], "
-                                 f"got {port!r}")
+                raise ValueError(f"port must be an integer in [0, 65535], got {port!r}")
             ports[port] = number
-        net.add_path(address, number, path)
+        return address, number, path
+
+    for address, port, path in rows(lines, path_line):
+        net.add_path(address, port, path)
     return net
 
 
 def load_topology(path: str | Path, seed: int = 0) -> SimNetwork:
-    with open(path, encoding="utf-8") as f:
+    with open_in(path) as f:
         return parse_topology(f, seed=seed)
 
 

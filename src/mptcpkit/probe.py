@@ -13,10 +13,10 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Protocol, TypeVar
+from typing import Callable, Iterable, Iterator, Protocol
 
 from .errors import GuardViolation, IllegalCombination, OptionError
-from .inputs import PrefixTable, data_lines, prefix_rows
+from .inputs import PrefixTable, Row, prefix_row, read_rows
 from .options import (
     DEFAULT_MP_FLAGS,
     HandshakePhase,
@@ -28,7 +28,7 @@ from .options import (
     parse_options_prefix,
     syn_view,
 )
-from .packet import FLAG_RST, FLAG_SYN_ACK, RawSegment, TcpPacket
+from .packet import FLAG_RST, FLAG_SYN_ACK, RawSegment, TcpPacket, pack_address
 
 try:  # the built-in module; hashlib's would also map OpenSSL's libcrypto
     from _blake2 import blake2b
@@ -225,13 +225,11 @@ class Blocklist:
         self.table = PrefixTable((prefix, True) for prefix in prefixes)
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "Blocklist":
-        return cls(prefix for prefix, _asn in prefix_rows(lines))
-
-    @classmethod
     def load(cls, path) -> "Blocklist":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_lines(f)
+        blocklist = cls()
+        for key, _asn in read_rows(path, prefix_row):
+            blocklist.table.add(key, True)
+        return blocklist
 
     def matches(self, address: str) -> bool:
         return self.table.lookup(address) is not None
@@ -403,27 +401,25 @@ class CampaignRecord:
     @classmethod
     def parse(cls, line: str) -> "CampaignRecord":
         """One scan row: JSON when it starts with `{`, CSV otherwise."""
-        return cls.from_json(line) if line.startswith("{") else cls.from_csv(line)
+        record = cls.from_json(line) if line.startswith("{") else cls.from_csv(line)
+        checked_target(record.address, record.port)
+        return record
+
+
+def checked_target(address: str, port: int) -> tuple[str, int]:
+    """(address, port) of a probe target: a port in [0, 65535] and an IPv4 or IPv6 address."""
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port out of range: {port}")
+    pack_address(address)  # raises for what is not an address
+    return address, port
 
 
 def target_row(line: str) -> tuple[str, int]:
-    """One `address,port` row; the port must be in [0, 65535]."""
+    """One `address,port` row, a `checked_target`."""
     address, sep, port = line.rpartition(",")
     if not sep:
         raise ValueError(f"expected address,port, got {line!r}")
-    number = int(port)
-    if not 0 <= number <= 65535:
-        raise ValueError(f"port out of range: {number}")
-    return address.strip(), number
-
-
-def load_targets(lines: Iterable[str]) -> Iterator[tuple[str, int]]:
-    """Each target of a target list, as it is read: one `address,port` per
-    line, `#` comments."""
-    return map(target_row, data_lines(lines))
-
-
-Row = TypeVar("Row")  # one output row of a probing command
+    return checked_target(address.strip(), int(port))
 
 
 def probe_targets(targets: Iterable[tuple[str, int]], blocklist: Blocklist,

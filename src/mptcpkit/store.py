@@ -15,12 +15,16 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import InsufficientHistory
-from .inputs import OutFile, PrefixTable, data_lines, prefix_rows
+from .inputs import OutFile, PrefixKey, PrefixTable, prefix_row, read_rows
 from .options import Key
+from .probe import ClassificationKind
+from .tracer import PathVerdictKind
 
-POSITIVE_LABELS = {"potential_capable", "truly_capable"}
+POSITIVE_LABELS = {ClassificationKind.POTENTIAL_CAPABLE.value,
+                   PathVerdictKind.TRULY_CAPABLE.value}
 # Labels that mean "answered with MP_CAPABLE at all" (reachable for pruning).
-MPCAPABLE_LABELS = POSITIVE_LABELS | {"mirrored_key", "version_mismatch"}
+MPCAPABLE_LABELS = POSITIVE_LABELS | {ClassificationKind.MIRRORED_KEY.value,
+                                      ClassificationKind.VERSION_MISMATCH.value}
 
 
 @dataclass(slots=True)
@@ -122,8 +126,8 @@ class SnapshotStore:
 
     def _read(self, path: Path, template: ScanSnapshot) -> ScanSnapshot:
         snap = ScanSnapshot(template.date, template.family, template.port, template.version)
-        for line in data_lines(path.read_text(encoding="utf-8").splitlines()):
-            snap.add(HostRecord.from_line(line))
+        for record in read_rows(path, HostRecord.from_line):
+            snap.add(record)
         return snap
 
     def load_series(self, family: str, port: int, version: int) -> dict[str, ScanSnapshot]:
@@ -264,29 +268,31 @@ class EnrichmentTable:
         self.asn_meta = dict(asn_meta or {})
 
     @classmethod
-    def load(
-        cls, prefix_path: str | Path, meta_path: str | Path | None = None
-    ) -> "EnrichmentTable":
+    def load(cls, prefix_path: str | Path, meta_path: str | Path | None = None) -> EnrichmentTable:
         """Prefix file: `prefix,asn` lines. Meta file: `asn,org,country,rank`."""
         table = cls()
-        with open(prefix_path, encoding="utf-8") as f:
-            for prefix, asn in prefix_rows(f):
-                if asn is None:
-                    raise ValueError(f"expected prefix,asn, got {prefix!r}")
-                table.prefixes.add(prefix, asn)
+        for key, asn in read_rows(prefix_path, prefix_asn_row):
+            table.prefixes.add(key, asn)
         if meta_path is not None:
-            with open(meta_path, encoding="utf-8") as f:
-                for line in data_lines(f):
-                    asn, org, country, rank = line.split(",")
-                    table.asn_meta[int(asn)] = (
-                        org.strip(),
-                        country.strip(),
-                        int(rank) if rank.strip() else None,
-                    )
+            table.asn_meta.update(read_rows(meta_path, asn_meta_row))
         return table
 
     def lookup_asn(self, address: str) -> int | None:
         return self.prefixes.lookup(address)
+
+
+def prefix_asn_row(line: str) -> tuple[PrefixKey, int]:
+    """(prefix key, asn) of one prefix table row, which needs its asn."""
+    key, asn = prefix_row(line)
+    if asn is None:
+        raise ValueError(f"expected prefix,asn, got {line!r}")
+    return key, asn
+
+
+def asn_meta_row(line: str) -> tuple[int, tuple[str, str, int | None]]:
+    """(asn, (organization, country, rank)) of one `asn,org,country,rank` row."""
+    asn, org, country, rank = line.split(",")
+    return int(asn), (org.strip(), country.strip(), int(rank) if rank.strip() else None)
 
 
 def enrich(address: str, table: EnrichmentTable) -> AsnInfo:
@@ -305,7 +311,6 @@ class TopReportRow:
     country: str
     rank: int | None
     port_counts: Mapping[int, int]
-    total_unique: int
 
     def count(self, port: int) -> int:
         return self.port_counts.get(port, 0)
@@ -354,7 +359,6 @@ def top_report(
                 country=info.country,
                 rank=info.rank,
                 port_counts={p: len(s) for p, s in per_port[group].items()},
-                total_unique=len(addresses[group]),
             )
         )
     return rows

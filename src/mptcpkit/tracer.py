@@ -26,6 +26,7 @@ from .probe import (
     ProbeResponse,
     ProbeSpec,
     build_syn_probe,
+    checked_target,
     probe_targets,
 )
 
@@ -233,7 +234,7 @@ class TraceRecord:
         if len(parts) != 5:
             raise ValueError(f"expected 5 fields, got {len(parts)}: {line!r}")
         address, port, verdict, ttl, key = parts
-        return cls(address, int(port), verdict, int(ttl) if ttl else None,
+        return cls(*checked_target(address, int(port)), verdict, int(ttl) if ttl else None,
                    Key.from_hex(key) if key else None)
 
 

@@ -350,13 +350,13 @@ def test_criterion_6_transfer_bench():
     mptcp_samples = time_get("10.0.0.1", 80, mptcp_t, runs=20)
     tcp_samples = time_get("10.0.0.1", 80, tcp_t, runs=20)
     report = delta_report(mptcp_samples, tcp_samples)
-    connect_deltas = report.deltas("connect")
+    connect_deltas = report.by_metric["connect"]
     assert len(connect_deltas) == 20
     assert all(d > 0 for d in connect_deltas)  # strip path: TCP always faster
 
     swapped = delta_report(tcp_samples, mptcp_samples)
     for metric in ("connect", "ttfb", "total"):
-        assert swapped.deltas(metric) == [-d for d in report.deltas(metric)]
+        assert swapped.by_metric[metric] == [-d for d in report.by_metric[metric]]
     for faster, even, slower in report.fractions.values():
         assert faster + even + slower == 1.0
     _announce(6, "strip path connect-delta > 0 in 20/20 runs; negation exact")

@@ -95,7 +95,7 @@ class TestDeltaReport:
     def test_sign_convention(self):
         # mptcp 15 ms vs tcp 10 ms: +5, TCP faster
         report = delta_report([sample(15.0, transport="mptcp")], [sample(10.0)])
-        assert report.deltas("connect") == [5.0]
+        assert report.by_metric["connect"] == [5.0]
 
     def test_pairing_mismatch(self):
         with pytest.raises(PairingMismatch):
@@ -114,7 +114,7 @@ class TestDeltaReport:
         mptcp_samples = time_get("10.0.0.2", 80, mptcp_t, runs=10)
         tcp_samples = time_get("10.0.0.2", 80, tcp_t, runs=10)
         report = delta_report(mptcp_samples, tcp_samples)
-        deltas = report.deltas("connect")
+        deltas = report.by_metric["connect"]
         assert len(deltas) == 10
         assert all(d > 0 for d in deltas)
         assert report.fractions["connect"][2] == 1.0
@@ -139,7 +139,7 @@ class TestDeltaReport:
         fwd = delta_report(a, b)
         rev = delta_report(b, a)
         for metric in ("connect", "ttfb", "total"):
-            assert [-d for d in fwd.deltas(metric)] == rev.deltas(metric)
+            assert [-d for d in fwd.by_metric[metric]] == rev.by_metric[metric]
 
     def test_fractions_sum_to_one(self):
         net = network()
@@ -170,7 +170,7 @@ class TestDeltaReport:
         r1 = delta_report([sample(10.0, transport="mptcp")], [sample(10.0)])
         r2 = delta_report([sample(20.0, transport="mptcp")], [sample(10.0)])
         merged = merge_reports([r1, r2])
-        assert sorted(merged.deltas("connect")) == [0.0, 10.0]
+        assert sorted(merged.by_metric["connect"]) == [0.0, 10.0]
         assert merged.paired_runs == 2
 
     def test_paired_report_is_merged_per_target_reports(self):
@@ -215,7 +215,7 @@ def test_report_holds_each_delta_once_as_a_float():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    count = sum(len(report.deltas(metric)) for metric in METRICS)
+    count = sum(map(len, report.by_metric.values()))
     assert count > 10_000
     assert held / count < 64
 
@@ -259,7 +259,7 @@ def test_cdf_rows_and_fractions_match_reference(runs, tolerance):
     assert report.paired_runs == sum(map(len, runs))
     for i, metric in enumerate(METRICS):
         deltas = [values[i] for target in runs for values in target if values[i] is not None]
-        assert report.deltas(metric) == deltas
+        assert report.by_metric.get(metric, []) == deltas
         out = io.StringIO()
         write_cdf(report, metric, out)
         assert out.getvalue() == "".join(f"{d:.6f},{p:.6f}\n" for d, p in reference_cdf(deltas))

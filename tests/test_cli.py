@@ -17,7 +17,8 @@ from capture_helpers import handshake_frames, write_pcap
 import mptcpkit
 from mptcpkit import bench as bench_mod
 from mptcpkit import cli, inputs, netsim
-from mptcpkit.cli import POSITIVE_SCAN_LABELS, _read_records, _targets_from_scan, main
+from mptcpkit.cli import POSITIVE_SCAN_LABELS, _targets_from_scan, main
+from mptcpkit.inputs import read_rows
 from mptcpkit.errors import TransportUnavailable
 from mptcpkit.netsim import SimNetwork
 from mptcpkit.options import Key
@@ -120,7 +121,7 @@ class TestScan:
         )
         scan = workdir / "scan.jsonl"
         scan.write_text(record.to_json() + "\n")
-        assert list(_read_records(str(scan))) == [record]
+        assert list(read_rows(str(scan), CampaignRecord.parse)) == [record]
 
     def test_dry_run_emits_probe_bytes(self, workdir):
         out = workdir / "dry.jsonl"
@@ -1121,7 +1122,8 @@ class TestBench:
         rc = main(["bench", "--targets", str(workdir / "bad-targets.csv"), *source,
                    "--runs", "2", "--out-dir", str(out_dir)])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: port out of range: {port}\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {workdir / 'bad-targets.csv'}: line 2: port out of range: {port}\n"
         assert all((a, p) == ("10.0.0.1", 80) for _t, a, p, _r in log["fetched"])
         assert not out_dir.exists()
 

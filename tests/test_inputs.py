@@ -1,31 +1,53 @@
-"""The shared comment rule, the longest-prefix table and every text reader."""
+"""The one text reader, its comment and error rules, the longest-prefix
+table, and every text input that goes through them."""
 
+import ast
+import contextlib
+import io
 import ipaddress
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mptcpkit import cli, keystats, netsim
+from mptcpkit import cli, inputs, netsim
 from mptcpkit.flows import ServiceTables
-from mptcpkit.inputs import PrefixTable, _prefix_key, data_lines, prefix_rows
-from mptcpkit.probe import Blocklist, load_targets
+from mptcpkit.inputs import PrefixTable, prefix_key, prefix_row, rows
+from mptcpkit.probe import Blocklist, target_row
 from mptcpkit.store import EnrichmentTable, ScanSnapshot, SnapshotStore
 
 
 def test_data_lines_cuts_comments_and_skips_blanks():
     lines = ["# header", "", "   ", "a,1  # inline", "\tb,2\n", "#", "c # x # y"]
-    assert list(data_lines(lines)) == ["a,1", "b,2", "c"]
+    assert list(rows(lines, str)) == ["a,1", "b,2", "c"]
+
+    def parse(line):
+        if line == "c":
+            raise ValueError(f"bad row {line!r}")
+        return line
+
+    with pytest.raises(ValueError) as raised:
+        list(rows(lines, parse))
+    assert str(raised.value) == "line 7: bad row 'c'"  # comment and blank lines count
+    assert str(raised.value.__cause__) == "bad row 'c'"
+
+
+def test_rows_name_only_errors_of_the_row_parser():
+    with pytest.raises(KeyError):  # not a ValueError: raised as it is
+        list(rows(["a"], {}.__getitem__))
+    with pytest.raises(ValueError) as raised:  # raised by the caller, not by a row
+        for row in rows(["1", "2"], int):
+            raise ValueError(f"caller refuses {row}")
+    assert str(raised.value) == "caller refuses 1"
 
 
 def test_prefix_rows_value_is_optional():
-    assert list(prefix_rows(["10.0.0.0/8", " 2001:db8::/32 , 64500 # six"])) == [
-        ("10.0.0.0/8", None),
-        ("2001:db8::/32", 64500),
-    ]
+    assert prefix_row("10.0.0.0/8") == ((4, 24, 10 << 24), None)
+    assert prefix_row("2001:db8::/32 , 64500") == ((6, 96, 0x20010DB8 << 96), 64500)
 
 
 # -- the prefix table against a brute-force reference -------------------------
@@ -102,16 +124,20 @@ def test_prefix_table_reads_prefixes_as_ip_network_does(address, mask):
         net = ipaddress.ip_network(prefix, strict=False)
     except (TypeError, ValueError) as exc:
         with pytest.raises(type(exc)) as raised:
-            PrefixTable().add(prefix, "v")
+            PrefixTable([(prefix, "v")])
         assert str(raised.value) == str(exc)
         return
     table = PrefixTable([(prefix, "v")])
     shift = net.max_prefixlen - net.prefixlen
     expected = {4: {}, 6: {}}
-    expected[net.version] = {shift: {int(net.network_address) >> shift: "v"}}
+    table_bits = int(net.network_address) >> shift
+    expected[net.version] = {shift: {table_bits: "v"}}
     assert table._buckets == expected
     if mask is not None and mask.isdigit() and len(mask) <= 3:
-        assert _prefix_key(prefix) is not None  # `address/length` skips ipaddress
+        # `address/length` is read without ipaddress
+        with mock.patch.object(inputs.ipaddress, "ip_network", side_effect=AssertionError):
+            version, host_bits, bits = prefix_key(prefix)
+        assert (version, host_bits, bits >> shift) == (net.version, shift, table_bits)
 
 
 def test_prefix_table_extremes():
@@ -136,58 +162,140 @@ def _decorated(text):
 
 
 SNAPSHOT = ScanSnapshot("2021-12", "v4", 80, 0)
+
+
+def _main_output(argv, path):
+    """The --out text of `cli.main(argv)`; an exit 1 with `error: <message>`
+    on stderr raises ValueError(<message>), as the command's reader did."""
+    out = path.parent / f"{path.name}.out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--out", str(out)])
+    if code == 1 and err.getvalue().startswith("error: "):
+        raise ValueError(err.getvalue().removeprefix("error: ").rstrip("\n"))
+    assert code == 0, err.getvalue()
+    return out.read_text()
+
+
+# Each: two good rows, how the program reads a file of them, and a bad row.
 READERS = {
-    "targets": ("10.0.0.1,80\n2001:db8::1,443\n", lambda p: list(cli._read_targets(p))),
+    "targets": ("10.0.0.1,80\n2001:db8::1,443\n",
+                lambda p: _main_output(["scan", "--dry-run", "--targets", str(p)], p),
+                "10.0.0.3,http"),
     "blocklist": (
         "10.0.0.0/8\n2001:db8::/32,64500\n",
         lambda p: [Blocklist.load(p).matches(a) for a in ("10.9.9.9", "2001:db8::5", "192.0.2.1")],
+        "10.0.0.0/33",
     ),
     "prefix table": (
         "10.0.0.0/8,64500\n10.1.0.0/16,64501\n",
         lambda p: [EnrichmentTable.load(p).lookup_asn(a) for a in ("10.1.0.1", "10.2.0.1")],
+        "10.2.0.0/16",
     ),
     "asn metadata": ("64500,ExampleNet,US,12\n64501,Other,DE,\n",
-                     lambda p: EnrichmentTable.load(p.parent / "none.txt", p).asn_meta),
+                     lambda p: EnrichmentTable.load(p.parent / "none.txt", p).asn_meta,
+                     "64502,NoCountry"),
     "keys": ("000000000000ffff\naa00000000000001\n",
-             lambda p: list(keystats.read_keys(p.read_text().splitlines(keepends=True)))),
+             lambda p: _main_output(["keys", "--in", str(p)], p), "not a key"),
     "topology": ("path 10.0.0.1 80 true_host(v0,v1)\npath 10.0.0.2 443 mirror tcp_host\n",
-                 lambda p: sorted(netsim.load_topology(p).paths)),
-    "service table": ("80,tcp,Web\n8443,tcp,Vendor\n", ServiceTables._read),
+                 lambda p: sorted(netsim.load_topology(p).paths),
+                 "path 10.0.0.3 80 warp_drive"),
+    "service table": ("80,tcp,Web\n8443,tcp,Vendor\n", lambda p: ServiceTables.load(p).registry,
+                      "http,tcp,Web"),
     "scan records": (
         "0.000000,10.0.0.1,80,0,potential_capable,00000000000000aa\n"
         '{"address": "10.0.0.2", "classification": "no_response", "port": 443,'
         ' "timestamp": 1.0, "version": 1}\n',
-        lambda p: list(cli._read_records(p)),
+        lambda p: cli._targets_from_scan(str(p), {"potential_capable", "no_response"}),
+        "0.5,10.0.0.3,80,0,potential_capable",
     ),
     "trace records": ("10.0.0.1,80,truly_capable,,aa00000000000001\n10.0.0.2,80,unreachable,,\n",
-                      lambda p: _main_output(["report", "summary", "--in", str(p)], p)),
+                      lambda p: _main_output(["report", "summary", "--in", str(p)], p),
+                      "10.0.0.3,80,truly_capable,x,"),
     "snapshot": ("10.0.0.1,potential_capable,00000000000000aa\n10.0.0.2,no_response,\n",
-                 lambda p: SnapshotStore(p.parent)._read(p, SNAPSHOT).records),
+                 lambda p: SnapshotStore(p.parent)._read(p, SNAPSHOT).records,
+                 "10.0.0.3,potential_capable"),
     "report host rows": ("10.0.0.1\n10.0.0.2,443\n10.0.0.3,80,truly_capable,,\n",
-                         lambda p: cli._read_hosts(str(p), None)),
+                         lambda p: cli._read_address_set(str(p), None),
+                         "10.0.0.4,80,truly_capable"),
 }
 
 
-def _main_output(argv, path):
-    out = path.parent / f"{path.name}.out"
-    assert cli.main(argv + ["--out", str(out)]) == 0
-    return out.read_text()
+def _write_inputs(directory, text):
+    """`input.txt` holding `text`, beside the empty `none.txt` some readers name."""
+    directory.mkdir()
+    (directory / "none.txt").write_text("")
+    (directory / "input.txt").write_text(text)
+    return directory / "input.txt"
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_every_reader_ignores_comments_and_blank_lines(name, tmp_path):
-    text, read = READERS[name]
-    (tmp_path / "plain").mkdir()
-    (tmp_path / "decorated").mkdir()
-    plain = tmp_path / "plain" / "input.txt"
-    decorated = tmp_path / "decorated" / "input.txt"
-    (tmp_path / "plain" / "none.txt").write_text("")
-    (tmp_path / "decorated" / "none.txt").write_text("")
-    plain.write_text(text)
-    decorated.write_text(_decorated(text))
+    text, read, _bad = READERS[name]
+    plain = _write_inputs(tmp_path / "plain", text)
+    decorated = _write_inputs(tmp_path / "decorated", _decorated(text))
     expected = read(plain)
     assert expected  # the plain input is not empty
     assert read(decorated) == expected
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_every_reader_names_the_file_and_line_of_a_bad_row(name, tmp_path):
+    text, read, bad = READERS[name]
+    lines = _decorated(text).splitlines()
+    lines.insert(5, f"  {bad}  # the bad row, after comment and blank lines")
+    path = _write_inputs(tmp_path / "bad", "\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as raised:
+        read(path)
+    assert str(raised.value).startswith(f"{path}: line 6: ")
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["top", "--prefixes", "none.txt"], "10.0.0.1,80\n10.0.0.2\n",
+     "line 2: report top needs a port on every row, got '10.0.0.2'"),
+    (["top", "--prefixes", "none.txt", "--only", "truly_capable"],
+     "10.0.0.1,80,truly_capable,,\n10.0.0.2,443\n",
+     "line 2: --only needs scan or trace rows, got '10.0.0.2,443'"),
+    (["overlap", "--set-b", "none.txt", "--only", "truly_capable"],
+     "# scan rows\n0.5,10.0.0.1,80,0,potential_capable,\n10.0.0.2\n",
+     "line 3: --only needs scan or trace rows, got '10.0.0.2'"),
+])
+def test_report_row_checks_name_their_line(argv, text, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = _write_inputs(tmp_path / "in", text)
+    (tmp_path / "none.txt").write_text("")
+    flag = "--set-a" if argv[0] == "overlap" else "--in"
+    with pytest.raises(ValueError) as raised:
+        _main_output(["report", *argv, flag, str(path)], path)
+    assert str(raised.value) == f"{path}: {message}"
+
+
+NOT_AN_ADDRESS = "'10.0.0.x' does not appear to be an IPv4 or IPv6 address"
+TRACE_FROM_SCAN = ["trace", "--sim-topology", "none.txt", "--from-scan"]
+
+
+@pytest.mark.parametrize("argv, row, message", [
+    (["scan", "--dry-run", "--targets"], "10.0.0.x,80", NOT_AN_ADDRESS),
+    (TRACE_FROM_SCAN, "0.5,10.0.0.x,80,0,potential_capable,", NOT_AN_ADDRESS),
+    (TRACE_FROM_SCAN, "0.5,10.0.0.1,70000,0,potential_capable,", "port out of range: 70000"),
+    (["report", "top", "--prefixes", "none.txt", "--in"], "10.0.0.x,80,truly_capable,,",
+     NOT_AN_ADDRESS),
+])
+def test_a_row_that_names_no_target_names_its_line(argv, row, message, tmp_path, monkeypatch):
+    # Checked as the row is read, not later by the probe, blocklist or prefix lookup.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "none.txt").write_text("")
+    path = _write_inputs(tmp_path / "in", f"# rows\n{row}\n")
+    with pytest.raises(ValueError) as raised:
+        _main_output([*argv, str(path)], path)
+    assert str(raised.value) == f"{path}: line 2: {message}"
+
+
+def test_a_file_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "targets.txt"
+    path.write_bytes(b"10.0.0.1,80\n\xff\n")
+    with pytest.raises(ValueError, match=f"^{path}: 'utf-8' codec can't decode"):
+        list(inputs.read_rows(path, target_row))
 
 
 # -- arbitrary text: ValueError or nothing ------------------------------------
@@ -204,33 +312,46 @@ ROWS = st.one_of(
                               "truly_capable", "-1", "1e999", "0x1f", " 7 "]),
              max_size=7).map(",".join),
     st.dictionaries(st.sampled_from(SCAN_FIELDS), JSON_VALUES).map(json.dumps),
+    st.lists(st.sampled_from(["path", "10.0.0.1", "80", "latency=1", "latency=x", "tcp_host",
+                              "true_host(v0)", "mirror", "key_rewrite(seed=1)", "quoting(9)",
+                              "drop", "x("]), max_size=6).map(" ".join),
 )
 
-def _summary_exit_code(path):
-    out = path.with_suffix(".out")
-    assert cli.main(["report", "summary", "--in", str(path), "--out", str(out)]) in (0, 1)
+
+def _exit_code(argv):
+    """The exit code of `cli.main(argv)`, with its stderr dropped; 0 or 1."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1)
 
 
 # Each takes the path of a file holding the text and reads it the way the
 # program does; any exception but ValueError fails the test.
 TEXT_READERS = {
-    "scan": lambda p: list(cli._read_records(p)),
-    "trace": _summary_exit_code,
-    "host rows": lambda p: cli._read_hosts(str(p), None),
-    "labelled host rows": lambda p: cli._read_hosts(str(p), "truly_capable"),
-    "targets": lambda p: list(cli._read_targets(p)),
-    "keys": lambda p: list(keystats.read_keys(p.read_text().splitlines())),
+    "scan": lambda p: cli._targets_from_scan(str(p), {"potential_capable"}),
+    "trace": lambda p: _exit_code(["report", "summary", "--in", str(p), "--out", f"{p}.out"]),
+    "host rows": lambda p: cli._read_address_set(str(p), None),
+    "labelled host rows": lambda p: cli._read_address_set(str(p), "truly_capable"),
+    "top host rows": lambda p: _exit_code(["report", "top", "--in", str(p), "--prefixes",
+                                           str(p), "--out", f"{p}.out"]),
+    "targets": lambda p: list(inputs.read_rows(p, target_row)),
+    "keys": lambda p: _exit_code(["keys", "--in", str(p), "--out", f"{p}.out"]),
     "blocklist": lambda p: Blocklist.load(p).matches("10.0.0.1"),
     "prefix table": lambda p: EnrichmentTable.load(p).lookup_asn("2001:db8::1"),
+    "asn metadata": lambda p: EnrichmentTable.load(p.parent / "none.txt", p),
+    "topology": netsim.load_topology,
+    "service table": ServiceTables.load,
+    "snapshot": lambda p: SnapshotStore(p.parent)._read(p, SNAPSHOT),
 }
 
 
 @given(st.lists(ROWS, max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_readers_raise_only_value_error(rows):
+def test_readers_raise_only_value_error(text_rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.txt"
-        path.write_text("\n".join(rows), encoding="utf-8")
+        path.write_text("\n".join(text_rows), encoding="utf-8")
+        (Path(tmp) / "none.txt").write_text("")
         for read in TEXT_READERS.values():
             try:
                 read(path)
@@ -238,9 +359,11 @@ def test_readers_raise_only_value_error(rows):
                 pass
 
 
-def test_load_targets_names_the_format():
-    with pytest.raises(ValueError, match="expected address,port"):
-        list(load_targets(["10.0.0.1"]))
+def test_load_targets_names_the_format(tmp_path):
+    path = tmp_path / "targets.txt"
+    path.write_text("# targets\n10.0.0.1\n")
+    with pytest.raises(ValueError, match=f"^{path}: line 2: expected address,port"):
+        list(inputs.read_rows(path, target_row))
 
 
 def test_prefix_table_file_needs_an_asn(tmp_path):
@@ -248,3 +371,37 @@ def test_prefix_table_file_needs_an_asn(tmp_path):
     prefixes.write_text("10.0.0.0/8\n")
     with pytest.raises(ValueError, match="expected prefix,asn"):
         EnrichmentTable.load(prefixes)
+
+
+# -- one reader: no other module opens a text input ---------------------------
+
+
+def _reads_a_file(module: str, call: ast.Call) -> bool:
+    """Whether `call` opens a file for reading: `open(...)` in a mode that does
+    not write (a mode not spelled out counts as reading), `read_text` or
+    `read_bytes`. `pcapio` may open its binary captures."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("read_text", "read_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    if not isinstance(mode, ast.Constant):
+        return True
+    if module == "pcapio" and "b" in mode.value:
+        return False
+    return not set(mode.value) & set("wxa")
+
+
+def test_only_inputs_opens_a_file_for_reading():
+    package = Path(inputs.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "inputs":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and _reads_a_file(path.stem, node):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

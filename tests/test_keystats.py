@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mptcpkit.errors import EmptyInput
+from mptcpkit.inputs import rows
 from mptcpkit.keystats import (
     WeightHistogram,
     analyze_keys,
     chi_square_sf,
     expected_counts,
     pooled_chi_square,
-    read_keys,
     write_report,
 )
 from mptcpkit.options import Key
@@ -201,8 +201,7 @@ class TestReportExport:
 
     def test_read_keys(self):
         lines = ["# comment", "000000000000ffff", "", "deadbeefdeadbeef  # trailer"]
-        keys = read_keys(lines)
-        assert list(keys) == [PROBE, Key(0xDEADBEEFDEADBEEF)]
+        assert list(rows(lines, Key.from_hex)) == [PROBE, Key(0xDEADBEEFDEADBEEF)]
 
 
 def test_histogram_validation():

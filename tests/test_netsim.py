@@ -357,14 +357,23 @@ class TestTopologyFiles:
         (["path 10.0.0.1 -1 tcp_host"], "line 1: port must be an integer in [0, 65535], got '-1'"),
         (["path 10.0.0.1 http tcp_host"],
          "line 1: port must be an integer in [0, 65535], got 'http'"),
+        # A latency is a finite number of milliseconds, at least 0.
+        (["", "path 10.0.0.1 80 latency=x tcp_host"],
+         "could not convert string to float: 'x'"),
+        (["path 10.0.0.1 80 tcp_host", "path 10.0.0.2 80 latency=-1 tcp_host"],
+         "latency must be finite and >= 0, got -1.0"),
     ])
     def test_bad_tokens_keep_their_messages(self, lines, message):
+        # Every error names its line, here the last one: the message of a
+        # node token, a latency or an endpoint rule gains its `line N: `.
+        prefix = f"line {len(lines)}: "
+        expected = message if message.startswith(prefix) else prefix + message
         with pytest.raises(ValueError) as raised:
             parse_topology(lines)
-        assert str(raised.value) == message
+        assert str(raised.value) == expected
         with pytest.raises(ValueError) as again:  # the same bad token, seen twice
             parse_topology(lines + lines)
-        assert str(again.value) == message
+        assert str(again.value) == expected
 
     def test_tokens_write_only_the_arguments_a_kind_takes(self):
         unused = [NodeBehavior(BehaviorKind.MIRROR_MIDDLEBOX, key_seed=3),
@@ -395,24 +404,26 @@ def token_split_parse_topology(lines, seed=0):
         tokens = data_line(raw).split()
         if not tokens:
             continue
-        if tokens[0] != "path" or len(tokens) < 4:
-            raise ValueError(f"line {lineno}: expected `path <addr> <port> <nodes...>`")
-        text = tuple(tokens[3:])
-        path = paths_by_text.get(text)
-        if path is None:
-            rest, latency = text, 1.0
-            if rest[0].startswith("latency="):
-                latency = float(rest[0].split("=", 1)[1])
-                rest = rest[1:]
-            nodes = [parse_node(token) for token in rest]
-            path = paths_by_text[text] = SimPath(nodes, per_hop_latency_ms=latency)
         try:
-            port = int(tokens[2])
-        except ValueError:
-            port = None
-        if port not in range(65536):
-            raise ValueError(f"line {lineno}: port must be an integer in [0, 65535], "
-                             f"got {tokens[2]!r}")
+            if tokens[0] != "path" or len(tokens) < 4:
+                raise ValueError("expected `path <addr> <port> <nodes...>`")
+            text = tuple(tokens[3:])
+            path = paths_by_text.get(text)
+            if path is None:
+                rest, latency = text, 1.0
+                if rest[0].startswith("latency="):
+                    latency = float(rest[0].split("=", 1)[1])
+                    rest = rest[1:]
+                nodes = [parse_node(token) for token in rest]
+                path = paths_by_text[text] = SimPath(nodes, per_hop_latency_ms=latency)
+            try:
+                port = int(tokens[2])
+            except ValueError:
+                port = None
+            if port not in range(65536):
+                raise ValueError(f"port must be an integer in [0, 65535], got {tokens[2]!r}")
+        except ValueError as exc:  # every error names its line
+            raise ValueError(f"line {lineno}: {exc}") from exc
         net.add_path(tokens[1], port, path)
     return net
 

@@ -20,6 +20,7 @@ from mptcpkit.netsim import (
     topology_lines,
     true_host,
 )
+from mptcpkit.inputs import rows
 from mptcpkit.options import (
     DEFAULT_MP_FLAGS,
     HandshakePhase,
@@ -48,7 +49,6 @@ from mptcpkit.probe import (
     classify_response,
     derive_seq,
     derive_src_port,
-    load_targets,
     precise_sleep,
     run_campaign,
     target_row,
@@ -283,8 +283,9 @@ class TestGuard:
         with pytest.raises(GuardViolation):
             RatePacer(rate)
 
-    def test_blocklist_matching(self):
-        bl = Blocklist.from_lines(["10.0.0.0/8", "# comment", "2001:db8::/32"])
+    def test_blocklist_matching(self, tmp_path):
+        (tmp_path / "blocklist.txt").write_text("10.0.0.0/8\n# comment\n2001:db8::/32,64500\n")
+        bl = Blocklist.load(tmp_path / "blocklist.txt")
         assert bl.matches("10.1.2.3")
         assert bl.matches("2001:db8::1")
         assert not bl.matches("192.168.1.1")
@@ -304,7 +305,7 @@ class TestCampaign:
 
     def test_blocklisted_target_skipped(self):
         targets = self.targets()
-        guard = virtual_guard(1000.0, Blocklist.from_lines(["10.9.0.0/16"]))
+        guard = virtual_guard(1000.0, Blocklist(["10.9.0.0/16"]))
         records = list(
             run_campaign(
                 targets, version=0, guard=guard,
@@ -392,7 +393,19 @@ class TestCampaign:
 
 def test_load_targets():
     lines = ["# comment", "10.0.0.1,80", " 2001:db8::1 , 443 ", ""]
-    assert list(load_targets(lines)) == [("10.0.0.1", 80), ("2001:db8::1", 443)]
+    assert list(rows(lines, target_row)) == [("10.0.0.1", 80), ("2001:db8::1", 443)]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("10.0.0.1", "expected address,port, got '10.0.0.1'"),
+    ("10.0.0.1,65536", "port out of range: 65536"),
+    ("10.0.0.256,80", "'10.0.0.256' does not appear to be an IPv4 or IPv6 address"),
+    ("example.org,443", "'example.org' does not appear to be an IPv4 or IPv6 address"),
+])
+def test_target_row_refuses_what_no_probe_can_reach(line, message):
+    with pytest.raises(ValueError) as raised:
+        target_row(line)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("port", [0, 65535])
