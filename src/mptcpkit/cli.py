@@ -26,6 +26,7 @@ from . import keystats, netsim, store as store_mod, tracer
 from .errors import EmptyInput, GuardViolation, TransportUnavailable
 from .inputs import open_out, read_rows
 from .options import Key
+from .packet import pack_address
 from .probe import (
     Blocklist,
     CampaignGuard,
@@ -68,6 +69,7 @@ def _host_row(line: str) -> tuple[str, int | None, str | None]:
     if fields == 2:
         return *target_row(line), None
     if fields == 1:
+        pack_address(line)  # raises for what is not an address
         return line, None, None
     raise ValueError(f"expected address[,port], a trace row or a scan row, got {line!r}")
 
@@ -88,9 +90,15 @@ def _ported_row(line: str) -> tuple[str, int | None, str | None]:
     return row
 
 
+def _read_hosts(path: str, only: str | None, parse=_host_row) -> Iterator[tuple[str, int | None]]:
+    """(address, port) of each host row `parse` reads, or under `--only`, of
+    each labelled row with that label."""
+    rows = read_rows(path, parse if only is None else _labelled_row)
+    return ((address, port) for address, port, label in rows if only in (None, label))
+
+
 def _read_address_set(path: str, only: str | None) -> set[str]:
-    rows = read_rows(path, _host_row if only is None else _labelled_row)
-    return {address for address, _port, label in rows if only in (None, label)}
+    return {address for address, _port in _read_hosts(path, only)}
 
 
 def _resolve_transport(args):
@@ -314,8 +322,7 @@ def _write_window(args, f) -> None:
 
 def _write_top(args, f) -> None:
     table = store_mod.EnrichmentTable.load(args.prefixes, args.asn_meta)
-    hosts = read_rows(args.infile, _ported_row if args.only is None else _labelled_row)
-    entries = [(address, port) for address, port, label in hosts if args.only in (None, label)]
+    entries = _read_hosts(args.infile, args.only, _ported_row)
     rows = store_mod.top_report(entries, table, group_by=args.group_by, k=args.k)
     if args.pretty:
         header = ("GROUP", "PORT80", "PORT443", "RANK", "CC", "ORGANIZATION")

@@ -31,7 +31,8 @@ def rows(lines: Iterable[str], parse: Callable[[str], Row]) -> Iterator[Row]:
     caller asks for it; a ValueError of `parse` is raised again, chained, as
     `line N: <message>`, N counting every line, comment and blank lines too."""
     for number, line in enumerate(lines, 1):
-        if line := data_line(line):
+        # `data_line(line)`, without its call for a line that holds no `#`
+        if line := data_line(line) if "#" in line else line.strip():
             try:
                 row = parse(line)
             except ValueError as exc:
@@ -79,8 +80,8 @@ def prefix_row(line: str) -> tuple[PrefixKey, int | None]:
 class PrefixTable:
     """Longest-prefix match from CIDR prefixes to values, IPv4 and IPv6.
 
-    A prefix is what `ipaddress.ip_network(prefix, strict=False)` reads, with
-    its errors: `address/length` (host bits set or not; read by `pack_address`),
+    Each prefix comes as its `prefix_key`, and a prefix is what that reads:
+    `address/length` (host bits set or not; read by `pack_address`),
     `address/netmask`, `address/hostmask`, a bare address and scoped IPv6.
 
     One hash bucket per prefix length, keyed by the network bits. A lookup
@@ -89,20 +90,14 @@ class PrefixTable:
     not be None, which lookup returns for "no prefix holds the address".
     """
 
-    def __init__(self, entries: Iterable[tuple[str, object]] = ()):
+    def __init__(self, entries: Iterable[tuple[PrefixKey, object]] = ()):
+        """A table of `entries`: (`prefix_key` of a prefix, value) pairs."""
         # IP version -> host bits -> network bits -> value, fewest host bits first
         self._buckets: dict[int, dict[int, dict[int, object]]] = {4: {}, 6: {}}
-        for prefix, value in entries:
-            self.add(prefix_key(prefix), value)
-
-    def add(self, key: PrefixKey, value: object) -> None:
-        """Map the prefix whose `prefix_key` is `key` to `value`."""
-        version, shift, bits = key
-        buckets = self._buckets[version]
-        if shift not in buckets:
-            buckets[shift] = {}
-            self._buckets[version] = buckets = dict(sorted(buckets.items()))
-        buckets[shift][bits >> shift] = value
+        for (version, shift, bits), value in entries:
+            self._buckets[version].setdefault(shift, {})[bits >> shift] = value
+        for version, buckets in self._buckets.items():
+            self._buckets[version] = dict(sorted(buckets.items()))
 
     def lookup(self, address: str) -> object | None:
         """The value of the longest prefix holding `address`, or None."""

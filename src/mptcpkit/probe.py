@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Protocol
 
 from .errors import GuardViolation, IllegalCombination, OptionError
-from .inputs import PrefixTable, Row, prefix_row, read_rows
+from .inputs import PrefixTable, Row, open_in, prefix_row, rows
 from .options import (
     DEFAULT_MP_FLAGS,
     HandshakePhase,
@@ -221,15 +221,13 @@ class PacketTransport(Protocol):
 class Blocklist:
     """CIDR prefixes that must never be probed: `prefix[,asn]` lines."""
 
-    def __init__(self, prefixes: Iterable[str] = ()):
-        self.table = PrefixTable((prefix, True) for prefix in prefixes)
+    def __init__(self, lines: Iterable[str] = ()):
+        self.table = PrefixTable((key, True) for key, _asn in rows(lines, prefix_row))
 
     @classmethod
     def load(cls, path) -> "Blocklist":
-        blocklist = cls()
-        for key, _asn in read_rows(path, prefix_row):
-            blocklist.table.add(key, True)
-        return blocklist
+        with open_in(path) as f:
+            return cls(f)
 
     def matches(self, address: str) -> bool:
         return self.table.lookup(address) is not None

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import InsufficientHistory
-from .inputs import OutFile, PrefixKey, PrefixTable, prefix_row, read_rows
+from .inputs import OutFile, PrefixKey, PrefixTable, open_in, prefix_row, read_rows, rows
 from .options import Key
 from .probe import ClassificationKind
 from .tracer import PathVerdictKind
@@ -257,22 +257,22 @@ UNKNOWN_ASN = AsnInfo(None, "Unknown", "??", None)
 
 
 class EnrichmentTable:
-    """Longest-prefix-match address-to-ASN mapping plus ASN metadata."""
+    """Longest-prefix-match address-to-ASN mapping, from `prefix,asn` lines,
+    plus ASN metadata."""
 
     def __init__(
         self,
-        prefix_to_asn: Mapping[str, int] | None = None,
+        prefix_lines: Iterable[str] = (),
         asn_meta: Mapping[int, tuple[str, str, int | None]] | None = None,
     ):
-        self.prefixes = PrefixTable((prefix_to_asn or {}).items())
+        self.prefixes = PrefixTable(rows(prefix_lines, prefix_asn_row))
         self.asn_meta = dict(asn_meta or {})
 
     @classmethod
     def load(cls, prefix_path: str | Path, meta_path: str | Path | None = None) -> EnrichmentTable:
         """Prefix file: `prefix,asn` lines. Meta file: `asn,org,country,rank`."""
-        table = cls()
-        for key, asn in read_rows(prefix_path, prefix_asn_row):
-            table.prefixes.add(key, asn)
+        with open_in(prefix_path) as f:
+            table = cls(f)
         if meta_path is not None:
             table.asn_meta.update(read_rows(meta_path, asn_meta_row))
         return table

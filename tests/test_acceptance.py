@@ -250,18 +250,18 @@ REFERENCE_AS_TABLE = [
 
 def test_criterion_5_campaign_store_replication():
     # ranked AS table reproduction from per-port address populations
-    prefix_to_asn = {}
+    prefix_lines = []
     asn_meta = {}
     records = []
     for i, (asn, n80, n443, rank, country, org) in enumerate(REFERENCE_AS_TABLE):
         prefix = f"10.{i + 1}.0.0/16"
-        prefix_to_asn[prefix] = asn
+        prefix_lines.append(f"{prefix},{asn}")
         asn_meta[asn] = (org, country, rank)
         for j in range(n80):
             records.append((f"10.{i + 1}.{j // 250}.{j % 250}", 80))
         for j in range(n443):
             records.append((f"10.{i + 1}.{100 + j // 250}.{j % 250}", 443))
-    table = EnrichmentTable(prefix_to_asn, asn_meta)
+    table = EnrichmentTable(prefix_lines, asn_meta)
     rows = top_report(records, table, group_by="asn", k=10)
     assert [r.group for r in rows] == [str(a) for a, *_ in REFERENCE_AS_TABLE]
     assert rows[0].group == "9269"

@@ -530,8 +530,8 @@ class TestReport:
     def test_overlap(self, workdir):
         a = workdir / "a.txt"
         b = workdir / "b.txt"
-        a.write_text("x\ny\n")
-        b.write_text("y\nz\n")
+        a.write_text("10.0.0.1\n10.0.0.2\n")
+        b.write_text("10.0.0.2\n10.0.0.3\n")
         out = workdir / "overlap.txt"
         run_ok(["report", "overlap", "--set-a", str(a), "--set-b", str(b), "--out", str(out)])
         lines = dict(l.split(",")[:2] for l in out.read_text().splitlines())
@@ -540,7 +540,8 @@ class TestReport:
 
     def test_migration(self, workdir):
         for name, content in (
-            ("pv0.txt", "h1\nh2\n"), ("pv1.txt", ""), ("cv0.txt", "h1\nh2\n"), ("cv1.txt", "h1\n"),
+            ("pv0.txt", "10.0.0.1\n10.0.0.2\n"), ("pv1.txt", ""),
+            ("cv0.txt", "10.0.0.1\n10.0.0.2\n"), ("cv1.txt", "10.0.0.1\n"),
         ):
             (workdir / name).write_text(content)
         out = workdir / "mig.txt"
@@ -1001,8 +1002,8 @@ class TestParserReuse:
         assert [text.count("share,") for text in reused] == [2, 1]
 
     def test_report_kinds_keep_their_own_defaults(self, workdir):
-        (workdir / "a.txt").write_text("x\ny\n")
-        (workdir / "b.txt").write_text("y\nz\n")
+        (workdir / "a.txt").write_text("10.0.0.1\n10.0.0.2\n")
+        (workdir / "b.txt").write_text("10.0.0.2\n10.0.0.3\n")
         (workdir / "trace.txt").write_text("10.0.0.1,80,truly_capable,,\n")
         sets = ["--set-a", str(workdir / "a.txt"), "--set-b", str(workdir / "b.txt")]
         calls = [(["report", "overlap", *sets], workdir / "overlap"),

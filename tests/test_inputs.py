@@ -75,7 +75,7 @@ def _address(network, offset):
 def test_prefix_table_agrees_with_brute_force(entries, inside, outside):
     queries = [str(a) for a in outside]
     queries += [_address(entries[i][0], off) for i, off in inside if i < len(entries)]
-    table = PrefixTable((str(net), value) for net, value in entries)
+    table = PrefixTable((prefix_key(str(net)), value) for net, value in entries)
     blocklist = Blocklist(str(net) for net, _value in entries)
     for address in queries:
         addr = ipaddress.ip_address(address)
@@ -124,10 +124,10 @@ def test_prefix_table_reads_prefixes_as_ip_network_does(address, mask):
         net = ipaddress.ip_network(prefix, strict=False)
     except (TypeError, ValueError) as exc:
         with pytest.raises(type(exc)) as raised:
-            PrefixTable([(prefix, "v")])
+            prefix_key(prefix)
         assert str(raised.value) == str(exc)
         return
-    table = PrefixTable([(prefix, "v")])
+    table = PrefixTable([(prefix_key(prefix), "v")])
     shift = net.max_prefixlen - net.prefixlen
     expected = {4: {}, 6: {}}
     table_bits = int(net.network_address) >> shift
@@ -141,8 +141,9 @@ def test_prefix_table_reads_prefixes_as_ip_network_does(address, mask):
 
 
 def test_prefix_table_extremes():
-    table = PrefixTable([("0.0.0.0/0", "v4 default"), ("::/0", "v6 default"),
-                         ("10.1.2.3/32", "host"), ("2001:db8::1/128", "host6")])
+    table = PrefixTable((prefix_key(prefix), value) for prefix, value in [
+        ("0.0.0.0/0", "v4 default"), ("::/0", "v6 default"),
+        ("10.1.2.3/32", "host"), ("2001:db8::1/128", "host6")])
     assert table.lookup("10.1.2.3") == "host"
     assert table.lookup("10.1.2.4") == "v4 default"
     assert table.lookup("2001:db8::1") == "host6"
@@ -280,6 +281,7 @@ TRACE_FROM_SCAN = ["trace", "--sim-topology", "none.txt", "--from-scan"]
     (TRACE_FROM_SCAN, "0.5,10.0.0.1,70000,0,potential_capable,", "port out of range: 70000"),
     (["report", "top", "--prefixes", "none.txt", "--in"], "10.0.0.x,80,truly_capable,,",
      NOT_AN_ADDRESS),
+    (["report", "overlap", "--set-b", "none.txt", "--set-a"], "10.0.0.x", NOT_AN_ADDRESS),
 ])
 def test_a_row_that_names_no_target_names_its_line(argv, row, message, tmp_path, monkeypatch):
     # Checked as the row is read, not later by the probe, blocklist or prefix lookup.

@@ -294,7 +294,7 @@ class TestMigration:
 class TestEnrichment:
     def table(self):
         return EnrichmentTable(
-            {"10.0.0.0/16": 100, "10.0.1.0/24": 200, "2001:db8::/32": 300},
+            ["10.0.0.0/16,100", "10.0.1.0/24,200", "2001:db8::/32,300"],
             {100: ("BigNet", "US", 5), 200: ("SmallNet", "DE", 9)},
         )
 
@@ -327,7 +327,7 @@ class TestEnrichment:
 class TestTopReport:
     def table(self):
         return EnrichmentTable(
-            {"10.5.0.0/16": 5, "10.3.0.0/16": 3, "10.4.0.0/16": 4},
+            ["10.5.0.0/16,5", "10.3.0.0/16,3", "10.4.0.0/16,4"],
             {5: ("Five", "US", 1), 3: ("Three", "DE", 2), 4: ("Four", "US", 3)},
         )
 
@@ -361,7 +361,8 @@ class TestTopReport:
             top_report(records, self.table(), "asn", k=k)
 
     def test_same_address_on_both_ports_counts_once(self):
-        records = [("10.5.0.1", 80), ("10.5.0.1", 443), ("10.4.0.1", 80), ("10.4.0.2", 443)]
+        records = [("10.4.0.1", 80), ("10.4.0.1", 443), ("10.5.0.1", 80), ("10.5.0.2", 443)]
         rows = top_report(records, self.table(), "asn", k=2)
-        assert [r.group for r in rows] == ["4", "5"]  # two hosts rank above one
+        # two hosts rank above one; counted twice, ASN 4 would tie and win
+        assert [r.group for r in rows] == ["5", "4"]
         assert rows[1].count(80) == 1 and rows[1].count(443) == 1
