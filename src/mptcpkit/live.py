@@ -9,6 +9,9 @@ matching reply is decoded, once, with its addresses left packed. Packets
 already queued are read before the transport waits on a `poll` set. A probe
 that carries the `192.0.2.` placeholder source is sent from this host's IPv4
 source address, looked up once for the transport at the first such send.
+A transport sends from one source: before its first send it binds both
+receive sockets to that source, so the kernel passes them only packets
+addressed to it, not the scanner's own SYNs or its resets to targets.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ class LiveTransport:
     """Send crafted SYNs and collect TCP or ICMP answers."""
 
     _polls = None  # (TCP only, TCP and ICMP) poll sets, see _poll_set
-    _source = None  # our packed IPv4 source address, see _send_packet
+    _source = None  # the packed IPv4 source both receive sockets are bound to, see _bind
 
     def __init__(self, timeout_ms: float = 2000.0):
         self.timeout_ms = timeout_ms
@@ -123,9 +126,24 @@ class LiveTransport:
             src = self._source
         else:  # the placeholder: send from our IPv4 address, looked up once.
             # An IPv6 destination fails the lookup: this transport is IPv4 only.
-            src = self._source = socket.inet_aton(local_source_address(pkt.dst))
+            src = socket.inet_aton(local_source_address(pkt.dst))
+        if src != self._source:
+            self._bind(src)
         self._send.sendto(encode_packed(pkt, src, dst, ttl), (pkt.dst, 0))
         return dst
+
+    def _bind(self, src: bytes) -> None:
+        """Bind both receive sockets to `src` (packed), the one source of
+        this transport's probes; `_source` is set only once both are bound."""
+        if len(src) != 4:
+            raise OSError("the live transport sends IPv4 probes only")
+        address = socket.inet_ntoa(src)
+        if self._source is not None:
+            bound = socket.inet_ntoa(self._source)
+            raise OSError(f"probe source {address} differs from the bound source {bound}")
+        self._tcp.bind((address, 0))
+        self._icmp.bind((address, 0))
+        self._source = src
 
     def _poll_set(self, want_icmp: bool):
         """A poll set over the TCP socket, and the ICMP one when wanted.

@@ -401,6 +401,8 @@ class CampaignRecord:
         """One scan row: JSON when it starts with `{`, CSV otherwise."""
         record = cls.from_json(line) if line.startswith("{") else cls.from_csv(line)
         checked_target(record.address, record.port)
+        if record.version not in (0, 1):
+            raise ValueError(f"version must be 0 or 1, got {record.version}")
         return record
 
 

@@ -293,6 +293,21 @@ def test_a_row_that_names_no_target_names_its_line(argv, row, message, tmp_path,
     assert str(raised.value) == f"{path}: line 2: {message}"
 
 
+@pytest.mark.parametrize("row", [
+    "0.5,10.0.0.1,80,7,potential_capable,",
+    '{"address": "10.0.0.1", "classification": "potential_capable", "port": 80,'
+    ' "timestamp": 0.5, "version": 7}',
+])
+def test_a_scan_row_of_another_version_names_its_line(row, tmp_path, capsys):
+    # Filed, it would make a snapshot `2026-01_v4_80_7` that no report reads.
+    path = _write_inputs(tmp_path / "in", f"# rows\n0.5,10.0.0.2,80,1,no_response,\n{row}\n")
+    store = tmp_path / "store"
+    argv = ["report", "ingest", "--store", str(store), "--date", "2026-01", "--in", str(path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 3: version must be 0 or 1, got 7\n"
+    assert not list(store.glob("*"))
+
+
 def test_a_file_that_is_not_utf8_is_named(tmp_path):
     path = tmp_path / "targets.txt"
     path.write_bytes(b"10.0.0.1,80\n\xff\n")

@@ -22,6 +22,7 @@ from mptcpkit.packet import (
 from mptcpkit.probe import HopReply, make_response
 
 
+@pytest.mark.live
 def test_live_transport_constructs_or_refuses_cleanly():
     from mptcpkit.live import LiveTransport
 
@@ -89,32 +90,56 @@ def test_icmp_quote_short_input_is_none(data):
 
 
 class _RecordingSocket:
-    def __init__(self):
-        self.sent = []
+    """A socket that records each send and bind in `events`, shared by the
+    sockets of one transport, and makes neither."""
+
+    def __init__(self, events=None):
+        self.events = [] if events is None else events
+        self.sent, self.bound = [], []
 
     def sendto(self, data, address):
         self.sent.append((data, address))
+        self.events.append(("sendto", self, address))
+
+    def bind(self, address):
+        self.bound.append(address)
+        self.events.append(("bind", self, address))
 
 
-def test_source_address_found_once_per_transport(monkeypatch):
+def _recording_transport():
+    """A bare transport whose three sockets share one `_RecordingSocket` log."""
+    transport = _bare_transport()
+    events = []
+    transport._send, transport._tcp, transport._icmp = (_RecordingSocket(events) for _ in range(3))
+    return transport, events
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """Each target `live.local_source_address` is asked about; it answers
+    10.9.9.9 for IPv4 and fails for IPv6, as the kernel's lookup does."""
     from mptcpkit import live
 
-    lookups = []
+    asked = []
 
     def counting_source(target):
-        lookups.append(target)
+        asked.append(target)
         if ":" in target:  # as the IPv4 UDP socket fails to connect
             raise OSError("Address family for hostname not supported")
         return "10.9.9.9"
 
     monkeypatch.setattr(live, "local_source_address", counting_source)
-    transport = _bare_transport()
-    transport._send = _RecordingSocket()
+    return asked
+
+
+def test_source_address_found_once_per_transport(lookups):
+    transport, _events = _recording_transport()
     placeholder = replace(_syn(), src="192.0.2.1")
     probes = [placeholder, replace(placeholder, dst="10.0.0.2"), replace(placeholder, ttl=3)]
     for pkt in probes:
         transport._send_packet(pkt)
-    own = replace(_syn(), dst="10.0.0.3")  # its own source: sent as it is
+    # Its own source, the one the transport is bound to: sent as it is.
+    own = replace(_syn(), src="10.9.9.9", dst="10.0.0.3")
     transport._send_packet(own)
     assert lookups == ["10.0.0.1"]
     assert transport._send.sent == [
@@ -123,6 +148,87 @@ def test_source_address_found_once_per_transport(monkeypatch):
     with pytest.raises(OSError):  # an IPv6 target still fails the lookup
         transport._send_packet(replace(placeholder, dst="2001:db8::1"))
     assert lookups == ["10.0.0.1", "2001:db8::1"]
+
+
+def test_receive_sockets_bound_once_before_the_first_send(lookups):
+    transport, events = _recording_transport()
+    placeholder = replace(_syn(), src="192.0.2.1")
+    for dst in ("10.0.0.1", "10.0.0.2", "10.0.0.3"):
+        transport._send_packet(replace(placeholder, dst=dst))
+    bound = ("10.9.9.9", 0)
+    assert events == [("bind", transport._tcp, bound), ("bind", transport._icmp, bound)] + [
+        ("sendto", transport._send, (dst, 0)) for dst in ("10.0.0.1", "10.0.0.2", "10.0.0.3")
+    ]
+    assert transport._source == pack_address("10.9.9.9")
+
+
+def test_first_explicit_source_is_the_one_bound(lookups):
+    transport, _events = _recording_transport()
+    transport._send_packet(_syn())
+    transport._send_packet(replace(_syn(), dst="10.0.0.2"))
+    assert transport._tcp.bound == transport._icmp.bound == [("10.0.0.9", 0)]
+    assert lookups == []
+
+
+def test_failed_lookup_is_tried_again_at_the_next_probe(lookups, monkeypatch):
+    from mptcpkit import live
+
+    transport, events = _recording_transport()
+    answering = live.local_source_address  # the stub of `lookups`
+
+    def unreachable_once(target):
+        monkeypatch.setattr(live, "local_source_address", answering)
+        lookups.append(target)
+        raise OSError("Network is unreachable")
+
+    monkeypatch.setattr(live, "local_source_address", unreachable_once)
+    placeholder = replace(_syn(), src="192.0.2.1")
+    with pytest.raises(OSError, match="unreachable"):
+        transport._send_packet(placeholder)
+    assert transport._source is None and events == []
+    transport._send_packet(replace(placeholder, dst="10.0.0.2"))
+    assert lookups == ["10.0.0.1", "10.0.0.2"]
+    assert transport._tcp.bound == transport._icmp.bound == [("10.9.9.9", 0)]
+    assert transport._send.sent == [
+        (encode_packet(replace(placeholder, src="10.9.9.9", dst="10.0.0.2")), ("10.0.0.2", 0))
+    ]
+
+
+def test_failed_bind_is_tried_again_at_the_next_probe(lookups):
+    transport, _events = _recording_transport()
+    refusals = [OSError("Cannot assign requested address")]
+    recorded = transport._icmp.bind
+
+    def refusing(address):
+        if refusals:
+            raise refusals.pop()
+        recorded(address)
+
+    transport._icmp.bind = refusing
+    placeholder = replace(_syn(), src="192.0.2.1")
+    with pytest.raises(OSError, match="Cannot assign"):
+        transport._send_packet(placeholder)
+    assert transport._source is None and transport._send.sent == []
+    transport._send_packet(placeholder)
+    assert lookups == ["10.0.0.1", "10.0.0.1"]
+    assert transport._tcp.bound == [("10.9.9.9", 0)] * 2  # bound again with the ICMP one
+    assert transport._icmp.bound == [("10.9.9.9", 0)]
+    assert transport._source == pack_address("10.9.9.9")
+    assert len(transport._send.sent) == 1
+
+
+@pytest.mark.parametrize("src, message", [
+    ("10.0.0.9", "probe source 10.0.0.9 differs from the bound source 10.9.9.9"),
+    ("2001:db8::9", "the live transport sends IPv4 probes only"),
+])
+def test_probe_from_another_source_is_refused_unsent(lookups, src, message):
+    transport, events = _recording_transport()
+    transport._send_packet(replace(_syn(), src="192.0.2.1"))
+    before = list(events)
+    with pytest.raises(OSError, match=f"^{message}$"):
+        transport._send_packet(replace(_syn(), src=src, dst="10.0.0.2"))
+    assert events == before
+    assert transport._source == pack_address("10.9.9.9")
 
 
 def test_icmp_quote_matches_time_exceeded():
@@ -254,14 +360,30 @@ def test_icmp_quote_answers_as_the_text_rule(case):
     assert (None if hop is None else (hop.responder, hop.quote)) == text_icmp_quote(syn, data)
 
 
+class _PairSocket(socket.socket):
+    """One end of an AF_UNIX datagram pair that records each bind in `bound`
+    instead of making it: an AF_UNIX socket takes no (address, port)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bound = []
+
+    def bind(self, address):
+        self.bound.append(address)
+
+
+def _recording_pair():
+    """An AF_UNIX datagram pair whose first end is a `_PairSocket`."""
+    mine, peer = socket.socketpair(socket.AF_UNIX, socket.SOCK_DGRAM)
+    return _PairSocket(mine.family, mine.type, mine.proto, mine.detach()), peer
+
+
 @pytest.fixture
 def paired_transport():
     """A bare transport whose TCP and ICMP sockets are AF_UNIX datagram pairs."""
-    import socket
-
     transport = _bare_transport()
-    transport._tcp, tcp_peer = socket.socketpair(socket.AF_UNIX, socket.SOCK_DGRAM)
-    transport._icmp, icmp_peer = socket.socketpair(socket.AF_UNIX, socket.SOCK_DGRAM)
+    transport._tcp, tcp_peer = _recording_pair()
+    transport._icmp, icmp_peer = _recording_pair()
     transport.timeout_ms = 1000.0
     yield transport, tcp_peer, icmp_peer
     for sock in (transport._tcp, transport._icmp, tcp_peer, icmp_peer):
@@ -343,6 +465,7 @@ def test_queued_reply_returned_without_a_poll(paired_transport, polls):
     resp = transport.handshake(_syn())
     assert resp is not None and resp.note == "truncated option kind 30"
     assert transport._send.sent == [(encode_packet(_syn()), ("10.0.0.1", 0))]
+    assert transport._tcp.bound == transport._icmp.bound == [("10.0.0.9", 0)]
     assert polls == []
 
 

@@ -6,6 +6,7 @@ listener sits on a 127.0.1.x address and an ephemeral port, and nothing
 outside the test's own sockets is changed.
 """
 
+import functools
 import gc
 import json
 import os
@@ -47,8 +48,14 @@ def _live_ready() -> str | None:
     return None if enabled == "1" else "kernel MPTCP is disabled"
 
 
-_NOT_READY = _live_ready()
-pytestmark = pytest.mark.skipif(_NOT_READY is not None, reason=str(_NOT_READY))
+_not_ready = functools.cache(_live_ready)
+# The condition is a string, so pytest evaluates it as each test is set up:
+# a run that deselects `live` opens no raw socket, not even at collection.
+pytestmark = [
+    pytest.mark.live,
+    pytest.mark.skipif("_not_ready() is not None",
+                       reason="needs raw sockets, IPPROTO_MPTCP and kernel MPTCP enabled"),
+]
 
 
 def _bound(address: str, proto: int = 0, listen: bool = True) -> socket.socket:
@@ -129,6 +136,42 @@ def test_scan_labels_each_listener_kind(tmp_path, endpoints, sends):
     assert blocked["classification"] == "skipped"
     assert BLOCKED_HOST not in sends
     assert sends == [MPTCP_HOST, TCP_HOST, "::1", CLOSED_HOST]
+
+
+def test_scan_reads_only_its_replies(tmp_path, endpoints, sends, monkeypatch):
+    # Bound to the probe source, the raw TCP socket no longer sees the
+    # scan's own SYNs or the kernel's resets to the targets.
+    from mptcpkit import live
+
+    looked_up, bound, matched = [], set(), []
+    real_lookup, real_match = live.local_source_address, live._match_reply
+    real_handshake = live.LiveTransport.handshake
+
+    def recording_lookup(target):
+        looked_up.append(real_lookup(target))
+        return looked_up[-1]
+
+    def counting_match(*args):
+        matched.append(args)
+        return real_match(*args)
+
+    def recording_handshake(self, syn):
+        response = real_handshake(self, syn)
+        bound.add((self._tcp.getsockname()[0], self._icmp.getsockname()[0]))
+        return response
+
+    monkeypatch.setattr(live, "local_source_address", recording_lookup)
+    monkeypatch.setattr(live, "_match_reply", counting_match)
+    monkeypatch.setattr(live.LiveTransport, "handshake", recording_handshake)
+    kinds = ("mptcp", "tcp", "closed") * 67
+    rows = _scan(tmp_path, 1, ["{},{}".format(*endpoints[kind]) for kind in kinds])
+    expected = {"mptcp": ("potential_capable", None), "tcp": ("no_mp_capable", None),
+                "closed": ("no_response", "reset")}
+    assert [(r["classification"], r["note"]) for r in rows] == [expected[k] for k in kinds]
+    assert len(sends) == len(kinds)
+    assert len(matched) / len(sends) <= 1.1, f"{len(matched)} reads for {len(sends)} probes"
+    assert len(looked_up) == 1
+    assert bound == {(looked_up[0], looked_up[0])}
 
 
 def test_v0_probe_to_v1_listener_gets_plain_tcp(tmp_path, endpoints):
