@@ -7,7 +7,7 @@ simulator.
 """
 
 from .options import HandshakePhase, Key, MpCapable, TcpOption
-from .probe import Classification, ClassificationKind, ProbeResponse, ProbeSpec
+from .probe import Classification, ClassificationKind, ProbeContext, ProbeResponse
 from .tracer import PathVerdict, PathVerdictKind
 
 __version__ = "0.1.0"
@@ -20,8 +20,8 @@ __all__ = [
     "MpCapable",
     "PathVerdict",
     "PathVerdictKind",
+    "ProbeContext",
     "ProbeResponse",
-    "ProbeSpec",
     "TcpOption",
     "__version__",
 ]

@@ -71,14 +71,24 @@ class SimTimingTransport:
         self.fallback_penalty_ms = fallback_penalty_ms
         self.jitter_ms = jitter_ms
         self.seed = seed
-        # Has absorbed each draw's identity prefix; draws hash copies (unlike hash(), stable).
+        # Has absorbed every draw's `seed|transport|`; each fetch hashes a copy.
         self._jitter_hash = blake2b(f"{seed}|{transport}|".encode(), digest_size=8)
 
-    def _jitter(self, target: str, port: int, run: int, metric: str) -> float:
+    def _draws(self, target: str, port: int, run: int) -> blake2b:
+        """A copy of the transport's hash that has absorbed one fetch's
+        `target|port|run|`: each of its draws hashes a copy of that."""
+        h = self._jitter_hash.copy()
+        h.update(f"{target}|{port}|{run}|".encode())
+        return h
+
+    def _jitter(self, draws: blake2b, metric: str) -> float:
+        """The `metric` draw of a fetch (unlike hash(), stable): the blake2b of
+        `seed|transport|target|port|run|metric`, `draws` holding all but
+        `metric`."""
         if self.jitter_ms <= 0:
             return 0.0
-        h = self._jitter_hash.copy()
-        h.update(f"{target}|{port}|{run}|{metric}".encode())
+        h = draws.copy()
+        h.update(metric.encode())
         digest = h.digest()
         # The top 53 bits of the digest as a float in [0, 1), as random() builds one.
         return self.jitter_ms * ((int.from_bytes(digest, "big") >> 11) * 2.0**-53)
@@ -88,16 +98,17 @@ class SimTimingTransport:
         if path is None or path.drops:
             return TimingSample(self.transport, success=False)
         rtt = path.rtt_ms
-        connect = rtt + self._jitter(target, port, run, "connect")
+        draws = self._draws(target, port, run)
+        connect = rtt + self._jitter(draws, "connect")
         if self.transport == "mptcp" and path.strips:
             connect += self.fallback_penalty_ms
         tls = None
         after_connect = connect
         if port == 443:
-            tls = 2.0 * rtt + self._jitter(target, port, run, "tls")
+            tls = 2.0 * rtt + self._jitter(draws, "tls")
             after_connect = connect + tls
-        ttfb = after_connect + rtt + self._jitter(target, port, run, "ttfb")
-        total = ttfb + rtt + self._jitter(target, port, run, "total")
+        ttfb = after_connect + rtt + self._jitter(draws, "ttfb")
+        total = ttfb + rtt + self._jitter(draws, "total")
         return TimingSample(
             self.transport,
             success=True,
@@ -257,5 +268,4 @@ def write_cdf(report: DeltaReport, metric: str, f: IO[str]) -> None:
     """Two-column text: the deltas sorted ascending, each with (i + 1) / n."""
     deltas = sorted(report.by_metric.get(metric, ()))
     n = len(deltas)
-    for i, delta in enumerate(deltas):
-        f.write(f"{delta:.6f},{(i + 1) / n:.6f}\n")
+    f.writelines(f"{delta:.6f},{i / n:.6f}\n" for i, delta in enumerate(deltas, 1))

@@ -142,8 +142,7 @@ def _write_rows(path: str | None, rows: Iterable, line: Callable[..., str], tran
     transport's sockets however the run ends (a simulated network holds none)."""
     try:
         with open_out(path) as f:
-            for row in rows:
-                f.write(line(row) + "\n")
+            f.writelines(f"{line(row)}\n" for row in rows)
     finally:
         close = getattr(transport, "close", None)
         if close is not None:

@@ -178,7 +178,12 @@ class OutFile:
         return self._opened().write(text)
 
     def writelines(self, lines: Iterable[str]) -> None:
-        self._opened().writelines(lines)
+        lines = iter(lines)
+        first = next(lines, None)  # opened at the first line, as at the first write
+        if first is not None:
+            file = self._opened()
+            file.write(first)
+            file.writelines(lines)
 
     def __enter__(self):
         return self

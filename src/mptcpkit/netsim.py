@@ -200,6 +200,8 @@ class SimNetwork:
         # Draws so far per key stream, keyed by its `address|port|hop` bytes,
         # which hold no reference to the caller's address and port objects.
         self._key_draws: dict[bytes, int] = {}
+        # Has absorbed `seed|`: a node without a seed of its own draws each key from a copy.
+        self._key_hash = blake2b(b"%d|" % seed, digest_size=8)
 
     def add_path(self, address: str, port: int, path: SimPath) -> None:
         self.paths[(address, port)] = path
@@ -215,8 +217,12 @@ class SimNetwork:
         n = self._key_draws.get(ident, 0)
         self._key_draws[ident] = n + 1
         seed = node.key_seed
-        text = b"%d|%s|%d" % (self.seed, ident, n) if seed is None else b"seed=%d|%d" % (seed, n)
-        return Key(int.from_bytes(blake2b(text, digest_size=8).digest(), "big"))
+        if seed is None:
+            h = self._key_hash.copy()
+            h.update(b"%s|%d" % (ident, n))
+        else:
+            h = blake2b(b"seed=%d|%d" % (seed, n), digest_size=8)
+        return Key(int.from_bytes(h.digest(), "big"))
 
     def _hop_address(self, target: str, ttl: int) -> str:
         if ":" in target:

@@ -1,17 +1,24 @@
 """SYN probe construction, response classification, and campaign running.
 
-Classification is stateless: a response is judged from the probe spec and the
-packet alone, so campaigns scale like single-packet scanners. One probe per
-target per campaign, no retries; the first valid response wins.
+Classification is stateless: a response is judged from the campaign's
+`ProbeContext` and the packet alone, so campaigns scale like single-packet
+scanners. One probe per target per campaign, no retries; the first valid
+response wins.
+
+What a campaign holds fixed is built once, in its `ProbeContext`: the
+version and key (validated there), the SYN's MP_CAPABLE bytes and their
+`options.syn_view`, and the blake2b hashers keyed with the seed. Each probe
+computes only its own fields: `build_syn_probe` adds the address, port,
+sequence number and source port, and `classify_response` reads the reply
+against the context.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Protocol
 
@@ -22,6 +29,7 @@ from .options import (
     HandshakePhase,
     Key,
     MpCapable,
+    SynView,
     TcpOption,
     decode_mp_capable,
     encode_mp_capable,
@@ -43,36 +51,48 @@ DEFAULT_SCANNER_ADDR_V4 = "192.0.2.1"
 DEFAULT_SCANNER_ADDR_V6 = "2001:db8:ffff::1"
 
 
-@dataclass(slots=True)
-class ProbeSpec:
-    """One probe: target, port, MPTCP version, and (for v0) the static key."""
+@dataclass(frozen=True, slots=True)
+class ProbeContext:
+    """What every probe of one campaign shares, built once: the MPTCP version,
+    the v0 key and the seed (validated here), the MP_CAPABLE bytes of the SYN
+    (`option`) and their `syn_view` (`view`), and two blake2b hashers keyed
+    with the seed, from copies of which `build_syn_probe` derives each
+    probe's sequence number (`seq_hash`) and source port (`sport_hash`,
+    which has absorbed `sport:` too). Contexts compare by version, key and
+    seed."""
 
-    target: str
-    port: int
     version: int
     probe_key: Key | None = None
+    seed: int = 0
+    option: bytes = field(init=False, repr=False, compare=False)
+    view: SynView = field(init=False, repr=False, compare=False)
+    seq_hash: blake2b = field(init=False, repr=False, compare=False)
+    sport_hash: blake2b = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.version not in (0, 1):
-            raise ValueError(f"version must be 0 or 1, got {self.version}")
-        if self.version == 0 and self.probe_key is None:
+        version, probe_key = self.version, self.probe_key
+        if version not in (0, 1):
+            raise ValueError(f"version must be 0 or 1, got {version}")
+        if version == 0 and probe_key is None:
             raise IllegalCombination("v0 probes require a probe key")
-        if self.version == 1 and self.probe_key is not None:
+        if version == 1 and probe_key is not None:
             raise IllegalCombination("v1 probes must not carry a key")
-        if not 0 <= self.port <= 65535:
-            raise ValueError(f"port out of range: {self.port}")
+        option = encode_mp_capable(MpCapable(version, DEFAULT_MP_FLAGS, probe_key),
+                                   HandshakePhase.SYN)
+        key = self.seed.to_bytes(8, "big", signed=False)
+        derived = {"option": option, "view": syn_view(option),
+                   "seq_hash": blake2b(key=key, digest_size=4),
+                   "sport_hash": blake2b(b"sport:", key=key, digest_size=2)}
+        for name, value in derived.items():  # set once, here: the context is frozen
+            object.__setattr__(self, name, value)
 
-    def syn_option(self) -> bytes:
-        """The exact MP_CAPABLE bytes this probe sends in its SYN."""
-        return _syn_option(self.version, self.probe_key)
-
-
-# Keyed by campaign constants only: a campaign has one version and one key.
-@functools.lru_cache(maxsize=16)
-def _syn_option(version: int, probe_key: Key | None) -> bytes:
-    return encode_mp_capable(
-        MpCapable(version, DEFAULT_MP_FLAGS, probe_key), HandshakePhase.SYN
-    )
+    @classmethod
+    def for_campaign(cls, version: int, probe_key: Key | None, seed: int) -> "ProbeContext":
+        """The context of a scan or trace: a v0 campaign given no key probes
+        with DEFAULT_PROBE_KEY."""
+        if version == 0 and probe_key is None:
+            probe_key = DEFAULT_PROBE_KEY
+        return cls(version, probe_key, seed)
 
 
 @dataclass(slots=True)
@@ -116,51 +136,38 @@ class Classification:
         return self.kind.value
 
 
-# Keyed by campaign constants only: the seed and the digest size.
-@functools.lru_cache(maxsize=16)
-def _keyed_blake2b(seed: int, digest_size: int) -> blake2b:
-    """A blake2b that has absorbed the seed as its key; callers hash copies of it."""
-    return blake2b(key=seed.to_bytes(8, "big", signed=False), digest_size=digest_size)
+def build_syn_probe(ctx: ProbeContext, target: str, port: int) -> TcpPacket:
+    """The SYN of `ctx`'s campaign to one target, carrying exactly one
+    MP_CAPABLE option, `ctx.option`.
 
-
-def _keyed_digest(data: bytes, seed: int, digest_size: int) -> int:
-    """`blake2b(data, key=seed, digest_size=...)` as a big-endian integer."""
-    h = _keyed_blake2b(seed, digest_size).copy()
-    h.update(data)
-    return int.from_bytes(h.digest(), "big")
-
-
-def derive_seq(target: str, port: int, seed: int) -> int:
-    """Deterministic sequence number from the target and campaign seed.
-
-    A keyed hash of the flow identity lets replies be validated without a
-    per-target state table.
+    Only the target's own fields are computed here. Its sequence number is
+    `blake2b(b"target,port", key=seed, digest_size=4)` and its source port
+    32768 plus `blake2b(b"sport:target,port", key=seed, digest_size=2)`
+    modulo 28000: a keyed hash of the flow identity lets replies be
+    validated without a per-target state table. The family is read from the
+    text (IPv6 alone has a colon) without parsing the address: the caller's
+    blocklist lookup has parsed it already.
     """
-    return _keyed_digest(f"{target},{port}".encode(), seed, 4)
-
-
-def derive_src_port(target: str, port: int, seed: int) -> int:
-    return 32768 + _keyed_digest(f"sport:{target},{port}".encode(), seed, 2) % 28000
-
-
-def build_syn_probe(spec: ProbeSpec, seed: int = 0) -> TcpPacket:
-    """Build the SYN carrying exactly one MP_CAPABLE option.
-
-    The family is read from the text (IPv6 alone has a colon) without parsing
-    the address: the caller's blocklist lookup has parsed it already.
-    """
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port out of range: {port}")
+    flow = f"{target},{port}".encode()
+    seq = ctx.seq_hash.copy()
+    seq.update(flow)
+    sport = ctx.sport_hash.copy()
+    sport.update(flow)
     return TcpPacket(
-        src=DEFAULT_SCANNER_ADDR_V6 if ":" in spec.target else DEFAULT_SCANNER_ADDR_V4,
-        dst=spec.target,
-        src_port=derive_src_port(spec.target, spec.port, seed),
-        dst_port=spec.port,
-        seq=derive_seq(spec.target, spec.port, seed),
-        options=spec.syn_option(),
+        DEFAULT_SCANNER_ADDR_V6 if ":" in target else DEFAULT_SCANNER_ADDR_V4,
+        target,
+        32768 + int.from_bytes(sport.digest(), "big") % 28000,
+        port,
+        int.from_bytes(seq.digest(), "big"),
+        options=ctx.option,
     )
 
 
-def classify_response(spec: ProbeSpec, resp: ProbeResponse | None) -> Classification:
-    """Classify one probe exchange. Total: never raises on packet content.
+def classify_response(ctx: ProbeContext, resp: ProbeResponse | None) -> Classification:
+    """Classify one probe exchange of `ctx`'s campaign. Total: never raises on
+    packet content.
 
     v0: a returned sender's key equal to ours means a mirroring middlebox;
     a different key is potentially MPTCP-capable. v1: a byte-identical echo
@@ -176,7 +183,7 @@ def classify_response(spec: ProbeSpec, resp: ProbeResponse | None) -> Classifica
     if not kind30:
         return Classification(ClassificationKind.NO_MP_CAPABLE)
 
-    if spec.version == 1 and syn_view(spec.syn_option()).mp in kind30:
+    if ctx.version == 1 and ctx.view.mp in kind30:
         return Classification(ClassificationKind.MIRRORED_KEY)  # a byte-identical echo
 
     decoded: list[MpCapable] = []
@@ -191,14 +198,14 @@ def classify_response(spec: ProbeSpec, resp: ProbeResponse | None) -> Classifica
             ClassificationKind.NO_MP_CAPABLE, note="; ".join(notes) or None
         )
 
-    if spec.version == 0:
+    if ctx.version == 0:
         for mc in decoded:
-            if mc.sender_key == spec.probe_key:
+            if mc.sender_key == ctx.probe_key:
                 return Classification(
                     ClassificationKind.MIRRORED_KEY, sender_key=mc.sender_key
                 )
     first = decoded[0]
-    if first.version != spec.version:
+    if first.version != ctx.version:
         return Classification(
             ClassificationKind.VERSION_MISMATCH, got_version=first.version
         )
@@ -381,13 +388,20 @@ class CampaignRecord:
             payload = json.loads(line)
             key = payload.get("sender_key")
             address, label = payload["address"], payload["classification"]
+            timestamp, port, version = payload["timestamp"], payload["port"], payload["version"]
             if not isinstance(address, str) or not isinstance(label, str):
                 raise TypeError("address and classification must be strings")
+            # JSON integers and numbers only, as the CSV form reads them: no
+            # bool, no string, and no fraction of a port or version.
+            if type(port) is not int or type(version) is not int:
+                raise TypeError(f"port and version must be integers, got {port!r}, {version!r}")
+            if type(timestamp) not in (int, float):
+                raise TypeError(f"timestamp must be a number, got {timestamp!r}")
             return cls(
-                timestamp=float(payload["timestamp"]),
+                timestamp=float(timestamp),
                 address=address,
-                port=int(payload["port"]),
-                version=int(payload["version"]),
+                port=port,
+                version=version,
                 label=label,
                 sender_key=Key.from_hex(key) if key else None,
                 got_version=payload.get("got_version"),
@@ -452,25 +466,25 @@ def run_campaign(
 ) -> Iterator[CampaignRecord]:
     """Probe each target once through `probe_targets`, and classify.
 
-    Every send waits on `guard.pacer`, and its send slot is the record's
-    timestamp, an `error` record's too; skipped and dry-run rows read the
-    pacer's clock. Without a transport the run is dry: it emits the built
-    probes and sends nothing.
+    The campaign's `ProbeContext` is built at the first row, so a bad version
+    and key pair is refused before any target is read; each probe then
+    computes only its target's own fields. Every send waits on
+    `guard.pacer`, and its send slot is the record's timestamp, an `error`
+    record's too; skipped and dry-run rows read the pacer's clock. Without a
+    transport the run is dry: it emits the built probes and sends nothing.
     """
-    if version == 0 and probe_key is None:
-        probe_key = DEFAULT_PROBE_KEY
+    ctx = ProbeContext.for_campaign(version, probe_key, seed)
     pacer = guard.pacer
     sent_at = 0.0  # the send slot of the latest probe
 
     def probe(address: str, port: int) -> CampaignRecord:
         nonlocal sent_at
-        spec = ProbeSpec(address, port, version, probe_key)
-        syn = build_syn_probe(spec, seed)
+        syn = build_syn_probe(ctx, address, port)
         if transport is None:
             return CampaignRecord(pacer.clock(), address, port, version, "dry_run",
                                   note=syn.options.hex())
         sent_at = pacer.acquire()
-        cls = classify_response(spec, transport.handshake(syn))
+        cls = classify_response(ctx, transport.handshake(syn))
         return CampaignRecord(sent_at, address, port, version, cls.label, cls.sender_key,
                               cls.got_version, cls.note)
 
@@ -478,7 +492,7 @@ def run_campaign(
         timestamp = sent_at if label == "error" else pacer.clock()
         return CampaignRecord(timestamp, address, port, version, label, note=note)
 
-    return probe_targets(targets, guard.blocklist, probe, unprobed)
+    yield from probe_targets(targets, guard.blocklist, probe, unprobed)
 
 
 def make_response(seg: RawSegment, rtt_ms: float) -> ProbeResponse:

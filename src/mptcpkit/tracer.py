@@ -5,7 +5,7 @@ quoted back by intermediate hops, and diffs them against what was sent. The
 verdict separates targets that rewrite the option themselves (capable) from
 paths where some hop strips or rewrites it (middlebox-affected) and targets
 that never answer (unreachable). What was sent is read once per campaign, as
-the `options.syn_view` of the SYN's option bytes, and every hop is diffed
+the `syn_view` its `probe.ProbeContext` holds, and every hop is diffed
 against that view.
 """
 
@@ -15,16 +15,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .options import Key, SynView, TcpOption, decode_mp_capable_any, find_mp_capable, syn_view
+from .options import Key, SynView, TcpOption, decode_mp_capable_any, find_mp_capable
 from .packet import FLAG_SYN_ACK, extract_quoted_options
 from .probe import (
-    DEFAULT_PROBE_KEY,
     CampaignGuard,
     HopReply,
     PacedTransport,
     PacketTransport,
+    ProbeContext,
     ProbeResponse,
-    ProbeSpec,
     build_syn_probe,
     checked_target,
     probe_targets,
@@ -119,16 +118,10 @@ def diff_options(sent: SynView, observed: list[TcpOption]) -> OptionDiff:
 
 
 def probe_path(
-    target: str,
-    port: int,
-    version: int,
-    max_ttl: int,
-    transport: PacketTransport,
-    *,
-    probe_key: Key | None = None,
-    seed: int = 0,
+    ctx: ProbeContext, target: str, port: int, max_ttl: int, transport: PacketTransport
 ) -> PathTrace:
-    """Walk TTLs 1..max_ttl, stopping early on an answer from the target.
+    """Walk TTLs 1..max_ttl with `ctx`'s SYN to the target, stopping early
+    on an answer from the target.
 
     Each TTL is tried up to ATTEMPTS_PER_TTL times, first response wins.
     Hops whose quotes are missing or too short to show the options region
@@ -136,11 +129,8 @@ def probe_path(
     """
     if not 1 <= max_ttl <= 64:
         raise ValueError(f"max_ttl must be in [1, 64], got {max_ttl}")
-    if version == 0 and probe_key is None:
-        probe_key = DEFAULT_PROBE_KEY
-    spec = ProbeSpec(target, port, version, probe_key)
-    syn = build_syn_probe(spec, seed)
-    sent = syn_view(syn.options)
+    syn = build_syn_probe(ctx, target, port)
+    sent = ctx.view
     hops: list[HopRecord] = []
     final: ProbeResponse | None = None
 
@@ -198,18 +188,9 @@ def classify_path(
 
 
 def inspect_target(
-    target: str,
-    port: int,
-    version: int,
-    transport: PacketTransport,
-    *,
-    max_ttl: int = 30,
-    probe_key: Key | None = None,
-    seed: int = 0,
+    ctx: ProbeContext, target: str, port: int, transport: PacketTransport, *, max_ttl: int = 30
 ) -> tuple[PathTrace, PathVerdict]:
-    trace = probe_path(
-        target, port, version, max_ttl, transport, probe_key=probe_key, seed=seed
-    )
+    trace = probe_path(ctx, target, port, max_ttl, transport)
     return trace, classify_path(trace.hops, trace.final_response)
 
 
@@ -242,15 +223,15 @@ def trace_campaign(targets: Iterable[tuple[str, int]], *, version: int, guard: C
                    transport: PacketTransport, max_ttl: int = 30, probe_key: Key | None = None,
                    seed: int = 0) -> Iterator[TraceRecord]:
     """Inspect each target's path through `probe_targets`: one verdict row
-    per target, each TTL probe of which first waits on `guard.pacer`."""
+    per target, each TTL probe of which first waits on `guard.pacer`. The
+    campaign's `ProbeContext` is built once, at the first row."""
+    ctx = ProbeContext.for_campaign(version, probe_key, seed)
     paced = PacedTransport(transport, guard.pacer)
 
     def probe(address: str, port: int) -> TraceRecord:
-        _trace, verdict = inspect_target(
-            address, port, version, paced, max_ttl=max_ttl, probe_key=probe_key, seed=seed
-        )
+        _trace, verdict = inspect_target(ctx, address, port, paced, max_ttl=max_ttl)
         return TraceRecord(address, port, verdict.label, verdict.first_modifying_ttl,
                            verdict.sender_key)
 
-    return probe_targets(targets, guard.blocklist, probe,
-                         lambda address, port, label, _note: TraceRecord(address, port, label))
+    yield from probe_targets(targets, guard.blocklist, probe,
+                             lambda address, port, label, _note: TraceRecord(address, port, label))

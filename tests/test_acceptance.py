@@ -45,7 +45,7 @@ from mptcpkit.options import (
 from mptcpkit.probe import (
     ClassificationKind,
     DEFAULT_PROBE_KEY,
-    ProbeSpec,
+    ProbeContext,
     build_syn_probe,
     classify_response,
 )
@@ -120,12 +120,11 @@ def test_criterion_2_simulator_oracle_equivalence():
                     net = SimNetwork(seed=42)
                     net.add_path("10.1.2.3", 80, path)
                     key = PROBE_KEY if version == 0 else None
-                    spec = ProbeSpec("10.1.2.3", 80, version, key)
-                    resp = net.handshake(build_syn_probe(spec, seed=7))
-                    cls = classify_response(spec, resp)
+                    ctx = ProbeContext(version, key, seed=7)
+                    resp = net.handshake(build_syn_probe(ctx, "10.1.2.3", 80))
+                    cls = classify_response(ctx, resp)
                     _trace, verdict = inspect_target(
-                        "10.1.2.3", 80, version, net,
-                        max_ttl=len(path.nodes), seed=7,
+                        ctx, "10.1.2.3", 80, net, max_ttl=len(path.nodes)
                     )
                     context = ([n.kind.value for n in path.nodes], version)
                     assert cls.kind == truth.classification, context

@@ -5,7 +5,6 @@ import sys
 import threading
 import tracemalloc
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -302,7 +301,7 @@ def test_jitter_matches_top_53_digest_bits(seeds, jitter_ms, draws):
     for second, target, port, run, metric in draws:
         t = transports[second]
         expected = reference_jitter(t.seed, t.transport, target, port, run, metric, t.jitter_ms)
-        assert t._jitter(target, port, run, metric) == expected
+        assert t._jitter(t._draws(target, port, run), metric) == expected
 
 
 # Above the smallest normal float; at or below it jitter_ms * (1 - 2**-53)
@@ -323,17 +322,56 @@ def test_jitter_within_bounds(jitter_ms, draw, digest):
     _second, target, port, run, metric = draw
     t = SimTimingTransport(network(), "tcp", jitter_ms=jitter_ms)
     if digest is None:  # the real digest of the draw
-        value = t._jitter(target, port, run, metric)
+        value = t._jitter(t._draws(target, port, run), metric)
     else:
-        # Each draw hashes a copy of the transport's prefix-fed blake2b.
+        # Each draw hashes a copy of its fetch's prefix-fed blake2b.
         fixed = SimpleNamespace(update=lambda data: None, digest=lambda: digest)
-        with mock.patch.object(t, "_jitter_hash", SimpleNamespace(copy=lambda: fixed)):
-            value = t._jitter(target, port, run, metric)
+        value = t._jitter(SimpleNamespace(copy=lambda: fixed), metric)
     assert 0 <= value < jitter_ms
 
 
 def test_no_jitter_when_disabled():
-    assert SimTimingTransport(network(), "tcp", jitter_ms=0.0)._jitter("10.0.0.1", 80, 0, "ttfb") == 0.0
+    t = SimTimingTransport(network(), "tcp", jitter_ms=0.0)
+    assert t._jitter(t._draws("10.0.0.1", 80, 0), "ttfb") == 0.0
+
+
+def reference_fetch(t, target, port, run):
+    """A fetch's sample built from the path and `reference_jitter`: each
+    metric adds its round trips and its own draw, in the transport's order."""
+    path = t.network.paths.get((target, port))
+    if path is None or path.drops:
+        return TimingSample(t.transport, success=False)
+    rtt = path.rtt_ms
+
+    def draw(metric):
+        return reference_jitter(t.seed, t.transport, target, port, run, metric, t.jitter_ms)
+
+    connect = rtt + draw("connect")
+    if t.transport == "mptcp" and path.strips:
+        connect += t.fallback_penalty_ms
+    tls = 2.0 * rtt + draw("tls") if port == 443 else None
+    ttfb = (connect if tls is None else connect + tls) + rtt + draw("ttfb")
+    total = ttfb + rtt + draw("total")
+    return TimingSample(t.transport, True, connect, tls, ttfb, total)
+
+
+@given(
+    population_seed=st.integers(0, 50),
+    seed=st.integers(0, 2**64 - 1),
+    transport=st.sampled_from(["mptcp", "tcp"]),
+    jitter_ms=st.floats(min_value=1e-3, max_value=1e3),
+    runs=st.integers(1, 3),
+)
+@settings(max_examples=50, deadline=None)
+def test_fetch_samples_are_rtt_plus_the_reference_draws(population_seed, seed, transport,
+                                                        jitter_ms, runs):
+    # Every target of a generated population (both families, ports 80 and
+    # 443, stripping and dropping paths) and one the network has no path to.
+    net = generate_population(40, seed=population_seed)
+    t = SimTimingTransport(net, transport, jitter_ms=jitter_ms, seed=seed)
+    for target, port in [*net.targets(), ("10.255.255.255", 80)]:
+        for run in range(runs):
+            assert t.fetch(target, port, run) == reference_fetch(t, target, port, run)
 
 
 def test_system_fetch_over_ipv6_loopback():

@@ -770,12 +770,7 @@ class TestOutKeptOnFailure:
 
     def test_out_in_a_directory_that_takes_no_new_file_written_in_place(
             self, workdir, monkeypatch):
-        def no_new_files(file, mode="r", **kwargs):
-            if mode == "x":
-                raise PermissionError(13, "Permission denied", file)
-            return open(file, mode, **kwargs)
-
-        monkeypatch.setattr(inputs, "open", no_new_files, raising=False)
+        monkeypatch.setattr(inputs, "open", _no_new_files, raising=False)
         out = workdir / "out.txt"
         out.write_bytes(b"previous\n")
         inode = os.stat(out).st_ino
@@ -783,6 +778,28 @@ class TestOutKeptOnFailure:
                 "--out", str(out)])
         assert os.stat(out).st_ino == inode
         assert len(out.read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("command", ["scan", "trace"])
+    def test_out_written_in_place_is_kept_when_the_first_row_fails(
+            self, workdir, monkeypatch, capsys, command):
+        # Rows reach --out in one `writelines` call; an --out written in place
+        # is still opened only once the first row is there.
+        monkeypatch.setattr(inputs, "open", _no_new_files, raising=False)
+        targets = workdir / "bad-targets.csv"
+        targets.write_text("10.0.0.x,80\n")
+        out = workdir / "out.txt"
+        out.write_bytes(b"previous\n")
+        assert main([command, "--targets", str(targets), "--sim-topology",
+                     str(workdir / "topology.txt"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {targets}: line 1: ")
+        assert out.read_bytes() == b"previous\n"
+
+
+def _no_new_files(file, mode="r", **kwargs):
+    """`open` in a directory that takes no new file: mode `x` is refused."""
+    if mode == "x":
+        raise PermissionError(13, "Permission denied", file)
+    return open(file, mode, **kwargs)
 
 
 # The options each command or report kind cannot run without.
@@ -1219,6 +1236,18 @@ def test_cli_import_loads_no_numeric_stack():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_python_m_mptcpkit_runs_the_cli_from_a_checkout(tmp_path):
+    # `src/` on PYTHONPATH, nothing installed: `python -m mptcpkit` is the CLI.
+    env = {**os.environ, "PYTHONPATH": str(Path(mptcpkit.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "mptcpkit", "--help"], cwd=tmp_path,
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: mptcpkit ")
+    bad = subprocess.run([sys.executable, "-m", "mptcpkit", "scan"], cwd=tmp_path,
+                         capture_output=True, text=True, env=env)
+    assert bad.returncode == 2  # main's exit status is the process's
 
 
 def test_campaign_commands_load_neither_tls_nor_openssl(tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mptcpkit import cli, inputs, netsim
 from mptcpkit.flows import ServiceTables
 from mptcpkit.inputs import PrefixTable, prefix_key, prefix_row, rows
-from mptcpkit.probe import Blocklist, target_row
+from mptcpkit.probe import Blocklist, CampaignRecord, target_row
 from mptcpkit.store import EnrichmentTable, ScanSnapshot, SnapshotStore
 
 
@@ -306,6 +306,37 @@ def test_a_scan_row_of_another_version_names_its_line(row, tmp_path, capsys):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {path}: line 3: version must be 0 or 1, got 7\n"
     assert not list(store.glob("*"))
+
+
+SCAN_JSON = {"address": "10.0.0.1", "classification": "potential_capable", "port": 80,
+             "timestamp": 0.5, "version": 1}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("port", 80.9, "port and version must be integers, got 80.9, 1"),
+    ("port", True, "port and version must be integers, got True, 1"),
+    ("port", "80", "port and version must be integers, got '80', 1"),
+    ("version", True, "port and version must be integers, got 80, True"),
+    ("version", 1.0, "port and version must be integers, got 80, 1.0"),
+    ("timestamp", "nan", "timestamp must be a number, got 'nan'"),
+    ("timestamp", True, "timestamp must be a number, got True"),
+    ("timestamp", None, "timestamp must be a number, got None"),
+])
+def test_a_jsonl_scan_field_of_another_type_names_its_line(field, value, message, tmp_path,
+                                                          capsys):
+    # The CSV form refuses these as it reads them; the JSON form coerced them.
+    row = json.dumps({**SCAN_JSON, field: value}, sort_keys=True)
+    path = _write_inputs(tmp_path / "in", f"# rows\n{json.dumps(SCAN_JSON)}\n{row}\n")
+    assert cli.main(["keys", "--from-scan", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3: bad scan record (TypeError({message!r})): {row!r}\n")
+
+
+@pytest.mark.parametrize("timestamp", [0, 0.5, 1e300])
+def test_a_jsonl_scan_row_takes_any_json_number_as_its_timestamp(timestamp):
+    record = CampaignRecord.parse(json.dumps({**SCAN_JSON, "timestamp": timestamp}))
+    assert (record.timestamp, record.port, record.version) == (timestamp, 80, 1)
+    assert type(record.timestamp) is float
 
 
 def test_a_file_that_is_not_utf8_is_named(tmp_path):

@@ -534,7 +534,7 @@ def test_each_probe_packs_its_destination_once(paired_transport, monkeypatch):
     # A scan through the live transport parses each destination twice: once
     # for the blocklist lookup and once to send the SYN and match its reply.
     from mptcpkit import inputs, live, packet
-    from mptcpkit.probe import (Blocklist, CampaignGuard, ProbeSpec, RatePacer, VirtualClock,
+    from mptcpkit.probe import (Blocklist, CampaignGuard, ProbeContext, RatePacer, VirtualClock,
                                 build_syn_probe, run_campaign)
 
     monkeypatch.setattr(live, "local_source_address", lambda target: "10.9.9.9")
@@ -557,6 +557,7 @@ def test_each_probe_packs_its_destination_once(paired_transport, monkeypatch):
     assert [r.label for r in records] == ["no_response"] * len(targets)
     assert len(packed) == 2 * len(targets)
     assert transport._send.sent == [
-        (encode_packet(replace(build_syn_probe(ProbeSpec(a, p, 1), 3), src="10.9.9.9")), (a, 0))
+        (encode_packet(replace(build_syn_probe(ProbeContext(1, seed=3), a, p), src="10.9.9.9")),
+         (a, 0))
         for a, p in targets
     ]

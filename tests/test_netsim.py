@@ -54,8 +54,8 @@ from mptcpkit.probe import (
     ClassificationKind,
     DEFAULT_PROBE_KEY,
     HopReply,
+    ProbeContext,
     ProbeResponse,
-    ProbeSpec,
     build_syn_probe,
     classify_response,
 )
@@ -71,11 +71,11 @@ def network_for(path: SimPath, seed: int = 5) -> SimNetwork:
 
 
 def v0_syn(seed: int = 0):
-    return build_syn_probe(ProbeSpec(TARGET, 80, 0, DEFAULT_PROBE_KEY), seed)
+    return build_syn_probe(ProbeContext(0, DEFAULT_PROBE_KEY, seed), TARGET, 80)
 
 
 def v1_syn(seed: int = 0):
-    return build_syn_probe(ProbeSpec(TARGET, 80, 1), seed)
+    return build_syn_probe(ProbeContext(1, seed=seed), TARGET, 80)
 
 
 class TestHandshake:
@@ -202,8 +202,7 @@ class TestDeterminism:
             net = parse_topology(text.splitlines(), seed=seed)
             outputs = []
             for address, port in net.targets():
-                spec = ProbeSpec(address, port, 0, DEFAULT_PROBE_KEY)
-                syn = build_syn_probe(spec, seed=9)
+                syn = build_syn_probe(ProbeContext(0, DEFAULT_PROBE_KEY, 9), address, port)
                 resp = net.handshake(syn)
                 outputs.append(
                     (resp.tcp_flags, resp.options, resp.rtt_ms, resp.note) if resp else None
@@ -318,9 +317,8 @@ class TestTopologyFiles:
         assert len({id(p) for p in net.paths.values()}) == distinct
         for _ in range(3):  # keyed nodes draw a fresh key every round
             for address, port in net.targets():
-                for spec in (ProbeSpec(address, port, 0, DEFAULT_PROBE_KEY),
-                             ProbeSpec(address, port, 1)):
-                    syn = build_syn_probe(spec, seed=11)
+                for ctx in (ProbeContext(0, DEFAULT_PROBE_KEY, 11), ProbeContext(1, seed=11)):
+                    syn = build_syn_probe(ctx, address, port)
                     assert net.handshake(syn) == ref.handshake(syn)
                     for ttl in range(1, len(net.paths[(address, port)].nodes) + 2):
                         assert net.ttl_probe(syn, ttl) == ref.ttl_probe(syn, ttl)
@@ -553,12 +551,9 @@ def machinery_labels(path: SimPath, version: int, seed: int = 11, target: str = 
 
     net = SimNetwork(seed)
     net.add_path(target, 80, path)
-    key = DEFAULT_PROBE_KEY if version == 0 else None
-    spec = ProbeSpec(target, 80, version, key)
-    cls = classify_response(spec, net.handshake(build_syn_probe(spec, seed)))
-    _trace, verdict = inspect_target(
-        target, 80, version, net, max_ttl=len(path.nodes), seed=seed
-    )
+    ctx = ProbeContext(version, DEFAULT_PROBE_KEY if version == 0 else None, seed)
+    cls = classify_response(ctx, net.handshake(build_syn_probe(ctx, target, 80)))
+    _trace, verdict = inspect_target(ctx, target, 80, net, max_ttl=len(path.nodes))
     return cls, verdict
 
 
@@ -850,10 +845,10 @@ def test_replies_match_encoded_reference(interior, endpoint, address, probe_key,
     net, ref = SimNetwork(seed), ReferenceNetwork(seed)
     net.add_path(address, 443, path)
     ref.add_path(address, 443, path)
-    specs = [ProbeSpec(address, 443, 0, probe_key), ProbeSpec(address, 443, 1)]
+    contexts = [ProbeContext(0, probe_key, seed), ProbeContext(1, seed=seed)]
     for _ in range(2):  # keyed nodes draw fresh keys every round
-        for spec in specs:
-            syn = build_syn_probe(spec, seed)
+        for ctx in contexts:
+            syn = build_syn_probe(ctx, address, 443)
             syn = replace(syn, options=before + syn.options + after + tail)
             sent = replace(syn)
             want = ref.handshake(syn)
@@ -896,8 +891,8 @@ def test_call_sequences_draw_keys_as_the_reference_does(interior, endpoint, addr
     net, ref = SimNetwork(seed), ReferenceNetwork(seed)
     net.add_path(address, 443, path)
     ref.add_path(address, 443, path)
-    syns = {0: build_syn_probe(ProbeSpec(address, 443, 0, probe_key), seed),
-            1: build_syn_probe(ProbeSpec(address, 443, 1), seed)}
+    syns = {0: build_syn_probe(ProbeContext(0, probe_key, seed), address, 443),
+            1: build_syn_probe(ProbeContext(1, seed=seed), address, 443)}
     for op, ttl, version in calls:
         syn = syns[version]
         if op == "handshake":
@@ -916,7 +911,7 @@ def _handshake_keys(net, targets):
     """The SYN-ACK sender's key of one v0 handshake to each of `targets`, in turn."""
     keys = []
     for address, port in targets:
-        syn = build_syn_probe(ProbeSpec(address, port, 0, DEFAULT_PROBE_KEY), 0)
+        syn = build_syn_probe(ProbeContext(0, DEFAULT_PROBE_KEY), address, port)
         option = find_mp_capable(net.handshake(syn).options)
         keys.append(decode_mp_capable(option, HandshakePhase.SYN_ACK).sender_key)
     return keys
@@ -977,7 +972,7 @@ def test_two_hops_of_one_target_draw_different_keys(seed, address, port):
     # A v0 SYN through two unseeded key_rewrite hops: the TTL 1 quote carries
     # hop 1's first key, the TTL 2 quote (in a fresh network) hop 2's first key.
     line = f"path {address} {port} key_rewrite key_rewrite true_host(v0)"
-    syn = build_syn_probe(ProbeSpec(address, port, 0, DEFAULT_PROBE_KEY), 0)
+    syn = build_syn_probe(ProbeContext(0, DEFAULT_PROBE_KEY), address, port)
     quoted = []
     for ttl in (1, 2):
         reply = parse_topology([line], seed=seed).ttl_probe(syn, ttl)
@@ -1049,29 +1044,28 @@ class TestSimPath:
 
 
 def test_campaign_memo_tables_do_not_grow_with_targets():
-    # The memo tables are keyed by campaign constants (version, key, seed, SYN
-    # option bytes): a scan and a trace of both versions fill the same few
-    # entries whether they cover 200 targets or 2,000.
-    from mptcpkit import options, probe
+    # The one memo table, `options.syn_view`, is keyed by a campaign constant
+    # (the SYN's option bytes): a scan and a trace of both versions fill the
+    # same two entries whether they cover 200 targets or 2,000.
+    from mptcpkit import options
     from mptcpkit.probe import Blocklist, CampaignGuard, RatePacer, VirtualClock, run_campaign
     from mptcpkit.tracer import inspect_target
 
-    memos = (probe._syn_option, options.syn_view, probe._keyed_blake2b)
     sizes = {}
     for count in (200, 2000):
-        for memo in memos:
-            memo.cache_clear()
+        options.syn_view.cache_clear()
         net = generate_population(count, seed=5)
         for version in (0, 1):
             clock = VirtualClock()
             guard = CampaignGuard(Blocklist(), RatePacer(1e6, clock=clock, sleep=clock.sleep))
             records = run_campaign(net.targets(), version=version, guard=guard,
                                    transport=net, seed=5)
+            ctx = ProbeContext(version, DEFAULT_PROBE_KEY if version == 0 else None, 5)
             for record in records:
                 if record.label == "potential_capable":
-                    inspect_target(record.address, record.port, version, net, seed=5)
-        infos = [memo.cache_info() for memo in memos]
-        sizes[count] = [info.currsize for info in infos]
-        assert [info.misses for info in infos] == sizes[count]  # each entry built once
-        assert all(info.hits >= count for info in infos[:2])  # every probe reads them
-    assert sizes[200] == sizes[2000] == [2, 2, 2]  # _keyed_blake2b: seq and port sizes
+                    inspect_target(ctx, record.address, record.port, net)
+        info = options.syn_view.cache_info()
+        sizes[count] = info.currsize
+        assert info.misses == sizes[count]  # each entry built once
+        assert info.hits >= count  # the simulator reads every SYN through it
+    assert sizes[200] == sizes[2000] == 2

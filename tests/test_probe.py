@@ -1,4 +1,5 @@
 import bisect
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -7,16 +8,24 @@ import ipaddress
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mptcpkit import cli
-from mptcpkit.errors import GuardViolation, IllegalCombination
+from mptcpkit.errors import GuardViolation, IllegalCombination, OptionError
+from mptcpkit import options, probe, tracer
 from mptcpkit.netsim import (
     SimNetwork,
     SimPath,
+    drop,
     generate_population,
+    key_rewrite,
+    mirror,
     parse_topology,
+    quoting,
+    silent,
+    strip,
+    tcp_host,
     topology_lines,
     true_host,
 )
@@ -32,7 +41,7 @@ from mptcpkit.options import (
     parse_options,
     syn_view,
 )
-from mptcpkit.packet import TcpFlags
+from mptcpkit.packet import FLAG_RST, FLAG_SYN_ACK, TcpFlags, TcpPacket, encode_packet
 from mptcpkit.probe import (
     Blocklist,
     CampaignGuard,
@@ -40,15 +49,13 @@ from mptcpkit.probe import (
     Classification,
     ClassificationKind,
     DEFAULT_PROBE_KEY,
+    ProbeContext,
     ProbeResponse,
-    ProbeSpec,
     RatePacer,
     SLEEP_SLACK_S,
     VirtualClock,
     build_syn_probe,
     classify_response,
-    derive_seq,
-    derive_src_port,
     precise_sleep,
     run_campaign,
     target_row,
@@ -70,14 +77,14 @@ def mp_option(version: int, key: Key | None, phase=HandshakePhase.SYN_ACK) -> Tc
     return TcpOption(30, data[2:])
 
 
-class TestProbeSpec:
+class TestProbeSpec:  # the campaign constants a ProbeContext validates and holds
     def test_v0_requires_key(self):
         with pytest.raises(IllegalCombination):
-            ProbeSpec("10.0.0.1", 80, 0)
+            ProbeContext(0)
 
     def test_v1_forbids_key(self):
         with pytest.raises(IllegalCombination):
-            ProbeSpec("10.0.0.1", 80, 1, probe_key=K)
+            ProbeContext(1, probe_key=K)
 
     def test_default_probe_key_weight(self):
         assert DEFAULT_PROBE_KEY.value.bit_count() == 16
@@ -94,18 +101,20 @@ class TestProbeSpec:
     @settings(max_examples=200)
     def test_syn_option_is_the_encoded_option(self, specs):
         # Several (version, key) pairs in one process, each asked more than once:
-        # every answer is the encoding of that spec's own option.
+        # every context holds the encoding of its own option, and its view.
         for version, key in specs + specs[::-1]:
             want = encode_mp_capable(
                 MpCapable(version, DEFAULT_MP_FLAGS, key), HandshakePhase.SYN
             )
-            assert ProbeSpec("10.0.0.1", 80, version, key).syn_option() == want
+            ctx = ProbeContext(version, key)
+            assert ctx.option == want
+            assert ctx.view == syn_view(want)
+            assert build_syn_probe(ctx, "10.0.0.1", 80).options == want
 
 
 class TestBuildSynProbe:
     def test_v0_probe_carries_key(self):
-        spec = ProbeSpec("10.0.0.1", 80, 0, K)
-        pkt = build_syn_probe(spec)
+        pkt = build_syn_probe(ProbeContext(0, K), "10.0.0.1", 80)
         assert pkt.flags & TcpFlags.SYN
         opts = parse_options(pkt.options)
         assert len(opts) == 1
@@ -113,15 +122,18 @@ class TestBuildSynProbe:
         assert mc == MpCapable(0, DEFAULT_MP_FLAGS, K)
 
     def test_v1_probe_keyless_4_bytes(self):
-        pkt = build_syn_probe(ProbeSpec("10.0.0.1", 80, 1))
+        pkt = build_syn_probe(ProbeContext(1), "10.0.0.1", 80)
         assert len(pkt.options) == 4
         mc = decode_mp_capable(parse_options(pkt.options)[0], HandshakePhase.SYN)
         assert mc.version == 1 and mc.sender_key is None
 
     def test_seq_deterministic_per_seed(self):
-        assert derive_seq("10.0.0.1", 80, 7) == derive_seq("10.0.0.1", 80, 7)
-        assert derive_seq("10.0.0.1", 80, 7) != derive_seq("10.0.0.1", 80, 8)
-        assert derive_seq("10.0.0.1", 80, 7) != derive_seq("10.0.0.2", 80, 7)
+        def seq(target, seed):
+            return build_syn_probe(ProbeContext(1, seed=seed), target, 80).seq
+
+        assert seq("10.0.0.1", 7) == seq("10.0.0.1", 7)
+        assert seq("10.0.0.1", 7) != seq("10.0.0.1", 8)
+        assert seq("10.0.0.1", 7) != seq("10.0.0.2", 7)
 
     @given(
         calls=st.lists(st.tuples(st.text(max_size=20), st.integers(0, 65535),
@@ -129,26 +141,27 @@ class TestBuildSynProbe:
     )
     @settings(max_examples=200)
     def test_seq_and_port_are_keyed_blake2b_of_the_flow(self, calls):
-        # Seeds interleave, so each call must hash with its own seed's key.
+        # Seeds interleave, so each probe must hash with its own context's key.
+        contexts = {seed: ProbeContext(1, seed=seed) for _target, _port, seed in calls}
         for target, port, seed in calls + calls[::-1]:
             key = seed.to_bytes(8, "big")
             seq = hashlib.blake2b(f"{target},{port}".encode(), key=key, digest_size=4)
             sport = hashlib.blake2b(f"sport:{target},{port}".encode(), key=key, digest_size=2)
-            assert derive_seq(target, port, seed) == int.from_bytes(seq.digest(), "big")
-            assert derive_src_port(target, port, seed) == (
-                32768 + int.from_bytes(sport.digest(), "big") % 28000)
+            pkt = build_syn_probe(contexts[seed], target, port)
+            assert pkt.seq == int.from_bytes(seq.digest(), "big")
+            assert pkt.src_port == 32768 + int.from_bytes(sport.digest(), "big") % 28000
 
     def test_v6_target_gets_v6_source(self):
-        pkt = build_syn_probe(ProbeSpec("2001:db8::5", 443, 1))
+        pkt = build_syn_probe(ProbeContext(1), "2001:db8::5", 443)
         assert ipaddress.ip_address(pkt.src).version == 6
 
 
 class TestClassifyResponse:
     def spec_v0(self):
-        return ProbeSpec("10.0.0.1", 80, 0, K)
+        return ProbeContext(0, K)
 
     def spec_v1(self):
-        return ProbeSpec("10.0.0.1", 80, 1)
+        return ProbeContext(1)
 
     def test_no_response(self):
         assert classify_response(self.spec_v0(), None).kind is ClassificationKind.NO_RESPONSE
@@ -191,10 +204,9 @@ class TestClassifyResponse:
                 assert cls.sender_key != K
 
     def test_v1_byte_identical_echo_is_mirrored(self):
-        spec = self.spec_v1()
-        sent = spec.syn_option()
-        echo = TcpOption(30, sent[2:])
-        cls = classify_response(spec, syn_ack([echo]))
+        ctx = self.spec_v1()
+        echo = TcpOption(30, ctx.option[2:])
+        cls = classify_response(ctx, syn_ack([echo]))
         assert cls.kind is ClassificationKind.MIRRORED_KEY
 
     def test_v1_version_mismatch(self):
@@ -230,7 +242,7 @@ class TestClassifyResponse:
         net = SimNetwork(1)
         net.add_path("10.0.0.1", 80, SimPath([true_host(0)]))
         with pytest.raises(RuntimeError, match="decoder fault"):
-            net.handshake(build_syn_probe(self.spec_v0()))
+            net.handshake(build_syn_probe(self.spec_v0(), "10.0.0.1", 80))
 
     @given(
         version=st.sampled_from([0, 1]),
@@ -240,12 +252,12 @@ class TestClassifyResponse:
     )
     @settings(max_examples=200)
     def test_total_function(self, version, flags, payload, has_resp):
-        spec = ProbeSpec("10.0.0.1", 80, version, K if version == 0 else None)
+        ctx = ProbeContext(version, K if version == 0 else None)
         resp = None
         if has_resp:
             options = [TcpOption(30, payload)] if payload else []
             resp = ProbeResponse(flags, options, 0.0)
-        cls = classify_response(spec, resp)
+        cls = classify_response(ctx, resp)
         assert isinstance(cls, Classification)
         assert isinstance(cls.kind, ClassificationKind)
 
@@ -500,6 +512,124 @@ def test_scan_and_trace_share_one_loop(command, version, targets, blocked, faili
         elif command == "scan":  # the failed send kept its slot
             assert row.timestamp == clean_row.timestamp
     assert waits == sends  # one pacer wait per packet sent
+
+
+# -- the campaign's ProbeContext against the documented derivations ------------
+
+
+def reference_syn(version, key, seed, target, port) -> TcpPacket:
+    """The SYN the documented derivations give, built without a context."""
+    seed_key = seed.to_bytes(8, "big")
+    flow = f"{target},{port}".encode()
+    seq = hashlib.blake2b(flow, key=seed_key, digest_size=4).digest()
+    sport = hashlib.blake2b(b"sport:" + flow, key=seed_key, digest_size=2).digest()
+    v6 = ipaddress.ip_address(target).version == 6
+    return TcpPacket("2001:db8:ffff::1" if v6 else "192.0.2.1", target,
+                     32768 + int.from_bytes(sport, "big") % 28000, port,
+                     int.from_bytes(seq, "big"),
+                     options=encode_mp_capable(MpCapable(version, DEFAULT_MP_FLAGS, key),
+                                               HandshakePhase.SYN))
+
+
+def reference_classify(version, key, sent: bytes, resp) -> Classification:
+    """The classification that looked up the sent SYN's option per probe."""
+    kinds = ClassificationKind
+    if resp is None:
+        return Classification(kinds.NO_RESPONSE)
+    if resp.tcp_flags & FLAG_SYN_ACK != FLAG_SYN_ACK:
+        return Classification(kinds.NO_RESPONSE,
+                              note="reset" if resp.tcp_flags & FLAG_RST else "not a SYN-ACK")
+    kind30 = [o for o in resp.options if o.kind == 30]
+    if not kind30:
+        return Classification(kinds.NO_MP_CAPABLE)
+    if version == 1 and TcpOption(30, sent[2:]) in kind30:
+        return Classification(kinds.MIRRORED_KEY)
+    decoded, notes = [], []
+    for opt in kind30:
+        try:
+            decoded.append(decode_mp_capable(opt, HandshakePhase.SYN_ACK))
+        except OptionError as exc:
+            notes.append(str(exc))
+    if not decoded:
+        return Classification(kinds.NO_MP_CAPABLE, note="; ".join(notes) or None)
+    if version == 0 and any(mc.sender_key == key for mc in decoded):
+        return Classification(kinds.MIRRORED_KEY, sender_key=key)
+    if decoded[0].version != version:
+        return Classification(kinds.VERSION_MISMATCH, got_version=decoded[0].version)
+    return Classification(kinds.POTENTIAL_CAPABLE, sender_key=decoded[0].sender_key,
+                          got_version=decoded[0].version)
+
+
+_NODES = st.sampled_from([mirror(), strip(), key_rewrite(), drop(), silent(), quoting()])
+_ENDPOINTS = st.sampled_from([true_host(0), true_host(1), true_host(0, 1), tcp_host()])
+
+
+@given(
+    version=st.sampled_from([0, 1]),
+    key=st.integers(0, 2**64 - 1).map(Key),
+    seed=st.integers(0, 2**64 - 1),
+    targets=st.lists(
+        st.tuples(st.one_of(st.ip_addresses(v=4), st.ip_addresses(v=6)).map(str),
+                  st.integers(0, 65535),
+                  st.lists(_NODES, max_size=3), _ENDPOINTS),
+        min_size=1, max_size=6),
+    replies=st.lists(st.tuples(st.integers(0, 255), st.binary(max_size=20)), max_size=4),
+)
+@example(version=1, key=Key(1), seed=0, targets=[("10.0.0.1", 80, [mirror()], true_host(1))],
+         replies=[])
+@example(version=0, key=DEFAULT_PROBE_KEY, seed=0,
+         targets=[("2001:db8::1", 443, [mirror()], true_host(0))], replies=[])
+@settings(max_examples=200, deadline=None)
+def test_context_probes_match_the_documented_derivations(version, key, seed, targets, replies):
+    key = key if version == 0 else None
+    ctx = ProbeContext(version, key, seed)
+    sent = ctx.option
+    net = SimNetwork(seed)
+    for target, port, interior, endpoint in targets:
+        net.add_path(target, port, SimPath([*interior, endpoint]))
+    for target, port, _interior, _endpoint in targets:
+        syn = build_syn_probe(ctx, target, port)
+        want = reference_syn(version, key, seed, target, port)
+        assert syn == want
+        assert encode_packet(syn) == encode_packet(want)
+        answers = [net.handshake(syn), net.ttl_probe(syn, 64),
+                   *(ProbeResponse(flags, [TcpOption(30, data)], 1.0) for flags, data in replies),
+                   ProbeResponse(FLAG_SYN_ACK, [TcpOption(30, sent[2:])], 1.0)]  # an echo
+        for resp in answers:
+            assert classify_response(ctx, resp) == reference_classify(version, key, sent, resp)
+
+
+def test_campaign_constants_are_built_once_per_campaign(monkeypatch):
+    # A 300-target scan and trace of each version: the keyed hashers are built
+    # and the SYN's view looked up a constant number of times, not per target.
+    # (The simulator reads each SYN it is sent in its own module; that is the
+    # network's work, not the prober's.)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(probe, "blake2b", counted("blake2b", probe.blake2b))
+    for module in (probe, tracer):
+        monkeypatch.setattr(module, "syn_view",
+                            counted("syn_view", getattr(module, "syn_view", options.syn_view)),
+                            raising=False)
+    options.syn_view.cache_clear()
+    net = generate_population(300, seed=6)
+    campaigns = 0
+    for version in (0, 1):
+        scan = list(run_campaign(net.targets(), version=version, guard=virtual_guard(1e6),
+                                 transport=net, seed=6))
+        trace = list(trace_campaign(net.targets(), version=version, guard=virtual_guard(1e6),
+                                    transport=net, max_ttl=8, seed=6))
+        campaigns += 2
+        assert len(scan) == len(trace) == 300
+        assert {r.label for r in scan} >= {"potential_capable", "no_mp_capable"}
+    assert calls["blake2b"] <= 2 * campaigns  # a sequence-number and a source-port hasher
+    assert calls["syn_view"] <= campaigns
 
 
 # -- pacing against a real clock ------------------------------------------------

@@ -23,7 +23,7 @@ from mptcpkit.options import (
     syn_view,
 )
 from mptcpkit.packet import TcpFlags
-from mptcpkit.probe import DEFAULT_PROBE_KEY, ProbeResponse, ProbeSpec
+from mptcpkit.probe import DEFAULT_PROBE_KEY, ProbeContext, ProbeResponse
 from mptcpkit.tracer import (
     HopRecord,
     OptionDiff,
@@ -122,6 +122,10 @@ class TestDiffOptions:
         assert diff_options(view(sent), observed) == reference_diff_options(sent, observed)
 
 
+# The v0 campaign every test here probes with: the default key, seed 0.
+V0 = ProbeContext(0, DEFAULT_PROBE_KEY)
+
+
 def network(path: SimPath, target="10.5.5.5", port=80, seed=2) -> SimNetwork:
     net = SimNetwork(seed)
     net.add_path(target, port, path)
@@ -131,7 +135,7 @@ def network(path: SimPath, target="10.5.5.5", port=80, seed=2) -> SimNetwork:
 class TestProbePath:
     def test_true_host_path(self):
         net = network(SimPath([quoting(), quoting(), true_host(0)]))
-        trace = probe_path("10.5.5.5", 80, 0, 10, net)
+        trace = probe_path(V0, "10.5.5.5", 80, 10, net)
         assert [h.diff.kind for h in trace.hops] == [
             OptionDiffKind.UNTOUCHED,
             OptionDiffKind.UNTOUCHED,
@@ -141,7 +145,7 @@ class TestProbePath:
 
     def test_silent_routers_unobserved(self):
         net = network(SimPath([silent(), silent(), true_host(0)]))
-        trace = probe_path("10.5.5.5", 80, 0, 10, net)
+        trace = probe_path(V0, "10.5.5.5", 80, 10, net)
         assert [h.diff.kind for h in trace.hops] == [
             OptionDiffKind.UNOBSERVED,
             OptionDiffKind.UNOBSERVED,
@@ -150,7 +154,7 @@ class TestProbePath:
 
     def test_strip_first_diff_at_its_ttl(self):
         net = network(SimPath([quoting(), strip(), tcp_host()]))
-        trace = probe_path("10.5.5.5", 80, 0, 10, net)
+        trace = probe_path(V0, "10.5.5.5", 80, 10, net)
         kinds = [h.diff.kind for h in trace.hops]
         assert kinds[0] is OptionDiffKind.UNTOUCHED
         assert kinds[1] is OptionDiffKind.STRIPPED
@@ -158,19 +162,19 @@ class TestProbePath:
 
     def test_black_hole_walks_all_ttls(self):
         net = network(SimPath([drop(), tcp_host()]))
-        trace = probe_path("10.5.5.5", 80, 0, 5, net)
+        trace = probe_path(V0, "10.5.5.5", 80, 5, net)
         assert len(trace.hops) == 5
         assert all(h.diff.kind is OptionDiffKind.UNOBSERVED for h in trace.hops)
         assert trace.final_response is None
 
     def test_early_exit_on_final_response(self):
         net = network(SimPath([true_host(0)]))
-        trace = probe_path("10.5.5.5", 80, 0, 30, net)
+        trace = probe_path(V0, "10.5.5.5", 80, 30, net)
         assert len(trace.hops) == 1
 
     def test_truncated_quote_recorded_unobserved(self):
         net = network(SimPath([quoting(28), true_host(0)]))
-        trace = probe_path("10.5.5.5", 80, 0, 10, net)
+        trace = probe_path(V0, "10.5.5.5", 80, 10, net)
         first = trace.hops[0]
         assert first.responder is not None
         assert first.quoted_options is None
@@ -179,9 +183,9 @@ class TestProbePath:
     def test_max_ttl_range_enforced(self):
         net = network(SimPath([true_host(0)]))
         with pytest.raises(ValueError):
-            probe_path("10.5.5.5", 80, 0, 0, net)
+            probe_path(V0, "10.5.5.5", 80, 0, net)
         with pytest.raises(ValueError):
-            probe_path("10.5.5.5", 80, 0, 65, net)
+            probe_path(V0, "10.5.5.5", 80, 65, net)
 
 
 def hop(ttl, kind, new_key=None):
@@ -245,16 +249,15 @@ class TestMirrorCrossCheck:
         from mptcpkit.probe import build_syn_probe, classify_response
 
         net = network(SimPath([mirror(), tcp_host()]))
-        spec = ProbeSpec("10.5.5.5", 80, 0, DEFAULT_PROBE_KEY)
-        cls = classify_response(spec, net.handshake(build_syn_probe(spec)))
+        cls = classify_response(V0, net.handshake(build_syn_probe(V0, "10.5.5.5", 80)))
         assert cls.kind.value == "mirrored_key"
-        _trace, verdict = inspect_target("10.5.5.5", 80, 0, net, max_ttl=10)
+        _trace, verdict = inspect_target(V0, "10.5.5.5", 80, net, max_ttl=10)
         assert verdict.kind is not PathVerdictKind.TRULY_CAPABLE
         assert verdict.kind is PathVerdictKind.NOT_CAPABLE
 
     def test_mirror_hiding_true_host_still_not_capable(self):
         net = network(SimPath([mirror(), true_host(0)]))
-        _trace, verdict = inspect_target("10.5.5.5", 80, 0, net, max_ttl=10)
+        _trace, verdict = inspect_target(V0, "10.5.5.5", 80, net, max_ttl=10)
         assert verdict.kind is PathVerdictKind.NOT_CAPABLE
 
 

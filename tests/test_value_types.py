@@ -18,10 +18,10 @@ import mptcpkit
 from mptcpkit.cli import main
 from mptcpkit.netsim import NodeBehavior, parse_topology
 from mptcpkit.options import Key, MpCapable, TcpOption, syn_view
-from mptcpkit.probe import DEFAULT_PROBE_KEY, ProbeSpec, build_syn_probe
+from mptcpkit.probe import DEFAULT_PROBE_KEY, ProbeContext, build_syn_probe
 from mptcpkit.store import UNKNOWN_ASN, AsnInfo
 
-FROZEN = {Key, TcpOption, MpCapable, NodeBehavior, AsnInfo}
+FROZEN = {Key, TcpOption, MpCapable, NodeBehavior, AsnInfo, ProbeContext}
 
 
 def _package_dataclasses() -> dict[str, type]:
@@ -59,8 +59,8 @@ def test_only_shared_values_are_frozen_and_hashable(name):
 
 
 def _options_seen_in_campaigns() -> list[bytes]:
-    v0 = build_syn_probe(ProbeSpec("10.0.0.1", 80, 0, DEFAULT_PROBE_KEY)).options
-    v1 = build_syn_probe(ProbeSpec("2001:db8::1", 443, 1)).options
+    v0 = build_syn_probe(ProbeContext(0, DEFAULT_PROBE_KEY), "10.0.0.1", 80).options
+    v1 = build_syn_probe(ProbeContext(1), "2001:db8::1", 443).options
     # MSS and a NOP around the MP_CAPABLE; an option list without one.
     return [v0, v1, b"\x02\x04\x05\xb4\x01" + v0, b"\x02\x04\x05\xb4"]
 
@@ -76,7 +76,7 @@ def _cached_values() -> list[object]:
 def test_shared_values_refuse_assignment():
     net = parse_topology(["path 10.0.0.1 80 key_rewrite(seed=3) quoting(64) true_host(v0)"])
     values = [DEFAULT_PROBE_KEY, UNKNOWN_ASN, *net.paths[("10.0.0.1", 80)].nodes,
-              *_cached_values()]
+              *_cached_values(), ProbeContext(1)]
     assert {type(v) for v in values} == FROZEN
     for value in values:
         field = dataclasses.fields(value)[0].name
