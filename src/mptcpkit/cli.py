@@ -433,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     probing.add_argument("--version", type=int, choices=(0, 1), default=0)
     probing.add_argument("--probe-key", type=Key.from_hex, default=None, help="hex v0 probe key")
     probing.add_argument("--sim-topology", default=None)
-    probing.add_argument("--timeout-ms", type=_ranged(float, 0, above=True), default=2000.0)
+    probing.add_argument("--timeout-ms", type=_ranged(float, 0, 2**31 - 1, above=True),
+                         default=2000.0)  # at most what `poll` takes, in ms
     probing.add_argument("--seed", type=_seed, default=0)
 
     scan = sub.add_parser(
@@ -459,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     keys.add_argument("--probe-key", type=Key.from_hex, default=DEFAULT_PROBE_KEY)
 
     simulate = sub.add_parser("simulate", help="generate a simulated topology")
-    simulate.add_argument("--generate", type=_ranged(int, 0), required=True, metavar="N")
+    simulate.add_argument("--generate", type=_ranged(int, 0, netsim.MAX_GENERATED_TARGETS),
+                          required=True, metavar="N")
     simulate.add_argument("--out-topology", required=True)
     simulate.add_argument("--out-targets", required=True)
     simulate.add_argument("--out-truth", default=None)

@@ -27,13 +27,13 @@ mirror that sees an MP_CAPABLE, or the first key_rewrite that rewrites one,
 answers; else the endpoint does. `ground_truth` reads them from the path
 alone, up to the first strip; neither the target's address family nor a
 quoting router's size decides a label.
-Identical seeds and topologies produce byte-identical traffic: each key a
-node draws is a blake2b digest of its stream (address, port, hop) and draw
-number, and the network keeps only a count per stream. A key_rewrite draws
-one key on every pass, and, when it rewrites and the SYN reaches the
-endpoint (which no SYN does on a path with a drop), its echo's key right
-after. The endpoint draws whenever it answers with MP_CAPABLE, even when a
-nearer node's reply hides its key. The simulator reads each SYN through
+The network keeps no per-target state: a reply is a function of the
+topology, the seed and the packet, so a repeated SYN gets the same reply,
+keys included, as from a TCP stack that retransmits its SYN-ACK. Each key is
+the 8-byte blake2b of `seed|address|port|hop|role`: the hop is the TTL the
+node answers at, and role 0 is a host's key or a key_rewrite's rewrite, role
+1 a key_rewrite's echo into the SYN-ACK. A `seed=N` node hashes
+`seed=N|role`, the same at every target. The simulator reads each SYN through
 `options.syn_view` and rewrites a key with `options.with_sender_key`; it
 knows no MP_CAPABLE byte layout of its own.
 """
@@ -81,7 +81,7 @@ class BehaviorKind(Enum):
 
 
 ENDPOINT_KINDS = {BehaviorKind.TRUE_MPTCP_HOST, BehaviorKind.TCP_ONLY_HOST}
-SEEDED_KINDS = {BehaviorKind.TRUE_MPTCP_HOST, BehaviorKind.KEY_REWRITE_MIDDLEBOX}  # draw keys
+SEEDED_KINDS = {BehaviorKind.TRUE_MPTCP_HOST, BehaviorKind.KEY_REWRITE_MIDDLEBOX}  # hash keys
 DEFAULT_QUOTE_BYTES = 128
 
 
@@ -148,8 +148,8 @@ class SimPath:
     What the simulator asks of a path on every probe (its interior, whether
     it drops or strips, its round trip) is worked out once, at construction;
     the nodes are kept as a tuple, and a path is not changed afterwards.
-    A path holds no per-target state (the SimNetwork counts key draws by
-    address, port and hop), so targets with equal paths share one.
+    A path holds no per-target state (a key hashes its target's address and
+    port), so targets with equal paths share one.
     """
 
     nodes: tuple[NodeBehavior, ...]
@@ -197,10 +197,7 @@ class SimNetwork:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.paths: dict[tuple[str, int], SimPath] = {}
-        # Draws so far per key stream, keyed by its `address|port|hop` bytes,
-        # which hold no reference to the caller's address and port objects.
-        self._key_draws: dict[bytes, int] = {}
-        # Has absorbed `seed|`: a node without a seed of its own draws each key from a copy.
+        # Has absorbed `seed|`: a node without a seed of its own hashes each key from a copy.
         self._key_hash = blake2b(b"%d|" % seed, digest_size=8)
 
     def add_path(self, address: str, port: int, path: SimPath) -> None:
@@ -209,25 +206,17 @@ class SimNetwork:
     def targets(self) -> list[tuple[str, int]]:
         return sorted(self.paths)
 
-    def _next_key(self, address: str, port: int, index: int, node: NodeBehavior) -> Key:
-        """Key *n* of the stream at hop `index` of (address, port): the blake2b
-        of its identity and *n*. A `seed=N` node hashes `seed=N` and *n* alone
-        (no network seed's text starts so), the same at every target."""
-        ident = f"{address}|{port}|{index}".encode()
-        n = self._key_draws.get(ident, 0)
-        self._key_draws[ident] = n + 1
+    def _key(self, address: str, port: int, hop: int, node: NodeBehavior, role: int = 0) -> Key:
+        """The key of `node` at `hop` of (address, port) in `role`: the blake2b
+        of `seed|address|port|hop|role`. A `seed=N` node hashes `seed=N|role`
+        alone (no network seed's text starts so), the same at every target."""
         seed = node.key_seed
         if seed is None:
             h = self._key_hash.copy()
-            h.update(b"%s|%d" % (ident, n))
+            h.update(f"{address}|{port}|{hop}|{role}".encode())
         else:
-            h = blake2b(b"seed=%d|%d" % (seed, n), digest_size=8)
+            h = blake2b(b"seed=%d|%d" % (seed, role), digest_size=8)
         return Key(int.from_bytes(h.digest(), "big"))
-
-    def _hop_address(self, target: str, ttl: int) -> str:
-        if ":" in target:
-            return f"2001:db8:ee::{ttl:x}"
-        return f"198.51.100.{ttl}"
 
     # -- the one walk -------------------------------------------------------
 
@@ -235,7 +224,7 @@ class SimNetwork:
         """The reply to `syn` sent with `ttl`: the quote of hop `ttl` when that
         hop lies inside the path, else the endpoint's SYN-ACK; None when a drop
         or a silent hop absorbs it. One forward walk over `path.interior[:ttl]`
-        transforms the options bytes and draws keys as the module docstring
+        transforms the options bytes and hashes keys as the module docstring
         states. The SYN-ACK's one option, if any, comes from an encoder or a
         parse, so it is not parsed again and carries no note.
         """
@@ -245,7 +234,6 @@ class SimNetwork:
         options, parsed, mp, mc = syn.options, view.parsed, view.mp, view.any_mc
         keyed = mc is not None and mc.sender_key is not None
         address, port, interior = syn.dst, syn.dst_port, path.interior
-        echoes = ttl > len(interior) and not path.drops
         reply = None
         for i, node in enumerate(interior[:ttl], start=1):
             kind = node.kind
@@ -255,15 +243,13 @@ class SimNetwork:
                 parsed = [o for o in parsed if o.kind != 30]
                 options = encode_options(parsed)
                 mp, keyed = None, False
-            elif kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX:
-                key = self._next_key(address, port, i, node)
-                if keyed:  # a rewrite keeps the option's form, so it stays keyed
-                    mp = with_sender_key(mp, key)
-                    parsed = [mp, *(o for o in parsed if o.kind != 30)]
-                    options = encode_options(parsed)
-                    if echoes:
-                        key = self._next_key(address, port, i, node)
-                        reply = reply or with_sender_key(mp, key)
+            elif kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX and keyed:
+                # A rewrite keeps the option's form, so it stays keyed. Its echo
+                # is the reply only if the SYN reaches the endpoint.
+                mp = with_sender_key(mp, self._key(address, port, i, node))
+                parsed = [mp, *(o for o in parsed if o.kind != 30)]
+                options = encode_options(parsed)
+                reply = reply or with_sender_key(mp, self._key(address, port, i, node, 1))
             elif kind is BehaviorKind.MIRROR_MIDDLEBOX:
                 reply = reply or mp
         if ttl <= len(interior):
@@ -274,18 +260,18 @@ class SimNetwork:
             quoted = encode_packet(syn, ttl=0, options=options)
             if node.kind is BehaviorKind.QUOTING_ROUTER:
                 quoted = quoted[: node.quote_bytes]
-            rtt = 2.0 * path.per_hop_latency_ms * ttl
-            return HopReply(self._hop_address(address, ttl), quoted, rtt)
+            responder = f"2001:db8:ee::{ttl:x}" if ":" in address else f"198.51.100.{ttl}"
+            return HopReply(responder, quoted, 2.0 * path.per_hop_latency_ms * ttl)
         # `mp` is the SYN's own option or a key_rewrite of it, which changes
         # only the key bytes, so it decodes as `view.syn_mc` does.
         endpoint, mc = path.endpoint, view.syn_mc
-        if (mp is not None and mc is not None and endpoint.kind is BehaviorKind.TRUE_MPTCP_HOST
+        if (reply is None and mp is not None and mc is not None
+                and endpoint.kind is BehaviorKind.TRUE_MPTCP_HOST
                 and mc.version in endpoint.supported_versions):
-            # Interior node i draws on stream i; the endpoint on the TTL it answers at.
-            key = self._next_key(address, port, len(path.nodes), endpoint)
-            if reply is None:
-                answer = MpCapable(mc.version, DEFAULT_MP_FLAGS, key)
-                reply = TcpOption(30, encode_mp_capable(answer, HandshakePhase.SYN_ACK)[2:])
+            # The endpoint's hop is the TTL it answers at.
+            key = self._key(address, port, len(path.nodes), endpoint)
+            answer = MpCapable(mc.version, DEFAULT_MP_FLAGS, key)
+            reply = TcpOption(30, encode_mp_capable(answer, HandshakePhase.SYN_ACK)[2:])
         return ProbeResponse(FLAG_SYN_ACK, [] if reply is None else [reply], path.rtt_ms)
 
     # -- transport contract -------------------------------------------------
@@ -313,8 +299,8 @@ def ground_truth(path: SimPath, version: int) -> GroundTruth:
     keyed (v0) option, is the first modifying TTL, since a node that changes
     the option quotes the whole packet it forwards; the nearest mirror
     (`mirrored_key`) or keyed key_rewrite (`potential_capable`) answers;
-    past them, an unstripped option reaching a true_host of `version` draws
-    a fresh key. Anything else gets no MP_CAPABLE.
+    past them, an unstripped option reaching a true_host of `version` gets a
+    key of the host's own. Anything else gets no MP_CAPABLE.
     """
     if path.drops:
         return GroundTruth(ClassificationKind.NO_RESPONSE, PathVerdictKind.UNREACHABLE)
@@ -391,8 +377,8 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
     line: `line N: <message>`, N counting comment and blank lines too.
     """
     net = SimNetwork(seed)
-    # Node behaviors are frozen and key streams are keyed by position, not by
-    # node, so paths can share one instance per distinct token.
+    # Node behaviors are frozen and keys are hashed by position, not by node,
+    # so paths can share one instance per distinct token.
     parse_node = functools.lru_cache(maxsize=None)(_parse_node)
     paths_by_text: dict[str, SimPath] = {}
     ports: dict[str, int] = {}

@@ -172,7 +172,8 @@ def classify_response(ctx: ProbeContext, resp: ProbeResponse | None) -> Classifi
     v0: a returned sender's key equal to ours means a mirroring middlebox;
     a different key is potentially MPTCP-capable. v1: a byte-identical echo
     of our option means mirroring (checked before anything else), and a
-    decoded version other than 1 is a version mismatch.
+    decoded version other than 1 is a version mismatch. When no MP_CAPABLE
+    decodes, the note joins the decode errors and `resp.note` by `; `.
     """
     if resp is None:
         return Classification(ClassificationKind.NO_RESPONSE)
@@ -180,9 +181,6 @@ def classify_response(ctx: ProbeContext, resp: ProbeResponse | None) -> Classifi
         note = "reset" if resp.tcp_flags & FLAG_RST else "not a SYN-ACK"
         return Classification(ClassificationKind.NO_RESPONSE, note=note)
     kind30 = [o for o in resp.options if o.kind == 30]
-    if not kind30:
-        return Classification(ClassificationKind.NO_MP_CAPABLE)
-
     if ctx.version == 1 and ctx.view.mp in kind30:
         return Classification(ClassificationKind.MIRRORED_KEY)  # a byte-identical echo
 
@@ -194,9 +192,9 @@ def classify_response(ctx: ProbeContext, resp: ProbeResponse | None) -> Classifi
         except OptionError as exc:  # every codec error folds into a diagnostic
             notes.append(str(exc))
     if not decoded:
-        return Classification(
-            ClassificationKind.NO_MP_CAPABLE, note="; ".join(notes) or None
-        )
+        if resp.note is not None:
+            notes.append(resp.note)
+        return Classification(ClassificationKind.NO_MP_CAPABLE, note="; ".join(notes) or None)
 
     if ctx.version == 0:
         for mc in decoded:
@@ -343,9 +341,13 @@ class PacedTransport:
         return self.inner.fetch(target, port, run)
 
 
+# A scan row's label: a classification, or why the target has none.
+SCAN_LABELS = frozenset({k.value for k in ClassificationKind} | {"skipped", "dry_run", "error"})
+
+
 @dataclass(slots=True)
 class CampaignRecord:
-    """One output record per target; `label` adds skipped/dry_run outcomes."""
+    """One output record per target; `label` is one of SCAN_LABELS."""
 
     timestamp: float
     address: str
@@ -397,16 +399,13 @@ class CampaignRecord:
                 raise TypeError(f"port and version must be integers, got {port!r}, {version!r}")
             if type(timestamp) not in (int, float):
                 raise TypeError(f"timestamp must be a number, got {timestamp!r}")
-            return cls(
-                timestamp=float(timestamp),
-                address=address,
-                port=port,
-                version=version,
-                label=label,
-                sender_key=Key.from_hex(key) if key else None,
-                got_version=payload.get("got_version"),
-                note=payload.get("note"),
-            )
+            got_version, note = payload.get("got_version"), payload.get("note")
+            if type(got_version) not in (int, type(None)) or got_version not in (None, 0, 1):
+                raise TypeError(f"got_version must be null, 0 or 1, got {got_version!r}")
+            if not isinstance(note, (str, type(None))):
+                raise TypeError(f"note must be null or a string, got {note!r}")
+            return cls(float(timestamp), address, port, version, label,
+                       Key.from_hex(key) if key else None, got_version, note)
         except (AttributeError, KeyError, OverflowError, TypeError) as exc:
             raise ValueError(f"bad scan record ({exc!r}): {line!r}") from None
 
@@ -417,6 +416,8 @@ class CampaignRecord:
         checked_target(record.address, record.port)
         if record.version not in (0, 1):
             raise ValueError(f"version must be 0 or 1, got {record.version}")
+        if record.label not in SCAN_LABELS:
+            raise ValueError(f"unknown classification {record.label!r}")
         return record
 
 

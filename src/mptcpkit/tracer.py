@@ -194,9 +194,13 @@ def inspect_target(
     return trace, classify_path(trace.hops, trace.final_response)
 
 
+# A trace row's verdict: a path verdict, or why the target has none.
+TRACE_VERDICTS = frozenset({k.value for k in PathVerdictKind} | {"skipped", "error"})
+
+
 @dataclass(slots=True)
 class TraceRecord:
-    """One verdict per inspected target, in wire-file form."""
+    """One verdict per inspected target, in wire-file form, of TRACE_VERDICTS."""
 
     address: str
     port: int
@@ -215,6 +219,8 @@ class TraceRecord:
         if len(parts) != 5:
             raise ValueError(f"expected 5 fields, got {len(parts)}: {line!r}")
         address, port, verdict, ttl, key = parts
+        if verdict not in TRACE_VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
         return cls(*checked_target(address, int(port)), verdict, int(ttl) if ttl else None,
                    Key.from_hex(key) if key else None)
 

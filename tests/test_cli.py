@@ -2,7 +2,9 @@ import gc
 import json
 import os
 import re
+import select
 import shlex
+import socket
 import stat
 import subprocess
 import sys
@@ -940,16 +942,19 @@ OUT_OF_RANGE = [
      "-k", "-1", "must be >= 1"),
     (("report", "consistent", "--store", "store", "--at", "2021-01", "--out", "out.txt"),
      "--window", "0", "must be >= 1"),
+] + [
     (("simulate", "--seed", "1", "--out-topology", "t.txt", "--out-targets", "g.csv"),
-     "--generate", "-5", "must be >= 0"),
+     "--generate", value, "must be >= 0 and <= 16777215")
+    for value in ("-5", "16777216")  # 2**24 - 1 targets, the most 10.x.y.z numbers
+] + [
     (("bench", "--targets", "targets.csv", *_SIM, "--out-dir", "bench-out"),
      "--fallback-penalty-ms", "-500", "must be >= 0"),
     (("bench", "--targets", "targets.csv", *_SIM, "--out-dir", "bench-out"),
      "--zero-tol", "-1", "must be >= 0"),
     (("scan", "--targets", "targets.csv", *_SIM, "--out", "out.txt"),
-     "--timeout-ms", "-1", "must be > 0"),
+     "--timeout-ms", "-1", "must be > 0 and <= 2147483647"),
     (("trace", "--targets", "targets.csv", *_SIM, "--out", "out.txt"),
-     "--timeout-ms", "0", "must be > 0"),
+     "--timeout-ms", "0", "must be > 0 and <= 2147483647"),
 ]
 
 
@@ -971,6 +976,39 @@ def test_out_of_range_number_is_a_usage_error(workdir, capsys, monkeypatch, argv
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         f"argument {option}: {bound}, got {value}")
     assert _tree(workdir) == before
+
+
+@pytest.mark.parametrize("command", ["scan", "trace"])
+@pytest.mark.parametrize("value", ["3e9", "inf", "2147483648"])
+def test_live_timeout_beyond_what_poll_takes_exits_2_before_any_socket(command, value, workdir,
+                                                                      capsys, monkeypatch):
+    # `poll` would raise OverflowError mid-campaign: refused while parsing.
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr("mptcpkit.live.socket.socket", no_socket)
+    monkeypatch.chdir(workdir)
+    argv = [command, "--targets", "targets.csv", "--blocklist", "blocklist.txt",
+            "--rate", "10", "--timeout-ms", value, "--out", "out.txt"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"argument --timeout-ms: must be > 0 and <= 2147483647, got {value}")
+    assert not (workdir / "out.txt").exists()
+
+
+def test_the_longest_timeout_is_one_poll_takes():
+    args = cli.build_parser().parse_args(["scan", "--targets", "t", "--timeout-ms", "2147483647"])
+    assert args.timeout_ms == 2**31 - 1
+    a, b = socket.socketpair()
+    with a, b:
+        b.send(b"x")  # ready: poll returns at once
+        polls = select.poll()
+        polls.register(a, select.POLLIN)
+        assert polls.poll(args.timeout_ms)
+        with pytest.raises(OverflowError):
+            polls.poll(args.timeout_ms + 1)
 
 
 def _readme_commands():

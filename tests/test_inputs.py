@@ -321,6 +321,13 @@ SCAN_JSON = {"address": "10.0.0.1", "classification": "potential_capable", "port
     ("timestamp", "nan", "timestamp must be a number, got 'nan'"),
     ("timestamp", True, "timestamp must be a number, got True"),
     ("timestamp", None, "timestamp must be a number, got None"),
+    # got_version and note as the scanner writes them: null, 0 or 1, and null or text.
+    ("got_version", "abc", "got_version must be null, 0 or 1, got 'abc'"),
+    ("got_version", 2, "got_version must be null, 0 or 1, got 2"),
+    ("got_version", True, "got_version must be null, 0 or 1, got True"),
+    ("got_version", 1.0, "got_version must be null, 0 or 1, got 1.0"),
+    ("note", 5, "note must be null or a string, got 5"),
+    ("note", ["reset"], "note must be null or a string, got ['reset']"),
 ])
 def test_a_jsonl_scan_field_of_another_type_names_its_line(field, value, message, tmp_path,
                                                           capsys):
@@ -330,6 +337,49 @@ def test_a_jsonl_scan_field_of_another_type_names_its_line(field, value, message
     assert cli.main(["keys", "--from-scan", str(path)]) == 1
     assert capsys.readouterr().err == (
         f"error: {path}: line 3: bad scan record (TypeError({message!r})): {row!r}\n")
+
+
+SCAN_ROW = "0.5,10.0.0.2,80,0,no_response,"
+TRACE_ROW = "10.0.0.2,80,truly_capable,,"
+INGEST = ["report", "ingest", "--store", "store", "--date", "2026-01", "--in"]
+
+
+@pytest.mark.parametrize("argv, first, row, message", [
+    (INGEST, SCAN_ROW, "0.5,10.0.0.1,80,0,banana,", "unknown classification 'banana'"),
+    (INGEST, SCAN_ROW, json.dumps({**SCAN_JSON, "classification": "banana"}),
+     "unknown classification 'banana'"),
+    (["keys", "--from-scan"], SCAN_ROW, "0.5,10.0.0.1,80,0,truly_capable,ab",
+     "unknown classification 'truly_capable'"),  # a trace verdict
+    (["report", "summary", "--in"], TRACE_ROW, "10.0.0.1,80,banana,,",
+     "unknown verdict 'banana'"),
+    (["report", "top", "--prefixes", "none.txt", "--in"], TRACE_ROW,
+     "10.0.0.1,80,potential_capable,,", "unknown verdict 'potential_capable'"),  # a scan label
+    (["report", "overlap", "--set-b", "none.txt", "--set-a"], SCAN_ROW,
+     "0.5,10.0.0.1,80,0,dry-run,", "unknown classification 'dry-run'"),
+])
+def test_a_label_the_program_never_writes_names_its_line(argv, first, row, message, tmp_path,
+                                                         monkeypatch, capsys):
+    # Filed, `banana` would be a class of host in a snapshot that no report knows.
+    monkeypatch.chdir(tmp_path)
+    path = _write_inputs(tmp_path / "in", f"# rows\n{first}\n{row}\n")
+    (tmp_path / "none.txt").write_text("")
+    assert cli.main([*argv, str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 3: {message}\n"
+    assert not (tmp_path / "store").exists()
+
+
+def test_every_label_the_program_writes_reads_back():
+    from mptcpkit.probe import SCAN_LABELS, ClassificationKind
+    from mptcpkit.tracer import TRACE_VERDICTS, PathVerdictKind, TraceRecord
+
+    assert SCAN_LABELS == {k.value for k in ClassificationKind} | {"skipped", "dry_run", "error"}
+    assert TRACE_VERDICTS == {k.value for k in PathVerdictKind} | {"skipped", "error"}
+    for label in SCAN_LABELS:
+        assert CampaignRecord.parse(f"0.5,10.0.0.1,80,1,{label},").label == label
+        row = json.dumps({**SCAN_JSON, "classification": label})
+        assert CampaignRecord.parse(row).label == label
+    for verdict in TRACE_VERDICTS:
+        assert TraceRecord.from_csv(f"10.0.0.1,80,{verdict},,").verdict == verdict
 
 
 @pytest.mark.parametrize("timestamp", [0, 0.5, 1e300])

@@ -1,6 +1,8 @@
+import ast
 import functools
 import gc
 import hashlib
+import inspect
 import ipaddress
 import itertools
 import random
@@ -123,7 +125,9 @@ class TestHandshake:
                 net.ttl_probe(ack, ttl)
         with pytest.raises(ValueError, match="ttl must be >= 1"):
             net.ttl_probe(v0_syn(), 0)
-        assert net._key_draws == {}  # a refused packet draws no key
+        # A refused packet leaves nothing behind: the next reply is a fresh network's.
+        fresh = network_for(SimPath([key_rewrite(), true_host(0)]))
+        assert net.handshake(v0_syn()) == fresh.handshake(v0_syn())
 
     def test_strip_hides_option_from_endpoint(self):
         net = network_for(SimPath([strip(), true_host(0)]))
@@ -215,13 +219,20 @@ class TestDeterminism:
         # a host's fresh keys differ under a different seed
         assert run(7) != run(8)
 
-    def test_repeated_handshakes_draw_fresh_keys(self):
-        net = network_for(SimPath([true_host(0)]))
-        r1 = net.handshake(v0_syn())
-        r2 = net.handshake(v0_syn())
-        k1 = decode_mp_capable(find_mp_capable(r1.options), HandshakePhase.SYN_ACK).sender_key
-        k2 = decode_mp_capable(find_mp_capable(r2.options), HandshakePhase.SYN_ACK).sender_key
-        assert k1 != k2
+    @pytest.mark.parametrize("nodes", [[true_host(0)], [key_rewrite(), tcp_host()],
+                                       [quoting(), key_rewrite(), true_host(0, 1)]],
+                             ids=["host", "echo", "quote-rewrite-echo"])
+    def test_a_repeated_syn_gets_the_identical_reply(self, nodes):
+        # As a TCP stack that holds the half-open connection retransmits its
+        # SYN-ACK: the same key, not a fresh one, at every hop and repeat.
+        net = network_for(SimPath(nodes))
+        replies = [net.handshake(v0_syn()) for _ in range(3)]
+        assert replies[0] == replies[1] == replies[2]
+        key = decode_mp_capable(find_mp_capable(replies[0].options), HandshakePhase.SYN_ACK)
+        assert key.sender_key != DEFAULT_PROBE_KEY
+        quotes = [[net.ttl_probe(v0_syn(), ttl) for ttl in range(1, len(nodes) + 1)]
+                  for _ in range(2)]
+        assert quotes[0] == quotes[1]
 
 
 class TestTopologyFiles:
@@ -315,7 +326,7 @@ class TestTopologyFiles:
             assert all(net.paths[t] is net.paths[targets[0]] for t in targets)
         distinct = len(net.paths) - sum(len(targets) - 1 for targets in self.SHARED)
         assert len({id(p) for p in net.paths.values()}) == distinct
-        for _ in range(3):  # keyed nodes draw a fresh key every round
+        for _ in range(3):  # every round gets the same replies
             for address, port in net.targets():
                 for ctx in (ProbeContext(0, DEFAULT_PROBE_KEY, 11), ProbeContext(1, seed=11)):
                     syn = build_syn_probe(ctx, address, port)
@@ -709,12 +720,14 @@ def _ref_rewrite(option_bytes: bytes, key: Key) -> bytes | None:
     return TcpOption(30, opt.payload[:2] + key.to_bytes() + opt.payload[10:]).encode()
 
 
-def reference_key(seed: int, address: str, port: int, hop: int, n: int,
+def reference_key(seed: int, address: str, port: int, hop: int, role: int,
                   key_seed: int | None) -> Key:
-    """Key `n` of the stream at `hop` of (address, port), as the README states
-    the rule: the 8-byte blake2b of the network seed, address, port, hop and
-    `n`, or of `seed=N` and `n` for a node with `seed=N`."""
-    text = f"{seed}|{address}|{port}|{hop}|{n}" if key_seed is None else f"seed={key_seed}|{n}"
+    """The key at `hop` of (address, port) in `role` (0: a host's key or a
+    key_rewrite's rewrite, 1: a key_rewrite's echo), as the README states the
+    rule: the 8-byte blake2b of the network seed, address, port, hop and
+    role, or of `seed=N` and the role for a node with `seed=N`."""
+    text = (f"{seed}|{address}|{port}|{hop}|{role}" if key_seed is None
+            else f"seed={key_seed}|{role}")
     return Key(int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big"))
 
 
@@ -722,16 +735,11 @@ class ReferenceNetwork(SimNetwork):
     """Replies built the long way: the options bytes are re-parsed at every
     hop, and every SYN-ACK is encoded with `encode_packet`, decoded with
     `decode_packet` and its options parsed with `parse_options_prefix`.
-    Keys come from `reference_key`, counted per stream with its own
-    counters, drawn in path order forward and in reverse order back."""
+    Keys come from `reference_key`: each node works out its own, forward
+    and back, whether or not a nearer reply hides it."""
 
-    def __init__(self, seed=0):
-        super().__init__(seed)
-        self._ref_counters = {}
-
-    def _ref_key(self, syn, hop, node):
-        n = next(self._ref_counters.setdefault((syn.dst, syn.dst_port, hop), itertools.count()))
-        return reference_key(self.seed, syn.dst, syn.dst_port, hop, n, node.key_seed)
+    def _ref_key(self, syn, hop, node, role=0):
+        return reference_key(self.seed, syn.dst, syn.dst_port, hop, role, node.key_seed)
 
     def _ref_forward(self, path, syn, up_to):
         options, records = syn.options, {}
@@ -776,7 +784,7 @@ class ReferenceNetwork(SimNetwork):
             if node.kind is BehaviorKind.MIRROR_MIDDLEBOX and seen is not None:
                 reply = seen
             elif node.kind is BehaviorKind.KEY_REWRITE_MIDDLEBOX and acted:
-                key = self._ref_key(syn, i, node)
+                key = self._ref_key(syn, i, node, role=1)
                 reply = _ref_rewrite(seen, key)
         packet = TcpPacket(
             src=syn.dst, dst=syn.src, src_port=syn.dst_port, dst_port=syn.src_port,
@@ -801,8 +809,10 @@ class ReferenceNetwork(SimNetwork):
         quoted = encode_packet(replace(syn, ttl=0, options=forward))
         if node.kind is BehaviorKind.QUOTING_ROUTER:
             quoted = quoted[: node.quote_bytes]
-        return HopReply(self._hop_address(syn.dst, ttl), quoted,
-                        2.0 * path.per_hop_latency_ms * ttl)
+        # Hop `ttl` of a path answers from 198.51.100.<ttl> or 2001:db8:ee::<ttl in hex>.
+        responder = str(ipaddress.ip_address("2001:db8:ee::" if ":" in syn.dst
+                                             else "198.51.100.0") + ttl)
+        return HopReply(responder, quoted, 2.0 * path.per_hop_latency_ms * ttl)
 
 
 _seeds = st.one_of(st.none(), st.integers(0, 3))
@@ -832,8 +842,8 @@ _around = st.lists(st.sampled_from([b"\x01", b"\x02\x04\x05\xb4", b"\x04\x02", b
     tail=st.sampled_from([b"", b"\x08\x0a\x00"]),
     seed=st.integers(0, 3),
 )
-# A rewriting key_rewrite before a drop draws no echo key; a mirror before a
-# host of the probed version hides a key the host still draws.
+# A rewriting key_rewrite before a drop sends no echo; a mirror before a host
+# of the probed version hides the host's key.
 @example(interior=[key_rewrite(), drop()], endpoint=tcp_host(), address="10.1.2.3",
          probe_key=DEFAULT_PROBE_KEY, before=b"", after=b"", tail=b"", seed=0)
 @example(interior=[mirror()], endpoint=true_host(0, 1), address="10.1.2.3",
@@ -846,7 +856,7 @@ def test_replies_match_encoded_reference(interior, endpoint, address, probe_key,
     net.add_path(address, 443, path)
     ref.add_path(address, 443, path)
     contexts = [ProbeContext(0, probe_key, seed), ProbeContext(1, seed=seed)]
-    for _ in range(2):  # keyed nodes draw fresh keys every round
+    for _ in range(2):  # a repeat gets the same replies
         for ctx in contexts:
             syn = build_syn_probe(ctx, address, 443)
             syn = replace(syn, options=before + syn.options + after + tail)
@@ -882,11 +892,11 @@ _calls = st.lists(
 @example(interior=[mirror(), key_rewrite()], endpoint=true_host(0, 1), address="10.1.2.3",
          probe_key=DEFAULT_PROBE_KEY, calls=[("handshake", 1, 0), ("handshake", 1, 1)], seed=0)
 @settings(max_examples=300, deadline=None)
-def test_call_sequences_draw_keys_as_the_reference_does(interior, endpoint, address,
-                                                        probe_key, calls, seed):
-    # Every pass through a key_rewrite node draws a key, so one network fed a
-    # mixed sequence (repeats, TTLs out of order, both versions) must draw them
-    # in the reference's order for every later reply to match.
+def test_call_sequences_match_the_reference_and_a_fresh_network(interior, endpoint, address,
+                                                                probe_key, calls, seed):
+    # One network fed a mixed sequence (repeats, TTLs out of order, both
+    # versions) answers each call as the reference does, and as a network
+    # that was never asked before: no reply depends on the calls before it.
     path = SimPath([*interior, endpoint])
     net, ref = SimNetwork(seed), ReferenceNetwork(seed)
     net.add_path(address, 443, path)
@@ -895,16 +905,18 @@ def test_call_sequences_draw_keys_as_the_reference_does(interior, endpoint, addr
             1: build_syn_probe(ProbeContext(1, seed=seed), address, 443)}
     for op, ttl, version in calls:
         syn = syns[version]
+        fresh = SimNetwork(seed)
+        fresh.add_path(address, 443, path)
         if op == "handshake":
-            assert net.handshake(syn) == ref.handshake(syn)
+            assert net.handshake(syn) == ref.handshake(syn) == fresh.handshake(syn)
         else:
-            assert net.ttl_probe(syn, ttl) == ref.ttl_probe(syn, ttl)
-    # The network keeps one draw count per stream, and nothing else.
-    assert net._key_draws == {f"{address}|{port}|{hop}".encode(): next(c)
-                              for (address, port, hop), c in ref._ref_counters.items()}
+            assert net.ttl_probe(syn, ttl) == ref.ttl_probe(syn, ttl) == fresh.ttl_probe(syn, ttl)
+    # The network holds its paths, its seed and its seed-keyed hash, and nothing else.
+    assert vars(net).keys() == {"paths", "seed", "_key_hash"}
+    assert net.paths == {(address, 443): path}
 
 
-# -- key draws -------------------------------------------------------------------
+# -- keys ------------------------------------------------------------------------
 
 
 def _handshake_keys(net, targets):
@@ -927,8 +939,8 @@ _KEYED_PATHS = ["true_host(v0)", "key_rewrite tcp_host", "key_rewrite quoting(64
 )
 @settings(max_examples=100, deadline=None)
 def test_stream_keys_do_not_depend_on_interleaving(order, seed):
-    # Each path on an IPv4 and an IPv6 target; draws go in `order`, and each
-    # target's keys equal those of a network that probes only that target.
+    # Each path on an IPv4 and an IPv6 target; handshakes go in `order`, and
+    # each target's keys equal those of a network that probes only that target.
     lines = [f"path {address} 443 {nodes}" for i, nodes in enumerate(_KEYED_PATHS, start=1)
              for address in (f"10.0.0.{i}", f"2001:db8::{i}")]
     net = parse_topology(lines, seed=seed)
@@ -949,17 +961,18 @@ def test_stream_keys_do_not_depend_on_interleaving(order, seed):
     port=st.sampled_from([80, 443]),
     path=st.sampled_from(["key_rewrite(seed={}) tcp_host", "true_host(v0,seed={})",
                           "quoting(64) key_rewrite(seed={}) true_host(v1)"]),
-    draws=st.integers(1, 4),
+    repeats=st.integers(1, 4),
 )
 @settings(max_examples=100, deadline=None)
-def test_seeded_node_draws_one_sequence_at_every_target(key_seed, seed, addresses, port, path,
-                                                        draws):
+def test_seeded_node_gives_one_key_at_every_target_and_repeat(key_seed, seed, addresses, port,
+                                                              path, repeats):
     net = parse_topology([f"path {a} {port} {path.format(key_seed)}" for a in addresses],
                          seed=seed)
-    first, second = ([(a, port)] * draws for a in addresses)
-    keys = _handshake_keys(net, first)
-    assert _handshake_keys(net, second) == keys
-    assert len(set(keys)) == draws  # still a fresh key on every draw
+    keys = _handshake_keys(net, [(a, port) for a in addresses for _ in range(repeats)])
+    # The SYN-ACK carries a host's own key (role 0) or a key_rewrite's echo
+    # (role 1); a seeded node's key reads neither the target nor the hop.
+    role = 0 if path.startswith("true_host") else 1
+    assert keys == [reference_key(seed, addresses[0], port, 1, role, key_seed)] * len(keys)
 
 
 @given(
@@ -970,7 +983,7 @@ def test_seeded_node_draws_one_sequence_at_every_target(key_seed, seed, addresse
 @settings(max_examples=50, deadline=None)
 def test_two_hops_of_one_target_draw_different_keys(seed, address, port):
     # A v0 SYN through two unseeded key_rewrite hops: the TTL 1 quote carries
-    # hop 1's first key, the TTL 2 quote (in a fresh network) hop 2's first key.
+    # hop 1's rewrite, the TTL 2 quote hop 2's.
     line = f"path {address} {port} key_rewrite key_rewrite true_host(v0)"
     syn = build_syn_probe(ProbeContext(0, DEFAULT_PROBE_KEY), address, port)
     quoted = []
@@ -992,17 +1005,19 @@ def test_seed_outside_64_bits_parses_and_draws(key_seed, node):
     assert net.paths[("10.0.0.1", 80)].nodes[0].key_seed == key_seed
     assert format_topology(net) == f"path 10.0.0.1 80 {path}\n"
     keys = _handshake_keys(net, [("10.0.0.1", 80)] * 2)
-    # A host draws once per handshake; a key_rewrite hop draws once per pass
-    # and its echo's key right after, and the reply carries the echo's key.
-    hop, draws = (1, (0, 1)) if token.startswith("true_host") else (1, (1, 3))
-    assert keys == [reference_key(1, "10.0.0.1", 80, hop, n, key_seed) for n in draws]
+    # The reply carries a host's own key (role 0) or a key_rewrite's echo
+    # (role 1), the same on the repeat.
+    role = 0 if token.startswith("true_host") else 1
+    assert keys == [reference_key(1, "10.0.0.1", 80, 1, role, key_seed)] * 2
     assert DEFAULT_PROBE_KEY not in keys
 
 
 def test_scan_keeps_a_few_bytes_per_target():
-    # A v0 scan leaves the network only a draw count per key stream: the
-    # memory it holds afterwards grows by well under 200 B per target.
+    # A v0 scan, then a trace of its positives, leaves the network no
+    # per-target state: the memory held afterwards grows by under 20 B per
+    # target, the bar of a paper-scale campaign.
     from mptcpkit.probe import Blocklist, CampaignGuard, RatePacer, VirtualClock, run_campaign
+    from mptcpkit.tracer import trace_campaign
 
     count = 20000
     net = generate_population(count, seed=5)
@@ -1014,14 +1029,102 @@ def test_scan_keeps_a_few_bytes_per_target():
     try:
         before = tracemalloc.get_traced_memory()[0]
         records = run_campaign(targets, version=0, guard=guard, transport=net, seed=5)
-        assert sum(r.label == "potential_capable" for r in records) > count // 4
-        del records
+        positives = [(r.address, r.port) for r in records if r.label == "potential_capable"]
+        assert len(positives) > count // 4
+        verdicts = list(trace_campaign(positives, version=0, guard=guard, transport=net, seed=5))
+        assert {v.verdict for v in verdicts} >= {"truly_capable", "middlebox_affected"}
+        del records, positives, verdicts
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert net._key_draws  # the scan drew keys
-    assert held / count < 200, f"{held / count:.0f} B per target"
+    assert held / count < 20, f"{held / count:.1f} B per target"
+    assert vars(net).keys() == {"paths", "seed", "_key_hash"}
+
+
+# -- no per-target state: only __init__ and add_path store into the network -----
+
+# Methods of a container or a hasher that change it in place.
+_MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault", "pop", "popitem",
+             "remove", "discard", "clear", "__setitem__", "__delitem__"}
+
+
+def _rooted_at_self(node: ast.expr) -> bool:
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _stores_into_self(func: ast.AST) -> list[int]:
+    """The lines of `func` that change `self`: an assignment (plain,
+    augmented or annotated) or a `del` of something under `self`, a mutating
+    call on a `self.` attribute, or `setattr(self, ...)`."""
+    lines = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        elif isinstance(node, ast.Call):
+            f = node.func
+            mutates = (isinstance(f, ast.Attribute) and f.attr in _MUTATORS
+                       and isinstance(f.value, (ast.Attribute, ast.Subscript))
+                       and _rooted_at_self(f.value))
+            set_attr = (isinstance(f, ast.Name) and f.id == "setattr" and node.args
+                        and _rooted_at_self(node.args[0]))
+            if mutates or set_attr:
+                lines.append(node.lineno)
+            continue
+        else:
+            continue
+        for target in targets:  # tuple and starred targets unpacked
+            if any(isinstance(t, (ast.Attribute, ast.Subscript)) and _rooted_at_self(t)
+                   for t in ast.walk(target)):
+                lines.append(node.lineno)
+                break
+    return lines
+
+
+def test_only_init_and_add_path_store_into_the_network():
+    tree = ast.parse(inspect.getsource(SimNetwork))
+    methods = [node for node in tree.body[0].body if isinstance(node, ast.FunctionDef)]
+    assert {"__init__", "add_path", "handshake", "ttl_probe", "_walk"} <= {m.name for m in methods}
+    found = [f"{m.name}:{line}" for m in methods if m.name not in ("__init__", "add_path")
+             for line in _stores_into_self(m)]
+    assert found == []
+
+
+# The per-stream draw counter the network once kept, which the check refuses.
+_COUNTED_KEY = """
+def _next_key(self, address, port, index, node):
+    ident = f"{address}|{port}|{index}".encode()
+    n = self._key_draws.get(ident, 0)
+    self._key_draws[ident] = n + 1
+    return n
+"""
+
+
+@pytest.mark.parametrize("body, stores", [
+    (_COUNTED_KEY, 1),
+    ("def f(self):\n    self.seen = 1", 1),
+    ("def f(self):\n    self.count += 1", 1),
+    ("def f(self):\n    self.memo: dict = {}", 1),
+    ("def f(self):\n    a, self.b[1] = 1, 2", 1),
+    ("def f(self):\n    del self.memo[1]", 1),
+    ("def f(self, k):\n    self._draws.setdefault(k, 0)", 1),
+    ("def f(self):\n    self.a.b.append(1)", 1),
+    ("def f(self):\n    self._key_hash.update(b'x')", 1),
+    ("def f(self):\n    self.paths.clear()", 1),
+    ("def f(self):\n    setattr(self, 'seen', 1)", 1),
+    # Reading `self` and changing a local copy store nothing into it.
+    ("def f(self, k):\n    h = self._key_hash.copy()\n    h.update(k)\n"
+     "    return self.paths.get(k)", 0),
+    ("def f(self, k):\n    memo = {}\n    memo[k] = self.seed\n    memo.pop(k)", 0),
+])
+def test_the_state_check_sees_each_kind_of_store(body, stores):
+    assert len(_stores_into_self(ast.parse(body))) == stores
 
 
 class TestSimPath:

@@ -41,7 +41,8 @@ from mptcpkit.options import (
     parse_options,
     syn_view,
 )
-from mptcpkit.packet import FLAG_RST, FLAG_SYN_ACK, TcpFlags, TcpPacket, encode_packet
+from mptcpkit.packet import (FLAG_RST, FLAG_SYN_ACK, TcpFlags, TcpPacket, decode_tcp,
+                             encode_packet)
 from mptcpkit.probe import (
     Blocklist,
     CampaignGuard,
@@ -56,6 +57,7 @@ from mptcpkit.probe import (
     VirtualClock,
     build_syn_probe,
     classify_response,
+    make_response,
     precise_sleep,
     run_campaign,
     target_row,
@@ -228,6 +230,23 @@ class TestClassifyResponse:
         cls = classify_response(self.spec_v0(), syn_ack([TcpOption(30, b"\x70\x81")]))
         assert cls.kind is ClassificationKind.NO_MP_CAPABLE
         assert cls.note
+
+    @pytest.mark.parametrize("options, note", [
+        (b"\x1e\x09\x00\x81", "truncated option kind 30"),
+        (b"\x02\x04\x05\xb4\x1e\x0c\x00", "truncated option kind 30"),  # after an MSS
+        (b"\x1e\x04\x70\x81\x1e\x09\x00",
+         "subtype 7 is not MP_CAPABLE; truncated option kind 30"),
+    ])
+    def test_the_replys_option_parse_error_is_kept(self, options, note):
+        # A live SYN-ACK whose options region ends in a cut MP_CAPABLE: the
+        # parse error `make_response` records follows any decode error.
+        seg = decode_tcp(encode_packet(TcpPacket("10.0.0.1", "10.0.0.9", 80, 40000, 7, 1,
+                                                 flags=int(TcpFlags.SYN | TcpFlags.ACK),
+                                                 options=options)))
+        resp = make_response(seg, 1.0)
+        cls = classify_response(self.spec_v0(), resp)
+        assert cls.kind is ClassificationKind.NO_MP_CAPABLE
+        assert cls.note == note
 
     def test_non_codec_error_propagates(self, monkeypatch):
         # only codec errors fold into no_mp_capable; a fault in the code does not
