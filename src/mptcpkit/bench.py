@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import socket
 import time
-from dataclasses import dataclass
 from typing import IO, Iterable, Protocol
 
 from .errors import PairingMismatch, TransportUnavailable
 from .netsim import SimNetwork
 from .probe import blake2b
+from .record import Record
 
 METRICS = ("connect", "tls", "ttfb", "total")
 
@@ -27,14 +27,16 @@ IPPROTO_MPTCP = 262
 FETCH_TIMEOUT_S = 10.0
 
 
-@dataclass(slots=True)
-class TimingSample:
-    transport: str  # "tcp" | "mptcp"
-    success: bool
-    connect_ms: float | None = None
-    tls_handshake_ms: float | None = None
-    ttfb_ms: float | None = None
-    total_ms: float | None = None
+class TimingSample(Record):
+    """One fetch over `transport`, "tcp" or "mptcp"."""
+
+    __slots__ = ("transport", "success", "connect_ms", "tls_handshake_ms", "ttfb_ms", "total_ms")
+
+    def __init__(self, transport: str, success: bool, connect_ms: float | None = None,
+                 tls_handshake_ms: float | None = None, ttfb_ms: float | None = None,
+                 total_ms: float | None = None) -> None:
+        self.transport, self.success, self.connect_ms = transport, success, connect_ms
+        self.tls_handshake_ms, self.ttfb_ms, self.total_ms = tls_handshake_ms, ttfb_ms, total_ms
 
     def values(self) -> tuple[float | None, ...]:
         """The metric values in `METRICS` order."""
@@ -189,12 +191,15 @@ def time_get(
     return [transport.fetch(target, port, run) for run in range(runs)]
 
 
-@dataclass(slots=True)
-class DeltaReport:
-    # Each metric's deltas in pairing order; metrics with none are left out.
-    by_metric: dict[str, list[float]]
-    fractions: dict[str, tuple[float, float, float]]  # (faster, even, slower)
-    paired_runs: int = 0
+class DeltaReport(Record):
+    """Each metric's deltas in pairing order, metrics with none left out, and
+    its (faster, even, slower) fractions."""
+
+    __slots__ = ("by_metric", "fractions", "paired_runs")
+
+    def __init__(self, by_metric: dict[str, list[float]],
+                 fractions: dict[str, tuple[float, float, float]], paired_runs: int = 0) -> None:
+        self.by_metric, self.fractions, self.paired_runs = by_metric, fractions, paired_runs
 
 
 def _summarize(

@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = trace.add_mutually_exclusive_group(required=True)
     source.add_argument("--targets", default=None)
     source.add_argument("--from-scan", default=None, help="take potential targets from scan records")
-    trace.add_argument("--max-ttl", type=_ranged(int, 1, 64), default=30)
+    trace.add_argument("--max-ttl", type=_ranged(int, 1, tracer.MAX_TTL), default=30)
     trace.set_defaults(dry_run=False)
 
     keys = sub.add_parser("keys", parents=[out], help="Hamming-weight report over observed keys")

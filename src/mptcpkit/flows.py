@@ -21,7 +21,6 @@ fragment or as a parse failure.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from itertools import islice
 from math import ceil
 from pathlib import Path
@@ -32,6 +31,7 @@ from .inputs import read_rows
 from .options import mp_capable_version
 from .packet import LATER_FRAGMENT, NON_TCP, address_text, flow_fields
 from .pcapio import LINKTYPE_NULL, LINKTYPE_RAW, read_blocks
+from .record import Record
 
 _U16 = struct.Struct("!H")
 
@@ -87,11 +87,11 @@ class FlowKey(NamedTuple):
         return FlowKey(self.dst, self.src, self.dst_port, self.src_port)
 
 
-@dataclass(slots=True)
-class FlowStats:
-    packets: int = 0
-    bytes: int = 0
-    mptcp_version: int | None = None
+class FlowStats(Record):
+    __slots__ = ("packets", "bytes", "mptcp_version")
+
+    def __init__(self, packets: int = 0, bytes: int = 0, mptcp_version: int | None = None) -> None:
+        self.packets, self.bytes, self.mptcp_version = packets, bytes, mptcp_version
 
     @property
     def mp_capable_seen(self) -> bool:
@@ -104,15 +104,19 @@ class FlowStats:
             self.mptcp_version = mp_version
 
 
-@dataclass(slots=True)
-class FlowTable:
-    flows: dict[FlowKey, FlowStats] = field(default_factory=dict)
-    frames_seen: int = 0
-    tcp_packets: int = 0
-    tcp_bytes: int = 0
-    parse_failures: int = 0
-    non_tcp: int = 0
-    fragments: int = 0  # TCP fragments after the first: no TCP header
+class FlowTable(Record):
+    """Flows by key and the capture's counts; `fragments` counts TCP fragments
+    after the first, which have no TCP header."""
+
+    __slots__ = ("flows", "frames_seen", "tcp_packets", "tcp_bytes", "parse_failures", "non_tcp",
+                 "fragments")
+
+    def __init__(self, flows: dict[FlowKey, FlowStats] | None = None, frames_seen: int = 0,
+                 tcp_packets: int = 0, tcp_bytes: int = 0, parse_failures: int = 0,
+                 non_tcp: int = 0, fragments: int = 0) -> None:
+        self.flows = {} if flows is None else flows
+        self.frames_seen, self.tcp_packets, self.tcp_bytes = frames_seen, tcp_packets, tcp_bytes
+        self.parse_failures, self.non_tcp, self.fragments = parse_failures, non_tcp, fragments
 
 
 def _ip_start(linktype: int, data: bytes, start: int, end: int) -> int | None:
@@ -190,14 +194,15 @@ def filter_min_packets(
     return {k: v for k, v in flows.items() if v.packets >= min_packets}
 
 
-@dataclass(slots=True)
-class ShareReport:
-    tcp_flows: int
-    tcp_bytes: int
-    mptcp_flows: int
-    mptcp_bytes: int
-    flow_share: float | None
-    byte_share: float | None
+class ShareReport(Record):
+    __slots__ = ("tcp_flows", "tcp_bytes", "mptcp_flows", "mptcp_bytes", "flow_share",
+                 "byte_share")
+
+    def __init__(self, tcp_flows: int, tcp_bytes: int, mptcp_flows: int, mptcp_bytes: int,
+                 flow_share: float | None, byte_share: float | None) -> None:
+        self.tcp_flows, self.tcp_bytes = tcp_flows, tcp_bytes
+        self.mptcp_flows, self.mptcp_bytes = mptcp_flows, mptcp_bytes
+        self.flow_share, self.byte_share = flow_share, byte_share
 
 
 def mptcp_share(flows: Mapping[FlowKey, FlowStats]) -> ShareReport:
@@ -220,11 +225,12 @@ def mptcp_share(flows: Mapping[FlowKey, FlowStats]) -> ShareReport:
     )
 
 
-@dataclass(slots=True)
-class ConcentrationReport:
-    top1_share: float
-    top5_share: float
-    top_half_share: float
+class ConcentrationReport(Record):
+    __slots__ = ("top1_share", "top5_share", "top_half_share")
+
+    def __init__(self, top1_share: float, top5_share: float, top_half_share: float) -> None:
+        self.top1_share, self.top5_share = top1_share, top5_share
+        self.top_half_share = top_half_share
 
 
 def concentration(flow_bytes: Iterable[int]) -> ConcentrationReport:
@@ -255,13 +261,16 @@ def ewma(series: Iterable[float], alpha: float = 0.2) -> list[float]:
     return out
 
 
-@dataclass(slots=True)
-class ServiceTables:
+class ServiceTables(Record):
     """Port-to-service mapping: a well-known registry plus a supplementary
     vendor table that takes precedence."""
 
-    registry: dict[int, str]
-    supplementary: dict[int, str] = field(default_factory=dict)
+    __slots__ = ("registry", "supplementary")
+
+    def __init__(self, registry: dict[int, str],
+                 supplementary: dict[int, str] | None = None) -> None:
+        self.registry = registry
+        self.supplementary = {} if supplementary is None else supplementary
 
     @classmethod
     def load(cls, registry_path: str | Path | None = None,

@@ -13,11 +13,11 @@ caller can hand them over one at a time, as they are read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .errors import EmptyInput
 from .options import Key
+from .record import Record
 
 _TWO_64 = 1 << 64
 # The expected count each pooled chi-square bin reaches.
@@ -39,16 +39,17 @@ def expected_counts(total: int) -> list[float]:
     return [total * math.comb(64, w) / _TWO_64 for w in range(65)]
 
 
-@dataclass(slots=True)
-class WeightHistogram:
-    counts: list[int]  # 65 bins, weight 0..64
-    total: int
+class WeightHistogram(Record):
+    """Key counts in 65 bins, by Hamming weight 0..64, and their total."""
 
-    def __post_init__(self) -> None:
-        if len(self.counts) != 65:
+    __slots__ = ("counts", "total")
+
+    def __init__(self, counts: list[int], total: int) -> None:
+        if len(counts) != 65:
             raise ValueError("weight histogram needs 65 bins")
-        if sum(self.counts) != self.total:
+        if sum(counts) != total:
             raise ValueError("histogram counts do not sum to total")
+        self.counts, self.total = counts, total
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -69,14 +70,17 @@ def chi_square_sf(x: float, df: int) -> float:
     return math.fsum(head + terms)
 
 
-@dataclass(slots=True)
-class EntropyReport:
-    histogram: WeightHistogram
-    probe_key_weight: int
-    mirrored_exact_count: int
-    excess_at_probe_weight: float
-    chi_square: float
-    p_value: float
+class EntropyReport(Record):
+    __slots__ = ("histogram", "probe_key_weight", "mirrored_exact_count", "excess_at_probe_weight",
+                 "chi_square", "p_value")
+
+    def __init__(self, histogram: WeightHistogram, probe_key_weight: int,
+                 mirrored_exact_count: int, excess_at_probe_weight: float, chi_square: float,
+                 p_value: float) -> None:
+        self.histogram, self.probe_key_weight = histogram, probe_key_weight
+        self.mirrored_exact_count = mirrored_exact_count
+        self.excess_at_probe_weight = excess_at_probe_weight
+        self.chi_square, self.p_value = chi_square, p_value
 
 
 def pooled_chi_square(counts: list[int], expected: list[float]) -> tuple[float, float, int]:

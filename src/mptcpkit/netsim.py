@@ -44,7 +44,6 @@ import functools
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from pathlib import Path
@@ -64,6 +63,7 @@ from .options import (
 )
 from .packet import FLAG_SYN, FLAG_SYN_ACK, TcpPacket, encode_packet
 from .probe import ClassificationKind, HopReply, ProbeResponse, blake2b
+from .record import Frozen, Record
 from .tracer import PathVerdictKind
 
 
@@ -85,12 +85,15 @@ SEEDED_KINDS = {BehaviorKind.TRUE_MPTCP_HOST, BehaviorKind.KEY_REWRITE_MIDDLEBOX
 DEFAULT_QUOTE_BYTES = 128
 
 
-@dataclass(frozen=True, slots=True)
-class NodeBehavior:
-    kind: BehaviorKind
-    supported_versions: frozenset[int] = frozenset()
-    key_seed: int | None = None
-    quote_bytes: int = DEFAULT_QUOTE_BYTES
+class NodeBehavior(Frozen):
+    __slots__ = ("kind", "supported_versions", "key_seed", "quote_bytes")
+
+    def __init__(self, kind: BehaviorKind, supported_versions: frozenset[int] = frozenset(),
+                 key_seed: int | None = None, quote_bytes: int = DEFAULT_QUOTE_BYTES) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "supported_versions", supported_versions)
+        object.__setattr__(self, "key_seed", key_seed)
+        object.__setattr__(self, "quote_bytes", quote_bytes)
 
     def spec_token(self) -> str:
         """The topology-file token that reproduces this node."""
@@ -141,27 +144,24 @@ def quoting(quote_bytes: int = DEFAULT_QUOTE_BYTES) -> NodeBehavior:
     return NodeBehavior(BehaviorKind.QUOTING_ROUTER, quote_bytes=quote_bytes)
 
 
-@dataclass(slots=True)
-class SimPath:
+class SimPath(Record):
     """One forward path: interior nodes then exactly one endpoint at the tail.
 
     What the simulator asks of a path on every probe (its interior, whether
     it drops or strips, its round trip) is worked out once, at construction;
     the nodes are kept as a tuple, and a path is not changed afterwards.
     A path holds no per-target state (a key hashes its target's address and
-    port), so targets with equal paths share one.
+    port), so targets with equal paths share one. Paths compare by nodes and
+    latency.
     """
 
-    nodes: tuple[NodeBehavior, ...]
-    per_hop_latency_ms: float = 1.0
-    interior: tuple[NodeBehavior, ...] = field(init=False, repr=False, compare=False)
-    endpoint: NodeBehavior = field(init=False, repr=False, compare=False)
-    drops: bool = field(init=False, repr=False, compare=False)
-    strips: bool = field(init=False, repr=False, compare=False)
-    rtt_ms: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("nodes", "per_hop_latency_ms", "interior", "endpoint", "drops", "strips",
+                 "rtt_ms")
+    _fields = __slots__[:2]
 
-    def __post_init__(self) -> None:
-        nodes = self.nodes = tuple(self.nodes)
+    def __init__(self, nodes: Iterable[NodeBehavior], per_hop_latency_ms: float = 1.0) -> None:
+        nodes = self.nodes = tuple(nodes)
+        self.per_hop_latency_ms = per_hop_latency_ms
         if not nodes:
             raise ValueError("a path needs at least the endpoint node")
         if nodes[-1].kind not in ENDPOINT_KINDS:
@@ -182,13 +182,15 @@ class SimPath:
         self.rtt_ms = 2.0 * self.per_hop_latency_ms * len(nodes)
 
 
-@dataclass(slots=True)
-class GroundTruth:
+class GroundTruth(Record):
     """Construction-time labels a correct scan + trace must reproduce."""
 
-    classification: ClassificationKind
-    verdict: PathVerdictKind
-    first_modifying_ttl: int | None = None
+    __slots__ = ("classification", "verdict", "first_modifying_ttl")
+
+    def __init__(self, classification: ClassificationKind, verdict: PathVerdictKind,
+                 first_modifying_ttl: int | None = None) -> None:
+        self.classification, self.verdict = classification, verdict
+        self.first_modifying_ttl = first_modifying_ttl
 
 
 class SimNetwork:

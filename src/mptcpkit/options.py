@@ -23,7 +23,6 @@ the tracer's per-hop diff and the simulator's middleboxes, and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -36,6 +35,7 @@ from .errors import (
     TruncatedOption,
     UnknownVersion,
 )
+from .record import Frozen
 
 EOL = 0
 NOP = 1
@@ -47,15 +47,21 @@ MP_CAPABLE_SUBTYPE = 0
 DEFAULT_MP_FLAGS = 0x81
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Key:
-    """A 64-bit MPTCP sender's key."""
+@functools.total_ordering
+class Key(Frozen):
+    """A 64-bit MPTCP sender's key, ordered by value."""
 
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < 1 << 64:
-            raise ValueError(f"key must fit in 64 bits, got {self.value:#x}")
+    def __init__(self, value: int) -> None:
+        if not 0 <= value < 1 << 64:
+            raise ValueError(f"key must fit in 64 bits, got {value:#x}")
+        object.__setattr__(self, "value", value)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value < other.value
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Key":
@@ -75,23 +81,23 @@ class Key:
         return f"{self.value:016x}"
 
 
-@dataclass(frozen=True, slots=True)
-class TcpOption:
+class TcpOption(Frozen):
     """One TCP option: kind plus payload (kind and length bytes excluded).
 
     EOL(0) and NOP(1) are single-byte kinds and carry no payload.
     """
 
-    kind: int
-    payload: bytes = b""
+    __slots__ = ("kind", "payload")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.kind <= 255:
-            raise ValueError(f"option kind out of range: {self.kind}")
-        if self.kind in (EOL, NOP) and self.payload:
-            raise ValueError(f"kind {self.kind} carries no payload")
-        if len(self.payload) > 38:
+    def __init__(self, kind: int, payload: bytes = b"") -> None:
+        if not 0 <= kind <= 255:
+            raise ValueError(f"option kind out of range: {kind}")
+        if kind in (EOL, NOP) and payload:
+            raise ValueError(f"kind {kind} carries no payload")
+        if len(payload) > 38:
             raise ValueError("option payload exceeds 38 bytes")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
 
     def encode(self) -> bytes:
         if self.kind in (EOL, NOP):
@@ -112,22 +118,23 @@ class HandshakePhase(Enum):
 _PHASES = tuple(HandshakePhase)  # iterating the class runs a Python generator
 
 
-@dataclass(frozen=True, slots=True)
-class MpCapable:
+class MpCapable(Frozen):
     """Decoded MP_CAPABLE: version, opaque flags, optional 64-bit keys."""
 
-    version: int
-    flags: int = DEFAULT_MP_FLAGS
-    sender_key: Key | None = None
-    receiver_key: Key | None = None
+    __slots__ = ("version", "flags", "sender_key", "receiver_key")
 
-    def __post_init__(self) -> None:
-        if self.version not in (0, 1):
-            raise UnknownVersion(f"version must be 0 or 1, got {self.version}")
-        if not 0 <= self.flags <= 255:
-            raise ValueError(f"flags must fit in 8 bits, got {self.flags:#x}")
-        if self.receiver_key is not None and self.sender_key is None:
+    def __init__(self, version: int, flags: int = DEFAULT_MP_FLAGS,
+                 sender_key: Key | None = None, receiver_key: Key | None = None) -> None:
+        if version not in (0, 1):
+            raise UnknownVersion(f"version must be 0 or 1, got {version}")
+        if not 0 <= flags <= 255:
+            raise ValueError(f"flags must fit in 8 bits, got {flags:#x}")
+        if receiver_key is not None and sender_key is None:
             raise IllegalCombination("receiver key requires a sender key")
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "sender_key", sender_key)
+        object.__setattr__(self, "receiver_key", receiver_key)
 
 
 # Accepted total option lengths on decode; the first is the one encoded. A

@@ -16,10 +16,10 @@ import functools
 import ipaddress
 import socket
 import struct
-from dataclasses import dataclass
 from enum import IntFlag
 
 from .options import TcpOption, parse_options_prefix
+from .record import Record
 
 
 class TcpFlags(IntFlag):
@@ -45,39 +45,35 @@ IPV6_HEADER_LEN = 40
 TCP_HEADER_LEN = 20
 
 
-@dataclass(slots=True)
-class TcpPacket:
+class TcpPacket(Record):
     """Builder-side description of one TCP segment."""
 
-    src: str
-    dst: str
-    src_port: int
-    dst_port: int
-    seq: int
-    ack: int = 0
-    flags: int = FLAG_SYN
-    ttl: int = 64
-    window: int = 65535
-    options: bytes = b""
-    payload: bytes = b""
+    __slots__ = ("src", "dst", "src_port", "dst_port", "seq", "ack", "flags", "ttl", "window",
+                 "options", "payload")
+
+    def __init__(self, src: str, dst: str, src_port: int, dst_port: int, seq: int, ack: int = 0,
+                 flags: int = FLAG_SYN, ttl: int = 64, window: int = 65535, options: bytes = b"",
+                 payload: bytes = b"") -> None:
+        self.src, self.dst, self.src_port = src, dst, src_port
+        self.dst_port, self.seq, self.ack = dst_port, seq, ack
+        self.flags, self.ttl, self.window = flags, ttl, window
+        self.options, self.payload = options, payload
 
 
-@dataclass(slots=True)
-class ParsedSegment:
-    """Reader-side view of an IP+TCP packet."""
+class ParsedSegment(Record):
+    """Reader-side view of an IP+TCP packet; `ip_bytes` is its IP-layer total
+    length, the byte-accounting unit."""
 
-    src: str
-    dst: str
-    src_port: int
-    dst_port: int
-    seq: int
-    ack: int
-    flags: int
-    ttl: int
-    window: int
-    options: bytes
-    ip_bytes: int  # IP-layer total length, the byte-accounting unit
-    payload_len: int
+    __slots__ = ("src", "dst", "src_port", "dst_port", "seq", "ack", "flags", "ttl", "window",
+                 "options", "ip_bytes", "payload_len")
+
+    def __init__(self, src: str, dst: str, src_port: int, dst_port: int, seq: int, ack: int,
+                 flags: int, ttl: int, window: int, options: bytes, ip_bytes: int,
+                 payload_len: int) -> None:
+        self.src, self.dst, self.src_port = src, dst, src_port
+        self.dst_port, self.seq, self.ack = dst_port, seq, ack
+        self.flags, self.ttl, self.window = flags, ttl, window
+        self.options, self.ip_bytes, self.payload_len = options, ip_bytes, payload_len
 
 
 def pack_address(text: str) -> bytes:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Protocol
 
@@ -29,7 +28,6 @@ from .options import (
     HandshakePhase,
     Key,
     MpCapable,
-    SynView,
     TcpOption,
     decode_mp_capable,
     encode_mp_capable,
@@ -37,6 +35,7 @@ from .options import (
     syn_view,
 )
 from .packet import FLAG_RST, FLAG_SYN_ACK, RawSegment, TcpPacket, pack_address
+from .record import Frozen, Record
 
 try:  # the built-in module; hashlib's would also map OpenSSL's libcrypto
     from _blake2 import blake2b
@@ -51,8 +50,7 @@ DEFAULT_SCANNER_ADDR_V4 = "192.0.2.1"
 DEFAULT_SCANNER_ADDR_V6 = "2001:db8:ffff::1"
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeContext:
+class ProbeContext(Frozen):
     """What every probe of one campaign shares, built once: the MPTCP version,
     the v0 key and the seed (validated here), the MP_CAPABLE bytes of the SYN
     (`option`) and their `syn_view` (`view`), and two blake2b hashers keyed
@@ -61,16 +59,10 @@ class ProbeContext:
     which has absorbed `sport:` too). Contexts compare by version, key and
     seed."""
 
-    version: int
-    probe_key: Key | None = None
-    seed: int = 0
-    option: bytes = field(init=False, repr=False, compare=False)
-    view: SynView = field(init=False, repr=False, compare=False)
-    seq_hash: blake2b = field(init=False, repr=False, compare=False)
-    sport_hash: blake2b = field(init=False, repr=False, compare=False)
+    __slots__ = ("version", "probe_key", "seed", "option", "view", "seq_hash", "sport_hash")
+    _fields = __slots__[:3]
 
-    def __post_init__(self) -> None:
-        version, probe_key = self.version, self.probe_key
+    def __init__(self, version: int, probe_key: Key | None = None, seed: int = 0) -> None:
         if version not in (0, 1):
             raise ValueError(f"version must be 0 or 1, got {version}")
         if version == 0 and probe_key is None:
@@ -79,11 +71,10 @@ class ProbeContext:
             raise IllegalCombination("v1 probes must not carry a key")
         option = encode_mp_capable(MpCapable(version, DEFAULT_MP_FLAGS, probe_key),
                                    HandshakePhase.SYN)
-        key = self.seed.to_bytes(8, "big", signed=False)
-        derived = {"option": option, "view": syn_view(option),
-                   "seq_hash": blake2b(key=key, digest_size=4),
-                   "sport_hash": blake2b(b"sport:", key=key, digest_size=2)}
-        for name, value in derived.items():  # set once, here: the context is frozen
+        key = seed.to_bytes(8, "big", signed=False)
+        values = (version, probe_key, seed, option, syn_view(option),
+                  blake2b(key=key, digest_size=4), blake2b(b"sport:", key=key, digest_size=2))
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -95,23 +86,24 @@ class ProbeContext:
         return cls(version, probe_key, seed)
 
 
-@dataclass(slots=True)
-class ProbeResponse:
+class ProbeResponse(Record):
     """A packet received before the timeout, with its parsed options."""
 
-    tcp_flags: int
-    options: list[TcpOption]
-    rtt_ms: float
-    note: str | None = None
+    __slots__ = ("tcp_flags", "options", "rtt_ms", "note")
+
+    def __init__(self, tcp_flags: int, options: list[TcpOption], rtt_ms: float,
+                 note: str | None = None) -> None:
+        self.tcp_flags, self.options, self.rtt_ms = tcp_flags, options, rtt_ms
+        self.note = note
 
 
-@dataclass(slots=True)
-class HopReply:
+class HopReply(Record):
     """An ICMP-style time-exceeded reply quoting the in-flight packet."""
 
-    responder: str
-    quote: bytes
-    rtt_ms: float
+    __slots__ = ("responder", "quote", "rtt_ms")
+
+    def __init__(self, responder: str, quote: bytes, rtt_ms: float) -> None:
+        self.responder, self.quote, self.rtt_ms = responder, quote, rtt_ms
 
 
 class ClassificationKind(Enum):
@@ -122,14 +114,15 @@ class ClassificationKind(Enum):
     POTENTIAL_CAPABLE = "potential_capable"
 
 
-@dataclass(slots=True)
-class Classification:
+class Classification(Record):
     """Outcome of one probe exchange; exactly one kind per probe."""
 
-    kind: ClassificationKind
-    sender_key: Key | None = None
-    got_version: int | None = None
-    note: str | None = None
+    __slots__ = ("kind", "sender_key", "got_version", "note")
+
+    def __init__(self, kind: ClassificationKind, sender_key: Key | None = None,
+                 got_version: int | None = None, note: str | None = None) -> None:
+        self.kind, self.sender_key = kind, sender_key
+        self.got_version, self.note = got_version, note
 
     @property
     def label(self) -> str:
@@ -309,19 +302,18 @@ class RatePacer:
         return send_at
 
 
-@dataclass(slots=True)
-class CampaignGuard:
+class CampaignGuard(Record):
     """What every command that sends applies, simulated or live: targets the
     blocklist matches are never probed, and every packet or fetch first waits
     its turn on the pacer, whose clock also stamps the rows of unsent probes.
     A guard without a blocklist reference is refused."""
 
-    blocklist: Blocklist
-    pacer: RatePacer
+    __slots__ = ("blocklist", "pacer")
 
-    def __post_init__(self) -> None:
-        if self.blocklist is None:
+    def __init__(self, blocklist: Blocklist, pacer: RatePacer) -> None:
+        if blocklist is None:
             raise GuardViolation("campaign refused: no blocklist reference")
+        self.blocklist, self.pacer = blocklist, pacer
 
 
 class PacedTransport:
@@ -345,18 +337,18 @@ class PacedTransport:
 SCAN_LABELS = frozenset({k.value for k in ClassificationKind} | {"skipped", "dry_run", "error"})
 
 
-@dataclass(slots=True)
-class CampaignRecord:
+class CampaignRecord(Record):
     """One output record per target; `label` is one of SCAN_LABELS."""
 
-    timestamp: float
-    address: str
-    port: int
-    version: int
-    label: str
-    sender_key: Key | None = None
-    got_version: int | None = None
-    note: str | None = None
+    __slots__ = ("timestamp", "address", "port", "version", "label", "sender_key", "got_version",
+                 "note")
+
+    def __init__(self, timestamp: float, address: str, port: int, version: int, label: str,
+                 sender_key: Key | None = None, got_version: int | None = None,
+                 note: str | None = None) -> None:
+        self.timestamp, self.address, self.port = timestamp, address, port
+        self.version, self.label, self.sender_key = version, label, sender_key
+        self.got_version, self.note = got_version, note
 
     def to_csv(self) -> str:
         key = self.sender_key.hex if self.sender_key is not None else ""

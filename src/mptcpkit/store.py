@@ -10,14 +10,15 @@ collapse by union with positive classifications winning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import InsufficientHistory
 from .inputs import OutFile, PrefixKey, PrefixTable, open_in, prefix_row, read_rows, rows
 from .options import Key
-from .probe import ClassificationKind
+from .packet import pack_address
+from .probe import SCAN_LABELS, ClassificationKind
+from .record import Frozen, Record
 from .tracer import PathVerdictKind
 
 POSITIVE_LABELS = {ClassificationKind.POTENTIAL_CAPABLE.value,
@@ -27,11 +28,11 @@ MPCAPABLE_LABELS = POSITIVE_LABELS | {ClassificationKind.MIRRORED_KEY.value,
                                       ClassificationKind.VERSION_MISMATCH.value}
 
 
-@dataclass(slots=True)
-class HostRecord:
-    address: str
-    classification: str
-    sender_key: Key | None = None
+class HostRecord(Record):
+    __slots__ = ("address", "classification", "sender_key")
+
+    def __init__(self, address: str, classification: str, sender_key: Key | None = None) -> None:
+        self.address, self.classification, self.sender_key = address, classification, sender_key
 
     @property
     def positive(self) -> bool:
@@ -47,24 +48,27 @@ class HostRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "HostRecord":
+        """A row as `to_line` writes one: an address and a scan label."""
         address, classification, key = line.rstrip("\n").split(",")
+        pack_address(address)  # raises for what is not an address
+        if classification not in SCAN_LABELS:
+            raise ValueError(f"unknown classification {classification!r}")
         return cls(address, classification, Key.from_hex(key) if key else None)
 
 
-@dataclass(slots=True)
-class ScanSnapshot:
-    """One month of results for a single (family, port, version) scan."""
+class ScanSnapshot(Record):
+    """One month (`YYYY-MM`) of results for a single (family, port, version)
+    scan, family `v4` or `v6`."""
 
-    date: str  # YYYY-MM
-    family: str  # v4 | v6
-    port: int
-    version: int
-    records: dict[str, HostRecord] = field(default_factory=dict)
+    __slots__ = ("date", "family", "port", "version", "records")
 
-    def __post_init__(self) -> None:
-        parse_month(self.date)
-        if self.family not in ("v4", "v6"):
-            raise ValueError(f"family must be v4 or v6, got {self.family}")
+    def __init__(self, date: str, family: str, port: int, version: int,
+                 records: dict[str, HostRecord] | None = None) -> None:
+        parse_month(date)
+        if family not in ("v4", "v6"):
+            raise ValueError(f"family must be v4 or v6, got {family}")
+        self.date, self.family, self.port, self.version = date, family, port, version
+        self.records = {} if records is None else records
 
     def add(self, record: HostRecord) -> None:
         """Merge one host record; a positive classification is never
@@ -185,11 +189,12 @@ def eligible_for_path_probe(
     return reachable & different_key_once
 
 
-@dataclass(slots=True)
-class OverlapReport:
-    both: frozenset[str]
-    only_a: frozenset[str]
-    only_b: frozenset[str]
+class OverlapReport(Record):
+    __slots__ = ("both", "only_a", "only_b")
+
+    def __init__(self, both: frozenset[str], only_a: frozenset[str],
+                 only_b: frozenset[str]) -> None:
+        self.both, self.only_a, self.only_b = both, only_a, only_b
 
     @property
     def union_size(self) -> int:
@@ -215,12 +220,14 @@ def version_overlap(v0_set: Iterable[str], v1_set: Iterable[str]) -> OverlapRepo
     return port_overlap(v0_set, v1_set)
 
 
-@dataclass(slots=True)
-class MigrationReport:
-    added_v1_support: frozenset[str]
-    migrated_v0_to_v1: frozenset[str]
-    added_v0_support: frozenset[str]
-    migrated_v1_to_v0: frozenset[str]
+class MigrationReport(Record):
+    __slots__ = ("added_v1_support", "migrated_v0_to_v1", "added_v0_support",
+                 "migrated_v1_to_v0")
+
+    def __init__(self, added_v1_support: frozenset[str], migrated_v0_to_v1: frozenset[str],
+                 added_v0_support: frozenset[str], migrated_v1_to_v0: frozenset[str]) -> None:
+        self.added_v1_support, self.migrated_v0_to_v1 = added_v1_support, migrated_v0_to_v1
+        self.added_v0_support, self.migrated_v1_to_v0 = added_v0_support, migrated_v1_to_v0
 
 
 def migration_report(
@@ -245,12 +252,15 @@ def migration_report(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class AsnInfo:
-    asn: int | None
-    organization: str
-    country: str
-    rank: int | None
+class AsnInfo(Frozen):
+    __slots__ = ("asn", "organization", "country", "rank")
+
+    def __init__(self, asn: int | None, organization: str, country: str,
+                 rank: int | None) -> None:
+        object.__setattr__(self, "asn", asn)
+        object.__setattr__(self, "organization", organization)
+        object.__setattr__(self, "country", country)
+        object.__setattr__(self, "rank", rank)
 
 
 UNKNOWN_ASN = AsnInfo(None, "Unknown", "??", None)
@@ -304,13 +314,16 @@ def enrich(address: str, table: EnrichmentTable) -> AsnInfo:
     return AsnInfo(asn, org, country, rank)
 
 
-@dataclass(slots=True)
-class TopReportRow:
-    group: str  # ASN as decimal text, or country code
-    organization: str
-    country: str
-    rank: int | None
-    port_counts: Mapping[int, int]
+class TopReportRow(Record):
+    """One group, its ASN as decimal text or a country code, with its unique
+    addresses per port."""
+
+    __slots__ = ("group", "organization", "country", "rank", "port_counts")
+
+    def __init__(self, group: str, organization: str, country: str, rank: int | None,
+                 port_counts: Mapping[int, int]) -> None:
+        self.group, self.organization, self.country = group, organization, country
+        self.rank, self.port_counts = rank, port_counts
 
     def count(self, port: int) -> int:
         return self.port_counts.get(port, 0)

@@ -11,7 +11,6 @@ against that view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -28,9 +27,11 @@ from .probe import (
     checked_target,
     probe_targets,
 )
+from .record import Record
 
 # Tries per TTL before the hop is recorded as unobserved; the first reply wins.
 ATTEMPTS_PER_TTL = 3
+MAX_TTL = 64  # the highest TTL a trace walks to
 
 
 class OptionDiffKind(Enum):
@@ -48,23 +49,25 @@ MODIFYING_DIFFS = {
 }
 
 
-@dataclass(slots=True)
-class OptionDiff:
-    kind: OptionDiffKind
-    new_key: Key | None = None
-    description: str | None = None
+class OptionDiff(Record):
+    __slots__ = ("kind", "new_key", "description")
+
+    def __init__(self, kind: OptionDiffKind, new_key: Key | None = None,
+                 description: str | None = None) -> None:
+        self.kind, self.new_key, self.description = kind, new_key, description
 
     @property
     def modifying(self) -> bool:
         return self.kind in MODIFYING_DIFFS
 
 
-@dataclass(slots=True)
-class HopRecord:
-    ttl: int
-    responder: str | None
-    quoted_options: list[TcpOption] | None
-    diff: OptionDiff
+class HopRecord(Record):
+    __slots__ = ("ttl", "responder", "quoted_options", "diff")
+
+    def __init__(self, ttl: int, responder: str | None, quoted_options: list[TcpOption] | None,
+                 diff: OptionDiff) -> None:
+        self.ttl, self.responder, self.quoted_options = ttl, responder, quoted_options
+        self.diff = diff
 
 
 class PathVerdictKind(Enum):
@@ -74,23 +77,26 @@ class PathVerdictKind(Enum):
     NOT_CAPABLE = "not_capable"
 
 
-@dataclass(slots=True)
-class PathVerdict:
-    kind: PathVerdictKind
-    sender_key: Key | None = None
-    first_modifying_ttl: int | None = None
+class PathVerdict(Record):
+    __slots__ = ("kind", "sender_key", "first_modifying_ttl")
+
+    def __init__(self, kind: PathVerdictKind, sender_key: Key | None = None,
+                 first_modifying_ttl: int | None = None) -> None:
+        self.kind, self.sender_key = kind, sender_key
+        self.first_modifying_ttl = first_modifying_ttl
 
     @property
     def label(self) -> str:
         return self.kind.value
 
 
-@dataclass(slots=True)
-class PathTrace:
+class PathTrace(Record):
     """probe_path output: one record per TTL plus the target's final answer."""
 
-    hops: list[HopRecord]
-    final_response: ProbeResponse | None
+    __slots__ = ("hops", "final_response")
+
+    def __init__(self, hops: list[HopRecord], final_response: ProbeResponse | None) -> None:
+        self.hops, self.final_response = hops, final_response
 
 
 def diff_options(sent: SynView, observed: list[TcpOption]) -> OptionDiff:
@@ -198,15 +204,15 @@ def inspect_target(
 TRACE_VERDICTS = frozenset({k.value for k in PathVerdictKind} | {"skipped", "error"})
 
 
-@dataclass(slots=True)
-class TraceRecord:
+class TraceRecord(Record):
     """One verdict per inspected target, in wire-file form, of TRACE_VERDICTS."""
 
-    address: str
-    port: int
-    verdict: str
-    first_modifying_ttl: int | None = None
-    final_key: Key | None = None
+    __slots__ = ("address", "port", "verdict", "first_modifying_ttl", "final_key")
+
+    def __init__(self, address: str, port: int, verdict: str,
+                 first_modifying_ttl: int | None = None, final_key: Key | None = None) -> None:
+        self.address, self.port, self.verdict = address, port, verdict
+        self.first_modifying_ttl, self.final_key = first_modifying_ttl, final_key
 
     def to_csv(self) -> str:
         ttl = "" if self.first_modifying_ttl is None else str(self.first_modifying_ttl)
@@ -215,13 +221,21 @@ class TraceRecord:
 
     @classmethod
     def from_csv(cls, line: str) -> "TraceRecord":
+        """A row as `classify_path` makes one: a TTL in [1, MAX_TTL] on none
+        but a middlebox_affected row, and a key on none but a truly_capable one."""
         parts = line.rstrip("\n").split(",")
         if len(parts) != 5:
             raise ValueError(f"expected 5 fields, got {len(parts)}: {line!r}")
         address, port, verdict, ttl, key = parts
         if verdict not in TRACE_VERDICTS:
             raise ValueError(f"unknown verdict {verdict!r}")
-        return cls(*checked_target(address, int(port)), verdict, int(ttl) if ttl else None,
+        first_ttl = int(ttl) if ttl else None
+        if ttl and (verdict != "middlebox_affected" or not 1 <= first_ttl <= MAX_TTL):
+            raise ValueError(f"a TTL in [1, {MAX_TTL}] is only on a middlebox_affected row, "
+                             f"got {ttl!r} on {verdict}")
+        if key and verdict != "truly_capable":
+            raise ValueError(f"a key is only on a truly_capable row, got {key!r} on {verdict}")
+        return cls(*checked_target(address, int(port)), verdict, first_ttl,
                    Key.from_hex(key) if key else None)
 
 

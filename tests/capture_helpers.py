@@ -1,4 +1,4 @@
-"""Synthetic capture construction shared by flow and acceptance tests."""
+"""Synthetic packet and capture construction shared by the tests."""
 
 from __future__ import annotations
 
@@ -10,6 +10,13 @@ from typing import IO, Iterable
 from mptcpkit.options import HandshakePhase, Key, MpCapable, encode_mp_capable
 from mptcpkit.packet import TcpFlags, TcpPacket, encode_packet
 from mptcpkit.pcapio import LINKTYPE_RAW, MAGIC_US
+
+
+def replace(record, **changes):
+    """A copy of a record with the named fields changed: every field is
+    passed to the constructor by name."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
 
 
 def write_pcap(

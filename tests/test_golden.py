@@ -5,11 +5,13 @@ by sha256 with the digests the pipeline wrote before the campaign's hot
 paths were optimised. A change that only makes the toolkit faster must
 leave every digest as it is. The `bench-out/` digests were recorded again
 when the simulated jitter became the top 53 bits of its blake2b digest, and
-the six key-bearing digests when each simulated key became a blake2b digest
-of its stream's identity and draw number, and again when the endpoint's
-stream became the TTL it answers at, no longer the last interior hop's.
-`KEY_BLIND` pins the five row files with their key column cleared, as they
-were before those changes: only the keys moved.
+the six key-bearing digests when each simulated key became a blake2b digest,
+and again when the endpoint's key became the one of the TTL it answers at,
+no longer the last interior hop's. Each key is the blake2b digest of
+`seed|address|port|hop|role` (a node with a `seed=N` of its own hashes
+`seed=N|role`), the same however often it is asked for. `KEY_BLIND` pins
+the five row files with their key column cleared, as they were before those
+changes: only the keys moved.
 """
 
 import hashlib

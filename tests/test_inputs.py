@@ -370,6 +370,7 @@ def test_a_label_the_program_never_writes_names_its_line(argv, first, row, messa
 
 def test_every_label_the_program_writes_reads_back():
     from mptcpkit.probe import SCAN_LABELS, ClassificationKind
+    from mptcpkit.store import HostRecord
     from mptcpkit.tracer import TRACE_VERDICTS, PathVerdictKind, TraceRecord
 
     assert SCAN_LABELS == {k.value for k in ClassificationKind} | {"skipped", "dry_run", "error"}
@@ -380,6 +381,57 @@ def test_every_label_the_program_writes_reads_back():
         assert CampaignRecord.parse(row).label == label
     for verdict in TRACE_VERDICTS:
         assert TraceRecord.from_csv(f"10.0.0.1,80,{verdict},,").verdict == verdict
+    for label in SCAN_LABELS:
+        assert HostRecord.from_line(f"10.0.0.1,{label},\n").classification == label
+
+
+TTL_ONLY_ON_AFFECTED = "a TTL in [1, 64] is only on a middlebox_affected row, got"
+KEY_ONLY_ON_CAPABLE = "a key is only on a truly_capable row, got"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("10.0.0.1,80,truly_capable,-3,", f"{TTL_ONLY_ON_AFFECTED} '-3' on truly_capable"),
+    ("10.0.0.1,80,unreachable,0,00000000000000ff", f"{TTL_ONLY_ON_AFFECTED} '0' on unreachable"),
+    ("10.0.0.1,80,not_capable,5,", f"{TTL_ONLY_ON_AFFECTED} '5' on not_capable"),
+    ("10.0.0.1,80,middlebox_affected,999,", f"{TTL_ONLY_ON_AFFECTED} '999' on middlebox_affected"),
+    ("10.0.0.1,80,middlebox_affected,0,", f"{TTL_ONLY_ON_AFFECTED} '0' on middlebox_affected"),
+    ("10.0.0.1,80,unreachable,,00000000000000ff",
+     f"{KEY_ONLY_ON_CAPABLE} '00000000000000ff' on unreachable"),
+    ("10.0.0.1,80,middlebox_affected,3,00000000000000ff",
+     f"{KEY_ONLY_ON_CAPABLE} '00000000000000ff' on middlebox_affected"),
+])
+def test_a_trace_row_the_program_never_writes_names_its_line(row, message, tmp_path, capsys):
+    # `classify_path` gives a TTL only to a middlebox_affected verdict and a
+    # key only to a truly_capable one, and a trace walks TTLs 1 to 64.
+    path = _write_inputs(tmp_path / "in", f"# rows\n{TRACE_ROW}\n{row}\n")
+    assert cli.main(["report", "summary", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 3: {message}\n"
+
+
+@pytest.mark.parametrize("row", ["10.0.0.1,80,middlebox_affected,1,",
+                                 "10.0.0.1,80,middlebox_affected,64,",
+                                 "10.0.0.1,80,truly_capable,,00000000000000ff"])
+def test_every_trace_row_the_program_writes_reads_back(row):
+    from mptcpkit.tracer import TraceRecord
+
+    assert TraceRecord.from_csv(row).to_csv() == row
+
+
+@pytest.mark.parametrize("row, message", [
+    ("10.0.0.x,potential_capable,", NOT_AN_ADDRESS),
+    ("10.0.0.1,banana,", "unknown classification 'banana'"),
+    ("10.0.0.1,truly_capable,", "unknown classification 'truly_capable'"),  # a trace verdict
+])
+def test_a_snapshot_row_the_program_never_writes_names_its_line(row, message, tmp_path,
+                                                                capsys):
+    store = tmp_path / "store"
+    store.mkdir()
+    path = store / "2026-01_v4_80_0"
+    path.write_text(f"# snapshot 2026-01 v4 port=80 version=0\n10.0.0.2,potential_capable,\n"
+                    f"{row}\n")
+    argv = ["report", "consistent", "--store", str(store), "--at", "2026-01", "--window", "1"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 3: {message}\n"
 
 
 @pytest.mark.parametrize("timestamp", [0, 0.5, 1e300])

@@ -4,12 +4,12 @@ runs it against kernel listeners."""
 
 import socket
 import threading
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capture_helpers import replace
 from mptcpkit.errors import TransportUnavailable
 from mptcpkit.packet import (
     TcpFlags,

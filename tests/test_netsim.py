@@ -7,12 +7,12 @@ import ipaddress
 import itertools
 import random
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capture_helpers import replace
 from mptcpkit.errors import OptionError
 from mptcpkit.inputs import data_line
 from mptcpkit.netsim import (

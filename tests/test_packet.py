@@ -1,12 +1,11 @@
 import ipaddress
 import struct
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from capture_helpers import with_v6_headers
+from capture_helpers import replace, with_v6_headers
 from mptcpkit.options import TcpOption
 from mptcpkit.packet import (
     LATER_FRAGMENT,

@@ -1,6 +1,5 @@
 import bisect
 import collections
-import dataclasses
 import functools
 import hashlib
 import inspect
@@ -296,7 +295,7 @@ class TestGuard:
             CampaignGuard(None, RatePacer(100.0))
 
     def test_guard_holds_only_blocklist_and_pacer(self):
-        assert [f.name for f in dataclasses.fields(CampaignGuard)] == ["blocklist", "pacer"]
+        assert CampaignGuard.__slots__ == ("blocklist", "pacer")
 
     def test_dry_run_without_blocklist_ok(self):
         args = cli.build_parser().parse_args(["scan", "--targets", "t.csv", "--dry-run"])

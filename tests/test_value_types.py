@@ -1,16 +1,20 @@
 """Which value types are frozen, and that no value changes across runs.
 
-Every dataclass in the package is slotted. Values that are shared between
+Every record type in the package (a class that names its fields in
+`__slots__`) is slotted all the way down. Values that are shared between
 probes, paths or runs (a module constant, a cache key, a cached result, one
 node per topology token) are frozen and hashable; everything built once per
-probe, hop, sample or report row is a plain dataclass, cheaper to build and
+probe, hop, sample or report row is a plain record, cheaper to build and
 never hashed.
 """
 
-import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,38 +28,57 @@ from mptcpkit.store import UNKNOWN_ASN, AsnInfo
 FROZEN = {Key, TcpOption, MpCapable, NodeBehavior, AsnInfo, ProbeContext}
 
 
-def _package_dataclasses() -> dict[str, type]:
+def _package_records() -> dict[str, type]:
+    """Each class of the package with fields in its own `__slots__` (a
+    NamedTuple's are empty, and so are the records' bases)."""
     found = {}
     for info in pkgutil.iter_modules(mptcpkit.__path__):
         module = importlib.import_module(f"mptcpkit.{info.name}")
         for _name, obj in inspect.getmembers(module, inspect.isclass):
-            if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__:
+            if obj.__dict__.get("__slots__") and obj.__module__ == module.__name__:
                 found[f"{module.__name__}.{obj.__qualname__}"] = obj
     return found
 
 
-DATACLASSES = _package_dataclasses()
+RECORDS = _package_records()
+
+
+def _frozen(cls: type) -> bool:
+    return cls.__setattr__ is not object.__setattr__
 
 
 def test_every_module_is_searched():
-    assert FROZEN <= set(DATACLASSES.values())
-    assert "mptcpkit.packet.TcpPacket" in DATACLASSES
-    assert len(DATACLASSES) >= 30
+    assert FROZEN <= set(RECORDS.values())
+    assert "mptcpkit.packet.TcpPacket" in RECORDS
+    assert len(RECORDS) >= 30
 
 
-@pytest.mark.parametrize("name", sorted(DATACLASSES))
+@pytest.mark.parametrize("name", sorted(RECORDS))
 def test_every_dataclass_is_slotted(name):
-    cls = DATACLASSES[name]
-    assert "__slots__" in cls.__dict__
-    assert "__dict__" not in cls.__dict__
+    cls = RECORDS[name]
+    assert all("__slots__" in base.__dict__ for base in cls.__mro__[:-1])
+    assert "__dict__" not in cls.__dict__ and "__weakref__" not in cls.__dict__
 
 
-@pytest.mark.parametrize("name", sorted(DATACLASSES))
+@pytest.mark.parametrize("name", sorted(RECORDS))
 def test_only_shared_values_are_frozen_and_hashable(name):
-    cls = DATACLASSES[name]
+    cls = RECORDS[name]
     shared = cls in FROZEN
-    assert cls.__dataclass_params__.frozen is shared
+    assert _frozen(cls) is shared
     assert (cls.__hash__ is not None) is shared
+
+
+def test_the_cli_imports_no_code_generation_modules():
+    # `dataclasses` runs `exec` for each class it builds and brings in
+    # `inspect`, `ast`, `dis` and `tokenize`: a cost each command would pay
+    # again at start-up.
+    src = Path(mptcpkit.__file__).parent.parent
+    code = "import sys, mptcpkit.cli; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    loaded = set(done.stdout.split())
+    assert "mptcpkit.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def _options_seen_in_campaigns() -> list[bytes]:
@@ -79,9 +102,12 @@ def test_shared_values_refuse_assignment():
               *_cached_values(), ProbeContext(1)]
     assert {type(v) for v in values} == FROZEN
     for value in values:
-        field = dataclasses.fields(value)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, field, getattr(value, field))
+        for field in type(value).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            getattr(value, field)
 
 
 # -- no record or cached value carries over from one run to the next ------------
