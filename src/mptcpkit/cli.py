@@ -31,7 +31,6 @@ from .probe import (
     Blocklist,
     CampaignGuard,
     CampaignRecord,
-    ClassificationKind,
     DEFAULT_PROBE_KEY,
     PacedTransport,
     RatePacer,
@@ -39,8 +38,6 @@ from .probe import (
     run_campaign,
     target_row,
 )
-
-POSITIVE_SCAN_LABELS = {ClassificationKind.POTENTIAL_CAPABLE.value}
 
 
 def _targets_from_scan(path: str, labels: set[str]) -> list[tuple[str, int]]:
@@ -162,7 +159,7 @@ def cmd_scan(args) -> int:
 def cmd_trace(args) -> int:
     guard = _guard_from_args(args)
     targets = (read_rows(args.targets, target_row) if args.from_scan is None
-               else _drain(_targets_from_scan(args.from_scan, POSITIVE_SCAN_LABELS)))
+               else _drain(_targets_from_scan(args.from_scan, store_mod.POSITIVE_LABELS)))
     transport = _resolve_transport(args)
     rows = tracer.trace_campaign(targets, version=args.version, guard=guard, transport=transport,
                                  max_ttl=args.max_ttl, probe_key=args.probe_key, seed=args.seed)

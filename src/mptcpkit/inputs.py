@@ -1,14 +1,17 @@
 """What every text file shares. One reader: `rows` applies the comment rule
 (`data_line`) and a schema's row parser to each line, and names the line of a
-bad row; `read_rows` and `open_in` open a file by path and name it too. One
-writer: `OutFile`, which replaces a file whole, and only when the run succeeds.
-And the `prefix[,asn]` rows and `PrefixTable` of blocklists and ASN tables."""
+bad row; `read_rows` and `open_in` open a file by path and name it too;
+`unsigned_field` and `timestamp_field` read the numbers of the toolkit's own
+rows. One writer: `OutFile`, which replaces a file whole, and only when the
+run succeeds. And the `prefix[,asn]` rows and `PrefixTable` of blocklists and
+ASN tables."""
 
 from __future__ import annotations
 
 import contextlib
 import ipaddress
 import itertools
+import math
 import os
 import stat
 import sys
@@ -54,6 +57,23 @@ def read_rows(path: str | os.PathLike, parse: Callable[[str], Row]) -> Iterator[
     """`rows` of the text input at `path`, opened at the first row asked for."""
     with open_in(path) as f:
         yield from rows(f, parse)
+
+
+def unsigned_field(text: str, name: str) -> int:
+    """A row's integer field: ASCII digits alone, no sign, space, `_` or other script's digit."""
+    if text.isdigit() and text.isascii():
+        return int(text)
+    raise ValueError(f"{name} must be ASCII digits, got {text!r}")
+
+
+def timestamp_field(value: str | float) -> float:
+    """A scan row's timestamp: finite and >= 0; in CSV, ASCII digits with at most one `.`."""
+    if isinstance(value, str) and not (value.replace(".", "", 1).isdigit() and value.isascii()):
+        raise ValueError(f"timestamp must be digits with at most one '.', got {value!r}")
+    number = float(value)
+    if 0 <= number < math.inf:  # NaN fails too
+        return number
+    raise ValueError(f"timestamp must be finite and >= 0, got {value!r}")
 
 
 def prefix_key(prefix: str) -> PrefixKey:

@@ -49,7 +49,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .inputs import open_in, rows
+from .inputs import open_in, rows, unsigned_field
 from .options import (
     DEFAULT_MP_FLAGS,
     HandshakePhase,
@@ -205,9 +205,6 @@ class SimNetwork:
     def add_path(self, address: str, port: int, path: SimPath) -> None:
         self.paths[(address, port)] = path
 
-    def targets(self) -> list[tuple[str, int]]:
-        return sorted(self.paths)
-
     def _key(self, address: str, port: int, hop: int, node: NodeBehavior, role: int = 0) -> Key:
         """The key of `node` at `hop` of (address, port) in `role`: the blake2b
         of `seed|address|port|hop|role`. A `seed=N` node hashes `seed=N|role`
@@ -347,19 +344,14 @@ def _parse_node(token: str) -> NodeBehavior:
     quote_bytes = DEFAULT_QUOTE_BYTES
     for arg in args:  # each kind takes only the arguments `spec_token` writes for it
         if arg in ("v0", "v1") and kind is BehaviorKind.TRUE_MPTCP_HOST:
-            versions.add(int(arg[1]))
+            versions.add(1 if arg == "v1" else 0)
         elif arg.startswith("seed=") and kind in SEEDED_KINDS:
-            key_seed = int(arg.split("=", 1)[1])
+            key_seed = int(arg.split("=", 1)[1])  # signed: a key hashes its decimal text
         elif arg.isdigit() and kind is BehaviorKind.QUOTING_ROUTER:
-            quote_bytes = int(arg)
+            quote_bytes = unsigned_field(arg, "quote size")
         else:
             raise ValueError(f"unknown node argument {arg!r} in {token!r}")
-    return NodeBehavior(
-        kind,
-        supported_versions=frozenset(versions),
-        key_seed=key_seed,
-        quote_bytes=quote_bytes,
-    )
+    return NodeBehavior(kind, frozenset(versions), key_seed, quote_bytes)
 
 
 def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
@@ -400,7 +392,7 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
         number = ports.get(port)
         if number is None:
             try:
-                number = int(port)
+                number = unsigned_field(port, "port")
             except ValueError:
                 number = -1
             if not 0 <= number <= 65535:

@@ -47,9 +47,8 @@ MP_CAPABLE_SUBTYPE = 0
 DEFAULT_MP_FLAGS = 0x81
 
 
-@functools.total_ordering
 class Key(Frozen):
-    """A 64-bit MPTCP sender's key, ordered by value."""
+    """A 64-bit MPTCP sender's key."""
 
     __slots__ = ("value",)
 
@@ -57,11 +56,6 @@ class Key(Frozen):
         if not 0 <= value < 1 << 64:
             raise ValueError(f"key must fit in 64 bits, got {value:#x}")
         object.__setattr__(self, "value", value)
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value < other.value
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Key":

@@ -16,28 +16,13 @@ import functools
 import ipaddress
 import socket
 import struct
-from enum import IntFlag
 
 from .options import TcpOption, parse_options_prefix
 from .record import Record
 
-
-class TcpFlags(IntFlag):
-    FIN = 0x01
-    SYN = 0x02
-    RST = 0x04
-    PSH = 0x08
-    ACK = 0x10
-    URG = 0x20
-    ECE = 0x40
-    CWR = 0x80
-
-
-# The same bits as plain ints, for per-packet tests: `flags & TcpFlags.SYN`
-# with an int `flags` runs IntFlag's reflected `__rand__`, a Python call.
-FLAG_SYN = int(TcpFlags.SYN)
-FLAG_RST = int(TcpFlags.RST)
-FLAG_ACK = int(TcpFlags.ACK)
+FLAG_SYN = 0x02
+FLAG_RST = 0x04
+FLAG_ACK = 0x10
 FLAG_SYN_ACK = FLAG_SYN | FLAG_ACK
 
 IPV4_HEADER_LEN = 20

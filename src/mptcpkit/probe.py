@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Protocol
 
 from .errors import GuardViolation, IllegalCombination, OptionError
-from .inputs import PrefixTable, Row, open_in, prefix_row, rows
+from .inputs import PrefixTable, Row, open_in, prefix_row, rows, timestamp_field, unsigned_field
 from .options import (
     DEFAULT_MP_FLAGS,
     HandshakePhase,
@@ -335,6 +335,21 @@ class PacedTransport:
 
 # A scan row's label: a classification, or why the target has none.
 SCAN_LABELS = frozenset({k.value for k in ClassificationKind} | {"skipped", "dry_run", "error"})
+# The labels whose row may carry a key: the only ones `classify_response` gives one.
+KEYED_LABELS = frozenset({"mirrored_key", "potential_capable"})
+
+
+def scan_key(label: str, key: str | None) -> Key | None:
+    """The key, None if empty or absent, of a scan or snapshot row of `label`,
+    which must be one of SCAN_LABELS, and of KEYED_LABELS to carry a key."""
+    if label not in SCAN_LABELS:
+        raise ValueError(f"unknown classification {label!r}")
+    if key in (None, ""):
+        return None
+    if label not in KEYED_LABELS:
+        raise ValueError(f"a key is only on a mirrored_key or potential_capable row, "
+                         f"got {key!r} on {label}")
+    return Key.from_hex(key)
 
 
 class CampaignRecord(Record):
@@ -373,8 +388,8 @@ class CampaignRecord(Record):
         if len(parts) != 6:
             raise ValueError(f"expected 6 fields, got {len(parts)}: {line!r}")
         ts, address, port, version, label, key = parts
-        return cls(float(ts), address, int(port), int(version), label,
-                   Key.from_hex(key) if key else None)
+        return cls(timestamp_field(ts), address, unsigned_field(port, "port"),
+                   unsigned_field(version, "version"), label, scan_key(label, key))
 
     @classmethod
     def from_json(cls, line: str) -> "CampaignRecord":
@@ -396,8 +411,8 @@ class CampaignRecord(Record):
                 raise TypeError(f"got_version must be null, 0 or 1, got {got_version!r}")
             if not isinstance(note, (str, type(None))):
                 raise TypeError(f"note must be null or a string, got {note!r}")
-            return cls(float(timestamp), address, port, version, label,
-                       Key.from_hex(key) if key else None, got_version, note)
+            return cls(timestamp_field(timestamp), address, port, version, label,
+                       scan_key(label, key), got_version, note)
         except (AttributeError, KeyError, OverflowError, TypeError) as exc:
             raise ValueError(f"bad scan record ({exc!r}): {line!r}") from None
 
@@ -408,8 +423,6 @@ class CampaignRecord(Record):
         checked_target(record.address, record.port)
         if record.version not in (0, 1):
             raise ValueError(f"version must be 0 or 1, got {record.version}")
-        if record.label not in SCAN_LABELS:
-            raise ValueError(f"unknown classification {record.label!r}")
         return record
 
 
@@ -422,11 +435,11 @@ def checked_target(address: str, port: int) -> tuple[str, int]:
 
 
 def target_row(line: str) -> tuple[str, int]:
-    """One `address,port` row, a `checked_target`."""
+    """One `address,port` row, a `checked_target`; spaces may pad each field."""
     address, sep, port = line.rpartition(",")
     if not sep:
         raise ValueError(f"expected address,port, got {line!r}")
-    return checked_target(address.strip(), int(port))
+    return checked_target(address.strip(), unsigned_field(port.strip(), "port"))
 
 
 def probe_targets(targets: Iterable[tuple[str, int]], blocklist: Blocklist,

@@ -17,12 +17,10 @@ from .errors import InsufficientHistory
 from .inputs import OutFile, PrefixKey, PrefixTable, open_in, prefix_row, read_rows, rows
 from .options import Key
 from .packet import pack_address
-from .probe import SCAN_LABELS, ClassificationKind
+from .probe import ClassificationKind, scan_key
 from .record import Frozen, Record
-from .tracer import PathVerdictKind
 
-POSITIVE_LABELS = {ClassificationKind.POTENTIAL_CAPABLE.value,
-                   PathVerdictKind.TRULY_CAPABLE.value}
+POSITIVE_LABELS = {ClassificationKind.POTENTIAL_CAPABLE.value}
 # Labels that mean "answered with MP_CAPABLE at all" (reachable for pruning).
 MPCAPABLE_LABELS = POSITIVE_LABELS | {ClassificationKind.MIRRORED_KEY.value,
                                       ClassificationKind.VERSION_MISMATCH.value}
@@ -48,12 +46,10 @@ class HostRecord(Record):
 
     @classmethod
     def from_line(cls, line: str) -> "HostRecord":
-        """A row as `to_line` writes one: an address and a scan label."""
+        """A row as `to_line` writes one: an address, a scan label and its `scan_key`."""
         address, classification, key = line.rstrip("\n").split(",")
         pack_address(address)  # raises for what is not an address
-        if classification not in SCAN_LABELS:
-            raise ValueError(f"unknown classification {classification!r}")
-        return cls(address, classification, Key.from_hex(key) if key else None)
+        return cls(address, classification, scan_key(classification, key))
 
 
 class ScanSnapshot(Record):

@@ -14,6 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Iterator
 
+from .inputs import unsigned_field
 from .options import Key, SynView, TcpOption, decode_mp_capable_any, find_mp_capable
 from .packet import FLAG_SYN_ACK, extract_quoted_options
 from .probe import (
@@ -133,8 +134,8 @@ def probe_path(
     Hops whose quotes are missing or too short to show the options region
     are recorded as unobserved.
     """
-    if not 1 <= max_ttl <= 64:
-        raise ValueError(f"max_ttl must be in [1, 64], got {max_ttl}")
+    if not 1 <= max_ttl <= MAX_TTL:
+        raise ValueError(f"max_ttl must be in [1, {MAX_TTL}], got {max_ttl}")
     syn = build_syn_probe(ctx, target, port)
     sent = ctx.view
     hops: list[HopRecord] = []
@@ -229,13 +230,13 @@ class TraceRecord(Record):
         address, port, verdict, ttl, key = parts
         if verdict not in TRACE_VERDICTS:
             raise ValueError(f"unknown verdict {verdict!r}")
-        first_ttl = int(ttl) if ttl else None
+        first_ttl = unsigned_field(ttl, "TTL") if ttl else None
         if ttl and (verdict != "middlebox_affected" or not 1 <= first_ttl <= MAX_TTL):
             raise ValueError(f"a TTL in [1, {MAX_TTL}] is only on a middlebox_affected row, "
                              f"got {ttl!r} on {verdict}")
         if key and verdict != "truly_capable":
             raise ValueError(f"a key is only on a truly_capable row, got {key!r} on {verdict}")
-        return cls(*checked_target(address, int(port)), verdict, first_ttl,
+        return cls(*checked_target(address, unsigned_field(port, "port")), verdict, first_ttl,
                    Key.from_hex(key) if key else None)
 
 

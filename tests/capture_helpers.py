@@ -8,8 +8,10 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from mptcpkit.options import HandshakePhase, Key, MpCapable, encode_mp_capable
-from mptcpkit.packet import TcpFlags, TcpPacket, encode_packet
+from mptcpkit.packet import FLAG_ACK, FLAG_SYN, FLAG_SYN_ACK, TcpPacket, encode_packet
 from mptcpkit.pcapio import LINKTYPE_RAW, MAGIC_US
+
+FLAG_PSH = 0x08  # the push bit, which the package never reads
 
 
 def replace(record, **changes):
@@ -44,7 +46,7 @@ def tcp_frame(
     dst: str,
     sport: int,
     dport: int,
-    flags: int = int(TcpFlags.ACK),
+    flags: int = FLAG_ACK,
     options: bytes = b"",
     payload_len: int = 0,
     seq: int = 1000,
@@ -82,15 +84,15 @@ def handshake_frames(
             MpCapable(mptcp_version, sender_key=key or Key(0x1111)), HandshakePhase.SYN_ACK
         )
     frames = [
-        (t0, tcp_frame(src, dst, sport, dport, int(TcpFlags.SYN), syn_opts)),
-        (t0 + 0.01, tcp_frame(dst, src, dport, sport, int(TcpFlags.SYN | TcpFlags.ACK), synack_opts)),
-        (t0 + 0.02, tcp_frame(src, dst, sport, dport, int(TcpFlags.ACK))),
+        (t0, tcp_frame(src, dst, sport, dport, FLAG_SYN, syn_opts)),
+        (t0 + 0.01, tcp_frame(dst, src, dport, sport, FLAG_SYN_ACK, synack_opts)),
+        (t0 + 0.02, tcp_frame(src, dst, sport, dport, FLAG_ACK)),
     ]
     for i in range(extra_data_packets):
         frames.append(
             (
                 t0 + 0.03 + i * 0.01,
-                tcp_frame(src, dst, sport, dport, int(TcpFlags.ACK | TcpFlags.PSH),
+                tcp_frame(src, dst, sport, dport, FLAG_ACK | FLAG_PSH,
                           payload_len=payload_len),
             )
         )

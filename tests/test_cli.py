@@ -19,12 +19,13 @@ from capture_helpers import handshake_frames, write_pcap
 import mptcpkit
 from mptcpkit import bench as bench_mod
 from mptcpkit import cli, inputs, netsim
-from mptcpkit.cli import POSITIVE_SCAN_LABELS, _targets_from_scan, main
+from mptcpkit.cli import _targets_from_scan, main
 from mptcpkit.inputs import read_rows
 from mptcpkit.errors import TransportUnavailable
 from mptcpkit.netsim import SimNetwork
 from mptcpkit.options import Key
 from mptcpkit.probe import CampaignRecord, RatePacer, VirtualClock
+from mptcpkit.store import POSITIVE_LABELS
 
 TOPOLOGY = """\
 path 10.0.0.1 80 true_host(v0,v1)
@@ -117,10 +118,8 @@ class TestScan:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_jsonl_record_keeps_got_version_and_note(self, workdir):
-        record = CampaignRecord(
-            1.5, "10.0.0.1", 80, 1, "version_mismatch",
-            sender_key=Key(0xAB), got_version=0, note="reset",
-        )
+        record = CampaignRecord(1.5, "10.0.0.1", 80, 1, "version_mismatch", got_version=0,
+                                note="reset")
         scan = workdir / "scan.jsonl"
         scan.write_text(record.to_json() + "\n")
         assert list(read_rows(str(scan), CampaignRecord.parse)) == [record]
@@ -249,7 +248,7 @@ class TestTrace:
             CampaignRecord(float(i), address, port, 0, label).to_csv() + "\n"
             for i, (address, port, label) in enumerate(rows)
         ))
-        assert _targets_from_scan(str(scan), POSITIVE_SCAN_LABELS) == [
+        assert _targets_from_scan(str(scan), POSITIVE_LABELS) == [
             ("10.0.0.2", 80), ("2001:db8::1", 80), ("10.0.0.1", 80), ("10.0.0.2", 443),
         ]
 
@@ -1179,7 +1178,9 @@ class TestBench:
                    "--runs", "2", "--out-dir", str(out_dir)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == f"error: {workdir / 'bad-targets.csv'}: line 2: port out of range: {port}\n"
+        message = {"-1": "port must be ASCII digits, got '-1'",
+                   "70000": "port out of range: 70000"}[port]
+        assert err == f"error: {workdir / 'bad-targets.csv'}: line 2: {message}\n"
         assert all((a, p) == ("10.0.0.1", 80) for _t, a, p, _r in log["fetched"])
         assert not out_dir.exists()
 

@@ -37,7 +37,7 @@ from mptcpkit.options import (
     mp_capable_version,
     parse_options_prefix,
 )
-from mptcpkit.packet import TcpFlags, decode_packet, pack_address
+from mptcpkit.packet import decode_packet, pack_address
 from mptcpkit.pcapio import (
     GZIP_MAGIC,
     LINKTYPE_ETHERNET,

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from mptcpkit import cli, inputs, netsim
 from mptcpkit.flows import ServiceTables
 from mptcpkit.inputs import PrefixTable, prefix_key, prefix_row, rows
-from mptcpkit.probe import Blocklist, CampaignRecord, target_row
-from mptcpkit.store import EnrichmentTable, ScanSnapshot, SnapshotStore
+from mptcpkit.options import Key
+from mptcpkit.probe import KEYED_LABELS, SCAN_LABELS, Blocklist, CampaignRecord, target_row
+from mptcpkit.store import EnrichmentTable, HostRecord, ScanSnapshot, SnapshotStore
+from mptcpkit.tracer import MAX_TTL, TRACE_VERDICTS, TraceRecord
 
 
 def test_data_lines_cuts_comments_and_skips_blanks():
@@ -390,7 +392,7 @@ KEY_ONLY_ON_CAPABLE = "a key is only on a truly_capable row, got"
 
 
 @pytest.mark.parametrize("row, message", [
-    ("10.0.0.1,80,truly_capable,-3,", f"{TTL_ONLY_ON_AFFECTED} '-3' on truly_capable"),
+    ("10.0.0.1,80,truly_capable,-3,", "TTL must be ASCII digits, got '-3'"),
     ("10.0.0.1,80,unreachable,0,00000000000000ff", f"{TTL_ONLY_ON_AFFECTED} '0' on unreachable"),
     ("10.0.0.1,80,not_capable,5,", f"{TTL_ONLY_ON_AFFECTED} '5' on not_capable"),
     ("10.0.0.1,80,middlebox_affected,999,", f"{TTL_ONLY_ON_AFFECTED} '999' on middlebox_affected"),
@@ -446,6 +448,219 @@ def test_a_file_that_is_not_utf8_is_named(tmp_path):
     path.write_bytes(b"10.0.0.1,80\n\xff\n")
     with pytest.raises(ValueError, match=f"^{path}: 'utf-8' codec can't decode"):
         list(inputs.read_rows(path, target_row))
+
+
+# -- one owner per row rule: what the writers emit reads back, nothing else ---
+
+ADDRESSES = st.ip_addresses().map(str)
+PORTS = st.integers(0, 65535)
+TIMESTAMPS = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+KEYS = st.integers(0, 2**64 - 1).map(Key)
+
+
+@st.composite
+def scan_records(draw, jsonl):
+    """A record `run_campaign` can yield, with its timestamp as the CSV or
+    JSONL form keeps it, and the got_version and note only JSONL keeps."""
+    label = draw(st.sampled_from(sorted(SCAN_LABELS)))
+    key = draw(st.none() | KEYS) if label in KEYED_LABELS else None
+    timestamp = draw(TIMESTAMPS)
+    got_version = note = None
+    if jsonl:
+        timestamp = round(timestamp, 6)
+        got_version = draw(st.sampled_from([None, 0, 1]))
+        note = draw(st.none() | st.text(max_size=20))
+    else:
+        timestamp = float(f"{timestamp:.6f}")
+    return CampaignRecord(timestamp, draw(ADDRESSES), draw(PORTS), draw(st.sampled_from([0, 1])),
+                          label, key, got_version, note)
+
+
+@st.composite
+def trace_records(draw):
+    """A record `trace_campaign` can yield: a TTL, if any, on a
+    middlebox_affected row, a key, if any, on a truly_capable one."""
+    verdict = draw(st.sampled_from(sorted(TRACE_VERDICTS)))
+    ttl = draw(st.none() | st.integers(1, MAX_TTL)) if verdict == "middlebox_affected" else None
+    key = draw(st.none() | KEYS) if verdict == "truly_capable" else None
+    return TraceRecord(draw(ADDRESSES), draw(PORTS), verdict, ttl, key)
+
+
+@st.composite
+def host_records(draw):
+    """A snapshot record `report ingest` files from a scan record."""
+    label = draw(st.sampled_from(sorted(SCAN_LABELS)))
+    key = draw(st.none() | KEYS) if label in KEYED_LABELS else None
+    return HostRecord(draw(ADDRESSES), label, key)
+
+
+# Each: the records a writer takes, the writer, and the reader of its rows.
+WRITTEN_ROWS = {
+    "scan csv": (scan_records(jsonl=False), CampaignRecord.to_csv, CampaignRecord.parse),
+    "scan jsonl": (scan_records(jsonl=True), CampaignRecord.to_json, CampaignRecord.parse),
+    "trace": (trace_records(), TraceRecord.to_csv, TraceRecord.from_csv),
+    "snapshot": (host_records(), HostRecord.to_line, HostRecord.from_line),
+    "target": (st.tuples(ADDRESSES, PORTS), "{0[0]},{0[1]}".format, target_row),  # `simulate`
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITTEN_ROWS))
+@given(data=st.data())
+@settings(max_examples=200)
+def test_every_row_the_program_writes_reads_back_equal(kind, data):
+    records, write, read = WRITTEN_ROWS[kind]
+    record = data.draw(records)
+    assert read(write(record)) == record
+
+
+def _other_digits(text):
+    """`text` with each ASCII digit written as an Arabic-Indic one, which `int` reads."""
+    return text.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+
+
+def _integer_forms(digits, padded):
+    """Forms of the integer field `digits` that no writer emits: a sign, a `_`,
+    an inner space, another script's digits, and, unless spaces may pad the
+    field (as in a target row), a space around it. `int` reads all but the
+    inner space."""
+    forms = ["+" + digits, "-" + digits, "0_" + digits, _other_digits(digits),
+             f"{digits[0]} {digits[1:] or 0}"]
+    return forms + ([] if padded else [" " + digits, digits + " "])
+
+
+def _replaced(row, index, text):
+    fields = row.split(",")
+    fields[index] = text
+    return ",".join(fields)
+
+
+KEY = "00000000000000ff"
+SCAN_RECORD = CampaignRecord(0.5, "10.0.0.1", 80, 1, "potential_capable", Key(int(KEY, 16)))
+# Each: a row as the program writes it, and the reader of its kind.
+WRITTEN = {
+    "scan csv": (SCAN_RECORD.to_csv(), CampaignRecord.parse),
+    "scan jsonl": (SCAN_RECORD.to_json(), CampaignRecord.parse),
+    "trace": (TraceRecord("10.0.0.1", 80, "middlebox_affected", 5).to_csv(), TraceRecord.from_csv),
+    "target": ("10.0.0.1,80", target_row),
+    "snapshot": (f"10.0.0.1,potential_capable,{KEY}", HostRecord.from_line),
+}
+# The indexes of the integer fields of each CSV kind, and whether spaces may pad them.
+INTEGER_FIELDS = {"scan csv": ((2, 3), False), "trace": ((1, 3), False), "target": ((1,), True)}
+
+
+def _refused_rows():
+    """(kind, row) for each row one rule refuses: an integer field in a form
+    no writer emits, a timestamp that is not finite and >= 0 or not digits
+    with at most one `.`, and a key on a label that never carries one."""
+    for kind, (indexes, padded) in INTEGER_FIELDS.items():
+        row = WRITTEN[kind][0]
+        for index in indexes:
+            for form in _integer_forms(row.split(",")[index], padded):
+                yield kind, _replaced(row, index, form)
+    scan_csv, scan_json = WRITTEN["scan csv"][0], WRITTEN["scan jsonl"][0]
+    for form in ("nan", "inf", "-inf", "-1.0", "-1e3", "1e3", "0_5", _other_digits("0.5"),
+                 "0.5.0", "", "0.5 "):  # the row is stripped, not its fields
+        yield "scan csv", _replaced(scan_csv, 0, form)
+    for form in ("+80", "0_80", _other_digits("80")):
+        yield "scan jsonl", scan_json.replace('"port": 80', f'"port": {form}')
+    for form in ("NaN", "Infinity", "-Infinity", "-1.0", "-1000"):
+        yield "scan jsonl", scan_json.replace('"timestamp": 0.5', f'"timestamp": {form}')
+    for label in sorted(SCAN_LABELS - KEYED_LABELS):
+        yield "scan csv", f"0.5,10.0.0.1,80,0,{label},{KEY}"
+        yield "scan jsonl", json.dumps({**SCAN_JSON, "classification": label, "sender_key": KEY})
+        yield "snapshot", f"10.0.0.1,{label},{KEY}"
+    for verdict in sorted(TRACE_VERDICTS - {"truly_capable"}):
+        yield "trace", f"10.0.0.1,80,{verdict},,{KEY}"
+
+
+REFUSED_ROWS = list(_refused_rows())
+
+
+@pytest.mark.parametrize("kind, row", REFUSED_ROWS,
+                         ids=[f"{kind}:{row}" for kind, row in REFUSED_ROWS])
+def test_a_row_no_writer_emits_is_refused_with_its_line(kind, row):
+    good, read = WRITTEN[kind]
+    assert list(rows([good], read))  # the row as written reads
+    with pytest.raises(ValueError, match=r"^line 3: "):
+        list(rows([good, "# the row no writer emits", row], read))
+
+
+@pytest.mark.parametrize("row", [f"0.5,10.0.0.{i},80,0,no_response,{KEY}" for i in (1, 2)]
+                         + [json.dumps({**SCAN_JSON, "classification": "no_response",
+                                        "sender_key": KEY})])
+@pytest.mark.parametrize("argv", [["keys", "--from-scan"], INGEST])
+def test_a_scan_row_with_a_key_no_reply_gave_exits_1(argv, row, tmp_path, monkeypatch, capsys):
+    # `keys --from-scan` would count the key of a host that never answered,
+    # and `report ingest` file it into the store.
+    monkeypatch.chdir(tmp_path)
+    path = _write_inputs(tmp_path / "in", f"# rows\n{SCAN_ROW}\n{row}\n")
+    assert cli.main([*argv, str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3: a key is only on a mirrored_key or potential_capable row, "
+        f"got '{KEY}' on no_response\n")
+    assert not (tmp_path / "store").exists()
+
+
+def test_a_snapshot_row_with_a_key_no_reply_gave_exits_1(tmp_path, capsys):
+    store = tmp_path / "store"
+    store.mkdir()
+    path = store / "2026-01_v4_80_0"
+    path.write_text(f"# snapshot 2026-01 v4 port=80 version=0\n10.0.0.2,potential_capable,\n"
+                    f"10.0.0.1,no_response,{KEY}\n")
+    argv = ["report", "consistent", "--store", str(store), "--at", "2026-01", "--window", "1"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3: a key is only on a mirrored_key or potential_capable row, "
+        f"got '{KEY}' on no_response\n")
+
+
+def test_a_trace_row_with_a_sign_and_an_underscore_exits_1(tmp_path, capsys):
+    # `int` reads it as port 80 and TTL 5.
+    path = _write_inputs(tmp_path / "in",
+                         f"# rows\n{TRACE_ROW}\n10.0.0.1,+80,middlebox_affected,0_5,\n")
+    assert cli.main(["report", "summary", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3: TTL must be ASCII digits, got '0_5'\n")
+    path.write_text(f"# rows\n{TRACE_ROW}\n10.0.0.1,+80,middlebox_affected,5,\n")
+    assert cli.main(["report", "summary", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3: port must be ASCII digits, got '+80'\n")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("nan,10.0.0.1,80,0,no_response,", "timestamp must be digits with at most one '.', got 'nan'"),
+    ("-1e3,10.0.0.1,80,0,no_response,",
+     "timestamp must be digits with at most one '.', got '-1e3'"),
+    ('{"address": "10.0.0.1", "classification": "no_response", "port": 80, "timestamp": NaN,'
+     ' "version": 0}', "timestamp must be finite and >= 0, got nan"),
+])
+def test_a_scan_timestamp_no_writer_emits_exits_1(row, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = _write_inputs(tmp_path / "in", f"# rows\n{SCAN_ROW}\n{row}\n")
+    assert cli.main([*INGEST, str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 3: {message}\n"
+    assert not (tmp_path / "store").exists()
+
+
+def test_a_target_port_of_other_digits_exits_1(tmp_path, capsys):
+    path = _write_inputs(tmp_path / "in", "# targets\n10.0.0.2,80\n10.0.0.1,٨٠\n")
+    out = tmp_path / "scan.csv"
+    assert cli.main(["scan", "--dry-run", "--targets", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3: port must be ASCII digits, got '٨٠'\n")
+    assert not out.exists()
+
+
+def test_a_quote_size_of_other_digits_exits_1(tmp_path, capsys):
+    topology = tmp_path / "topology.txt"
+    topology.write_text("# paths\npath 10.0.0.2 80 quoting(9) tcp_host\n"
+                        "path 10.0.0.1 80 quoting(٩) tcp_host\n")
+    targets = _write_inputs(tmp_path / "in", "10.0.0.1,80\n")
+    assert cli.main(["scan", "--sim-topology", str(topology), "--targets", str(targets)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {topology}: line 3: quote size must be ASCII digits, got '٩'\n")
+    with pytest.raises(ValueError, match=r"^line 1: quote size must be ASCII digits, got '٩'$"):
+        netsim.parse_topology(["path 10.0.0.1 80 quoting(٩) tcp_host"])
 
 
 # -- arbitrary text: ValueError or nothing ------------------------------------

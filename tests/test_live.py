@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from capture_helpers import replace
 from mptcpkit.errors import TransportUnavailable
 from mptcpkit.packet import (
-    TcpFlags,
+    FLAG_ACK,
+    FLAG_RST,
+    FLAG_SYN,
+    FLAG_SYN_ACK,
     TcpPacket,
     decode_packet,
     decode_tcp,
@@ -66,13 +69,13 @@ def _quote(syn, data):
 
 
 @pytest.mark.parametrize("flags, ack, sport, matches", [
-    (TcpFlags.SYN | TcpFlags.ACK, 8, 80, True),  # acks seq + 1
-    (TcpFlags.SYN | TcpFlags.ACK, 9, 80, False),  # acks something else
-    (TcpFlags.RST | TcpFlags.ACK, 8, 80, True),
-    (TcpFlags.RST | TcpFlags.ACK, 0, 80, False),
-    (TcpFlags.RST, 0, 80, True),  # no ACK flag: the ack field is not read
-    (TcpFlags.SYN, 12345, 80, True),
-    (TcpFlags.SYN | TcpFlags.ACK, 8, 81, False),  # another port
+    (FLAG_SYN_ACK, 8, 80, True),  # acks seq + 1
+    (FLAG_SYN_ACK, 9, 80, False),  # acks something else
+    (FLAG_RST | FLAG_ACK, 8, 80, True),
+    (FLAG_RST | FLAG_ACK, 0, 80, False),
+    (FLAG_RST, 0, 80, True),  # no ACK flag: the ack field is not read
+    (FLAG_SYN, 12345, 80, True),
+    (FLAG_SYN_ACK, 8, 81, False),  # another port
 ])
 def test_reply_matched_by_flow_and_ack(flags, ack, sport, matches):
     syn = _syn()
@@ -257,7 +260,7 @@ def text_matches(syn: TcpPacket, data: bytes) -> bool:
         and seg.src == syn.dst
         and seg.src_port == syn.dst_port
         and seg.dst_port == syn.src_port
-        and (not seg.flags & TcpFlags.ACK or seg.ack == (syn.seq + 1) & 0xFFFFFFFF)
+        and (not seg.flags & FLAG_ACK or seg.ack == (syn.seq + 1) & 0xFFFFFFFF)
     )
 
 
@@ -312,7 +315,7 @@ def _probe_and_reply(draw):
     elif field == "ack":
         data = _edit(data, 28 + draw(st.integers(0, 3)), bytes([byte]))
     elif field == "flags":
-        data = _edit(data, 33, bytes([data[33] ^ TcpFlags.ACK]))
+        data = _edit(data, 33, bytes([data[33] ^ FLAG_ACK]))
     elif field == "ihl":
         data = _edit(data, 0, bytes([0x40 | byte & 0x0F]))
     elif field == "offset":
@@ -393,7 +396,7 @@ def paired_transport():
 def _reply(**fields):
     syn = _syn()
     base = dict(src=syn.dst, dst=syn.src, src_port=syn.dst_port, dst_port=syn.src_port,
-                seq=99, ack=syn.seq + 1, flags=int(TcpFlags.SYN | TcpFlags.ACK))
+                seq=99, ack=syn.seq + 1, flags=FLAG_SYN_ACK)
     return encode_packet(TcpPacket(**{**base, **fields}))
 
 
@@ -473,10 +476,10 @@ def test_stale_packets_queued_ahead_are_skipped(paired_transport, polls):
     transport, tcp_peer, _ = paired_transport
     tcp_peer.send(encode_packet(_syn()))  # the probe itself, as loopback shows it
     tcp_peer.send(_reply(ack=9))  # acks something else
-    tcp_peer.send(_reply(src_port=81, flags=int(TcpFlags.RST)))  # another flow
-    tcp_peer.send(_reply(flags=int(TcpFlags.RST | TcpFlags.ACK)))
+    tcp_peer.send(_reply(src_port=81, flags=FLAG_RST))  # another flow
+    tcp_peer.send(_reply(flags=FLAG_RST | FLAG_ACK))
     resp = transport.handshake(_syn())
-    assert resp is not None and resp.tcp_flags == TcpFlags.RST | TcpFlags.ACK
+    assert resp is not None and resp.tcp_flags == FLAG_RST | FLAG_ACK
     assert polls == []
 
 
@@ -489,7 +492,7 @@ def test_reply_arriving_later_found_by_poll(paired_transport, polls):
         resp = transport.handshake(_syn())
     finally:
         later.join()
-    assert resp is not None and resp.tcp_flags == TcpFlags.SYN | TcpFlags.ACK
+    assert resp is not None and resp.tcp_flags == FLAG_SYN_ACK
     assert resp.rtt_ms >= 40
     assert polls and set(polls) == {False}
 

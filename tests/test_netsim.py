@@ -50,7 +50,7 @@ from mptcpkit.options import (
     find_mp_capable,
     parse_options_prefix,
 )
-from mptcpkit.packet import (TcpFlags, TcpPacket, decode_packet, encode_packet,
+from mptcpkit.packet import (FLAG_ACK, FLAG_SYN_ACK, TcpPacket, decode_packet, encode_packet,
                              extract_quoted_options)
 from mptcpkit.probe import (
     ClassificationKind,
@@ -117,7 +117,7 @@ class TestHandshake:
 
     def test_refuses_a_packet_without_syn_and_a_ttl_below_one(self):
         net = network_for(SimPath([key_rewrite(), true_host(0)]))
-        ack = replace(v0_syn(), flags=int(TcpFlags.ACK))
+        ack = replace(v0_syn(), flags=FLAG_ACK)
         with pytest.raises(ValueError, match="answers only SYNs"):
             net.handshake(ack)
         for ttl in (1, 2):
@@ -205,7 +205,7 @@ class TestDeterminism:
         def run(seed):
             net = parse_topology(text.splitlines(), seed=seed)
             outputs = []
-            for address, port in net.targets():
+            for address, port in sorted(net.paths):
                 syn = build_syn_probe(ProbeContext(0, DEFAULT_PROBE_KEY, 9), address, port)
                 resp = net.handshake(syn)
                 outputs.append(
@@ -327,7 +327,7 @@ class TestTopologyFiles:
         distinct = len(net.paths) - sum(len(targets) - 1 for targets in self.SHARED)
         assert len({id(p) for p in net.paths.values()}) == distinct
         for _ in range(3):  # every round gets the same replies
-            for address, port in net.targets():
+            for address, port in sorted(net.paths):
                 for ctx in (ProbeContext(0, DEFAULT_PROBE_KEY, 11), ProbeContext(1, seed=11)):
                     syn = build_syn_probe(ctx, address, port)
                     assert net.handshake(syn) == ref.handshake(syn)
@@ -788,7 +788,7 @@ class ReferenceNetwork(SimNetwork):
                 reply = _ref_rewrite(seen, key)
         packet = TcpPacket(
             src=syn.dst, dst=syn.src, src_port=syn.dst_port, dst_port=syn.src_port,
-            seq=0, ack=(syn.seq + 1) & 0xFFFFFFFF, flags=int(TcpFlags.SYN | TcpFlags.ACK),
+            seq=0, ack=(syn.seq + 1) & 0xFFFFFFFF, flags=FLAG_SYN_ACK,
             options=reply or b"",
         )
         seg = decode_packet(encode_packet(packet))
@@ -944,7 +944,7 @@ def test_stream_keys_do_not_depend_on_interleaving(order, seed):
     lines = [f"path {address} 443 {nodes}" for i, nodes in enumerate(_KEYED_PATHS, start=1)
              for address in (f"10.0.0.{i}", f"2001:db8::{i}")]
     net = parse_topology(lines, seed=seed)
-    targets = net.targets()
+    targets = sorted(net.paths)
     drawn = dict.fromkeys(targets, ())
     for i in order:
         drawn[targets[i]] += tuple(_handshake_keys(net, [targets[i]]))
@@ -1021,7 +1021,7 @@ def test_scan_keeps_a_few_bytes_per_target():
 
     count = 20000
     net = generate_population(count, seed=5)
-    targets = net.targets()
+    targets = sorted(net.paths)
     clock = VirtualClock()
     guard = CampaignGuard(Blocklist(), RatePacer(1e6, clock=clock, sleep=clock.sleep))
     gc.collect()
@@ -1161,7 +1161,7 @@ def test_campaign_memo_tables_do_not_grow_with_targets():
         for version in (0, 1):
             clock = VirtualClock()
             guard = CampaignGuard(Blocklist(), RatePacer(1e6, clock=clock, sleep=clock.sleep))
-            records = run_campaign(net.targets(), version=version, guard=guard,
+            records = run_campaign(sorted(net.paths), version=version, guard=guard,
                                    transport=net, seed=5)
             ctx = ProbeContext(version, DEFAULT_PROBE_KEY if version == 0 else None, 5)
             for record in records:

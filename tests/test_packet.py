@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from capture_helpers import replace, with_v6_headers
 from mptcpkit.options import TcpOption
 from mptcpkit.packet import (
+    FLAG_SYN,
     LATER_FRAGMENT,
     NON_TCP,
-    TcpFlags,
     TcpPacket,
     address_text,
     decode_packet,
@@ -35,7 +35,7 @@ def internet_checksum(data: bytes) -> int:
 def syn(src="192.0.2.1", dst="10.0.0.1", options=b"\x1e\x04\x01\x81"):
     return TcpPacket(
         src=src, dst=dst, src_port=40000, dst_port=80, seq=12345,
-        flags=int(TcpFlags.SYN), options=options,
+        flags=FLAG_SYN, options=options,
     )
 
 

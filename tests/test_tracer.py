@@ -22,7 +22,7 @@ from mptcpkit.options import (
     find_mp_capable,
     syn_view,
 )
-from mptcpkit.packet import TcpFlags
+from mptcpkit.packet import FLAG_ACK, FLAG_SYN, FLAG_SYN_ACK
 from mptcpkit.probe import DEFAULT_PROBE_KEY, ProbeContext, ProbeResponse
 from mptcpkit.tracer import (
     HopRecord,
@@ -193,7 +193,7 @@ def hop(ttl, kind, new_key=None):
 
 
 def final_resp():
-    return ProbeResponse(int(TcpFlags.SYN | TcpFlags.ACK), [], 1.0)
+    return ProbeResponse(FLAG_SYN_ACK, [], 1.0)
 
 
 class TestClassifyPath:
@@ -212,7 +212,7 @@ class TestClassifyPath:
         for flags in range(256):  # the IntFlag reading of each flag byte is the reference
             final = ProbeResponse(flags, [], 1.0)
             want = (PathVerdictKind.TRULY_CAPABLE
-                    if flags & TcpFlags.SYN and flags & TcpFlags.ACK
+                    if flags & FLAG_SYN and flags & FLAG_ACK
                     else PathVerdictKind.NOT_CAPABLE)
             assert classify_path(hops, final).kind is want, flags
 
