@@ -26,6 +26,9 @@ IPPROTO_MPTCP = 262
 # Seconds a system fetch may wait on any one socket operation.
 FETCH_TIMEOUT_S = 10.0
 
+# A simulated metric's jitter is drawn from [0, JITTER_MS).
+JITTER_MS = 0.5
+
 
 class TimingSample(Record):
     """One fetch over `transport`, "tcp" or "mptcp"."""
@@ -63,7 +66,6 @@ class SimTimingTransport:
         network: SimNetwork,
         transport: str,
         fallback_penalty_ms: float = 250.0,
-        jitter_ms: float = 0.5,
         seed: int = 0,
     ):
         if transport not in ("tcp", "mptcp"):
@@ -71,7 +73,6 @@ class SimTimingTransport:
         self.network = network
         self.transport = transport
         self.fallback_penalty_ms = fallback_penalty_ms
-        self.jitter_ms = jitter_ms
         self.seed = seed
         # Has absorbed every draw's `seed|transport|`; each fetch hashes a copy.
         self._jitter_hash = blake2b(f"{seed}|{transport}|".encode(), digest_size=8)
@@ -87,13 +88,11 @@ class SimTimingTransport:
         """The `metric` draw of a fetch (unlike hash(), stable): the blake2b of
         `seed|transport|target|port|run|metric`, `draws` holding all but
         `metric`."""
-        if self.jitter_ms <= 0:
-            return 0.0
         h = draws.copy()
         h.update(metric.encode())
         digest = h.digest()
         # The top 53 bits of the digest as a float in [0, 1), as random() builds one.
-        return self.jitter_ms * ((int.from_bytes(digest, "big") >> 11) * 2.0**-53)
+        return JITTER_MS * ((int.from_bytes(digest, "big") >> 11) * 2.0**-53)
 
     def fetch(self, target: str, port: int, run: int = 0) -> TimingSample:
         path = self.network.paths.get((target, port))

@@ -46,14 +46,6 @@ def _targets_from_scan(path: str, labels: set[str]) -> list[tuple[str, int]]:
     return list(dict.fromkeys((r.address, r.port) for r in records if r.label in labels))
 
 
-def _drain(items: list) -> Iterator:
-    """Each item of `items`, first to last, dropped from the list as it is
-    taken, so the list holds only the items still to come."""
-    items.reverse()
-    while items:
-        yield items.pop()
-
-
 def _host_row(line: str) -> tuple[str, int | None, str | None]:
     """(address, port, label) of one report host row, parsed by its schema."""
     fields = line.count(",") + 1
@@ -159,7 +151,7 @@ def cmd_scan(args) -> int:
 def cmd_trace(args) -> int:
     guard = _guard_from_args(args)
     targets = (read_rows(args.targets, target_row) if args.from_scan is None
-               else _drain(_targets_from_scan(args.from_scan, store_mod.POSITIVE_LABELS)))
+               else _targets_from_scan(args.from_scan, store_mod.POSITIVE_LABELS))
     transport = _resolve_transport(args)
     rows = tracer.trace_campaign(targets, version=args.version, guard=guard, transport=transport,
                                  max_ttl=args.max_ttl, probe_key=args.probe_key, seed=args.seed)

@@ -6,10 +6,10 @@ layers compare cleanly. A flow counts as MPTCP as soon as any of its packets
 carries a decodable MP_CAPABLE, whether or not the handshake completed.
 
 A `FlowKey` holds packed addresses, (src, dst, src_port, dst_port) with
-4- or 16-byte address bytes; the text form of an address is built only when
-`src_addr` or `dst_addr` is read. Ingest keeps one table, makes a key once
-per flow and adds to its counts inline. Only packets whose options hold the
-byte 30 and whose flow has no version are read for MP_CAPABLE, in place
+4- or 16-byte address bytes; `packet.address_text(key.src)` gives the text
+form of an address. Ingest keeps one table, makes a key once per flow and
+adds to its counts inline. Only packets whose options hold the byte 30 and
+whose flow has no version are read for MP_CAPABLE, in place
 (`options.mp_capable_version`): other options are skipped, not built.
 
 Ingest reads each packet where it lies in its block (`pcapio.read_blocks`),
@@ -27,9 +27,9 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
 
 from .errors import EmptyInput
-from .inputs import read_rows
+from .inputs import read_rows, unsigned_field
 from .options import mp_capable_version
-from .packet import LATER_FRAGMENT, NON_TCP, address_text, flow_fields
+from .packet import LATER_FRAGMENT, NON_TCP, flow_fields
 from .pcapio import LINKTYPE_NULL, LINKTYPE_RAW, read_blocks
 from .record import Record
 
@@ -71,14 +71,6 @@ class FlowKey(NamedTuple):
     dst: bytes
     src_port: int
     dst_port: int
-
-    @property
-    def src_addr(self) -> str:
-        return address_text(self.src)
-
-    @property
-    def dst_addr(self) -> str:
-        return address_text(self.dst)
 
     def canonical(self) -> "FlowKey":
         """Order endpoints so a flow and its reverse map to the same key."""
@@ -285,7 +277,7 @@ class ServiceTables(Record):
 def service_row(line: str) -> tuple[int, str]:
     """(port, label) of one `port,protocol,label` service table row."""
     port, _protocol, label = line.split(",", 2)
-    return int(port), label.strip()
+    return unsigned_field(port.strip(), "port"), label.strip()
 
 
 def map_service(key: FlowKey, tables: ServiceTables) -> str:

@@ -1,10 +1,10 @@
 """What every text file shares. One reader: `rows` applies the comment rule
 (`data_line`) and a schema's row parser to each line, and names the line of a
 bad row; `read_rows` and `open_in` open a file by path and name it too;
-`unsigned_field` and `timestamp_field` read the numbers of the toolkit's own
-rows. One writer: `OutFile`, which replaces a file whole, and only when the
-run succeeds. And the `prefix[,asn]` rows and `PrefixTable` of blocklists and
-ASN tables."""
+`unsigned_field` reads every integer field, of the toolkit's own rows and of
+user tables, and `timestamp_field` a scan row's timestamp. One writer:
+`OutFile`, which replaces a file whole, and only when the run succeeds. And
+the `prefix[,asn]` rows and `PrefixTable` of blocklists and ASN tables."""
 
 from __future__ import annotations
 
@@ -94,7 +94,7 @@ def prefix_key(prefix: str) -> PrefixKey:
 def prefix_row(line: str) -> tuple[PrefixKey, int | None]:
     """(prefix key, asn) of one `prefix[,asn]` row; asn is None when absent."""
     prefix, sep, asn = line.partition(",")
-    return prefix_key(prefix.strip()), int(asn) if sep else None
+    return prefix_key(prefix.strip()), unsigned_field(asn.strip(), "asn") if sep else None
 
 
 class PrefixTable:

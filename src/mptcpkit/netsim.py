@@ -354,6 +354,16 @@ def _parse_node(token: str) -> NodeBehavior:
     return NodeBehavior(kind, frozenset(versions), key_seed, quote_bytes)
 
 
+def _latency(text: str) -> float:
+    """A `latency=` value as `topology_lines` writes it with `:g`: a number
+    (`SimPath` checks its range) in ASCII that starts with a digit, no `_`."""
+    value = float(text)
+    if text[:1].isdigit() and text.isascii() and "_" not in text:
+        return value
+    raise ValueError(f"latency must be finite and >= 0, in ASCII that starts with a digit, "
+                     f"no '_', got {text!r}")
+
+
 def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
     """Build a SimNetwork from line-oriented text.
 
@@ -386,7 +396,7 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
         if path is None:
             tokens, latency = text.split(), 1.0
             if tokens[0].startswith("latency="):
-                latency = float(tokens.pop(0).split("=", 1)[1])
+                latency = _latency(tokens.pop(0).split("=", 1)[1])
             nodes = [parse_node(token) for token in tokens]
             path = paths_by_text[text] = SimPath(nodes, per_hop_latency_ms=latency)
         number = ports.get(port)
@@ -437,6 +447,9 @@ def format_topology(net: SimNetwork) -> str:
 # Targets the IPv4 plan 10.x.y.z can number, from 1.
 MAX_GENERATED_TARGETS = 2**24 - 1
 
+# The chance that a generated target is an IPv6 address.
+V6_SHARE = 0.2
+
 
 def _target_address(host: int, v6: bool) -> str:
     """The address of generated target number `host`: the number in the low
@@ -448,7 +461,7 @@ def _target_address(host: int, v6: bool) -> str:
     return f"2001:db8:1::{host >> 16:x}:{host & 0xFFFF:x}"
 
 
-def generate_population(count: int, seed: int, v6_share: float = 0.2) -> SimNetwork:
+def generate_population(count: int, seed: int) -> SimNetwork:
     """Generate a mixed target population with every behavior represented."""
     if count > MAX_GENERATED_TARGETS:
         raise ValueError(f"cannot generate {count} targets: at most {MAX_GENERATED_TARGETS}")
@@ -472,7 +485,7 @@ def generate_population(count: int, seed: int, v6_share: float = 0.2) -> SimNetw
                       **{versions: true_host(*versions) for versions in endpoints}}
     paths: dict[tuple, SimPath] = {}
     for i in range(count):
-        address = _target_address(i + 1, draw() < v6_share)
+        address = _target_address(i + 1, draw() < V6_SHARE)
         port = rng.choice((80, 443))
         shape = []
         for _ in range(bisect_right(length_cum, draw() * length_cum[-1], 0, 4)):

@@ -65,7 +65,15 @@ class Key(Frozen):
 
     @classmethod
     def from_hex(cls, text: str) -> "Key":
+        """A typed key (`--probe-key`, `keys --in`): whatever `int(text, 16)` reads."""
         return cls(int(text, 16))
+
+    @classmethod
+    def from_row(cls, text: str) -> "Key":
+        """A key of a row the toolkit writes, as `hex` writes it: 16 lowercase hex digits."""
+        if len(text) == 16 and not text.strip("0123456789abcdef"):
+            return cls(int(text, 16))
+        raise ValueError(f"key must be 16 lowercase hex digits, got {text!r}")
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(8, "big")

@@ -17,7 +17,8 @@ import ipaddress
 import socket
 import struct
 
-from .options import TcpOption, parse_options_prefix
+from .errors import OptionError
+from .options import TcpOption, parse_options
 from .record import Record
 
 FLAG_SYN = 0x02
@@ -315,5 +316,7 @@ def extract_quoted_options(quote: bytes) -> list[TcpOption] | None:
     seg = decode_tcp(quote)
     if seg is None:
         return None
-    opts, err = parse_options_prefix(seg[9])
-    return None if err is not None else opts
+    try:
+        return parse_options(seg[9])
+    except OptionError:
+        return None

@@ -349,7 +349,7 @@ def scan_key(label: str, key: str | None) -> Key | None:
     if label not in KEYED_LABELS:
         raise ValueError(f"a key is only on a mirrored_key or potential_capable row, "
                          f"got {key!r} on {label}")
-    return Key.from_hex(key)
+    return Key.from_row(key)
 
 
 class CampaignRecord(Record):
@@ -427,9 +427,12 @@ class CampaignRecord(Record):
 
 
 def checked_target(address: str, port: int) -> tuple[str, int]:
-    """(address, port) of a probe target: a port in [0, 65535] and an IPv4 or IPv6 address."""
+    """(address, port) of a probe target: a port in [0, 65535] and an IPv4 or
+    IPv6 address with no `,` (a scope may hold one, a CSV row may not)."""
     if not 0 <= port <= 65535:
         raise ValueError(f"port out of range: {port}")
+    if "," in address:
+        raise ValueError(f"address must hold no ',', got {address!r}")
     pack_address(address)  # raises for what is not an address
     return address, port
 

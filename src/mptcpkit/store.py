@@ -14,7 +14,8 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import InsufficientHistory
-from .inputs import OutFile, PrefixKey, PrefixTable, open_in, prefix_row, read_rows, rows
+from .inputs import (OutFile, PrefixKey, PrefixTable, open_in, prefix_row, read_rows, rows,
+                     unsigned_field)
 from .options import Key
 from .packet import pack_address
 from .probe import ClassificationKind, scan_key
@@ -297,8 +298,9 @@ def prefix_asn_row(line: str) -> tuple[PrefixKey, int]:
 
 def asn_meta_row(line: str) -> tuple[int, tuple[str, str, int | None]]:
     """(asn, (organization, country, rank)) of one `asn,org,country,rank` row."""
-    asn, org, country, rank = line.split(",")
-    return int(asn), (org.strip(), country.strip(), int(rank) if rank.strip() else None)
+    asn, org, country, rank = (field.strip() for field in line.split(","))
+    return (unsigned_field(asn, "asn"),
+            (org, country, unsigned_field(rank, "rank") if rank else None))
 
 
 def enrich(address: str, table: EnrichmentTable) -> AsnInfo:

@@ -237,7 +237,7 @@ class TraceRecord(Record):
         if key and verdict != "truly_capable":
             raise ValueError(f"a key is only on a truly_capable row, got {key!r} on {verdict}")
         return cls(*checked_target(address, unsigned_field(port, "port")), verdict, first_ttl,
-                   Key.from_hex(key) if key else None)
+                   Key.from_row(key) if key else None)
 
 
 def trace_campaign(targets: Iterable[tuple[str, int]], *, version: int, guard: CampaignGuard,

@@ -1,7 +1,6 @@
 import hashlib
 import io
 import socket
-import sys
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mptcpkit.bench import (
+    JITTER_MS,
     METRICS,
     DeltaReport,
     SimTimingTransport,
@@ -53,11 +53,11 @@ def sample(connect, ttfb=None, total=None, tls=None, transport="tcp", success=Tr
 
 class TestTimeGet:
     def test_fixed_latency_connect(self):
-        transport = SimTimingTransport(network(), "tcp", jitter_ms=0.0)
+        transport = SimTimingTransport(network(), "tcp")
         samples = time_get("10.0.0.1", 80, transport, runs=10)
         assert len(samples) == 10
         assert all(s.success for s in samples)
-        assert all(s.connect_ms == pytest.approx(10.0) for s in samples)
+        assert all(10.0 <= s.connect_ms < 10.0 + JITTER_MS for s in samples)
         assert all(s.connect_ms <= s.ttfb_ms <= s.total_ms for s in samples)
 
     def test_unreachable_all_failures(self):
@@ -268,11 +268,11 @@ def test_cdf_rows_and_fractions_match_reference(runs, tolerance):
             assert metric not in report.fractions and metric not in report.by_metric
 
 
-def reference_jitter(seed, transport, target, port, run, metric, jitter_ms):
-    """The top 53 bits of a digest of the draw's identity, scaled to [0, jitter_ms)."""
+def reference_jitter(seed, transport, target, port, run, metric):
+    """The top 53 bits of a digest of the draw's identity, scaled to [0, JITTER_MS)."""
     ident = f"{seed}|{transport}|{target}|{port}|{run}|{metric}"
     digest = hashlib.blake2b(ident.encode(), digest_size=8).digest()
-    return jitter_ms * ((int.from_bytes(digest[:7], "big") >> 3) / 2**53)
+    return JITTER_MS * ((int.from_bytes(digest[:7], "big") >> 3) / 2**53)
 
 
 _draw = st.tuples(
@@ -286,53 +286,34 @@ _draw = st.tuples(
 
 @given(
     seeds=st.tuples(st.integers(min_value=-(2**70), max_value=2**70), st.integers()),
-    jitter_ms=st.tuples(
-        st.floats(min_value=1e-6, max_value=1e6), st.floats(min_value=1e-6, max_value=1e6)
-    ),
     draws=st.lists(_draw, min_size=1, max_size=12),
 )
 @settings(max_examples=300)
-def test_jitter_matches_top_53_digest_bits(seeds, jitter_ms, draws):
+def test_jitter_matches_top_53_digest_bits(seeds, draws):
     net = network()
-    transports = [
-        SimTimingTransport(net, name, jitter_ms=j, seed=s)
-        for name, j, s in zip(("mptcp", "tcp"), jitter_ms, seeds)
-    ]
+    transports = [SimTimingTransport(net, name, seed=s) for name, s in zip(("mptcp", "tcp"), seeds)]
     for second, target, port, run, metric in draws:
         t = transports[second]
-        expected = reference_jitter(t.seed, t.transport, target, port, run, metric, t.jitter_ms)
+        expected = reference_jitter(t.seed, t.transport, target, port, run, metric)
         assert t._jitter(t._draws(target, port, run), metric) == expected
 
 
-# Above the smallest normal float; at or below it jitter_ms * (1 - 2**-53)
-# rounds back up to jitter_ms.
-_positive_jitter = st.floats(
-    min_value=sys.float_info.min, exclude_min=True, allow_infinity=False
-)
-
-
 @given(
-    jitter_ms=_positive_jitter,
     draw=_draw,
     digest=st.one_of(st.none(), st.sampled_from([bytes(8), b"\xff" * 8]),
                      st.binary(min_size=8, max_size=8)),
 )
 @settings(max_examples=300)
-def test_jitter_within_bounds(jitter_ms, draw, digest):
+def test_jitter_within_bounds(draw, digest):
     _second, target, port, run, metric = draw
-    t = SimTimingTransport(network(), "tcp", jitter_ms=jitter_ms)
+    t = SimTimingTransport(network(), "tcp")
     if digest is None:  # the real digest of the draw
         value = t._jitter(t._draws(target, port, run), metric)
     else:
         # Each draw hashes a copy of its fetch's prefix-fed blake2b.
         fixed = SimpleNamespace(update=lambda data: None, digest=lambda: digest)
         value = t._jitter(SimpleNamespace(copy=lambda: fixed), metric)
-    assert 0 <= value < jitter_ms
-
-
-def test_no_jitter_when_disabled():
-    t = SimTimingTransport(network(), "tcp", jitter_ms=0.0)
-    assert t._jitter(t._draws("10.0.0.1", 80, 0), "ttfb") == 0.0
+    assert 0 <= value < JITTER_MS
 
 
 def reference_fetch(t, target, port, run):
@@ -344,7 +325,7 @@ def reference_fetch(t, target, port, run):
     rtt = path.rtt_ms
 
     def draw(metric):
-        return reference_jitter(t.seed, t.transport, target, port, run, metric, t.jitter_ms)
+        return reference_jitter(t.seed, t.transport, target, port, run, metric)
 
     connect = rtt + draw("connect")
     if t.transport == "mptcp" and path.strips:
@@ -359,16 +340,14 @@ def reference_fetch(t, target, port, run):
     population_seed=st.integers(0, 50),
     seed=st.integers(0, 2**64 - 1),
     transport=st.sampled_from(["mptcp", "tcp"]),
-    jitter_ms=st.floats(min_value=1e-3, max_value=1e3),
     runs=st.integers(1, 3),
 )
 @settings(max_examples=50, deadline=None)
-def test_fetch_samples_are_rtt_plus_the_reference_draws(population_seed, seed, transport,
-                                                        jitter_ms, runs):
+def test_fetch_samples_are_rtt_plus_the_reference_draws(population_seed, seed, transport, runs):
     # Every target of a generated population (both families, ports 80 and
     # 443, stripping and dropping paths) and one the network has no path to.
     net = generate_population(40, seed=population_seed)
-    t = SimTimingTransport(net, transport, jitter_ms=jitter_ms, seed=seed)
+    t = SimTimingTransport(net, transport, seed=seed)
     for target, port in [*sorted(net.paths), ("10.255.255.255", 80)]:
         for run in range(runs):
             assert t.fetch(target, port, run) == reference_fetch(t, target, port, run)

@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mptcpkit import cli, inputs, netsim
-from mptcpkit.flows import ServiceTables
+from mptcpkit.flows import ServiceTables, service_row
 from mptcpkit.inputs import PrefixTable, prefix_key, prefix_row, rows
 from mptcpkit.options import Key
 from mptcpkit.probe import KEYED_LABELS, SCAN_LABELS, Blocklist, CampaignRecord, target_row
-from mptcpkit.store import EnrichmentTable, HostRecord, ScanSnapshot, SnapshotStore
+from mptcpkit.store import (EnrichmentTable, HostRecord, ScanSnapshot, SnapshotStore,
+                            asn_meta_row, prefix_asn_row)
 from mptcpkit.tracer import MAX_TTL, TRACE_VERDICTS, TraceRecord
 
 
@@ -535,6 +536,8 @@ def _replaced(row, index, text):
 
 
 KEY = "00000000000000ff"
+# Forms of a written key that `int(text, 16)` takes and no writer emits.
+KEY_FORMS = ("0x00000000000000ff", "ff_ff", " ff", "FF", "+ff")
 SCAN_RECORD = CampaignRecord(0.5, "10.0.0.1", 80, 1, "potential_capable", Key(int(KEY, 16)))
 # Each: a row as the program writes it, and the reader of its kind.
 WRITTEN = {
@@ -551,7 +554,8 @@ INTEGER_FIELDS = {"scan csv": ((2, 3), False), "trace": ((1, 3), False), "target
 def _refused_rows():
     """(kind, row) for each row one rule refuses: an integer field in a form
     no writer emits, a timestamp that is not finite and >= 0 or not digits
-    with at most one `.`, and a key on a label that never carries one."""
+    with at most one `.`, a key on a label that never carries one or in a
+    form no writer emits, and a target address with a `,`."""
     for kind, (indexes, padded) in INTEGER_FIELDS.items():
         row = WRITTEN[kind][0]
         for index in indexes:
@@ -571,6 +575,13 @@ def _refused_rows():
         yield "snapshot", f"10.0.0.1,{label},{KEY}"
     for verdict in sorted(TRACE_VERDICTS - {"truly_capable"}):
         yield "trace", f"10.0.0.1,80,{verdict},,{KEY}"
+    for form in KEY_FORMS:
+        yield "scan csv", _replaced(scan_csv, 5, form)
+        yield "scan jsonl", json.dumps({**SCAN_JSON, "sender_key": form})
+        yield "trace", f"10.0.0.1,80,truly_capable,,{form}"
+        yield "snapshot", f"10.0.0.1,potential_capable,{form}"
+    yield "target", "fe80::1%a,b,80"  # a scan row could not hold it
+    yield "scan jsonl", json.dumps({**SCAN_JSON, "address": "fe80::1%a,b"})
 
 
 REFUSED_ROWS = list(_refused_rows())
@@ -661,6 +672,154 @@ def test_a_quote_size_of_other_digits_exits_1(tmp_path, capsys):
         f"error: {topology}: line 3: quote size must be ASCII digits, got '٩'\n")
     with pytest.raises(ValueError, match=r"^line 1: quote size must be ASCII digits, got '٩'$"):
         netsim.parse_topology(["path 10.0.0.1 80 quoting(٩) tcp_host"])
+
+
+# -- written keys, `:g` latencies, targets without `,`, table integers ---------
+
+# Forms of a latency that `float` takes and `topology_lines` never writes.
+LATENCY_FORMS = ("1_0", "+2", "٣")
+# Forms of a table integer that `int` takes: a sign, a `_`, another script's digit.
+TABLE_INTEGER_FORMS = ("+5", "5_0", "٥")
+
+
+def _near_keys(text):
+    """16-character forms of the written key `text` that `int(text, 16)`
+    reads as the same key or another: `0x`, a `_`, a space, a sign, capitals."""
+    forms = ["0x" + text[2:], text[:7] + "_" + text[8:], " " + text[1:], "+" + text[1:]]
+    return forms + ([text.upper()] if text.upper() != text else [])
+
+
+@given(KEYS)
+@settings(max_examples=300)
+def test_a_written_key_reads_back_and_no_near_form_does(key):
+    assert Key.from_row(key.hex) == key
+    for form in _near_keys(key.hex):
+        Key.from_hex(form)  # a typed key may take this form
+        with pytest.raises(ValueError, match=r"^key must be 16 lowercase hex digits, got "):
+            Key.from_row(form)
+        with pytest.raises(ValueError, match=r"^line 1: key must be 16 lowercase hex digits"):
+            list(rows([f"10.0.0.1,80,truly_capable,,{form}"], TraceRecord.from_csv))
+
+
+def _latency_of(line):
+    (path,) = netsim.parse_topology([line]).paths.values()
+    return path.per_hop_latency_ms
+
+
+@given(st.floats(min_value=0, allow_infinity=False))
+@settings(max_examples=300)
+def test_a_g_latency_reads_back_and_no_near_form_does(latency):
+    text = f"{latency:g}"  # as `topology_lines` writes it
+    line = f"path 10.0.0.1 80 latency={text} tcp_host"
+    assert _latency_of(line) == float(text)
+    (written,) = netsim.topology_lines(netsim.parse_topology([line]))
+    assert _latency_of(written) == float(text)
+    forms = ["+" + text, _other_digits(text)]
+    if text[1:2].isdigit():
+        forms.append(f"{text[0]}_{text[1:]}")
+    for form in forms:
+        assert float(form) == float(text)  # `float` alone would read it
+        with pytest.raises(ValueError, match=r"^line 1: latency must be finite and >= 0, in "):
+            netsim.parse_topology([f"path 10.0.0.1 80 latency={form} tcp_host"])
+
+
+# Each: a good row of a hand-written table, and its reader.
+TABLES = {
+    "blocklist": ("10.9.0.0/16,64500", prefix_row),
+    "prefix table": ("10.9.0.0/16,64500", prefix_asn_row),
+    "asn metadata": ("64500,ExampleNet,US,12", asn_meta_row),
+    "service table": ("80,tcp,Web", service_row),
+}
+# Each: a table, a row of it with `{}` for an integer field, and that field's name.
+TABLE_INTEGERS = [
+    ("blocklist", "10.0.0.0/8,{}", "asn"),
+    ("prefix table", "10.0.0.0/8,{}", "asn"),
+    ("asn metadata", "{},Other,DE,", "asn"),
+    ("asn metadata", "64501,Other,DE,{}", "rank"),
+    ("service table", "{},tcp,Vendor", "port"),
+]
+
+
+@pytest.mark.parametrize("form", TABLE_INTEGER_FORMS)
+@pytest.mark.parametrize("kind, row, name", TABLE_INTEGERS)
+def test_a_table_integer_no_rule_takes_names_its_line(kind, row, name, form):
+    good, read = TABLES[kind]
+    assert list(rows([good], read))
+    with pytest.raises(ValueError) as raised:
+        list(rows([good, "# the refused row", row.format(form)], read))
+    assert str(raised.value) == f"line 3: {name} must be ASCII digits, got {form!r}"
+
+
+@pytest.mark.parametrize("latency", LATENCY_FORMS)
+def test_a_latency_no_writer_emits_names_its_line(latency):
+    with pytest.raises(ValueError) as raised:
+        netsim.parse_topology(["path 10.0.0.2 80 latency=2 tcp_host", "# the refused row",
+                               f"path 10.0.0.1 80 latency={latency} tcp_host"])
+    assert str(raised.value) == ("line 3: latency must be finite and >= 0, in ASCII that "
+                                 f"starts with a digit, no '_', got {latency!r}")
+
+
+def test_hand_written_table_fields_may_be_padded():
+    assert prefix_row(" 10.0.0.0/8 ,  64500 ")[1] == 64500
+    assert asn_meta_row(" 64500 , Org , US , 12 ") == (64500, ("Org", "US", 12))
+    assert asn_meta_row("64500,Org,US,  ") == (64500, ("Org", "US", None))
+    assert service_row(" 8443 ,tcp, Vendor ") == (8443, "Vendor")
+
+
+def _cli_refusals():
+    """(argv, the file the refused row is in, its good row, the refused row,
+    message); `{bad}` in argv is that file, `{targets}` a target list,
+    `{none}` an empty file and `{store}` the snapshot store."""
+    yield (["scan", "--dry-run", "--targets", "{bad}"], "targets.txt", "10.0.0.2,80",
+           "fe80::1%a,b,80", "address must hold no ',', got 'fe80::1%a,b'")
+    for form in LATENCY_FORMS:
+        yield (["scan", "--sim-topology", "{bad}", "--targets", "{targets}"], "topology.txt",
+               "path 10.0.0.2 80 tcp_host", f"path 10.0.0.1 80 latency={form} tcp_host",
+               f"latency must be finite and >= 0, in ASCII that starts with a digit, no '_', "
+               f"got {form!r}")
+    snapshot = ["report", "consistent", "--store", "{store}", "--at", "2026-01", "--window", "1"]
+    for form in KEY_FORMS:
+        message = f"key must be 16 lowercase hex digits, got {form!r}"
+        yield (["keys", "--from-scan", "{bad}"], "scan.csv", SCAN_ROW,
+               f"0.5,10.0.0.1,80,1,potential_capable,{form}", message)
+        yield (["report", "summary", "--in", "{bad}"], "trace.csv", TRACE_ROW,
+               f"10.0.0.1,80,truly_capable,,{form}", message)
+        yield (snapshot, "store/2026-01_v4_80_0", "10.0.0.2,potential_capable,",
+               f"10.0.0.1,potential_capable,{form}", message)
+    top = ["report", "top", "--in", "{targets}", "--prefixes"]
+    commands = {  # each table's command line and file
+        "blocklist": (["scan", "--dry-run", "--targets", "{targets}", "--blocklist", "{bad}"],
+                      "blocklist.txt"),
+        "prefix table": ([*top, "{bad}"], "prefixes.csv"),
+        "asn metadata": ([*top, "{none}", "--asn-meta", "{bad}"], "meta.csv"),
+        "service table": (["analyze-pcap", "--in", "{none}", "--services", "{bad}"],
+                          "services.csv"),
+    }
+    for kind, row, name in TABLE_INTEGERS:
+        argv, file = commands[kind]
+        for form in TABLE_INTEGER_FORMS:
+            yield (argv, file, TABLES[kind][0], row.format(form),
+                   f"{name} must be ASCII digits, got {form!r}")
+
+
+CLI_REFUSALS = list(_cli_refusals())
+
+
+@pytest.mark.parametrize("argv, name, good, row, message", CLI_REFUSALS,
+                         ids=[f"{case[0][0]}:{case[1]}:{case[3]}" for case in CLI_REFUSALS])
+def test_a_key_latency_target_or_table_integer_no_rule_takes_exits_1(argv, name, good, row,
+                                                                    message, tmp_path,
+                                                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    paths = {"bad": tmp_path / name, "targets": tmp_path / "targets.txt",
+             "none": tmp_path / "none.txt", "store": tmp_path / "store"}
+    paths["targets"].write_text("10.0.0.1,80\n")
+    paths["none"].write_text("")
+    paths["store"].mkdir()
+    bad = paths["bad"]
+    bad.write_text(f"# rows\n{good}\n{row}\n", encoding="utf-8")  # may replace the targets
+    assert cli.main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 3: {message}\n"
 
 
 # -- arbitrary text: ValueError or nothing ------------------------------------
