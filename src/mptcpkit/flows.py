@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
 
 from .errors import EmptyInput
-from .inputs import read_rows, unsigned_field
+from .inputs import bounded_field, read_rows
 from .options import mp_capable_version
 from .packet import LATER_FRAGMENT, NON_TCP, flow_fields
 from .pcapio import LINKTYPE_NULL, LINKTYPE_RAW, read_blocks
@@ -267,17 +267,22 @@ class ServiceTables(Record):
     @classmethod
     def load(cls, registry_path: str | Path | None = None,
              supplementary_path: str | Path | None = None) -> "ServiceTables":
-        registry = dict(read_rows(registry_path, service_row) if registry_path
+        registry = dict(filter(None, read_rows(registry_path, service_row)) if registry_path
                         else WELL_KNOWN_SERVICES)
-        supplementary = dict(read_rows(supplementary_path, service_row)
+        supplementary = dict(filter(None, read_rows(supplementary_path, service_row))
                              if supplementary_path else ())
         return cls(registry, supplementary)
 
 
-def service_row(line: str) -> tuple[int, str]:
-    """(port, label) of one `port,protocol,label` service table row."""
-    port, _protocol, label = line.split(",", 2)
-    return unsigned_field(port.strip(), "port"), label.strip()
+def service_row(line: str) -> tuple[int, str] | None:
+    """(port, label) of one `port,protocol,label` service table row; None for a
+    protocol other than `tcp`, since every flow is TCP. A label may hold `,`."""
+    fields = line.split(",", 2)
+    if len(fields) != 3:
+        raise ValueError(f"expected port,protocol,label, got {line!r}")
+    port, protocol, label = fields
+    port = bounded_field(port.strip(), "port", 65535)
+    return (port, label.strip()) if protocol.strip().lower() == "tcp" else None
 
 
 def map_service(key: FlowKey, tables: ServiceTables) -> str:

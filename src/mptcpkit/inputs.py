@@ -27,6 +27,7 @@ def data_line(line: str) -> str:
 
 Row = TypeVar("Row")  # one row of a text input, or of a command's output
 PrefixKey = tuple[int, int, int]  # IP version, host bits, address bits (host bits unread)
+MAX_ASN = 2**32 - 1  # four-octet AS numbers, RFC 6793
 
 
 def rows(lines: Iterable[str], parse: Callable[[str], Row]) -> Iterator[Row]:
@@ -66,6 +67,14 @@ def unsigned_field(text: str, name: str) -> int:
     raise ValueError(f"{name} must be ASCII digits, got {text!r}")
 
 
+def bounded_field(text: str, name: str, top: int) -> int:
+    """`unsigned_field`, at most `top`."""
+    value = unsigned_field(text, name)
+    if value > top:
+        raise ValueError(f"{name} must be at most {top}, got {text!r}")
+    return value
+
+
 def timestamp_field(value: str | float) -> float:
     """A scan row's timestamp: finite and >= 0; in CSV, ASCII digits with at most one `.`."""
     if isinstance(value, str) and not (value.replace(".", "", 1).isdigit() and value.isascii()):
@@ -94,7 +103,7 @@ def prefix_key(prefix: str) -> PrefixKey:
 def prefix_row(line: str) -> tuple[PrefixKey, int | None]:
     """(prefix key, asn) of one `prefix[,asn]` row; asn is None when absent."""
     prefix, sep, asn = line.partition(",")
-    return prefix_key(prefix.strip()), unsigned_field(asn.strip(), "asn") if sep else None
+    return prefix_key(prefix.strip()), bounded_field(asn.strip(), "asn", MAX_ASN) if sep else None
 
 
 class PrefixTable:

@@ -108,42 +108,6 @@ class NodeBehavior(Frozen):
         return f"{name}({','.join(args)})" if args else name
 
 
-def true_host(*versions: int, key_seed: int | None = None) -> NodeBehavior:
-    return NodeBehavior(
-        BehaviorKind.TRUE_MPTCP_HOST,
-        supported_versions=frozenset(versions),
-        key_seed=key_seed,
-    )
-
-
-def tcp_host() -> NodeBehavior:
-    return NodeBehavior(BehaviorKind.TCP_ONLY_HOST)
-
-
-def mirror() -> NodeBehavior:
-    return NodeBehavior(BehaviorKind.MIRROR_MIDDLEBOX)
-
-
-def strip() -> NodeBehavior:
-    return NodeBehavior(BehaviorKind.STRIP_MIDDLEBOX)
-
-
-def key_rewrite(key_seed: int | None = None) -> NodeBehavior:
-    return NodeBehavior(BehaviorKind.KEY_REWRITE_MIDDLEBOX, key_seed=key_seed)
-
-
-def drop() -> NodeBehavior:
-    return NodeBehavior(BehaviorKind.DROP_FIREWALL)
-
-
-def silent() -> NodeBehavior:
-    return NodeBehavior(BehaviorKind.SILENT_ROUTER)
-
-
-def quoting(quote_bytes: int = DEFAULT_QUOTE_BYTES) -> NodeBehavior:
-    return NodeBehavior(BehaviorKind.QUOTING_ROUTER, quote_bytes=quote_bytes)
-
-
 class SimPath(Record):
     """One forward path: interior nodes then exactly one endpoint at the tail.
 
@@ -327,7 +291,8 @@ def ground_truth(path: SimPath, version: int) -> GroundTruth:
 # -- topology files ------------------------------------------------------------
 
 
-def _parse_node(token: str) -> NodeBehavior:
+def parse_node(token: str) -> NodeBehavior:
+    """The node of one topology token, the form `NodeBehavior.spec_token` writes."""
     name, _, arg_text = token.partition("(")
     name = name.strip()
     args = []
@@ -383,7 +348,7 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
     net = SimNetwork(seed)
     # Node behaviors are frozen and keys are hashed by position, not by node,
     # so paths can share one instance per distinct token.
-    parse_node = functools.lru_cache(maxsize=None)(_parse_node)
+    cached_node = functools.lru_cache(maxsize=None)(parse_node)
     paths_by_text: dict[str, SimPath] = {}
     ports: dict[str, int] = {}
 
@@ -397,7 +362,7 @@ def parse_topology(lines: Iterable[str], seed: int = 0) -> SimNetwork:
             tokens, latency = text.split(), 1.0
             if tokens[0].startswith("latency="):
                 latency = _latency(tokens.pop(0).split("=", 1)[1])
-            nodes = [parse_node(token) for token in tokens]
+            nodes = [cached_node(token) for token in tokens]
             path = paths_by_text[text] = SimPath(nodes, per_hop_latency_ms=latency)
         number = ports.get(port)
         if number is None:
@@ -480,9 +445,10 @@ def generate_population(count: int, seed: int) -> SimNetwork:
     versions_cum = list(accumulate([50, 20, 30]))
     # A path is drawn as a tuple of keys (interior kinds, a quote size for a quoting
     # router, then the endpoint's versions or None); equal draws share one SimPath.
-    node_for: dict = {None: tcp_host(), **{kind: NodeBehavior(kind) for kind in kinds},
-                      **{size: quoting(size) for size in quote_sizes},
-                      **{versions: true_host(*versions) for versions in endpoints}}
+    node_for: dict = {None: NodeBehavior(BehaviorKind.TCP_ONLY_HOST),
+                      **{kind: NodeBehavior(kind) for kind in kinds},
+                      **{size: parse_node(f"quoting({size})") for size in quote_sizes},
+                      **{vs: NodeBehavior(BehaviorKind.TRUE_MPTCP_HOST, vs) for vs in endpoints}}
     paths: dict[tuple, SimPath] = {}
     for i in range(count):
         address = _target_address(i + 1, draw() < V6_SHARE)

@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import InsufficientHistory
-from .inputs import (OutFile, PrefixKey, PrefixTable, open_in, prefix_row, read_rows, rows,
-                     unsigned_field)
+from .inputs import (MAX_ASN, OutFile, PrefixKey, PrefixTable, bounded_field, open_in, prefix_row,
+                     read_rows, rows, unsigned_field)
 from .options import Key
 from .packet import pack_address
 from .probe import ClassificationKind, scan_key
@@ -298,8 +298,11 @@ def prefix_asn_row(line: str) -> tuple[PrefixKey, int]:
 
 def asn_meta_row(line: str) -> tuple[int, tuple[str, str, int | None]]:
     """(asn, (organization, country, rank)) of one `asn,org,country,rank` row."""
-    asn, org, country, rank = (field.strip() for field in line.split(","))
-    return (unsigned_field(asn, "asn"),
+    fields = [field.strip() for field in line.split(",")]
+    if len(fields) != 4:
+        raise ValueError(f"expected asn,org,country,rank, got {line!r}")
+    asn, org, country, rank = fields
+    return (bounded_field(asn, "asn", MAX_ASN),
             (org, country, unsigned_field(rank, "rank") if rank else None))
 
 

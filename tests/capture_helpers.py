@@ -1,4 +1,4 @@
-"""Synthetic packet and capture construction shared by the tests."""
+"""Synthetic packets, captures and simulated paths shared by the tests."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import struct
 from pathlib import Path
 from typing import IO, Iterable
 
+from mptcpkit.netsim import NodeBehavior, SimPath, parse_node
 from mptcpkit.options import HandshakePhase, Key, MpCapable, encode_mp_capable
 from mptcpkit.packet import FLAG_ACK, FLAG_SYN, FLAG_SYN_ACK, TcpPacket, encode_packet
 from mptcpkit.pcapio import LINKTYPE_RAW, MAGIC_US
@@ -19,6 +20,16 @@ def replace(record, **changes):
     passed to the constructor by name."""
     fields = {name: getattr(record, name) for name in record.__slots__}
     return type(record)(**{**fields, **changes})
+
+
+def parse_nodes(tokens: str) -> list[NodeBehavior]:
+    """The nodes of whitespace-separated topology tokens, `"mirror tcp_host"`."""
+    return [parse_node(token) for token in tokens.split()]
+
+
+def sim_path(tokens: str, latency: float = 1.0) -> SimPath:
+    """The path of a topology line's node tokens, with `latency` ms per hop."""
+    return SimPath(parse_nodes(tokens), per_hop_latency_ms=latency)
 
 
 def write_pcap(

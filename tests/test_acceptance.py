@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from capture_helpers import capture_bytes, handshake_frames
+from capture_helpers import capture_bytes, handshake_frames, parse_nodes, sim_path
 from mptcpkit.cli import main as cli_main
 from mptcpkit.errors import OptionError
 from mptcpkit.flows import (
@@ -21,19 +21,7 @@ from mptcpkit.flows import (
     mptcp_share,
 )
 from mptcpkit.keystats import analyze_keys, expected_counts, write_report
-from mptcpkit.netsim import (
-    SimNetwork,
-    SimPath,
-    drop,
-    ground_truth,
-    key_rewrite,
-    mirror,
-    quoting,
-    silent,
-    strip,
-    tcp_host,
-    true_host,
-)
+from mptcpkit.netsim import SimNetwork, SimPath, ground_truth
 from mptcpkit.options import (
     HandshakePhase,
     Key,
@@ -108,8 +96,8 @@ def test_criterion_1_codec_round_trip():
 
 def test_criterion_2_simulator_oracle_equivalence():
     start = time.monotonic()
-    interior_kinds = [mirror(), strip(), key_rewrite(), drop(), silent(), quoting()]
-    endpoints = [true_host(0), true_host(1), true_host(0, 1), tcp_host()]
+    interior_kinds = parse_nodes("mirror strip key_rewrite drop silent quoting")
+    endpoints = parse_nodes("true_host(v0) true_host(v1) true_host(v0,v1) tcp_host")
     cases = 0
     for length in range(0, 5):
         for combo in itertools.product(interior_kinds, repeat=length):
@@ -344,7 +332,7 @@ def test_criterion_5_idempotent_ingestion(tmp_path):
 
 def test_criterion_6_transfer_bench():
     net = SimNetwork(seed=6)
-    net.add_path("10.0.0.1", 80, SimPath([strip(), tcp_host()], per_hop_latency_ms=5.0))
+    net.add_path("10.0.0.1", 80, sim_path("strip tcp_host", 5.0))
     mptcp_t = SimTimingTransport(net, "mptcp", fallback_penalty_ms=250.0, seed=6)
     tcp_t = SimTimingTransport(net, "tcp", seed=6)
     mptcp_samples = time_get("10.0.0.1", 80, mptcp_t, runs=20)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capture_helpers import sim_path
 from mptcpkit.bench import (
     JITTER_MS,
     METRICS,
@@ -23,25 +24,16 @@ from mptcpkit.bench import (
     write_cdf,
 )
 from mptcpkit.errors import PairingMismatch
-from mptcpkit.netsim import (
-    SimNetwork,
-    SimPath,
-    drop,
-    generate_population,
-    silent,
-    strip,
-    tcp_host,
-    true_host,
-)
+from mptcpkit.netsim import SimNetwork, generate_population
 
 
 def network():
     net = SimNetwork(seed=4)
     # single-node path with 5 ms per hop: one round trip = 10 ms
-    net.add_path("10.0.0.1", 80, SimPath([true_host(0)], per_hop_latency_ms=5.0))
-    net.add_path("10.0.0.2", 80, SimPath([strip(), tcp_host()], per_hop_latency_ms=5.0))
-    net.add_path("10.0.0.3", 80, SimPath([drop(), tcp_host()]))
-    net.add_path("10.0.0.4", 443, SimPath([silent(), true_host(0)], per_hop_latency_ms=5.0))
+    net.add_path("10.0.0.1", 80, sim_path("true_host(v0)", 5.0))
+    net.add_path("10.0.0.2", 80, sim_path("strip tcp_host", 5.0))
+    net.add_path("10.0.0.3", 80, sim_path("drop tcp_host"))
+    net.add_path("10.0.0.4", 443, sim_path("silent true_host(v0)", 5.0))
     return net
 
 

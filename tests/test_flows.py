@@ -563,6 +563,17 @@ class TestServiceMapping:
         assert tables.registry[443] == "HTTPS"
         assert tables.supplementary[5223] == "Siri"
 
+    def test_only_tcp_rows_label_a_flow(self, tmp_path):
+        # Every flow is TCP, so a `udp` row for the same port leaves the `tcp` label.
+        services = tmp_path / "services.csv"
+        services.write_text("512,tcp,exec\n512,udp,biff\n513,TCP,login\n513,Udp,who\n"
+                            "514,udp,syslog\n")
+        tables = ServiceTables.load(services, services)
+        assert tables.registry == tables.supplementary == {512: "exec", 513: "login"}
+        labels = [map_service(_key("10.0.0.1", "10.0.0.2", 50000, port), tables)
+                  for port in (512, 513, 514)]
+        assert labels == ["exec", "login", "Unknown"]
+
     def test_builtin_registry_default(self):
         tables = ServiceTables.load()
         key = _key("10.0.0.1", "10.0.0.2", 50000, 3389)

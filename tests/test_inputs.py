@@ -750,6 +750,35 @@ def test_a_table_integer_no_rule_takes_names_its_line(kind, row, name, form):
     assert str(raised.value) == f"line 3: {name} must be ASCII digits, got {form!r}"
 
 
+# Each: a table, a row of it that no rule takes, and the message after `line N: `.
+TABLE_REFUSALS = [
+    ("service table", "70000,tcp,X", "port must be at most 65535, got '70000'"),
+    ("asn metadata", "99999999999,Org,US,", "asn must be at most 4294967295, got '99999999999'"),
+    ("prefix table", "10.0.0.0/8,99999999999",
+     "asn must be at most 4294967295, got '99999999999'"),
+    ("blocklist", "10.0.0.0/8,4294967296", "asn must be at most 4294967295, got '4294967296'"),
+    ("asn metadata", "64502,NoCountry", "expected asn,org,country,rank, got '64502,NoCountry'"),
+    ("asn metadata", "64502,Org,US,1,2", "expected asn,org,country,rank, got '64502,Org,US,1,2'"),
+    ("service table", "80,tcp", "expected port,protocol,label, got '80,tcp'"),
+]
+
+
+@pytest.mark.parametrize("kind, row, message", TABLE_REFUSALS)
+def test_a_table_row_out_of_range_or_of_another_shape_names_its_line(kind, row, message):
+    good, read = TABLES[kind]
+    with pytest.raises(ValueError) as raised:
+        list(rows([good, "# the refused row", row], read))
+    assert str(raised.value) == f"line 3: {message}"
+
+
+def test_table_integers_read_up_to_their_limits_and_a_label_may_hold_commas():
+    assert service_row("65535,tcp,Last") == (65535, "Last")
+    assert asn_meta_row("4294967295,Org,US,") == (4294967295, ("Org", "US", None))
+    assert prefix_row("10.0.0.0/8,4294967295")[1] == 4294967295
+    assert service_row("80,tcp,Web, Proxy") == (80, "Web, Proxy")
+    assert service_row("80,udp,Web") is None
+
+
 @pytest.mark.parametrize("latency", LATENCY_FORMS)
 def test_a_latency_no_writer_emits_names_its_line(latency):
     with pytest.raises(ValueError) as raised:
@@ -800,6 +829,9 @@ def _cli_refusals():
         for form in TABLE_INTEGER_FORMS:
             yield (argv, file, TABLES[kind][0], row.format(form),
                    f"{name} must be ASCII digits, got {form!r}")
+    for kind, row, message in TABLE_REFUSALS:
+        argv, file = commands[kind]
+        yield argv, file, TABLES[kind][0], row, message
 
 
 CLI_REFUSALS = list(_cli_refusals())

@@ -18,9 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from capture_helpers import sim_path
 from mptcpkit import cli
 from mptcpkit.errors import TransportUnavailable
-from mptcpkit.netsim import SimPath, ground_truth, true_host
+from mptcpkit.netsim import ground_truth
 from mptcpkit.packet import TcpPacket, pack_address
 
 IPPROTO_MPTCP = 262
@@ -195,7 +196,7 @@ def test_trace_to_mptcp_listener_matches_zero_hop_truth(tmp_path, endpoints, sen
     (address, port, verdict, ttl, key), blocked = _trace(tmp_path, [
         "{},{}".format(*endpoints["mptcp"]), "{},{}".format(*endpoints["blocked"]),
     ])
-    truth = ground_truth(SimPath((true_host(1),)), version=1)
+    truth = ground_truth(sim_path("true_host(v1)"), version=1)
     assert (address, int(port)) == endpoints["mptcp"]
     assert verdict == truth.verdict.value == "truly_capable"
     assert ttl == "" and truth.first_modifying_ttl is None

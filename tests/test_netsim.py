@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from capture_helpers import replace
+from capture_helpers import parse_nodes, replace, sim_path
 from mptcpkit.errors import OptionError
 from mptcpkit.inputs import data_line
 from mptcpkit.netsim import (
@@ -23,19 +23,11 @@ from mptcpkit.netsim import (
     NodeBehavior,
     SimNetwork,
     SimPath,
-    drop,
     format_topology,
     generate_population,
     ground_truth,
-    key_rewrite,
-    mirror,
+    parse_node,
     parse_topology,
-    quoting,
-    silent,
-    strip,
-    tcp_host,
-    true_host,
-    _parse_node,
     _target_address,
 )
 from mptcpkit.options import (
@@ -83,13 +75,13 @@ def v1_syn(seed: int = 0):
 
 class TestHandshake:
     def test_mirror_before_tcp_host_echoes_key(self):
-        net = network_for(SimPath([mirror(), tcp_host()]))
+        net = network_for(sim_path("mirror tcp_host"))
         resp = net.handshake(v0_syn())
         mc = decode_mp_capable(find_mp_capable(resp.options), HandshakePhase.SYN_ACK)
         assert mc.sender_key == DEFAULT_PROBE_KEY
 
     def test_dual_version_host_answers_probed_version(self):
-        net = network_for(SimPath([true_host(0, 1)]))
+        net = network_for(sim_path("true_host(v0,v1)"))
         resp = net.handshake(v1_syn())
         mc = decode_mp_capable(find_mp_capable(resp.options), HandshakePhase.SYN_ACK)
         assert mc.version == 1
@@ -97,17 +89,17 @@ class TestHandshake:
         assert mc.sender_key != DEFAULT_PROBE_KEY
 
     def test_drop_firewall_yields_absence(self):
-        net = network_for(SimPath([drop(), true_host(0)]))
+        net = network_for(sim_path("drop true_host(v0)"))
         assert net.handshake(v0_syn()) is None
 
     def test_no_version_overlap_falls_back_to_plain(self):
-        net = network_for(SimPath([true_host(1)]))
+        net = network_for(sim_path("true_host(v1)"))
         resp = net.handshake(v0_syn())
         assert resp is not None
         assert find_mp_capable(resp.options) is None
 
     def test_tcp_host_plain_syn_ack(self):
-        net = network_for(SimPath([tcp_host()]))
+        net = network_for(sim_path("tcp_host"))
         resp = net.handshake(v0_syn())
         assert resp is not None
         assert find_mp_capable(resp.options) is None
@@ -117,7 +109,7 @@ class TestHandshake:
         assert net.handshake(v0_syn()) is None
 
     def test_refuses_a_packet_without_syn_and_a_ttl_below_one(self):
-        net = network_for(SimPath([key_rewrite(), true_host(0)]))
+        net = network_for(sim_path("key_rewrite true_host(v0)"))
         ack = replace(v0_syn(), flags=FLAG_ACK)
         with pytest.raises(ValueError, match="answers only SYNs"):
             net.handshake(ack)
@@ -127,29 +119,29 @@ class TestHandshake:
         with pytest.raises(ValueError, match="ttl must be >= 1"):
             net.ttl_probe(v0_syn(), 0)
         # A refused packet leaves nothing behind: the next reply is a fresh network's.
-        fresh = network_for(SimPath([key_rewrite(), true_host(0)]))
+        fresh = network_for(sim_path("key_rewrite true_host(v0)"))
         assert net.handshake(v0_syn()) == fresh.handshake(v0_syn())
 
     def test_strip_hides_option_from_endpoint(self):
-        net = network_for(SimPath([strip(), true_host(0)]))
+        net = network_for(sim_path("strip true_host(v0)"))
         resp = net.handshake(v0_syn())
         assert find_mp_capable(resp.options) is None
 
     def test_key_rewrite_fakes_a_fresh_key(self):
-        net = network_for(SimPath([key_rewrite(), tcp_host()]))
+        net = network_for(sim_path("key_rewrite tcp_host"))
         resp = net.handshake(v0_syn())
         mc = decode_mp_capable(find_mp_capable(resp.options), HandshakePhase.SYN_ACK)
         assert mc.sender_key != DEFAULT_PROBE_KEY
 
     def test_key_rewrite_inert_for_keyless_v1(self):
-        net = network_for(SimPath([key_rewrite(), tcp_host()]))
+        net = network_for(sim_path("key_rewrite tcp_host"))
         resp = net.handshake(v1_syn())
         assert find_mp_capable(resp.options) is None
 
 
 class TestTtlProbe:
     def path(self):
-        return SimPath([quoting(64), strip(), true_host(0)])
+        return sim_path("quoting(64) strip true_host(v0)")
 
     def test_ttl1_quote_shows_option_intact(self):
         net = network_for(self.path())
@@ -177,11 +169,11 @@ class TestTtlProbe:
         assert find_mp_capable(reply.options) is None
 
     def test_silent_router_absence(self):
-        net = network_for(SimPath([silent(), true_host(0)]))
+        net = network_for(sim_path("silent true_host(v0)"))
         assert net.ttl_probe(v0_syn(), 1) is None
 
     def test_truncated_quote_hides_options(self):
-        net = network_for(SimPath([quoting(28), true_host(0)]))
+        net = network_for(sim_path("quoting(28) true_host(v0)"))
         reply = net.ttl_probe(v0_syn(), 1)
         assert isinstance(reply, HopReply)
         assert len(reply.quote) == 28
@@ -190,7 +182,7 @@ class TestTtlProbe:
         assert extract_quoted_options(reply.quote) is None
 
     def test_drop_blocks_ttl_probes_beyond_it(self):
-        net = network_for(SimPath([quoting(), drop(), true_host(0)]))
+        net = network_for(sim_path("quoting drop true_host(v0)"))
         assert isinstance(net.ttl_probe(v0_syn(), 1), HopReply)
         assert net.ttl_probe(v0_syn(), 2) is None
         assert net.ttl_probe(v0_syn(), 3) is None
@@ -220,18 +212,19 @@ class TestDeterminism:
         # a host's fresh keys differ under a different seed
         assert run(7) != run(8)
 
-    @pytest.mark.parametrize("nodes", [[true_host(0)], [key_rewrite(), tcp_host()],
-                                       [quoting(), key_rewrite(), true_host(0, 1)]],
+    @pytest.mark.parametrize("tokens", ["true_host(v0)", "key_rewrite tcp_host",
+                                        "quoting key_rewrite true_host(v0,v1)"],
                              ids=["host", "echo", "quote-rewrite-echo"])
-    def test_a_repeated_syn_gets_the_identical_reply(self, nodes):
+    def test_a_repeated_syn_gets_the_identical_reply(self, tokens):
         # As a TCP stack that holds the half-open connection retransmits its
         # SYN-ACK: the same key, not a fresh one, at every hop and repeat.
-        net = network_for(SimPath(nodes))
+        path = sim_path(tokens)
+        net = network_for(path)
         replies = [net.handshake(v0_syn()) for _ in range(3)]
         assert replies[0] == replies[1] == replies[2]
         key = decode_mp_capable(find_mp_capable(replies[0].options), HandshakePhase.SYN_ACK)
         assert key.sender_key != DEFAULT_PROBE_KEY
-        quotes = [[net.ttl_probe(v0_syn(), ttl) for ttl in range(1, len(nodes) + 1)]
+        quotes = [[net.ttl_probe(v0_syn(), ttl) for ttl in range(1, len(path.nodes) + 1)]
                   for _ in range(2)]
         assert quotes[0] == quotes[1]
 
@@ -275,7 +268,7 @@ class TestTopologyFiles:
         with pytest.raises(ValueError, match="latency must be finite and >= 0"):
             parse_topology([f"path 10.0.0.1 80 latency={latency} tcp_host"])
         with pytest.raises(ValueError, match="latency must be finite and >= 0"):
-            SimPath([tcp_host()], per_hop_latency_ms=float(latency))
+            sim_path("tcp_host", float(latency))
 
     def test_zero_and_fractional_latency_parse(self):
         net = parse_topology(["path 10.0.0.1 80 latency=0 tcp_host",
@@ -312,7 +305,7 @@ class TestTopologyFiles:
             latency = 1.0
             if rest[0].startswith("latency="):
                 latency = float(rest.pop(0).split("=", 1)[1])
-            nodes = [_parse_node(token) for token in rest]
+            nodes = [parse_node(token) for token in rest]
             net.add_path(address, int(port), SimPath(nodes, per_hop_latency_ms=latency))
         return net
 
@@ -392,16 +385,18 @@ class TestTopologyFiles:
                   NodeBehavior(BehaviorKind.TCP_ONLY_HOST, frozenset({0, 1}), key_seed=3),
                   NodeBehavior(BehaviorKind.STRIP_MIDDLEBOX, quote_bytes=64)]
         assert [node.spec_token() for node in unused] == ["mirror", "tcp_host", "strip"]
-        used = [true_host(0, 1, key_seed=3), key_rewrite(key_seed=3), quoting(64)]
+        used = [NodeBehavior(BehaviorKind.TRUE_MPTCP_HOST, frozenset({0, 1}), key_seed=3),
+                NodeBehavior(BehaviorKind.KEY_REWRITE_MIDDLEBOX, key_seed=3),
+                NodeBehavior(BehaviorKind.QUOTING_ROUTER, quote_bytes=64)]
         tokens = [node.spec_token() for node in used]
         assert tokens == ["true_host(v0,v1,seed=3)", "key_rewrite(seed=3)", "quoting(64)"]
-        assert [_parse_node(token) for token in tokens] == used
+        assert [parse_node(token) for token in tokens] == used
 
     def test_endpoint_position_enforced(self):
         with pytest.raises(ValueError):
-            SimPath([tcp_host(), mirror()])
+            sim_path("tcp_host mirror")
         with pytest.raises(ValueError):
-            SimPath([mirror()])
+            sim_path("mirror")
         with pytest.raises(ValueError):
             SimPath([])
 
@@ -410,7 +405,7 @@ def token_split_parse_topology(lines, seed=0):
     """The topology reader that splits every line into all its tokens and keys
     shared paths on the token tuple: the reference for `parse_topology`."""
     net = SimNetwork(seed)
-    parse_node = functools.lru_cache(maxsize=None)(_parse_node)
+    cached_node = functools.lru_cache(maxsize=None)(parse_node)
     paths_by_text = {}
     for lineno, raw in enumerate(lines, start=1):
         tokens = data_line(raw).split()
@@ -426,7 +421,7 @@ def token_split_parse_topology(lines, seed=0):
                 if rest[0].startswith("latency="):
                     latency = float(rest[0].split("=", 1)[1])
                     rest = rest[1:]
-                nodes = [parse_node(token) for token in rest]
+                nodes = [cached_node(token) for token in rest]
                 path = paths_by_text[text] = SimPath(nodes, per_hop_latency_ms=latency)
             try:
                 port = int(tokens[2])
@@ -517,36 +512,36 @@ def test_paths_are_shared_by_their_text_as_written():
 
 class TestGroundTruth:
     def test_plain_true_host(self):
-        truth = ground_truth(SimPath([true_host(0)]), 0)
+        truth = ground_truth(sim_path("true_host(v0)"), 0)
         assert truth == GroundTruth(
             ClassificationKind.POTENTIAL_CAPABLE, PathVerdictKind.TRULY_CAPABLE
         )
 
     def test_mirror_never_truly_capable(self):
-        for endpoint in (tcp_host(), true_host(0)):
-            truth = ground_truth(SimPath([mirror(), endpoint]), 0)
+        for endpoint in ("tcp_host", "true_host(v0)"):
+            truth = ground_truth(sim_path(f"mirror {endpoint}"), 0)
             assert truth.classification is ClassificationKind.MIRRORED_KEY
             assert truth.verdict is PathVerdictKind.NOT_CAPABLE
 
     def test_strip_is_middlebox_affected_at_its_ttl(self):
-        truth = ground_truth(SimPath([silent(), strip(), true_host(0)]), 0)
+        truth = ground_truth(sim_path("silent strip true_host(v0)"), 0)
         assert truth.verdict is PathVerdictKind.MIDDLEBOX_AFFECTED
         assert truth.first_modifying_ttl == 2
 
     def test_drop_unreachable(self):
-        truth = ground_truth(SimPath([strip(), drop(), true_host(0)]), 0)
+        truth = ground_truth(sim_path("strip drop true_host(v0)"), 0)
         assert truth == GroundTruth(
             ClassificationKind.NO_RESPONSE, PathVerdictKind.UNREACHABLE
         )
 
     def test_rewrite_poses_as_potential_but_flagged(self):
-        truth = ground_truth(SimPath([key_rewrite(), tcp_host()]), 0)
+        truth = ground_truth(sim_path("key_rewrite tcp_host"), 0)
         assert truth.classification is ClassificationKind.POTENTIAL_CAPABLE
         assert truth.verdict is PathVerdictKind.MIDDLEBOX_AFFECTED
         assert truth.first_modifying_ttl == 1
 
     def test_rewrite_inert_for_v1(self):
-        truth = ground_truth(SimPath([key_rewrite(), true_host(1)]), 1)
+        truth = ground_truth(sim_path("key_rewrite true_host(v1)"), 1)
         assert truth == GroundTruth(
             ClassificationKind.POTENTIAL_CAPABLE, PathVerdictKind.TRULY_CAPABLE
         )
@@ -554,9 +549,9 @@ class TestGroundTruth:
     def test_truncated_quote_gives_no_evidence(self):
         # the quoting router cannot show the strip: evidence comes from the
         # strip node's own quote at ttl 1
-        truth = ground_truth(SimPath([strip(), quoting(28), tcp_host()]), 0)
+        truth = ground_truth(sim_path("strip quoting(28) tcp_host"), 0)
         assert truth.first_modifying_ttl == 1
-        truth2 = ground_truth(SimPath([silent(), strip(), quoting(28), tcp_host()]), 0)
+        truth2 = ground_truth(sim_path("silent strip quoting(28) tcp_host"), 0)
         assert truth2.first_modifying_ttl == 2
 
 
@@ -573,8 +568,8 @@ def machinery_labels(path: SimPath, version: int, seed: int = 11, target: str = 
 
 def test_oracle_agreement_sampled():
     # exhaustive up to interior length 2 here; full depth in acceptance
-    interior = [mirror(), strip(), key_rewrite(), drop(), silent(), quoting()]
-    endpoints = [true_host(0), true_host(1), true_host(0, 1), tcp_host()]
+    interior = parse_nodes("mirror strip key_rewrite drop silent quoting")
+    endpoints = parse_nodes("true_host(v0) true_host(v1) true_host(v0,v1) tcp_host")
     for length in range(0, 3):
         for combo in itertools.product(interior, repeat=length):
             for endpoint in endpoints:
@@ -589,12 +584,12 @@ def test_oracle_agreement_sampled():
 
 @given(
     interior=st.lists(
-        st.sampled_from([mirror(), strip(), key_rewrite(), drop(), silent()])
-        | st.integers(0, 200).map(quoting),
+        st.sampled_from(parse_nodes("mirror strip key_rewrite drop silent"))
+        | st.integers(0, 200).map(lambda size: parse_node(f"quoting({size})")),
         max_size=8,
     ),
     endpoint=st.sampled_from([
-        true_host(0), true_host(1), true_host(0, 1), true_host(), tcp_host(),
+        *parse_nodes("true_host(v0) true_host(v1) true_host(v0,v1) true_host tcp_host"),
         NodeBehavior(BehaviorKind.TCP_ONLY_HOST, supported_versions=frozenset({0, 1})),
     ]),
     target=st.sampled_from([TARGET, "2001:db8:1::7"]),
@@ -638,14 +633,14 @@ def reference_population(count: int, seed: int) -> SimNetwork:
         for _ in range(rng.choices([0, 1, 2, 3, 4], weights=[30, 28, 22, 12, 8])[0]):
             kind = rng.choices(kinds, weights=[0.18, 0.14, 0.10, 0.08, 0.20, 0.30])[0]
             if kind is BehaviorKind.QUOTING_ROUTER:
-                nodes.append(quoting(rng.choice((28, 64, 128))))
+                nodes.append(parse_node(f"quoting({rng.choice((28, 64, 128))})"))
             else:
                 nodes.append(NodeBehavior(kind))
         if rng.random() < 0.55:
-            versions = rng.choices([(0,), (1,), (0, 1)], weights=[50, 20, 30])[0]
-            nodes.append(true_host(*versions))
+            versions = rng.choices(["v0", "v1", "v0,v1"], weights=[50, 20, 30])[0]
+            nodes.append(parse_node(f"true_host({versions})"))
         else:
-            nodes.append(tcp_host())
+            nodes.append(parse_node("tcp_host"))
         net.add_path(address, port, SimPath(nodes))
     return net
 
@@ -817,16 +812,16 @@ class ReferenceNetwork(SimNetwork):
         return HopReply(responder, quoted, 2.0 * path.per_hop_latency_ms * ttl)
 
 
-_seeds = st.one_of(st.none(), st.integers(0, 3))
+_seeds = st.sampled_from(["", "seed=0", "seed=1", "seed=2", "seed=3"])  # none, or one
+_rewrite = _seeds.map(lambda seed: parse_node(f"key_rewrite({seed})"))
 _interior = st.one_of(
-    st.sampled_from([mirror(), strip(), drop(), silent()]),
-    st.builds(key_rewrite, _seeds),
-    st.builds(quoting, st.sampled_from([28, 64, 128])),
+    st.sampled_from(parse_nodes("mirror strip drop silent quoting(28) quoting(64) quoting")),
+    _rewrite,
 )
 _endpoint = st.one_of(
-    st.just(tcp_host()),
-    st.builds(lambda versions, seed: true_host(*versions, key_seed=seed),
-              st.sets(st.sampled_from([0, 1])), _seeds),
+    st.just(parse_node("tcp_host")),
+    st.builds(lambda versions, seed: parse_node(f"true_host({versions},{seed})"),
+              st.sampled_from(["", "v0", "v1", "v0,v1"]), _seeds),
 )
 # Other options around the MP_CAPABLE: NOP, MSS, SACK-permitted, window scale;
 # the tail is empty or a truncated timestamps option.
@@ -846,10 +841,10 @@ _around = st.lists(st.sampled_from([b"\x01", b"\x02\x04\x05\xb4", b"\x04\x02", b
 )
 # A rewriting key_rewrite before a drop sends no echo; a mirror before a host
 # of the probed version hides the host's key.
-@example(interior=[key_rewrite(), drop()], endpoint=tcp_host(), address="10.1.2.3",
-         probe_key=DEFAULT_PROBE_KEY, before=b"", after=b"", tail=b"", seed=0)
-@example(interior=[mirror()], endpoint=true_host(0, 1), address="10.1.2.3",
-         probe_key=DEFAULT_PROBE_KEY, before=b"", after=b"", tail=b"", seed=0)
+@example(interior=parse_nodes("key_rewrite drop"), endpoint=parse_node("tcp_host"),
+         address="10.1.2.3", probe_key=DEFAULT_PROBE_KEY, before=b"", after=b"", tail=b"", seed=0)
+@example(interior=parse_nodes("mirror"), endpoint=parse_node("true_host(v0,v1)"),
+         address="10.1.2.3", probe_key=DEFAULT_PROBE_KEY, before=b"", after=b"", tail=b"", seed=0)
 @settings(max_examples=300, deadline=None)
 def test_replies_match_encoded_reference(interior, endpoint, address, probe_key, before,
                                          after, tail, seed):
@@ -881,7 +876,7 @@ _calls = st.lists(
 @given(
     interior=st.lists(_interior, max_size=3).flatmap(
         lambda nodes: st.builds(lambda i, rewrite: [*nodes[:i], rewrite, *nodes[i:]],
-                                st.integers(0, len(nodes)), st.builds(key_rewrite, _seeds))
+                                st.integers(0, len(nodes)), _rewrite)
     ),
     endpoint=_endpoint,
     address=st.sampled_from(["10.1.2.3", "2001:db8::7"]),
@@ -889,10 +884,12 @@ _calls = st.lists(
     calls=_calls,
     seed=st.integers(0, 3),
 )
-@example(interior=[key_rewrite(), drop()], endpoint=true_host(0), address="10.1.2.3",
-         probe_key=DEFAULT_PROBE_KEY, calls=[("handshake", 1, 0), ("ttl_probe", 1, 0)], seed=0)
-@example(interior=[mirror(), key_rewrite()], endpoint=true_host(0, 1), address="10.1.2.3",
-         probe_key=DEFAULT_PROBE_KEY, calls=[("handshake", 1, 0), ("handshake", 1, 1)], seed=0)
+@example(interior=parse_nodes("key_rewrite drop"), endpoint=parse_node("true_host(v0)"),
+         address="10.1.2.3", probe_key=DEFAULT_PROBE_KEY,
+         calls=[("handshake", 1, 0), ("ttl_probe", 1, 0)], seed=0)
+@example(interior=parse_nodes("mirror key_rewrite"), endpoint=parse_node("true_host(v0,v1)"),
+         address="10.1.2.3", probe_key=DEFAULT_PROBE_KEY,
+         calls=[("handshake", 1, 0), ("handshake", 1, 1)], seed=0)
 @settings(max_examples=300, deadline=None)
 def test_call_sequences_match_the_reference_and_a_fresh_network(interior, endpoint, address,
                                                                 probe_key, calls, seed):
@@ -1141,11 +1138,11 @@ class TestSimPath:
             assert path.rtt_ms == 2.0 * path.per_hop_latency_ms * len(path.nodes)
 
     def test_nodes_kept_as_a_tuple(self):
-        nodes = [strip(), tcp_host()]
+        nodes = parse_nodes("strip tcp_host")
         path = SimPath(nodes)
-        nodes.append(mirror())  # the caller's list is not the path's
-        assert path.nodes == (strip(), tcp_host())
-        assert path == SimPath((strip(), tcp_host()))
+        nodes.append(parse_node("mirror"))  # the caller's list is not the path's
+        assert path.nodes == tuple(parse_nodes("strip tcp_host"))
+        assert path == SimPath(tuple(parse_nodes("strip tcp_host")))
 
 
 def test_campaign_memo_tables_do_not_grow_with_targets():

@@ -11,23 +11,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capture_helpers import parse_nodes, sim_path
 from mptcpkit import cli
 from mptcpkit.errors import GuardViolation, IllegalCombination, OptionError
 from mptcpkit import options, probe, tracer
 from mptcpkit.netsim import (
     SimNetwork,
     SimPath,
-    drop,
     generate_population,
-    key_rewrite,
-    mirror,
+    parse_node,
     parse_topology,
-    quoting,
-    silent,
-    strip,
-    tcp_host,
     topology_lines,
-    true_host,
 )
 from mptcpkit.inputs import rows
 from mptcpkit.options import (
@@ -259,7 +253,7 @@ class TestClassifyResponse:
         monkeypatch.setattr("mptcpkit.options.decode_mp_capable", broken)
         syn_view.cache_clear()  # the simulator decodes each SYN once, in `syn_view`
         net = SimNetwork(1)
-        net.add_path("10.0.0.1", 80, SimPath([true_host(0)]))
+        net.add_path("10.0.0.1", 80, sim_path("true_host(v0)"))
         with pytest.raises(RuntimeError, match="decoder fault"):
             net.handshake(build_syn_probe(self.spec_v0(), "10.0.0.1", 80))
 
@@ -326,7 +320,7 @@ class TestGuard:
 def sim_network_all_true(targets):
     net = SimNetwork(seed=3)
     for address, port in targets:
-        net.add_path(address, port, SimPath([true_host(0, 1)]))
+        net.add_path(address, port, sim_path("true_host(v0,v1)"))
     return net
 
 
@@ -580,8 +574,8 @@ def reference_classify(version, key, sent: bytes, resp) -> Classification:
                           got_version=decoded[0].version)
 
 
-_NODES = st.sampled_from([mirror(), strip(), key_rewrite(), drop(), silent(), quoting()])
-_ENDPOINTS = st.sampled_from([true_host(0), true_host(1), true_host(0, 1), tcp_host()])
+_NODES = st.sampled_from(parse_nodes("mirror strip key_rewrite drop silent quoting"))
+_ENDPOINTS = st.sampled_from(parse_nodes("true_host(v0) true_host(v1) true_host(v0,v1) tcp_host"))
 
 
 @given(
@@ -595,10 +589,12 @@ _ENDPOINTS = st.sampled_from([true_host(0), true_host(1), true_host(0, 1), tcp_h
         min_size=1, max_size=6),
     replies=st.lists(st.tuples(st.integers(0, 255), st.binary(max_size=20)), max_size=4),
 )
-@example(version=1, key=Key(1), seed=0, targets=[("10.0.0.1", 80, [mirror()], true_host(1))],
+@example(version=1, key=Key(1), seed=0,
+         targets=[("10.0.0.1", 80, parse_nodes("mirror"), parse_node("true_host(v1)"))],
          replies=[])
 @example(version=0, key=DEFAULT_PROBE_KEY, seed=0,
-         targets=[("2001:db8::1", 443, [mirror()], true_host(0))], replies=[])
+         targets=[("2001:db8::1", 443, parse_nodes("mirror"), parse_node("true_host(v0)"))],
+         replies=[])
 @settings(max_examples=200, deadline=None)
 def test_context_probes_match_the_documented_derivations(version, key, seed, targets, replies):
     key = key if version == 0 else None

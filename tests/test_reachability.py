@@ -4,8 +4,13 @@ The scan parses `src/mptcpkit/*.py` here, in the tests: the package itself
 imports no `ast` (see `test_the_cli_imports_no_code_generation_modules`).
 A definition is a module-level function or class, or a method of a
 module-level class. It is reached when some node under `src/` outside its
-own body mentions its name: a `Name`, an `Attribute`, an import alias, or a
-string constant equal to the name (the `select=` and `getattr` lookups).
+own body mentions its name: a `Name`, an import alias, a string constant
+equal to the name (the `select=` and `getattr` lookups), or an `Attribute`.
+An `Attribute` mentions a module-level name only when its value names a
+package module (`netsim.parse_node`, `store_mod.top_report`), so
+`line.strip()` does not reach a function `strip`; it mentions a method
+whatever its value. The string value of an `Enum` member (`"mirror"`) is not
+a mention.
 Exempt are `main`, dunder methods and the two f-string dispatches of `cli`:
 `cmd_*` (`main`) and `_write_*` (`cmd_report`).
 
@@ -59,12 +64,15 @@ def definitions(module: str, tree: ast.Module):
                     yield f"{module}.{node.name}.{member.name}", member
 
 
-def mentioned(node: ast.AST) -> str | None:
-    """The name `node` mentions, if it is a mention."""
+def mentioned(node: ast.AST, modules: set[str]) -> str | None:
+    """The name `node` mentions, if it is a mention: `.name` for an attribute
+    that only a method's name can match."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
-        return node.attr
+        value = node.value
+        module = isinstance(value, ast.Name) and value.id in modules
+        return node.attr if module else "." + node.attr
     if isinstance(node, ast.alias):
         return node.name.rpartition(".")[2]
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -72,14 +80,36 @@ def mentioned(node: ast.AST) -> str | None:
     return None
 
 
+def enum_values(tree: ast.Module) -> set[int]:
+    """The `id` of each constant that is the value of an `Enum` member."""
+    return {id(stmt.value) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            and any(getattr(base, "id", getattr(base, "attr", None)) == "Enum"
+                    for base in cls.bases)
+            for stmt in cls.body
+            if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant)}
+
+
 def unreached(trees: dict[str, ast.Module]) -> set[str]:
     """The qualified name of each definition under `trees` that no node
     outside its own body mentions, exemptions left out."""
-    counts = Counter(mentioned(node) for tree in trees.values() for node in ast.walk(tree))
-    return {qualname for module, tree in trees.items()
-            for qualname, node in definitions(module, tree)
-            if not exempt(node.name)
-            and counts[node.name] == sum(mentioned(n) == node.name for n in ast.walk(node))}
+    modules = set(trees) | {node.asname or node.name for tree in trees.values()
+                            for node in ast.walk(tree) if isinstance(node, ast.alias)
+                            and node.name.rpartition(".")[2] in trees}
+    skipped = set().union(*map(enum_values, trees.values()))
+
+    def mentions(root: ast.AST) -> Counter:
+        return Counter(mentioned(node, modules) for node in ast.walk(root)
+                       if id(node) not in skipped)
+
+    counts = sum(map(mentions, trees.values()), Counter())
+    dead = set()
+    for module, tree in trees.items():
+        for qualname, node in definitions(module, tree):
+            own = mentions(node)
+            names = [node.name, "." + node.name] if qualname.count(".") == 2 else [node.name]
+            if not exempt(node.name) and all(counts[n] == own[n] for n in names):
+                dead.add(qualname)
+    return dead
 
 
 def parse_src(root: Path = SRC) -> dict[str, ast.Module]:
@@ -108,22 +138,29 @@ def test_src_imports_no_ast():
 
 
 def test_the_scan_flags_an_uncalled_definition_and_not_a_called_one():
-    trees = {
-        "a": ast.parse(
-            "import hashlib\n"
-            "def used(): pass\n"
-            "def unused(): unused()\n"  # its own body does not reach it
-            "def cmd_x(): used()\n"
-            "class C:\n"
-            "    def __init__(self): pass\n"
-            "    def method(self): return C\n"
-            "    def looked_up(self): pass\n"
-            "    def update(self): pass\n"
-        ),
-        "b": ast.parse(
-            "from a import C\n"
-            "getattr(C(), 'looked_up')\n"
-            "hashlib.blake2b().update(b'')\n"  # the blind spot: any `.update` reaches C.update
-        ),
-    }
-    assert unreached(trees) == {"a.unused", "a.C.method"}
+    a = ast.parse(
+        "import hashlib\n"
+        "from enum import Enum\n"
+        "def used(): pass\n"
+        "def unused(): unused()\n"  # its own body does not reach it
+        "def cmd_x(): used()\n"
+        "def f(): pass\n"
+        "def strip(): pass\n"
+        "class Kind(Enum):\n"
+        "    F = 'f'\n"  # an enum value does not reach `f`
+        "class C:\n"
+        "    def __init__(self): pass\n"
+        "    def method(self): return C\n"
+        "    def looked_up(self): pass\n"
+        "    def update(self): pass\n"
+    )
+    b = (
+        "from a import C, Kind\n"
+        "getattr(C(), 'looked_up')\n"
+        "hashlib.blake2b().update(b'')\n"  # the blind spot: any `.update` reaches C.update
+        "Kind.F\n"
+        "'x'.strip()\n"  # a method of `str`, not the module's `strip`
+    )
+    assert unreached({"a": a, "b": ast.parse(b)}) == {"a.unused", "a.C.method", "a.f", "a.strip"}
+    called = b + "import a as mod\nmod.strip()\n"
+    assert unreached({"a": a, "b": ast.parse(called)}) == {"a.unused", "a.C.method", "a.f"}

@@ -2,17 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mptcpkit.netsim import (
-    SimNetwork,
-    SimPath,
-    drop,
-    mirror,
-    quoting,
-    silent,
-    strip,
-    tcp_host,
-    true_host,
-)
+from capture_helpers import sim_path
+from mptcpkit.netsim import SimNetwork, SimPath
 from mptcpkit.options import (
     Key,
     SynView,
@@ -134,7 +125,7 @@ def network(path: SimPath, target="10.5.5.5", port=80, seed=2) -> SimNetwork:
 
 class TestProbePath:
     def test_true_host_path(self):
-        net = network(SimPath([quoting(), quoting(), true_host(0)]))
+        net = network(sim_path("quoting quoting true_host(v0)"))
         trace = probe_path(V0, "10.5.5.5", 80, 10, net)
         assert [h.diff.kind for h in trace.hops] == [
             OptionDiffKind.UNTOUCHED,
@@ -144,7 +135,7 @@ class TestProbePath:
         assert trace.final_response is not None
 
     def test_silent_routers_unobserved(self):
-        net = network(SimPath([silent(), silent(), true_host(0)]))
+        net = network(sim_path("silent silent true_host(v0)"))
         trace = probe_path(V0, "10.5.5.5", 80, 10, net)
         assert [h.diff.kind for h in trace.hops] == [
             OptionDiffKind.UNOBSERVED,
@@ -153,7 +144,7 @@ class TestProbePath:
         ]
 
     def test_strip_first_diff_at_its_ttl(self):
-        net = network(SimPath([quoting(), strip(), tcp_host()]))
+        net = network(sim_path("quoting strip tcp_host"))
         trace = probe_path(V0, "10.5.5.5", 80, 10, net)
         kinds = [h.diff.kind for h in trace.hops]
         assert kinds[0] is OptionDiffKind.UNTOUCHED
@@ -161,19 +152,19 @@ class TestProbePath:
         assert trace.hops[1].ttl == 2
 
     def test_black_hole_walks_all_ttls(self):
-        net = network(SimPath([drop(), tcp_host()]))
+        net = network(sim_path("drop tcp_host"))
         trace = probe_path(V0, "10.5.5.5", 80, 5, net)
         assert len(trace.hops) == 5
         assert all(h.diff.kind is OptionDiffKind.UNOBSERVED for h in trace.hops)
         assert trace.final_response is None
 
     def test_early_exit_on_final_response(self):
-        net = network(SimPath([true_host(0)]))
+        net = network(sim_path("true_host(v0)"))
         trace = probe_path(V0, "10.5.5.5", 80, 30, net)
         assert len(trace.hops) == 1
 
     def test_truncated_quote_recorded_unobserved(self):
-        net = network(SimPath([quoting(28), true_host(0)]))
+        net = network(sim_path("quoting(28) true_host(v0)"))
         trace = probe_path(V0, "10.5.5.5", 80, 10, net)
         first = trace.hops[0]
         assert first.responder is not None
@@ -181,7 +172,7 @@ class TestProbePath:
         assert first.diff.kind is OptionDiffKind.UNOBSERVED
 
     def test_max_ttl_range_enforced(self):
-        net = network(SimPath([true_host(0)]))
+        net = network(sim_path("true_host(v0)"))
         with pytest.raises(ValueError):
             probe_path(V0, "10.5.5.5", 80, 0, net)
         with pytest.raises(ValueError):
@@ -248,7 +239,7 @@ class TestMirrorCrossCheck:
         # scan says mirrored; the path verdict must never say truly capable
         from mptcpkit.probe import build_syn_probe, classify_response
 
-        net = network(SimPath([mirror(), tcp_host()]))
+        net = network(sim_path("mirror tcp_host"))
         cls = classify_response(V0, net.handshake(build_syn_probe(V0, "10.5.5.5", 80)))
         assert cls.kind.value == "mirrored_key"
         _trace, verdict = inspect_target(V0, "10.5.5.5", 80, net, max_ttl=10)
@@ -256,7 +247,7 @@ class TestMirrorCrossCheck:
         assert verdict.kind is PathVerdictKind.NOT_CAPABLE
 
     def test_mirror_hiding_true_host_still_not_capable(self):
-        net = network(SimPath([mirror(), true_host(0)]))
+        net = network(sim_path("mirror true_host(v0)"))
         _trace, verdict = inspect_target(V0, "10.5.5.5", 80, net, max_ttl=10)
         assert verdict.kind is PathVerdictKind.NOT_CAPABLE
 
