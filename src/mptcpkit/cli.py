@@ -8,6 +8,14 @@ argparse, before any file is touched.
 Exit codes: 0 success, 1 operational error (including refusal to scan live
 without guardrails), 2 usage error. All randomness flows from --seed, so any
 seeded invocation is bit-reproducible.
+
+Loading rule: this module imports the other modules of the package, not
+their names, and calls through them (`probe.run_campaign`), so each command
+runs only the modules it calls, at their first use (see the package
+docstring). Only `errors` is imported by name: it is small and every command
+uses it. Building the parser runs `options` and no other module: a bound
+owned by another module (`tracer.MAX_TTL`) is read only when its option is
+given.
 """
 
 from __future__ import annotations
@@ -22,27 +30,13 @@ from typing import Callable, Iterable, Iterator
 
 from . import bench as bench_mod
 from . import flows as flows_mod
-from . import keystats, netsim, store as store_mod, tracer
+from . import inputs, keystats, live, netsim, options, packet, probe, store as store_mod, tracer
 from .errors import EmptyInput, GuardViolation, TransportUnavailable
-from .inputs import open_out, read_rows
-from .options import Key
-from .packet import pack_address
-from .probe import (
-    Blocklist,
-    CampaignGuard,
-    CampaignRecord,
-    DEFAULT_PROBE_KEY,
-    PacedTransport,
-    RatePacer,
-    VirtualClock,
-    run_campaign,
-    target_row,
-)
 
 
 def _targets_from_scan(path: str, labels: set[str]) -> list[tuple[str, int]]:
     """Distinct (address, port) of rows with a wanted label, first-seen order."""
-    records = read_rows(path, CampaignRecord.parse)
+    records = inputs.read_rows(path, probe.CampaignRecord.parse)
     return list(dict.fromkeys((r.address, r.port) for r in records if r.label in labels))
 
 
@@ -50,15 +44,15 @@ def _host_row(line: str) -> tuple[str, int | None, str | None]:
     """(address, port, label) of one report host row, parsed by its schema."""
     fields = line.count(",") + 1
     if line.startswith("{") or fields == 6:
-        record = CampaignRecord.parse(line)
+        record = probe.CampaignRecord.parse(line)
         return record.address, record.port, record.label
     if fields == 5:
         trace = tracer.TraceRecord.from_csv(line)
         return trace.address, trace.port, trace.verdict
     if fields == 2:
-        return *target_row(line), None
+        return *probe.target_row(line), None
     if fields == 1:
-        pack_address(line)  # raises for what is not an address
+        packet.pack_address(line)  # raises for what is not an address
         return line, None, None
     raise ValueError(f"expected address[,port], a trace row or a scan row, got {line!r}")
 
@@ -82,7 +76,7 @@ def _ported_row(line: str) -> tuple[str, int | None, str | None]:
 def _read_hosts(path: str, only: str | None, parse=_host_row) -> Iterator[tuple[str, int | None]]:
     """(address, port) of each host row `parse` reads, or under `--only`, of
     each labelled row with that label."""
-    rows = read_rows(path, parse if only is None else _labelled_row)
+    rows = inputs.read_rows(path, parse if only is None else _labelled_row)
     return ((address, port) for address, port, label in rows if only in (None, label))
 
 
@@ -94,12 +88,10 @@ def _resolve_transport(args):
     """The simulated network of --sim-topology, else a live raw-socket transport."""
     if args.sim_topology:
         return netsim.load_topology(args.sim_topology, seed=args.seed)
-    from .live import LiveTransport
-
-    return LiveTransport(timeout_ms=args.timeout_ms)
+    return live.LiveTransport(timeout_ms=args.timeout_ms)
 
 
-def _guard_from_args(args) -> CampaignGuard:
+def _guard_from_args(args) -> probe.CampaignGuard:
     """The blocklist and pacer a sending command applies, built before any
     target is read or transport opened, so every refusal comes first.
 
@@ -108,9 +100,9 @@ def _guard_from_args(args) -> CampaignGuard:
     --rate says otherwise, and without --blocklist blocks nothing.
     """
     if args.sim_topology or args.dry_run:
-        clock = VirtualClock()
+        clock = probe.VirtualClock()
         rate = 1_000_000.0 if args.rate is None else args.rate
-        pacer = RatePacer(rate, clock=clock, sleep=clock.sleep)
+        pacer = probe.RatePacer(rate, clock=clock, sleep=clock.sleep)
     else:
         missing = []
         if args.blocklist is None:
@@ -121,16 +113,16 @@ def _guard_from_args(args) -> CampaignGuard:
             raise GuardViolation(
                 f"refusing live {args.command} without {' and '.join(missing)}"
             )
-        pacer = RatePacer(args.rate)
-    blocklist = Blocklist.load(args.blocklist) if args.blocklist else Blocklist()
-    return CampaignGuard(blocklist, pacer)
+        pacer = probe.RatePacer(args.rate)
+    blocklist = probe.Blocklist.load(args.blocklist) if args.blocklist else probe.Blocklist()
+    return probe.CampaignGuard(blocklist, pacer)
 
 
 def _write_rows(path: str | None, rows: Iterable, line: Callable[..., str], transport) -> int:
     """Write `line(row)` for each of `rows` to --out `path`, and close a live
     transport's sockets however the run ends (a simulated network holds none)."""
     try:
-        with open_out(path) as f:
+        with inputs.open_out(path) as f:
             f.writelines(f"{line(row)}\n" for row in rows)
     finally:
         close = getattr(transport, "close", None)
@@ -142,15 +134,16 @@ def _write_rows(path: str | None, rows: Iterable, line: Callable[..., str], tran
 def cmd_scan(args) -> int:
     guard = _guard_from_args(args)
     transport = None if args.dry_run else _resolve_transport(args)
-    records = run_campaign(read_rows(args.targets, target_row), version=args.version, guard=guard,
-                           transport=transport, probe_key=args.probe_key, seed=args.seed)
-    line = CampaignRecord.to_json if args.format == "jsonl" else CampaignRecord.to_csv
+    targets = inputs.read_rows(args.targets, probe.target_row)
+    records = probe.run_campaign(targets, version=args.version, guard=guard, transport=transport,
+                                 probe_key=args.probe_key, seed=args.seed)
+    line = probe.CampaignRecord.to_json if args.format == "jsonl" else probe.CampaignRecord.to_csv
     return _write_rows(args.out, records, line, transport)
 
 
 def cmd_trace(args) -> int:
     guard = _guard_from_args(args)
-    targets = (read_rows(args.targets, target_row) if args.from_scan is None
+    targets = (inputs.read_rows(args.targets, probe.target_row) if args.from_scan is None
                else _targets_from_scan(args.from_scan, store_mod.POSITIVE_LABELS))
     transport = _resolve_transport(args)
     rows = tracer.trace_campaign(targets, version=args.version, guard=guard, transport=transport,
@@ -161,15 +154,15 @@ def cmd_trace(args) -> int:
 def cmd_keys(args) -> int:
     try:  # the keys are read as they are counted, and none is held
         if args.from_scan is not None:
-            records = read_rows(args.from_scan, CampaignRecord.parse)
+            records = inputs.read_rows(args.from_scan, probe.CampaignRecord.parse)
             keys = (r.sender_key for r in records if r.sender_key is not None)
         else:
-            keys = read_rows(args.infile, Key.from_hex)
+            keys = inputs.read_rows(args.infile, options.Key.from_hex)
         report = keystats.analyze_keys(keys, args.probe_key)
     except EmptyInput:
         print("no keys found in input", file=sys.stderr)
         return 1
-    with open_out(args.out) as f:
+    with inputs.open_out(args.out) as f:
         keystats.write_report(report, f)
     return 0
 
@@ -180,9 +173,9 @@ def cmd_simulate(args) -> int:
     targets = sorted(paths)
     # All three files are replaced together, or none is: a bad --out-truth
     # leaves the topology and targets of an earlier run in place.
-    truth_out = open_out(args.out_truth) if args.out_truth else contextlib.nullcontext()
-    with (open_out(args.out_topology) as topology_file, open_out(args.out_targets) as targets_file,
-          truth_out as truth_file):
+    truth_out = inputs.open_out(args.out_truth) if args.out_truth else contextlib.nullcontext()
+    with (inputs.open_out(args.out_topology) as topology_file,
+          inputs.open_out(args.out_targets) as targets_file, truth_out as truth_file):
         topology_file.writelines(netsim.topology_lines(network))
         targets_file.writelines(f"{address},{port}\n" for address, port in targets)
         if truth_file is None:
@@ -210,7 +203,7 @@ def cmd_analyze_pcap(args) -> int:
     if args.services or args.extra_services:
         tables = flows_mod.ServiceTables.load(args.services, args.extra_services)
     share_rows = []
-    with open_out(args.out) as f:
+    with inputs.open_out(args.out) as f:
         for capture in args.infile:
             table = flows_mod.ingest_capture(
                 capture, bidirectional=not args.unidirectional
@@ -255,13 +248,13 @@ def cmd_analyze_pcap(args) -> int:
 def cmd_report(args) -> int:
     """Every `report` kind: the writer its subparser named, looked up at each
     call as `main` looks up commands, into --out."""
-    with open_out(args.out) as f:
+    with inputs.open_out(args.out) as f:
         globals()[f"_write_{args.write}"](args, f)
     return 0
 
 
 def _write_summary(args, f) -> None:
-    counts = Counter(r.verdict for r in read_rows(args.infile, tracer.TraceRecord.from_csv))
+    counts = Counter(r.verdict for r in inputs.read_rows(args.infile, tracer.TraceRecord.from_csv))
     for label in sorted(counts):
         f.write(f"{label},{counts[label]}\n")
 
@@ -286,7 +279,7 @@ def _write_ingest(args, f) -> None:
     store_mod.parse_month(args.date)  # before the store or the input is touched
     snapshot_store = store_mod.SnapshotStore(args.store)
     by_key: dict[tuple[str, int, int], store_mod.ScanSnapshot] = {}
-    for record in read_rows(args.infile, CampaignRecord.parse):
+    for record in inputs.read_rows(args.infile, probe.CampaignRecord.parse):
         family = "v6" if ":" in record.address else "v4"
         key = (family, record.port, record.version)
         snap = by_key.get(key)
@@ -337,7 +330,7 @@ def _write_top(args, f) -> None:
 
 def cmd_bench(args) -> int:
     guard = _guard_from_args(args)
-    targets = ((a, p) for a, p in read_rows(args.targets, target_row)
+    targets = ((a, p) for a, p in inputs.read_rows(args.targets, probe.target_row)
                if not guard.blocklist.matches(a))
     if args.sim_topology:
         network = netsim.load_topology(args.sim_topology, seed=args.seed)
@@ -350,8 +343,8 @@ def cmd_bench(args) -> int:
         mptcp_t = bench_mod.SystemTimingTransport("mptcp")
         tcp_t = bench_mod.SystemTimingTransport("tcp")
     # One budget for both sides.
-    mptcp_t = PacedTransport(mptcp_t, guard.pacer)
-    tcp_t = PacedTransport(tcp_t, guard.pacer)
+    mptcp_t = probe.PacedTransport(mptcp_t, guard.pacer)
+    tcp_t = probe.PacedTransport(tcp_t, guard.pacer)
 
     def runs():  # one target at a time, so samples are freed once paired
         for address, port in targets:
@@ -365,9 +358,9 @@ def cmd_bench(args) -> int:
     # The CDFs and the summary are replaced together, or none is, as in `simulate`.
     with contextlib.ExitStack() as files:
         for metric in combined.by_metric:
-            f = files.enter_context(open_out(out_dir / f"{metric}.cdf.txt"))
+            f = files.enter_context(inputs.open_out(out_dir / f"{metric}.cdf.txt"))
             bench_mod.write_cdf(combined, metric, f)
-        f = files.enter_context(open_out(out_dir / "summary.txt"))
+        f = files.enter_context(inputs.open_out(out_dir / "summary.txt"))
         for metric, (faster, even, slower) in sorted(combined.fractions.items()):
             f.write(f"{metric},{faster:.6f},{even:.6f},{slower:.6f}\n")
     for metric in bench_mod.METRICS:
@@ -390,12 +383,15 @@ def _seed(text: str) -> int:
 
 def _ranged(kind, low, high=None, above=False):
     """An argparse type: `kind(text)` at least `low` (above it if `above`)
-    and at most `high`, so an out-of-range value is a usage error."""
-    bound = f"{'>' if above else '>='} {low}" + ("" if high is None else f" and <= {high}")
+    and at most `high`, so an out-of-range value is a usage error. A `high`
+    owned by another module is a function of no arguments, called only when
+    a value is given, so building the parser runs no such module."""
 
     def parse(text: str):
         value = kind(text)  # a ValueError reads "invalid <kind> value"
-        if not ((value > low if above else value >= low) and (high is None or value <= high)):
+        top = high() if callable(high) else high
+        if not ((value > low if above else value >= low) and (top is None or value <= top)):
+            bound = f"{'>' if above else '>='} {low}" + ("" if top is None else f" and <= {top}")
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
 
@@ -420,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     probing = argparse.ArgumentParser(add_help=False)  # _resolve_transport
     probing.add_argument("--version", type=int, choices=(0, 1), default=0)
-    probing.add_argument("--probe-key", type=Key.from_hex, default=None, help="hex v0 probe key")
+    probing.add_argument("--probe-key", type=options.Key.from_hex, default=None,
+                         help="hex v0 probe key")
     probing.add_argument("--sim-topology", default=None)
     probing.add_argument("--timeout-ms", type=_ranged(float, 0, 2**31 - 1, above=True),
                          default=2000.0)  # at most what `poll` takes, in ms
@@ -439,18 +436,19 @@ def build_parser() -> argparse.ArgumentParser:
     source = trace.add_mutually_exclusive_group(required=True)
     source.add_argument("--targets", default=None)
     source.add_argument("--from-scan", default=None, help="take potential targets from scan records")
-    trace.add_argument("--max-ttl", type=_ranged(int, 1, tracer.MAX_TTL), default=30)
+    trace.add_argument("--max-ttl", type=_ranged(int, 1, lambda: tracer.MAX_TTL), default=30)
     trace.set_defaults(dry_run=False)
 
     keys = sub.add_parser("keys", parents=[out], help="Hamming-weight report over observed keys")
     source = keys.add_mutually_exclusive_group(required=True)
     source.add_argument("--in", dest="infile", default=None, help="one hex key per line")
     source.add_argument("--from-scan", default=None)
-    keys.add_argument("--probe-key", type=Key.from_hex, default=DEFAULT_PROBE_KEY)
+    keys.add_argument("--probe-key", type=options.Key.from_hex,
+                      default=options.DEFAULT_PROBE_KEY)
 
     simulate = sub.add_parser("simulate", help="generate a simulated topology")
-    simulate.add_argument("--generate", type=_ranged(int, 0, netsim.MAX_GENERATED_TARGETS),
-                          required=True, metavar="N")
+    simulate.add_argument("--generate", required=True, metavar="N",
+                          type=_ranged(int, 0, lambda: netsim.MAX_GENERATED_TARGETS))
     simulate.add_argument("--out-topology", required=True)
     simulate.add_argument("--out-targets", required=True)
     simulate.add_argument("--out-truth", default=None)

@@ -37,6 +37,10 @@ _U16 = struct.Struct("!H")
 
 EPHEMERAL_START = 49152
 
+# The transport protocols a service table row may name (IANA's registry); only
+# `tcp` rows label a flow.
+SERVICE_PROTOCOLS = ("tcp", "udp", "sctp", "dccp")
+
 # Minimal well-known service registry; a registry file extends or replaces it.
 WELL_KNOWN_SERVICES = {
     20: "FTP-Data",
@@ -275,14 +279,19 @@ class ServiceTables(Record):
 
 
 def service_row(line: str) -> tuple[int, str] | None:
-    """(port, label) of one `port,protocol,label` service table row; None for a
-    protocol other than `tcp`, since every flow is TCP. A label may hold `,`."""
+    """(port, label) of one `port,protocol,label` service table row; None for
+    `udp`, `sctp` or `dccp`, since every flow is TCP. A protocol outside
+    `SERVICE_PROTOCOLS`, in any case, is refused. A label may hold `,`."""
     fields = line.split(",", 2)
     if len(fields) != 3:
         raise ValueError(f"expected port,protocol,label, got {line!r}")
     port, protocol, label = fields
     port = bounded_field(port.strip(), "port", 65535)
-    return (port, label.strip()) if protocol.strip().lower() == "tcp" else None
+    protocol = protocol.strip()
+    if protocol.lower() not in SERVICE_PROTOCOLS:
+        raise ValueError(f"protocol must be one of {', '.join(SERVICE_PROTOCOLS)}, "
+                         f"got {protocol!r}")
+    return (port, label.strip()) if protocol.lower() == "tcp" else None
 
 
 def map_service(key: FlowKey, tables: ServiceTables) -> str:

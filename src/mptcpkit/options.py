@@ -83,6 +83,11 @@ class Key(Frozen):
         return f"{self.value:016x}"
 
 
+# Default v0 campaign key: a documented constant of Hamming weight 16, so key
+# weight histograms from different campaigns line up.
+DEFAULT_PROBE_KEY = Key(0x000000000000FFFF)
+
+
 class TcpOption(Frozen):
     """One TCP option: kind plus payload (kind and length bytes excluded).
 

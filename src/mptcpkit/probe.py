@@ -25,6 +25,7 @@ from .errors import GuardViolation, IllegalCombination, OptionError
 from .inputs import PrefixTable, Row, open_in, prefix_row, rows, timestamp_field, unsigned_field
 from .options import (
     DEFAULT_MP_FLAGS,
+    DEFAULT_PROBE_KEY,
     HandshakePhase,
     Key,
     MpCapable,
@@ -41,10 +42,6 @@ try:  # the built-in module; hashlib's would also map OpenSSL's libcrypto
     from _blake2 import blake2b
 except ImportError:  # an interpreter built without it
     from hashlib import blake2b
-
-# Default v0 campaign key: a documented constant of Hamming weight 16, so key
-# weight histograms from different campaigns line up.
-DEFAULT_PROBE_KEY = Key(0x000000000000FFFF)
 
 DEFAULT_SCANNER_ADDR_V4 = "192.0.2.1"
 DEFAULT_SCANNER_ADDR_V6 = "2001:db8:ffff::1"

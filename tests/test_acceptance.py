@@ -5,7 +5,6 @@ no live network is touched.
 """
 
 import itertools
-import math
 import random
 import time
 from fractions import Fraction
@@ -20,7 +19,7 @@ from mptcpkit.flows import (
     ingest_capture,
     mptcp_share,
 )
-from mptcpkit.keystats import analyze_keys, expected_counts, write_report
+from mptcpkit.keystats import analyze_keys, write_report
 from mptcpkit.netsim import SimNetwork, SimPath, ground_truth
 from mptcpkit.options import (
     HandshakePhase,
@@ -33,7 +32,6 @@ from mptcpkit.options import (
 from mptcpkit.packet import address_text
 from mptcpkit.probe import (
     ClassificationKind,
-    DEFAULT_PROBE_KEY,
     ProbeContext,
     build_syn_probe,
     classify_response,

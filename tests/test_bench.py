@@ -13,7 +13,6 @@ from capture_helpers import sim_path
 from mptcpkit.bench import (
     JITTER_MS,
     METRICS,
-    DeltaReport,
     SimTimingTransport,
     SystemTimingTransport,
     TimingSample,

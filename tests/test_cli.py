@@ -18,7 +18,7 @@ import pytest
 from capture_helpers import handshake_frames, write_pcap
 import mptcpkit
 from mptcpkit import bench as bench_mod
-from mptcpkit import cli, inputs, netsim
+from mptcpkit import cli, inputs, netsim, probe
 from mptcpkit.cli import _targets_from_scan, main
 from mptcpkit.inputs import read_rows
 from mptcpkit.errors import TransportUnavailable
@@ -288,7 +288,7 @@ class TestTrace:
 
         monkeypatch.setattr(cli, "_resolve_transport", lambda args: SilentTransport())
         monkeypatch.setattr(
-            cli, "RatePacer", lambda rate: RatePacer(rate, clock=clock, sleep=clock.sleep)
+            probe, "RatePacer", lambda rate: RatePacer(rate, clock=clock, sleep=clock.sleep)
         )
         run_ok([
             "trace", "--targets", str(workdir / "targets.csv"),

@@ -760,6 +760,8 @@ TABLE_REFUSALS = [
     ("asn metadata", "64502,NoCountry", "expected asn,org,country,rank, got '64502,NoCountry'"),
     ("asn metadata", "64502,Org,US,1,2", "expected asn,org,country,rank, got '64502,Org,US,1,2'"),
     ("service table", "80,tcp", "expected port,protocol,label, got '80,tcp'"),
+    ("service table", "80,tpc,Web", "protocol must be one of tcp, udp, sctp, dccp, got 'tpc'"),
+    ("service table", "80,,Web", "protocol must be one of tcp, udp, sctp, dccp, got ''"),
 ]
 
 
@@ -777,6 +779,7 @@ def test_table_integers_read_up_to_their_limits_and_a_label_may_hold_commas():
     assert prefix_row("10.0.0.0/8,4294967295")[1] == 4294967295
     assert service_row("80,tcp,Web, Proxy") == (80, "Web, Proxy")
     assert service_row("80,udp,Web") is None
+    assert service_row("80, SCTP ,Web") is None and service_row("80,Dccp,Web") is None
 
 
 @pytest.mark.parametrize("latency", LATENCY_FORMS)
