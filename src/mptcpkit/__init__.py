@@ -11,11 +11,18 @@ runs at the first use of one of its attributes, so `import mptcpkit.cli`
 runs only `cli` and `errors`, and each command runs only the modules it
 calls. `from . import probe` binds the registered module without running
 it; `from .probe import run_campaign` runs it. The public names of
-`__all__` are read from their modules at first use, by `__getattr__`.
+`__all__` are read from their modules at each use, by `__getattr__`, and
+listed by `__dir__`.
 """
 
 import importlib.util
 import sys
+import typing
+
+if typing.TYPE_CHECKING:  # the names `__getattr__` serves, for static analysis
+    from .options import HandshakePhase, Key, MpCapable, TcpOption
+    from .probe import Classification, ClassificationKind, ProbeContext, ProbeResponse
+    from .tracer import PathVerdict, PathVerdictKind
 
 __version__ = "0.1.0"
 
@@ -64,3 +71,8 @@ def __getattr__(name: str):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(globals()[module], name)
+
+
+def __dir__() -> list[str]:
+    """The package's attributes and its public names (PEP 562)."""
+    return sorted({*globals(), *_PUBLIC})

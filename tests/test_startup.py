@@ -100,6 +100,9 @@ def test_each_public_name_is_its_module_s_and_runs_only_at_its_use():
         import mptcpkit
         assert [n for n, m in sys.modules.items()
                 if n.startswith("mptcpkit") and type(m) is types.ModuleType] == ["mptcpkit"]
+        assert set(mptcpkit.__all__) <= set(dir(mptcpkit))
+        assert [n for n, m in sys.modules.items()
+                if n.startswith("mptcpkit") and type(m) is types.ModuleType] == ["mptcpkit"]
         for name, module in {PUBLIC!r}.items():
             owner = importlib.import_module("mptcpkit." + module)
             assert getattr(mptcpkit, name) is getattr(owner, name), name
