@@ -202,47 +202,49 @@ def cmd_analyze_pcap(args) -> int:
     tables = None
     if args.services or args.extra_services:
         tables = flows_mod.ServiceTables.load(args.services, args.extra_services)
-    share_rows = []
+    counts = []  # (capture, TCP flows, MPTCP flows) for the EWMA rows
     with inputs.open_out(args.out) as f:
         for capture in args.infile:
             table = flows_mod.ingest_capture(
                 capture, bidirectional=not args.unidirectional
             )
-            kept = flows_mod.filter_min_packets(table.flows, args.min_packets)
-            share = flows_mod.mptcp_share(kept)
-            share_rows.append((capture, share))
-            flow_share = "" if share.flow_share is None else f"{share.flow_share:.9f}"
-            byte_share = "" if share.byte_share is None else f"{share.byte_share:.9f}"
-            f.write(
-                f"share,{capture},{share.tcp_flows},{share.tcp_bytes},"
-                f"{share.mptcp_flows},{share.mptcp_bytes},{flow_share},{byte_share}\n"
-            )
-            mptcp_flows = {k: v for k, v in kept.items() if v.mp_capable_seen}
-            if mptcp_flows:
-                conc = flows_mod.concentration(s.bytes for s in mptcp_flows.values())
-                f.write(
-                    f"concentration,{capture},{conc.top1_share:.6f},"
-                    f"{conc.top5_share:.6f},{conc.top_half_share:.6f}\n"
-                )
-            if tables is not None:
-                by_service: dict[str, tuple[int, int]] = {}
-                for key, stats in mptcp_flows.items():
-                    label = flows_mod.map_service(key, tables)
-                    flows_count, byte_count = by_service.get(label, (0, 0))
-                    by_service[label] = (flows_count + 1, byte_count + stats.bytes)
-                for label in sorted(by_service):
-                    n, b = by_service[label]
-                    f.write(f"service,{capture},{label},{n},{b}\n")
-        if args.ewma and len(share_rows) > 1:
-            tcp_series = flows_mod.ewma(
-                [s.tcp_flows for _, s in share_rows], args.ewma_alpha
-            )
-            mptcp_series = flows_mod.ewma(
-                [s.mptcp_flows for _, s in share_rows], args.ewma_alpha
-            )
-            for (capture, _), tcp_s, mptcp_s in zip(share_rows, tcp_series, mptcp_series):
+            share = _capture_rows(f, capture, table.flows, args.min_packets, tables)
+            counts.append((capture, share.tcp_flows, share.mptcp_flows))
+        if args.ewma and len(counts) > 1:
+            tcp_series = flows_mod.ewma([n for _, n, _ in counts], args.ewma_alpha)
+            mptcp_series = flows_mod.ewma([n for _, _, n in counts], args.ewma_alpha)
+            for (capture, _, _), tcp_s, mptcp_s in zip(counts, tcp_series, mptcp_series):
                 f.write(f"ewma,{capture},{tcp_s:.6f},{mptcp_s:.6f}\n")
     return 0
+
+
+def _capture_rows(f, capture: str, flows, min_packets: int, tables):
+    """Write one capture's share, concentration and service rows, all from
+    one pass over its flows (`mptcp_share`); returns the share."""
+    share = flows_mod.mptcp_share(flows, min_packets)
+    flow_share = "" if share.flow_share is None else f"{share.flow_share:.9f}"
+    byte_share = "" if share.byte_share is None else f"{share.byte_share:.9f}"
+    f.write(
+        f"share,{capture},{share.tcp_flows},{share.tcp_bytes},"
+        f"{share.mptcp_flows},{share.mptcp_bytes},{flow_share},{byte_share}\n"
+    )
+    mptcp = share.mptcp_bytes_by_flow
+    if mptcp:
+        conc = flows_mod.concentration(mptcp.values())
+        f.write(
+            f"concentration,{capture},{conc.top1_share:.6f},"
+            f"{conc.top5_share:.6f},{conc.top_half_share:.6f}\n"
+        )
+    if tables is not None:
+        by_service: dict[str, tuple[int, int]] = {}
+        for key, n_bytes in mptcp.items():
+            label = flows_mod.map_service(flows_mod.FlowKey(*key), tables)
+            flows_count, byte_count = by_service.get(label, (0, 0))
+            by_service[label] = (flows_count + 1, byte_count + n_bytes)
+        for label in sorted(by_service):
+            n, b = by_service[label]
+            f.write(f"service,{capture},{label},{n},{b}\n")
+    return share
 
 
 def cmd_report(args) -> int:

@@ -5,12 +5,15 @@ byte accounting uses the IP total length so captures with different link
 layers compare cleanly. A flow counts as MPTCP as soon as any of its packets
 carries a decodable MP_CAPABLE, whether or not the handshake completed.
 
-A `FlowKey` holds packed addresses, (src, dst, src_port, dst_port) with
-4- or 16-byte address bytes; `packet.address_text(key.src)` gives the text
-form of an address. Ingest keeps one table, makes a key once per flow and
+The flow table is keyed by plain 4-tuples in `FlowKey`'s field order,
+(src, dst, src_port, dst_port) with packed 4- or 16-byte addresses;
+`FlowKey(*key)` names them, and `packet.address_text` gives an address's
+text. Ingest stores each flow under the tuple it builds from the packet and
 adds to its counts inline. Only packets whose options hold the byte 30 and
 whose flow has no version are read for MP_CAPABLE, in place
 (`options.mp_capable_version`): other options are skipped, not built.
+A capture's rows come from one pass over its table (`mptcp_share`), and a
+`FlowKey` is built only for its service rows (`map_service`).
 
 Ingest reads each packet where it lies in its block (`pcapio.read_blocks`),
 with one `packet.flow_fields` call bounded by the end of its record: the flow
@@ -89,10 +92,6 @@ class FlowStats(Record):
     def __init__(self, packets: int = 0, bytes: int = 0, mptcp_version: int | None = None) -> None:
         self.packets, self.bytes, self.mptcp_version = packets, bytes, mptcp_version
 
-    @property
-    def mp_capable_seen(self) -> bool:
-        return self.mptcp_version is not None
-
     def update(self, ip_bytes: int, mp_version: int | None) -> None:
         self.packets += 1
         self.bytes += ip_bytes
@@ -100,14 +99,17 @@ class FlowStats(Record):
             self.mptcp_version = mp_version
 
 
+FlowTuple = tuple[bytes, bytes, int, int]  # a FlowKey's fields, in its order
+
+
 class FlowTable(Record):
-    """Flows by key and the capture's counts; `fragments` counts TCP fragments
-    after the first, which have no TCP header."""
+    """Flows by `FlowTuple` key and the capture's counts; `fragments` counts
+    TCP fragments after the first, which have no TCP header."""
 
     __slots__ = ("flows", "frames_seen", "tcp_packets", "tcp_bytes", "parse_failures", "non_tcp",
                  "fragments")
 
-    def __init__(self, flows: dict[FlowKey, FlowStats] | None = None, frames_seen: int = 0,
+    def __init__(self, flows: dict[FlowTuple, FlowStats] | None = None, frames_seen: int = 0,
                  tcp_packets: int = 0, tcp_bytes: int = 0, parse_failures: int = 0,
                  non_tcp: int = 0, fragments: int = 0) -> None:
         self.flows = {} if flows is None else flows
@@ -138,7 +140,7 @@ def ingest_capture(
 ) -> FlowTable:
     """Aggregate every TCP packet of a pcap into per-flow counters."""
     linktype, blocks = read_blocks(source)
-    flows: dict[FlowKey, FlowStats] = {}
+    flows: dict[FlowTuple, FlowStats] = {}
     frames_seen = tcp_packets = tcp_bytes = parse_failures = non_tcp = fragments = 0
     raw = linktype == LINKTYPE_RAW  # every frame is an IP packet: no link header
     for data, offsets in blocks:
@@ -166,9 +168,9 @@ def ingest_capture(
                 key = (dst, src, dport, sport)
             else:
                 key = (src, dst, sport, dport)
-            stats = flows.get(key)  # a FlowKey hashes and compares as its tuple
+            stats = flows.get(key)
             if stats is None:
-                stats = flows[FlowKey._make(key)] = FlowStats()
+                stats = flows[key] = FlowStats()
             stats.packets += 1
             stats.bytes += ip_bytes
             # The version is set once and never changes, and a kind-30 option
@@ -183,42 +185,38 @@ def ingest_capture(
     )
 
 
-def filter_min_packets(
-    flows: Mapping[FlowKey, FlowStats], min_packets: int = 5
-) -> dict[FlowKey, FlowStats]:
-    """Drop short flows (scanner noise); keeps flows with >= min_packets."""
-    return {k: v for k, v in flows.items() if v.packets >= min_packets}
-
-
 class ShareReport(Record):
+    """MPTCP share of the flows counted, and `mptcp_bytes_by_flow`: the bytes
+    of each MPTCP flow among them, by key, in table order."""
+
     __slots__ = ("tcp_flows", "tcp_bytes", "mptcp_flows", "mptcp_bytes", "flow_share",
-                 "byte_share")
+                 "byte_share", "mptcp_bytes_by_flow")
 
     def __init__(self, tcp_flows: int, tcp_bytes: int, mptcp_flows: int, mptcp_bytes: int,
-                 flow_share: float | None, byte_share: float | None) -> None:
+                 flow_share: float | None, byte_share: float | None,
+                 mptcp_bytes_by_flow: dict[FlowTuple, int]) -> None:
         self.tcp_flows, self.tcp_bytes = tcp_flows, tcp_bytes
         self.mptcp_flows, self.mptcp_bytes = mptcp_flows, mptcp_bytes
         self.flow_share, self.byte_share = flow_share, byte_share
+        self.mptcp_bytes_by_flow = mptcp_bytes_by_flow
 
 
-def mptcp_share(flows: Mapping[FlowKey, FlowStats]) -> ShareReport:
-    """MPTCP share of flows and bytes; MPTCP totals count inside TCP totals.
-
-    Shares are absent (None) when the TCP totals are zero.
-    """
-    tcp_flows = len(flows)
-    tcp_bytes = sum(f.bytes for f in flows.values())
-    mptcp = [f for f in flows.values() if f.mp_capable_seen]
-    mptcp_flows = len(mptcp)
-    mptcp_bytes = sum(f.bytes for f in mptcp)
-    return ShareReport(
-        tcp_flows=tcp_flows,
-        tcp_bytes=tcp_bytes,
-        mptcp_flows=mptcp_flows,
-        mptcp_bytes=mptcp_bytes,
-        flow_share=mptcp_flows / tcp_flows if tcp_flows else None,
-        byte_share=mptcp_bytes / tcp_bytes if tcp_bytes else None,
-    )
+def mptcp_share(flows: Mapping[FlowTuple, FlowStats], min_packets: int = 0) -> ShareReport:
+    """MPTCP share of the flows with at least `min_packets` packets (shorter
+    ones are scanner noise), in one pass that also collects the MPTCP flows;
+    MPTCP totals count inside TCP totals. Shares are None when they are 0/0."""
+    tcp_flows = tcp_bytes = 0
+    mptcp: dict[FlowTuple, int] = {}
+    for key, stats in flows.items():
+        if stats.packets >= min_packets:
+            tcp_flows += 1
+            tcp_bytes += stats.bytes
+            if stats.mptcp_version is not None:
+                mptcp[key] = stats.bytes
+    mptcp_flows, mptcp_bytes = len(mptcp), sum(mptcp.values())
+    return ShareReport(tcp_flows, tcp_bytes, mptcp_flows, mptcp_bytes,
+                       mptcp_flows / tcp_flows if tcp_flows else None,
+                       mptcp_bytes / tcp_bytes if tcp_bytes else None, mptcp)
 
 
 class ConcentrationReport(Record):

@@ -10,8 +10,8 @@ The file is read in 64 KiB blocks of its (decompressed) bytes. `read_blocks`
 yields each block with the offsets of the whole records in it, so a reader
 finds every frame in place without a copy; `read_pcap` is the per-frame view
 of the same walk, which slices out each frame and its timestamp. Memory stays
-bounded by one block and its offsets (8 bytes a record) plus the largest
-frame, whatever the file size.
+bounded by one block plus the record completed into it (one cut at the end of
+the block before), and their offsets (8 bytes a record), whatever the file size.
 """
 
 from __future__ import annotations
@@ -115,10 +115,10 @@ def _walk(read: Callable[[int], bytes], incl_len: Callable, limit: int,
     try:
         tail, missing, base = b"", BLOCK, 24  # base: the stream offset of buf
         while True:
-            # A record cut at the end of a block is completed by reads of
-            # what it lacks, a block at most each, joined once: two blocks
-            # are never joined, and a corrupt length reserves no more than
-            # a block beyond what the file holds.
+            # A record cut at the end of a block is completed, and the next
+            # block read behind it, by reads of a block at most each, joined
+            # once: a corrupt length reserves no more than a block beyond
+            # what the file holds.
             chunks = [tail]
             while missing > 0:
                 chunk = read(min(missing, BLOCK))
@@ -130,7 +130,7 @@ def _walk(read: Callable[[int], bytes], incl_len: Callable, limit: int,
             size = len(buf)
             if size == len(tail):
                 return
-            offsets = array("Q", (0,))  # 32 KiB at the most, 4,096 records to a block
+            offsets = array("Q", (0,))  # 4,097 records at the most: 32 KiB
             pos = 0
             while True:
                 end = pos + 16
@@ -149,7 +149,7 @@ def _walk(read: Callable[[int], bytes], incl_len: Callable, limit: int,
                 yield buf, offsets
             tail = buf[pos:]
             base += pos
-            missing = end - size if tail else BLOCK
+            missing = end - size + BLOCK if tail else BLOCK
     finally:
         if owned is not None:
             owned.close()

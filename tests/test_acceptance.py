@@ -13,9 +13,9 @@ from capture_helpers import capture_bytes, handshake_frames, parse_nodes, sim_pa
 from mptcpkit.cli import main as cli_main
 from mptcpkit.errors import OptionError
 from mptcpkit.flows import (
+    FlowKey,
     concentration,
     ewma,
-    filter_min_packets,
     ingest_capture,
     mptcp_share,
 )
@@ -180,18 +180,19 @@ def test_criterion_4_traffic_lens_exactness():
 
     table = ingest_capture(capture_bytes(frames))
     assert len(table.flows) == 1006
-    kept = filter_min_packets(table.flows, 5)
-    removed = set(table.flows) - set(kept)
+    share = mptcp_share(table.flows, 5)
+    removed = [FlowKey(*k) for k, s in table.flows.items() if s.packets < 5]
     # exactly the constructed short flows fall to the filter
     assert {address_text(a) for k in removed for a in (k.src, k.dst)} == (
         short_keys | {"10.200.0.1"}
     )
     assert len(removed) == 5
     assert all(table.flows[k].packets == 4 for k in removed)
-    assert len(kept) == 1001
+    assert share.tcp_flows == len(table.flows) - len(removed) == 1001
 
-    share = mptcp_share(kept)
     assert share.mptcp_flows == 1 and share.tcp_flows == 1001
+    assert [(address_text(FlowKey(*k).dst), n) for k, n in share.mptcp_bytes_by_flow.items()] == [
+        ("10.201.0.1", 424)]
     assert share.flow_share == 1 / 1001
     plain_bytes = 3 * 40 + 2 * 140
     mptcp_bytes = 52 + 52 + 40 + 2 * 140

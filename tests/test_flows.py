@@ -15,6 +15,7 @@ from capture_helpers import (
     with_v6_headers,
     write_pcap,
 )
+from mptcpkit import cli
 from mptcpkit.errors import EmptyInput, MalformedCapture
 from mptcpkit.flows import (
     FlowKey,
@@ -23,7 +24,6 @@ from mptcpkit.flows import (
     ServiceTables,
     concentration,
     ewma,
-    filter_min_packets,
     ingest_capture,
     map_service,
     mptcp_share,
@@ -59,19 +59,17 @@ class TestIngest:
         assert len(table.flows) == 1
         stats = next(iter(table.flows.values()))
         assert stats.packets == 3
-        assert not stats.mp_capable_seen
+        assert stats.mptcp_version is None
 
     def test_mptcp_handshake_detected(self):
         frames = handshake_frames("10.0.0.1", "10.0.0.2", 5555, 80, mptcp_version=0, key=K)
         table = ingest_capture(capture_bytes(frames))
         stats = next(iter(table.flows.values()))
-        assert stats.mp_capable_seen
         assert stats.mptcp_version == 0
 
     def test_v1_handshake_detected(self):
         frames = handshake_frames("10.0.0.1", "10.0.0.2", 5555, 80, mptcp_version=1)
         stats = next(iter(ingest_capture(capture_bytes(frames)).flows.values()))
-        assert stats.mp_capable_seen
         assert stats.mptcp_version == 1
 
     def test_empty_capture(self):
@@ -112,7 +110,7 @@ class TestIngest:
         for key in a.flows:
             assert a.flows[key].packets == b.flows[key].packets
             assert a.flows[key].bytes == b.flows[key].bytes
-            assert a.flows[key].mp_capable_seen == b.flows[key].mp_capable_seen
+            assert a.flows[key].mptcp_version == b.flows[key].mptcp_version
 
     def test_unidirectional_mode_splits_directions(self):
         frames = handshake_frames("10.0.0.1", "10.0.0.2", 5555, 80)
@@ -424,19 +422,26 @@ def test_ingest_total_and_counters_add_up(capture, bidirectional):
 
 
 class TestFilter:
+    """`mptcp_share(flows, min_packets)` counts only flows with at least
+    `min_packets` packets, and collects only those of them that are MPTCP."""
+
     def make(self, packets):
-        return _key("10.0.0.1", "10.0.0.2", 1, 2), FlowStats(packets=packets, bytes=packets * 100)
+        return _key("10.0.0.1", "10.0.0.2", 1, 2), FlowStats(packets=packets, bytes=packets * 100,
+                                                             mptcp_version=0)
 
     def test_four_packets_removed(self):
         k, v = self.make(4)
-        assert filter_min_packets({k: v}) == {}
+        share = mptcp_share({k: v}, 5)
+        assert (share.tcp_flows, share.tcp_bytes, share.mptcp_bytes_by_flow) == (0, 0, {})
 
     def test_five_packets_retained(self):
         k, v = self.make(5)
-        assert filter_min_packets({k: v}) == {k: v}
+        share = mptcp_share({k: v}, 5)
+        assert (share.tcp_flows, share.tcp_bytes, share.mptcp_bytes_by_flow) == (1, 500, {k: 500})
 
     def test_empty_input(self):
-        assert filter_min_packets({}) == {}
+        share = mptcp_share({}, 5)
+        assert (share.tcp_flows, share.tcp_bytes, share.mptcp_bytes_by_flow) == (0, 0, {})
 
 
 class TestShare:
@@ -468,6 +473,73 @@ class TestShare:
         assert report.flow_share is None
         assert report.byte_share is None
         assert report.tcp_flows == 0
+
+
+def reference_capture_rows(capture: str, flows, min_packets: int, tables) -> str:
+    """Reference: one capture's share, concentration and service rows as
+    `analyze-pcap` built them in four walks: a copy of the table without its
+    short flows, two sums and a list over the copy, a dict of its MPTCP flows,
+    then the concentration and the service counts of that dict."""
+    kept = {k: v for k, v in flows.items() if v.packets >= min_packets}
+    tcp_bytes = sum(f.bytes for f in kept.values())
+    mptcp = [f for f in kept.values() if f.mptcp_version is not None]
+    mptcp_bytes = sum(f.bytes for f in mptcp)
+    flow_share = f"{len(mptcp) / len(kept):.9f}" if kept else ""
+    byte_share = f"{mptcp_bytes / tcp_bytes:.9f}" if tcp_bytes else ""
+    rows = [f"share,{capture},{len(kept)},{tcp_bytes},{len(mptcp)},{mptcp_bytes},"
+            f"{flow_share},{byte_share}\n"]
+    mptcp_flows = {k: v for k, v in kept.items() if v.mptcp_version is not None}
+    if mptcp_flows:
+        conc = concentration(s.bytes for s in mptcp_flows.values())
+        rows.append(f"concentration,{capture},{conc.top1_share:.6f},"
+                    f"{conc.top5_share:.6f},{conc.top_half_share:.6f}\n")
+    if tables is not None:
+        by_service: dict[str, tuple[int, int]] = {}
+        for key, stats in mptcp_flows.items():
+            label = map_service(FlowKey(*key), tables)
+            n, b = by_service.get(label, (0, 0))
+            by_service[label] = (n + 1, b + stats.bytes)
+        rows += [f"service,{capture},{label},{n},{b}\n"
+                 for label, (n, b) in sorted(by_service.items())]
+    return "".join(rows)
+
+
+_ROW_ADDRESSES = [pack_address(a) for a in ("10.0.0.1", "10.0.0.2", "192.0.2.7",
+                                            "2001:db8::1", "2001:db8::2")]
+# Port 0, registered ports with and without a label, and ephemeral ones.
+_ROW_PORTS = [0, 22, 80, 443, 5223, 9999, 49151, 49152, 50000, 65535]
+_ROW_LABELS = st.sampled_from(["HTTP", "HTTPS", "Siri", "XMPP", "vendor, with a comma"])
+
+
+@st.composite
+def _row_inputs(draw):
+    """(flows, min_packets, tables): a table keyed by plain 4-tuples of IPv4
+    or IPv6 addresses, whose packet counts are 0, one below `min_packets`, at
+    it or above it, and service tables (or None) whose supplementary table may
+    label a port the registry labels too."""
+    min_packets = draw(st.integers(min_value=0, max_value=6))
+    address = st.sampled_from(_ROW_ADDRESSES)
+    port = st.one_of(st.sampled_from(_ROW_PORTS), st.integers(min_value=0, max_value=65535))
+    packets = st.sampled_from([0, max(0, min_packets - 1), min_packets, min_packets + 3])
+    stats = st.builds(FlowStats, packets, st.integers(min_value=0, max_value=10**6),
+                      st.sampled_from([None, 0, 1]))
+    flows = draw(st.dictionaries(st.tuples(address, address, port, port), stats, max_size=30))
+    tables = draw(st.none() | st.builds(
+        ServiceTables, st.dictionaries(st.sampled_from(_ROW_PORTS), _ROW_LABELS),
+        st.dictionaries(st.sampled_from(_ROW_PORTS), _ROW_LABELS)))
+    return flows, min_packets, tables
+
+
+@given(_row_inputs())
+@settings(max_examples=300)
+def test_one_pass_rows_equal_the_reference(inputs):
+    flows, min_packets, tables = inputs
+    out = io.StringIO()
+    share = cli._capture_rows(out, "c.pcap", flows, min_packets, tables)
+    assert out.getvalue() == reference_capture_rows("c.pcap", flows, min_packets, tables)
+    assert share.mptcp_bytes_by_flow == {
+        k: v.bytes for k, v in flows.items()
+        if v.packets >= min_packets and v.mptcp_version is not None}
 
 
 class TestConcentration:
@@ -609,8 +681,10 @@ class TestFlowKey:
         table = ingest_capture(capture_bytes(mixed_ip_frames()))
         lengths = set()
         for key in table.flows:
-            assert type(key) is FlowKey
+            assert type(key) is tuple and len(key) == 4
+            key = FlowKey(*key)
             assert type(key.src) is bytes and type(key.dst) is bytes
+            assert type(key.src_port) is int and type(key.dst_port) is int
             lengths |= {len(key.src), len(key.dst)}
         assert lengths == {4, 16}
 
@@ -620,15 +694,14 @@ class TestFlowStats:
         assert not hasattr(FlowStats(), "__dict__")
         assert FlowStats.__slots__ == ("packets", "bytes", "mptcp_version")
 
-    def test_mp_capable_seen_tracks_version(self):
+    def test_update_keeps_the_first_version(self):
         stats = FlowStats()
         stats.update(40, None)
-        assert (stats.mptcp_version, stats.mp_capable_seen) == (None, False)
+        assert (stats.packets, stats.mptcp_version) == (1, None)
         stats.update(52, 0)
-        assert (stats.mptcp_version, stats.mp_capable_seen) == (0, True)
+        assert (stats.packets, stats.mptcp_version) == (2, 0)
         stats.update(52, 1)  # the first version seen stays
         assert (stats.packets, stats.bytes, stats.mptcp_version) == (3, 144, 0)
-        assert stats.mp_capable_seen
 
 
 _PCAP_MAGICS = [

@@ -301,6 +301,25 @@ def test_ingest_every_cut_of_a_multi_block_capture(monkeypatch, packed, endian, 
         _ingest_matches_reference(data[:cut], packed)
 
 
+@pytest.mark.parametrize("linktype", _LINKTYPES, ids=_LINK_IDS)
+@pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+def test_no_block_but_the_last_holds_one_record(monkeypatch, packed, linktype):
+    # 512-byte blocks and records of 56 to 216 bytes: a record cut at a
+    # block's end is read together with the next block, so each block holds
+    # several records, and ingest counts the same flows as with 64 KiB blocks.
+    records = [(n, n, _real_frame(n, 40 + n * 37 % 161, linktype)) for n in range(400)]
+    data = capture(records, linktype=linktype)
+    raw = gzip.compress(data) if packed else data
+    whole = ingest_capture(io.BytesIO(raw))
+    monkeypatch.setattr(pcapio, "BLOCK", 512)
+    _linktype, blocks = pcapio.read_blocks(io.BytesIO(raw))
+    counts = [len(offsets) - 1 for _block, offsets in blocks]
+    assert len(counts) > 50 and sum(counts) == len(records)
+    assert min(counts[:-1]) > 1
+    assert _ingest_matches_reference(data, packed) == whole
+    assert whole.frames_seen == len(records) and whole.tcp_packets > 200
+
+
 def test_ingest_peak_memory_with_minimum_size_records(tmp_path):
     # 16-byte records with empty frames, 4,096 to a block, then records of
     # every size from 16 to 56 bytes: the most records a block can hold.
