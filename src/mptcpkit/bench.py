@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import IO, Iterable, Protocol
+from typing import IO, TYPE_CHECKING, Iterable, Protocol
 
 from .errors import PairingMismatch, TransportUnavailable
-from .netsim import SimNetwork
 from .probe import blake2b
 from .record import Record
+
+if TYPE_CHECKING:  # an annotation only: a live bench runs no simulator
+    from .netsim import SimNetwork
 
 METRICS = ("connect", "tls", "ttfb", "total")
 

@@ -57,26 +57,21 @@ def _host_row(line: str) -> tuple[str, int | None, str | None]:
     raise ValueError(f"expected address[,port], a trace row or a scan row, got {line!r}")
 
 
-def _labelled_row(line: str) -> tuple[str, int | None, str | None]:
-    """A host row under `--only`, which must carry a label."""
-    row = _host_row(line)
-    if row[2] is None:
-        raise ValueError(f"--only needs scan or trace rows, got {line!r}")
-    return row
+def _read_hosts(path: str, only: str | None,
+                need_port: bool = False) -> Iterator[tuple[str, int | None]]:
+    """(address, port) of each host row, or under `--only`, of each labelled
+    row with that label. A row without a label under `--only`, or without a
+    port under `need_port` (`report top`), is refused."""
 
+    def parse(line: str) -> tuple[str, int | None, str | None]:
+        row = _host_row(line)
+        if only is not None and row[2] is None:
+            raise ValueError(f"--only needs scan or trace rows, got {line!r}")
+        if need_port and row[1] is None:
+            raise ValueError(f"report top needs a port on every row, got {line!r}")
+        return row
 
-def _ported_row(line: str) -> tuple[str, int | None, str | None]:
-    """A `report top` host row, which needs a port, as every `--only` row has."""
-    row = _host_row(line)
-    if row[1] is None:
-        raise ValueError(f"report top needs a port on every row, got {line!r}")
-    return row
-
-
-def _read_hosts(path: str, only: str | None, parse=_host_row) -> Iterator[tuple[str, int | None]]:
-    """(address, port) of each host row `parse` reads, or under `--only`, of
-    each labelled row with that label."""
-    rows = inputs.read_rows(path, parse if only is None else _labelled_row)
+    rows = inputs.read_rows(path, parse)
     return ((address, port) for address, port, label in rows if only in (None, label))
 
 
@@ -305,29 +300,19 @@ def _write_window(args, f) -> None:
 
 def _write_top(args, f) -> None:
     table = store_mod.EnrichmentTable.load(args.prefixes, args.asn_meta)
-    entries = _read_hosts(args.infile, args.only, _ported_row)
+    entries = _read_hosts(args.infile, args.only, need_port=True)
     rows = store_mod.top_report(entries, table, group_by=args.group_by, k=args.k)
-    if args.pretty:
-        header = ("GROUP", "PORT80", "PORT443", "RANK", "CC", "ORGANIZATION")
-        cells = [header] + [
-            (
-                row.group, str(row.count(80)), str(row.count(443)),
-                "" if row.rank is None else str(row.rank),
-                row.country, row.organization,
-            )
-            for row in rows
-        ]
-        widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-        for r in cells:
-            f.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+    cells = [(row.group, str(row.count(80)), str(row.count(443)),
+              "" if row.rank is None else str(row.rank), row.country, row.organization)
+             for row in rows]
+    if not args.pretty:
+        f.write("group,port80,port443,rank,country,organization\n")
+        f.writelines(",".join(r) + "\n" for r in cells)
         return
-    f.write("group,port80,port443,rank,country,organization\n")
-    for row in rows:
-        rank = "" if row.rank is None else str(row.rank)
-        f.write(
-            f"{row.group},{row.count(80)},{row.count(443)},"
-            f"{rank},{row.country},{row.organization}\n"
-        )
+    cells.insert(0, ("GROUP", "PORT80", "PORT443", "RANK", "CC", "ORGANIZATION"))
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    for r in cells:
+        f.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
 
 
 def cmd_bench(args) -> int:

@@ -344,35 +344,29 @@ def top_report(
         raise ValueError(f"group_by must be asn or country, got {group_by!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    addresses: dict[str, set[str]] = {}
-    per_port: dict[str, dict[int, set[str]]] = {}
-    meta: dict[str, AsnInfo] = {}
+    # group -> (its first AsnInfo, its addresses, its addresses per port)
+    groups: dict[str, tuple[AsnInfo, set[str], dict[int, set[str]]]] = {}
     for address, port in records:
         info = enrich(address, table)
         group = str(info.asn) if group_by == "asn" else info.country
         if info.asn is None and group_by == "asn":
             group = "unknown"
-        addresses.setdefault(group, set()).add(address)
-        per_port.setdefault(group, {}).setdefault(port, set()).add(address)
-        meta.setdefault(group, info)
+        entry = groups.get(group)
+        if entry is None:
+            entry = groups[group] = (info, set(), {})
+        entry[1].add(address)
+        entry[2].setdefault(port, set()).add(address)
 
-    def sort_key(group: str):
+    def sort_key(item):
+        group, (_info, addresses, _per_port) = item
         if group_by == "asn":
             tie = (0, int(group)) if group.isdigit() else (1, 0)
         else:
             tie = group
-        return -len(addresses[group]), tie
+        return -len(addresses), tie
 
-    rows = []
-    for group in sorted(addresses, key=sort_key)[:k]:
-        info = meta[group]
-        rows.append(
-            TopReportRow(
-                group=group,
-                organization=info.organization,
-                country=info.country,
-                rank=info.rank,
-                port_counts={p: len(s) for p, s in per_port[group].items()},
-            )
-        )
-    return rows
+    return [
+        TopReportRow(group, info.organization, info.country, info.rank,
+                     {p: len(s) for p, s in per_port.items()})
+        for group, (info, _addresses, per_port) in sorted(groups.items(), key=sort_key)[:k]
+    ]

@@ -68,6 +68,10 @@ class TestTimeGet:
         with pytest.raises(ValueError):
             time_get("10.0.0.1", 80, transport, runs=0)
 
+    def test_transport_other_than_tcp_or_mptcp_refused(self):
+        with pytest.raises(ValueError, match="^transport must be tcp or mptcp, got 'udp'$"):
+            SimTimingTransport(network(), "udp")
+
     def test_deterministic_per_seed(self):
         t1 = SimTimingTransport(network(), "mptcp", seed=9)
         t2 = SimTimingTransport(network(), "mptcp", seed=9)

@@ -19,6 +19,7 @@ from capture_helpers import handshake_frames, write_pcap
 import mptcpkit
 from mptcpkit import bench as bench_mod
 from mptcpkit import cli, inputs, netsim, probe
+from mptcpkit import flows as flows_mod
 from mptcpkit.cli import _targets_from_scan, main
 from mptcpkit.inputs import read_rows
 from mptcpkit.errors import TransportUnavailable
@@ -505,6 +506,33 @@ class TestAnalyzePcap:
             "--out", str(out),
         ])
         assert any(l.startswith("service,") and ",HTTPS," in l for l in out.read_text().splitlines())
+
+    def test_ewma_rows_smooth_the_share_counts(self, workdir):
+        captures = []
+        for i, (tcp_flows, mptcp_flows) in enumerate(((2, 1), (5, 4), (3, 0))):
+            frames = []
+            for j in range(tcp_flows):
+                frames += handshake_frames(
+                    f"10.1.{i}.{j}", "10.2.0.1", 5000 + j, 443,
+                    mptcp_version=0 if j < mptcp_flows else None,
+                    extra_data_packets=4, t0=float(j))
+            captures.append(str(workdir / f"c{i}.pcap"))
+            write_pcap(captures[-1], frames, linktype=101)
+        out = workdir / "report.txt"
+        in_args = [arg for capture in captures for arg in ("--in", capture)]
+        run_ok(["analyze-pcap", *in_args, "--ewma", "--ewma-alpha", "0.3", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        shares = [l.split(",") for l in lines if l.startswith("share,")]
+        assert [(s[1], s[2], s[4]) for s in shares] == [
+            (captures[0], "2", "1"), (captures[1], "5", "4"), (captures[2], "3", "0")]
+        tcp = flows_mod.ewma([int(s[2]) for s in shares], 0.3)
+        mptcp = flows_mod.ewma([int(s[4]) for s in shares], 0.3)
+        assert [l for l in lines if l.startswith("ewma,")] == [
+            f"ewma,{c},{t:.6f},{m:.6f}" for c, t, m in zip(captures, tcp, mptcp)]
+        run_ok(["analyze-pcap", "--in", captures[1], "--ewma", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith(f"share,{captures[1]},5,")
+        assert not [l for l in lines if l.startswith("ewma,")]
 
     def test_missing_file_operational_error(self, workdir):
         assert main(["analyze-pcap", "--in", str(workdir / "missing.pcap")]) == 1

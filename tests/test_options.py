@@ -50,6 +50,22 @@ class TestKey:
             Key(-1)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: TcpOption(256), "option kind out of range: 256"),
+    (lambda: TcpOption(-1), "option kind out of range: -1"),
+    (lambda: TcpOption(0, b"\x00"), "kind 0 carries no payload"),
+    (lambda: TcpOption(1, b"\x00"), "kind 1 carries no payload"),
+    (lambda: TcpOption(30, bytes(39)), "option payload exceeds 38 bytes"),
+    (lambda: Key.from_bytes(bytes(7)), "key needs exactly 8 bytes, got 7"),
+    (lambda: MpCapable(1, 256), "flags must fit in 8 bits, got 0x100"),
+], ids=["kind-256", "kind-minus-1", "eol-payload", "nop-payload", "payload-39",
+        "key-7-bytes", "flags-256"])
+def test_value_constructors_refuse_what_their_message_names(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
 class TestParseOptions:
     def test_empty_input(self):
         assert parse_options(b"") == []

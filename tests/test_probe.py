@@ -82,6 +82,10 @@ class TestProbeSpec:  # the campaign constants a ProbeContext validates and hold
         with pytest.raises(IllegalCombination):
             ProbeContext(1, probe_key=K)
 
+    def test_version_outside_0_and_1_refused(self):
+        with pytest.raises(ValueError, match="^version must be 0 or 1, got 7$"):
+            ProbeContext(7)
+
     def test_default_probe_key_weight(self):
         assert DEFAULT_PROBE_KEY.value.bit_count() == 16
 
@@ -146,6 +150,10 @@ class TestBuildSynProbe:
             pkt = build_syn_probe(contexts[seed], target, port)
             assert pkt.seq == int.from_bytes(seq.digest(), "big")
             assert pkt.src_port == 32768 + int.from_bytes(sport.digest(), "big") % 28000
+
+    def test_port_outside_16_bits_refused(self):
+        with pytest.raises(ValueError, match="^port out of range: 70000$"):
+            build_syn_probe(ProbeContext(1), "10.0.0.1", 70000)
 
     def test_v6_target_gets_v6_source(self):
         pkt = build_syn_probe(ProbeContext(1), "2001:db8::5", 443)

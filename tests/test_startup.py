@@ -79,6 +79,12 @@ def test_a_simulated_scan_runs_no_capture_timing_or_reporting_module(tmp_path):
     assert len((tmp_path / "scan.csv").read_text().splitlines()) == 20
 
 
+def test_the_bench_module_runs_no_simulator_for_a_live_transport():
+    ran = loaded("import mptcpkit.bench\nmptcpkit.bench.SystemTimingTransport")["ran"]
+    assert "bench" in ran
+    assert not ran & {"netsim", "tracer"}
+
+
 # The module each public name of the package is defined in.
 PUBLIC = {
     "Classification": "probe",

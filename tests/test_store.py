@@ -12,6 +12,7 @@ from mptcpkit.store import (
     MigrationReport,
     ScanSnapshot,
     SnapshotStore,
+    TopReportRow,
     consistent_hosts,
     eligible_for_path_probe,
     enrich,
@@ -168,6 +169,18 @@ class TestConsistentHosts:
             assert str(raised.value) == "window of 30000 months is longer than the 1-month series"
         with pytest.raises(ValueError, match="expected YYYY-MM"):  # a bad month still comes first
             consistent_hosts(s, 30000, "2021-1")
+
+    def test_month_missing_inside_a_long_enough_series_is_named(self):
+        s = series(snap("2021-08", ["a"]), snap("2021-10", ["a"]), snap("2021-11", ["a"]))
+        for select in (consistent_hosts, eligible_for_path_probe):
+            with pytest.raises(InsufficientHistory, match="^missing snapshots for 2021-09$"):
+                select(s, window_months=3, at_date="2021-11")
+
+    def test_window_of_no_months_is_refused(self):
+        s = series(snap("2021-10", ["a"]))
+        for select in (consistent_hosts, eligible_for_path_probe):
+            with pytest.raises(ValueError, match="^window must be >= 1 month$"):
+                select(s, window_months=0, at_date="2021-10")
 
     def test_window_one_equals_latest_positives(self):
         latest = snap("2021-10", ["a", "b"])
@@ -366,3 +379,74 @@ class TestTopReport:
         # two hosts rank above one; counted twice, ASN 4 would tie and win
         assert [r.group for r in rows] == ["5", "4"]
         assert rows[1].count(80) == 1 and rows[1].count(443) == 1
+
+    def test_unknown_grouping_rejected(self):
+        with pytest.raises(ValueError, match="^group_by must be asn or country, got 'x'$"):
+            top_report([("10.5.0.1", 80)], self.table(), group_by="x")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prefixes=st.dictionaries(
+            st.sampled_from(["10.0.0.0/8", "10.1.0.0/16", "10.2.0.0/16", "10.1.1.0/24",
+                             "2001:db8::/32", "2001:db8:1::/48", "2001:db8:2::/48"]),
+            st.integers(1, 6),
+        ),
+        meta=st.dictionaries(
+            st.integers(1, 6),
+            st.tuples(st.sampled_from(["Apple", "Akamai", "Unknown"]),
+                      st.sampled_from(["US", "DE", "JP", "??"]),
+                      st.none() | st.integers(1, 50)),
+        ),
+        records=st.lists(st.tuples(
+            st.one_of(
+                st.builds("10.{}.{}.{}".format, st.integers(0, 3), st.integers(0, 2),
+                          st.integers(0, 3)),
+                st.builds("2001:db8:{:x}::{:x}".format, st.integers(0, 3), st.integers(0, 3)),
+                st.builds("192.0.2.{}".format, st.integers(0, 3)),
+            ),
+            st.sampled_from([80, 443, 8080]),
+        ), max_size=60),
+        group_by=st.sampled_from(["asn", "country"]),
+        k=st.integers(1, 12),
+    )
+    def test_one_group_table_equals_the_reference(self, prefixes, meta, records, group_by, k):
+        table = EnrichmentTable([f"{p},{asn}" for p, asn in prefixes.items()], meta)
+        assert (top_report(records, table, group_by, k)
+                == reference_top_report(records, table, group_by, k))
+
+
+def reference_top_report(records, table, group_by, k):
+    """`top_report` as three dicts kept in lockstep: the reference for the
+    one table of groups."""
+    addresses: dict[str, set[str]] = {}
+    per_port: dict[str, dict[int, set[str]]] = {}
+    meta = {}
+    for address, port in records:
+        info = enrich(address, table)
+        group = str(info.asn) if group_by == "asn" else info.country
+        if info.asn is None and group_by == "asn":
+            group = "unknown"
+        addresses.setdefault(group, set()).add(address)
+        per_port.setdefault(group, {}).setdefault(port, set()).add(address)
+        meta.setdefault(group, info)
+
+    def sort_key(group: str):
+        if group_by == "asn":
+            tie = (0, int(group)) if group.isdigit() else (1, 0)
+        else:
+            tie = group
+        return -len(addresses[group]), tie
+
+    rows = []
+    for group in sorted(addresses, key=sort_key)[:k]:
+        info = meta[group]
+        rows.append(
+            TopReportRow(
+                group=group,
+                organization=info.organization,
+                country=info.country,
+                rank=info.rank,
+                port_counts={p: len(s) for p, s in per_port[group].items()},
+            )
+        )
+    return rows
